@@ -8,6 +8,7 @@ this module; see its docstring for usage examples.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -248,6 +249,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return diff_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.trace_out:
+        # Found out now, not after the whole simulation has run.
+        out_dir = os.path.dirname(os.path.abspath(args.trace_out))
+        if not os.path.isdir(out_dir):
+            parser.error(f"--trace-out {args.trace_out!r}: no directory {out_dir!r}")
+        if not os.access(out_dir, os.W_OK) or os.path.isdir(args.trace_out):
+            parser.error(f"--trace-out {args.trace_out!r}: cannot be written")
     want_critical = args.critical_path or args.whatif is not None
     overrides = {}
     for item in args.param:
@@ -395,28 +403,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.backend == "msgpass":
         result = run_msgpass(prog, cfg)
     else:
-        result = run_shmem(
-            prog,
-            cfg,
-            optimize=not args.no_opt,
-            bulk=not args.no_bulk,
-            rt_elim=args.rt_elim,
-            pre=args.pre,
-            advisory=args.advisory or False,
-            protocol=args.protocol,
-            audit_each_barrier=args.audit,
-            obs=bus,
-            profile_phases=args.profile_phases,
-            critical_path=want_critical,
-        )
+        try:
+            result = run_shmem(
+                prog,
+                cfg,
+                optimize=not args.no_opt,
+                bulk=not args.no_bulk,
+                rt_elim=args.rt_elim,
+                pre=args.pre,
+                advisory=args.advisory or False,
+                protocol=args.protocol,
+                audit_each_barrier=args.audit,
+                obs=bus,
+                profile_phases=args.profile_phases,
+                critical_path=want_critical,
+            )
+        finally:
+            # Written before anything below can raise, and when the run
+            # itself does: a failed audit, a degraded finish or a numerics
+            # mismatch is exactly what the trace is for dissecting.
+            if exporter is not None:
+                retained = exporter.write(args.trace_out)
     if not result.completed:
         # Degraded run: the partition never healed.  Partial stats and a
         # failure report instead of a traceback; numerics are partial too,
-        # so the uniproc cross-check is skipped.  The trace is still
-        # written — it is exactly the artifact for dissecting the failure.
+        # so the uniproc cross-check is skipped.
         _print_degraded(result, cfg)
         if exporter is not None:
-            retained = exporter.write(args.trace_out)
             print(f"trace:            {args.trace_out} ({retained} events, "
                   "up to the give-up point)")
         return 4
@@ -495,7 +508,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             scope = f"post-heal, {scope}"
         print(f"coherence audit:  clean ({scope})")
     if exporter is not None:
-        retained = exporter.write(args.trace_out)
         dropped = f", {exporter.dropped} dropped past cap" if exporter.dropped else ""
         print(f"trace:            {args.trace_out} ({retained} events{dropped})")
     if result.phase_breakdown is not None:

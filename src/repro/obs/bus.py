@@ -11,8 +11,9 @@ Design constraints, in order of importance:
 2. **Zero cost when off.**  Components hold ``self.obs = None`` and
    guard every publish with ``if self.obs is not None``; with no bus
    attached no :class:`Event` is ever constructed.
-3. **Low overhead when on.**  One object per event, per-subscriber kind
-   filtering with frozensets, no string formatting on the hot path.
+3. **Low overhead when on.**  One object per event, one dict lookup to
+   the callbacks that want its kind, no string formatting on the hot
+   path.
 
 Event kinds are dotted strings (``miss.read``, ``frame.retransmit``,
 ``channel.heal``, ...); the full taxonomy lives in
@@ -63,10 +64,13 @@ class Subscription:
 
 
 class EventBus:
-    __slots__ = ("_subs", "events_published")
+    __slots__ = ("_subs", "_routes", "events_published")
 
     def __init__(self):
         self._subs: list[Subscription] = []
+        # kind -> callbacks wanting it, in subscription order; filled per
+        # kind on first emit, emptied whenever the subscriber list changes
+        self._routes: dict[str, tuple] = {}
         self.events_published = 0
 
     def subscribe(
@@ -77,10 +81,12 @@ class EventBus:
         """Register ``callback``; restrict to exact ``kinds`` if given."""
         sub = Subscription(callback, frozenset(kinds) if kinds is not None else None)
         self._subs.append(sub)
+        self._routes.clear()
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
         self._subs.remove(sub)
+        self._routes.clear()
 
     @property
     def n_subscribers(self) -> int:
@@ -99,7 +105,13 @@ class EventBus:
         seq = self.events_published
         self.events_published = seq + 1
         ev = Event(kind, t_ns, dur_ns, node, args, seq, parent)
-        for sub in self._subs:
-            if sub.kinds is None or kind in sub.kinds:
-                sub.callback(ev)
+        callbacks = self._routes.get(kind)
+        if callbacks is None:
+            callbacks = self._routes[kind] = tuple(
+                sub.callback
+                for sub in self._subs
+                if sub.kinds is None or kind in sub.kinds
+            )
+        for callback in callbacks:
+            callback(ev)
         return ev

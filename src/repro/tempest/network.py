@@ -143,6 +143,7 @@ class Network:
         "stats",
         "nodes",
         "obs",
+        "_wire_ns",
         "links",
         "switch",
         "_port_depth",
@@ -171,6 +172,8 @@ class Network:
         self.nodes = nodes
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
+        #: frame size -> wire_ns published on msg.send (read only with a bus)
+        self._wire_ns: dict[int, int] = {}
         self.links = [
             Resource(engine, f"link{n}") for n in range(config.n_nodes)
         ]
@@ -338,9 +341,14 @@ class Network:
         if src == dst:
             wire_ns = 0
         else:
-            wire_ns = int(self.config.transfer_ns(size)) + self.config.wire_latency_ns
-            if self.switch is not None:
-                wire_ns += self.config.switch_forward_ns(size)
+            wire_ns = self._wire_ns.get(size)
+            if wire_ns is None:
+                wire_ns = (
+                    int(self.config.transfer_ns(size)) + self.config.wire_latency_ns
+                )
+                if self.switch is not None:
+                    wire_ns += self.config.switch_forward_ns(size)
+                self._wire_ns[size] = wire_ns
         ev = self.obs.emit(
             "msg.send", self.engine.now, node=src, parent=parent,
             src=src, dst=dst, msg=kind, size=size, wire_ns=wire_ns,

@@ -71,6 +71,55 @@ class TestSubscriptions:
             bus.unsubscribe(sub)
 
 
+class TestRouting:
+    """emit routes through a per-kind callback table rebuilt on change."""
+
+    def test_subscription_order_across_filtered_and_unfiltered(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(lambda ev: seen.append("all-1"))
+        bus.subscribe(lambda ev: seen.append("miss"), kinds={"miss.read"})
+        bus.subscribe(lambda ev: seen.append("all-2"))
+        bus.subscribe(lambda ev: seen.append("op"), kinds={"op"})
+        bus.emit("miss.read", 0)
+        assert seen == ["all-1", "miss", "all-2"]
+        del seen[:]
+        bus.emit("op", 0)
+        assert seen == ["all-1", "all-2", "op"]
+
+    def test_subscribe_between_emits_of_one_kind(self):
+        bus = EventBus()
+        first, late = [], []
+        bus.subscribe(first.append)
+        bus.emit("op", 0)
+        bus.subscribe(late.append, kinds={"op"})
+        bus.emit("op", 1)
+        assert [ev.t_ns for ev in first] == [0, 1]
+        assert [ev.t_ns for ev in late] == [1]
+
+    def test_unsubscribe_between_emits_of_one_kind(self):
+        bus = EventBus()
+        kept, gone = [], []
+        bus.subscribe(kept.append)
+        sub = bus.subscribe(gone.append, kinds={"op"})
+        bus.emit("op", 0)
+        bus.unsubscribe(sub)
+        bus.emit("op", 1)
+        assert [ev.t_ns for ev in kept] == [0, 1]
+        assert [ev.t_ns for ev in gone] == [0]
+
+    def test_unsubscribe_unknown_raises_after_routing(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        stranger = EventBus().subscribe(lambda ev: None)
+        bus.emit("op", 0)
+        with pytest.raises(ValueError):
+            bus.unsubscribe(stranger)
+        bus.emit("op", 1)
+        assert len(seen) == 2
+
+
 class TestZeroCostOff:
     def test_cluster_without_bus_publishes_nothing(self):
         from tests.tempest.conftest import make_cluster, run_programs

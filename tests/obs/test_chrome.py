@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.obs import ChromeTraceExporter, EventBus, validate_chrome_trace
+from repro.obs import chrome
 from repro.obs.chrome import _PID_CLUSTER, _PID_FABRIC, _TID_SWITCH, _TID_TRANSPORT
 from repro.tempest.stats import MsgKind
 
@@ -90,6 +93,90 @@ class TestFilters:
         # The newest events survive.
         assert [ev.t_ns for ev in exp.events] == [7, 8, 9]
         assert exp.to_chrome()["otherData"]["dropped_events"] == 7
+
+
+def lossy_exporter(**exporter_kwargs):
+    """A small jacobi run over a dropping, duplicating wire."""
+    from repro.apps import APPS
+    from repro.runtime import run_shmem
+    from repro.tempest import ClusterConfig, FaultConfig
+
+    bus = EventBus()
+    exp = ChromeTraceExporter(bus, n_nodes=4, **exporter_kwargs)
+    cfg = ClusterConfig(
+        n_nodes=4, faults=FaultConfig(drop_prob=0.05, dup_prob=0.02, seed=7)
+    )
+    run_shmem(APPS["jacobi"].program(n=32, iters=1), cfg, obs=bus)
+    return exp
+
+
+class TestWriteBytes:
+    """``write`` streams chunks through the C encoder; the file must be
+    exactly ``json.dumps(to_chrome())`` wherever the chunk seams fall."""
+
+    @staticmethod
+    def check(exp, tmp_path, schema_errors=()):
+        path = tmp_path / "t.json"
+        assert exp.write(path) == len(exp.events)
+        data = exp.to_chrome()
+        assert path.read_bytes() == json.dumps(data).encode()
+        assert exp.to_json() == json.dumps(data)
+        errors = validate_chrome_trace(json.loads(path.read_text()))
+        assert errors == list(schema_errors)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+        return data
+
+    def test_empty_bus(self, tmp_path):
+        # The validator has always called a trace with no events suspect.
+        data = self.check(
+            ChromeTraceExporter(EventBus()), tmp_path,
+            schema_errors=["trace contains only metadata events"],
+        )
+        assert {r["ph"] for r in data["traceEvents"]} == {"M"}
+        assert data["otherData"]["retained_events"] == 0
+
+    def test_fewer_events_than_one_chunk(self, tmp_path):
+        _bus, exp = make_bus_with_traffic()
+        assert len(self.check(exp, tmp_path)["traceEvents"]) < chrome._CHUNK
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_whole_chunks_and_one_more(self, tmp_path, extra):
+        bus = EventBus()
+        exp = ChromeTraceExporter(bus, n_nodes=2)
+        n_meta = 4  # two process names, two node threads
+        for i in range(2 * chrome._CHUNK - n_meta + extra):
+            bus.emit("op", i, 1, node=0, op="compute")
+        data = self.check(exp, tmp_path)
+        assert len(data["traceEvents"]) == 2 * chrome._CHUNK + extra
+
+    def test_lossy_run_with_flow_pairs(self, tmp_path):
+        data = self.check(lossy_exporter(), tmp_path)
+        assert data["otherData"]["flow_pairs"] > 0
+        assert data["otherData"]["dropped_events"] == 0
+
+    def test_ring_eviction_with_kind_filter(self, tmp_path):
+        full = lossy_exporter().to_chrome()["otherData"]
+        exp = lossy_exporter(kinds=["frame", "miss"], max_events=200)
+        other = self.check(exp, tmp_path)["otherData"]
+        assert other["retained_events"] == 200 and other["dropped_events"] > 0
+        assert {ev.kind.split(".")[0] for ev in exp.events} <= {"frame", "miss"}
+        # Sends evicted from the ring take their arrows with them.
+        assert 0 < other["flow_pairs"] < full["flow_pairs"]
+
+    def test_failed_write_keeps_the_published_trace(self, tmp_path, monkeypatch):
+        _bus, exp = make_bus_with_traffic()
+        path = tmp_path / "t.json"
+        exp.write(path)
+        before = path.read_bytes()
+
+        def explode(_chunk):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(chrome, "_encode", explode)
+        with pytest.raises(RuntimeError):
+            exp.write(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
 class TestSchemaValidator:

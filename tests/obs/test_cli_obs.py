@@ -69,3 +69,29 @@ class TestMain:
     def test_obs_flags_rejected_on_msgpass(self, capsys):
         with pytest.raises(SystemExit):
             main(SMALL + ["--backend", "msgpass", "--profile-phases"])
+
+    def test_trace_out_in_missing_directory_rejected_up_front(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "dir" / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL + ["--trace-out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--trace-out" in captured.err and "no directory" in captured.err
+        assert captured.out == ""  # rejected before anything ran
+
+    def test_trace_out_naming_a_directory_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL + ["--trace-out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_numerics_mismatch_still_leaves_the_trace(self, tmp_path, monkeypatch):
+        from repro.runtime.results import RunResult
+
+        def mismatch(self, other, rtol=1e-10):
+            raise AssertionError("arrays diverge")
+
+        monkeypatch.setattr(RunResult, "assert_same_numerics", mismatch)
+        path = tmp_path / "trace.json"
+        with pytest.raises(AssertionError, match="arrays diverge"):
+            main(SMALL + ["--trace-out", str(path)])
+        assert validate_chrome_trace(json.loads(path.read_text())) == []
