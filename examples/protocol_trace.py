@@ -10,9 +10,9 @@ compiler control — one tagged data message; and, for contrast, (c) the
 write-update protocol's push.
 """
 
+from repro.obs import MessageTracer
 from repro.tempest import Cluster, ClusterConfig, Distribution, HomePolicy, SharedMemory
 from repro.tempest.stats import MsgKind
-from repro.tempest.tracing import MessageTracer
 
 KINDS = {
     MsgKind.READ_REQ, MsgKind.READ_RESP, MsgKind.PUT_REQ, MsgKind.PUT_RESP,
@@ -31,7 +31,7 @@ def make(protocol="invalidate"):
 
 def warmup_then_trace(cl, b, producer_body, consumer_body):
     """Run one warm-up iteration, then trace the steady-state one."""
-    tracer = MessageTracer(cl, kinds=KINDS)
+    tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, kinds=KINDS)
 
     def producer():
         for phase in (1, 2):
@@ -71,7 +71,7 @@ def default_protocol():
 
 def compiler_controlled():
     cl, b = make()
-    tracer = MessageTracer(cl, kinds=KINDS)
+    tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, kinds=KINDS)
 
     def producer():
         yield from cl.ext.mk_writable(1, [b])

@@ -57,6 +57,33 @@ def _parse_link_fault(spec: str) -> LinkFaultConfig:
     return LinkFaultConfig(src, dst, **kwargs)
 
 
+def _parse_params(items: Sequence[str], spec) -> dict[str, int]:
+    """``--param KEY=VAL`` items -> integer overrides of ``spec``'s parameters."""
+    overrides = {}
+    for item in items:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise ValueError(f"{item!r}: expected KEY=VAL")
+        if key not in spec.default_params:
+            raise ValueError(
+                f"{item!r}: {spec.name} has no parameter {key!r}; "
+                f"choose from {sorted(spec.default_params)}"
+            )
+        try:
+            overrides[key] = int(val)
+        except ValueError:
+            raise ValueError(f"{item!r}: {val!r} is not an integer") from None
+    return overrides
+
+
+def _checked(parser: argparse.ArgumentParser, flags: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError is a usage error on ``flags``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        parser.error(f"{flags}: {e}")
+
+
 def _parse_partition(spec: str, index: int) -> PartitionScenario:
     """``NODES:START_US:DUR_US`` (DUR_US may be ``never``) -> scenario."""
     parts = spec.split(":")
@@ -257,15 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not os.access(out_dir, os.W_OK) or os.path.isdir(args.trace_out):
             parser.error(f"--trace-out {args.trace_out!r}: cannot be written")
     want_critical = args.critical_path or args.whatif is not None
-    overrides = {}
-    for item in args.param:
-        key, sep, val = item.partition("=")
-        if not sep:
-            print(f"bad --param {item!r}; expected KEY=VAL", file=sys.stderr)
-            return 2
-        overrides[key] = int(val)
     spec = APPS[args.app]
-    prog = spec.program(args.scale, **overrides)
+    overrides = _checked(parser, "--param", _parse_params, args.param, spec)
+    prog = _checked(parser, "--param", spec.program, args.scale, **overrides)
     link_faults = []
     for lf_spec in args.fault_link:
         try:
@@ -316,23 +337,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         cap = int(args.rto_max_us * 1000)
         fault_kwargs["max_backoff_ns"] = cap
         fault_kwargs["rto_max_ns"] = cap
-    try:
-        faults = FaultConfig(
-            drop_prob=args.fault_drop,
-            dup_prob=args.fault_dup,
-            jitter_ns=int(args.fault_jitter * 1000),
-            stall_prob=args.fault_stall,
-            stall_ns=int(args.fault_stall_us * 1000),
-            seed=args.fault_seed,
-            adaptive_rto=args.rto_adaptive,
-            link_faults=tuple(link_faults),
-            partitions=tuple(partitions),
-            crashes=tuple(crashes),
-            checkpoint_every=args.checkpoint_every,
-            **fault_kwargs,
-        )
-    except ValueError as e:
-        parser.error(str(e))
+    faults = _checked(
+        parser, "--fault-*", FaultConfig,
+        drop_prob=args.fault_drop,
+        dup_prob=args.fault_dup,
+        jitter_ns=int(args.fault_jitter * 1000),
+        stall_prob=args.fault_stall,
+        stall_ns=int(args.fault_stall_us * 1000),
+        seed=args.fault_seed,
+        adaptive_rto=args.rto_adaptive,
+        link_faults=tuple(link_faults),
+        partitions=tuple(partitions),
+        crashes=tuple(crashes),
+        checkpoint_every=args.checkpoint_every,
+        **fault_kwargs,
+    )
     if (args.rto_adaptive or args.rto_max_us is not None) and not faults.enabled:
         # Historically this was silently ignored (the transport is bypassed
         # on a perfect wire); fail fast instead.
@@ -347,13 +366,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         combine_kwargs["max_msgs"] = args.combine_max_msgs
     if args.combine_wait is not None:
         combine_kwargs["max_wait_ns"] = int(args.combine_wait * 1000)
-    combine = CombineConfig(enabled=args.combine, **combine_kwargs)
-    switch = SwitchConfig(
+    combine = _checked(
+        parser, "--combine-max-msgs/--combine-wait", CombineConfig,
+        enabled=args.combine, **combine_kwargs,
+    )
+    switch = _checked(
+        parser, "--switch-ports/--switch-bw", SwitchConfig,
         enabled=args.switch,
         ports=args.switch_ports,
         bandwidth_bytes_per_us=args.switch_bw,
     )
-    cfg = ClusterConfig(
+    cfg = _checked(
+        parser, "--nodes", ClusterConfig,
         n_nodes=args.nodes, dual_cpu=not args.single_cpu, faults=faults,
         combine=combine, switch=switch,
     )
@@ -366,7 +390,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--critical-path instrument the shmem backend; they are "
                 "not available with --backend msgpass"
             )
-        from repro.obs import ChromeTraceExporter, EventBus
+        from repro.obs import ChromeTraceExporter, EventBus, MessageTracer
 
         bus = EventBus()
         if args.trace_out:
@@ -377,8 +401,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 bus, kinds=kinds, max_events=args.trace_cap, n_nodes=args.nodes
             )
         if args.trace_messages:
-            from repro.tempest.tracing import MessageTracer
-
             mkinds = None
             if args.trace_messages != "all":
                 try:
@@ -389,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     }
                 except ValueError as e:
                     parser.error(f"--trace-messages: {e}")
-            tracer = MessageTracer.on_bus(bus, args.nodes, kinds=mkinds)
+            tracer = MessageTracer(bus, args.nodes, kinds=mkinds)
 
     print(f"{spec.name}: {spec.description}")
     print(f"paper problem: {spec.paper['problem']}")

@@ -20,6 +20,8 @@ else in this package is a *subscriber*:
 * :class:`~repro.obs.metrics.MetricsRegistry` — re-derives the
   ``NodeStats``/``ClusterStats`` counters from bus events, so traces
   and counters can never silently disagree;
+* :class:`~repro.obs.tracing.MessageTracer` — records ``msg.send``
+  events and renders message-sequence charts and traffic summaries;
 * :mod:`repro.obs.schema` — a dependency-free validator for the
   exported trace JSON (``python -m repro.obs.schema trace.json``).
 
@@ -37,6 +39,7 @@ from repro.obs.critical import COST_CLASSES, CriticalPathAnalyzer, render_critic
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import BUCKETS, PhaseProfiler, breakdown_totals, render_breakdown
 from repro.obs.schema import validate_chrome_trace
+from repro.obs.tracing import MessageRecord, MessageTracer
 
 __all__ = [
     "BUCKETS",
@@ -45,6 +48,8 @@ __all__ = [
     "CriticalPathAnalyzer",
     "Event",
     "EventBus",
+    "MessageRecord",
+    "MessageTracer",
     "MetricsRegistry",
     "PhaseProfiler",
     "breakdown_totals",

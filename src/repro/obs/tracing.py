@@ -2,8 +2,8 @@
 
 Debugging a coherence protocol is archaeology over message interleavings;
 this module makes the dig pleasant.  A :class:`MessageTracer` subscribes to
-a cluster's observability bus (``repro.obs``) and records every ``msg.send``
-event with its timestamp, endpoints, kind and size.  Afterwards it renders
+an :class:`~repro.obs.bus.EventBus` and records every ``msg.send`` event
+with its timestamp, endpoints, kind and size.  Afterwards it renders
 
 * a textual **message-sequence chart** (one column per node, time flowing
   down) — the format protocol papers draw by hand, and
@@ -16,7 +16,8 @@ COMBINED frames, which the old ``Network.send`` monkey-patch never saw.
 Example::
 
     cl = Cluster(cfg, mem)
-    tracer = MessageTracer(cl, kinds={MsgKind.READ_REQ, MsgKind.READ_RESP})
+    tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes,
+                           kinds={MsgKind.READ_REQ, MsgKind.READ_RESP})
     cl.run(programs)
     print(tracer.sequence_chart())
 """
@@ -27,11 +28,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.tempest.stats import MsgKind
+from repro.obs.bus import Event, EventBus
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster -> obs)
-    from repro.obs import Event, EventBus
-    from repro.tempest.cluster import Cluster
+if TYPE_CHECKING:  # pragma: no cover - repro.obs imports nothing it observes
+    from repro.tempest.stats import MsgKind
 
 __all__ = ["MessageRecord", "MessageTracer"]
 
@@ -54,27 +54,15 @@ class MessageRecord:
 
 
 class MessageTracer:
-    """Records a cluster's message traffic (install before running).
-
-    Construct with a :class:`Cluster` (attaches to / creates its bus), or
-    with :meth:`on_bus` when the bus is shared with other subscribers and
-    the cluster does not exist yet.
-    """
+    """Records a cluster's message traffic (subscribe before running)."""
 
     def __init__(
         self,
-        cluster: "Cluster | None" = None,
+        bus: EventBus,
+        n_nodes: int,
         kinds: Iterable[MsgKind] | None = None,
         max_records: int = 100_000,
-        bus: "EventBus | None" = None,
-        n_nodes: int | None = None,
     ) -> None:
-        if bus is None:
-            if cluster is None:
-                raise ValueError("need a cluster or a bus to trace")
-            bus = cluster.ensure_bus()
-        if n_nodes is None:
-            n_nodes = cluster.n_nodes if cluster is not None else 0
         self.bus = bus
         self.n_nodes = n_nodes
         self.kinds = frozenset(kinds) if kinds is not None else None
@@ -83,19 +71,8 @@ class MessageTracer:
         self.dropped = 0
         self._sub = bus.subscribe(self._on_event, kinds=frozenset({"msg.send"}))
 
-    @classmethod
-    def on_bus(
-        cls,
-        bus: "EventBus",
-        n_nodes: int,
-        kinds: Iterable[MsgKind] | None = None,
-        max_records: int = 100_000,
-    ) -> "MessageTracer":
-        """Subscribe to an existing bus (cluster built later / elsewhere)."""
-        return cls(kinds=kinds, max_records=max_records, bus=bus, n_nodes=n_nodes)
-
     # ------------------------------------------------------------------ #
-    def _on_event(self, ev: "Event") -> None:
+    def _on_event(self, ev: Event) -> None:
         args = ev.args
         kind = args["msg"]
         if self.kinds is not None and kind not in self.kinds:

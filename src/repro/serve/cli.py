@@ -162,10 +162,11 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         axes = parse_axis_specs(args.axis)
+        base = ClusterConfig(n_nodes=args.nodes)
+        requests = expand_matrix(args.apps, axes, scale=args.scale, base_config=base)
     except ValueError as e:
+        # Every cell is built, and so validated, before any is submitted.
         parser.error(str(e))
-    base = ClusterConfig(n_nodes=args.nodes)
-    requests = expand_matrix(args.apps, axes, scale=args.scale, base_config=base)
     cache_dir = None if args.no_cache else args.cache_dir
     print(
         f"sweep: {len(args.apps)} app(s) x {max(1, len(requests) // max(1, len(args.apps)))} "
@@ -304,8 +305,8 @@ def _diff_request(app: str, spec: str, scale: str, base: ClusterConfig):
 def diff_main(argv: Sequence[str] | None = None) -> int:
     parser = build_diff_parser()
     args = parser.parse_args(argv)
-    base = ClusterConfig(n_nodes=args.nodes)
     try:
+        base = ClusterConfig(n_nodes=args.nodes)
         req_a = _diff_request(args.app, args.cell_a, args.scale, base)
         req_b = _diff_request(args.app, args.cell_b, args.scale, base)
     except ValueError as e:

@@ -43,29 +43,31 @@ __all__ = ["AXES", "expand_matrix", "parse_axis_specs"]
 _BOOL = {"on": True, "off": False, "true": True, "false": False, "1": True, "0": False}
 
 
-def _bool(axis: str, text: str) -> bool:
+def _flag(value) -> bool:
+    if not isinstance(value, str):
+        return bool(value)
     try:
-        return _BOOL[str(text).strip().lower()]
+        return _BOOL[value.strip().lower()]
     except KeyError:
-        raise ValueError(f"axis {axis!r}: expected on/off, got {text!r}") from None
+        raise ValueError(f"expected on/off, got {value!r}") from None
 
 
 #: axis name -> value parser (CLI passes strings; API may pass typed values)
 AXES = {
-    "optimize": lambda v: _bool("optimize", v) if isinstance(v, str) else bool(v),
-    "bulk": lambda v: _bool("bulk", v) if isinstance(v, str) else bool(v),
-    "rt_elim": lambda v: _bool("rt_elim", v) if isinstance(v, str) else bool(v),
-    "pre": lambda v: _bool("pre", v) if isinstance(v, str) else bool(v),
+    "optimize": _flag,
+    "bulk": _flag,
+    "rt_elim": _flag,
+    "pre": _flag,
     "protocol": str,
-    "combine": lambda v: _bool("combine", v) if isinstance(v, str) else bool(v),
-    "switch": lambda v: _bool("switch", v) if isinstance(v, str) else bool(v),
+    "combine": _flag,
+    "switch": _flag,
     "drop": float,
     "dup": float,
     "jitter_us": float,
     "seed": int,
     "nodes": int,
     "scale": str,
-    "profile": lambda v: _bool("profile", v) if isinstance(v, str) else bool(v),
+    "profile": _flag,
 }
 
 
@@ -82,7 +84,10 @@ def parse_axis_specs(specs: list[str]) -> dict[str, list]:
         if not values:
             raise ValueError(f"axis {spec!r} needs =v1,v2,...")
         parse = AXES[name]
-        axes[name] = [parse(v.strip()) for v in values.split(",")]
+        try:
+            axes[name] = [parse(v.strip()) for v in values.split(",")]
+        except ValueError as e:
+            raise ValueError(f"axis {spec!r}: {e}") from None
     return axes
 
 
@@ -146,7 +151,11 @@ def expand_matrix(
     for app in apps:
         for combo in itertools.product(*(axes[n] for n in names)):
             cell = dict(zip(names, combo))
-            requests.append(_cell_request(app, scale, cell, base_config))
+            try:
+                requests.append(_cell_request(app, scale, cell, base_config))
+            except ValueError as e:
+                settings = ",".join(f"{n}={v}" for n, v in cell.items())
+                raise ValueError(f"cell {settings or '-'}: {e}") from None
     return requests
 
 

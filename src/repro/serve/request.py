@@ -15,6 +15,7 @@ from typing import Any
 
 from repro.apps import get_app
 from repro.hpf.ast import Program
+from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy
 
@@ -58,6 +59,11 @@ class RunRequest:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+            )
+        if self.protocol not in Cluster.PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {self.protocol!r}; "
+                f"choose from {sorted(Cluster.PROTOCOLS)}"
             )
         if isinstance(self.params, dict):
             # Accept a dict at construction; store the hashable spelling.

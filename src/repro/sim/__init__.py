@@ -7,11 +7,9 @@ classic architecture simulators.  Virtual time is integral nanoseconds.
 Public API
 ----------
 :class:`Engine`
-    The event loop: a priority queue of timestamped events and a registry
-    of live processes.
-:class:`Process`
-    A simulated thread of control, written as a Python generator that
-    yields :class:`Delay` and :class:`Future` commands.
+    The event loop: a priority queue of timestamped events driving
+    processes — simulated threads of control written as Python generators
+    that yield :class:`Delay` and :class:`Future` commands.
 :class:`Future`
     One-shot synchronization cell; processes wait on it, anyone resolves it.
 :class:`Resource`
@@ -24,7 +22,6 @@ Public API
 """
 
 from repro.sim.engine import Delay, Engine, Future, SimulationError
-from repro.sim.process import Process
 from repro.sim.resource import CountingSemaphore, PortedResource, Resource
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "Engine",
     "Future",
     "PortedResource",
-    "Process",
     "Resource",
     "SimulationError",
 ]

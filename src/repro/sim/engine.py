@@ -5,25 +5,23 @@ integer count of nanoseconds; ``seq`` is a monotonically increasing tie
 breaker so that simultaneous events fire in schedule order, which makes every
 simulation run bit-for-bit deterministic.
 
-Two interchangeable schedulers implement that total order:
+The scheduler is a slotted calendar queue.  Events are bucketed by
+``when >> _BUCKET_SHIFT``; only the *current* bucket is kept as a binary
+heap, future buckets are plain append-only lists that are heapified once,
+when they become current.  Events scheduled for the current instant
+(``when == now``) bypass the heap entirely and go to a FIFO ``deque`` —
+correct because every such event necessarily carries a larger ``seq`` than
+any same-time event still in the heap, and FIFO order *is* seq order.  This
+turns the dominant scheduling pattern (near-future inserts + resolve-at-now
+hops) into O(1) appends instead of O(log n) sifts over one big heap.
 
-* ``scheduler="calendar"`` (the default) — a slotted calendar queue.  Events
-  are bucketed by ``when >> _BUCKET_SHIFT``; only the *current* bucket is
-  kept as a binary heap, future buckets are plain append-only lists that are
-  heapified once, when they become current.  Events scheduled for the
-  current instant (``when == now``) bypass the heap entirely and go to a
-  FIFO ``deque`` — correct because every such event necessarily carries a
-  larger ``seq`` than any same-time event still in the heap, and FIFO
-  order *is* seq order.  This turns the dominant scheduling pattern
-  (near-future inserts + resolve-at-now hops) into O(1) appends instead of
-  O(log n) sifts over one big heap.
-* ``scheduler="heap"`` — the original single binary heap, kept as a
-  debug/differential-testing mode: it must produce bit-identical simulated
-  results to the calendar queue (asserted across the fuzz matrix by
-  ``tests/test_engine_differential.py``).
+The seed's single binary heap is the reference this scheduler is tested
+against: it lives in ``tests/heap_engine.py`` as an ``Engine`` subclass, and
+``tests/test_engine_differential.py`` asserts bit-identical simulated
+results across the fault / combining / switch / crash matrix.
 
-Processes (see :mod:`repro.sim.process`) are generators driven by the engine.
-A process yields either
+Processes are generators driven by the engine (:meth:`Engine.spawn`).  A
+process yields either
 
 * a :class:`Delay` (or a bare non-negative ``int``), meaning *resume me after
   this many nanoseconds*, or
@@ -31,7 +29,7 @@ A process yields either
   resolved value is sent back into the generator), or
 * a :class:`Serve` command (from :meth:`repro.sim.resource.Resource.use`),
   meaning *occupy that resource and resume me when my turn finishes* —
-  the fused one-event equivalent of ``yield resource.serve(ns)``.
+  ``yield resource.serve(ns)`` without the Future.
 
 This tiny vocabulary is sufficient to express CPUs, protocol handlers,
 network messages and barriers, and keeps the hot loop small — important
@@ -40,11 +38,10 @@ because protocol-heavy runs schedule hundreds of thousands of events.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 __all__ = ["Delay", "Engine", "Future", "Serve", "SimulationError"]
 
@@ -77,12 +74,11 @@ class Serve:
     """Command: occupy a :class:`~repro.sim.resource.Resource`, resume after.
 
     Yielded by processes via :meth:`Resource.use`.  The engine interprets it
-    inline inside :meth:`Engine._step`: it advances the resource's FIFO
-    occupancy and schedules exactly one wake-up event at the finish time —
-    versus the classic ``serve()`` path's Future allocation plus two events
-    (resolve + wake-up hop).  Each resource keeps one mutable ``Serve``
-    singleton; that is safe because the command is consumed synchronously
-    within the very ``gen.send`` round that yielded it.
+    inline inside :meth:`Engine._step` as ``resource.then(ns, wake-up)``:
+    the same completion chain as ``yield resource.serve(ns)``, minus the
+    Future.  Each resource keeps one mutable ``Serve`` singleton; that is
+    safe because the command is consumed synchronously within the very
+    ``gen.send`` round that yielded it.
     """
 
     __slots__ = ("resource", "ns")
@@ -168,20 +164,6 @@ class Future:
 class Engine:
     """The discrete-event loop.
 
-    Parameters
-    ----------
-    scheduler:
-        ``"calendar"`` (default) or ``"heap"``.  Both produce bit-identical
-        simulated results; ``"heap"`` is the original binary-heap scheduler
-        kept for differential testing.  The default can be overridden with
-        the ``REPRO_ENGINE`` environment variable.
-    fused:
-        Enable fused fast paths (``Resource.use`` / one-event handler
-        dispatch) throughout the Tempest model.  Defaults to ``True`` under
-        the calendar scheduler and ``False`` under the heap scheduler, so
-        ``scheduler="heap"`` reproduces the seed engine's exact event
-        sequence as well as its results.
-
     Example
     -------
     >>> eng = Engine()
@@ -196,42 +178,26 @@ class Engine:
     """
 
     __slots__ = (
-        # shared
         "_seq",
         "now",
         "_live_processes",
         "events_dispatched",
         "max_queue_depth",
         "_npending",
-        "scheduler",
-        "fused",
-        # calendar-queue scheduler
+        # the calendar queue
         "_nowq",
         "_cur",
         "_cur_key",
         "_buckets",
         "_bucket_keys",
-        # heap scheduler (debug / differential mode)
-        "_heap",
     )
 
-    #: shared empty args tuple: no per-event allocation for argless events
-    _NO_ARGS: tuple = ()
-
-    def __init__(self, scheduler: str | None = None,
-                 fused: bool | None = None) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_ENGINE", "calendar")
-        if scheduler not in ("calendar", "heap"):
-            raise SimulationError(f"unknown scheduler {scheduler!r}")
-        self.scheduler = scheduler
-        self.fused = (scheduler != "heap") if fused is None else fused
+    def __init__(self) -> None:
         self._seq = 0
         self.now = 0
         self._live_processes = 0
         self.events_dispatched = 0
-        # High-water mark of the pending-event count (identical to the seed
-        # engine's heap-length high-water): a cheap storm detector
+        # High-water mark of the pending-event count: a cheap storm detector
         # (retransmit storms, broadcast bursts) visible in ClusterStats
         # summaries without needing a trace.
         self.max_queue_depth = 0
@@ -241,20 +207,16 @@ class Engine:
         # participate in heap comparisons, and no closure is allocated per
         # event — the engine's hottest allocation site in protocol-heavy
         # runs.
-        if scheduler == "heap":
-            self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
-            self.__class__ = _HeapEngine
-        else:
-            #: events at ``when == now``, FIFO (FIFO order == seq order)
-            self._nowq: deque = deque()
-            #: the current bucket, a real heap; also absorbs stragglers
-            #: scheduled into already-passed bucket regions (key <= cur_key)
-            self._cur: list[tuple[int, int, Callable[..., None], tuple]] = []
-            self._cur_key = 0
-            #: future buckets: key -> unsorted event list (heapified on pull)
-            self._buckets: dict[int, list] = {}
-            #: min-heap of the keys present in _buckets
-            self._bucket_keys: list[int] = []
+        #: events at ``when == now``, FIFO (FIFO order == seq order)
+        self._nowq: deque = deque()
+        #: the current bucket, a real heap; also absorbs stragglers
+        #: scheduled into already-passed bucket regions (key <= cur_key)
+        self._cur: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._cur_key = 0
+        #: future buckets: key -> unsorted event list (heapified on pull)
+        self._buckets: dict[int, list] = {}
+        #: min-heap of the keys present in _buckets
+        self._bucket_keys: list[int] = []
 
     # ------------------------------------------------------------------ #
     # scheduling primitives
@@ -300,7 +262,7 @@ class Engine:
         Semantically ``call_at(self.now, ...)``, minus the time checks and
         bucket math that cannot apply to a same-instant event.  This is the
         single hottest scheduling call (future resolution, process spawns
-        and every same-instant hop in the fused fast paths).
+        and the second event of every :meth:`Resource.then` chain).
         """
         self._seq += 1
         npending = self._npending + 1
@@ -333,16 +295,6 @@ class Engine:
         self._live_processes += 1
         self.call_now(self._step, gen, None, done)
         return done
-
-    def _serve_hop(self, gen: Generator[Any, Any, Any], done: Future) -> None:
-        """Completion event of a fused ``Serve``: re-queue the process wake-up.
-
-        Mirrors ``Future.resolve``'s wake-at-now hop so the fused path
-        occupies exactly the same two (time, seq) slots as the classic
-        ``serve()`` chain — the process resumes at the same position in the
-        global dispatch order either way.
-        """
-        self.call_now(self._step, gen, None, done)
 
     def _close_process(self, done: Future) -> None:
         """Close a cancelled guard's generator exactly once."""
@@ -385,17 +337,9 @@ class Engine:
                 self.call_at(self.now + cmd, self._step, gen, None, done)
                 return
             if cls is Serve:
-                # Fused resource occupancy: bump the resource's FIFO tail
-                # and wake the process through the same two-event chain the
-                # classic path uses (completion event, then a same-instant
-                # hop) — but with no Future, no label, no closure.  Keeping
-                # the event chain shape keeps every (time, seq) interleaving
-                # byte-identical to the unfused engine.  (The command object
-                # is a per-resource singleton; it is fully consumed right
-                # here, before anyone else can touch it.)
-                self.call_at(
-                    cmd.resource.occupy_end(cmd.ns), self._serve_hop, gen, done
-                )
+                # The command object is a per-resource singleton; it is
+                # fully consumed right here, before anyone else can touch it.
+                cmd.resource.then(cmd.ns, self._step, gen, None, done)
                 return
             if isinstance(cmd, int):
                 cmd = Delay(int(cmd))
@@ -438,7 +382,7 @@ class Engine:
         arrived, hence with seqs smaller than anything scheduled *at* the
         instant), then the now-queue drains in FIFO order (== seq order).
         Time never advances while the now-queue is non-empty, so this
-        reproduces the heap scheduler's global (time, seq) order exactly.
+        reproduces a single heap's global (time, seq) order exactly.
         """
         if until is not None and until < self.now:
             return  # nothing can fire: every pending event is at >= now
@@ -475,66 +419,6 @@ class Engine:
             else:
                 fn, args = nowq.popleft()
             self._npending -= 1
-            fn(*args)
-            dispatched += 1
-        self.events_dispatched += dispatched
-        if until is not None and self.now < until:
-            self.now = until
-
-    def run_until_quiescent(self, guard_processes: Iterable[Future] = ()) -> None:
-        """Run to completion and verify the given processes finished.
-
-        Deadlock detection: if the event queues drain while a guarded
-        process is still pending (e.g. a node stuck at a barrier no one
-        else reached), this raises with the stuck labels — far friendlier
-        than a silent hang-at-time-T result.
-        """
-        self.run()
-        stuck = [f.label for f in guard_processes if not f.resolved]
-        if stuck:
-            raise SimulationError(f"deadlock: processes never finished: {stuck}")
-
-
-class _HeapEngine(Engine):
-    """The seed binary-heap scheduler, selected via ``Engine(scheduler="heap")``.
-
-    Bit-identical simulated results to the calendar queue; kept as the
-    reference implementation for differential tests and as a debug fallback.
-    """
-
-    __slots__ = ()
-
-    def call_at(self, when: int, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at absolute time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"cannot schedule at {when} < now {self.now}")
-        self._seq += 1
-        heappush(self._heap, (when, self._seq, fn, args or self._NO_ARGS))
-        if len(self._heap) > self.max_queue_depth:
-            self.max_queue_depth = len(self._heap)
-
-    def call_now(self, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at the current instant (heap-ordered)."""
-        self._seq += 1
-        heappush(self._heap, (self.now, self._seq, fn, args or self._NO_ARGS))
-        if len(self._heap) > self.max_queue_depth:
-            self.max_queue_depth = len(self._heap)
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Dispatch events until the heap drains (or limits are hit)."""
-        heap = self._heap
-        dispatched = 0
-        while heap:
-            when = heap[0][0]
-            if until is not None and when > until:
-                break
-            if max_events is not None and dispatched >= max_events:
-                self.events_dispatched += dispatched
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a livelock"
-                )
-            _when, _seq, fn, args = heappop(heap)
-            self.now = when
             fn(*args)
             dispatched += 1
         self.events_dispatched += dispatched

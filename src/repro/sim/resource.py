@@ -4,7 +4,13 @@
 protocol processor, or a network interface.  Because service is FIFO and the
 service time of each job is known when it is submitted, the completion time
 of a job is simply ``max(now, free_at) + duration``; no explicit queue needs
-to be simulated, which keeps the hot path O(log n) (one heap push).
+to be simulated, which keeps the hot path to one scheduler insert.
+
+Every model component that occupies a server and then acts — a handler on a
+protocol CPU, a frame on a link, a process computing — goes through one
+completion chain, :meth:`Resource.then`: a completion event at the finish
+time, then the effect as a same-instant event.  :meth:`Resource.serve` is
+the same chain with a :class:`~repro.sim.engine.Future` in the middle.
 
 :class:`PortedResource` generalizes this to a bank of parallel FIFO servers
 (the output ports of a switch fabric): each job names its port and may carry
@@ -19,6 +25,8 @@ receiver "holds down a counting semaphore until all the blocks have arrived".
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from repro.sim.engine import Engine, Future, Serve, SimulationError
 
@@ -38,8 +46,8 @@ class Resource:
         self.jobs = 0
         self.label = label
         self._serve_label = label + ".serve"
-        # Reusable Serve command for the fused yield path; safe to share
-        # because the engine consumes it synchronously (see Serve docs).
+        # Reusable Serve command for ``use``; safe to share because the
+        # engine consumes it synchronously (see Serve docs).
         self._cmd = Serve(self)
 
     @property
@@ -50,40 +58,37 @@ class Resource:
     def serve(self, duration: int, tag: object = None) -> Future:
         """Submit a job of ``duration`` ns; returns a future resolved at its
         completion time.  Jobs are served in submission order."""
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        start = max(self._free_at, self._engine.now)
-        finish = start + duration
-        self._free_at = finish
-        self.busy_ns += duration
-        self.jobs += 1
         done = self._engine.future(self._serve_label)
-        self._engine.call_at(finish, done.resolve, tag)
+        self._engine.call_at(self.occupy_end(duration), done.resolve, tag)
         return done
 
-    def use(self, duration: int) -> object:
-        """Yieldable command equivalent to ``yield resource.serve(duration)``.
+    def then(self, duration: int, fn: Callable[..., None], *args: Any) -> None:
+        """Submit a job of ``duration`` ns and run ``fn(*args)`` when it
+        completes.
 
-        Under a fused engine the scheduler interprets the returned
-        :class:`~repro.sim.engine.Serve` command inline — one wake-up event,
-        no Future — with identical timing and FIFO semantics.  Under an
-        unfused (heap/debug) engine this transparently falls back to the
-        classic future-based path, so call sites never need to branch.
+        The completion chain is two events — one at the finish time, then
+        ``fn`` as a same-instant event behind anything already scheduled
+        for that instant — the same two ``(time, seq)`` slots that
+        ``serve(duration).add_callback(fn)`` occupies, with no Future.
         """
-        if self._engine.fused:
-            cmd = self._cmd
-            cmd.ns = duration
-            return cmd
-        return self.serve(duration)
+        engine = self._engine
+        engine.call_at(self.occupy_end(duration), engine.call_now, fn, *args)
+
+    def use(self, duration: int) -> Serve:
+        """Yieldable command: ``yield resource.use(ns)`` occupies the
+        resource and resumes the process when its turn finishes, as
+        ``yield resource.serve(ns)`` does, through :meth:`then`."""
+        cmd = self._cmd
+        cmd.ns = duration
+        return cmd
 
     def occupy_end(self, duration: int) -> int:
         """Charge the resource for ``duration`` ns; return the finish time.
 
-        Same accounting as :meth:`serve` with no event and no future — the
-        caller schedules (or skips) the completion itself.
+        The one occupancy routine: FIFO start, accounting, no event.
         """
         if duration < 0:
-            raise SimulationError(f"negative occupancy {duration}")
+            raise SimulationError(f"negative service time {duration}")
         start = self._free_at
         now = self._engine.now
         if start < now:
@@ -140,44 +145,24 @@ class PortedResource:
         return max(self._free_at[port], self._engine.now)
 
     def serve_at(
-        self, port: int, release_ns: int, duration: int, tag: object = None
-    ) -> tuple[int, int, Future]:
-        """Submit a job eligible at ``release_ns`` taking ``duration`` ns.
-
-        Returns ``(start, finish, future)``: service runs [start, finish)
-        with ``start = max(port_free_at, release_ns, now)``, and the future
-        resolves at ``finish``.  ``start - release_ns`` is the job's
-        queueing (contention) delay, accumulated in ``wait_ns[port]``.
-        """
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        if release_ns < self._engine.now:
-            raise SimulationError(
-                f"release time {release_ns} is in the past (now {self._engine.now})"
-            )
-        start = max(self._free_at[port], release_ns)
-        finish = start + duration
-        self._free_at[port] = finish
-        self.busy_ns[port] += duration
-        self.wait_ns[port] += start - release_ns
-        self.jobs[port] += 1
-        done = self._engine.future(f"{self.label}.serve")
-        self._engine.call_at(finish, done.resolve, tag)
-        return start, finish, done
-
-    def serve_at_end(
-        self, port: int, release_ns: int, duration: int
+        self, port: int, release_ns: int, duration: int,
+        fn: Callable[..., None], *args: Any,
     ) -> tuple[int, int]:
-        """:meth:`serve_at` without the completion future: ``(start, finish)``.
+        """Submit a job eligible at ``release_ns`` taking ``duration`` ns,
+        and run ``fn(*args)`` when it completes.
 
-        Same accounting and FIFO semantics; the caller schedules the
-        completion itself (the fused switch path).
+        Returns ``(start, finish)``: service runs [start, finish) with
+        ``start = max(port_free_at, release_ns, now)``, and ``fn`` runs
+        through the :meth:`Resource.then` completion chain at ``finish``.
+        ``start - release_ns`` is the job's queueing (contention) delay,
+        accumulated in ``wait_ns[port]``.
         """
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
-        if release_ns < self._engine.now:
+        engine = self._engine
+        if release_ns < engine.now:
             raise SimulationError(
-                f"release time {release_ns} is in the past (now {self._engine.now})"
+                f"release time {release_ns} is in the past (now {engine.now})"
             )
         start = max(self._free_at[port], release_ns)
         finish = start + duration
@@ -185,6 +170,7 @@ class PortedResource:
         self.busy_ns[port] += duration
         self.wait_ns[port] += start - release_ns
         self.jobs[port] += 1
+        engine.call_at(finish, engine.call_now, fn, *args)
         return start, finish
 
 

@@ -33,7 +33,6 @@ from repro.tempest.faults import (
     FaultConfig,
     LinkFaultConfig,
     PartitionScenario,
-    TransportError,
 )
 from repro.tempest.memory import (
     Distribution,
@@ -42,7 +41,6 @@ from repro.tempest.memory import (
     SharedMemory,
 )
 from repro.tempest.stats import ClusterStats, MsgKind, NodeStats
-from repro.tempest.tracing import MessageTracer
 
 __all__ = [
     "AccessTag",
@@ -57,13 +55,11 @@ __all__ = [
     "GlobalArray",
     "HomePolicy",
     "LinkFaultConfig",
-    "MessageTracer",
     "MsgKind",
     "NodeStats",
     "PartitionScenario",
     "SharedMemory",
     "SwitchConfig",
-    "TransportError",
     "audit_coherence",
     "audit_violations",
 ]

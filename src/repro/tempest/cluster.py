@@ -311,8 +311,9 @@ class Cluster:
         while True:
             self.engine.run()
             if self.recovery is not None and self.recovery.pending_recovery:
-                # The heap is drained: no stale timers or handler effects
-                # survive into the restored world.  Roll back and rerun.
+                # The event queue is drained: no stale timers or handler
+                # effects survive into the restored world.  Roll back and
+                # rerun.
                 guards = self.recovery.perform_rollback()
                 if faults_on:
                     watch_finishes(guards)

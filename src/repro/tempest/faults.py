@@ -47,28 +47,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.engine import SimulationError
-
 __all__ = [
     "CrashScenario",
     "FaultConfig",
     "LinkFaultConfig",
     "PartitionScenario",
-    "TransportError",
 ]
 
 _US = 1_000  # nanoseconds per microsecond (kept local to avoid a cycle)
-
-
-class TransportError(SimulationError):
-    """Historic abort: a frame exhausted its retransmit budget.
-
-    Since the partition-survival work the transport no longer raises this
-    — a give-up marks the channel ``PARTITIONED``, parks the unacked
-    frames and lets the run finish degraded (``RunResult.completed``
-    False) or heal (see :class:`PartitionScenario`).  The class is kept
-    for API compatibility with callers that still catch it.
-    """
 
 
 @dataclass(frozen=True)

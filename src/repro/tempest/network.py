@@ -213,13 +213,12 @@ class Network:
             self.transport = ReliableTransport(self, config.faults)
         else:
             self.transport = None
-        # Perfect plain wire (no switch, no combining, no faults) under a
-        # fused engine: _put_on_wire takes the allocation-free two-event
-        # path.  Precomputing the decision and the arrival delay keeps the
-        # per-frame branch to one attribute load.
+        # Perfect plain wire (no switch, no combining, no faults):
+        # _put_on_wire goes straight to the link.  Precomputing the decision
+        # and the arrival delay keeps the per-frame branch to one attribute
+        # load.
         self._fused_wire = (
-            engine.fused
-            and self.transport is None
+            self.transport is None
             and self.switch is None
             and not self.combining
         )
@@ -376,40 +375,23 @@ class Network:
     ) -> None:
         """One frame onto the sender's link (reliable or perfect path)."""
         if self._fused_wire:
-            # Perfect plain wire, fused: occupy the link and run the same
-            # serialization-done / same-instant-hop / arrival event chain
-            # as the classic serve().add_callback path — with no Future and
-            # no closures.  Identical (time, seq) slots, identical order.
-            # Inlined config.transfer_ns — same float expression, one fewer
-            # method call per frame.
-            finish = self.links[src].occupy_end(
-                int(size / self._bw_bytes_per_us * US)
+            # Inlined traverse -> serve_link and config.transfer_ns (same
+            # float expression): three fewer calls per frame.
+            self.links[src].then(
+                int(size / self._bw_bytes_per_us * US),
+                self._wire_done, dst, handler, handler_cost_ns,
             )
-            self.engine.call_at(finish, self._wire_hop, dst, handler, handler_cost_ns)
             return
         if self.transport is not None:
             self.transport.send(src, dst, kind, handler, handler_cost_ns, size, parent)
             return
-        cfg = self.config
-
-        def on_wire_done(_v: object) -> None:
-            # Past the bandwidth-limited path; arrival after the remaining
-            # propagation delay.
-            self.dispatch(
-                dst,
-                self.residual_latency_ns + cfg.dispatch_overhead_ns,
-                handler_cost_ns,
-                handler,
-            )
-
-        self.traverse(src, dst, size, on_wire_done, parent)
-
-    def _wire_hop(self, dst: int, handler: Callable[[], None], handler_cost_ns: int) -> None:
-        """Fused serialization completed: hop (Future.resolve mirror)."""
-        self.engine.call_now(self._wire_done, dst, handler, handler_cost_ns)
+        self.traverse(
+            src, dst, size, parent, self._wire_done, dst, handler, handler_cost_ns
+        )
 
     def _wire_done(self, dst: int, handler: Callable[[], None], handler_cost_ns: int) -> None:
-        """Fused wire completion: propagate and enter the destination."""
+        """Past the bandwidth-limited path: arrival after the remaining
+        propagation delay, then dispatch at the destination."""
         engine = self.engine
         engine.call_at(
             engine.now + self._arrival_delay_ns, self.nodes[dst].run_handler,
@@ -417,23 +399,24 @@ class Network:
         )
 
     @staticmethod
-    def _link_freed(_v: object) -> None:
+    def _link_freed() -> None:
         """Link leg of a switched path: completion is port-side."""
 
     def traverse(
-        self, src: int, dst: int, size: int, on_done: Callable[[object], None],
-        parent=None,
+        self, src: int, dst: int, size: int, parent,
+        on_done: Callable[..., None], *args,
     ) -> None:
         """Move one frame through the bandwidth-limited part of the path.
 
-        Link-only model: the sender's link; ``on_done`` fires when
+        Link-only model: the sender's link; ``on_done(*args)`` runs when
         serialization completes.  Switch model: the link, then the shared
-        switch's output port for ``dst``; ``on_done`` fires when the port
-        finishes forwarding.  Either way the caller adds the remaining
+        switch's output port for ``dst``; ``on_done(*args)`` runs when the
+        port finishes forwarding.  Either way the caller adds the remaining
         ``residual_latency_ns`` of propagation (plus any jitter) itself.
+        ``parent`` is the lineage seq for the ``switch.traverse`` event.
         """
         if self.switch is None:
-            self.serve_link(src, size, on_done)
+            self.serve_link(src, size, 0, on_done, *args)
             return
         cfg = self.config
         # The whole path is reserved now: link occupancy and port service
@@ -442,7 +425,9 @@ class Network:
         release = link_done + self._lat_to_switch
         port = dst % self.switch.n_ports
         forward_ns = cfg.switch_forward_ns(size)
-        start, _finish, fut = self.switch.serve_at(port, release, forward_ns)
+        start, _finish = self.switch.serve_at(
+            port, release, forward_ns, self._port_done, port, on_done, args
+        )
         wait = start - release
         st = self.stats[src]
         st.switch_frames += 1
@@ -464,24 +449,19 @@ class Network:
         # the sending link stays held until it does (blocking flow
         # control) — upstream senders feel hot destinations.
         self.serve_link(
-            src, size, self._link_freed,
-            hold_ns=start - self._lat_to_switch - link_done,
+            src, size, start - self._lat_to_switch - link_done, self._link_freed
         )
 
-        def port_done(value: object) -> None:
-            self._port_depth[port] -= 1
-            on_done(value)
-
-        fut.add_callback(port_done)
+    def _port_done(self, port: int, on_done: Callable[..., None], args: tuple) -> None:
+        """A switch output port finished forwarding one frame."""
+        self._port_depth[port] -= 1
+        on_done(*args)
 
     def serve_link(
-        self,
-        src: int,
-        size: int,
-        on_done: Callable[[object], None],
-        hold_ns: int = 0,
+        self, src: int, size: int, hold_ns: int,
+        on_done: Callable[..., None], *args,
     ) -> None:
-        """Serialize ``size`` bytes on ``src``'s link, then ``on_done``.
+        """Serialize ``size`` bytes on ``src``'s link, then ``on_done(*args)``.
 
         The single chokepoint for link occupancy: with combining enabled it
         maintains the per-link busy count and flushes parked control frames
@@ -489,19 +469,19 @@ class Network:
         so no extra engine events are scheduled.  ``hold_ns`` extends the
         occupancy past serialization (switch backpressure).
         """
-        fut = self.links[src].serve(self.config.transfer_ns(size) + hold_ns)
+        ns = self.config.transfer_ns(size) + hold_ns
         if not self.combining:
-            fut.add_callback(on_done)
+            self.links[src].then(ns, on_done, *args)
             return
         self._link_jobs[src] += 1
+        self.links[src].then(ns, self._link_done, src, on_done, args)
 
-        def wrapped(value: object) -> None:
-            self._link_jobs[src] -= 1
-            on_done(value)
-            if self._link_jobs[src] == 0:
-                self._flush_src(src)
-
-        fut.add_callback(wrapped)
+    def _link_done(self, src: int, on_done: Callable[..., None], args: tuple) -> None:
+        """A combining link finished one serialization."""
+        self._link_jobs[src] -= 1
+        on_done(*args)
+        if self._link_jobs[src] == 0:
+            self._flush_src(src)
 
     def _flush_src(self, src: int) -> None:
         """Link went idle: put every parked control frame on the wire."""

@@ -77,24 +77,10 @@ class Node:
         """
         if not self.alive:
             return  # fail-stopped: the handler vanishes with the node
-        cost = cost_ns + self._handler_extra_ns
-        if self.engine.fused:
-            # Fused: occupy the protocol CPU and apply the effects through
-            # the same two-event chain as the classic serve/resolve/callback
-            # path (completion event + same-instant hop), minus the Future,
-            # the label f-string and the closure.  Identical (time, seq)
-            # slots keep the global dispatch order byte-identical.
-            finish = self.protocol_cpu.occupy_end(cost)
-            self.engine.call_at(finish, self._handler_hop, fn, self.incarnation)
-            return
-        inc = self.incarnation
-        self.protocol_cpu.serve(cost).add_callback(
-            lambda _v: fn() if self.incarnation == inc else None
+        self.protocol_cpu.then(
+            cost_ns + self._handler_extra_ns,
+            self._apply_handler, fn, self.incarnation,
         )
-
-    def _handler_hop(self, fn: Callable[[], None], inc: int) -> None:
-        """Handler occupancy completed: hop to the effects (resolve mirror)."""
-        self.engine.call_now(self._apply_handler, fn, inc)
 
     def _apply_handler(self, fn: Callable[[], None], inc: int) -> None:
         """Apply a handler's effects unless the node crashed since queueing."""

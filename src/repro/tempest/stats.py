@@ -157,7 +157,7 @@ class ClusterStats:
     elapsed_ns: int = 0
     #: engine events dispatched by the run (simulator wall-clock proxy)
     events_dispatched: int = 0
-    #: high-water mark of the engine's pending-event heap — a cheap storm
+    #: high-water mark of the engine's pending-event count — a cheap storm
     #: detector (retransmit storms, broadcast bursts) without a trace
     max_queue_depth: int = 0
     #: per-port switch counters; empty unless the switch model is enabled

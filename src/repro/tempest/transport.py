@@ -62,7 +62,7 @@ dedup absorbs any that were delivered before the give-up) and the run
 completes normally.  If no scenario heals — a permanent partition, or
 organic loss with no scenario at all — the parked frames arm no timers, the
 event heap drains, and the cluster finishes *degraded* (see
-``Cluster.run``) instead of raising :class:`TransportError`.
+``Cluster.run``) instead of raising.
 
 Transport acks are header-only control frames below the protocol layer:
 they occupy the ack sender's link (serialization is real) and can
@@ -107,7 +107,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.tempest.faults import FaultConfig, TransportError  # noqa: F401  (TransportError re-exported for API compat)
+from repro.tempest.faults import FaultConfig
 from repro.tempest.stats import MsgKind
 
 __all__ = ["ReliableTransport", "OPEN", "PARTITIONED", "HEARTBEAT"]
@@ -422,7 +422,7 @@ class ReliableTransport:
         # copy chain to exactly this send event.
         send_seq = None
 
-        def on_wire_done(_v: object) -> None:
+        def on_wire_done() -> None:
             # An active partition cuts the frame deterministically at the
             # end of its serialization — no RNG draw is consumed, so runs
             # without partition scenarios keep their exact draw sequence.
@@ -469,7 +469,7 @@ class ReliableTransport:
             send_seq = ev.seq
             if frame.first_send_seq is None:
                 frame.first_send_seq = ev.seq
-        net.traverse(frame.src, frame.dst, frame.size, on_wire_done, send_seq)
+        net.traverse(frame.src, frame.dst, frame.size, send_seq, on_wire_done)
 
     def _schedule_arrival(self, frame: _Frame) -> None:
         prof = self._profile(frame.src, frame.dst)
@@ -569,9 +569,8 @@ class ReliableTransport:
     # give-up and recovery
     # ------------------------------------------------------------------ #
     def _give_up(self, ch: _Channel, frame: _Frame) -> None:
-        """Channel recovery instead of the historic ``TransportError``:
-        park every unacked frame, record the event, schedule a heal when a
-        healing partition scenario explains the loss."""
+        """Channel recovery: park every unacked frame, record the event,
+        schedule a heal when a healing partition scenario explains the loss."""
         now = self.engine.now
         src, dst = frame.src, frame.dst
         ch.state = PARTITIONED
@@ -770,7 +769,7 @@ class ReliableTransport:
                 )
         seqs = [f.seq for f in frames]
 
-        def on_wire_done(_v: object) -> None:
+        def on_wire_done() -> None:
             # Acks crossing an active partition boundary are cut exactly
             # like data frames — deterministically, no draw consumed.
             if self._partitions and self._cut_now(acker, peer):
@@ -797,7 +796,7 @@ class ReliableTransport:
             delay = self.network.residual_latency_ns + prof.jitter()
             self.engine.call_after(delay, self._on_acks, peer, acker, seqs)
 
-        self.network.traverse(acker, peer, size, on_wire_done)
+        self.network.traverse(acker, peer, size, None, on_wire_done)
 
     def _on_acks(self, src: int, dst: int, seqs: list[int]) -> None:
         if self._dead and (src in self._dead or dst in self._dead):

@@ -10,11 +10,16 @@ bitwise golden checks, not tolerances.
 import numpy as np
 import pytest
 
-from repro.obs import ChromeTraceExporter, EventBus, MetricsRegistry, PhaseProfiler
+from repro.obs import (
+    ChromeTraceExporter,
+    EventBus,
+    MessageTracer,
+    MetricsRegistry,
+    PhaseProfiler,
+)
 from repro.runtime import run_shmem
 from repro.tempest import HomePolicy
 from repro.tempest.config import ClusterConfig
-from repro.tempest.tracing import MessageTracer
 from tests.runtime.conftest import jacobi_program
 from tests.tempest.test_protocol_fuzz import (
     COMBINE_ON,
@@ -44,7 +49,7 @@ def run_schedule(instrument: bool, **cell_kwargs):
         MetricsRegistry(bus, N_NODES)
         PhaseProfiler(bus, N_NODES)
         ChromeTraceExporter(bus, n_nodes=N_NODES)
-        MessageTracer.on_bus(bus, N_NODES)
+        MessageTracer(bus, N_NODES)
 
     def node_program(node):
         for phase_no, phase in enumerate(schedule, start=1):
@@ -77,7 +82,7 @@ def test_instrumented_application_run_identical():
     bus = EventBus()
     MetricsRegistry(bus, 4)
     ChromeTraceExporter(bus, n_nodes=4)
-    MessageTracer.on_bus(bus, 4)
+    MessageTracer(bus, 4)
     instrumented = run_shmem(prog, cfg, obs=bus, profile_phases=True)
 
     assert plain.stats == instrumented.stats

@@ -25,11 +25,24 @@ def _sweep(*extra):
 
 
 class TestUsageErrors:
-    def test_unknown_axis_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            sweep_main(["jacobi", "--axis", "bogus=1,2"])
-        assert e.value.code == 2
-        assert "unknown axis" in capsys.readouterr().err
+    def test_unknown_axis_exits_2(self, capsys, monkeypatch):
+        """A bad axis or axis value is named and rejected while the matrix
+        is expanded — before a session exists to submit any cell to."""
+        def no_session(*_a, **_k):
+            raise AssertionError("a cell was about to be submitted")
+
+        monkeypatch.setattr(sweep_cli, "ServeSession", no_session)
+        for argv, named in [
+            (["--axis", "bogus=1,2"], "unknown axis 'bogus'"),
+            (["--axis", "nodes=4,0"], "nodes=0"),
+            (["--axis", "protocol=invalidate,bogus", "--jobs", "2"], "protocol=bogus"),
+            (["--axis", "drop=abc"], "drop=abc"),
+            (["--nodes", "0"], "at least one node"),
+        ]:
+            with pytest.raises(SystemExit) as e:
+                sweep_main(["jacobi", *argv])
+            assert e.value.code == 2, argv
+            assert named in capsys.readouterr().err.splitlines()[-1], argv
 
     def test_axis_without_values_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:

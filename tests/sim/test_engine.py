@@ -3,6 +3,12 @@
 import pytest
 
 from repro.sim import Delay, Engine, Future, SimulationError
+from tests.heap_engine import HeapEngine
+
+#: the engine and the heap oracle it is differentially tested against
+both_schedulers = pytest.mark.parametrize(
+    "engine_cls", [Engine, HeapEngine], ids=["calendar", "heap"]
+)
 
 
 def test_empty_run_leaves_time_at_zero():
@@ -188,18 +194,6 @@ def test_max_events_guard():
         eng.run(max_events=100)
 
 
-def test_run_until_quiescent_reports_deadlock():
-    eng = Engine()
-    fut = eng.future("never")
-
-    def stuck():
-        yield fut
-
-    done = eng.spawn(stuck(), label="stuck-node")
-    with pytest.raises(SimulationError, match="stuck-node"):
-        eng.run_until_quiescent([done])
-
-
 def test_determinism_two_identical_runs():
     def build():
         eng = Engine()
@@ -219,8 +213,8 @@ def test_determinism_two_identical_runs():
     assert build() == build()
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_max_events_exact_count(scheduler):
+@both_schedulers
+def test_max_events_exact_count(engine_cls):
     """Regression: the guard fires *before* event N+1, not after it.
 
     The seed engine checked the limit after dispatching, so ``max_events=N``
@@ -228,7 +222,7 @@ def test_max_events_exact_count(scheduler):
     events and ``max_events=5``, exactly 5 dispatch, and the remaining 5
     are still intact afterwards.
     """
-    eng = Engine(scheduler=scheduler)
+    eng = engine_cls()
     log = []
     for i in range(10):
         eng.call_at(i * 10, log.append, i)
@@ -242,11 +236,11 @@ def test_max_events_exact_count(scheduler):
     assert eng.events_dispatched == 10
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_max_events_exact_count_same_instant(scheduler):
+@both_schedulers
+def test_max_events_exact_count_same_instant(engine_cls):
     """The exact-count guarantee also holds for same-instant ties
     (calendar scheduler: events sitting in the FIFO now-queue)."""
-    eng = Engine(scheduler=scheduler)
+    eng = engine_cls()
     log = []
 
     def burst():
@@ -263,8 +257,8 @@ def test_max_events_exact_count_same_instant(scheduler):
     assert log == list(range(10))
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_straggler_behind_calendar_cursor(scheduler):
+@both_schedulers
+def test_straggler_behind_calendar_cursor(engine_cls):
     """An event scheduled into an already-passed bucket region still fires.
 
     ``run(until=...)`` can leave the calendar cursor inside a future bucket;
@@ -272,7 +266,7 @@ def test_straggler_behind_calendar_cursor(scheduler):
     in a bucket the cursor has already passed.
     """
     bucket = 1 << 14  # _BUCKET_SHIFT
-    eng = Engine(scheduler=scheduler)
+    eng = engine_cls()
     log = []
     eng.call_at(3 * bucket + 5, log.append, "far")
     eng.run(until=2 * bucket)  # pulls the far bucket into the cursor

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.obs import MessageTracer
 from repro.tempest import Cluster, ClusterConfig, Distribution, HomePolicy, SharedMemory
 from repro.tempest.stats import MsgKind
-from repro.tempest.tracing import MessageTracer
 from tests.tempest.conftest import run_programs
 
 
@@ -38,21 +38,21 @@ def run_one_transfer(cl, a):
 class TestMessageTracer:
     def test_records_all_messages(self):
         cl, a = build()
-        tracer = MessageTracer(cl)
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
         run_one_transfer(cl, a)
         assert len(tracer.records) == cl.stats.total_messages
         assert tracer.bytes_total() == cl.stats.total_bytes
 
     def test_records_are_time_ordered(self):
         cl, a = build()
-        tracer = MessageTracer(cl)
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
         run_one_transfer(cl, a)
         times = [r.t_ns for r in tracer.records]
         assert times == sorted(times)
 
     def test_kind_filter(self):
         cl, a = build()
-        tracer = MessageTracer(cl, kinds={MsgKind.READ_REQ, MsgKind.READ_RESP})
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, kinds={MsgKind.READ_REQ, MsgKind.READ_RESP})
         run_one_transfer(cl, a)
         assert tracer.by_kind() == {MsgKind.READ_REQ: 1, MsgKind.READ_RESP: 1}
         # The untraced messages still flowed (the run completed).
@@ -60,7 +60,7 @@ class TestMessageTracer:
 
     def test_by_link_and_involving(self):
         cl, a = build()
-        tracer = MessageTracer(cl, kinds={MsgKind.READ_REQ})
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, kinds={MsgKind.READ_REQ})
         run_one_transfer(cl, a)
         assert tracer.by_link() == {(2, 0): 1}
         assert len(tracer.involving(2)) == 1
@@ -68,7 +68,7 @@ class TestMessageTracer:
 
     def test_between(self):
         cl, a = build()
-        tracer = MessageTracer(cl)
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
         run_one_transfer(cl, a)
         t_mid = tracer.records[len(tracer.records) // 2].t_ns
         early = tracer.between(0, t_mid)
@@ -77,7 +77,7 @@ class TestMessageTracer:
 
     def test_max_records_drops_and_reports(self):
         cl, a = build()
-        tracer = MessageTracer(cl, max_records=3)
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, max_records=3)
         run_one_transfer(cl, a)
         assert len(tracer.records) == 3
         assert tracer.dropped == cl.stats.total_messages - 3
@@ -85,7 +85,8 @@ class TestMessageTracer:
 
     def test_sequence_chart_renders(self):
         cl, a = build()
-        tracer = MessageTracer(cl, kinds={MsgKind.READ_REQ, MsgKind.READ_RESP, MsgKind.PUT_REQ, MsgKind.PUT_RESP})
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, kinds={
+            MsgKind.READ_REQ, MsgKind.READ_RESP, MsgKind.PUT_REQ, MsgKind.PUT_RESP})
         run_one_transfer(cl, a)
         chart = tracer.sequence_chart()
         assert "n0" in chart and "n2" in chart
@@ -95,14 +96,14 @@ class TestMessageTracer:
 
     def test_uninstall_restores(self):
         cl, a = build()
-        tracer = MessageTracer(cl)
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
         tracer.uninstall()
         run_one_transfer(cl, a)
         assert tracer.records == []
 
     def test_summary_readable(self):
         cl, a = build()
-        tracer = MessageTracer(cl)
+        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
         run_one_transfer(cl, a)
         s = tracer.summary()
         assert "messages" in s and "read_req:1" in s

@@ -76,9 +76,24 @@ class TestMain:
         assert "ports" in out
 
     def test_bad_param_syntax(self, capsys):
-        rc = main(["jacobi", "--param", "n32"])
-        assert rc == 2
-        assert "KEY=VAL" in capsys.readouterr().err
+        """Bad input is a usage error (exit 2) naming the flag, raised
+        while the configuration is assembled — never a traceback."""
+        for argv, flag, why in [
+            (["--param", "n32"], "--param", "KEY=VAL"),
+            (["--param", "n=abc"], "--param", "not an integer"),
+            (["--param", "bogus=3"], "--param", "no parameter 'bogus'"),
+            (["--nodes", "0"], "--nodes", "at least one node"),
+            (["--combine", "--combine-max-msgs", "0"], "--combine-max-msgs", "max_msgs"),
+            (["--switch", "--switch-ports", "0"], "--switch-ports", "ports"),
+            (["--fault-drop", "2"], "--fault-", "drop_prob"),
+        ]:
+            with pytest.raises(SystemExit) as e:
+                main(["jacobi", *argv])
+            assert e.value.code == 2, argv
+            captured = capsys.readouterr()
+            message = captured.err.strip().splitlines()[-1]
+            assert flag in message and why in message, argv
+            assert captured.out == "", argv  # nothing had started
 
 
 class TestFaultOverlayParsing:

@@ -1,12 +1,12 @@
-"""Differential golden test: heap scheduler vs calendar-queue scheduler.
+"""Differential golden test: the seed's heap scheduler vs `repro.sim.Engine`.
 
 The calendar-queue engine (PR 9) replaced the seed's single binary heap.
-The seed scheduler survives as ``Engine(scheduler="heap")`` — selected here
-via the ``REPRO_ENGINE`` environment variable, the supported debug flag —
-and the rewrite's correctness contract is that both schedulers produce
-**bit-identical simulated results** on every configuration: same elapsed
-time, same ClusterStats (full dataclass, no fields excluded), same
-numerics, across the fault / combining / switch / crash fuzz matrix.
+The seed scheduler survives as ``tests/heap_engine.py`` — an ``Engine``
+subclass substituted here for the one ``Cluster`` constructs — and the
+engine's correctness contract is that both produce **bit-identical
+simulated results** on every configuration: same elapsed time, same
+ClusterStats (full dataclass, no fields excluded), same numerics, across
+the fault / combining / switch / crash fuzz matrix.
 
 The matrix deliberately includes the degraded cells (a partition that
 never heals, a crash with no restart) where recovery rolls the clock
@@ -14,6 +14,8 @@ forward externally — the calendar cursor must tolerate that too.
 """
 
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.tempest.faults import (
     LinkFaultConfig,
     PartitionScenario,
 )
+from tests.heap_engine import HeapEngine
 
 _STORM = FaultConfig(drop_prob=0.05, dup_prob=0.02, jitter_ns=3000, seed=7)
 
@@ -113,24 +116,20 @@ def _plain(obj):
     return obj
 
 
-def _run(app, kw, scheduler, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", scheduler)
-    return run_shmem(APPS[app].program("default"), **kw)
-
-
 @pytest.mark.parametrize("name,app,kw", MATRIX, ids=[m[0] for m in MATRIX])
 def test_heap_and_calendar_bit_identical(name, app, kw, monkeypatch):
-    heap = _run(app, kw, "heap", monkeypatch)
-    cal = _run(app, kw, "calendar", monkeypatch)
+    cal = run_shmem(APPS[app].program("default"), **kw)
+    monkeypatch.setattr("repro.tempest.cluster.Engine", HeapEngine)
+    heap = run_shmem(APPS[app].program("default"), **kw)
 
     # Simulated clock and completion state.
     assert cal.elapsed_ns == heap.elapsed_ns
     assert cal.completed == heap.completed
 
     # Full ClusterStats dataclass equality — including the engine-side
-    # diagnostics (events_dispatched, max_queue_depth): the fused fast
-    # paths schedule the *same* event chains the classic paths do, so even
-    # the event count and queue high-water must agree.
+    # diagnostics (events_dispatched, max_queue_depth): both schedulers
+    # run the same event chains, so even the event count and queue
+    # high-water must agree.
     assert _plain(cal.stats) == _plain(heap.stats)
 
     # Numerics: every output array bit-for-bit.
@@ -144,3 +143,14 @@ def test_heap_and_calendar_bit_identical(name, app, kw, monkeypatch):
     ek = {k: v for k, v in cal.extra.items() if k != "failure"}
     hk = {k: v for k, v in heap.extra.items() if k != "failure"}
     assert _plain(ek) == _plain(hk)
+
+
+def test_src_reads_no_environment():
+    """A second engine (or any behaviour switch) cannot come back as a
+    hidden environment variable: nothing under src/repro reads one."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    readers = [
+        str(p.relative_to(src)) for p in sorted(src.rglob("*.py"))
+        if re.search(r"\b(environ|getenv)\b", p.read_text())
+    ]
+    assert readers == []
