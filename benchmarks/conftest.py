@@ -151,30 +151,23 @@ class RunCache:
         backend: str = "shmem",
         n_nodes: int = 8,
         dual_cpu: bool = True,
-        optimize: bool = False,
-        bulk: bool = True,
-        rt_elim: bool = False,
-        pre: bool = False,
-        advisory: str | bool = False,
-        protocol: str = "invalidate",
         profile: bool = False,
+        **options,
     ):
+        """``options`` are RunRequest's shmem options (optimize, bulk, ...),
+        forwarded as given; other backends take none."""
+        if backend != "shmem":
+            options = {}
+        elif profile:
+            options["profile_phases"] = True
         key = (
             app, bench_scale(), backend, n_nodes, dual_cpu,
-            optimize, bulk, rt_elim, pre, advisory, protocol, profile,
+            tuple(sorted(options.items())),
         )
-        if key in self._cache:
-            return self._cache[key]
-        cfg = ClusterConfig(n_nodes=n_nodes, dual_cpu=dual_cpu)
-        options = {}
-        if backend == "shmem":
-            options = dict(
-                optimize=optimize, bulk=bulk, rt_elim=rt_elim, pre=pre,
-                advisory=advisory, protocol=protocol, profile_phases=profile,
-            )
-        result = serve_run(app, cfg, backend=backend, **options)
-        self._cache[key] = result
-        return result
+        if key not in self._cache:
+            cfg = ClusterConfig(n_nodes=n_nodes, dual_cpu=dual_cpu)
+            self._cache[key] = serve_run(app, cfg, backend=backend, **options)
+        return self._cache[key]
 
 
 @pytest.fixture(scope="session")

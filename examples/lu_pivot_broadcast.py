@@ -19,9 +19,8 @@ from repro.apps.lu import build, check_factorization
 from repro.core.access import analyze_loop
 from repro.core.planner import plan_loop
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
-from repro.runtime.shmem import _allocate
+from repro.runtime.phases import allocate_segment
 from repro.tempest.config import ClusterConfig
-from repro.tempest.memory import HomePolicy
 
 N, NODES = 256, 8
 
@@ -38,7 +37,7 @@ def verify_factorization():
 def broadcast_profile():
     prog = build(n=N)
     cfg = ClusterConfig(n_nodes=NODES)
-    mem, _ = _allocate(prog, cfg, HomePolicy.ALIGNED)
+    mem, _ = allocate_segment(prog.arrays.values(), cfg)
     update = prog.body[0].body[1]  # the rank-1 update loop
     access = analyze_loop(update, prog, NODES)
 

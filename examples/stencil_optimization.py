@@ -17,9 +17,8 @@ from repro.core.access import analyze_loop
 from repro.core.planner import plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_shmem
-from repro.runtime.shmem import _allocate
+from repro.runtime.phases import allocate_segment
 from repro.tempest.config import ClusterConfig
-from repro.tempest.memory import HomePolicy
 from repro.tempest.stats import MsgKind
 
 N, ITERS, NODES = 256, 10, 8
@@ -45,7 +44,7 @@ def build(n=N, iters=ITERS):
 def show_plan():
     prog = build()
     cfg = ClusterConfig(n_nodes=NODES)
-    mem, _ = _allocate(prog, cfg, HomePolicy.ALIGNED)
+    mem, _ = allocate_segment(prog.arrays.values(), cfg)
     sweep = prog.body[1].body[0]  # the sweep loop inside the time loop
     inst = analyze_loop(sweep, prog, NODES).instantiate({})
     plan = plan_loop(inst, mem)

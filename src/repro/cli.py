@@ -14,6 +14,8 @@ from typing import Sequence
 
 from repro.apps import APPS
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
+from repro.serve.request import RunRequest
+from repro.spec import add_flags, from_args
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import (
     CrashScenario,
@@ -23,7 +25,7 @@ from repro.tempest.faults import (
 )
 from repro.tempest.stats import COHERENCE_KINDS, MsgKind
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "config_from_args", "main"]
 
 #: --fault-link KEY=VAL keys -> LinkFaultConfig fields (+ unit scaling)
 _LINK_KEYS = {
@@ -117,81 +119,40 @@ def _parse_crash(spec: str) -> CrashScenario:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The regular flags come from the field specs of ``RunRequest`` and
+    the config dataclasses (:mod:`repro.spec`); only the irregular ones —
+    inverted, repeatable, multi-field or CLI-only — are spelled here."""
     p = argparse.ArgumentParser(
         prog="repro",
         description="Run a paper-suite application on simulated fine-grain DSM.",
     )
     p.add_argument("app", choices=sorted(APPS), help="application to run")
-    p.add_argument("--scale", choices=["default", "paper"], default="default")
-    p.add_argument("--nodes", type=int, default=8)
+    add_flags(p, RunRequest, only=("scale",))
+    add_flags(p, ClusterConfig)
     p.add_argument("--backend", choices=["shmem", "msgpass"], default="shmem")
     p.add_argument("--no-opt", action="store_true",
                    help="shmem: skip the compiler optimization")
     p.add_argument("--single-cpu", action="store_true",
                    help="interleave protocol handling with computation")
     p.add_argument("--no-bulk", action="store_true")
-    p.add_argument("--rt-elim", action="store_true")
-    p.add_argument("--pre", action="store_true",
-                   help="PRE redundant-communication elimination")
+    add_flags(p, RunRequest, only=("rt_elim", "pre", "protocol"))
     p.add_argument("--advisory", choices=["prefetch", "full"], default=None,
                    help="advisory primitives on boundary blocks")
-    p.add_argument("--protocol", choices=["invalidate", "update"],
-                   default="invalidate")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VAL",
                    help="override an app parameter (repeatable)")
-    c = p.add_argument_group("communication fast path")
-    c.add_argument("--combine", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="coalesce header-only control messages per channel "
-                        "(--no-combine restores the one-frame-per-message "
-                        "wire model)")
-    c.add_argument("--combine-max-msgs", type=int, default=None, metavar="N",
-                   help="most sub-messages per combined frame (default 8)")
-    c.add_argument("--combine-wait", type=float, default=None, metavar="US",
-                   help="combine-buffer hold window in microseconds "
-                        "(default 40)")
-    c.add_argument("--rto-adaptive", action="store_true",
-                   help="per-channel Jacobson RTT estimator for the reliable "
-                        "transport's retransmit timer (needs fault injection)")
-    c.add_argument("--rto-max-us", type=float, default=None, metavar="US",
+    add_flags(p.add_argument_group("communication fast path"), CombineConfig)
+    add_flags(
+        p.add_argument_group("shared-switch contention model"), SwitchConfig
+    )
+    g = p.add_argument_group("fault injection (engages the reliable transport)")
+    add_flags(g, FaultConfig)
+    g.add_argument("--rto-max-us", type=float, default=None, metavar="US",
                    help="ceiling for the retransmit timer in microseconds, "
                         "applied to both the exponential backoff and the "
                         "adaptive-RTO clamp (default 2000; raise it when "
                         "bulk bursts queue behind the wire for longer than "
                         "the cap, or every deep-queued frame retransmits "
                         "spuriously; needs fault injection)")
-    s = p.add_argument_group("shared-switch contention model")
-    s.add_argument("--switch", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="route every frame through a shared switch fabric: "
-                        "frames to one destination queue on its output port "
-                        "and backpressure their senders (--no-switch keeps "
-                        "the independent-link wire model)")
-    s.add_argument("--switch-ports", type=int, default=None, metavar="N",
-                   help="output ports on the switch, destination = dst mod N "
-                        "(default: one port per node)")
-    s.add_argument("--switch-bw", type=float, default=None, metavar="MBPS",
-                   help="aggregate switch forwarding bandwidth in MB/s, split "
-                        "evenly across ports (default: every port forwards "
-                        "at the link rate)")
-    g = p.add_argument_group("fault injection (engages the reliable transport)")
-    g.add_argument("--fault-drop", type=float, default=0.0, metavar="P",
-                   help="per-message drop probability in [0, 1)")
-    g.add_argument("--fault-dup", type=float, default=0.0, metavar="P",
-                   help="per-message duplication probability in [0, 1)")
-    g.add_argument("--fault-jitter", type=float, default=0.0, metavar="US",
-                   help="max extra per-message latency jitter (microseconds)")
-    g.add_argument("--fault-stall", type=float, default=0.0, metavar="P",
-                   help="per-delivery protocol-CPU stall probability in "
-                        "[0, 1); needs --fault-stall-us")
-    g.add_argument("--fault-stall-us", type=float, default=0.0, metavar="US",
-                   help="length of one protocol-CPU stall window "
-                        "(microseconds)")
-    g.add_argument("--fault-seed", type=int, default=0,
-                   help="fault-injection PRNG seed (same seed => same run)")
-    g.add_argument("--fault-retries", type=int, default=None, metavar="N",
-                   help="retransmit budget per frame before the channel "
-                        "gives up and parks its traffic (default 32)")
     g.add_argument("--fault-link", action="append", default=[],
                    metavar="SRC:DST:KEY=VAL[,KEY=VAL...]",
                    help="per-link fault profile overriding the uniform rates "
@@ -212,18 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "completion; with 'never' (the default) or no "
                         "checkpoint the run finishes degraded (exit 4); "
                         "repeatable, one crash per node")
-    g.add_argument("--checkpoint-every", type=int, default=0, metavar="K",
-                   help="snapshot coherence state and replay cursors every "
-                        "K global barriers (a barrier is a consistent cut); "
-                        "enables rollback-recovery for restarting crashes; "
-                        "needs --fault-crash")
-    g.add_argument("--heartbeat-us", type=float, default=None, metavar="US",
-                   help="keepalive probe interval for crash detection "
-                        "(default 500); smaller detects faster but probes "
-                        "more; needs --fault-crash")
-    p.add_argument("--audit", action="store_true",
-                   help="shmem: also audit coherence at every barrier "
-                        "(the end-of-run audit always runs)")
+    add_flags(p, RunRequest, only=("audit_each_barrier",))
     o = p.add_argument_group("observability (shmem backend)")
     o.add_argument("--trace-out", metavar="FILE", default=None,
                    help="write a Chrome trace-event JSON of the run (one "
@@ -236,16 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--trace-cap", type=int, default=1_000_000, metavar="N",
                    help="ring-buffer cap on retained trace events; the "
                         "oldest are dropped past it (default 1000000)")
-    o.add_argument("--profile-phases", action="store_true",
-                   help="attribute each node's time to compute / read-miss / "
-                        "write-miss / barrier-wait / protocol-overhead / "
-                        "transport-recovery buckets per parallel phase and "
-                        "print the breakdown table")
-    o.add_argument("--critical-path", action="store_true",
-                   help="thread causal lineage through the run, walk the "
-                        "event dependency DAG backward from the finish and "
-                        "print the critical path decomposed into cost "
-                        "classes (sums to elapsed time exactly)")
+    add_flags(o, RunRequest, only=("profile_phases", "critical_path"))
     o.add_argument("--whatif", choices=["barrier", "wire", "retransmit"],
                    default=None,
                    help="with the critical path: report the lower bound on "
@@ -258,6 +199,71 @@ def build_parser() -> argparse.ArgumentParser:
                         "optional comma-separated message kinds to keep "
                         "(e.g. 'read_req,read_resp'); default: all")
     return p
+
+
+def _scenarios(parser, flag: str, specs: Sequence[str], parse) -> tuple:
+    """Parse every value of one repeatable scenario flag (usage error on
+    the first bad one)."""
+    out = []
+    for i, text in enumerate(specs):
+        try:
+            out.append(parse(text, i))
+        except ValueError as e:
+            parser.error(f"{flag} {text!r}: {e}")
+    return tuple(out)
+
+
+def config_from_args(parser: argparse.ArgumentParser, args) -> ClusterConfig:
+    """The full cluster config a parsed command line describes.
+
+    Spec'd flags are read generically (:func:`repro.spec.from_args`); the
+    irregular ones and the cross-flag usage errors are handled here.  Any
+    ``ValueError`` from the config constructors — range checks, node ids
+    outside the cluster — is a usage error (exit 2).
+    """
+    crashes = _scenarios(
+        parser, "--fault-crash", args.fault_crash, lambda s, i: _parse_crash(s)
+    )
+    extra = dict(
+        link_faults=_scenarios(
+            parser, "--fault-link", args.fault_link,
+            lambda s, i: _parse_link_fault(s),
+        ),
+        partitions=_scenarios(
+            parser, "--fault-partition", args.fault_partition, _parse_partition
+        ),
+        crashes=crashes,
+    )
+    if args.checkpoint_every and not crashes:
+        parser.error(
+            "--checkpoint-every takes barrier-consistent checkpoints for "
+            "crash rollback-recovery; add --fault-crash NODE:T_US:RESTART_US"
+        )
+    if args.heartbeat_us != parser.get_default("heartbeat_us") and not crashes:
+        parser.error(
+            "--heartbeat-us tunes the crash-detection keepalive interval; "
+            "add --fault-crash"
+        )
+    if args.rto_max_us is not None:
+        extra["max_backoff_ns"] = extra["rto_max_ns"] = int(args.rto_max_us * 1000)
+    try:
+        faults = from_args(FaultConfig, args, **extra)
+        if (args.rto_adaptive or args.rto_max_us is not None) and not faults.enabled:
+            # Historically this was silently ignored (the transport is
+            # bypassed on a perfect wire); fail fast instead.
+            flag = "--rto-adaptive" if args.rto_adaptive else "--rto-max-us"
+            parser.error(
+                f"{flag} tunes the reliable transport's retransmit "
+                "timer, which only runs under fault injection; add a "
+                "--fault-* flag (e.g. --fault-drop)"
+            )
+        return from_args(
+            ClusterConfig, args, dual_cpu=not args.single_cpu, faults=faults,
+            combine=from_args(CombineConfig, args),
+            switch=from_args(SwitchConfig, args),
+        )
+    except ValueError as e:
+        parser.error(str(e))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -287,99 +293,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     spec = APPS[args.app]
     overrides = _checked(parser, "--param", _parse_params, args.param, spec)
     prog = _checked(parser, "--param", spec.program, args.scale, **overrides)
-    link_faults = []
-    for lf_spec in args.fault_link:
-        try:
-            link_faults.append(_parse_link_fault(lf_spec))
-        except ValueError as e:
-            parser.error(f"--fault-link {lf_spec!r}: {e}")
-    partitions = []
-    for i, pt_spec in enumerate(args.fault_partition):
-        try:
-            partitions.append(_parse_partition(pt_spec, i))
-        except ValueError as e:
-            parser.error(f"--fault-partition {pt_spec!r}: {e}")
-    for s in partitions:
-        if any(n >= args.nodes for n in s.nodes):
-            parser.error(
-                f"--fault-partition names node(s) "
-                f"{sorted(n for n in s.nodes if n >= args.nodes)} "
-                f"outside the {args.nodes}-node cluster"
-            )
-    crashes = []
-    for cr_spec in args.fault_crash:
-        try:
-            crashes.append(_parse_crash(cr_spec))
-        except ValueError as e:
-            parser.error(f"--fault-crash {cr_spec!r}: {e}")
-    for c in crashes:
-        if c.node >= args.nodes:
-            parser.error(
-                f"--fault-crash names node {c.node} outside the "
-                f"{args.nodes}-node cluster"
-            )
-    if args.checkpoint_every and not crashes:
-        parser.error(
-            "--checkpoint-every takes barrier-consistent checkpoints for "
-            "crash rollback-recovery; add --fault-crash NODE:T_US:RESTART_US"
-        )
-    if args.heartbeat_us is not None and not crashes:
-        parser.error(
-            "--heartbeat-us tunes the crash-detection keepalive interval; "
-            "add --fault-crash"
-        )
-    fault_kwargs = {}
-    if args.fault_retries is not None:
-        fault_kwargs["max_retries"] = args.fault_retries
-    if args.heartbeat_us is not None:
-        fault_kwargs["heartbeat_interval_ns"] = int(args.heartbeat_us * 1000)
-    if args.rto_max_us is not None:
-        cap = int(args.rto_max_us * 1000)
-        fault_kwargs["max_backoff_ns"] = cap
-        fault_kwargs["rto_max_ns"] = cap
-    faults = _checked(
-        parser, "--fault-*", FaultConfig,
-        drop_prob=args.fault_drop,
-        dup_prob=args.fault_dup,
-        jitter_ns=int(args.fault_jitter * 1000),
-        stall_prob=args.fault_stall,
-        stall_ns=int(args.fault_stall_us * 1000),
-        seed=args.fault_seed,
-        adaptive_rto=args.rto_adaptive,
-        link_faults=tuple(link_faults),
-        partitions=tuple(partitions),
-        crashes=tuple(crashes),
-        checkpoint_every=args.checkpoint_every,
-        **fault_kwargs,
-    )
-    if (args.rto_adaptive or args.rto_max_us is not None) and not faults.enabled:
-        # Historically this was silently ignored (the transport is bypassed
-        # on a perfect wire); fail fast instead.
-        flag = "--rto-adaptive" if args.rto_adaptive else "--rto-max-us"
-        parser.error(
-            f"{flag} tunes the reliable transport's retransmit "
-            "timer, which only runs under fault injection; add a --fault-* "
-            "flag (e.g. --fault-drop)"
-        )
-    combine_kwargs = {}
-    if args.combine_max_msgs is not None:
-        combine_kwargs["max_msgs"] = args.combine_max_msgs
-    if args.combine_wait is not None:
-        combine_kwargs["max_wait_ns"] = int(args.combine_wait * 1000)
-    combine = _checked(
-        parser, "--combine-max-msgs/--combine-wait", CombineConfig,
-        enabled=args.combine, **combine_kwargs,
-    )
-    switch = _checked(
-        parser, "--switch-ports/--switch-bw", SwitchConfig,
-        enabled=args.switch,
-        ports=args.switch_ports,
-        bandwidth_bytes_per_us=args.switch_bw,
-    )
-    cfg = _checked(
-        parser, "--nodes", ClusterConfig,
-        n_nodes=args.nodes, dual_cpu=not args.single_cpu, faults=faults,
-        combine=combine, switch=switch,
+    cfg = config_from_args(parser, args)
+    # The run options travel as a RunRequest: one list of what run_shmem
+    # takes (and the same range checks the serve layer applies).
+    request = from_args(
+        RunRequest, args, program=prog, config=cfg, optimize=not args.no_opt,
+        bulk=not args.no_bulk, advisory=args.advisory or False,
+        critical_path=want_critical,
     )
 
     bus = exporter = tracer = None
@@ -426,20 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = run_msgpass(prog, cfg)
     else:
         try:
-            result = run_shmem(
-                prog,
-                cfg,
-                optimize=not args.no_opt,
-                bulk=not args.no_bulk,
-                rt_elim=args.rt_elim,
-                pre=args.pre,
-                advisory=args.advisory or False,
-                protocol=args.protocol,
-                audit_each_barrier=args.audit,
-                obs=bus,
-                profile_phases=args.profile_phases,
-                critical_path=want_critical,
-            )
+            result = run_shmem(prog, cfg, obs=bus, **request.run_options())
         finally:
             # Written before anything below can raise, and when the run
             # itself does: a failed audit, a degraded finish or a numerics

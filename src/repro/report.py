@@ -23,6 +23,8 @@ from typing import Sequence
 from repro.apps import APPS
 from repro.obs import BUCKETS, COST_CLASSES, breakdown_totals
 from repro.runtime import RunResult, run_msgpass, run_shmem, run_uniproc
+from repro.serve.request import RunRequest
+from repro.spec import add_flags
 from repro.tempest.config import US, ClusterConfig, CombineConfig
 from repro.tempest.faults import FaultConfig
 
@@ -423,15 +425,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="repro.report", description=__doc__)
     p.add_argument("-o", "--output", default="-",
                    help="output file ('-' for stdout)")
-    p.add_argument("--scale", choices=["default", "paper"], default="default")
-    p.add_argument("--nodes", type=int, default=8)
+    add_flags(p, RunRequest, only=("scale",))
+    add_flags(p, ClusterConfig, only=("n_nodes",))
     p.add_argument("--apps", default=",".join(APPS),
                    help="comma-separated subset of apps")
-    p.add_argument("--fault-drop", type=float, default=0.0, metavar="P",
-                   help="also evaluate robustness at this wire drop rate")
-    p.add_argument("--fault-seed", type=int, default=1997)
-    p.add_argument("--combine", action="store_true",
-                   help="also evaluate control-message combining")
+    # The same flags as ``repro APP``; here a nonzero --fault-drop or a
+    # --combine adds a robustness / combining section to the report.
+    add_flags(p, FaultConfig, only=("drop_prob", "seed"))
+    add_flags(p, CombineConfig, only=("enabled",))
+    p.set_defaults(fault_seed=1997)
     p.add_argument("--bench-dir", default=None, metavar="DIR",
                    help="append an appendix over the ablation benches' "
                         "BENCH_*.json artifacts in DIR (missing artifacts "

@@ -13,15 +13,17 @@ written section to its owner after the loop.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hpf.ast import ParallelAssign, Program, Reduce, ScalarAssign
-from repro.runtime.phases import ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import (
+    ProgramAnalysis,
+    allocate_segment,
+    apply_initializers,
+    walk_phases,
+)
 from repro.runtime.results import RunResult
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
-from repro.tempest.memory import Distribution, HomePolicy, SharedMemory
 
 __all__ = ["run_msgpass"]
 
@@ -30,18 +32,7 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
     config = config or ClusterConfig()
     # A shared segment is still allocated (the nodes' memories), but no
     # coherence traffic ever touches it — data moves by explicit messages.
-    mem = SharedMemory(config, home_policy=HomePolicy.ALIGNED)
-    arrays: dict[str, np.ndarray] = {}
-    for decl in program.arrays.values():
-        if decl.dist == "replicated":
-            arrays[decl.name] = np.zeros(decl.shape, order="F")
-        else:
-            dist = (
-                Distribution.block(config.n_nodes)
-                if decl.dist == "block"
-                else Distribution.cyclic(config.n_nodes)
-            )
-            arrays[decl.name] = mem.alloc(decl.name, decl.shape, dist).data
+    mem, arrays = allocate_segment(program.arrays.values(), config)
     apply_initializers(program, arrays)
     scalars = dict(program.scalars)
     analysis = ProgramAnalysis(program, config.n_nodes)

@@ -27,11 +27,42 @@ from repro.hpf.ast import (
     Stmt,
 )
 from repro.hpf.eval import eval_parallel_assign, eval_reduce, eval_scalar_assign
+from repro.tempest.config import ClusterConfig
+from repro.tempest.memory import Distribution, HomePolicy, SharedMemory
 
-__all__ = ["PhaseRecord", "ProgramAnalysis", "apply_initializers", "walk_phases"]
+__all__ = [
+    "PhaseRecord",
+    "ProgramAnalysis",
+    "allocate_segment",
+    "apply_initializers",
+    "walk_phases",
+]
 
 #: compute-model weight of a replicated scalar statement (work units)
 SCALAR_UNITS = 20
+
+
+def allocate_segment(
+    decls, config: ClusterConfig, home_policy: HomePolicy = HomePolicy.ALIGNED
+) -> tuple[SharedMemory, dict[str, np.ndarray]]:
+    """Build the shared segment plus plain storage for replicated arrays.
+
+    Allocation order fixes the block numbering, so replaying the same
+    declarations against a fresh config of equal geometry reproduces it.
+    """
+    mem = SharedMemory(config, home_policy=home_policy)
+    arrays: dict[str, np.ndarray] = {}
+    for decl in decls:
+        if decl.dist == "replicated":
+            arrays[decl.name] = np.zeros(decl.shape, order="F")
+        else:
+            dist = (
+                Distribution.block(config.n_nodes)
+                if decl.dist == "block"
+                else Distribution.cyclic(config.n_nodes)
+            )
+            arrays[decl.name] = mem.alloc(decl.name, decl.shape, dist).data
+    return mem, arrays
 
 
 def apply_initializers(program: Program, arrays: dict[str, np.ndarray]) -> None:

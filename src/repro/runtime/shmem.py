@@ -61,15 +61,23 @@ from repro.core.contract import check_plan
 from repro.core.planner import CommPlan, plan_loop
 from repro.core.pre import AvailabilityTracker
 from repro.hpf.ast import ArrayDecl, ParallelAssign, Program, Reduce, ScalarAssign
-from repro.runtime.phases import PhaseRecord, ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import (
+    PhaseRecord,
+    ProgramAnalysis,
+    allocate_segment,
+    apply_initializers,
+    walk_phases,
+)
 from repro.runtime.results import RunResult
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import FaultConfig
-from repro.tempest.memory import Distribution, HomePolicy, SharedMemory
+from repro.tempest.memory import HomePolicy, SharedMemory
 
 __all__ = [
+    "BUILD_OPTIONS",
+    "EXECUTE_OPTIONS",
     "ShmemPlan",
     "build_shmem_plan",
     "execute_shmem_plan",
@@ -96,23 +104,6 @@ def trace_geometry(config: ClusterConfig) -> dict:
         for f in dataclass_fields(ClusterConfig)
         if f.name not in _NON_GEOMETRY_FIELDS
     }
-
-
-def _allocate(program: Program, config: ClusterConfig, home_policy: HomePolicy):
-    """Build the shared segment plus plain storage for replicated arrays."""
-    mem = SharedMemory(config, home_policy=home_policy)
-    arrays: dict[str, np.ndarray] = {}
-    for decl in program.arrays.values():
-        if decl.dist == "replicated":
-            arrays[decl.name] = np.zeros(decl.shape, order="F")
-        else:
-            dist = (
-                Distribution.block(config.n_nodes)
-                if decl.dist == "block"
-                else Distribution.cyclic(config.n_nodes)
-            )
-            arrays[decl.name] = mem.alloc(decl.name, decl.shape, dist).data
-    return mem, arrays
 
 
 def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
@@ -264,6 +255,20 @@ def _check_optimizer_options(
         )
 
 
+#: The keyword options of the functional pass and of the timing pass, by
+#: name (``obs`` is an attachment, not an option).  ``RunRequest`` keys and
+#: forwards exactly these, and a test pins them to the two signatures, so
+#: an option cannot be keyed but not forwarded.
+BUILD_OPTIONS = (
+    "optimize", "bulk", "rt_elim", "pre", "advisory", "home_policy",
+    "check_contracts",
+)
+EXECUTE_OPTIONS = (
+    "protocol", "audit", "audit_each_barrier", "audit_sample_prob",
+    "profile_phases", "critical_path",
+)
+
+
 def build_shmem_plan(
     program: Program,
     config: ClusterConfig | None = None,
@@ -284,7 +289,7 @@ def build_shmem_plan(
     """
     config = config or ClusterConfig()
     _check_optimizer_options(optimize, rt_elim, pre, advisory, "invalidate")
-    mem, arrays = _allocate(program, config, home_policy)
+    mem, arrays = allocate_segment(program.arrays.values(), config, home_policy)
     apply_initializers(program, arrays)
     scalars = dict(program.scalars)
     analysis = ProgramAnalysis(program, config.n_nodes)
@@ -409,26 +414,6 @@ def build_shmem_plan(
     )
 
 
-def _reallocate_segment(plan: ShmemPlan, config: ClusterConfig) -> SharedMemory:
-    """Rebuild the shared segment a plan's traces were numbered against.
-
-    Allocation order reproduces the build's block numbering exactly; the
-    data is left zeroed because the timing pass moves block ids, never
-    values (the run's numerics live in ``plan.arrays``).
-    """
-    mem = SharedMemory(config, home_policy=plan.home_policy)
-    for decl in plan.array_decls:
-        if decl.dist == "replicated":
-            continue
-        dist = (
-            Distribution.block(config.n_nodes)
-            if decl.dist == "block"
-            else Distribution.cyclic(config.n_nodes)
-        )
-        mem.alloc(decl.name, decl.shape, dist)
-    return mem
-
-
 def execute_shmem_plan(
     plan: ShmemPlan,
     config: ClusterConfig | None = None,
@@ -459,7 +444,10 @@ def execute_shmem_plan(
             f"plan for {plan.program_name!r} was built under different "
             f"cluster geometry (differing fields: {changed})"
         )
-    mem = _reallocate_segment(plan, config)
+    # Same declarations, same order: the build's block numbering.  The data
+    # stays zeroed -- the timing pass moves block ids, never values (the
+    # run's numerics live in ``plan.arrays``).
+    mem, _ = allocate_segment(plan.array_decls, config, plan.home_policy)
     profiler = None
     analyzer = None
     if profile_phases or critical_path:
@@ -634,6 +622,7 @@ def run_shmem(
     ``repro.serve`` uses this to replay one memoized compiler analysis
     across every wire configuration of a sweep.
     """
+    opts = locals()
     config = config or ClusterConfig()
     if faults is not None:
         config = config.scaled(faults=faults)
@@ -644,24 +633,8 @@ def run_shmem(
     _check_optimizer_options(optimize, rt_elim, pre, advisory, protocol)
     if plan is None:
         plan = build_shmem_plan(
-            program,
-            config,
-            optimize=optimize,
-            bulk=bulk,
-            rt_elim=rt_elim,
-            pre=pre,
-            advisory=advisory,
-            home_policy=home_policy,
-            check_contracts=check_contracts,
+            program, config, **{name: opts[name] for name in BUILD_OPTIONS}
         )
     return execute_shmem_plan(
-        plan,
-        config,
-        protocol=protocol,
-        audit=audit,
-        audit_each_barrier=audit_each_barrier,
-        audit_sample_prob=audit_sample_prob,
-        obs=obs,
-        profile_phases=profile_phases,
-        critical_path=critical_path,
+        plan, config, obs=obs, **{name: opts[name] for name in EXECUTE_OPTIONS}
     )

@@ -43,10 +43,12 @@ import time
 from typing import Sequence
 
 from repro.apps import APPS
+from repro.spec import add_flags, from_args
 from repro.tempest.config import ClusterConfig
 
 from repro.serve.compare import diff_breakdowns, render_diff, results_equal
-from repro.serve.matrix import AXES, cell_label, expand_matrix, parse_axis_specs
+from repro.serve.matrix import axis_help, cell_label, expand_matrix, parse_axis_specs
+from repro.serve.request import RunRequest
 from repro.serve.runner import ServeSession, execute_request
 
 __all__ = ["build_diff_parser", "build_sweep_parser", "diff_main", "sweep_main"]
@@ -56,27 +58,18 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro sweep",
         description="Run a (apps x axes) config matrix with caching and "
-        "parallel workers; every cell is bit-identical to a "
-        "serial in-process run.",
+        "parallel workers;\nevery cell is bit-identical to a serial "
+        "in-process run.",
+        epilog="axes (--scale and --nodes set every cell; the axis of the "
+        "same name overrides\nthem per cell):\n" + axis_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("apps", nargs="+", choices=sorted(APPS),
                    help="applications to sweep")
     p.add_argument("--axis", action="append", default=[],
                    metavar="NAME=V1,V2,...",
-                   help=f"one matrix axis (repeatable); axes: {sorted(AXES)}")
-    p.add_argument("--scale", choices=["default", "paper"], default="default")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="cluster size for every cell (the 'nodes' axis "
-                        "overrides this per cell)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1: serial in-process)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent result/plan cache directory "
-                        "(default: no disk cache)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache-dir: compute every cell")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="write the results table as JSON")
+                   help="one matrix axis (repeatable); see the table below")
+    _add_shared_flags(p)
     p.add_argument("--check-serial", action="store_true",
                    help="re-run every cell serially in-process and require "
                         "exact RunResult equality (correctness harness; "
@@ -87,6 +80,23 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress the live progress line on stderr")
     return p
+
+
+def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    """What ``sweep`` and ``diff`` both take: ``--scale``/``--nodes`` (the
+    base every cell starts from) and the session/output flags."""
+    add_flags(p, RunRequest, only=("scale",))
+    add_flags(p, ClusterConfig, only=("n_nodes",))
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes (default 1: serial in-process)")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help="persistent result/plan cache directory (default: "
+                        "no disk cache); point diff at a sweep's cache to "
+                        "diff cached cells without recomputing")
+    p.add_argument("--no-cache", action="store_true",
+                   help="ignore --cache-dir: compute every cell")
+    p.add_argument("--json", default=None, metavar="FILE",
+                   help="write the results table / structured diff as JSON")
 
 
 def _serve_with_progress(sess: ServeSession, requests, quiet: bool):
@@ -162,7 +172,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         axes = parse_axis_specs(args.axis)
-        base = ClusterConfig(n_nodes=args.nodes)
+        base = from_args(ClusterConfig, args)
         requests = expand_matrix(args.apps, axes, scale=args.scale, base_config=base)
     except ValueError as e:
         # Every cell is built, and so validated, before any is submitted.
@@ -263,23 +273,11 @@ def build_diff_parser() -> argparse.ArgumentParser:
     p.add_argument("app", choices=sorted(APPS), help="application to diff")
     p.add_argument("cell_a", metavar="CELL_A",
                    help="run A: comma-separated axis=value settings "
-                        "(e.g. 'combine=off,drop=0'); '-' means all defaults")
+                        "(e.g. 'combine=off,drop=0', overriding --scale/"
+                        "--nodes); '-' means all defaults")
     p.add_argument("cell_b", metavar="CELL_B",
                    help="run B, same syntax as CELL_A")
-    p.add_argument("--scale", choices=["default", "paper"], default="default")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="cluster size for both cells (a 'nodes=' setting "
-                        "in a cell spec overrides this)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1: serial in-process)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent result/plan cache directory — point at "
-                        "a sweep's cache to diff cached cells without "
-                        "recomputing")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache-dir: compute both cells")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="write the structured diff as JSON")
+    _add_shared_flags(p)
     return p
 
 
@@ -306,7 +304,7 @@ def diff_main(argv: Sequence[str] | None = None) -> int:
     parser = build_diff_parser()
     args = parser.parse_args(argv)
     try:
-        base = ClusterConfig(n_nodes=args.nodes)
+        base = from_args(ClusterConfig, args)
         req_a = _diff_request(args.app, args.cell_a, args.scale, base)
         req_b = _diff_request(args.app, args.cell_b, args.scale, base)
     except ValueError as e:

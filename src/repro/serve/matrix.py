@@ -9,132 +9,87 @@ contributes one dimension; every combination becomes one
                         "drop": ["0", "0.05"]})
     # -> 2 apps x 2 x 2 = 8 requests
 
-Axes (CLI spelling ``--axis name=v1,v2,...``):
-
-=============== ======================================================
-``optimize``    ``off``/``on`` — compiler-optimized communication
-``bulk``        ``off``/``on`` — bulk payload coalescing
-``rt_elim``     ``off``/``on`` — run-time overhead elimination
-``pre``         ``off``/``on`` — redundant-communication elimination
-``protocol``    coherence protocol name (``invalidate``/``update``)
-``combine``     ``off``/``on`` — control-message combining
-``switch``      ``off``/``on`` — shared-switch contention model
-``drop``        frame drop probability (float)
-``dup``         frame duplication probability (float)
-``jitter_us``   extra latency bound in microseconds (float)
-``seed``        fault-model RNG seed (int)
-``nodes``       cluster size (int)
-``scale``       app parameter scale (``default``/``paper``)
-``profile``     ``off``/``on`` — per-phase breakdown + critical path
-=============== ======================================================
+The axis vocabulary (CLI spelling ``--axis name=v1,v2,...``) is not
+listed here: an axis *is* an ``axis=`` name on a field of ``RunRequest``
+or of the config dataclasses under it (see :mod:`repro.spec`), and
+:data:`AXES`, the axis setter and :func:`cell_label` are all derived from
+those declarations.  ``repro sweep --help`` and docs/serve.md print the
+table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import textwrap
 
-from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
+from repro import spec
+from repro.tempest.config import ClusterConfig
 
 from repro.serve.request import RunRequest
 
-__all__ = ["AXES", "expand_matrix", "parse_axis_specs"]
+__all__ = ["AXES", "axis_help", "cell_label", "expand_matrix", "parse_axis_specs"]
 
-_BOOL = {"on": True, "off": False, "true": True, "false": False, "1": True, "0": False}
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, str):
-        return bool(value)
-    try:
-        return _BOOL[value.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected on/off, got {value!r}") from None
+#: axis name -> [(path from the request to the owning dataclass, field)];
+#: an axis declared on several fields (``profile``) sets them all
+AXES: dict[str, list] = {}
+for _path, _field in spec.walk(RunRequest):
+    if _field.metadata["axis"]:
+        AXES.setdefault(_field.metadata["axis"], []).append((_path, _field))
 
 
-#: axis name -> value parser (CLI passes strings; API may pass typed values)
-AXES = {
-    "optimize": _flag,
-    "bulk": _flag,
-    "rt_elim": _flag,
-    "pre": _flag,
-    "protocol": str,
-    "combine": _flag,
-    "switch": _flag,
-    "drop": float,
-    "dup": float,
-    "jitter_us": float,
-    "seed": int,
-    "nodes": int,
-    "scale": str,
-    "profile": _flag,
-}
+def axis_help() -> str:
+    """One line per axis: name, value type, what it varies."""
+    lines = []
+    for name, targets in AXES.items():
+        f = targets[0][1]
+        kind = "off/on" if spec.kind(f) is bool else spec.kind(f).__name__
+        lines.append(textwrap.fill(
+            f"  {name:<10} {kind:<7} {f.metadata['help']}",
+            width=78, subsequent_indent=" " * 21,
+        ))
+    return "\n".join(lines)
 
 
 def parse_axis_specs(specs: list[str]) -> dict[str, list]:
     """Parse CLI ``name=v1,v2,...`` strings into typed axis values."""
     axes: dict[str, list] = {}
-    for spec in specs:
-        name, _, values = spec.partition("=")
+    for text in specs:
+        name, _, values = text.partition("=")
         name = name.strip()
         if name not in AXES:
             raise ValueError(
                 f"unknown axis {name!r}; choose from {sorted(AXES)}"
             )
         if not values:
-            raise ValueError(f"axis {spec!r} needs =v1,v2,...")
-        parse = AXES[name]
+            raise ValueError(f"axis {text!r} needs =v1,v2,...")
+        f = AXES[name][0][1]
         try:
-            axes[name] = [parse(v.strip()) for v in values.split(",")]
+            axes[name] = [spec.from_text(f, v.strip()) for v in values.split(",")]
         except ValueError as e:
-            raise ValueError(f"axis {spec!r}: {e}") from None
+            raise ValueError(f"axis {text!r}: {e}") from None
     return axes
 
 
-def _cell_request(
-    app: str,
-    scale: str,
-    cell: dict,
-    base_config: ClusterConfig,
-) -> RunRequest:
-    config = base_config
-    kwargs: dict = {}
-    faults = config.faults
-    for name, value in cell.items():
-        if name in ("optimize", "bulk", "rt_elim", "pre", "protocol"):
-            kwargs[name] = value
-        elif name == "profile":
-            kwargs["profile_phases"] = value
-            kwargs["critical_path"] = value
-        elif name == "combine":
-            config = config.scaled(
-                combine=dataclasses.replace(
-                    config.combine if value else CombineConfig(), enabled=value
-                )
+def _replaced(obj, path: tuple, changes: dict):
+    """``obj`` (the dataclass at ``path`` under the request) with its own
+    changed fields, and every dataclass below it that has any, replaced —
+    one ``replace`` (so one ``__post_init__`` validation) per dataclass."""
+    kwargs = dict(changes.get(path, ()))
+    depth = len(path)
+    for child in {p[depth] for p in changes if len(p) > depth and p[:depth] == path}:
+        kwargs[child] = _replaced(getattr(obj, child), path + (child,), changes)
+    return dataclasses.replace(obj, **kwargs) if kwargs else obj
+
+
+def _cell_request(request: RunRequest, cell: dict) -> RunRequest:
+    changes: dict[tuple, dict] = {}  # owner path -> {field name: value}
+    for axis, value in cell.items():
+        for path, f in AXES[axis]:
+            changes.setdefault(path, {})[f.name] = spec.to_field(
+                f, spec.from_text(f, value)
             )
-        elif name == "switch":
-            config = config.scaled(
-                switch=dataclasses.replace(
-                    config.switch if value else SwitchConfig(), enabled=value
-                )
-            )
-        elif name == "drop":
-            faults = dataclasses.replace(faults, drop_prob=value)
-        elif name == "dup":
-            faults = dataclasses.replace(faults, dup_prob=value)
-        elif name == "jitter_us":
-            faults = dataclasses.replace(faults, jitter_ns=int(value * 1000))
-        elif name == "seed":
-            faults = dataclasses.replace(faults, seed=value)
-        elif name == "nodes":
-            config = config.scaled(n_nodes=value)
-        elif name == "scale":
-            scale = value
-        else:  # pragma: no cover — parse_axis_specs already validated
-            raise ValueError(f"unknown axis {name!r}")
-    if faults is not config.faults:
-        config = config.scaled(faults=faults)
-    return RunRequest(app=app, scale=scale, config=config, **kwargs)
+    return _replaced(request, (), changes)
 
 
 def expand_matrix(
@@ -149,10 +104,11 @@ def expand_matrix(
     names = sorted(axes)
     requests = []
     for app in apps:
+        base = RunRequest(app=app, scale=scale, config=base_config)
         for combo in itertools.product(*(axes[n] for n in names)):
             cell = dict(zip(names, combo))
             try:
-                requests.append(_cell_request(app, scale, cell, base_config))
+                requests.append(_cell_request(base, cell))
             except ValueError as e:
                 settings = ",".join(f"{n}={v}" for n, v in cell.items())
                 raise ValueError(f"cell {settings or '-'}: {e}") from None
@@ -160,23 +116,26 @@ def expand_matrix(
 
 
 def cell_label(request: RunRequest) -> str:
-    """Stable column describing one cell's axis settings for the table."""
+    """Stable column describing one cell's axis settings for the table:
+    every axis that differs from its default (``optimize`` and ``nodes``
+    always), so cells of one matrix never share a label."""
     bits = []
-    bits.append("opt" if request.optimize else "unopt")
-    if request.config.combine.enabled:
-        bits.append("combine")
-    if request.config.switch.enabled:
-        bits.append("switch")
-    f = request.config.faults
-    if f.drop_prob:
-        bits.append(f"drop={f.drop_prob:g}")
-    if f.dup_prob:
-        bits.append(f"dup={f.dup_prob:g}")
-    if f.jitter_ns:
-        bits.append(f"jitter={f.jitter_ns / 1000:g}us")
-    if f.seed:
-        bits.append(f"seed={f.seed}")
-    if request.critical_path or request.profile_phases:
-        bits.append("profile")
-    bits.append(f"n={request.config.n_nodes}")
+    for axis, targets in AXES.items():
+        path, f = targets[0]
+        owner = request
+        for attr in path:
+            owner = getattr(owner, attr)
+        value = getattr(owner, f.name)
+        label = f.metadata["label"]
+        if spec.kind(f) is bool:
+            on, off = label or ((axis, "") if not f.default else ("", f"no-{axis}"))
+            word = on if value else off
+        elif value != f.default or f.metadata["always"]:
+            shown = spec.to_flag(f, value)
+            word = f"{label or axis}={shown:g}" if isinstance(shown, float) \
+                else f"{label or axis}={shown}"
+        else:
+            continue
+        if word:
+            bits.append(word)
     return " ".join(bits)

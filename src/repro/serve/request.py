@@ -15,6 +15,8 @@ from typing import Any
 
 from repro.apps import get_app
 from repro.hpf.ast import Program
+from repro.runtime.shmem import BUILD_OPTIONS, EXECUTE_OPTIONS
+from repro.spec import check_bounds, opt
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy
@@ -30,41 +32,55 @@ class RunRequest:
 
     # -- program: registry spec or inline AST ------------------------- #
     app: str | None = None
-    scale: str = "default"
+    scale: str = opt(
+        "default", "--scale", "app parameter scale", axis="scale",
+        choices=("default", "paper"))
     params: tuple[tuple[str, Any], ...] = ()
     program: Program | None = None
 
     # -- backend + config --------------------------------------------- #
-    backend: str = "shmem"
-    config: ClusterConfig = field(default_factory=ClusterConfig)
+    backend: str = opt("shmem", choices=BACKENDS)
 
-    # -- shmem run options (mirrors run_shmem's signature) ------------- #
-    optimize: bool = False
-    bulk: bool = True
-    rt_elim: bool = False
-    pre: bool = False
+    # -- shmem run options: the functional pass's BUILD_OPTIONS and the
+    # -- timing pass's EXECUTE_OPTIONS (see repro.runtime.shmem) -------- #
+    optimize: bool = opt(
+        False, axis="optimize", label=("opt", "unopt"),
+        help="compiler-optimized communication")
+    bulk: bool = opt(True, axis="bulk", help="bulk payload coalescing")
+    rt_elim: bool = opt(
+        False, "--rt-elim", "run-time overhead elimination", axis="rt_elim")
+    pre: bool = opt(
+        False, "--pre", "PRE redundant-communication elimination", axis="pre")
     advisory: str | bool = False
     home_policy: HomePolicy = HomePolicy.ALIGNED
     check_contracts: bool = True
-    protocol: str = "invalidate"
+    protocol: str = opt(
+        "invalidate", "--protocol", "coherence protocol", axis="protocol",
+        choices=tuple(sorted(Cluster.PROTOCOLS)))
     audit: bool = True
-    audit_each_barrier: bool = False
+    audit_each_barrier: bool = opt(
+        False, "--audit", "shmem: also audit coherence at every barrier "
+        "(the end-of-run audit always runs)")
     audit_sample_prob: float = 1.0
-    profile_phases: bool = False
-    critical_path: bool = False
+    profile_phases: bool = opt(
+        False, "--profile-phases", "attribute each node's time to compute / "
+        "read-miss / write-miss / barrier-wait / protocol-overhead / "
+        "transport-recovery buckets per parallel phase and print the "
+        "breakdown table", axis="profile")
+    critical_path: bool = opt(
+        False, "--critical-path", "thread causal lineage through the run, "
+        "walk the event dependency DAG backward from the finish and print "
+        "the critical path decomposed into cost classes (sums to elapsed "
+        "time exactly)", axis="profile")
+
+    # -- the cluster (declared last: cell labels list axes in declaration
+    # -- order, and read best as "<options> n=<nodes> <wire settings>") -- #
+    config: ClusterConfig = field(default_factory=ClusterConfig)
 
     def __post_init__(self) -> None:
         if (self.app is None) == (self.program is None):
             raise ValueError("RunRequest needs exactly one of app= or program=")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
-            )
-        if self.protocol not in Cluster.PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; "
-                f"choose from {sorted(Cluster.PROTOCOLS)}"
-            )
+        check_bounds(self)
         if isinstance(self.params, dict):
             # Accept a dict at construction; store the hashable spelling.
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))
@@ -91,39 +107,21 @@ class RunRequest:
         return program_fingerprint(self.build_program())
 
     # ------------------------------------------------------------------ #
+    def build_options(self) -> dict:
+        """The options the *functional pass* depends on — these key the
+        memoized ShmemPlan (see :func:`repro.serve.keys.plan_key`)."""
+        return {name: getattr(self, name) for name in BUILD_OPTIONS}
+
+    def execute_options(self) -> dict:
+        """The options only the timing pass consumes."""
+        return {name: getattr(self, name) for name in EXECUTE_OPTIONS}
+
     def run_options(self) -> dict:
         """Every option that can influence the result (keyed)."""
         if self.backend != "shmem":
             # uniproc/msgpass take only (program, config).
             return {}
-        return {
-            "optimize": self.optimize,
-            "bulk": self.bulk,
-            "rt_elim": self.rt_elim,
-            "pre": self.pre,
-            "advisory": self.advisory,
-            "home_policy": self.home_policy,
-            "check_contracts": self.check_contracts,
-            "protocol": self.protocol,
-            "audit": self.audit,
-            "audit_each_barrier": self.audit_each_barrier,
-            "audit_sample_prob": self.audit_sample_prob,
-            "profile_phases": self.profile_phases,
-            "critical_path": self.critical_path,
-        }
-
-    def build_options(self) -> dict:
-        """The subset of options the *functional pass* depends on — these
-        key the memoized ShmemPlan (see :func:`repro.serve.keys.plan_key`)."""
-        return {
-            "optimize": self.optimize,
-            "bulk": self.bulk,
-            "rt_elim": self.rt_elim,
-            "pre": self.pre,
-            "advisory": self.advisory,
-            "home_policy": self.home_policy,
-            "check_contracts": self.check_contracts,
-        }
+        return {**self.build_options(), **self.execute_options()}
 
     # ------------------------------------------------------------------ #
     def label(self) -> str:

@@ -115,16 +115,7 @@ def execute_request(
     if plan_cache is None:
         plan_cache = PlanCache(store=None)
     plan = plan_cache.get_or_build(request, salt)
-    return execute_shmem_plan(
-        plan,
-        request.config,
-        protocol=request.protocol,
-        audit=request.audit,
-        audit_each_barrier=request.audit_each_barrier,
-        audit_sample_prob=request.audit_sample_prob,
-        profile_phases=request.profile_phases,
-        critical_path=request.critical_path,
-    )
+    return execute_shmem_plan(plan, request.config, **request.execute_options())
 
 
 # --------------------------------------------------------------------- #

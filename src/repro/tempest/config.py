@@ -22,8 +22,9 @@ below are chosen so that the three calibration microbenchmarks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from repro.spec import check_bounds, opt
 from repro.tempest.faults import FaultConfig
 
 __all__ = ["ClusterConfig", "CombineConfig", "SwitchConfig", "US", "MS"]
@@ -61,23 +62,24 @@ class CombineConfig:
     revocability discipline the fault layer follows.
     """
 
-    enabled: bool = False
-    #: most sub-messages folded into one combined frame
-    max_msgs: int = 8
+    enabled: bool = opt(
+        False, "--[no-]combine", "coalesce header-only control messages per "
+        "channel (--no-combine restores the one-frame-per-message wire "
+        "model)", axis="combine")
+    max_msgs: int = opt(
+        8, "--combine-max-msgs", "most sub-messages folded into one combined "
+        "frame", metavar="N", ge=2)
     #: wire bytes per sub-message inside a combined frame (a packed kind
     #: tag + block/seq operand; the 16-byte header is paid only once)
-    slot_bytes: int = 4
-    #: longest a parked control frame may wait for channel-mates before the
-    #: buffer flushes on its own (bounds added latency; ~1 short-msg RTT)
-    max_wait_ns: int = 40 * US
+    slot_bytes: int = opt(4, ge=1)
+    max_wait_ns: int = opt(
+        40 * US, "--combine-wait", "combine-buffer hold window in "
+        "microseconds: the longest a parked control frame may wait for "
+        "channel-mates before the buffer flushes on its own (bounds added "
+        "latency; ~1 short-msg RTT)", unit=1000, metavar="US", gt=0)
 
     def __post_init__(self) -> None:
-        if self.max_msgs < 2:
-            raise ValueError(f"max_msgs must be >= 2; got {self.max_msgs}")
-        if self.slot_bytes < 1:
-            raise ValueError(f"slot_bytes must be >= 1; got {self.slot_bytes}")
-        if self.max_wait_ns <= 0:
-            raise ValueError(f"max_wait_ns must be > 0; got {self.max_wait_ns}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -108,23 +110,26 @@ class SwitchConfig:
     discipline the fault and combining layers follow.
     """
 
-    enabled: bool = False
-    #: output ports on the switch; destination ``dst % ports``.  ``None``
-    #: resolves to the cluster's node count (a non-blocking port per node).
-    ports: int | None = None
-    #: aggregate forwarding bandwidth over all ports (bytes/us == MB/s);
-    #: ``None`` = ``ports`` x the link bandwidth (per-port rate == link rate)
-    bandwidth_bytes_per_us: float | None = None
+    enabled: bool = opt(
+        False, "--[no-]switch", "route every frame through a shared switch "
+        "fabric: frames to one destination queue on its output port and "
+        "backpressure their senders (--no-switch keeps the independent-link "
+        "wire model)", axis="switch")
+    ports: int | None = opt(
+        None, "--switch-ports", "output ports on the switch, destination = "
+        "dst mod N (default: one port per node)", metavar="N", ge=1)
+    bandwidth_bytes_per_us: float | None = opt(
+        None, "--switch-bw", "aggregate switch forwarding bandwidth in MB/s "
+        "(== bytes/us), split evenly across ports (default: every port "
+        "forwards at the link rate)", metavar="MBPS", gt=0)
 
     def __post_init__(self) -> None:
-        if self.ports is not None and self.ports < 1:
-            raise ValueError(f"ports must be >= 1; got {self.ports}")
-        if (self.bandwidth_bytes_per_us is not None
-                and self.bandwidth_bytes_per_us <= 0):
-            raise ValueError(
-                f"bandwidth_bytes_per_us must be > 0; "
-                f"got {self.bandwidth_bytes_per_us}"
-            )
+        check_bounds(self)
+
+
+def _cost(default: int):
+    """A simulated cost in ns (or ns per unit): any non-negative integer."""
+    return opt(default, ge=0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,9 @@ class ClusterConfig:
     sizes to exercise corner cases cheaply.
     """
 
-    n_nodes: int = 8
+    n_nodes: int = opt(
+        8, "--nodes", "simulated cluster size", axis="nodes", label="n",
+        always=True, metavar="N", ge=1)
     block_size: int = 128           # bytes; "e.g. 32-128 bytes" -- paper uses 128
     page_size: int = 4096           # bytes; Tempest maps remote pages lazily
 
@@ -144,54 +151,54 @@ class ClusterConfig:
     dual_cpu: bool = True
 
     # --- network -------------------------------------------------------- #
-    wire_latency_ns: int = 10 * US          # one-way propagation + NI cost
-    bandwidth_bytes_per_us: float = 20.0    # 20 MB/s == 20 bytes/us
-    send_overhead_ns: int = 5 * US          # sender-side per-message CPU cost
-    dispatch_overhead_ns: int = 4 * US      # receiver-side dispatch before handler
+    wire_latency_ns: int = _cost(10 * US)       # one-way propagation + NI cost
+    bandwidth_bytes_per_us: float = opt(20.0, gt=0)  # 20 MB/s == 20 bytes/us
+    send_overhead_ns: int = _cost(5 * US)       # sender-side per-message CPU cost
+    dispatch_overhead_ns: int = _cost(4 * US)   # receiver-side dispatch before handler
 
     # --- protocol handler occupancies ------------------------------------ #
     # Charged on the handling node's protocol CPU.
-    handler_request_ns: int = 30 * US       # directory lookup + reply construction
-    handler_response_ns: int = 19 * US      # install data, update tags
-    handler_invalidate_ns: int = 6 * US     # invalidate a cached copy
-    handler_ack_ns: int = 4 * US            # count an ack
-    handler_data_recv_ns: int = 10 * US     # store an arriving compiler-pushed block
-    handler_data_recv_per_block_ns: int = 2 * US  # extra per additional block in a payload
+    handler_request_ns: int = _cost(30 * US)    # directory lookup + reply construction
+    handler_response_ns: int = _cost(19 * US)   # install data, update tags
+    handler_invalidate_ns: int = _cost(6 * US)  # invalidate a cached copy
+    handler_ack_ns: int = _cost(4 * US)         # count an ack
+    handler_data_recv_ns: int = _cost(10 * US)  # store an arriving compiler-pushed block
+    handler_data_recv_per_block_ns: int = _cost(2 * US)  # extra per additional block in a payload
 
     # Single-CPU penalty: every handler execution on the shared CPU also
     # pays an interrupt/poll entry cost.
-    interrupt_overhead_ns: int = 10 * US
+    interrupt_overhead_ns: int = _cost(10 * US)
     # Single-CPU only: computation is sliced into quanta so protocol
     # handlers can interleave (models interrupt-driven handling with
     # bounded dispatch latency).  Dual-CPU computations run unsliced.
-    compute_quantum_ns: int = 100 * US
+    compute_quantum_ns: int = opt(100 * US, gt=0)
 
     # --- access-control fault costs -------------------------------------- #
-    fault_detect_ns: int = 3 * US           # taking a fine-grain access fault
+    fault_detect_ns: int = _cost(3 * US)        # taking a fine-grain access fault
 
     # --- compiler-control primitive costs (Section 4.2) ------------------- #
-    call_overhead_ns: int = 2 * US          # entering any run-time call
-    tag_change_per_block_ns: int = 250      # flipping one block's access tag
-    memoized_call_ns: int = 1 * US          # rt-elim fast path: test-only call
-    max_payload_blocks: int = 16            # bulk transfer: blocks per message
+    call_overhead_ns: int = _cost(2 * US)       # entering any run-time call
+    tag_change_per_block_ns: int = _cost(250)   # flipping one block's access tag
+    memoized_call_ns: int = _cost(1 * US)       # rt-elim fast path: test-only call
+    max_payload_blocks: int = opt(16, ge=1)     # bulk transfer: blocks per message
 
     # --- message-passing backend (pghpf-MP comparator) ----------------- #
     # pghpf's runtime gathers/scatters array sections through pack buffers;
     # at 66 MHz this costs roughly a word every few cycles.  Charged on both
     # the sending and receiving compute CPU per payload byte.
-    mp_pack_ns_per_byte: int = 25
+    mp_pack_ns_per_byte: int = _cost(25)
 
     # --- compute model ---------------------------------------------------- #
     # 66 MHz HyperSPARC doing ~1 flop-equivalent per ~4 cycles on stencil
     # code => ~60 ns per element-update "work unit".  Applications report
     # work units per element; this converts them to time.
-    compute_ns_per_unit: int = 60
-    loop_overhead_ns: int = 2 * US          # per parallel-loop fixed cost
+    compute_ns_per_unit: int = _cost(60)
+    loop_overhead_ns: int = _cost(2 * US)       # per parallel-loop fixed cost
 
     # --- barrier / collectives --------------------------------------------- #
-    barrier_manager: int = 0                # node that collects arrivals
+    barrier_manager: int = opt(0, ge=0)         # node that collects arrivals
     # 'central' (combine at root, broadcast) or 'tree' (binomial).
-    reduce_algorithm: str = "central"
+    reduce_algorithm: str = opt("central", choices=("central", "tree"))
 
     # --- interconnect fault model ------------------------------------------ #
     # The default is a perfect wire (the paper's assumption); any nonzero
@@ -212,16 +219,26 @@ class ClusterConfig:
     switch: SwitchConfig = SwitchConfig()
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("need at least one node")
+        check_bounds(self)
         if self.block_size <= 0 or self.block_size % 8:
             raise ValueError("block_size must be a positive multiple of 8")
         if self.page_size % self.block_size:
             raise ValueError("page_size must be a multiple of block_size")
-        if self.max_payload_blocks < 1:
-            raise ValueError("max_payload_blocks must be >= 1")
-        if self.reduce_algorithm not in ("central", "tree"):
-            raise ValueError(f"unknown reduce_algorithm {self.reduce_algorithm!r}")
+        # Every node id the config names must exist: an id past the end is
+        # an IndexError mid-run (crash, barrier manager) or silently dead
+        # config (partition, link profile).
+        for what, nodes in (
+            ("barrier_manager", (self.barrier_manager,)),
+            *(("faults.crashes", (c.node,)) for c in self.faults.crashes),
+            *(("faults.partitions", s.nodes) for s in self.faults.partitions),
+            *(("faults.link_faults", lf.key) for lf in self.faults.link_faults),
+        ):
+            outside = sorted(n for n in nodes if n >= self.n_nodes)
+            if outside:
+                raise ValueError(
+                    f"{what} names node(s) {outside} outside the "
+                    f"{self.n_nodes}-node cluster"
+                )
 
     # ------------------------------------------------------------------ #
     @property

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.spec import check_bounds, opt
+
 __all__ = [
     "CrashScenario",
     "FaultConfig",
@@ -68,32 +70,21 @@ class LinkFaultConfig:
     all other links share the uniform stream, untouched.
     """
 
-    src: int
-    dst: int
-    drop_prob: float | None = None
-    dup_prob: float | None = None
-    jitter_ns: int | None = None
-    stall_prob: float | None = None
-    stall_ns: int | None = None
+    src: int = opt(ge=0)
+    dst: int = opt(ge=0)
+    drop_prob: float | None = opt(None, ge=0, lt=1)
+    dup_prob: float | None = opt(None, ge=0, lt=1)
+    jitter_ns: int | None = opt(None, ge=0)
+    stall_prob: float | None = opt(None, ge=0, lt=1)
+    stall_ns: int | None = opt(None, ge=0)
 
     def __post_init__(self) -> None:
-        if self.src < 0 or self.dst < 0:
-            raise ValueError(
-                f"link endpoints must be >= 0; got ({self.src}, {self.dst})"
-            )
+        check_bounds(self)
         if self.src == self.dst:
             raise ValueError(
                 f"loopback sends never cross the wire; a fault profile for "
                 f"({self.src}, {self.dst}) would be dead config"
             )
-        for name in ("drop_prob", "dup_prob", "stall_prob"):
-            p = getattr(self, name)
-            if p is not None and not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must be in [0, 1); got {p}")
-        for name in ("jitter_ns", "stall_ns"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0; got {v}")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -115,8 +106,8 @@ class PartitionScenario:
 
     name: str
     nodes: frozenset[int]
-    t_start_ns: int = 0
-    duration_ns: int | None = None   # None: never heals
+    t_start_ns: int = opt(0, ge=0)
+    duration_ns: int | None = opt(None, gt=0)   # None: never heals
 
     def __post_init__(self) -> None:
         # Accept any iterable of node ids; freeze it for hashability.
@@ -125,16 +116,7 @@ class PartitionScenario:
             raise ValueError(f"partition {self.name!r} has an empty node set")
         if any(n < 0 for n in self.nodes):
             raise ValueError(f"partition {self.name!r} names a negative node id")
-        if self.t_start_ns < 0:
-            raise ValueError(
-                f"partition {self.name!r}: t_start_ns must be >= 0; "
-                f"got {self.t_start_ns}"
-            )
-        if self.duration_ns is not None and self.duration_ns <= 0:
-            raise ValueError(
-                f"partition {self.name!r}: duration_ns must be positive "
-                f"(or None for never-healing); got {self.duration_ns}"
-            )
+        check_bounds(self)
 
     @property
     def heals(self) -> bool:
@@ -174,20 +156,12 @@ class CrashScenario:
     back to the last barrier-consistent checkpoint and re-replays.
     """
 
-    node: int
-    t_ns: int
-    restart_delay_ns: int | None = None   # None: fail-stop forever
+    node: int = opt(ge=0)
+    t_ns: int = opt(ge=0)
+    restart_delay_ns: int | None = opt(None, ge=0)   # None: fail-stop forever
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"crash node must be >= 0; got {self.node}")
-        if self.t_ns < 0:
-            raise ValueError(f"crash t_ns must be >= 0; got {self.t_ns}")
-        if self.restart_delay_ns is not None and self.restart_delay_ns < 0:
-            raise ValueError(
-                f"restart_delay_ns must be >= 0 (or None for never); "
-                f"got {self.restart_delay_ns}"
-            )
+        check_bounds(self)
 
     @property
     def restarts(self) -> bool:
@@ -206,19 +180,34 @@ class FaultConfig:
     """
 
     # --- the imperfect wire ------------------------------------------- #
-    drop_prob: float = 0.0       # P(frame lost in transit), per wire copy
-    dup_prob: float = 0.0        # P(frame duplicated in transit)
-    jitter_ns: int = 0           # extra latency, uniform in [0, jitter_ns]
-    stall_prob: float = 0.0      # P(protocol CPU stalls before a handler)
-    stall_ns: int = 0            # length of one stall window
+    drop_prob: float = opt(
+        0.0, "--fault-drop", "per-message drop probability in [0, 1), per "
+        "wire copy", axis="drop", metavar="P", ge=0, lt=1)
+    dup_prob: float = opt(
+        0.0, "--fault-dup", "per-message duplication probability in [0, 1)",
+        axis="dup", metavar="P", ge=0, lt=1)
+    jitter_ns: int = opt(
+        0, "--fault-jitter", "max extra per-message latency, uniform in "
+        "[0, jitter] (microseconds)", axis="jitter_us", unit=1000,
+        metavar="US", ge=0)
+    stall_prob: float = opt(
+        0.0, "--fault-stall", "per-delivery protocol-CPU stall probability "
+        "in [0, 1); needs --fault-stall-us", metavar="P", ge=0, lt=1)
+    stall_ns: int = opt(
+        0, "--fault-stall-us", "length of one protocol-CPU stall window "
+        "(microseconds)", unit=1000, metavar="US", ge=0)
 
     # --- determinism -------------------------------------------------- #
-    seed: int = 0                # seeds the transport's random.Random
+    seed: int = opt(
+        0, "--fault-seed", "fault-injection PRNG seed (same seed => same "
+        "run)", axis="seed", metavar="N")
 
     # --- reliable-delivery tuning ------------------------------------- #
-    retransmit_timeout_ns: int = 120 * _US   # initial ack timeout (~3 RTT)
+    retransmit_timeout_ns: int = opt(120 * _US, gt=0)  # initial ack timeout (~3 RTT)
     max_backoff_ns: int = 2_000 * _US        # cap for exponential backoff
-    max_retries: int = 32                    # per frame, then channel gives up
+    max_retries: int = opt(
+        32, "--fault-retries", "retransmit budget per frame before the "
+        "channel gives up and parks its traffic", metavar="N", ge=1)
 
     # --- adaptive retransmission (congestion-aware RTO) ---------------- #
     # With ``adaptive_rto`` the fixed timer above only seeds the estimate:
@@ -235,8 +224,10 @@ class FaultConfig:
     # link routinely spike past any tight floor learned from quiet-period
     # samples, so an aggressive floor trades real retransmit storms for a
     # latency win that a correctly-sized fixed timer already banked.
-    adaptive_rto: bool = False
-    rto_min_ns: int | None = None            # floor; None = the fixed timeout
+    adaptive_rto: bool = opt(
+        False, "--rto-adaptive", "per-channel Jacobson RTT estimator for "
+        "the reliable transport's retransmit timer (needs fault injection)")
+    rto_min_ns: int | None = opt(None, gt=0)  # floor; None = the fixed timeout
     rto_max_ns: int = 2_000 * _US            # ceiling: matches backoff cap
 
     # --- asymmetric failure overlays ----------------------------------- #
@@ -259,42 +250,42 @@ class FaultConfig:
     # deferring the barrier release.  Both default off: crash-free configs
     # take no probes, no snapshots, and no extra draws.
     crashes: tuple[CrashScenario, ...] = ()
-    heartbeat_interval_ns: int = 500 * _US
-    checkpoint_every: int = 0                # barriers between snapshots; 0 = off
-    checkpoint_cost_ns_per_kb: int = 50      # ~20 GB/s local snapshot rate
+    heartbeat_interval_ns: int = opt(
+        500 * _US, "--heartbeat-us", "keepalive probe interval for crash "
+        "detection in microseconds; smaller detects faster but probes more; "
+        "needs --fault-crash", unit=1000, metavar="US", gt=0)
+    checkpoint_every: int = opt(
+        0, "--checkpoint-every", "snapshot coherence state and replay "
+        "cursors every K global barriers (a barrier is a consistent cut; "
+        "0 = off); enables rollback-recovery for restarting crashes; needs "
+        "--fault-crash", metavar="K", ge=0)
+    checkpoint_cost_ns_per_kb: int = opt(50, ge=0)  # ~20 GB/s local snapshot rate
 
     def __post_init__(self) -> None:
         if self.rto_min_ns is None:
             object.__setattr__(self, "rto_min_ns", self.retransmit_timeout_ns)
         # Tolerate lists for the overlay fields; freeze to tuples.
-        if not isinstance(self.link_faults, tuple):
-            object.__setattr__(self, "link_faults", tuple(self.link_faults))
-        if not isinstance(self.partitions, tuple):
-            object.__setattr__(self, "partitions", tuple(self.partitions))
-        for name in ("drop_prob", "dup_prob", "stall_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must be in [0, 1); got {p}")
-        if self.jitter_ns < 0:
-            raise ValueError(f"jitter_ns must be >= 0; got {self.jitter_ns}")
-        if self.stall_ns < 0:
-            raise ValueError(f"stall_ns must be >= 0; got {self.stall_ns}")
+        for name, cls in (
+            ("link_faults", LinkFaultConfig),
+            ("partitions", PartitionScenario),
+            ("crashes", CrashScenario),
+        ):
+            entries = tuple(getattr(self, name))
+            object.__setattr__(self, name, entries)
+            for entry in entries:
+                if not isinstance(entry, cls):
+                    raise ValueError(
+                        f"{name} entries must be {cls.__name__}; got {entry!r}"
+                    )
+        check_bounds(self)
         if self.stall_prob and not self.stall_ns:
             raise ValueError("stall_prob set but stall_ns is zero")
-        if self.retransmit_timeout_ns <= 0:
-            raise ValueError("retransmit_timeout_ns must be positive")
         if self.max_backoff_ns < self.retransmit_timeout_ns:
             raise ValueError("max_backoff_ns must be >= retransmit_timeout_ns")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-        if self.rto_min_ns <= 0:
-            raise ValueError("rto_min_ns must be positive")
         if self.rto_max_ns < self.rto_min_ns:
             raise ValueError("rto_max_ns must be >= rto_min_ns")
         seen: set[tuple[int, int]] = set()
         for lf in self.link_faults:
-            if not isinstance(lf, LinkFaultConfig):
-                raise ValueError(f"link_faults entries must be LinkFaultConfig; got {lf!r}")
             if lf.key in seen:
                 raise ValueError(f"duplicate link profile for {lf.key}")
             seen.add(lf.key)
@@ -309,26 +300,11 @@ class FaultConfig:
         names = [s.name for s in self.partitions]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate partition scenario names: {names}")
-        for s in self.partitions:
-            if not isinstance(s, PartitionScenario):
-                raise ValueError(f"partitions entries must be PartitionScenario; got {s!r}")
-        if not isinstance(self.crashes, tuple):
-            object.__setattr__(self, "crashes", tuple(self.crashes))
         crash_nodes: set[int] = set()
         for c in self.crashes:
-            if not isinstance(c, CrashScenario):
-                raise ValueError(f"crashes entries must be CrashScenario; got {c!r}")
             if c.node in crash_nodes:
                 raise ValueError(f"node {c.node} crashes more than once")
             crash_nodes.add(c.node)
-        if self.heartbeat_interval_ns <= 0:
-            raise ValueError("heartbeat_interval_ns must be positive")
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0; got {self.checkpoint_every}"
-            )
-        if self.checkpoint_cost_ns_per_kb < 0:
-            raise ValueError("checkpoint_cost_ns_per_kb must be >= 0")
 
     @property
     def enabled(self) -> bool:

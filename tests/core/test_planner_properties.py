@@ -31,9 +31,8 @@ from repro.core.calls import (
 from repro.core.contract import check_plan
 from repro.core.planner import PlanError, plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.runtime.shmem import _allocate
+from repro.runtime.phases import allocate_segment
 from repro.tempest.config import ClusterConfig
-from repro.tempest.memory import HomePolicy
 
 
 @st.composite
@@ -64,7 +63,7 @@ def build_case(rows, cols, n_nodes, block_size, dist, offsets, row_lo, row_hi, m
     prog = b.build()
     cfg = ClusterConfig(n_nodes=n_nodes, block_size=block_size,
                         page_size=max(block_size * 4, 512))
-    mem, _ = _allocate(prog, cfg, HomePolicy.ALIGNED)
+    mem, _ = allocate_segment(prog.arrays.values(), cfg)
     inst = analyze_loop(stmt, prog, n_nodes).instantiate({})
     return prog, cfg, mem, inst
 

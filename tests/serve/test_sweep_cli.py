@@ -37,7 +37,7 @@ class TestUsageErrors:
             (["--axis", "nodes=4,0"], "nodes=0"),
             (["--axis", "protocol=invalidate,bogus", "--jobs", "2"], "protocol=bogus"),
             (["--axis", "drop=abc"], "drop=abc"),
-            (["--nodes", "0"], "at least one node"),
+            (["--nodes", "0"], "--nodes: n_nodes must be >= 1"),
         ]:
             with pytest.raises(SystemExit) as e:
                 sweep_main(["jacobi", *argv])

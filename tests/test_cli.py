@@ -82,7 +82,7 @@ class TestMain:
             (["--param", "n32"], "--param", "KEY=VAL"),
             (["--param", "n=abc"], "--param", "not an integer"),
             (["--param", "bogus=3"], "--param", "no parameter 'bogus'"),
-            (["--nodes", "0"], "--nodes", "at least one node"),
+            (["--nodes", "0"], "--nodes", "n_nodes must be >= 1"),
             (["--combine", "--combine-max-msgs", "0"], "--combine-max-msgs", "max_msgs"),
             (["--switch", "--switch-ports", "0"], "--switch-ports", "ports"),
             (["--fault-drop", "2"], "--fault-", "drop_prob"),
