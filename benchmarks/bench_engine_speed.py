@@ -11,11 +11,13 @@ Two modes, one artifact:
 
 * ``--check`` is the CI guard: it re-measures the acceptance pair's
   *off* cells (unoptimized, no observability bus — exactly
-  ``bench_ablation_obs.run_cell(prog, "off")``) and fails when host wall
-  regresses more than ``--budget`` (default 20%) against the recorded
-  values.  Raw wall times are not portable across runners, so both sides
-  are normalized by a pure-Python calibration loop timed on the same
-  host and stored in the artifact (``calibration_s``).
+  ``bench_ablation_obs.run_cell(prog, "off")``) and the functional pass's
+  *build* cells (``build_shmem_plan`` alone for lu and jacobi at default
+  scale, optimized — the layer the engine cells barely touch) and fails
+  when host wall regresses more than ``--budget`` (default 20%) against
+  the recorded values.  Raw wall times are not portable across runners,
+  so both sides are normalized by a pure-Python calibration loop timed on
+  the same host and stored in the artifact (``calibration_s``).
 
 Usage::
 
@@ -54,6 +56,14 @@ MATRIX = [
 #: The guard's cells: the acceptance pair's off-cells (BENCH_obs semantics).
 GUARD_APPS = ("jacobi", "shallow")
 GUARD_REPEATS = 3
+#: The guard's functional-pass cells: ``build_shmem_plan`` options per app,
+#: default scale (lu: ~250 loop instances planned once; jacobi: numerics,
+#: rt-elim retention and the PRE tracker every loop).
+BUILD_CELLS = {
+    "lu": dict(optimize=True, rt_elim=True),
+    "jacobi": dict(optimize=True, rt_elim=True, pre=True),
+}
+BUILD_REPEATS = 5
 
 
 def calibration_s() -> float:
@@ -107,6 +117,21 @@ def measure_off_cell(app: str, repeats: int) -> float:
     return best
 
 
+def measure_build_cell(app: str, repeats: int) -> float:
+    """Host wall (min of ``repeats``) of one functional pass."""
+    from repro.apps import APPS
+    from repro.runtime.shmem import build_shmem_plan
+    from repro.tempest.config import ClusterConfig
+
+    prog = APPS[app].program("default")
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        build_shmem_plan(prog, ClusterConfig(n_nodes=N_NODES), **BUILD_CELLS[app])
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def measure_matrix() -> dict:
     out: dict = {}
     for app, scale, repeats in MATRIX:
@@ -118,6 +143,10 @@ def measure_matrix() -> dict:
 
 def measure_off_cells() -> dict:
     return {a: round(measure_off_cell(a, GUARD_REPEATS), 4) for a in GUARD_APPS}
+
+
+def measure_build_cells() -> dict:
+    return {a: round(measure_build_cell(a, BUILD_REPEATS), 4) for a in BUILD_CELLS}
 
 
 def _baseline_measure(baseline_src: str, fn: str = "measure_matrix") -> dict:
@@ -178,6 +207,7 @@ def write(args: argparse.Namespace) -> int:
         ) if speedups else None,
         "apps": apps,
         "off_cells": off,
+        "build_cells": measure_build_cells(),
         "calibration_s": round(calibration_s(), 4),
     }
     if off_old:
@@ -205,18 +235,25 @@ def check(args: argparse.Namespace) -> int:
     print(f"calibration: recorded {recorded_calib}s, here {calib:.4f}s "
           f"(normalizing x{scale:.2f})")
     failed = []
-    for app, recorded in recorded_off.items():
-        wall = measure_off_cell(app, GUARD_REPEATS)
-        normalized = wall * scale
-        budget = recorded * args.budget
-        verdict = "ok" if normalized <= budget else "REGRESSION"
-        print(f"  {app} off-cell: {wall:.3f}s raw, {normalized:.3f}s "
-              f"normalized vs {recorded}s recorded "
-              f"(budget {budget:.3f}s) {verdict}")
-        if normalized > budget:
-            failed.append(app)
+    guards = [
+        ("off-cell", recorded_off, lambda app: measure_off_cell(app, GUARD_REPEATS)),
+        # Absent from artifacts written before the build cells existed.
+        ("build", doc.get("build_cells", {}),
+         lambda app: measure_build_cell(app, BUILD_REPEATS)),
+    ]
+    for kind, cells, measure in guards:
+        for app, recorded in cells.items():
+            wall = measure(app)
+            normalized = wall * scale
+            budget = recorded * args.budget
+            verdict = "ok" if normalized <= budget else "REGRESSION"
+            print(f"  {app} {kind}: {wall:.3f}s raw, {normalized:.3f}s "
+                  f"normalized vs {recorded}s recorded "
+                  f"(budget {budget:.3f}s) {verdict}")
+            if normalized > budget:
+                failed.append(f"{app} {kind}")
     if failed:
-        print(f"off-cell host wall regressed >"
+        print(f"host wall regressed >"
               f"{round((args.budget - 1) * 100)}% for: {', '.join(failed)}")
         return 1
     print("engine perf guard: ok")
@@ -233,7 +270,7 @@ def main(argv=None) -> int:
                    help="path to a baseline checkout's src/ for old_* numbers")
     p.add_argument("--baseline-commit", default="bfcfe3e")
     p.add_argument("--budget", type=float, default=1.2,
-                   help="allowed off-cell wall ratio vs recorded (1.2 = +20%%)")
+                   help="allowed guard-cell wall ratio vs recorded (1.2 = +20%%)")
     args = p.parse_args(argv)
     return write(args) if args.write else check(args)
 

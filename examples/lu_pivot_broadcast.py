@@ -19,7 +19,7 @@ from repro.apps.lu import build, check_factorization
 from repro.core.access import analyze_loop
 from repro.core.planner import plan_loop
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
-from repro.runtime.phases import allocate_segment
+from repro.runtime.phases import segment_geometry
 from repro.tempest.config import ClusterConfig
 
 N, NODES = 256, 8
@@ -37,7 +37,7 @@ def verify_factorization():
 def broadcast_profile():
     prog = build(n=N)
     cfg = ClusterConfig(n_nodes=NODES)
-    mem, _ = allocate_segment(prog.arrays.values(), cfg)
+    mem = segment_geometry(prog.arrays.values(), cfg)
     update = prog.body[0].body[1]  # the rank-1 update loop
     access = analyze_loop(update, prog, NODES)
 

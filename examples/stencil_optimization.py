@@ -17,7 +17,7 @@ from repro.core.access import analyze_loop
 from repro.core.planner import plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_shmem
-from repro.runtime.phases import allocate_segment
+from repro.runtime.phases import segment_geometry
 from repro.tempest.config import ClusterConfig
 from repro.tempest.stats import MsgKind
 
@@ -44,7 +44,7 @@ def build(n=N, iters=ITERS):
 def show_plan():
     prog = build()
     cfg = ClusterConfig(n_nodes=NODES)
-    mem, _ = allocate_segment(prog.arrays.values(), cfg)
+    mem = segment_geometry(prog.arrays.values(), cfg)
     sweep = prog.body[1].body[0]  # the sweep loop inside the time loop
     inst = analyze_loop(sweep, prog, NODES).instantiate({})
     plan = plan_loop(inst, mem)

@@ -140,14 +140,21 @@ class LoopAccess:
     read_patterns: tuple[RefPattern, ...]
     decls: dict[str, ArrayDecl]
     _cache: dict = field(default_factory=dict)
+    _owned: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     def owned_columns(self, array: str, proc: int) -> StridedInterval:
-        decl = self.decls[array]
-        if decl.dist == "replicated":
-            return StridedInterval(0, decl.extent - 1)
-        dist = distribution_of(decl, self.n_procs)
-        return StridedInterval.from_range(dist.owned_indices(proc, decl.extent))
+        """Ownership is static, so each (array, proc) is derived once."""
+        hit = self._owned.get((array, proc))
+        if hit is None:
+            decl = self.decls[array]
+            if decl.dist == "replicated":
+                hit = StridedInterval(0, decl.extent - 1)
+            else:
+                dist = distribution_of(decl, self.n_procs)
+                hit = StridedInterval.from_range(dist.owned_indices(proc, decl.extent))
+            self._owned[(array, proc)] = hit
+        return hit
 
     def _iterations(self, env: Env) -> tuple[StridedInterval, ...]:
         if self.iter_spec is not None:

@@ -19,8 +19,6 @@ into sorted block-id arrays against a :class:`GlobalArray`'s geometry:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.core.sections import Section
@@ -28,17 +26,22 @@ from repro.tempest.memory import GlobalArray
 
 __all__ = ["section_blocks", "section_byte_runs", "shmem_limits"]
 
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
-def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
-    """Maximal contiguous global byte ranges ``[lo, hi)`` of a section.
+
+def _run_bounds(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray]:
+    """Byte bounds ``lo``/``hi`` of every maximal contiguous run, ascending.
 
     Exploits Fortran layout: a run is a full prefix of inner dimensions ×
-    a contiguous range in the first partial dimension; outer partial
-    dimensions and strided columns are enumerated.  Whole-column sections
-    over consecutive columns merge into a single run.
+    a contiguous range in the first partial dimension; the run starts are
+    the outer sum of the last-dimension columns and the remaining (tail)
+    inner dimensions, first tail dimension fastest — which is address
+    order, so the runs come out ascending and pairwise disjoint without a
+    sort.  Whole-column sections over consecutive columns are one run.
     """
     if sec.is_empty:
-        return []
+        return _EMPTY, _EMPTY
     if sec.rank != len(arr.shape):
         raise ValueError(
             f"section rank {sec.rank} vs array {arr.name} rank {len(arr.shape)}"
@@ -46,68 +49,91 @@ def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
     item = arr.itemsize
     inner_shape = arr.shape[:-1]
 
-    # Find how many leading dims the section covers fully.
+    # Leading dims the section covers fully, and the elements they span.
     head = 0
-    for (lo, hi), extent in zip(sec.inner, inner_shape):
-        if lo == 0 and hi == extent - 1:
-            head += 1
-        else:
-            break
-
-    # Elements in one contiguous run and its offset within a column.
     head_elems = 1
-    for extent in inner_shape[:head]:
+    for (lo, hi), extent in zip(sec.inner, inner_shape):
+        if lo != 0 or hi != extent - 1:
+            break
+        head += 1
         head_elems *= extent
-    if head < len(inner_shape):
-        p_lo, p_hi = sec.inner[head]
-        run_elems = head_elems * (p_hi - p_lo + 1)
-        run_off = head_elems * p_lo
-        tail_dims = sec.inner[head + 1 :]
-        tail_extents = inner_shape[head + 1 :]
+
+    col_bytes = arr._col_elems * item
+    last = sec.last
+    origin = arr.base
+    run_bytes = col_bytes
+    tails = None
+    if head == len(inner_shape):
+        if last.step == 1:
+            # Full columns, unit stride: one run for all columns.
+            lo = np.array([origin + last.lo * col_bytes], dtype=np.int64)
+            return lo, lo + len(last) * col_bytes
     else:
-        run_elems = head_elems
-        run_off = 0
-        tail_dims = ()
-        tail_extents = ()
+        p_lo, p_hi = sec.inner[head]
+        stride = head_elems * item
+        run_bytes = stride * (p_hi - p_lo + 1)
+        origin += stride * p_lo
+        stride *= inner_shape[head]
+        for (t_lo, t_hi), extent in zip(sec.inner[head + 1 :], inner_shape[head + 1 :]):
+            steps = np.arange(t_lo * stride, (t_hi + 1) * stride, stride, dtype=np.int64)
+            tails = steps if tails is None else (steps[:, None] + tails).ravel()
+            stride *= extent
 
-    col_elems = arr._col_elems
-    cols = list(sec.last)
+    lo = np.arange(
+        origin + last.lo * col_bytes,
+        origin + (last.hi + 1) * col_bytes,
+        last.step * col_bytes,
+        dtype=np.int64,
+    )
+    if tails is not None:
+        lo = (lo[:, None] + tails).ravel()
+    return lo, lo + run_bytes
 
-    # Fast path: full columns, unit stride => one run for all columns.
-    full_column = run_elems == col_elems and not tail_dims
-    if full_column and sec.last.step == 1 and cols:
-        lo_byte = arr.base + cols[0] * col_elems * item
-        hi_byte = arr.base + (cols[-1] + 1) * col_elems * item
-        return [(lo_byte, hi_byte)]
 
-    # Strides (in elements) of the tail dims within a column.
-    tail_strides = []
-    stride = head_elems if head == len(inner_shape) else head_elems * inner_shape[head]
-    for extent in tail_extents:
-        tail_strides.append(stride)
-        stride *= extent
+def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
+    """Maximal contiguous global byte ranges ``[lo, hi)`` of a section."""
+    lo, hi = _run_bounds(arr, sec)
+    return list(zip(lo.tolist(), hi.tolist()))
 
-    runs: list[tuple[int, int]] = []
-    tail_ranges = [range(lo, hi + 1) for lo, hi in tail_dims]
-    for j in cols:
-        col_base = arr.base + j * col_elems * item
-        for combo in itertools.product(*reversed(tail_ranges)) if tail_ranges else [()]:
-            off = run_off
-            for idx, s in zip(reversed(combo), tail_strides):
-                off += idx * s
-            lo_byte = col_base + off * item
-            runs.append((lo_byte, lo_byte + run_elems * item))
-    return runs
+
+def _expand(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(first[i], stop[i])``; empty ranges allowed."""
+    if len(first) == 1:
+        return np.arange(first[0], stop[0], dtype=np.int64)
+    counts = stop - first
+    np.maximum(counts, 0, out=counts)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total == 0:
+        return _EMPTY
+    # Each output slot holds its range's (first - slots before the range)
+    # plus its own position.
+    out = np.repeat(first - (ends - counts), counts)
+    out += np.arange(total, dtype=np.int64)
+    return out
+
+
+def _touched(lo: np.ndarray, hi: np.ndarray, bs: int) -> np.ndarray:
+    """Sorted unique blocks overlapping the ascending disjoint byte runs.
+
+    Runs ascend and do not overlap in bytes, so two runs can share a block
+    only at a seam — the last block of one run being the first of later
+    ones.  Clipping each run's first block to the previous run's stop
+    therefore yields strictly increasing ids with no sort and no dedup.
+    """
+    first = lo // bs
+    stop = (hi - 1) // bs + 1
+    if len(first) > 1:
+        np.maximum(first[1:], stop[:-1], out=first[1:])
+    return _expand(first, stop)
 
 
 def section_blocks(arr: GlobalArray, sec: Section) -> np.ndarray:
     """Sorted unique ids of every block the section touches."""
-    runs = section_byte_runs(arr, sec)
-    if not runs:
-        return np.empty(0, dtype=np.int64)
-    bs = arr.config.block_size
-    pieces = [np.arange(lo // bs, (hi - 1) // bs + 1, dtype=np.int64) for lo, hi in runs]
-    return np.unique(np.concatenate(pieces))
+    lo, hi = _run_bounds(arr, sec)
+    if not len(lo):
+        return _EMPTY
+    return _touched(lo, hi, arr.config.block_size)
 
 
 def shmem_limits(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray]:
@@ -115,25 +141,18 @@ def shmem_limits(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray
 
     A block is controllable when one contiguous run fully covers it (the
     paper's per-run subsetting); every other touched block is a boundary
-    block left to the default protocol.
+    block left to the default protocol.  A fully covered block belongs to
+    exactly one run (runs are disjoint in bytes), so the per-run inner
+    ranges never overlap and need no clipping.
     """
-    runs = section_byte_runs(arr, sec)
-    if not runs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+    lo, hi = _run_bounds(arr, sec)
+    if not len(lo):
+        return _EMPTY, _EMPTY
     bs = arr.config.block_size
-    inner_pieces = []
-    all_pieces = []
-    for lo, hi in runs:
-        all_pieces.append(np.arange(lo // bs, (hi - 1) // bs + 1, dtype=np.int64))
-        first = -(-lo // bs)          # ceil
-        last = hi // bs               # exclusive
-        if last > first:
-            inner_pieces.append(np.arange(first, last, dtype=np.int64))
-    touched = np.unique(np.concatenate(all_pieces))
-    if inner_pieces:
-        inner = np.unique(np.concatenate(inner_pieces))
-    else:
-        inner = np.empty(0, dtype=np.int64)
-    boundary = np.setdiff1d(touched, inner, assume_unique=True)
-    return inner, boundary
+    touched = _touched(lo, hi, bs)
+    inner = _expand(-(-lo // bs), hi // bs)
+    if not len(inner):
+        return inner, touched
+    edge = np.ones(len(touched), dtype=bool)
+    edge[np.searchsorted(touched, inner)] = False
+    return inner, touched[edge]

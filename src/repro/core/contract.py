@@ -23,6 +23,8 @@ Section 4.2:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.calls import (
     FlushBlocks,
     ImplicitInvalidate,
@@ -42,7 +44,7 @@ class ContractError(AssertionError):
 
 def check_plan(
     plan: CommPlan,
-    retained: dict[int, set[int]] | None = None,
+    retained: dict[int, Iterable[int]] | None = None,
 ) -> None:
     """Raise :class:`ContractError` on any contract violation.
 
@@ -50,7 +52,7 @@ def check_plan(
     earlier plans (the PRE case); sends to retained blocks need no fresh
     ``implicit_writable``.
     """
-    retained = retained or {}
+    retained = {n: set(b) for n, b in (retained or {}).items()}
 
     # Collect per-stage facts.
     prepared_recv: dict[int, set[int]] = {n: set(b) for n, b in retained.items()}

@@ -35,11 +35,15 @@ __all__ = ["AvailabilityTracker"]
 
 
 class AvailabilityTracker:
-    """Tracks which (receiver, block) pairs hold current pushed copies."""
+    """Tracks which (receiver, block) pairs hold current pushed copies.
 
-    def __init__(self, n_nodes: int) -> None:
+    One boolean row per node over the segment's blocks: a send is a masked
+    gather and a scatter, a write is a column kill.
+    """
+
+    def __init__(self, n_nodes: int, n_blocks: int) -> None:
         self.n_nodes = n_nodes
-        self._avail: list[set[int]] = [set() for _ in range(n_nodes)]
+        self._avail = np.zeros((n_nodes, n_blocks), dtype=bool)
         self.sends_elided = 0
         self.blocks_elided = 0
 
@@ -48,47 +52,47 @@ class AvailabilityTracker:
         """Drop already-available blocks from a planned send; records the
         remainder as available at ``dst``.  Returns the blocks still to send."""
         blocks = np.asarray(blocks, dtype=np.int64)
-        avail = self._avail[dst]
-        mask = np.fromiter((b not in avail for b in blocks.tolist()), dtype=bool, count=len(blocks))
-        fresh = blocks[mask]
-        self.blocks_elided += int(len(blocks) - len(fresh))
+        row = self._avail[dst]
+        fresh = blocks[~row[blocks]]
+        self.blocks_elided += len(blocks) - len(fresh)
         if len(fresh) == 0 and len(blocks) > 0:
             self.sends_elided += 1
-        avail.update(fresh.tolist())
+        row[fresh] = True
         return fresh
 
     def note_writes(self, writer: int, blocks: np.ndarray | list[int]) -> None:
         """A write kills availability everywhere except at the writer."""
-        blocks = set(np.asarray(blocks, dtype=np.int64).tolist())
-        for node in range(self.n_nodes):
-            if node != writer:
-                self._avail[node] -= blocks
+        blocks = np.asarray(blocks, dtype=np.int64)
+        if not len(blocks):
+            return
+        # Work on the columns the blocks span: one AND per row against a
+        # survivor mask costs less than a fancy-indexed store per row.
+        lo = blocks.min()
+        span = self._avail[:, lo : blocks.max() + 1]
+        kept = span[writer].copy()
+        survives = np.ones(span.shape[1], dtype=bool)
+        survives[blocks - lo] = False
+        span &= survives
+        span[writer] = kept
 
-    def retained(self, node: int) -> set[int]:
-        """Blocks node currently keeps under compiler control."""
-        return set(self._avail[node])
-
-    def should_invalidate(self, node: int, blocks: np.ndarray | list[int]) -> np.ndarray:
-        """Of a planned invalidation, which blocks must actually be dropped
-        right now?  Under PRE: none — copies are retained; the cleanup pass
-        at region end uses :meth:`drain`."""
-        _ = node, blocks
-        return np.empty(0, dtype=np.int64)
+    def retained(self, node: int) -> np.ndarray:
+        """Sorted blocks node currently keeps under compiler control."""
+        return np.flatnonzero(self._avail[node])
 
     def drop(self, node: int, blocks) -> None:
         """Forget availability of specific blocks at ``node`` (used when a
         retained copy must be invalidated for a demand-read conflict)."""
-        self._avail[node] -= set(np.asarray(blocks, dtype=np.int64).tolist())
+        self._avail[node, np.asarray(blocks, dtype=np.int64)] = False
 
     def drain(self, node: int) -> np.ndarray:
-        """Region end: all retained blocks at ``node``, cleared."""
-        blocks = np.asarray(sorted(self._avail[node]), dtype=np.int64)
-        self._avail[node].clear()
+        """Region end: all retained blocks at ``node`` (sorted), cleared."""
+        blocks = self.retained(node)
+        self._avail[node] = False
         return blocks
 
     def stats(self) -> dict:
         return {
             "sends_elided": self.sends_elided,
             "blocks_elided": self.blocks_elided,
-            "live_blocks": sum(len(s) for s in self._avail),
+            "live_blocks": int(self._avail.sum()),
         }

@@ -24,7 +24,6 @@ Omega-generated code fragments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -128,8 +127,8 @@ class StridedInterval:
             return StridedInterval.empty()
         new_lo = self.lo
         if lo > new_lo:
-            # First member >= lo.
-            k = math.ceil((lo - self.lo) / self.step)
+            # First member >= lo (integer ceil: exact past 2**53).
+            k = -(-(lo - self.lo) // self.step)
             new_lo = self.lo + k * self.step
         new_hi = min(self.hi, hi)
         return StridedInterval(new_lo, new_hi, self.step)
@@ -138,18 +137,20 @@ class StridedInterval:
         """Exact intersection of two arithmetic progressions (CRT)."""
         if self.is_empty or other.is_empty:
             return StridedInterval.empty()
+        lo = max(self.lo, other.lo)
+        hi = min(self.hi, other.hi)
+        if hi < lo:
+            return StridedInterval.empty()
         a, s = self.lo, self.step
         b, t = other.lo, other.step
+        if s == 1 and t == 1:
+            return StridedInterval(lo, hi)
         g, x, _ = _egcd(s, t)
         if (b - a) % g != 0:
             return StridedInterval.empty()
         lcm = s // g * t
         # One solution: a + s * x * ((b - a) // g), then normalize mod lcm.
         sol = a + s * x * ((b - a) // g)
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if hi < lo:
-            return StridedInterval.empty()
         sol = sol + ((lo - sol) + lcm - 1) // lcm * lcm if sol < lo else sol - (sol - lo) // lcm * lcm
         if sol > hi:
             return StridedInterval.empty()

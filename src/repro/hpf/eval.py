@@ -14,6 +14,7 @@ outer product without special cases.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -73,6 +74,82 @@ def _ref_key(
     return tuple(key)
 
 
+_BINARY = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (operator.truediv, np.true_divide),
+}
+_UNARY = {
+    "neg": (operator.neg, np.negative),
+    "abs": (np.abs, np.abs),
+    "sqrt": (np.sqrt, np.sqrt),
+    "exp": (np.exp, np.exp),
+}
+
+
+def _ownable(value) -> bool:
+    return isinstance(value, np.ndarray) and value.dtype == np.float64
+
+
+def _reusable(buf, other) -> bool:
+    """May ``ufunc(..., out=buf)`` stand in for a fresh result?  Only when
+    the result has ``buf``'s shape and dtype: ``other`` is a Python scalar
+    or a same-dtype array that broadcasts *into* ``buf``."""
+    if isinstance(other, np.ndarray):
+        return other.dtype == buf.dtype and (
+            other.shape == buf.shape
+            or np.broadcast_shapes(buf.shape, other.shape) == buf.shape
+        )
+    return isinstance(other, (int, float))
+
+
+def _eval(expr: Expr, arrays: Arrays, scalars: Scalars, env: Env, loop: tuple):
+    """``(value, owned)`` — ``owned`` marks a float array this evaluation
+    allocated itself (a ufunc or matmul result), which a parent operator
+    may overwrite in place.  Views of program storage are never owned, so
+    storage is written only by the statement's final assignment; and the
+    in-place form runs the same ufunc on the same operands in the same
+    order, so every backend's numerics stay bit-identical to the naive
+    one-temporary-per-operator evaluation."""
+    if isinstance(expr, Lit):
+        return expr.value, False
+    if isinstance(expr, ScalarRef):
+        try:
+            return scalars[expr.name], False
+        except KeyError:
+            raise EvalError(f"undefined scalar {expr.name!r}") from None
+    if isinstance(expr, Ref):
+        return arrays[expr.array][_ref_key(expr, arrays, env, *loop)], False
+    if isinstance(expr, Bin):
+        lhs, lhs_owned = _eval(expr.lhs, arrays, scalars, env, loop)
+        rhs, rhs_owned = _eval(expr.rhs, arrays, scalars, env, loop)
+        plain, ufunc = _BINARY[expr.op]
+        if lhs_owned and _reusable(lhs, rhs):
+            return ufunc(lhs, rhs, out=lhs), True
+        if rhs_owned and _reusable(rhs, lhs):
+            return ufunc(lhs, rhs, out=rhs), True
+        value = plain(lhs, rhs)
+        return value, _ownable(value)
+    if isinstance(expr, Dot):
+        mat = arrays[expr.mat.array][_ref_key(expr.mat, arrays, env, *loop)]
+        vec = arrays[expr.vec.array][_ref_key(expr.vec, arrays, env, *loop)]
+        if mat.ndim != 2 or vec.ndim != 1 or mat.shape[0] != vec.shape[0]:
+            raise EvalError(
+                f"Dot shape mismatch: mat {mat.shape} vs vec {vec.shape}"
+            )
+        value = vec @ mat
+        return value, _ownable(value)
+    if isinstance(expr, Un):
+        val, owned = _eval(expr.operand, arrays, scalars, env, loop)
+        plain, ufunc = _UNARY[expr.op]
+        if owned:
+            return ufunc(val, out=val), True
+        value = plain(val)
+        return value, _ownable(value)
+    raise EvalError(f"cannot evaluate {expr!r}")
+
+
 def eval_expr(
     expr: Expr,
     arrays: Arrays,
@@ -83,49 +160,7 @@ def eval_expr(
     loop_step: int = 1,
 ):
     """Evaluate an expression over a concrete parallel-loop range."""
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, ScalarRef):
-        try:
-            return scalars[expr.name]
-        except KeyError:
-            raise EvalError(f"undefined scalar {expr.name!r}") from None
-    if isinstance(expr, Ref):
-        return arrays[expr.array][
-            _ref_key(expr, arrays, env, loop_lo, loop_hi, loop_step)
-        ]
-    if isinstance(expr, Bin):
-        lhs = eval_expr(expr.lhs, arrays, scalars, env, loop_lo, loop_hi, loop_step)
-        rhs = eval_expr(expr.rhs, arrays, scalars, env, loop_lo, loop_hi, loop_step)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        return lhs / rhs
-    if isinstance(expr, Dot):
-        mat = arrays[expr.mat.array][
-            _ref_key(expr.mat, arrays, env, loop_lo, loop_hi, loop_step)
-        ]
-        vec = arrays[expr.vec.array][
-            _ref_key(expr.vec, arrays, env, loop_lo, loop_hi, loop_step)
-        ]
-        if mat.ndim != 2 or vec.ndim != 1 or mat.shape[0] != vec.shape[0]:
-            raise EvalError(
-                f"Dot shape mismatch: mat {mat.shape} vs vec {vec.shape}"
-            )
-        return vec @ mat
-    if isinstance(expr, Un):
-        val = eval_expr(expr.operand, arrays, scalars, env, loop_lo, loop_hi, loop_step)
-        if expr.op == "neg":
-            return -val
-        if expr.op == "abs":
-            return np.abs(val)
-        if expr.op == "sqrt":
-            return np.sqrt(val)
-        return np.exp(val)
-    raise EvalError(f"cannot evaluate {expr!r}")
+    return _eval(expr, arrays, scalars, env, (loop_lo, loop_hi, loop_step))[0]
 
 
 def loop_bounds(stmt: ParallelAssign | Reduce, env: Env) -> tuple[int, int, int]:

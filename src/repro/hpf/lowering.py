@@ -22,12 +22,15 @@ from repro.tempest.memory import Distribution
 __all__ = ["IterSpec", "distribution_of", "iteration_spec", "owner_of_at"]
 
 
+_DISTRIBUTIONS = {
+    "block": Distribution.block,
+    "cyclic": Distribution.cyclic,
+    "replicated": Distribution.replicated,
+}
+
+
 def distribution_of(decl: ArrayDecl, n_procs: int) -> Distribution:
-    return {
-        "block": Distribution.block,
-        "cyclic": Distribution.cyclic,
-        "replicated": Distribution.replicated,
-    }[decl.dist](n_procs)
+    return _DISTRIBUTIONS[decl.dist](n_procs)
 
 
 @dataclass(frozen=True)

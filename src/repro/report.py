@@ -232,6 +232,12 @@ def _render_engine_artifact(name: str, data: dict, out) -> None:
         pairs = ", ".join(f"{a} {v:.2f}x" for a, v in sorted(off.items()))
         out(f"\n  Unoptimized off-cells (the CI perf-guard pair): {pairs}"
             " host-wall vs the same baseline.")
+    build = data.get("build_cells")
+    if build:
+        pairs = ", ".join(f"{a} {v:.3f} s" for a, v in sorted(build.items()))
+        out(f"\n  Functional-pass build cells (`build_shmem_plan` alone, also"
+            f" guarded): {pairs} at calibration"
+            f" {data.get('calibration_s', '?')} s.")
     out("")
 
 

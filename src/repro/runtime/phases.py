@@ -27,13 +27,15 @@ from repro.hpf.ast import (
     Stmt,
 )
 from repro.hpf.eval import eval_parallel_assign, eval_reduce, eval_scalar_assign
+from repro.hpf.lowering import distribution_of
 from repro.tempest.config import ClusterConfig
-from repro.tempest.memory import Distribution, HomePolicy, SharedMemory
+from repro.tempest.memory import HomePolicy, SharedMemory
 
 __all__ = [
     "PhaseRecord",
     "ProgramAnalysis",
     "allocate_segment",
+    "segment_geometry",
     "apply_initializers",
     "walk_phases",
 ]
@@ -42,26 +44,37 @@ __all__ = [
 SCALAR_UNITS = 20
 
 
-def allocate_segment(
+def segment_geometry(
     decls, config: ClusterConfig, home_policy: HomePolicy = HomePolicy.ALIGNED
-) -> tuple[SharedMemory, dict[str, np.ndarray]]:
-    """Build the shared segment plus plain storage for replicated arrays.
+) -> SharedMemory:
+    """Lay the distributed arrays out in a fresh shared segment.
 
     Allocation order fixes the block numbering, so replaying the same
     declarations against a fresh config of equal geometry reproduces it.
+    Geometry only: no array's backing store is allocated.
     """
     mem = SharedMemory(config, home_policy=home_policy)
-    arrays: dict[str, np.ndarray] = {}
     for decl in decls:
-        if decl.dist == "replicated":
-            arrays[decl.name] = np.zeros(decl.shape, order="F")
-        else:
-            dist = (
-                Distribution.block(config.n_nodes)
-                if decl.dist == "block"
-                else Distribution.cyclic(config.n_nodes)
-            )
-            arrays[decl.name] = mem.alloc(decl.name, decl.shape, dist).data
+        if decl.dist != "replicated":
+            mem.alloc(decl.name, decl.shape, distribution_of(decl, config.n_nodes))
+    return mem
+
+
+def allocate_segment(
+    decls, config: ClusterConfig, home_policy: HomePolicy = HomePolicy.ALIGNED
+) -> tuple[SharedMemory, dict[str, np.ndarray]]:
+    """:func:`segment_geometry` plus zeroed Fortran-ordered storage for
+    every array (plain storage for replicated ones), in declaration order."""
+    decls = tuple(decls)
+    mem = segment_geometry(decls, config, home_policy)
+    arrays = {
+        decl.name: (
+            np.zeros(decl.shape, order="F")
+            if decl.dist == "replicated"
+            else mem.arrays[decl.name].data
+        )
+        for decl in decls
+    }
     return mem, arrays
 
 

@@ -33,8 +33,8 @@ Execution is split into an explicit *build* phase and an *execute* phase:
     the timing pass — replays the plan's traces against a freshly built
     cluster under the *full* config (faults, combining, switch, crash
     recovery).  Array contents are irrelevant to timing (the simulator
-    moves block ids, not data), so the segment is re-allocated without
-    re-running initializers.
+    moves block ids, not data), so only the segment's geometry is laid
+    out again; no backing store is allocated.
 
 ``run_shmem`` composes the two and is byte-identical to the historical
 single-pass implementation.
@@ -66,6 +66,7 @@ from repro.runtime.phases import (
     ProgramAnalysis,
     allocate_segment,
     apply_initializers,
+    segment_geometry,
     walk_phases,
 )
 from repro.runtime.results import RunResult
@@ -131,7 +132,13 @@ def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
     elif len(pieces) == 1:
         out = pieces[0]
     else:
-        out = np.unique(np.concatenate(pieces))
+        # Union of sorted id arrays through a bitmap over their span.
+        lo = min(p[0] for p in pieces)
+        seen = np.zeros(max(p[-1] for p in pieces) + 1 - lo, dtype=bool)
+        for p in pieces:
+            seen[p - lo] = True
+        out = np.flatnonzero(seen)
+        out += lo
     cache[id(sections)] = (sections, out)
     return out
 
@@ -294,9 +301,10 @@ def build_shmem_plan(
     scalars = dict(program.scalars)
     analysis = ProgramAnalysis(program, config.n_nodes)
     traces = [NodeTrace(n) for n in range(config.n_nodes)]
-    tracker = AvailabilityTracker(config.n_nodes) if pre else None
-    # Blocks each node retains implicitly writable across loops (rt-elim).
-    retained_rt: list[set[int]] = [set() for _ in range(config.n_nodes)]
+    tracker = AvailabilityTracker(config.n_nodes, mem.n_blocks) if pre else None
+    # Blocks each node retains implicitly writable across loops (rt-elim):
+    # one boolean row per node, like the tracker's.
+    retained_rt = np.zeros((config.n_nodes, mem.n_blocks), dtype=bool)
     plan_cache: dict[tuple[int, int], CommPlan] = {}
     plans_built = 0
     controlled_blocks = 0
@@ -336,14 +344,16 @@ def build_shmem_plan(
             plan_cache[key] = plan
             plans_built += 1
         eff = _effective_plan(plan, tracker)
-        # Note: captured after PRE filtering, so freshly pushed blocks count
-        # as retained for the restore-consistency rule (their invalidation
-        # is deferred to the region-end cleanup).
-        retained = (
-            {n: tracker.retained(n) for n in range(config.n_nodes)} if tracker else None
-        )
         if check_contracts and not eff.is_empty:
-            check_plan(eff, retained)
+            # Note: captured after PRE filtering, so freshly pushed blocks
+            # count as retained for the restore-consistency rule (their
+            # invalidation is deferred to the region-end cleanup).
+            check_plan(
+                eff,
+                {n: tracker.retained(n).tolist() for n in range(config.n_nodes)}
+                if tracker
+                else None,
+            )
         controlled_blocks += eff.total_controlled_blocks()
 
         for i, stage in enumerate(eff.pre):
@@ -365,16 +375,14 @@ def build_shmem_plan(
             # invalidate was suppressed) — a superset of PRE's availability,
             # which forgets killed data while the tag lives on.
             for dst, edge in plan.boundary.items():
-                if not len(edge):
-                    continue
-                conflict = retained_rt[dst].intersection(edge.tolist())
-                if conflict:
-                    traces[dst].inv(sorted(conflict))
-                    retained_rt[dst] -= conflict
+                conflict = edge[retained_rt[dst, edge]]
+                if len(conflict):
+                    traces[dst].inv(conflict.tolist())
+                    retained_rt[dst, conflict] = False
                     if tracker is not None:
-                        tracker.drop(dst, sorted(conflict))
+                        tracker.drop(dst, conflict)
             for dst, blocks in plan.controlled.items():
-                retained_rt[dst].update(blocks.tolist())
+                retained_rt[dst, blocks] = True
         _emit_loop_body(rec, mem, traces, config)
         if tracker is not None:
             for p in range(config.n_nodes):
@@ -444,10 +452,10 @@ def execute_shmem_plan(
             f"plan for {plan.program_name!r} was built under different "
             f"cluster geometry (differing fields: {changed})"
         )
-    # Same declarations, same order: the build's block numbering.  The data
-    # stays zeroed -- the timing pass moves block ids, never values (the
-    # run's numerics live in ``plan.arrays``).
-    mem, _ = allocate_segment(plan.array_decls, config, plan.home_policy)
+    # Same declarations, same order: the build's block numbering.  No
+    # program data is allocated -- the timing pass moves block ids, never
+    # values (the run's numerics live in ``plan.arrays``).
+    mem = segment_geometry(plan.array_decls, config, plan.home_policy)
     profiler = None
     analyzer = None
     if profile_phases or critical_path:

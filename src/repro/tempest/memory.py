@@ -120,8 +120,10 @@ class HomePolicy(enum.Enum):
 class GlobalArray:
     """A distributed array living in the shared segment.
 
-    Holds the single NumPy backing store (real numerics run against it) plus
-    the address geometry used by the coherence model.
+    Holds the address geometry used by the coherence model, and the single
+    NumPy backing store real numerics run against.  The store is allocated
+    on first use of :attr:`data`: the functional pass asks for it, the
+    timing pass (which moves block ids, never values) does not.
     """
 
     __slots__ = (
@@ -131,7 +133,7 @@ class GlobalArray:
         "dist",
         "base",
         "nbytes",
-        "data",
+        "_data",
         "itemsize",
         "_col_elems",
         "config",
@@ -156,8 +158,8 @@ class GlobalArray:
         self.dist = dist
         self.base = base
         self.itemsize = self.dtype.itemsize
-        self.data = np.zeros(self.shape, dtype=self.dtype, order="F")
-        self.nbytes = self.data.nbytes
+        self._data: np.ndarray | None = None
+        self.nbytes = math.prod(self.shape) * self.itemsize
         # Number of elements in one "column" (all dims but the last).
         self._col_elems = 1
         for s in self.shape[:-1]:
@@ -165,6 +167,17 @@ class GlobalArray:
         self.config = config
         self.base_block = base // config.block_size
         self.n_blocks = math.ceil(self.nbytes / config.block_size)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The backing store: zeroed, Fortran-ordered, allocated on demand."""
+        if self._data is None:
+            self._data = np.zeros(self.shape, dtype=self.dtype, order="F")
+        return self._data
+
+    @property
+    def data_allocated(self) -> bool:
+        return self._data is not None
 
     # ------------------------------------------------------------------ #
     # geometry
@@ -280,18 +293,12 @@ class GlobalArray:
         the owner of their first byte; this matches how the default
         protocol's home alignment treats them.
         """
-        out = []
-        for b in self.block_range():
-            byte = b * self.config.block_size
-            if byte < self.base:
-                byte = self.base
-            col = (byte - self.base) // (self._col_elems * self.itemsize)
-            col = min(col, self.extent - 1)
-            if self.dist.kind is DistKind.REPLICATED:
-                continue
-            if self.owner_of_column(col) == proc:
-                out.append(b)
-        return out
+        if self.dist.kind is DistKind.REPLICATED:
+            return []
+        blocks = np.arange(
+            self.base_block, self.base_block + self.n_blocks, dtype=np.int64
+        )
+        return blocks[self.owners_of_blocks(blocks) == proc].tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

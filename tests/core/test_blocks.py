@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.core.blocks import section_blocks, section_byte_runs, shmem_limits
 from repro.core.sections import Section, StridedInterval
 from repro.tempest import ClusterConfig, Distribution, SharedMemory
+from repro.tempest.memory import GlobalArray
+from tests.core import blocks_oracle
 
 
 def make_array(shape, block_size=128, n_nodes=4):
@@ -164,3 +166,68 @@ class TestShmemLimits:
         for b in inner:
             lo, hi = b * 64, (b + 1) * 64
             assert any(rlo <= lo and hi <= rhi for rlo, rhi in runs)
+
+
+@st.composite
+def array_and_section(draw):
+    """A rank 1-4 array at an arbitrary 8-byte-aligned base and a section
+    of it: strided last dimension, partial or full inner dimensions (so
+    the merged-prefix path and one or two tail dimensions are drawn)."""
+    block_size = draw(st.sampled_from([32, 64, 128, 256]))
+    rank = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 12 if rank < 4 else 6)) for _ in range(rank))
+    cfg = ClusterConfig(n_nodes=4, block_size=block_size, page_size=1024)
+    base = 8 * draw(st.integers(0, 64))
+    arr = GlobalArray("a", shape, np.dtype(np.float64), Distribution.block(4), base, cfg)
+    inner = []
+    for extent in shape[:-1]:
+        if draw(st.booleans()):
+            inner.append((0, extent - 1))
+        else:
+            lo = draw(st.integers(0, extent - 1))
+            inner.append((lo, draw(st.integers(lo, extent - 1))))
+    lo = draw(st.integers(0, shape[-1] - 1))
+    last = StridedInterval(
+        lo, draw(st.integers(lo, shape[-1] - 1)), draw(st.integers(1, 4))
+    )
+    return arr, Section.of(inner, last)
+
+
+class TestKernelAgainstOracle:
+    """The closed-form kernel ≡ the per-column enumeration it replaced."""
+
+    @given(array_and_section())
+    @settings(max_examples=400, deadline=None)
+    def test_runs_blocks_and_limits_match(self, case):
+        arr, sec = case
+        assert section_byte_runs(arr, sec) == blocks_oracle.section_byte_runs(arr, sec)
+
+        touched = section_blocks(arr, sec)
+        assert touched.dtype == np.int64
+        np.testing.assert_array_equal(touched, blocks_oracle.section_blocks(arr, sec))
+        assert np.all(np.diff(touched) > 0)
+
+        inner, boundary = shmem_limits(arr, sec)
+        want_inner, want_boundary = blocks_oracle.shmem_limits(arr, sec)
+        assert inner.dtype == boundary.dtype == np.int64
+        np.testing.assert_array_equal(inner, want_inner)
+        np.testing.assert_array_equal(boundary, want_boundary)
+        assert np.all(np.diff(inner) > 0) and np.all(np.diff(boundary) > 0)
+        np.testing.assert_array_equal(np.union1d(inner, boundary), touched)
+        assert len(np.intersect1d(inner, boundary)) == 0
+
+    def test_many_runs_inside_one_block(self):
+        # 8-byte runs 32 bytes apart: four runs share each 128-byte block,
+        # so every run after the first clips to an empty range.
+        a = make_array((4, 16))
+        sec = Section.of([(1, 1)], StridedInterval(0, 15))
+        np.testing.assert_array_equal(
+            section_blocks(a, sec), blocks_oracle.section_blocks(a, sec)
+        )
+        assert len(section_blocks(a, sec)) == 4
+
+    def test_empty_section(self):
+        a = make_array((16, 8))
+        assert len(section_blocks(a, Section.empty(2))) == 0
+        inner, boundary = shmem_limits(a, Section.empty(2))
+        assert len(inner) == 0 and len(boundary) == 0

@@ -137,6 +137,23 @@ class TestIntervalAlgebra:
     def test_clip_matches_set_semantics(self, a, lo, hi):
         assert set(a.clip(lo, hi)) == {v for v in a if lo <= v <= hi}
 
+    def test_clip_never_returns_member_below_bound(self):
+        # Float ceil((lo - self.lo) / step) rounds down past 2**53.
+        got = StridedInterval(0, 2**62, 8).clip(9007199255514265, 2**62)
+        assert got.lo == 9007199255514272
+
+    @given(
+        start=st.integers(0, 2**20),
+        step=st.integers(1, 64),
+        lo=st.integers(2**53, 2**62),
+        width=st.integers(0, 300),
+    )
+    @settings(max_examples=200)
+    def test_clip_matches_set_semantics_past_2_53(self, start, step, lo, width):
+        a = StridedInterval(start, 2**63, step)
+        hi = lo + width
+        assert list(a.clip(lo, hi)) == [v for v in range(lo, hi + 1) if v in a]
+
 
 class TestCoalescePoints:
     def test_empty(self):

@@ -217,3 +217,20 @@ class TestSharedMemory:
             assert len(owned) == 2
             all_owned.extend(owned)
         assert sorted(all_owned) == list(a.block_range())
+
+    @pytest.mark.parametrize("dist", [Distribution.block(4), Distribution.cyclic(4)])
+    def test_owned_blocks_follow_first_byte_on_unaligned_columns(self, dist):
+        # 20 doubles per column = 160 bytes: blocks straddle columns, and
+        # the second array starts mid-segment.
+        mem = SharedMemory(ClusterConfig(n_nodes=4))
+        mem.alloc("pad", (8, 3), Distribution.block(4))
+        a = mem.alloc("a", (20, 7), dist)
+        for p in range(4):
+            want = [
+                b
+                for b in a.block_range()
+                if a.owner_of_column(min((b * 128 - a.base) // 160, a.extent - 1)) == p
+            ]
+            assert a.owned_blocks(p) == want
+            assert all(type(b) is int for b in a.owned_blocks(p))
+        assert mem.alloc("r", (4, 4), Distribution.replicated(4)).owned_blocks(0) == []

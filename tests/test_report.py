@@ -131,6 +131,15 @@ class TestBenchArtifacts:
         assert "`bfcfe3e`" in text
         assert "geomean 1.61x" in text
         assert "| jacobi | 1.37x | 3.12x |" in text
+        assert "build cells" not in text  # pre-build-cell artifacts still render
+
+    def test_engine_artifact_renders_build_cells(self):
+        engine = {
+            "schema": "engine-speed/1", "apps": {}, "calibration_s": 0.0826,
+            "build_cells": {"lu": 0.1234, "jacobi": 0.0151},
+        }
+        text = render_bench_appendix({"BENCH_engine.json": engine})
+        assert "jacobi 0.015 s, lu 0.123 s at calibration 0.0826 s" in text
 
 
 class TestMain:
