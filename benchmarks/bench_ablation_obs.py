@@ -7,9 +7,11 @@ times each with increasing instrumentation:
   ever constructed);
 * **counters** — bus + :class:`~repro.obs.metrics.MetricsRegistry` only,
   the cheapest useful subscriber;
-* **bus** — registry + per-phase profiler, the full analysis stack;
-* **lineage** — the above + the critical-path analyzer consuming causal
-  parent links (``critical_path=True``), the heaviest pure-analysis cell;
+* **bus** — registry + the timeline folded per phase, the full analysis
+  stack;
+* **lineage** — the above + the timeline recording causal parent links
+  and folded into the critical path (``critical_path=True``), the
+  heaviest pure-analysis cell;
 * **export** — all of the above + the Chrome trace exporter, trace
   written to disk.
 
@@ -42,7 +44,7 @@ from benchmarks.conftest import (
     serve_batch,
 )
 from repro.apps import APPS
-from repro.obs import ChromeTraceExporter, EventBus, MetricsRegistry, PhaseProfiler
+from repro.obs import ChromeTraceExporter, EventBus, MetricsRegistry
 from repro.runtime import run_shmem
 from repro.tempest.config import ClusterConfig
 
@@ -62,7 +64,7 @@ def run_cell(prog, variant: str):
     exporter = None
     profile = False
     if variant in ("bus", "lineage", "export"):
-        profile = True  # run_shmem attaches a PhaseProfiler to the bus
+        profile = True  # run_shmem attaches a Timeline to the bus
     if variant == "export":
         exporter = ChromeTraceExporter(bus, n_nodes=N_NODES)
     critical = variant in ("lineage", "export")
@@ -107,7 +109,7 @@ def test_ablation_obs_overhead(benchmark):
                 if registry is not None:
                     registry.assert_matches(result.stats)
                 if variant in ("lineage", "export"):
-                    # The analyzer's exactness invariant holds at bench
+                    # The folding's exactness invariant holds at bench
                     # scale too: the critical path partitions elapsed time.
                     cp = result.critical_path
                     assert cp is not None, (app, variant)

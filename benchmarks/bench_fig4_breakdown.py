@@ -77,7 +77,7 @@ def decomposition_rows(runs: RunCache):
             res = runs.run(name, profile=True, **kwargs)
             bd = res.phase_breakdown
             assert bd is not None
-            # The profiler's per-node op spans are contiguous, so the
+            # The timeline's per-node op spans are contiguous, so the
             # slowest node's bucket total IS the run's elapsed time.
             assert max(bd["node_total_ns"]) == res.elapsed_ns, name
             totals = breakdown_totals(bd)

@@ -442,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if result.phase_breakdown is not None:
         from repro.obs import render_breakdown
 
-        print("\nper-phase time breakdown (per-node average):")
+        print("\nper-phase time breakdown (summed over nodes):")
         print(render_breakdown(result.phase_breakdown))
     if result.critical_path is not None:
         from repro.obs import render_critical_path

@@ -1,14 +1,18 @@
-"""Causal critical-path extraction from lineage-threaded bus events.
+"""The exact causal critical path: the second folding of the timeline.
 
 Every publisher threads a ``parent`` seq through its events (op -> miss
 -> ``msg.send`` -> ``frame.*`` -> switch traverse -> delivery -> handler
 -> barrier arrive/release, plus retransmit/give-up/heal and
-checkpoint/rollback chains), so the run's events form a dependency DAG.
-This module walks that DAG *backward* from the instant the run finished,
-partitioning simulated time ``[0, elapsed_ns)`` into consecutive labeled
-segments — the run's exact critical path.  Because the segments tile the
-interval by construction, their lengths sum to ``elapsed_ns`` to the
-nanosecond; :meth:`CriticalPathAnalyzer.result` asserts that invariant.
+checkpoint/rollback chains), so the run's events form a dependency DAG,
+which a ``lineage=True`` :class:`~repro.obs.profile.Timeline` records
+beside its per-node span ledger.  :func:`critical_path` walks the ledger
+*backward* from the instant the run finished, partitioning simulated
+time ``[0, elapsed_ns)`` into consecutive labeled segments — the run's
+exact critical path.  The ledger's spans abut on every node (a crash
+outage is a span, not a hole) and every decomposer below tiles the span
+it is given, so the segment lengths sum to ``elapsed_ns`` to the
+nanosecond; :func:`critical_path` asserts it — the one tiling assertion
+time attribution has.
 
 Cost classes
 ------------
@@ -21,7 +25,8 @@ Cost classes
 * ``protocol``           — fault detection, handler occupancy, directory
   work, and every other active protocol cost on the path;
 * ``transport_recovery`` — retransmission stalls, partition outage
-  windows, checkpoint-write deferrals, rollback re-execution;
+  windows, checkpoint-write deferrals, crash outages, rollback
+  re-execution;
 * ``barrier_slack``      — time the path spent *waiting for another
   node* (barrier fences and releases, reductions, receive waits).  All
   data-dependence synchronization lands here, so the ``barrier`` what-if
@@ -30,8 +35,8 @@ Cost classes
 What-if bounds
 --------------
 
-``result()["whatif"]`` reports, per knob, the elapsed time a run would
-need if one cost class were free::
+``critical_path(...)["whatif"]`` reports, per knob, the elapsed time a
+run would need if one cost class were free::
 
     barrier     -> elapsed - barrier_slack     (perfect overlap bound)
     wire        -> elapsed - wire              (infinite-bandwidth bound)
@@ -45,9 +50,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.profile import OUTAGE, REDO, Timeline
 
-__all__ = ["CriticalPathAnalyzer", "COST_CLASSES", "render_critical_path"]
+__all__ = ["COST_CLASSES", "critical_path", "render_critical_path"]
 
 COST_CLASSES = (
     "compute",
@@ -58,257 +63,128 @@ COST_CLASSES = (
     "barrier_slack",
 )
 
-#: op kinds that are pure synchronization waits on the critical path
-_WAIT_OPS = frozenset({"reduce", "recv", "mp_recv"})
-
-_KINDS = {
-    "op",
-    "barrier",
-    "barrier.arrive",
-    "barrier.release",
-    "miss.read",
-    "miss.join",
-    "miss.write",
-    "msg.send",
-    "switch.traverse",
-    "frame.send",
-    "frame.retransmit",
-    "recover.rollback",
+# Span kind -> class, for spans that are one segment; barriers and misses
+# decompose further, every other op kind is active protocol work.
+_SPAN_CLASS = {
+    "compute": "compute",
+    OUTAGE: "transport_recovery",
+    REDO: "transport_recovery",
+    # pure synchronization waits
+    "reduce": "barrier_slack",
+    "recv": "barrier_slack",
+    "mp_recv": "barrier_slack",
 }
 
 
-class CriticalPathAnalyzer:
-    """Bus subscriber that records the lineage DAG and extracts the path.
+def critical_path(timeline: Timeline, elapsed_ns: int) -> dict:
+    """Fold the ledger of a completed run into ``RunResult.critical_path``.
 
-    Attach before the run (like :class:`~repro.obs.PhaseProfiler`), then
-    call :meth:`result` with the finished run's ``elapsed_ns``.  Recording
-    never schedules engine events, so instrumented runs stay
-    schedule-identical to plain ones.
+    Partitions ``[0, elapsed_ns)`` into labeled segments and returns
+    per-class totals plus what-if bounds.  Raises ``AssertionError`` if
+    the segment lengths do not sum to ``elapsed_ns`` exactly.
     """
+    walk = _Walk(timeline)
+    spans = timeline.spans
 
-    def __init__(self, bus: EventBus, n_nodes: int):
-        self.n_nodes = n_nodes
-        # Per-node replayed-op spans (t0, t1, op_kind, trace_idx|None),
-        # chronological (ops tile each node's timeline back-to-back).
-        self._ops: list[list[tuple]] = [[] for _ in range(n_nodes)]
-        # Per-node barrier spans (t0, t1, gen, release_msg_seq|None).
-        self._bars: list[list[tuple]] = [[] for _ in range(n_nodes)]
-        # Per-node miss sub-spans (t0, t1, root_msg_seq|None).
-        self._miss: list[list[tuple]] = [[] for _ in range(n_nodes)]
-        # gen -> [(t_ns, last_arriver, sent_ns, arrival_msg_seq, manager)]
-        # for all-arrived instants; gens repeat across rollbacks, so lists.
-        self._arrive: dict[int, list[tuple]] = {}
-        # gen -> [t_ns] of release broadcasts.
-        self._release: dict[int, list[int]] = {}
-        # msg.send seq -> wire_ns; seq -> children seqs (msg + frame).
-        self._wire: dict[int, int] = {}
-        self._children: dict[int, list[int]] = {}
-        # seq -> summed switch wait_ns charged to that msg/frame.
-        self._wait: dict[int, int] = {}
-        # first-frame seqs referenced by at least one frame.retransmit.
-        self._retrans: set[int] = set()
-        # (restart_t_ns, reached_cursors) per rollback, chronological.
-        self._rollbacks: list[tuple[int, list]] = []
-        self._sub = bus.subscribe(self._on_event, kinds=_KINDS)
+    def last_op_end(node: int) -> int:
+        # A rollback at the very end leaves every ledger ending in an
+        # outage at the same instant; the node that worked longest is
+        # the one the others were waiting for.
+        return next((s[1] for s in reversed(spans[node]) if s[2] != OUTAGE), 0)
 
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
-    def _on_event(self, ev: Event) -> None:
-        kind = ev.kind
-        if kind == "op":
-            self._ops[ev.node].append(
-                (ev.t_ns, ev.t_ns + ev.dur_ns, ev.args["op"], ev.args.get("idx"))
-            )
-        elif kind == "msg.send":
-            self._wire[ev.seq] = ev.args["wire_ns"]
-            if ev.parent is not None:
-                self._children.setdefault(ev.parent, []).append(ev.seq)
-        elif kind == "frame.send":
-            if ev.parent is not None:
-                self._children.setdefault(ev.parent, []).append(ev.seq)
-        elif kind == "switch.traverse":
-            if ev.parent is not None and ev.args["wait_ns"]:
-                self._wait[ev.parent] = (
-                    self._wait.get(ev.parent, 0) + ev.args["wait_ns"]
-                )
-        elif kind == "frame.retransmit":
-            if ev.parent is not None:
-                self._retrans.add(ev.parent)
-        elif kind in ("miss.read", "miss.join", "miss.write"):
-            self._miss[ev.node].append(
-                (ev.t_ns, ev.t_ns + ev.dur_ns, ev.parent)
-            )
-        elif kind == "barrier":
-            self._bars[ev.node].append(
-                (ev.t_ns, ev.t_ns + ev.dur_ns, ev.args["gen"],
-                 ev.args.get("release_msg"))
-            )
-        elif kind == "barrier.arrive":
-            if ev.args["last"]:
-                self._arrive.setdefault(ev.args["gen"], []).append(
-                    (ev.t_ns, ev.args["src"], ev.args["sent_ns"],
-                     ev.parent, ev.node)
-                )
-        elif kind == "barrier.release":
-            self._release.setdefault(ev.args["gen"], []).append(ev.t_ns)
-        elif kind == "recover.rollback":
-            self._rollbacks.append((ev.t_ns, list(ev.args.get("reached") or [])))
+    node = max(range(timeline.n_nodes), key=last_op_end)
+    t = elapsed_ns
+    while t > 0:
+        i = bisect_right(walk.starts[node], t - 1) - 1
+        t0, t1, op, _phase = spans[node][i] if i >= 0 else (0, 0, None, None)
+        if t1 < t:
+            # Past the node's last span (or before its first): residual
+            # active work such as trailing handler time.
+            walk.out(node, t1, t, "protocol")
+            t = t1
+            continue
+        # The span covers (t0, t]; decompose [t0, t).
+        if op == "barrier":
+            t, node = walk.barrier(node, t0, t)
+            continue
+        if op in ("read", "write"):
+            walk.miss(node, t0, t)
+        else:
+            walk.out(node, t0, t, _SPAN_CLASS.get(op, "protocol"))
+        t = t0
 
-    # ------------------------------------------------------------------ #
-    # causal-chain cost lookup
-    # ------------------------------------------------------------------ #
-    def _chain_costs(self, root: int) -> tuple[int, int, bool]:
-        """(wire_ns, port_wait_ns, any_retransmit) over ``root``'s DAG."""
+    classes = walk.classes
+    total = sum(classes.values())
+    assert total == elapsed_ns, (
+        f"critical-path tiling broke: segments sum to {total} ns "
+        f"but the run took {elapsed_ns} ns"
+    )
+    return {
+        "elapsed_ns": elapsed_ns,
+        "classes": classes,
+        "classes_by_node": walk.by_node,
+        "n_segments": walk.n_segments,
+        "whatif": {
+            "barrier": elapsed_ns - classes["barrier_slack"],
+            "wire": elapsed_ns - classes["wire"],
+            "retransmit": elapsed_ns - classes["transport_recovery"],
+        },
+    }
+
+
+class _Walk:
+    """Accumulators and span decomposers of one backward walk."""
+
+    def __init__(self, timeline: Timeline):
+        self.tl = timeline
+        self.classes = dict.fromkeys(COST_CLASSES, 0)
+        self.by_node = [
+            dict.fromkeys(COST_CLASSES, 0) for _ in range(timeline.n_nodes)
+        ]
+        self.n_segments = 0
+        # Bisect indices (every list is chronological by construction).
+        self.starts = [[s[0] for s in spans] for spans in timeline.spans]
+        self.miss_ends = [[m[1] for m in ms] for ms in timeline.miss]
+        self.bar_starts = [[b[0] for b in bs] for bs in timeline.bars]
+
+    def out(self, node: int, a: int, b: int, cls: str) -> None:
+        """Emit segment ``[a, b)`` of class ``cls`` on ``node``."""
+        d = b - a
+        if d <= 0:
+            return
+        self.classes[cls] += d
+        self.by_node[node][cls] += d
+        self.n_segments += 1
+
+    def chain(self, node, a, b, root, rest_class) -> None:
+        """Attribute a message-delivery wait ``[a, b)`` via the wire time,
+        port waits and retransmits of the DAG under its ``root`` seq."""
+        d = b - a
+        if d <= 0 or root is None:
+            self.out(node, a, b, rest_class)
+            return
+        tl = self.tl
         wire = port = 0
         retrans = False
-        stack = [root]
-        seen: set[int] = set()
+        stack = [root]  # every event has one parent: the DAG below is a tree
         while stack:
             seq = stack.pop()
-            if seq in seen:
-                continue
-            seen.add(seq)
-            wire += self._wire.get(seq, 0)
-            port += self._wait.get(seq, 0)
-            if seq in self._retrans:
-                retrans = True
-            kids = self._children.get(seq)
-            if kids:
-                stack.extend(kids)
-        return wire, port, retrans
+            wire += tl.wire.get(seq, 0)
+            port += tl.wait.get(seq, 0)
+            retrans = retrans or seq in tl.retrans
+            stack.extend(tl.children.get(seq, ()))
+        wire = min(wire, d)
+        port = min(port, d - wire)
+        rest = d - wire - port
+        self.out(node, a, a + rest, "transport_recovery" if retrans else rest_class)
+        self.out(node, a + rest, a + rest + port, "port_queue")
+        self.out(node, b - wire, b, "wire")
 
-    def _reexec(self, node: int, t0: int, idx) -> bool:
-        """Is the op at ``t0`` (trace index ``idx``) post-rollback redo?"""
-        if idx is None or not self._rollbacks:
-            return False
-        reached = None
-        for restart_t, r in self._rollbacks:
-            if restart_t <= t0:
-                reached = r
-            else:
-                break
-        return (
-            reached is not None
-            and node < len(reached)
-            and idx < reached[node]
-        )
-
-    # ------------------------------------------------------------------ #
-    # the backward walk
-    # ------------------------------------------------------------------ #
-    def result(self, elapsed_ns: int) -> dict:
-        """Extract the critical path of a completed run.
-
-        Partitions ``[0, elapsed_ns)`` into labeled segments and returns
-        per-class totals plus what-if bounds.  Raises ``AssertionError``
-        if the segment lengths do not sum to ``elapsed_ns`` exactly —
-        the tiling invariant every lineage publisher upholds.
-        """
-        classes = dict.fromkeys(COST_CLASSES, 0)
-        by_node = [dict.fromkeys(COST_CLASSES, 0) for _ in range(self.n_nodes)]
-        n_segments = 0
-        # Outage holes exist only on rollback runs; elsewhere a gap means
-        # residual active work (e.g. trailing handler time) -> protocol.
-        gap_class = "transport_recovery" if self._rollbacks else "protocol"
-
-        def out(node: int, a: int, b: int, cls: str) -> None:
-            nonlocal n_segments
-            d = b - a
-            if d <= 0:
-                return
-            classes[cls] += d
-            if 0 <= node < self.n_nodes:
-                by_node[node][cls] += d
-            n_segments += 1
-
-        def chain_interval(node, a, b, root, rest_class) -> None:
-            """Attribute a message-delivery wait [a, b) via its chain."""
-            d = b - a
-            if d <= 0:
-                return
-            if root is None:
-                out(node, a, b, rest_class)
-                return
-            wire, port, retrans = self._chain_costs(root)
-            wire = min(wire, d)
-            port = min(port, d - wire)
-            rest = d - wire - port
-            if rest:
-                out(node, a, a + rest,
-                    "transport_recovery" if retrans else rest_class)
-            if port:
-                out(node, a + rest, a + rest + port, "port_queue")
-            if wire:
-                out(node, b - wire, b, "wire")
-
-        starts = [[op[0] for op in ops] for ops in self._ops]
-        ends = [ops[-1][1] if ops else 0 for ops in self._ops]
-        # Bisect indices for the per-op decomposers (lists are
-        # chronological by construction).
-        self._miss_ends = [[m[1] for m in ms] for ms in self._miss]
-        self._bar_starts = [[b[0] for b in bs] for bs in self._bars]
-        if elapsed_ns <= 0 or not any(self._ops):
-            out(0, 0, elapsed_ns, "protocol")
-            return self._package(elapsed_ns, classes, by_node, n_segments)
-
-        node = max(range(self.n_nodes), key=lambda n: ends[n])
-        t = elapsed_ns
-        while t > 0:
-            ops = self._ops[node]
-            i = bisect_right(starts[node], t - 1) - 1
-            if i < 0:
-                out(node, 0, t, gap_class)
-                break
-            t0, t1, op_kind, idx = ops[i]
-            if t1 < t:
-                # Hole in the tiling: crash outage (rollback runs) or
-                # trailing non-op time.
-                out(node, t1, t, gap_class)
-                t = t1
-                continue
-            # The op span covers (t0, t]; decompose [t0, t).
-            nxt_t, nxt_node = self._decompose(
-                node, t0, t, op_kind, idx, out, chain_interval
-            )
-            if nxt_t >= t:  # defensive: force strict progress
-                out(node, t0, t, "protocol")
-                nxt_t, nxt_node = t0, node
-            t, node = nxt_t, nxt_node
-
-        total = sum(classes.values())
-        assert total == elapsed_ns, (
-            f"critical-path tiling broke: segments sum to {total} ns "
-            f"but the run took {elapsed_ns} ns"
-        )
-        return self._package(elapsed_ns, classes, by_node, n_segments)
-
-    def _decompose(
-        self, node, t0, t, op_kind, idx, out, chain_interval
-    ) -> tuple[int, int]:
-        """Attribute one op span [t0, t); return the continuation point."""
-        if self._reexec(node, t0, idx):
-            out(node, t0, t, "transport_recovery")
-            return t0, node
-        if op_kind == "compute":
-            out(node, t0, t, "compute")
-            return t0, node
-        if op_kind == "barrier":
-            return self._decompose_barrier(node, t0, t, out, chain_interval)
-        if op_kind in ("read", "write"):
-            self._decompose_miss(node, t0, t, out, chain_interval)
-            return t0, node
-        if op_kind in _WAIT_OPS:
-            out(node, t0, t, "barrier_slack")
-            return t0, node
-        out(node, t0, t, "protocol")
-        return t0, node
-
-    def _decompose_miss(self, node, t0, t, out, chain_interval) -> None:
+    def miss(self, node, t0, t) -> None:
         """read/write op: miss sub-spans via their chains, gaps protocol."""
         cur = t
-        misses = self._miss[node]
-        i = bisect_right(self._miss_ends[node], t) - 1
+        misses = self.tl.miss[node]
+        i = bisect_right(self.miss_ends[node], t) - 1
         while i >= 0:
             m0, m1, root = misses[i]
             i -= 1
@@ -316,79 +192,54 @@ class CriticalPathAnalyzer:
                 continue
             if m0 < t0 or m1 <= t0:
                 break
-            out(node, m1, cur, "protocol")
-            chain_interval(node, m0, m1, root, "protocol")
+            self.out(node, m1, cur, "protocol")
+            self.chain(node, m0, m1, root, "protocol")
             cur = m0
-        out(node, t0, cur, "protocol")
+        self.out(node, t0, cur, "protocol")
 
-    def _decompose_barrier(self, node, t0, t, out, chain_interval):
+    def barrier(self, node, t0, t) -> tuple[int, int]:
         """Barrier span: release delivery <- broadcast <- [checkpoint]
-        <- last arrival delivery <- the last arriver's own entry; the walk
-        then jumps to the last arriver.  Any missing link degrades the
-        remaining interval to ``barrier_slack`` without a jump."""
-        span = None
-        i = bisect_right(self._bar_starts[node], t0) - 1
-        if i >= 0:
-            _b0, _b1, gen, release_msg = self._bars[node][i]
-            span = (gen, release_msg)
-        if span is None:
-            out(node, t0, t, "barrier_slack")
-            return t0, node
-        gen, release_msg = span
-        rel_t = None
-        for cand in reversed(self._release.get(gen, ())):
-            if cand <= t:
-                rel_t = cand
-                break
+        <- last arrival delivery <- the last arriver's own entry; returns
+        the continuation ``(t, node)`` — the last arriver's barrier entry.
+        Any missing link degrades the remaining interval to
+        ``barrier_slack`` and the walk stays on ``node``."""
+        tl = self.tl
+        i = bisect_right(self.bar_starts[node], t0) - 1
+        gen, release_msg = tl.bars[node][i][2:] if i >= 0 else (None, None)
+        rel_t = next(
+            (r for r in reversed(tl.release.get(gen, ())) if r <= t), None
+        )
         if rel_t is None or rel_t < t0:
-            out(node, t0, t, "barrier_slack")
+            self.out(node, t0, t, "barrier_slack")
             return t0, node
-        chain_interval(node, rel_t, t, release_msg, "barrier_slack")
-        arr = None
-        for cand in reversed(self._arrive.get(gen, ())):
-            if cand[0] <= rel_t:
-                arr = cand
-                break
+        self.chain(node, rel_t, t, release_msg, "barrier_slack")
+        arr = next(
+            (a for a in reversed(tl.arrive.get(gen, ())) if a[0] <= rel_t), None
+        )
         if arr is None:
-            out(node, t0, rel_t, "barrier_slack")
+            self.out(node, t0, rel_t, "barrier_slack")
             return t0, node
         arr_t, last_src, sent_ns, arr_msg, manager = arr
         arr_t = max(arr_t, t0)
         sent_ns = min(max(sent_ns, t0), arr_t)
         # All-arrived to release: nonzero only when a barrier checkpoint
         # deferred the broadcast — fault-tolerance cost.
-        out(manager, arr_t, rel_t, "transport_recovery")
-        chain_interval(manager, sent_ns, arr_t, arr_msg, "barrier_slack")
+        self.out(manager, arr_t, rel_t, "transport_recovery")
+        self.chain(manager, sent_ns, arr_t, arr_msg, "barrier_slack")
         # Jump to the last arriver: its fence + send overhead precede the
         # arrival departure; the path continues on its timeline.
-        if 0 <= last_src < self.n_nodes:
-            i = bisect_right(self._bar_starts[last_src], sent_ns) - 1
-            while i >= 0:
-                b0, _b1, g, _rm = self._bars[last_src][i]
-                i -= 1
-                if g != gen:
-                    continue
-                if b0 < t:
-                    out(last_src, b0, sent_ns, "barrier_slack")
-                    return b0, last_src
-                break
-        out(node, t0, sent_ns, "barrier_slack")
+        i = bisect_right(self.bar_starts[last_src], sent_ns) - 1
+        while i >= 0:
+            b0, _b1, g, _rm = tl.bars[last_src][i]
+            i -= 1
+            if g != gen:
+                continue
+            if b0 < t:
+                self.out(last_src, b0, sent_ns, "barrier_slack")
+                return b0, last_src
+            break
+        self.out(node, t0, sent_ns, "barrier_slack")
         return t0, node
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _package(elapsed_ns, classes, by_node, n_segments) -> dict:
-        return {
-            "elapsed_ns": elapsed_ns,
-            "classes": dict(classes),
-            "classes_by_node": [dict(nb) for nb in by_node],
-            "n_segments": n_segments,
-            "whatif": {
-                "barrier": elapsed_ns - classes["barrier_slack"],
-                "wire": elapsed_ns - classes["wire"],
-                "retransmit": elapsed_ns - classes["transport_recovery"],
-            },
-        }
 
 
 def render_critical_path(cp: dict, whatif: str | None = None) -> str:

@@ -1,11 +1,21 @@
-"""Per-phase time-breakdown profiler (the paper's Figure 4).
+"""Time attribution: one recorded timeline, and the per-phase folding of it.
 
-Every replayed trace op is a contiguous span on its node's timeline
-(ops run back-to-back from t=0), so summing op durations decomposes a
-node's total simulated time *exactly* — to the nanosecond — into the
-six buckets below.  Phase markers (``phase`` events emitted by
-``run_shmem``) switch the accumulation target, so each parallel phase
-of the source program gets its own stacked bar.
+:class:`Timeline` is the only time-attribution subscriber.  Per node it
+records a chronological, gap-free list of spans ``(t0, t1, op, phase)``:
+every replayed trace op is a contiguous span on its node's timeline (ops
+run back-to-back from t=0), and the one thing that breaks the tiling — a
+crash outage, from a node's last completed op to the common rollback
+restart — is written into the ledger as an explicit ``OUTAGE`` span, so
+no consumer has to rediscover the hole.  An op replayed after a rollback
+whose trace index lies below the cursor its node had already reached is
+recorded as ``REDO``.  Beside the spans sit the tables the consumers read:
+phase labels, give-up→heal windows per node, checkpoint-write windows,
+and (``lineage=True`` only) the miss/barrier sub-spans and message-chain
+DAG the critical-path walk needs.
+
+Two pure functions fold the ledger: :func:`phase_breakdown` below (the
+paper's Figure 4: per phase, per node, seven buckets) and
+:func:`repro.obs.critical.critical_path` (the exact causal path).
 
 Buckets:
 
@@ -16,25 +26,34 @@ Buckets:
 * ``protocol_overhead``   — everything else the protocol charges the
   node inline: reductions, compiler-extension calls (mk_writable,
   flushes, prefetch issue), message-passing ops;
-* ``transport_recovery``  — the part of any *non-compute* bucket spent
-  while one of the node's outgoing channels was given up (partition
-  windows, from ``channel.giveup``/``channel.heal``), i.e. time
-  attributable to riding out a fault rather than the protocol itself;
+* ``transport_recovery``  — the part of any *waiting* bucket spent while
+  one of the node's outgoing channels was given up (partition windows,
+  from ``channel.giveup``/``channel.heal``), i.e. time attributable to
+  riding out a fault rather than the protocol itself;
 * ``recovery``            — fail-stop survival cost: barrier-checkpoint
-  write windows (``ckpt.write``) carved out of the overlapped waits, the
-  outage gap between each node's last pre-crash op and the rollback
-  restart (``recover.rollback``), and all re-executed op time (ops whose
-  trace index lies below the cursor the node had already reached before
-  the crash).
+  write windows (``ckpt.write``) carved out of the overlapped waits,
+  every ``OUTAGE`` span and every ``REDO`` span.
 
-Crash-recovery runs break the back-to-back tiling once per rollback —
-every node's timeline has exactly one hole, from its last completed op to
-the common restart instant.  The profiler fills that hole into the
-``recovery`` bucket, so the to-the-nanosecond bucket-sum invariant (and
-``max(node_total_ns) == elapsed_ns``) holds for recovered runs too.
+Why folding after the run equals accumulating during it: an ``op`` event
+is published when the op *ends*, and every window that can overlap the
+op was published before that — ``channel.giveup`` and ``ckpt.write`` are
+emitted at the instant their window starts, and bus order follows
+simulated time.  A window published after the op's event therefore
+starts at or after the op's end and overlaps nothing; a window still
+open at the op's event closes at or after the op's end, so clipping it
+to the op gives the same overlap either way.  The digests pinned in
+``tests/obs/attribution_matrix.py`` were recorded from the streaming
+implementation this replaced.
+
+Because the spans tile every node's timeline, bucket sums equal
+``node_total_ns``, and the slowest node's total is the instant the last
+program finished — ``elapsed_ns``, unless the engine had trailing work
+to drain — to the nanosecond, crashes included.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 from repro.obs.bus import Event, EventBus
 
@@ -48,174 +67,218 @@ BUCKETS = (
     "recovery",
 )
 
-# Trace-op kind -> bucket; unlisted op kinds charge protocol overhead.
+#: Ledger-only span kinds (never trace ops): a crash outage, and an op
+#: re-executed after a rollback.
+OUTAGE = "outage"
+REDO = "redo"
+
+# Span kind -> bucket; unlisted op kinds charge protocol overhead.
 OP_BUCKET = {
     "compute": "compute",
     "read": "read_miss",
     "write": "write_miss",
     "barrier": "barrier_wait",
+    OUTAGE: "recovery",
+    REDO: "recovery",
+}
+
+_KINDS = {
+    "op", "phase", "channel.giveup", "channel.heal", "ckpt.write",
+    "recover.rollback",
+}
+_LINEAGE_KINDS = {
+    "barrier", "barrier.arrive", "barrier.release", "miss.read", "miss.join",
+    "miss.write", "msg.send", "switch.traverse", "frame.send",
+    "frame.retransmit",
 }
 
 
-class PhaseProfiler:
-    """Bus subscriber accumulating per-phase, per-node bucket times."""
+class Timeline:
+    """Bus subscriber recording the per-node span ledger.
 
-    def __init__(self, bus: EventBus, n_nodes: int):
+    Attach before the run; fold afterwards.  Recording never schedules
+    engine events, so instrumented runs stay schedule-identical to plain
+    ones.  ``lineage`` additionally records what only the critical-path
+    walk reads.
+    """
+
+    def __init__(self, bus: EventBus, n_nodes: int, lineage: bool = False):
         self.n_nodes = n_nodes
-        self._phases: dict[int, dict] = {}
-        self._cur = [None] * n_nodes  # current phase entry per node
-        # Partition bookkeeping: a "recovery window" for node n is open
-        # while n has at least one given-up outgoing channel.
-        self._open_cuts = [0] * n_nodes
-        self._cut_since = [0] * n_nodes
-        self._windows: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-        self.node_total_ns = [0] * n_nodes
-        # Fail-stop bookkeeping: end of each node's last completed op
-        # (tiling frontier), checkpoint-write windows (global — every node
-        # waits the write out together), and the per-node trace index below
-        # which op events are re-execution after a rollback.
-        self._last_end = [0] * n_nodes
-        self._ckpt_windows: list[tuple[int, int]] = []
-        self._reexec_until = [-1] * n_nodes
-        self._sub = bus.subscribe(
-            self._on_event,
-            kinds={
-                "op", "phase", "channel.giveup", "channel.heal",
-                "ckpt.write", "recover.rollback",
-            },
-        )
+        # Per-node spans (t0, t1, op, phase), chronological and abutting.
+        self.spans: list[list[tuple]] = [[] for _ in range(n_nodes)]
+        # Phase index -> label, for every phase a marker or a span named.
+        self.labels: dict[int, str] = {}
+        # Per-node [t0, t1] windows during which the node had at least one
+        # given-up outgoing channel; t1 is ``inf`` while still open.
+        self.cuts: list[list[list]] = [[] for _ in range(n_nodes)]
+        # Checkpoint-write windows (global: every node waits the write out).
+        self.ckpts: list[tuple[int, int]] = []
+        self._cur: list = [None] * n_nodes  # current phase index per node
+        self._open = [0] * n_nodes  # given-up channels per node
+        # Per-node trace index below which ops are re-execution (set by
+        # the latest rollback; ops in flight across one are cancelled, so
+        # "latest published" and "latest before the op started" agree).
+        self._reached: list[int] = [0] * n_nodes
+        kinds = _KINDS
+        if lineage:
+            kinds = _KINDS | _LINEAGE_KINDS
+            # Per-node barrier spans (t0, t1, gen, release_msg_seq|None).
+            self.bars: list[list[tuple]] = [[] for _ in range(n_nodes)]
+            # Per-node miss sub-spans (t0, t1, root_msg_seq|None).
+            self.miss: list[list[tuple]] = [[] for _ in range(n_nodes)]
+            # gen -> [(t_ns, last_arriver, sent_ns, arrival_msg_seq, manager)]
+            # for all-arrived instants; gens repeat across rollbacks.
+            self.arrive: dict[int, list[tuple]] = {}
+            # gen -> [t_ns] of release broadcasts.
+            self.release: dict[int, list[int]] = {}
+            # msg.send seq -> wire_ns; seq -> children seqs (msg + frame).
+            self.wire: dict[int, int] = {}
+            self.children: dict[int, list[int]] = {}
+            # seq -> summed switch wait_ns charged to that msg/frame.
+            self.wait: dict[int, int] = {}
+            # first-frame seqs referenced by at least one frame.retransmit.
+            self.retrans: set[int] = set()
+        self._sub = bus.subscribe(self._on_event, kinds=kinds)
 
-    def _entry(self, index: int, label: str = "") -> dict:
-        e = self._phases.get(index)
-        if e is None:
-            e = self._phases[index] = {
-                "index": index,
-                "label": label,
-                "nodes": [dict.fromkeys(BUCKETS, 0) for _ in range(self.n_nodes)],
-            }
-        elif label and not e["label"]:
-            e["label"] = label
-        return e
+    def _phase(self, node: int) -> int:
+        """The node's current phase; spans before any phase marker
+        (programs replayed without markers) land in a synthetic phase 0."""
+        index = self._cur[node]
+        if index is None:
+            index = self._cur[node] = 0
+            self._label(0, "startup")
+        return index
+
+    def _label(self, index: int, label: str) -> None:
+        if not self.labels.get(index):
+            self.labels[index] = label
 
     def _on_event(self, ev: Event) -> None:
         kind = ev.kind
         if kind == "op":
             node = ev.node
-            entry = self._cur[node]
-            if entry is None:
-                # Ops before any phase marker (programs replayed without
-                # markers) land in a synthetic phase 0.
-                entry = self._cur[node] = self._entry(0, "startup")
-            dur = ev.dur_ns
-            self.node_total_ns[node] += dur
-            self._last_end[node] = ev.t_ns + dur
-            buckets = entry["nodes"][node]
+            op = ev.args["op"]
             idx = ev.args.get("idx")
-            if idx is not None and idx < self._reexec_until[node]:
-                # Re-executed work after a rollback: the node already did
-                # this op once; the whole span is recovery cost.
-                buckets["recovery"] += dur
-                return
-            bucket = OP_BUCKET.get(ev.args["op"], "protocol_overhead")
-            if bucket != "compute":
-                recovered = self._recovery_overlap(node, ev.t_ns, ev.t_ns + dur)
-                if recovered:
-                    buckets["transport_recovery"] += recovered
-                    dur -= recovered
-                ckpt = self._ckpt_overlap(ev.t_ns, ev.t_ns + ev.dur_ns)
-                if ckpt:
-                    ckpt = min(ckpt, dur)
-                    buckets["recovery"] += ckpt
-                    dur -= ckpt
-            buckets[bucket] += dur
+            if idx is not None and idx < self._reached[node]:
+                op = REDO
+            self.spans[node].append(
+                (ev.t_ns, ev.t_ns + ev.dur_ns, op, self._phase(node))
+            )
+        elif kind == "msg.send":
+            self.wire[ev.seq] = ev.args["wire_ns"]
+            if ev.parent is not None:
+                self.children.setdefault(ev.parent, []).append(ev.seq)
+        elif kind == "frame.send":
+            if ev.parent is not None:
+                self.children.setdefault(ev.parent, []).append(ev.seq)
+        elif kind == "switch.traverse":
+            if ev.parent is not None and ev.args["wait_ns"]:
+                self.wait[ev.parent] = (
+                    self.wait.get(ev.parent, 0) + ev.args["wait_ns"]
+                )
+        elif kind == "frame.retransmit":
+            if ev.parent is not None:
+                self.retrans.add(ev.parent)
+        elif kind in ("miss.read", "miss.join", "miss.write"):
+            self.miss[ev.node].append((ev.t_ns, ev.t_ns + ev.dur_ns, ev.parent))
+        elif kind == "barrier":
+            self.bars[ev.node].append(
+                (ev.t_ns, ev.t_ns + ev.dur_ns, ev.args["gen"],
+                 ev.args.get("release_msg"))
+            )
+        elif kind == "barrier.arrive":
+            if ev.args["last"]:
+                self.arrive.setdefault(ev.args["gen"], []).append(
+                    (ev.t_ns, ev.args["src"], ev.args["sent_ns"],
+                     ev.parent, ev.node)
+                )
+        elif kind == "barrier.release":
+            self.release.setdefault(ev.args["gen"], []).append(ev.t_ns)
         elif kind == "phase":
-            self._cur[ev.node] = self._entry(ev.args["index"], ev.args["label"])
+            self._cur[ev.node] = ev.args["index"]
+            self._label(ev.args["index"], ev.args["label"])
         elif kind == "ckpt.write":
             if ev.dur_ns:
-                self._ckpt_windows.append((ev.t_ns, ev.t_ns + ev.dur_ns))
-        elif kind == "recover.rollback":
-            # Fill each node's outage hole — last completed op to the
-            # common restart instant — so the tiling invariant survives.
-            restart = ev.t_ns
-            for node in range(self.n_nodes):
-                # The transport reset heals every given-up channel without
-                # emitting per-channel heal events; close open partition
-                # windows here so post-recovery time is not misattributed
-                # to ``transport_recovery``.
-                if self._open_cuts[node]:
-                    self._open_cuts[node] = 0
-                    self._windows[node].append((self._cut_since[node], restart))
-            for node in range(self.n_nodes):
-                gap = restart - self._last_end[node]
-                if gap > 0:
-                    entry = self._cur[node]
-                    if entry is None:
-                        entry = self._cur[node] = self._entry(0, "startup")
-                    entry["nodes"][node]["recovery"] += gap
-                    self.node_total_ns[node] += gap
-                    self._last_end[node] = restart
-            reached = ev.args.get("reached") or []
-            for node, upto in enumerate(reached[: self.n_nodes]):
-                self._reexec_until[node] = upto
+                self.ckpts.append((ev.t_ns, ev.t_ns + ev.dur_ns))
         elif kind == "channel.giveup":
             node = ev.node
-            if self._open_cuts[node] == 0:
-                self._cut_since[node] = ev.t_ns
-            self._open_cuts[node] += 1
+            if self._open[node] == 0:
+                self.cuts[node].append([ev.t_ns, inf])
+            self._open[node] += 1
         elif kind == "channel.heal":
             node = ev.node
-            if self._open_cuts[node] > 0:
-                self._open_cuts[node] -= 1
-                if self._open_cuts[node] == 0:
-                    self._windows[node].append((self._cut_since[node], ev.t_ns))
+            if self._open[node] > 0:
+                self._open[node] -= 1
+                if self._open[node] == 0:
+                    self.cuts[node][-1][1] = ev.t_ns
+        elif kind == "recover.rollback":
+            restart = ev.t_ns
+            for node, spans in enumerate(self.spans):
+                # The transport reset heals every given-up channel without
+                # per-channel heal events: the open window ends here.
+                if self._open[node]:
+                    self._open[node] = 0
+                    self.cuts[node][-1][1] = restart
+                # The outage: last completed op -> common restart instant.
+                last_end = spans[-1][1] if spans else 0
+                if restart > last_end:
+                    spans.append((last_end, restart, OUTAGE, self._phase(node)))
+            self._reached = list(ev.args["reached"])
 
-    def _recovery_overlap(self, node: int, t0: int, t1: int) -> int:
-        """Overlap of ``[t0, t1)`` with the node's recovery windows."""
-        total = 0
-        for w0, w1 in self._windows[node]:
-            lo = t0 if t0 > w0 else w0
-            hi = t1 if t1 < w1 else w1
-            if hi > lo:
-                total += hi - lo
-        if self._open_cuts[node]:  # window still open at op end
-            lo = max(t0, self._cut_since[node])
-            if t1 > lo:
-                total += t1 - lo
-        return total if total < t1 - t0 else t1 - t0
 
-    def _ckpt_overlap(self, t0: int, t1: int) -> int:
-        """Overlap of ``[t0, t1)`` with checkpoint-write windows."""
-        total = 0
-        for w0, w1 in self._ckpt_windows:
-            lo = t0 if t0 > w0 else w0
-            hi = t1 if t1 < w1 else w1
-            if hi > lo:
-                total += hi - lo
-        return total
+def _overlap(windows, t0: int, t1: int) -> int:
+    """Overlap of ``[t0, t1)`` with ``windows`` (chronological by start)."""
+    total = 0
+    for w0, w1 in windows:
+        if w0 >= t1:
+            break
+        if w1 > t0:
+            total += min(t1, w1) - max(t0, w0)
+    return total
 
-    def breakdown(self) -> dict:
-        """Structured result stored as ``RunResult.phase_breakdown``."""
-        phases = []
-        for index in sorted(self._phases):
-            e = self._phases[index]
-            total = dict.fromkeys(BUCKETS, 0)
-            for nb in e["nodes"]:
-                for k, v in nb.items():
-                    total[k] += v
-            phases.append(
-                {
-                    "index": e["index"],
-                    "label": e["label"],
-                    "node_ns": [dict(nb) for nb in e["nodes"]],
-                    "total_ns": total,
-                }
-            )
-        return {
-            "buckets": list(BUCKETS),
-            "n_nodes": self.n_nodes,
-            "node_total_ns": list(self.node_total_ns),
-            "phases": phases,
-        }
+
+def phase_breakdown(timeline: Timeline) -> dict:
+    """Fold the ledger into ``RunResult.phase_breakdown``: per phase, per
+    node, nanoseconds per bucket."""
+    n_nodes = timeline.n_nodes
+    phases = {
+        index: [dict.fromkeys(BUCKETS, 0) for _ in range(n_nodes)]
+        for index in sorted(timeline.labels)
+    }
+    ckpts = timeline.ckpts
+    node_total_ns = []
+    for node, spans in enumerate(timeline.spans):
+        cuts = timeline.cuts[node]  # disjoint: one window at a time per node
+        node_total = 0
+        for t0, t1, op, phase in spans:
+            dur = t1 - t0
+            node_total += dur
+            buckets = phases[phase][node]
+            bucket = OP_BUCKET.get(op, "protocol_overhead")
+            if (cuts or ckpts) and bucket not in ("compute", "recovery"):
+                # Only waiting can be carved: first the partition windows,
+                # then checkpoint writes out of whatever is left.
+                cut = _overlap(cuts, t0, t1)
+                ckpt = min(_overlap(ckpts, t0, t1), dur - cut)
+                buckets["transport_recovery"] += cut
+                buckets["recovery"] += ckpt
+                dur -= cut + ckpt
+            buckets[bucket] += dur
+        node_total_ns.append(node_total)
+    return {
+        "buckets": list(BUCKETS),
+        "n_nodes": n_nodes,
+        "node_total_ns": node_total_ns,
+        "phases": [
+            {
+                "index": index,
+                "label": timeline.labels[index],
+                "node_ns": nodes,
+                "total_ns": {b: sum(nb[b] for nb in nodes) for b in BUCKETS},
+            }
+            for index, nodes in phases.items()
+        ],
+    }
 
 
 def breakdown_totals(breakdown: dict) -> dict:
@@ -230,30 +293,24 @@ def breakdown_totals(breakdown: dict) -> dict:
 def render_breakdown(breakdown: dict, max_phases: int = 40) -> str:
     """Fixed-width per-phase table for terminal output."""
     buckets = breakdown["buckets"]
-    head = ["phase".ljust(22)] + [b[:12].rjust(13) for b in buckets] + [
-        "total_ms".rjust(10)
+
+    def row(label: str, total_ns: dict) -> str:
+        total = sum(total_ns.values())
+        pcts = [100.0 * total_ns[b] / total if total else 0.0 for b in buckets]
+        cells = "".join(f"{pct:12.1f}%" for pct in pcts)
+        return f"{label.ljust(22)}{cells}{total / 1e6:10.3f}"
+
+    lines = [
+        "phase".ljust(22)
+        + "".join(b[:12].rjust(13) for b in buckets)
+        + "total_ms".rjust(10)
     ]
-    lines = ["".join(head)]
     phases = breakdown["phases"]
-    shown = phases[:max_phases]
-    for phase in shown:
-        label = f"{phase['index']:>3} {phase['label'][:17]}"
-        total = sum(phase["total_ns"].values())
-        row = [label.ljust(22)]
-        for b in buckets:
-            ns = phase["total_ns"][b]
-            pct = 100.0 * ns / total if total else 0.0
-            row.append(f"{pct:12.1f}%")
-        row.append(f"{total / 1e6:10.3f}")
-        lines.append("".join(row))
-    if len(phases) > len(shown):
-        lines.append(f"... {len(phases) - len(shown)} more phases")
-    totals = breakdown_totals(breakdown)
-    grand = sum(totals.values())
-    row = ["all phases".ljust(22)]
-    for b in buckets:
-        pct = 100.0 * totals[b] / grand if grand else 0.0
-        row.append(f"{pct:12.1f}%")
-    row.append(f"{grand / 1e6:10.3f}")
-    lines.append("".join(row))
+    for phase in phases[:max_phases]:
+        lines.append(
+            row(f"{phase['index']:>3} {phase['label'][:17]}", phase["total_ns"])
+        )
+    if len(phases) > max_phases:
+        lines.append(f"... {len(phases) - max_phases} more phases")
+    lines.append(row("all phases", breakdown_totals(breakdown)))
     return "\n".join(lines)

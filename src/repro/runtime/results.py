@@ -49,12 +49,12 @@ class RunResult:
     #: transport gave up and parked instead of aborting, and stats/arrays
     #: reflect the state at the give-up point (see ``stats.failure``).
     completed: bool = True
-    #: per-phase time-breakdown (see repro.obs.PhaseProfiler.breakdown);
+    #: per-phase time-breakdown (see repro.obs.phase_breakdown);
     #: None unless the run was profiled (``run_shmem(profile_phases=True)``)
     phase_breakdown: dict | None = None
     #: exact critical-path decomposition + what-if bounds (see
-    #: repro.obs.CriticalPathAnalyzer.result); None unless the run was
-    #: analyzed (``run_shmem(critical_path=True)``) and completed
+    #: repro.obs.critical_path); None unless the run was analyzed
+    #: (``run_shmem(critical_path=True)``) and completed
     critical_path: dict | None = None
 
     @property

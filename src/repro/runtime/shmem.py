@@ -456,17 +456,13 @@ def execute_shmem_plan(
     # program data is allocated -- the timing pass moves block ids, never
     # values (the run's numerics live in ``plan.arrays``).
     mem = segment_geometry(plan.array_decls, config, plan.home_policy)
-    profiler = None
-    analyzer = None
+    timeline = None
     if profile_phases or critical_path:
-        from repro.obs import CriticalPathAnalyzer, EventBus, PhaseProfiler
+        from repro.obs import EventBus, Timeline, critical, profile
 
         if obs is None:
             obs = EventBus()
-        if profile_phases:
-            profiler = PhaseProfiler(obs, config.n_nodes)
-        if critical_path:
-            analyzer = CriticalPathAnalyzer(obs, config.n_nodes)
+        timeline = Timeline(obs, config.n_nodes, lineage=critical_path)
     cluster = Cluster(config, mem, protocol=protocol, obs=obs)
     traces = plan.traces
     program_factory = None
@@ -554,10 +550,12 @@ def execute_shmem_plan(
         dict(plan.scalars),
         extra,
         completed=stats.completed,
-        phase_breakdown=profiler.breakdown() if profiler is not None else None,
+        phase_breakdown=(
+            profile.phase_breakdown(timeline) if profile_phases else None
+        ),
         critical_path=(
-            analyzer.result(stats.elapsed_ns)
-            if analyzer is not None and stats.completed
+            critical.critical_path(timeline, stats.elapsed_ns)
+            if critical_path and stats.completed
             else None
         ),
     )
@@ -614,16 +612,16 @@ def run_shmem(
 
     ``obs`` attaches an observability bus (:class:`repro.obs.EventBus`) to
     the cluster: every component publishes typed events to it, and replay
-    adds per-op spans and phase markers.  ``profile_phases`` additionally
-    subscribes a :class:`repro.obs.PhaseProfiler` (creating a bus if none
-    was passed) and fills ``RunResult.phase_breakdown`` with the per-phase
-    compute / miss / barrier / protocol / recovery decomposition.
-    ``critical_path`` subscribes a
-    :class:`repro.obs.CriticalPathAnalyzer` the same way and fills
+    adds per-op spans and phase markers.  ``profile_phases`` and
+    ``critical_path`` subscribe one :class:`repro.obs.Timeline` between
+    them (creating a bus if none was passed) and fold it after the run:
+    the former fills ``RunResult.phase_breakdown`` with the per-phase
+    compute / miss / barrier / protocol / recovery decomposition
+    (:func:`repro.obs.phase_breakdown`), the latter
     ``RunResult.critical_path`` with the exact causal critical-path
-    decomposition and what-if bounds (completed runs only).  None of
-    these perturb the simulation — schedules, stats and numerics stay
-    identical.
+    decomposition and what-if bounds (:func:`repro.obs.critical_path`,
+    completed runs only).  None of these perturb the simulation —
+    schedules, stats and numerics stay identical.
 
     ``plan`` short-circuits the functional pass with a previously built
     :class:`ShmemPlan` (it must match this call's program and geometry);

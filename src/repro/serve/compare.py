@@ -66,9 +66,10 @@ def diff_breakdowns(a: RunResult, b: RunResult) -> dict:
       deltas sum *exactly* to the elapsed delta (both decompositions sum
       to their run's elapsed time to the nanosecond);
     * ``nodes``   — critical-path time by the node it ran on (also exact);
-    * ``phases``  — per-phase bucket totals from the phase profiler
-      (summed over nodes, so overlapped work counts once per node —
-      these deltas attribute *work*, not the single critical chain).
+    * ``phases``  — per-phase bucket totals from the phase breakdown,
+      aligned on each phase's own ``index`` (summed over nodes, so
+      overlapped work counts once per node — these deltas attribute
+      *work*, not the single critical chain).
 
     Views missing from either run (not profiled) come back ``None``.
     A self-diff is all-zero by construction.
@@ -100,25 +101,23 @@ def diff_breakdowns(a: RunResult, b: RunResult) -> dict:
         ]
     pa_bd, pb_bd = a.phase_breakdown, b.phase_breakdown
     if pa_bd is not None and pb_bd is not None:
-        pa, pb = pa_bd["phases"], pb_bd["phases"]
+        # Align on each phase's own index (the number ``--profile-phases``
+        # prints), never on list position: one run may have a phase the
+        # other lacks, e.g. the synthetic ``startup`` phase 0.
+        pa = {p["index"]: p for p in pa_bd["phases"]}
+        pb = {p["index"]: p for p in pb_bd["phases"]}
         phases = []
-        for i in range(max(len(pa), len(pb))):
-            ea = pa[i] if i < len(pa) else None
-            eb = pb[i] if i < len(pb) else None
-            ta = sum(ea["total_ns"].values()) if ea else 0
-            tb = sum(eb["total_ns"].values()) if eb else 0
-            keys = list((eb or ea)["total_ns"])
+        for index in sorted(pa.keys() | pb.keys()):
+            ta = pa[index]["total_ns"] if index in pa else {}
+            tb = pb[index]["total_ns"] if index in pb else {}
             phases.append(
                 {
-                    "index": i,
-                    "label": (eb or ea)["label"],
-                    **_d3(ta, tb),
+                    "index": index,
+                    "label": (pb.get(index) or pa[index])["label"],
+                    **_d3(sum(ta.values()), sum(tb.values())),
                     "buckets": {
-                        k: _d3(
-                            ea["total_ns"].get(k, 0) if ea else 0,
-                            eb["total_ns"].get(k, 0) if eb else 0,
-                        )
-                        for k in keys
+                        k: _d3(ta.get(k, 0), tb.get(k, 0))
+                        for k in (tb or ta)
                     },
                 }
             )

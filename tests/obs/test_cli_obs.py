@@ -51,7 +51,10 @@ class TestMain:
         rc = main(SMALL + ["--profile-phases"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "per-phase time breakdown" in out
+        # total_ms adds every node's time: the heading must say so (it used
+        # to claim a per-node average above a 4x-elapsed total).
+        assert "per-phase time breakdown (summed over nodes):" in out
+        assert "average" not in out
         assert "all phases" in out
         assert "read_miss" in out
 

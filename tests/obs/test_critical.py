@@ -1,11 +1,11 @@
-"""Critical-path analyzer: exact-sum invariant, invisibility, what-if bounds.
+"""Critical-path folding: exact-sum invariant, invisibility, what-if bounds.
 
 The tentpole guarantees under test:
 
 * **Exactness** — the critical-path decomposition sums to ``elapsed_ns``
   to the nanosecond, across the full contention stack (faults x combining
   x switch) and through crash + checkpoint + rollback recovery;
-* **Invisibility** — threading causal lineage and attaching the analyzer
+* **Invisibility** — threading causal lineage and attaching the recorder
   never changes a run: stats, elapsed time and numerics stay bitwise
   identical to an unobserved run;
 * **What-if bounds** — zeroing one cost class reports exactly
@@ -15,6 +15,8 @@ The tentpole guarantees under test:
   deltas of any diff sum exactly to the elapsed delta.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,31 +25,10 @@ from repro.runtime import run_shmem
 from repro.serve.compare import diff_breakdowns, render_diff
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import CrashScenario, FaultConfig
+from tests.obs.attribution_matrix import CELLS
+from tests.obs.test_attribution import observed
 from tests.runtime.conftest import jacobi_program
-from tests.tempest.test_protocol_fuzz import COMBINE_ON, FAULT_MATRIX, SWITCH_MATRIX
-
-#: Restarting mid-run crash with per-barrier checkpoints: the run rolls
-#: back and completes, so an exact decomposition exists (a degraded run
-#: has no critical path by definition).
-_CRASH = FaultConfig(
-    checkpoint_every=1,
-    crashes=(CrashScenario(node=2, t_ns=3_000_000, restart_delay_ns=500_000),),
-)
-
-#: run_shmem kwargs per matrix cell (8-node default cluster).
-CELLS = {
-    "clean": {},
-    "opt": {"optimize": True},
-    "storm": {"faults": FAULT_MATRIX["storm"]},
-    "combine": {"combine": COMBINE_ON},
-    "switch": {"switch": SWITCH_MATRIX["narrow"]},
-    "storm+combine+switch": {
-        "faults": FAULT_MATRIX["storm"],
-        "combine": COMBINE_ON,
-        "switch": SWITCH_MATRIX["narrow"],
-    },
-    "crash+rollback": {"optimize": True, "faults": _CRASH},
-}
+from tests.tempest.test_protocol_fuzz import FAULT_MATRIX
 
 
 def run_cp(profile=False, **kwargs):
@@ -62,10 +43,10 @@ def run_cp(profile=False, **kwargs):
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_critical_path_sums_to_elapsed_exactly(cell):
-    r = run_cp(**CELLS[cell])
-    assert r.completed
+    # The cell table, the oracle differential and the phase-side invariants
+    # are tests/obs/test_attribution.py's; this reads the same cached run.
+    r, _, _ = observed(cell)
     cp = r.critical_path
-    assert cp is not None
     assert cp["elapsed_ns"] == r.elapsed_ns
     # To the nanosecond, twice over: by class and by node.
     assert sum(cp["classes"].values()) == r.elapsed_ns
@@ -145,3 +126,43 @@ class TestDiffBreakdowns:
         d = diff_breakdowns(a, a)
         assert d["classes"] is not None
         assert d["phases"] is None
+
+    def test_phases_align_on_their_own_index(self):
+        """Regression: phases were paired by list position and the position
+        was reported as ``index`` — ``phase 4 'copy'`` for the phase
+        ``--profile-phases`` prints as ``5 copy``."""
+        r = run_cp(profile=True)
+        d = diff_breakdowns(r, r)
+        assert [p["index"] for p in d["phases"]] == [
+            p["index"] for p in r.phase_breakdown["phases"]
+        ] == [1, 2, 3, 4, 5]
+        assert [p["label"] for p in d["phases"]] == [
+            p["label"] for p in r.phase_breakdown["phases"]
+        ]
+
+    def test_phase_on_one_side_only_is_not_mispaired(self):
+        """Only run B has the synthetic ``startup`` phase 0: it diffs against
+        nothing, and every real phase still meets its namesake."""
+        a = run_cp(profile=True)
+        startup = {
+            "index": 0,
+            "label": "startup",
+            "node_ns": [],
+            "total_ns": dict.fromkeys(a.phase_breakdown["buckets"], 0)
+            | {"compute": 700},
+        }
+        b = dataclasses.replace(
+            a,
+            phase_breakdown={
+                **a.phase_breakdown,
+                "phases": [startup, *a.phase_breakdown["phases"]],
+            },
+        )
+        for d, sign in ((diff_breakdowns(a, b), 1), (diff_breakdowns(b, a), -1)):
+            assert [p["index"] for p in d["phases"]] == [0, 1, 2, 3, 4, 5]
+            first, *rest = d["phases"]
+            assert first["label"] == "startup"
+            assert first["delta"] == sign * 700
+            assert first["buckets"]["compute"]["delta"] == sign * 700
+            assert all(p["delta"] == 0 for p in rest)
+            assert "phase 0 'startup'" in render_diff(d)

@@ -15,7 +15,7 @@ from repro.obs import (
     EventBus,
     MessageTracer,
     MetricsRegistry,
-    PhaseProfiler,
+    Timeline,
 )
 from repro.runtime import run_shmem
 from repro.tempest import HomePolicy
@@ -47,7 +47,7 @@ def run_schedule(instrument: bool, **cell_kwargs):
         bus = cl.ensure_bus()
         # The full subscriber set at once.
         MetricsRegistry(bus, N_NODES)
-        PhaseProfiler(bus, N_NODES)
+        Timeline(bus, N_NODES, lineage=True)
         ChromeTraceExporter(bus, n_nodes=N_NODES)
         MessageTracer(bus, N_NODES)
 

@@ -42,11 +42,11 @@ def run_instrumented(protocol="invalidate", analyzer=False, **cell_kwargs):
     bus = cl.ensure_bus()
     registry = MetricsRegistry(bus, N_NODES)
     if analyzer:
-        # Lineage consumer riding along: the critical-path analyzer
-        # subscribes to the same stream and must not disturb the counters.
-        from repro.obs import CriticalPathAnalyzer
+        # Lineage consumer riding along: the timeline recorder subscribes
+        # to the same stream and must not disturb the counters.
+        from repro.obs import Timeline
 
-        CriticalPathAnalyzer(bus, N_NODES)
+        Timeline(bus, N_NODES, lineage=True)
 
     def node_program(node):
         for phase_no, phase in enumerate(schedule, start=1):

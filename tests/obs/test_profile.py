@@ -1,12 +1,18 @@
-"""Per-phase profiler: exact decomposition, phase mapping, recovery bucket."""
+"""Per-phase folding: exact decomposition, phase mapping, recovery bucket.
+
+The fault x combining x switch x crash cells live in the one matrix both
+foldings share (``tests/obs/test_attribution.py``); this file keeps the
+4-node structure checks and the synthetic-event cases.
+"""
 
 import pytest
 
 from repro.obs import (
     BUCKETS,
     EventBus,
-    PhaseProfiler,
+    Timeline,
     breakdown_totals,
+    phase_breakdown,
     render_breakdown,
 )
 from repro.runtime import run_shmem
@@ -73,9 +79,9 @@ class TestPhases:
 
     def test_ops_without_markers_land_in_startup_phase(self):
         bus = EventBus()
-        prof = PhaseProfiler(bus, 1)
+        timeline = Timeline(bus, 1)
         bus.emit("op", 0, 100, node=0, op="compute")
-        bd = prof.breakdown()
+        bd = phase_breakdown(timeline)
         assert bd["phases"][0]["label"] == "startup"
         assert bd["phases"][0]["node_ns"][0]["compute"] == 100
 
@@ -102,14 +108,75 @@ class TestRecoveryBucket:
 
     def test_recovery_never_exceeds_op_duration(self):
         bus = EventBus()
-        prof = PhaseProfiler(bus, 1)
+        timeline = Timeline(bus, 1)
         bus.emit("channel.giveup", 0, node=0, dst=1, parked=2, scenario="s")
         # Window still open: a read op fully inside it converts wholly.
         bus.emit("op", 10, 50, node=0, op="read")
-        bd = prof.breakdown()
+        bd = phase_breakdown(timeline)
         buckets = bd["phases"][0]["node_ns"][0]
         assert buckets["transport_recovery"] == 50
         assert buckets["read_miss"] == 0
+
+
+class TestRollbackLedger:
+    """The two recovery rules of the recorder, on hand-built events."""
+
+    def script(self):
+        bus = EventBus()
+        timeline = Timeline(bus, 2)
+        bus.emit("phase", 0, node=0, index=1, label="sweep")
+        bus.emit("op", 0, 100, node=0, op="compute", idx=0)
+        bus.emit("op", 100, 50, node=0, op="read", idx=1)
+        bus.emit("channel.giveup", 120, node=1, dst=0, parked=1, scenario="s")
+        bus.emit("op", 0, 130, node=1, op="barrier", idx=0)
+        # Crash: everyone restarts at t=400 from cursor 0; node 0 had
+        # reached op 2, node 1 op 1.
+        bus.emit("recover.rollback", 400, gen=0, resume=[0, 0], reached=[2, 1])
+        bus.emit("op", 400, 100, node=0, op="compute", idx=0)
+        bus.emit("op", 500, 50, node=0, op="read", idx=1)
+        bus.emit("op", 550, 30, node=0, op="write", idx=2)
+        bus.emit("op", 400, 200, node=1, op="barrier", idx=0)
+        bus.emit("op", 600, 10, node=1, op="barrier", idx=1)
+        return timeline
+
+    def test_outage_is_a_span_and_replayed_ops_are_redo(self):
+        timeline = self.script()
+        assert timeline.spans[0] == [
+            (0, 100, "compute", 1),
+            (100, 150, "read", 1),
+            (150, 400, "outage", 1),
+            (400, 500, "redo", 1),
+            (500, 550, "redo", 1),
+            (550, 580, "write", 1),
+        ]
+        # Node 1 never saw a phase marker: its spans, the outage included,
+        # land in the synthetic startup phase.
+        assert timeline.spans[1] == [
+            (0, 130, "barrier", 0),
+            (130, 400, "outage", 0),
+            (400, 600, "redo", 0),
+            (600, 610, "barrier", 0),
+        ]
+        assert timeline.labels == {1: "sweep", 0: "startup"}
+
+    def test_rollback_closes_the_open_partition_window(self):
+        timeline = self.script()
+        # No channel.heal was published: the transport reset healed it.
+        assert timeline.cuts == [[], [[120, 400]]]
+        bd = phase_breakdown(timeline)
+        assert bd["node_total_ns"] == [580, 610]
+        assert [ph["index"] for ph in bd["phases"]] == [0, 1]
+        startup, sweep = bd["phases"]
+        assert sweep["node_ns"][0] == dict.fromkeys(BUCKETS, 0) | {
+            "compute": 100, "read_miss": 50, "write_miss": 30,
+            "recovery": 250 + 150,
+        }
+        # Pre-crash barrier [0, 130) overlaps the cut for 10 ns; the
+        # post-restart one is past the window and stays barrier_wait.
+        assert startup["node_ns"][1] == dict.fromkeys(BUCKETS, 0) | {
+            "barrier_wait": 120 + 10, "transport_recovery": 10,
+            "recovery": 270 + 200,
+        }
 
 
 class TestRendering:
