@@ -39,12 +39,12 @@ import pytest
 from benchmarks.conftest import (
     bench_request,
     bench_scale,
-    load_bench_json,
     print_table,
     serve_batch,
 )
 from repro.apps import APPS
 from repro.obs import ChromeTraceExporter, EventBus, MetricsRegistry
+from repro.report import load_bench_artifact
 from repro.runtime import run_shmem
 from repro.tempest.config import ClusterConfig
 
@@ -151,7 +151,7 @@ def test_ablation_obs_overhead(benchmark):
 
     # Drift check against the previous artifact, if one survives from an
     # earlier run at the same scale (absent/corrupt files are skipped).
-    previous = load_bench_json(JSON_PATH)
+    previous = load_bench_artifact(JSON_PATH)
     if previous is not None and previous.get("scale") == bench_scale():
         for app, cells in matrix.items():
             old = previous.get("apps", {}).get(app, {}).get("export")

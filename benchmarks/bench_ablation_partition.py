@@ -40,10 +40,10 @@ import json
 from benchmarks.conftest import (
     bench_request,
     bench_scale,
-    load_bench_json,
     print_table,
     serve_batch,
 )
+from repro.report import load_bench_artifact
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import FaultConfig, LinkFaultConfig, PartitionScenario
 
@@ -148,7 +148,7 @@ def test_ablation_partition_matrix(benchmark):
         ],
     )
 
-    previous = load_bench_json(JSON_PATH)
+    previous = load_bench_artifact(JSON_PATH)
     if previous is not None and previous.get("scale") == bench_scale():
         for app, cells in matrix.items():
             old = previous.get("apps", {}).get(app, {}).get("healed-partition")

@@ -46,10 +46,10 @@ import json
 from benchmarks.conftest import (
     bench_request,
     bench_scale,
-    load_bench_json,
     print_table,
     serve_batch,
 )
+from repro.report import load_bench_artifact
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import CrashScenario, FaultConfig
 
@@ -163,7 +163,7 @@ def test_ablation_recovery_matrix(benchmark):
         ],
     )
 
-    previous = load_bench_json(JSON_PATH)
+    previous = load_bench_artifact(JSON_PATH)
     if previous is not None and previous.get("scale") == bench_scale():
         for app, cells in matrix.items():
             old = previous.get("apps", {}).get(app, {}).get("crash-ckpt-1")

@@ -30,10 +30,10 @@ import pytest
 from benchmarks.conftest import (
     bench_request,
     bench_scale,
-    load_bench_json,
     print_table,
     serve_batch,
 )
+from repro.report import load_bench_artifact
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 
 #: The acceptance pair: the invalidation-heavy stencil and the wide
@@ -146,7 +146,7 @@ def test_ablation_switch_matrix(benchmark):
 
     # Drift check against the previous artifact, if one survives from an
     # earlier run at the same scale (absent/corrupt files are skipped).
-    previous = load_bench_json(JSON_PATH)
+    previous = load_bench_artifact(JSON_PATH)
     if previous is not None and previous.get("scale") == bench_scale():
         for app, cells in matrix.items():
             old = previous.get("apps", {}).get(app, {}).get("switch+plain")

@@ -22,7 +22,6 @@ set ``REPRO_PAPER_SCALE=1`` to run the paper's exact sizes.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -110,29 +109,15 @@ def serve_batch(requests: list[RunRequest]) -> list[RunResult]:
     return [sr.result for sr in serve_session().run_batch(requests)]
 
 
-def load_bench_json(path: str) -> dict | None:
-    """Best-effort load of a prior bench artifact (``BENCH_*.json``).
-
-    The ablation benches diff a fresh matrix against the previous run's
-    artifact when one is lying around.  A missing, truncated, or
-    hand-edited file must never fail a bench, so every error — absent
-    file, unreadable file, malformed JSON, wrong shape — degrades to
-    ``None`` and the diff is simply skipped.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return data if isinstance(data, dict) else None
-
-
 class RunCache:
     """Memoized application runs, shared by all benches in a session.
 
-    A thin veneer over :func:`serve_run` these days: the serve layer
-    already memoizes (and can pool/persist), but the dict keeps repeat
-    lookups free of even the cache-key hash.
+    The dict is the cross-bench *result* memo: the shared
+    :class:`ServeSession` memoizes plans and joins identical in-flight
+    requests, but it keeps finished results only in a persistent store,
+    and the benches run without one unless ``REPRO_BENCH_CACHE`` is set —
+    so without this dict a cell two benches share would be simulated
+    twice.
     """
 
     def __init__(self) -> None:

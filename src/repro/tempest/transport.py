@@ -423,34 +423,19 @@ class ReliableTransport:
         send_seq = None
 
         def on_wire_done() -> None:
-            # An active partition cuts the frame deterministically at the
-            # end of its serialization — no RNG draw is consumed, so runs
-            # without partition scenarios keep their exact draw sequence.
-            if self._partitions and self._cut_now(frame.src, frame.dst):
-                frame.pending_acks -= 1
-                net.stats[frame.src].net_drops += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "frame.drop", self.engine.now, node=frame.src,
-                        parent=send_seq,
-                        dst=frame.dst, seq=frame.seq, cause="partition",
-                    )
-                return
-            # Fault draws in a fixed order so runs replay exactly:
-            # drop, duplicate, then per-copy jitter inside arrival.
+            # Fault draws in a fixed order so runs replay exactly: drop,
+            # duplicate, then per-copy jitter inside arrival.
             prof = self._profile(frame.src, frame.dst)
-            dropped = prof.drop_prob > 0 and prof.rng.random() < prof.drop_prob
-            duplicated = prof.dup_prob > 0 and prof.rng.random() < prof.dup_prob
-            if dropped:
+            cause = self._lost(frame.src, frame.dst, prof)
+            if cause is not None:
                 frame.pending_acks -= 1
-                net.stats[frame.src].net_drops += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "frame.drop", self.engine.now, node=frame.src,
-                        parent=send_seq,
-                        dst=frame.dst, seq=frame.seq, cause="loss",
-                    )
-            else:
+                self._count_drop(
+                    frame.src, frame.dst, cause, parent=send_seq, seq=frame.seq
+                )
+            if cause == "partition":
+                return  # cut, not drawn: no duplicate draw either
+            duplicated = prof.dup_prob > 0 and prof.rng.random() < prof.dup_prob
+            if cause is None:
                 self._schedule_arrival(frame)
             if duplicated:
                 # An extra wire copy (it may still be deduplicated).
@@ -470,6 +455,27 @@ class ReliableTransport:
             if frame.first_send_seq is None:
                 frame.first_send_seq = ev.seq
         net.traverse(frame.src, frame.dst, frame.size, send_seq, on_wire_done)
+
+    def _lost(self, src: int, dst: int, prof: _LinkProfile) -> str | None:
+        """Why the wire copy (data frame or ack) leaving ``src`` for ``dst``
+        right now is lost, or None when it survives.  An active partition
+        cuts it deterministically the moment it leaves the sender's link —
+        no RNG draw is consumed, so runs without partition scenarios keep
+        their exact draw sequence; otherwise the link's drop draw decides."""
+        if self._partitions and self._cut_now(src, dst):
+            return "partition"
+        if prof.drop_prob > 0 and prof.rng.random() < prof.drop_prob:
+            return "loss"
+        return None
+
+    def _count_drop(self, src: int, dst: int, cause: str, parent=None, **payload) -> None:
+        """Charge one lost wire copy to its sender and publish it."""
+        self.network.stats[src].net_drops += 1
+        if self.obs is not None:
+            self.obs.emit(
+                "frame.drop", self.engine.now, node=src, parent=parent,
+                dst=dst, **payload, cause=cause,
+            )
 
     def _schedule_arrival(self, frame: _Frame) -> None:
         prof = self._profile(frame.src, frame.dst)
@@ -770,29 +776,15 @@ class ReliableTransport:
         seqs = [f.seq for f in frames]
 
         def on_wire_done() -> None:
-            # Acks crossing an active partition boundary are cut exactly
-            # like data frames — deterministically, no draw consumed.
-            if self._partitions and self._cut_now(acker, peer):
-                self.network.stats[acker].net_drops += 1
-                for f in frames:
-                    f.pending_acks -= 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "frame.drop", self.engine.now, node=acker,
-                        dst=peer, seqs=seqs, ack=True, cause="partition",
-                    )
-                return
             prof = self._profile(acker, peer)
-            if prof.drop_prob > 0 and prof.rng.random() < prof.drop_prob:
-                self.network.stats[acker].net_drops += 1
+            cause = self._lost(acker, peer, prof)
+            if cause is not None:
+                # One lost ack frame is one drop however many sequence
+                # numbers it carried; the retransmit path recovers.
                 for f in frames:
                     f.pending_acks -= 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "frame.drop", self.engine.now, node=acker,
-                        dst=peer, seqs=seqs, ack=True, cause="loss",
-                    )
-                return  # the retransmit path recovers
+                self._count_drop(acker, peer, cause, seqs=seqs, ack=True)
+                return
             delay = self.network.residual_latency_ns + prof.jitter()
             self.engine.call_after(delay, self._on_acks, peer, acker, seqs)
 

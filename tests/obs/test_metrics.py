@@ -5,7 +5,18 @@ switch (the full contention stack), every counter the simulator keeps
 inline must be reconstructible from the event stream alone — misses,
 messages, retransmits, combined frames, switch queueing, per-port stats.
 A drift between an emit site and its counter fails here loudly.
+
+The registry is built from the counter declarations in
+``repro.tempest.stats`` (``COUNTERS``), so the same table drives the
+tests at the bottom: every declared counter is mutated once, every
+countable field is declared, and every declared event is one ``src/``
+emits with the payload argument the declaration names.
 """
+
+import copy
+import dataclasses
+import functools
+from collections import Counter
 
 import pytest
 
@@ -13,7 +24,10 @@ from repro.obs import EventBus, MetricsRegistry
 from repro.runtime import run_shmem
 from repro.tempest import HomePolicy
 from repro.tempest.config import ClusterConfig
+from repro.tempest.stats import COUNTERS, ClusterStats, MsgKind, NodeStats, PortStats
+from tests.obs import counters_matrix
 from tests.runtime.conftest import jacobi_program
+from tests.test_docs import emit_sites
 from tests.tempest.test_protocol_fuzz import (
     COMBINE_ON,
     FAULT_MATRIX,
@@ -34,6 +48,14 @@ CELLS = {
         "switch": SWITCH_MATRIX["narrow"],
     },
 }
+
+
+def derived(registry, name, owner=NodeStats) -> int:
+    """One event-derived counter summed over its owners (and kinds)."""
+    return sum(
+        sum(v.values()) if isinstance(v, Counter) else v
+        for v in registry.derived[owner, name].values()
+    )
 
 
 def run_instrumented(protocol="invalidate", analyzer=False, **cell_kwargs):
@@ -70,12 +92,12 @@ def test_registry_matches_stats_across_matrix(cell, protocol):
     registry.assert_matches(stats)
     # The cells actually exercised what they claim to.
     if "storm" in cell:
-        assert sum(registry.net_retransmits) == stats.total_retransmits > 0
+        assert derived(registry, "net_retransmits") == stats.total_retransmits > 0
     if "combine" in cell:
-        assert sum(registry.combine_flushes) == stats.total_combine_flushes > 0
+        assert derived(registry, "combine_flushes") == stats.total_combine_flushes > 0
     if "switch" in cell:
-        assert sum(registry.switch_frames) == stats.total_switch_frames > 0
-        assert set(registry.ports) == {p.port for p in stats.ports}
+        assert derived(registry, "switch_frames") == stats.total_switch_frames > 0
+        assert set(registry.derived[PortStats, "frames"]) == {p.port for p in stats.ports}
 
 
 def test_registry_matches_full_application_run():
@@ -90,7 +112,7 @@ def test_registry_matches_full_application_run():
         obs=bus,
     )
     registry.assert_matches(result.stats)
-    assert sum(sum(c.values()) for c in registry.messages) == result.stats.total_messages
+    assert derived(registry, "messages") == result.stats.total_messages
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -121,16 +143,84 @@ def test_registry_matches_recovery_counters():
     assert result.completed
     registry.assert_matches(result.stats)
     stats = result.stats
-    assert registry.recovery_checkpoints == stats.recovery_checkpoints > 0
-    assert registry.recovery_checkpoint_bytes == stats.recovery_checkpoint_bytes > 0
-    assert registry.recovery_rollbacks == stats.recovery_rollbacks == 1
-    assert registry.recovery_ns == stats.recovery_ns > 0
+    for name in ("recovery_checkpoints", "recovery_checkpoint_bytes", "recovery_ns"):
+        assert derived(registry, name, ClusterStats) == getattr(stats, name) > 0
+    assert derived(registry, "recovery_rollbacks", ClusterStats) == stats.recovery_rollbacks == 1
 
 
-def test_diff_reports_mismatch():
-    registry, stats = run_instrumented()
-    stats.nodes[0].read_misses += 1
-    diff = registry.diff(stats)
-    assert diff and "read_misses" in diff[0]
-    with pytest.raises(AssertionError):
+@pytest.mark.parametrize("cell", counters_matrix.CELLS)
+def test_matrix_cells_cross_check_and_reproduce_the_parent_digests(cell):
+    """Replayed jacobi over the attribution matrix + advisory prefetch
+    through the switch + a degraded run: the registry agrees on every
+    cell, and everything ``ClusterStats`` aggregates hashes to what the
+    hand-written ``total_*``/``*_summary`` of PR 17's parent produced."""
+    bus = EventBus()
+    registry = MetricsRegistry(bus, ClusterConfig().n_nodes)
+    result = counters_matrix.run_counters_cell(cell, obs=bus)
+    stats = result.stats
+    assert registry.diff(stats) == []
+    assert counters_matrix.digest(counters_matrix.aggregates(stats)) == (
+        counters_matrix.DIGESTS[cell]
+    )
+    assert result.completed == (cell != "degraded")
+    if cell == "advisory+switch":
+        # The two counters nothing cross-checked before this table.
+        assert derived(registry, "prefetches") == sum(n.prefetches for n in stats.nodes) > 0
+        assert max(registry.derived[PortStats, "max_depth"].values()) == stats.max_port_depth >= 2
+    if cell == "degraded":
+        assert derived(registry, "net_gave_up") == stats.total_gave_up > 0
+
+
+EVENT_DERIVED = [(cls, f) for cls, f in COUNTERS if f.metadata["event"] is not None]
+#: Declared, but no event re-derives them; ``NodeStats`` says why.
+NOT_EVENT_DERIVED = {"compute_ns", "stall_ns", "barrier_ns", "call_ns", "reduce_ns"}
+
+
+@functools.lru_cache(maxsize=None)
+def _switch_cell():
+    return run_instrumented(**CELLS["switch"])  # the cell with ports to mutate
+
+
+@pytest.mark.parametrize(
+    "cls, f", EVENT_DERIVED, ids=[f"{cls.__name__}.{f.name}" for cls, f in EVENT_DERIVED]
+)
+def test_diff_reports_mismatch(cls, f):
+    """``+1`` on the stats side of any one declared counter — node, port
+    or cluster level — is exactly one diff line naming that counter."""
+    registry, clean = _switch_cell()
+    assert registry.diff(clean) == []
+    stats = copy.deepcopy(clean)
+    owner, label = {
+        NodeStats: (stats.nodes[0], "node 0"),
+        PortStats: (stats.ports[0], f"port {stats.ports[0].port}"),
+        ClusterStats: (stats, "cluster"),
+    }[cls]
+    if f.metadata["keyed"]:
+        getattr(owner, f.name)[MsgKind.ACK] += 1
+    else:
+        setattr(owner, f.name, getattr(owner, f.name) + 1)
+    (line,) = registry.diff(stats)
+    assert line.startswith(f"{label} {f.name}: ")
+    with pytest.raises(AssertionError, match=f.name):
         registry.assert_matches(stats)
+
+
+def test_every_countable_field_is_declared_and_every_declared_event_is_emitted():
+    declared = {(cls, f.name) for cls, f in COUNTERS}
+    countable = {
+        (cls, f.name)
+        for cls in (NodeStats, PortStats, ClusterStats)
+        for f in dataclasses.fields(cls)
+        if f.type in ("int", "Counter")
+        and f.name not in ("node", "port")
+        and (cls is not ClusterStats or f.name.startswith("recovery_"))
+    }
+    assert countable == declared
+    assert {f.name for _, f in COUNTERS if f.metadata["event"] is None} == NOT_EVENT_DERIVED
+    sites = emit_sites()
+    for cls, f in EVENT_DERIVED:
+        event, arg = f.metadata["event"], f.metadata["arg"]
+        assert event in sites, f"{cls.__name__}.{f.name}: no emit site for {event!r}"
+        assert arg is None or all(arg in kwargs for kwargs in sites[event]), (
+            f"{cls.__name__}.{f.name}: an emit of {event!r} passes no {arg!r}"
+        )

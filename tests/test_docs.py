@@ -1,11 +1,14 @@
-"""The flag and axis reference tables in the docs list exactly what the
-parsers and the field spec declare — no more, no fewer."""
+"""The flag, axis, event and counter reference tables in the docs list
+exactly what the parsers, the field spec, the emit sites and the counter
+declarations say — no more, no fewer."""
 
+import ast
 import pathlib
 import re
 
 from repro.cli import build_parser
 from repro.serve.matrix import AXES
+from repro.tempest.stats import COUNTERS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -58,3 +61,51 @@ def test_serve_doc_axis_table_matches_the_spec():
         for axis, targets in AXES.items()
     }
     assert documented == declared
+
+
+def emit_sites() -> dict[str, list[set[str]]]:
+    """Event kind -> the payload keyword names of each ``.emit("kind", ...)``
+    call under ``src/`` (a ``**mapping`` argument contributes none)."""
+    sites: dict[str, list[set[str]]] = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                sites.setdefault(node.args[0].value, []).append(
+                    {kw.arg for kw in node.keywords if kw.arg}
+                )
+    return sites
+
+
+def test_observability_doc_event_taxonomy_matches_the_emit_sites():
+    documented = []
+    for row in _table_rows("docs/observability.md", "## Event taxonomy"):
+        # "`frame.send` / `.accept`" abbreviates frame.send, frame.accept
+        for token in re.findall(r"`([a-z.]+)`", row[0]):
+            prefix = documented[-1].rsplit(".", 1)[0] if token.startswith(".") else ""
+            documented.append(prefix + token)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(emit_sites())
+
+
+def test_observability_doc_counter_table_matches_the_declarations():
+    def cell(value, suffix=""):
+        return f"`{value}`{suffix}" if value else "—"
+
+    declared = []
+    for cls, f in COUNTERS:
+        m = f.metadata
+        scale = f" (÷ {int(m['scale']):,})" if m["scale"] != 1 else ""
+        declared.append([
+            cell(f.name), cell(cls.__name__), cell(m["event"]), cell(m["arg"]),
+            cell(m["total"]), cell(m["summary"], scale),
+        ])
+    documented = _table_rows("docs/observability.md", "## Counter cross-check")
+    assert documented == declared, "\n".join(
+        "| " + " | ".join(row) + " |" for row in declared
+    )
