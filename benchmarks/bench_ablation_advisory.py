@@ -14,16 +14,27 @@ their next writes.
 
 import pytest
 
-from benchmarks.conftest import APP_NAMES, RunCache, bench_scale, print_table
+from benchmarks.conftest import (
+    APP_NAMES,
+    bench_request,
+    bench_scale,
+    print_table,
+    run_cells,
+)
 
 
-def test_ablation_advisory(runs: RunCache, benchmark):
+def test_ablation_advisory(benchmark):
     def measure():
+        cells = run_cells({
+            (name, advisory): bench_request(name, optimize=True, advisory=advisory)
+            for name in APP_NAMES
+            for advisory in (False, "prefetch", "full")
+        })
         rows = []
         for name in APP_NAMES:
-            base = runs.run(name, optimize=True)
-            pf_only = runs.run(name, optimize=True, advisory="prefetch")
-            full = runs.run(name, optimize=True, advisory="full")
+            base, pf_only, full = (
+                cells[name, advisory] for advisory in (False, "prefetch", "full")
+            )
             prefetches = sum(s.prefetches for s in pf_only.stats.nodes)
             rows.append(
                 (

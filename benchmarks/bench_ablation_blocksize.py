@@ -13,27 +13,21 @@ granularity.  Two effects the paper discusses appear directly:
 
 import pytest
 
-from benchmarks.conftest import bench_request, print_table, serve_batch
+from benchmarks.conftest import print_table, run_matrix
 from repro.tempest.config import ClusterConfig
 
 BLOCK_SIZES = (32, 64, 128, 256)
 
 
 def test_ablation_block_size(benchmark):
-    # grav is the edge-effect-sensitive app; the matrix goes through the
-    # serve layer so the cells fan out under REPRO_BENCH_JOBS.
+    # grav is the edge-effect-sensitive app.
     def measure():
-        cells = []
-        for bs in BLOCK_SIZES:
-            cfg = ClusterConfig(n_nodes=8, block_size=bs)
-            cells.append(bench_request("grav", cfg, scale="default"))
-            cells.append(
-                bench_request("grav", cfg, scale="default", optimize=True)
-            )
-        results = serve_batch(cells)
+        variants = {bs: ClusterConfig(n_nodes=8, block_size=bs) for bs in BLOCK_SIZES}
+        unopts = run_matrix(["grav"], variants, scale="default")["grav"]
+        opts = run_matrix(["grav"], variants, scale="default", optimize=True)["grav"]
         rows = []
-        for i, bs in enumerate(BLOCK_SIZES):
-            unopt, opt = results[2 * i], results[2 * i + 1]
+        for bs in BLOCK_SIZES:
+            unopt, opt = unopts[bs], opts[bs]
             opt.assert_same_numerics(unopt)
             rows.append(
                 (

@@ -22,16 +22,13 @@ Two properties should hold:
   with no control-frame locality complete in the same simulated time.
 """
 
-import json
-
 import pytest
 
 from benchmarks.conftest import (
     APP_NAMES,
-    bench_request,
-    bench_scale,
     print_table,
-    serve_batch,
+    run_matrix,
+    write_artifact,
 )
 from repro.tempest.config import ClusterConfig, CombineConfig
 from repro.tempest.faults import FaultConfig
@@ -59,14 +56,6 @@ def header_frames(stats) -> int:
     )
 
 
-def variant_config(combine: bool, adaptive: bool) -> ClusterConfig:
-    return ClusterConfig(
-        n_nodes=N_NODES,
-        combine=CombineConfig(enabled=combine),
-        faults=FaultConfig(jitter_ns=1, seed=0, adaptive_rto=adaptive),
-    )
-
-
 def cell(result) -> dict:
     s = result.stats
     return {
@@ -82,43 +71,27 @@ def cell(result) -> dict:
     }
 
 
-VARIANTS = [
-    (combine, adaptive) for combine in (False, True) for adaptive in (False, True)
-]
+VARIANTS = {
+    f"{'combine' if combine else 'plain'}+{'adaptive' if adaptive else 'fixed'}":
+    ClusterConfig(
+        n_nodes=N_NODES,
+        combine=CombineConfig(enabled=combine),
+        faults=FaultConfig(jitter_ns=1, seed=0, adaptive_rto=adaptive),
+    )
+    for combine in (False, True)
+    for adaptive in (False, True)
+}
 
 
 def test_ablation_combining_matrix(benchmark):
     def measure():
-        # One serve batch for the whole (app x variant) matrix, plus each
-        # app's uniprocessor reference: 6 x (1 + 4) cells fanned across
-        # REPRO_BENCH_JOBS workers.
-        requests = []
-        for app in APP_NAMES:
-            requests.append(
-                bench_request(
-                    app, ClusterConfig(n_nodes=N_NODES), backend="uniproc"
-                )
-            )
-            for combine, adaptive in VARIANTS:
-                requests.append(
-                    bench_request(app, variant_config(combine, adaptive))
-                )
-        results = serve_batch(requests)
-        matrix = {}
-        stride = 1 + len(VARIANTS)
-        for i, app in enumerate(APP_NAMES):
-            uni = results[i * stride]
-            cells = {}
-            for j, (combine, adaptive) in enumerate(VARIANTS):
-                result = results[i * stride + 1 + j]
-                result.assert_same_numerics(uni)
-                key = (
-                    f"{'combine' if combine else 'plain'}"
-                    f"+{'adaptive' if adaptive else 'fixed'}"
-                )
-                cells[key] = cell(result)
-            matrix[app] = cells
-        return matrix
+        # The whole (app x variant) matrix plus each app's uniprocessor
+        # reference: 6 x (1 + 4) cells in one batch.
+        results = run_matrix(APP_NAMES, VARIANTS, N_NODES)
+        return {
+            app: {name: cell(r) for name, r in cells.items()}
+            for app, cells in results.items()
+        }
 
     matrix = benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -164,12 +137,7 @@ def test_ablation_combining_matrix(benchmark):
         ],
     )
 
-    with open(JSON_PATH, "w") as fh:
-        json.dump(
-            {"scale": bench_scale(), "n_nodes": N_NODES, "apps": matrix},
-            fh, indent=2, sort_keys=True,
-        )
-    print(f"\nwrote {JSON_PATH}")
+    write_artifact(JSON_PATH, matrix, N_NODES)
 
     # Combining never adds wire traffic, and on the invalidation-heavy
     # apps it removes a substantial share of the control frames.

@@ -14,7 +14,7 @@ Two properties should hold:
 
 import pytest
 
-from benchmarks.conftest import bench_request, print_table, serve_batch
+from benchmarks.conftest import print_table, run_matrix
 from repro.tempest import Cluster, Distribution, MsgKind, SharedMemory
 from repro.tempest.config import US, ClusterConfig
 from repro.tempest.faults import FaultConfig
@@ -22,42 +22,32 @@ from repro.tempest.faults import FaultConfig
 DROP_RATES = (0.0, 0.01, 0.05, 0.10)
 
 
-def fault_config(drop: float) -> FaultConfig | None:
+def drop_config(drop: float) -> ClusterConfig | None:
     if drop == 0.0:
         return None  # the perfect wire: transport bypassed entirely
-    return FaultConfig(
-        drop_prob=drop,
-        dup_prob=drop / 2,
-        jitter_ns=10 * US,
-        seed=1997,
+    return ClusterConfig(
+        n_nodes=8,
+        faults=FaultConfig(
+            drop_prob=drop,
+            dup_prob=drop / 2,
+            jitter_ns=10 * US,
+            seed=1997,
+        ),
     )
-
-
-def drop_config(drop: float) -> ClusterConfig:
-    cfg = ClusterConfig(n_nodes=8)
-    faults = fault_config(drop)
-    return cfg if faults is None else cfg.scaled(faults=faults)
 
 
 @pytest.mark.parametrize("app", ["jacobi", "cg"])
 def test_ablation_fault_rates(benchmark, app):
-    baseline = serve_batch(
-        [bench_request(app, ClusterConfig(n_nodes=8), backend="uniproc")]
-    )[0]
-
     def measure():
-        results = serve_batch(
-            [
-                bench_request(app, drop_config(drop), optimize=True)
-                for drop in DROP_RATES
-            ]
-        )
-        rows = []
-        for drop, result in zip(DROP_RATES, results):
-            result.assert_same_numerics(baseline)  # faults never change answers
-            rel = result.stats.reliability_summary()
-            rows.append((drop, result.elapsed_ns, rel))
-        return rows
+        # run_matrix checks every cell against the uniprocessor
+        # reference: faults never change answers.
+        results = run_matrix(
+            [app], {drop: drop_config(drop) for drop in DROP_RATES}, optimize=True
+        )[app]
+        return [
+            (drop, result.elapsed_ns, result.stats.reliability_summary())
+            for drop, result in results.items()
+        ]
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     clean_ns = rows[0][1]

@@ -12,27 +12,24 @@ pushes bypass the home entirely), even though its setup traffic makes its
 
 import pytest
 
-from benchmarks.conftest import bench_request, print_table, serve_batch
-from repro.tempest.config import ClusterConfig
+from benchmarks.conftest import bench_request, print_table, run_cells
 from repro.tempest.memory import HomePolicy
 
 POLICIES = (HomePolicy.ALIGNED, HomePolicy.ROUND_ROBIN, HomePolicy.NODE0)
 
 
 def test_ablation_home_placement(benchmark):
-    cfg = ClusterConfig(n_nodes=8)
-
     def measure():
-        cells = []
-        for policy in POLICIES:
-            cells.append(bench_request("jacobi", cfg, home_policy=policy))
-            cells.append(
-                bench_request("jacobi", cfg, optimize=True, home_policy=policy)
+        cells = run_cells({
+            (policy, optimize): bench_request(
+                "jacobi", optimize=optimize, home_policy=policy
             )
-        results = serve_batch(cells)
+            for policy in POLICIES
+            for optimize in (False, True)
+        })
         out = {}
-        for i, policy in enumerate(POLICIES):
-            unopt, opt = results[2 * i], results[2 * i + 1]
+        for policy in POLICIES:
+            unopt, opt = cells[policy, False], cells[policy, True]
             opt.assert_same_numerics(unopt)
             out[policy.value] = (unopt.elapsed_ns, opt.elapsed_ns)
         return out

@@ -11,7 +11,7 @@ protocol's multi-message chains pay repeatedly.
 
 import pytest
 
-from benchmarks.conftest import bench_request, print_table, serve_batch
+from benchmarks.conftest import print_table, run_matrix
 from repro.tempest.config import US, ClusterConfig
 
 WIRE_US = (2, 10, 25, 50)
@@ -19,15 +19,15 @@ WIRE_US = (2, 10, 25, 50)
 
 def test_ablation_network_latency(benchmark):
     def measure():
-        cells = []
-        for wire_us in WIRE_US:
-            cfg = ClusterConfig(n_nodes=8, wire_latency_ns=wire_us * US)
-            cells.append(bench_request("jacobi", cfg))
-            cells.append(bench_request("jacobi", cfg, optimize=True))
-        results = serve_batch(cells)
+        variants = {
+            wire_us: ClusterConfig(n_nodes=8, wire_latency_ns=wire_us * US)
+            for wire_us in WIRE_US
+        }
+        unopts = run_matrix(["jacobi"], variants)["jacobi"]
+        opts = run_matrix(["jacobi"], variants, optimize=True)["jacobi"]
         rows = []
-        for i, wire_us in enumerate(WIRE_US):
-            unopt, opt = results[2 * i], results[2 * i + 1]
+        for wire_us in WIRE_US:
+            unopt, opt = unopts[wire_us], opts[wire_us]
             opt.assert_same_numerics(unopt)
             rows.append(
                 (

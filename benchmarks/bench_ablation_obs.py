@@ -29,7 +29,6 @@ Three properties must hold:
 * the no-bus cell publishes zero events.
 """
 
-import json
 import os
 import tempfile
 import time
@@ -40,11 +39,11 @@ from benchmarks.conftest import (
     bench_request,
     bench_scale,
     print_table,
-    serve_batch,
+    run_cells,
+    write_artifact,
 )
 from repro.apps import APPS
 from repro.obs import ChromeTraceExporter, EventBus, MetricsRegistry
-from repro.report import load_bench_artifact
 from repro.runtime import run_shmem
 from repro.tempest.config import ClusterConfig
 
@@ -81,16 +80,14 @@ def test_ablation_obs_overhead(benchmark):
     # input.  Only the uniprocessor numerics references ride the serve
     # layer (and fan out under REPRO_BENCH_JOBS).
     def measure():
-        unis = serve_batch(
-            [
-                bench_request(
-                    app, ClusterConfig(n_nodes=N_NODES), backend="uniproc"
-                )
-                for app in BENCH_APPS
-            ]
-        )
+        unis = run_cells({
+            app: bench_request(
+                app, ClusterConfig(n_nodes=N_NODES), backend="uniproc"
+            )
+            for app in BENCH_APPS
+        })
         matrix = {}
-        for app, uni in zip(BENCH_APPS, unis):
+        for app, uni in unis.items():
             prog = APPS[app].program(bench_scale())
             cells = {}
             baseline = None
@@ -149,24 +146,10 @@ def test_ablation_obs_overhead(benchmark):
         ],
     )
 
-    # Drift check against the previous artifact, if one survives from an
-    # earlier run at the same scale (absent/corrupt files are skipped).
-    previous = load_bench_artifact(JSON_PATH)
-    if previous is not None and previous.get("scale") == bench_scale():
-        for app, cells in matrix.items():
-            old = previous.get("apps", {}).get(app, {}).get("export")
-            if old and "wall_s" in old:
-                print(
-                    f"{app}: export-cell wall time {old['wall_s']:.2f} s -> "
-                    f"{cells['export']['wall_s']:.2f} s vs previous artifact"
-                )
-
-    with open(JSON_PATH, "w") as fh:
-        json.dump(
-            {"scale": bench_scale(), "n_nodes": N_NODES, "apps": matrix},
-            fh, indent=2, sort_keys=True,
-        )
-    print(f"\nwrote {JSON_PATH}")
+    write_artifact(
+        JSON_PATH, matrix, N_NODES,
+        watch=("export", "wall_s", lambda s: f"{s:.2f} s"),
+    )
 
     for app, cells in matrix.items():
         assert cells["off"]["events_published"] == 0, app

@@ -35,15 +35,7 @@ Three properties should hold:
   accumulated before the give-up survive in the partial stats.
 """
 
-import json
-
-from benchmarks.conftest import (
-    bench_request,
-    bench_scale,
-    print_table,
-    serve_batch,
-)
-from repro.report import load_bench_artifact
+from benchmarks.conftest import print_table, run_matrix, write_artifact
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import FaultConfig, LinkFaultConfig, PartitionScenario
 
@@ -54,24 +46,26 @@ JSON_PATH = "BENCH_partition.json"
 _US = 1_000
 
 
-def fault_variants() -> dict[str, FaultConfig | None]:
-    window = dict(t_start_ns=200 * _US, nodes=frozenset({1}))
-    return {
-        "clean": None,
-        "flaky-link": FaultConfig(
-            seed=11, link_faults=(LinkFaultConfig(0, 1, drop_prob=0.25),)
+_WINDOW = dict(t_start_ns=200 * _US, nodes=frozenset({1}))
+FAULTS = {
+    "flaky-link": FaultConfig(
+        seed=11, link_faults=(LinkFaultConfig(0, 1, drop_prob=0.25),)
+    ),
+    "healed-partition": FaultConfig(
+        seed=11,
+        partitions=(
+            PartitionScenario("blip", duration_ns=3_000 * _US, **_WINDOW),
         ),
-        "healed-partition": FaultConfig(
-            seed=11,
-            partitions=(
-                PartitionScenario("blip", duration_ns=3_000 * _US, **window),
-            ),
-        ),
-        "permanent-partition": FaultConfig(
-            seed=11, max_retries=4,
-            partitions=(PartitionScenario("dead", **window),),
-        ),
-    }
+    ),
+    "permanent-partition": FaultConfig(
+        seed=11, max_retries=4,
+        partitions=(PartitionScenario("dead", **_WINDOW),),
+    ),
+}
+VARIANTS = {"clean": None} | {
+    name: ClusterConfig(n_nodes=N_NODES, faults=faults)
+    for name, faults in FAULTS.items()
+}
 
 
 def cell(result) -> dict:
@@ -91,39 +85,16 @@ def cell(result) -> dict:
     }
 
 
-def variant_config(faults) -> ClusterConfig:
-    cfg = ClusterConfig(n_nodes=N_NODES)
-    return cfg if faults is None else cfg.scaled(faults=faults)
-
-
 def test_ablation_partition_matrix(benchmark):
     def measure():
         # The full (app x wire-condition) matrix plus per-app uniproc
-        # references in one serve batch; degraded cells cache like any
-        # other (a permanent cut is a deterministic outcome of its key).
-        variants = fault_variants()
-        requests = []
-        for app in BENCH_APPS:
-            requests.append(
-                bench_request(
-                    app, ClusterConfig(n_nodes=N_NODES), backend="uniproc"
-                )
-            )
-            for faults in variants.values():
-                requests.append(bench_request(app, variant_config(faults)))
-        results = serve_batch(requests)
-        matrix = {}
-        stride = 1 + len(variants)
-        for i, app in enumerate(BENCH_APPS):
-            uni = results[i * stride]
-            cells = {}
-            for j, name in enumerate(variants):
-                result = results[i * stride + 1 + j]
-                if result.completed:
-                    result.assert_same_numerics(uni)
-                cells[name] = cell(result)
-            matrix[app] = cells
-        return matrix
+        # references in one batch; degraded cells cache like any other (a
+        # permanent cut is a deterministic outcome of its key).
+        results = run_matrix(BENCH_APPS, VARIANTS, N_NODES)
+        return {
+            app: {name: cell(r) for name, r in cells.items()}
+            for app, cells in results.items()
+        }
 
     matrix = benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -148,24 +119,10 @@ def test_ablation_partition_matrix(benchmark):
         ],
     )
 
-    previous = load_bench_artifact(JSON_PATH)
-    if previous is not None and previous.get("scale") == bench_scale():
-        for app, cells in matrix.items():
-            old = previous.get("apps", {}).get(app, {}).get("healed-partition")
-            if old and "elapsed_ns" in old:
-                print(
-                    f"{app}: healed-partition elapsed "
-                    f"{old['elapsed_ns'] / 1e6:.1f} ms -> "
-                    f"{cells['healed-partition']['elapsed_ns'] / 1e6:.1f} ms "
-                    f"vs previous artifact"
-                )
-
-    with open(JSON_PATH, "w") as fh:
-        json.dump(
-            {"scale": bench_scale(), "n_nodes": N_NODES, "apps": matrix},
-            fh, indent=2, sort_keys=True,
-        )
-    print(f"\nwrote {JSON_PATH}")
+    write_artifact(
+        JSON_PATH, matrix, N_NODES,
+        watch=("healed-partition", "elapsed_ns", lambda ns: f"{ns / 1e6:.1f} ms"),
+    )
 
     for app, cells in matrix.items():
         clean = cells["clean"]

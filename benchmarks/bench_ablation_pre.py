@@ -13,9 +13,14 @@ strength.
 import numpy as np
 import pytest
 
-from benchmarks.conftest import RunCache, bench_scale, print_table, serve_run
+from benchmarks.conftest import (
+    APP_NAMES,
+    bench_request,
+    bench_scale,
+    print_table,
+    run_cells,
+)
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.tempest.config import ClusterConfig
 from repro.tempest.stats import MsgKind
 
 
@@ -35,15 +40,24 @@ def stable_coefficient_kernel(n=256, iters=10):
     return b.build()
 
 
-def test_ablation_pre(runs: RunCache, benchmark):
-    cfg = ClusterConfig(n_nodes=8)
-
+def test_ablation_pre(benchmark):
     def measure():
+        # The six apps, then the showcase kernel — an inline Program:
+        # serve keys it by content and runs it in-process (closures don't
+        # pickle).  PRE on vs off, on top of the optimizer.
+        workloads = {name: dict(app=name) for name in APP_NAMES}
+        workloads["stable-coeff"] = dict(program=stable_coefficient_kernel())
+        cells = run_cells({
+            (name, pre): bench_request(**spec, optimize=True, pre=pre)
+            for name, spec in workloads.items()
+            for pre in (False, True)
+        })
+        cells["stable-coeff", True].assert_same_numerics(
+            cells["stable-coeff", False]
+        )
         rows = []
-        # The six apps: PRE on vs off (on top of the full optimizer).
-        for name in ["pde", "shallow", "grav", "lu", "cg", "jacobi"]:
-            base = runs.run(name, optimize=True)
-            pre = runs.run(name, optimize=True, pre=True)
+        for name in workloads:
+            base, pre = cells[name, False], cells[name, True]
             rows.append(
                 (
                     name,
@@ -53,21 +67,6 @@ def test_ablation_pre(runs: RunCache, benchmark):
                     100 * (1 - pre.elapsed_ns / base.elapsed_ns),
                 )
             )
-        # The showcase kernel: an inline Program — serve keys it by
-        # content and runs it in-process (closures don't pickle).
-        prog = stable_coefficient_kernel()
-        base = serve_run(config=cfg, program=prog, optimize=True)
-        pre = serve_run(config=cfg, program=prog, optimize=True, pre=True)
-        pre.assert_same_numerics(base)
-        rows.append(
-            (
-                "stable-coeff",
-                base.stats.messages_by_kind().get(MsgKind.DATA, 0),
-                pre.stats.messages_by_kind().get(MsgKind.DATA, 0),
-                pre.extra.get("blocks_elided", 0),
-                100 * (1 - pre.elapsed_ns / base.elapsed_ns),
-            )
-        )
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)

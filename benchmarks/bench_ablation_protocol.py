@@ -19,17 +19,28 @@ invalidation semantics for everything it cannot analyze.
 
 import pytest
 
-from benchmarks.conftest import APP_NAMES, RunCache, bench_scale, print_table
+from benchmarks.conftest import (
+    APP_NAMES,
+    bench_request,
+    bench_scale,
+    print_table,
+    run_cells,
+)
 from repro.tempest.stats import MsgKind
 
+REGIMES = {"inv": {}, "upd": {"protocol": "update"}, "opt": {"optimize": True}}
 
-def test_ablation_protocol_choice(runs: RunCache, benchmark):
+
+def test_ablation_protocol_choice(benchmark):
     def measure():
+        cells = run_cells({
+            (name, regime): bench_request(name, **options)
+            for name in APP_NAMES
+            for regime, options in REGIMES.items()
+        })
         rows = []
         for name in APP_NAMES:
-            inv = runs.run(name)
-            upd = runs.run(name, protocol="update")
-            opt = runs.run(name, optimize=True)
+            inv, upd, opt = (cells[name, regime] for regime in REGIMES)
             rows.append(
                 dict(
                     app=name,

@@ -41,15 +41,7 @@ Three properties should hold:
   no-ckpt cell reports ``completed=False`` and names the crashed node.
 """
 
-import json
-
-from benchmarks.conftest import (
-    bench_request,
-    bench_scale,
-    print_table,
-    serve_batch,
-)
-from repro.report import load_bench_artifact
+from benchmarks.conftest import print_table, run_matrix, write_artifact
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import CrashScenario, FaultConfig
 
@@ -59,22 +51,24 @@ CRASH_NODE = 2
 RESTART_US = 500
 JSON_PATH = "BENCH_recovery.json"
 
+#: variant -> barriers between checkpoints (0 = never)
+CHECKPOINT_EVERY = {"crash-no-ckpt": 0, "crash-ckpt-1": 1, "crash-ckpt-4": 4}
+
 _US = 1_000
 
 
-def crash_variants(t_crash_ns: int) -> dict[str, FaultConfig | None]:
+def crash_variants(t_crash_ns: int) -> dict[str, ClusterConfig]:
     # max_retries=6 keeps keepalive detection at ~8 ms instead of the
     # ~60 ms the default 32-retry budget would spend proving the death.
     scen = CrashScenario(CRASH_NODE, t_crash_ns, RESTART_US * _US)
     return {
-        "clean": None,
-        "crash-no-ckpt": FaultConfig(crashes=(scen,), max_retries=6),
-        "crash-ckpt-1": FaultConfig(
-            crashes=(scen,), max_retries=6, checkpoint_every=1
-        ),
-        "crash-ckpt-4": FaultConfig(
-            crashes=(scen,), max_retries=6, checkpoint_every=4
-        ),
+        name: ClusterConfig(
+            n_nodes=N_NODES,
+            faults=FaultConfig(
+                crashes=(scen,), max_retries=6, checkpoint_every=every
+            ),
+        )
+        for name, every in CHECKPOINT_EVERY.items()
     }
 
 
@@ -98,47 +92,17 @@ def cell(result) -> dict:
 
 def test_ablation_recovery_matrix(benchmark):
     def measure():
-        cfg = ClusterConfig(n_nodes=N_NODES)
-        # Two serve batches: the crash instant is derived from each app's
-        # own clean run, so the references must land before the crash
-        # cells can even be phrased.
-        refs = serve_batch(
-            [
-                req
-                for app in BENCH_APPS
-                for req in (
-                    bench_request(app, cfg, backend="uniproc"),
-                    bench_request(app, cfg),
-                )
-            ]
-        )
-        per_app = {
-            app: (refs[2 * i], refs[2 * i + 1])
-            for i, app in enumerate(BENCH_APPS)
+        # The crash instant is derived from each app's own clean run, so
+        # the clean cells must land before that app's crash cells can
+        # even be phrased (their batch finds the reference in the store).
+        results = run_matrix(BENCH_APPS, {"clean": None}, N_NODES)
+        for app, cells in results.items():
+            variants = crash_variants(cells["clean"].elapsed_ns // 2)
+            cells.update(run_matrix([app], variants, N_NODES)[app])
+        return {
+            app: {name: cell(r) for name, r in cells.items()}
+            for app, cells in results.items()
         }
-        crash_requests, index = [], []
-        for app, (_uni, clean) in per_app.items():
-            for name, faults in crash_variants(clean.elapsed_ns // 2).items():
-                if faults is None:
-                    continue
-                crash_requests.append(
-                    bench_request(app, cfg.scaled(faults=faults))
-                )
-                index.append((app, name))
-        crashed = dict(zip(index, serve_batch(crash_requests)))
-        matrix = {}
-        for app, (uni, clean) in per_app.items():
-            clean.assert_same_numerics(uni)
-            cells = {"clean": cell(clean)}
-            for name in crash_variants(0):
-                if name == "clean":
-                    continue
-                result = crashed[(app, name)]
-                if result.completed:
-                    result.assert_same_numerics(uni)
-                cells[name] = cell(result)
-            matrix[app] = cells
-        return matrix
 
     matrix = benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -163,24 +127,10 @@ def test_ablation_recovery_matrix(benchmark):
         ],
     )
 
-    previous = load_bench_artifact(JSON_PATH)
-    if previous is not None and previous.get("scale") == bench_scale():
-        for app, cells in matrix.items():
-            old = previous.get("apps", {}).get(app, {}).get("crash-ckpt-1")
-            if old and "elapsed_ns" in old:
-                print(
-                    f"{app}: crash-ckpt-1 elapsed "
-                    f"{old['elapsed_ns'] / 1e6:.1f} ms -> "
-                    f"{cells['crash-ckpt-1']['elapsed_ns'] / 1e6:.1f} ms "
-                    f"vs previous artifact"
-                )
-
-    with open(JSON_PATH, "w") as fh:
-        json.dump(
-            {"scale": bench_scale(), "n_nodes": N_NODES, "apps": matrix},
-            fh, indent=2, sort_keys=True,
-        )
-    print(f"\nwrote {JSON_PATH}")
+    write_artifact(
+        JSON_PATH, matrix, N_NODES,
+        watch=("crash-ckpt-1", "elapsed_ns", lambda ns: f"{ns / 1e6:.1f} ms"),
+    )
 
     for app, cells in matrix.items():
         clean = cells["clean"]

@@ -11,7 +11,7 @@ close; the tree pulls ahead as nodes double.
 
 import pytest
 
-from benchmarks.conftest import bench_request, print_table, serve_batch
+from benchmarks.conftest import bench_request, print_table, run_cells
 from repro.tempest.config import ClusterConfig
 
 GRID = [(nodes, algo) for nodes in (8, 16) for algo in ("central", "tree")]
@@ -19,17 +19,16 @@ GRID = [(nodes, algo) for nodes in (8, 16) for algo in ("central", "tree")]
 
 def test_ablation_reduce_algorithm(benchmark):
     def measure():
-        cells = [
-            bench_request(
+        cells = run_cells({
+            (nodes, algo): bench_request(
                 "grav",
                 ClusterConfig(n_nodes=nodes, reduce_algorithm=algo),
                 optimize=True,
             )
             for nodes, algo in GRID
-        ]
-        results = serve_batch(cells)
+        })
         rows = []
-        for (nodes, algo), r in zip(GRID, results):
+        for (nodes, algo), r in cells.items():
             reduce_ms = sum(s.reduce_ns for s in r.stats.nodes) / len(
                 r.stats.nodes
             ) / 1e6

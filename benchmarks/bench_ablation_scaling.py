@@ -8,7 +8,7 @@ the optimized version holds its efficiency further out.
 
 import pytest
 
-from benchmarks.conftest import bench_request, print_table, serve_batch
+from benchmarks.conftest import bench_request, print_table, run_cells
 from repro.tempest.config import ClusterConfig
 
 NODE_COUNTS = (2, 4, 8, 16)
@@ -16,18 +16,20 @@ NODE_COUNTS = (2, 4, 8, 16)
 
 def test_ablation_node_scaling(benchmark):
     def measure():
-        cells = [
-            bench_request("jacobi", ClusterConfig(n_nodes=1), backend="uniproc")
-        ]
+        cells = {
+            "uni": bench_request(
+                "jacobi", ClusterConfig(n_nodes=1), backend="uniproc"
+            )
+        }
         for nodes in NODE_COUNTS:
             cfg = ClusterConfig(n_nodes=nodes)
-            cells.append(bench_request("jacobi", cfg))
-            cells.append(bench_request("jacobi", cfg, optimize=True))
-        results = serve_batch(cells)
-        uni = results[0]
+            cells[nodes, "unopt"] = bench_request("jacobi", cfg)
+            cells[nodes, "opt"] = bench_request("jacobi", cfg, optimize=True)
+        results = run_cells(cells)
+        uni = results["uni"]
         rows = []
-        for i, nodes in enumerate(NODE_COUNTS):
-            unopt, opt = results[2 * i + 1], results[2 * i + 2]
+        for nodes in NODE_COUNTS:
+            unopt, opt = results[nodes, "unopt"], results[nodes, "opt"]
             opt.assert_same_numerics(uni)
             rows.append(
                 (

@@ -23,17 +23,9 @@ Three properties should hold:
   and fewer frames means less port pressure, never more.
 """
 
-import json
-
 import pytest
 
-from benchmarks.conftest import (
-    bench_request,
-    bench_scale,
-    print_table,
-    serve_batch,
-)
-from repro.report import load_bench_artifact
+from benchmarks.conftest import print_table, run_matrix, write_artifact
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 
 #: The acceptance pair: the invalidation-heavy stencil and the wide
@@ -41,14 +33,6 @@ from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 BENCH_APPS = ["jacobi", "shallow"]
 N_NODES = 8
 JSON_PATH = "BENCH_switch.json"
-
-
-def variant_config(switch: bool, combine: bool) -> ClusterConfig:
-    return ClusterConfig(
-        n_nodes=N_NODES,
-        switch=SwitchConfig(enabled=switch),
-        combine=CombineConfig(enabled=combine),
-    )
 
 
 def cell(result) -> dict:
@@ -66,43 +50,28 @@ def cell(result) -> dict:
     }
 
 
-VARIANTS = [
-    (switch, combine) for switch in (False, True) for combine in (False, True)
-]
+#: The 2x2 (also the matrix ``bench_serve.py`` times the serve layer on).
+VARIANTS = {
+    f"{'switch' if switch else 'link'}+{'combine' if combine else 'plain'}":
+    ClusterConfig(
+        n_nodes=N_NODES,
+        switch=SwitchConfig(enabled=switch),
+        combine=CombineConfig(enabled=combine),
+    )
+    for switch in (False, True)
+    for combine in (False, True)
+}
 
 
 def test_ablation_switch_matrix(benchmark):
     def measure():
-        # One serve batch over the whole (app x 2x2) matrix plus per-app
-        # uniproc references — all cells share one plan per app, and fan
-        # across workers under REPRO_BENCH_JOBS.
-        requests = []
-        for app in BENCH_APPS:
-            requests.append(
-                bench_request(
-                    app, ClusterConfig(n_nodes=N_NODES), backend="uniproc"
-                )
-            )
-            for switch, combine in VARIANTS:
-                requests.append(
-                    bench_request(app, variant_config(switch, combine))
-                )
-        results = serve_batch(requests)
-        matrix = {}
-        stride = 1 + len(VARIANTS)
-        for i, app in enumerate(BENCH_APPS):
-            uni = results[i * stride]
-            cells = {}
-            for j, (switch, combine) in enumerate(VARIANTS):
-                result = results[i * stride + 1 + j]
-                result.assert_same_numerics(uni)
-                key = (
-                    f"{'switch' if switch else 'link'}"
-                    f"+{'combine' if combine else 'plain'}"
-                )
-                cells[key] = cell(result)
-            matrix[app] = cells
-        return matrix
+        # The whole (app x 2x2) matrix plus per-app uniproc references in
+        # one batch — all cells of an app share one plan.
+        results = run_matrix(BENCH_APPS, VARIANTS, N_NODES)
+        return {
+            app: {name: cell(r) for name, r in cells.items()}
+            for app, cells in results.items()
+        }
 
     matrix = benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -144,26 +113,10 @@ def test_ablation_switch_matrix(benchmark):
         ],
     )
 
-    # Drift check against the previous artifact, if one survives from an
-    # earlier run at the same scale (absent/corrupt files are skipped).
-    previous = load_bench_artifact(JSON_PATH)
-    if previous is not None and previous.get("scale") == bench_scale():
-        for app, cells in matrix.items():
-            old = previous.get("apps", {}).get(app, {}).get("switch+plain")
-            if old and "switch_wait_ns" in old:
-                print(
-                    f"{app}: queued delay "
-                    f"{old['switch_wait_ns'] / 1e6:.2f} ms -> "
-                    f"{cells['switch+plain']['switch_wait_ns'] / 1e6:.2f} ms "
-                    f"vs previous artifact"
-                )
-
-    with open(JSON_PATH, "w") as fh:
-        json.dump(
-            {"scale": bench_scale(), "n_nodes": N_NODES, "apps": matrix},
-            fh, indent=2, sort_keys=True,
-        )
-    print(f"\nwrote {JSON_PATH}")
+    write_artifact(
+        JSON_PATH, matrix, N_NODES,
+        watch=("switch+plain", "switch_wait_ns", lambda ns: f"{ns / 1e6:.2f} ms"),
+    )
 
     for app, cells in matrix.items():
         link, sw = cells["link+plain"], cells["switch+plain"]

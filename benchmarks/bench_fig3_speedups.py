@@ -21,30 +21,24 @@ comparison targets are the ratios *between* parallel configurations.
 
 import pytest
 
-from benchmarks.conftest import APP_NAMES, RunCache, bench_scale, print_table
+from benchmarks.conftest import APP_NAMES, bench_scale, print_table
 
 
-def fig3_rows(runs: RunCache):
-    rows = []
-    for name in APP_NAMES:
-        rte = name != "cg"  # see bench_table3_reduction
-        uni = runs.run(name, backend="uniproc")
-        data = dict(
-            app=name,
-            sm_1cpu=uni.elapsed_ns / runs.run(name, dual_cpu=False).elapsed_ns,
-            sm_1cpu_opt=uni.elapsed_ns
-            / runs.run(name, dual_cpu=False, optimize=True, rt_elim=rte).elapsed_ns,
-            sm_2cpu=uni.elapsed_ns / runs.run(name, dual_cpu=True).elapsed_ns,
-            sm_2cpu_opt=uni.elapsed_ns
-            / runs.run(name, dual_cpu=True, optimize=True, rt_elim=rte).elapsed_ns,
-            msgpass=uni.elapsed_ns / runs.run(name, backend="msgpass").elapsed_ns,
-        )
-        rows.append(data)
-    return rows
-
-
-def test_fig3_speedups(runs, benchmark):
-    rows = benchmark.pedantic(fig3_rows, args=(runs,), rounds=1, iterations=1)
+def test_fig3_speedups(evaluations, benchmark):
+    rows = benchmark.pedantic(
+        lambda: [
+            dict(
+                app=e.app,
+                sm_1cpu=e.speedup(e.unopt_single),
+                sm_1cpu_opt=e.speedup(e.opt_single),
+                sm_2cpu=e.speedup(e.unopt_dual),
+                sm_2cpu_opt=e.speedup(e.opt_dual),
+                msgpass=e.speedup(e.msgpass),
+            )
+            for e in map(evaluations.get, APP_NAMES)
+        ],
+        rounds=1, iterations=1,
+    )
     print_table(
         f"Figure 3: speedups on 8 nodes [scale={bench_scale()}]",
         ["app", "sm-1cpu", "sm-1cpu-opt", "sm-2cpu", "sm-2cpu-opt", "msg-pass"],

@@ -14,41 +14,42 @@ bulk transfer is the more important optimization".
 
 import pytest
 
-from benchmarks.conftest import APP_NAMES, RunCache, bench_scale, print_table
-from repro.obs import BUCKETS, breakdown_totals
+from benchmarks.conftest import (
+    APP_NAMES,
+    bench_scale,
+    experiments_table,
+    print_table,
+)
+from repro.obs import BUCKETS
 
 
-def fig4_rows(runs: RunCache):
-    rows = []
-    for name in APP_NAMES:
-        unopt = runs.run(name).elapsed_ns
-        base = runs.run(name, optimize=True, bulk=False).elapsed_ns
-        bulk = runs.run(name, optimize=True, bulk=True).elapsed_ns
-        if name == "cg":
-            full = bulk  # rt-elim structurally inapplicable (see Table 3)
-        else:
-            full = runs.run(name, optimize=True, bulk=True, rt_elim=True).elapsed_ns
-        rows.append(
+def test_fig4_breakdown(evaluations, benchmark):
+    # "full" is the full stack of repro.report's matrix: +rt-elim
+    # everywhere but cg, where it is structurally inapplicable.
+    rows = benchmark.pedantic(
+        lambda: [
             dict(
-                app=name,
-                base=100 * (1 - base / unopt),
-                bulk=100 * (1 - bulk / unopt),
-                full=100 * (1 - full / unopt),
+                app=e.app,
+                base=e.time_reduction(e.opt_base),
+                bulk=e.time_reduction(e.opt_bulk),
+                full=e.time_reduction(e.opt_dual),
             )
-        )
-    return rows
-
-
-def test_fig4_breakdown(runs, benchmark):
-    rows = benchmark.pedantic(fig4_rows, args=(runs,), rounds=1, iterations=1)
+            for e in map(evaluations.get, APP_NAMES)
+        ],
+        rounds=1, iterations=1,
+    )
+    display = [
+        [r["app"], f"{r['base']:.1f}", f"{r['bulk']:.1f}", f"{r['full']:.1f}"]
+        for r in rows
+    ]
     print_table(
         f"Figure 4: execution-time reduction vs unoptimized [scale={bench_scale()}]",
         ["app", "base opt %", "+bulk %", "+bulk+rt-elim %"],
-        [
-            [r["app"], f"{r['base']:.1f}", f"{r['bulk']:.1f}", f"{r['full']:.1f}"]
-            for r in rows
-        ],
+        display,
     )
+    if bench_scale() == "default":
+        # EXPERIMENTS.md publishes this table; hold it to the bench.
+        assert experiments_table("## Figure 4") == display
     for r in rows:
         # Each increment helps, or is at worst nearly neutral.  (grav can
         # lose ~1 point to rt-elim at small scale: its misaligned pages put
@@ -69,36 +70,31 @@ def test_fig4_breakdown(runs, benchmark):
         assert bulk_gain > rte_gain, (bulk_gain, rte_gain)
 
 
-def decomposition_rows(runs: RunCache):
-    """Per-app bucket decomposition of the unopt and opt runs (profiled)."""
-    rows = []
-    for name in APP_NAMES:
-        for label, kwargs in (("unopt", {}), ("opt", {"optimize": True})):
-            res = runs.run(name, profile=True, **kwargs)
-            bd = res.phase_breakdown
-            assert bd is not None
-            # The timeline's per-node op spans are contiguous, so the
-            # slowest node's bucket total IS the run's elapsed time.
-            assert max(bd["node_total_ns"]) == res.elapsed_ns, name
-            totals = breakdown_totals(bd)
-            grand = sum(totals.values()) or 1
-            rows.append(
-                dict(
-                    app=name,
-                    mode=label,
-                    elapsed_ms=res.elapsed_ns / 1e6,
-                    **{b: 100 * totals[b] / grand for b in BUCKETS},
-                )
-            )
-    return rows
-
-
-def test_fig4_time_decomposition(runs, benchmark):
+def test_fig4_time_decomposition(evaluations, benchmark):
     """Where the time goes, per app: the paper's Figure-4-style view of
     *why* the optimizer wins — read-miss and barrier-wait shares collapse
-    while compute share grows."""
-    rows = benchmark.pedantic(decomposition_rows, args=(runs,), rounds=1,
-                              iterations=1)
+    while compute share grows (the two profiled headline cells)."""
+    def measure():
+        rows = []
+        for name in APP_NAMES:
+            e = evaluations[name]
+            for label, res in (("unopt", e.unopt_dual), ("opt", e.opt_dual)):
+                bd = res.phase_breakdown
+                assert bd is not None
+                # The timeline's per-node op spans are contiguous, so the
+                # slowest node's bucket total IS the run's elapsed time.
+                assert max(bd["node_total_ns"]) == res.elapsed_ns, name
+                rows.append(
+                    dict(
+                        app=name,
+                        mode=label,
+                        elapsed_ms=res.elapsed_ns / 1e6,
+                        **e.bucket_shares(res),
+                    )
+                )
+        return rows
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     print_table(
         f"Figure 4 companion: time decomposition [scale={bench_scale()}]",
         ["app", "mode", "elapsed ms"] + [b.replace("_", " ") + " %" for b in BUCKETS],

@@ -33,13 +33,11 @@ import time
 
 import pytest
 
+from benchmarks.bench_ablation_switch import BENCH_APPS, N_NODES, VARIANTS
 from benchmarks.conftest import bench_request, bench_scale, print_table
 from repro.serve import ServeSession, assert_results_equal
 from repro.serve.matrix import cell_label
-from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 
-BENCH_APPS = ["jacobi", "shallow"]
-N_NODES = 8
 JSON_PATH = "BENCH_serve.json"
 
 
@@ -48,21 +46,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover — non-Linux
         return os.cpu_count() or 1
-
-
-def matrix_requests():
-    """The switch-ablation cells as content-addressed requests."""
-    requests = []
-    for app in BENCH_APPS:
-        for switch in (False, True):
-            for combine in (False, True):
-                cfg = ClusterConfig(
-                    n_nodes=N_NODES,
-                    switch=SwitchConfig(enabled=switch),
-                    combine=CombineConfig(enabled=combine),
-                )
-                requests.append(bench_request(app, cfg))
-    return requests
 
 
 def timed_batch(requests, **session_kw):
@@ -74,7 +57,12 @@ def timed_batch(requests, **session_kw):
 
 
 def test_serve_speedup_and_cache(benchmark):
-    requests = matrix_requests()
+    # The switch-ablation cells as content-addressed requests.
+    requests = [
+        bench_request(app, config)
+        for app in BENCH_APPS
+        for config in VARIANTS.values()
+    ]
     jobs = 4 if usable_cpus() >= 4 else 2
 
     def measure():

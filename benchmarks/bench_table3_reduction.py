@@ -15,42 +15,34 @@ columns, which are scale-robust.
 
 import pytest
 
-from benchmarks.conftest import APP_NAMES, RunCache, bench_scale, print_table
+from benchmarks.conftest import (
+    APP_NAMES,
+    bench_scale,
+    experiments_table,
+    print_table,
+)
 from repro.apps import APPS
 
 
-def table3_rows(runs: RunCache):
-    rows = []
-    for name in APP_NAMES:
-        # Full optimization stack; rt-elim's whole-program assumptions fail
-        # structurally for our cg (its per-owner vector chunks are smaller
-        # than a cache block, so senders cannot retain exclusivity) — use
-        # the base+bulk optimizer there, as the compiler would.
-        rte = name != "cg"
-        un_d = runs.run(name, dual_cpu=True)
-        op_d = runs.run(name, dual_cpu=True, optimize=True, rt_elim=rte)
-        un_s = runs.run(name, dual_cpu=False)
-        op_s = runs.run(name, dual_cpu=False, optimize=True, rt_elim=rte)
-        red_d = 100 * (1 - op_d.comm_ms / un_d.comm_ms)
-        red_s = 100 * (1 - op_s.comm_ms / un_s.comm_ms)
-        miss_red = 100 * (1 - op_d.misses_per_node / un_d.misses_per_node)
-        rows.append(
+def test_table3_reduction(evaluations, benchmark):
+    # The cells and the reduction columns are repro.report's: the full
+    # optimization stack, with its one exception for cg.
+    rows = benchmark.pedantic(
+        lambda: [
             dict(
-                app=name,
-                compute_ms=un_d.compute_ms,
-                comm_dual_ms=un_d.comm_ms,
-                red_dual=red_d,
-                comm_single_ms=un_s.comm_ms,
-                red_single=red_s,
-                misses_per_node=un_d.misses_per_node,
-                miss_red=miss_red,
+                app=e.app,
+                compute_ms=e.unopt_dual.compute_ms,
+                comm_dual_ms=e.unopt_dual.comm_ms,
+                red_dual=e.comm_reduction_dual,
+                comm_single_ms=e.unopt_single.comm_ms,
+                red_single=e.comm_reduction_single,
+                misses_per_node=e.unopt_dual.misses_per_node,
+                miss_red=e.miss_reduction,
             )
-        )
-    return rows
-
-
-def test_table3_reduction(runs, benchmark):
-    rows = benchmark.pedantic(table3_rows, args=(runs,), rounds=1, iterations=1)
+            for e in map(evaluations.get, APP_NAMES)
+        ],
+        rounds=1, iterations=1,
+    )
     display = []
     for r in rows:
         paper = APPS[r["app"]].paper
@@ -81,6 +73,12 @@ def test_table3_reduction(runs, benchmark):
         ],
         display,
     )
+    if bench_scale() == "default":
+        # EXPERIMENTS.md publishes these columns; hold it to the bench.
+        assert experiments_table("**Default scale**") == [
+            [r["app"]] + [f"{r[c]:.1f}" for c in ("miss_red", "red_dual", "red_single")]
+            for r in rows
+        ]
 
     by_app = {r["app"]: r for r in rows}
     # Shape assertions (scale-robust):

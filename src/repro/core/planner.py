@@ -80,10 +80,6 @@ class CommPlan:
     def is_empty(self) -> bool:
         return not any(self.pre) and not any(self.post)
 
-    def ops_for(self, node: int, stages: list[list[CallOp]]) -> list[list[CallOp]]:
-        """This node's ops per stage (same stage structure)."""
-        return [[op for op in stage if op.node == node] for stage in stages]
-
     def total_controlled_blocks(self) -> int:
         return int(sum(len(b) for b in self.controlled.values()))
 

@@ -22,8 +22,8 @@ from typing import Sequence
 
 from repro.apps import APPS
 from repro.obs import BUCKETS, COST_CLASSES, breakdown_totals
-from repro.runtime import RunResult, run_msgpass, run_shmem, run_uniproc
-from repro.serve.request import RunRequest
+from repro.runtime import RunResult
+from repro.serve import RunRequest, ServeSession
 from repro.spec import add_flags
 from repro.tempest.config import US, ClusterConfig, CombineConfig
 from repro.tempest.faults import FaultConfig
@@ -32,12 +32,11 @@ __all__ = [
     "AppEvaluation",
     "BENCH_ARTIFACTS",
     "evaluate_app",
-    "evaluate_combining",
-    "evaluate_faults",
     "load_bench_artifact",
+    "main",
+    "paper_cells",
     "render_bench_appendix",
     "render_report",
-    "main",
 ]
 
 #: Matrix artifacts the ablation benches leave behind (see
@@ -54,21 +53,75 @@ BENCH_ARTIFACTS = (
 )
 
 
+def paper_cells(
+    app: str,
+    scale: str = "default",
+    n_nodes: int = 8,
+    params=(),
+    faults: FaultConfig | None = None,
+    combine: bool = False,
+) -> dict[str, RunRequest]:
+    """The paper's evaluation matrix for one application, by cell name.
+
+    The single declaration of what Table 3, Figure 3 and Figure 4 are
+    computed from; ``combine`` adds the unoptimized run with message
+    combining on, ``faults`` the fully optimized run over that lossy wire.
+    """
+    dual = ClusterConfig(n_nodes=n_nodes, dual_cpu=True)
+    single = ClusterConfig(n_nodes=n_nodes, dual_cpu=False)
+    # The full optimizer stack.  rt-elim's whole-program assumptions fail
+    # structurally for our cg (its per-owner vector chunks are smaller
+    # than a cache block, so senders cannot retain exclusivity) — it gets
+    # the base+bulk optimizer there, as the compiler would.
+    full = dict(optimize=True, rt_elim=app != "cg")
+    # The two headline runs carry the per-phase profiler and the
+    # critical-path analyzer: the decomposition tables read their
+    # ``phase_breakdown`` and ``critical_path`` (attaching either never
+    # perturbs timing or numerics).
+    profiled = dict(profile_phases=True, critical_path=True)
+
+    def cell(config: ClusterConfig = dual, **options) -> RunRequest:
+        return RunRequest(
+            app=app, scale=scale, params=params, config=config, **options
+        )
+
+    cells = {
+        "uni": cell(backend="uniproc"),
+        "unopt_dual": cell(**profiled),
+        "opt_dual": cell(**full, **profiled),
+        "unopt_single": cell(single),
+        "opt_single": cell(single, **full),
+        "msgpass": cell(backend="msgpass"),
+        "opt_base": cell(optimize=True, bulk=False),  # sender-initiated only
+        "opt_bulk": cell(optimize=True, bulk=True),   # + bulk transfer
+    }
+    if combine:
+        cells["combined"] = cell(dual.scaled(combine=CombineConfig(enabled=True)))
+    if faults is not None:
+        cells["faulted"] = cell(
+            dual.scaled(faults=faults), **full, audit_each_barrier=True
+        )
+    return cells
+
+
 @dataclass
 class AppEvaluation:
-    """The evaluation matrix for one application."""
+    """One application's served :func:`paper_cells`, by name (also
+    reachable as attributes: ``e.opt_dual``), and every column the tables
+    derive from them — these formulas exist nowhere else."""
 
     app: str
     scale: str
-    uni: RunResult
-    unopt_dual: RunResult
-    opt_dual: RunResult
-    unopt_single: RunResult
-    opt_single: RunResult
-    msgpass: RunResult
-    opt_base: RunResult       # sender-initiated only (no bulk, no rt-elim)
-    opt_bulk: RunResult       # + bulk transfer
+    cells: dict[str, RunResult]
     wall_s: float
+    #: the wire the ``faulted`` cell ran over, if it was asked for
+    faults: FaultConfig | None = None
+
+    def __getattr__(self, name: str) -> RunResult:
+        try:
+            return self.__dict__["cells"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     # ------------------------------ derived --------------------------- #
     @property
@@ -89,63 +142,40 @@ class AppEvaluation:
     def time_reduction(self, variant: RunResult) -> float:
         return 100 * (1 - variant.elapsed_ns / self.unopt_dual.elapsed_ns)
 
+    def bucket_shares(self, result: RunResult) -> dict[str, float]:
+        """Each profiler bucket's share (%) of a profiled cell's total
+        node time, summed over all nodes and phases."""
+        totals = breakdown_totals(result.phase_breakdown)
+        grand = sum(totals.values()) or 1
+        return {b: 100 * totals[b] / grand for b in BUCKETS}
+
 
 def evaluate_app(
-    name: str, scale: str = "default", n_nodes: int = 8, **overrides
+    name: str,
+    scale: str = "default",
+    n_nodes: int = 8,
+    session: ServeSession | None = None,
+    faults: FaultConfig | None = None,
+    combine: bool = False,
+    **overrides,
 ) -> AppEvaluation:
-    """Run the full matrix for one application (numerics cross-checked)."""
-    spec = APPS[name]
-    prog = spec.program(scale, **overrides)
-    dual = ClusterConfig(n_nodes=n_nodes, dual_cpu=True)
-    single = ClusterConfig(n_nodes=n_nodes, dual_cpu=False)
-    rte = name != "cg"  # see bench_table3_reduction
+    """Serve :func:`paper_cells` for one application as one batch
+    (numerics of every cell cross-checked against the uniprocessor run).
 
+    ``session`` brings a cache and a worker pool; without one the cells
+    are computed inline (a default session owns no pool, so there is
+    nothing to close).  ``overrides`` are app parameters.
+    """
+    requests = paper_cells(name, scale, n_nodes, overrides, faults, combine)
     # perf_counter, not time.time(): the wall clock can step backwards
     # (NTP adjustments) and would record a negative evaluation duration.
     t0 = time.perf_counter()
-    uni = run_uniproc(prog, dual)
-    # The two headline runs carry the per-phase profiler and the
-    # critical-path analyzer: the report's decomposition section reads
-    # their ``phase_breakdown`` and ``critical_path`` (attaching either
-    # never perturbs timing or numerics).
-    unopt_dual = run_shmem(prog, dual, profile_phases=True, critical_path=True)
-    opt_dual = run_shmem(
-        prog, dual, optimize=True, rt_elim=rte,
-        profile_phases=True, critical_path=True,
-    )
-    unopt_single = run_shmem(prog, single)
-    opt_single = run_shmem(prog, single, optimize=True, rt_elim=rte)
-    msgpass = run_msgpass(prog, dual)
-    opt_base = run_shmem(prog, dual, optimize=True, bulk=False)
-    opt_bulk = run_shmem(prog, dual, optimize=True, bulk=True)
-    for r in (unopt_dual, opt_dual, msgpass):
-        r.assert_same_numerics(uni)
-    return AppEvaluation(
-        name, scale, uni, unopt_dual, opt_dual, unopt_single, opt_single,
-        msgpass, opt_base, opt_bulk, time.perf_counter() - t0,
-    )
-
-
-def evaluate_combining(e: AppEvaluation, n_nodes: int) -> RunResult:
-    """Re-run the unoptimized dual-CPU configuration with combining on."""
-    prog = APPS[e.app].program(e.scale)
-    dual = ClusterConfig(
-        n_nodes=n_nodes, dual_cpu=True, combine=CombineConfig(enabled=True)
-    )
-    result = run_shmem(prog, dual)
-    result.assert_same_numerics(e.uni)
-    return result
-
-
-def evaluate_faults(e: AppEvaluation, n_nodes: int, faults: FaultConfig) -> RunResult:
-    """Re-run the optimized dual-CPU configuration over a lossy wire."""
-    prog = APPS[e.app].program(e.scale)
-    dual = ClusterConfig(n_nodes=n_nodes, dual_cpu=True, faults=faults)
-    result = run_shmem(
-        prog, dual, optimize=True, rt_elim=e.app != "cg", audit_each_barrier=True
-    )
-    result.assert_same_numerics(e.uni)
-    return result
+    served = (session or ServeSession()).run_batch(requests.values())
+    wall_s = time.perf_counter() - t0
+    cells = {cell: sr.result for cell, sr in zip(requests, served)}
+    for result in cells.values():
+        result.assert_same_numerics(cells["uni"])
+    return AppEvaluation(name, scale, cells, wall_s, faults)
 
 
 def load_bench_artifact(path: str) -> dict | None:
@@ -283,14 +313,9 @@ def render_bench_appendix(artifacts: dict[str, dict | None]) -> str:
     return "\n".join(lines)
 
 
-def render_report(
-    evals: Sequence[AppEvaluation],
-    n_nodes: int,
-    fault_rows: Sequence[RunResult] | None = None,
-    fault_cfg: FaultConfig | None = None,
-    combine_rows: Sequence[RunResult] | None = None,
-) -> str:
-    """Markdown report over a list of app evaluations."""
+def render_report(evals: Sequence[AppEvaluation], n_nodes: int) -> str:
+    """Markdown report over a list of app evaluations; the combining and
+    robustness sections appear when the evaluations carry those cells."""
     lines: list[str] = []
     out = lines.append
     scale = evals[0].scale if evals else "default"
@@ -349,9 +374,7 @@ def render_report(
         for mode, r in (("unopt", e.unopt_dual), ("opt", e.opt_dual)):
             if r.phase_breakdown is None:
                 continue
-            totals = breakdown_totals(r.phase_breakdown)
-            grand = sum(totals.values()) or 1
-            cells = " | ".join(f"{100 * totals[b] / grand:.1f}%" for b in BUCKETS)
+            cells = " | ".join(f"{s:.1f}%" for s in e.bucket_shares(r).values())
             out(f"| {e.app} | {mode} | {cells} |")
     out("")
 
@@ -381,13 +404,14 @@ def render_report(
             )
     out("")
 
-    if combine_rows:
+    if evals and "combined" in evals[0].cells:
         out("## Message combining — unoptimized runs, control traffic"
             " coalesced\n")
         out("| app | baseline msgs | combined msgs | %fewer | absorbed "
             "| frames | baseline ms | combined ms | numerics |")
-        out("|---|---|---|---|---|---|---|---|")
-        for e, c in zip(evals, combine_rows):
+        out("|---|---|---|---|---|---|---|---|---|")
+        for e in evals:
+            c = e.combined
             base_msgs = e.unopt_dual.stats.total_messages
             comb_msgs = c.stats.total_messages
             out(
@@ -400,7 +424,8 @@ def render_report(
             )
         out("")
 
-    if fault_rows and fault_cfg is not None:
+    if evals and "faulted" in evals[0].cells:
+        fault_cfg = evals[0].faults
         out(f"## Robustness — optimized runs at {fault_cfg.drop_prob * 100:.0f}% drop"
             f" (dup {fault_cfg.dup_prob * 100:.0f}%,"
             f" jitter {fault_cfg.jitter_ns / 1000:.0f} µs,"
@@ -408,7 +433,8 @@ def render_report(
         out("| app | clean ms | faulted ms | slowdown | retransmits | drops "
             "| dups | numerics | audit |")
         out("|---|---|---|---|---|---|---|---|---|")
-        for e, f in zip(evals, fault_rows):
+        for e in evals:
+            f = e.faulted
             rel = f.reliability
             out(
                 f"| {e.app} | {e.opt_dual.elapsed_ms:.1f} | {f.elapsed_ms:.1f} "
@@ -451,31 +477,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"unknown apps: {unknown}", file=sys.stderr)
         return 2
 
-    evals = []
-    for name in names:
-        print(f"evaluating {name} ...", file=sys.stderr)
-        evals.append(evaluate_app(name, args.scale, args.nodes))
-
-    fault_rows, fault_cfg = None, None
+    faults = None
     if args.fault_drop > 0.0:
-        fault_cfg = FaultConfig(
+        faults = FaultConfig(
             drop_prob=args.fault_drop,
             dup_prob=args.fault_drop / 2,
             jitter_ns=10 * US,
             seed=args.fault_seed,
         )
-        fault_rows = []
-        for e in evals:
-            print(f"evaluating {e.app} at {args.fault_drop:.0%} drop ...",
-                  file=sys.stderr)
-            fault_rows.append(evaluate_faults(e, args.nodes, fault_cfg))
-    combine_rows = None
-    if args.combine:
-        combine_rows = []
-        for e in evals:
-            print(f"evaluating {e.app} with combining ...", file=sys.stderr)
-            combine_rows.append(evaluate_combining(e, args.nodes))
-    report = render_report(evals, args.nodes, fault_rows, fault_cfg, combine_rows)
+    evals = []
+    for name in names:
+        print(f"evaluating {name} ...", file=sys.stderr)
+        evals.append(evaluate_app(
+            name, args.scale, args.nodes, faults=faults, combine=args.combine
+        ))
+    report = render_report(evals, args.nodes)
     if args.bench_dir is not None:
         artifacts = {
             name: load_bench_artifact(os.path.join(args.bench_dir, name))

@@ -75,10 +75,6 @@ class AccessControl:
     def get(self, node: int, block: int) -> AccessTag:
         return AccessTag(self._tag_buf[node * self.n_blocks + block])
 
-    def tag_int(self, node: int, block: int) -> int:
-        """The raw tag byte — the allocation-free hot-path query."""
-        return self._tag_buf[node * self.n_blocks + block]
-
     def set(
         self, node: int, block: int, tag: AccessTag, implicit: bool = False
     ) -> None:
@@ -105,10 +101,6 @@ class AccessControl:
             if idx.size:
                 self.rows[node][idx] = int(tag)
                 self._implicit[node, idx] = flag
-
-    def is_implicit(self, node: int, block: int) -> bool:
-        """True when the node's tag came from compiler control."""
-        return bool(self._imp_buf[node * self.n_blocks + block])
 
     def readable(self, node: int, block: int) -> bool:
         return self._tag_buf[node * self.n_blocks + block] >= _READONLY

@@ -383,9 +383,3 @@ class CompilerExtensions:
                 combinable=True,
             )
         finish()
-
-    # ------------------------------------------------------------------ #
-    def reset_memo(self) -> None:
-        """Forget rt-elim memoization (between independent runs)."""
-        for memo in self._iw_memo:
-            memo.clear()

@@ -4,21 +4,66 @@ import json
 
 import pytest
 
+from repro.apps import APPS
 from repro.report import (
     BENCH_ARTIFACTS,
-    AppEvaluation,
     evaluate_app,
     load_bench_artifact,
     main,
+    paper_cells,
     render_bench_appendix,
     render_report,
 )
+from repro.serve import ServeSession, plan_key
+from repro.tempest.faults import FaultConfig
+
+# Tiny overrides keep the full matrix cheap.
+TINY = {"grav": dict(n=33, iters=1), "cg": dict(rows=24, cols=48, iters=2)}
+LOSSY = FaultConfig(drop_prob=0.05, dup_prob=0.025, jitter_ns=10_000, seed=1997)
 
 
 @pytest.fixture(scope="module")
 def grav_eval():
-    # Tiny override keeps the full matrix cheap.
-    return evaluate_app("grav", n_nodes=4, n=33, iters=1)
+    # With both optional cells: they are built from the same overrides as
+    # the rest (the old evaluate_combining / evaluate_faults rebuilt the
+    # program without them and died in the numerics check).
+    return evaluate_app(
+        "grav", n_nodes=4, faults=LOSSY, combine=True, **TINY["grav"]
+    )
+
+
+class TestPaperCells:
+    NAMES = ["uni", "unopt_dual", "opt_dual", "unopt_single", "opt_single",
+             "msgpass", "opt_base", "opt_bulk"]
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_is_the_whole_declaration(self, app):
+        cells = paper_cells(app, n_nodes=4)
+        assert list(cells) == self.NAMES
+        # The one exception to the full stack: cg runs without rt-elim.
+        for name in ("opt_dual", "opt_single"):
+            assert cells[name].optimize and cells[name].rt_elim is (app != "cg")
+        # Only the two headline cells carry the profilers.
+        assert [n for n, r in cells.items() if r.profile_phases] == [
+            n for n, r in cells.items() if r.critical_path
+        ] == ["unopt_dual", "opt_dual"]
+        assert {r.config.dual_cpu for r in cells.values()} == {True, False}
+
+    def test_optional_cells(self):
+        cells = paper_cells("jacobi", n_nodes=4, faults=LOSSY, combine=True)
+        assert list(cells) == self.NAMES + ["combined", "faulted"]
+        assert cells["combined"].config.combine.enabled
+        assert not cells["combined"].optimize
+        assert cells["faulted"].config.faults == LOSSY
+        assert cells["faulted"].rt_elim and cells["faulted"].audit_each_barrier
+
+    def test_cg_full_stack_is_the_bulk_plan(self):
+        # Without rt-elim, cg's headline cell reuses opt_bulk's functional
+        # pass; everywhere else the two are different plans.
+        cg = paper_cells("cg", n_nodes=4, params=TINY["cg"])
+        assert plan_key(cg["opt_dual"]) == plan_key(cg["opt_bulk"])
+        grav = paper_cells("grav", n_nodes=4, params=TINY["grav"])
+        assert plan_key(grav["opt_dual"]) != plan_key(grav["opt_bulk"])
 
 
 class TestEvaluateApp:
@@ -39,6 +84,30 @@ class TestEvaluateApp:
         e = evaluate_app("cg", n_nodes=4, rows=24, cols=48, iters=2)
         assert e.opt_dual.extra["rt_elim"] is False
 
+    def test_optional_cells_honour_overrides(self, grav_eval):
+        # iters=1 is not grav's default: a cell simulated from a rebuilt
+        # default program disagrees with the reference's numerics.
+        for name in ("combined", "faulted"):
+            grav_eval.cells[name].assert_same_numerics(grav_eval.uni)
+        assert grav_eval.combined.stats.total_msgs_combined > 0
+        assert grav_eval.faulted.reliability["drops"] > 0
+        with pytest.raises(AttributeError):
+            grav_eval.no_such_cell
+
+    @pytest.mark.parametrize("app", ["grav", "cg"])
+    def test_served_equals_inline(self, app, tmp_path):
+        # The report's own matrix (profiled cells included) through a
+        # worker pool and a store, cold then warm, is cell for cell what
+        # the inline evaluation computes.
+        inline = evaluate_app(app, n_nodes=4, **TINY[app])
+        for expect_hits in (0, len(inline.cells)):
+            with ServeSession(jobs=2, cache_dir=str(tmp_path)) as session:
+                served = evaluate_app(app, n_nodes=4, session=session, **TINY[app])
+                assert session.stats()["cache_hits"] == expect_hits
+            assert list(served.cells) == list(inline.cells)
+            for name, result in inline.cells.items():
+                assert served.cells[name].exact_equal(result), name
+
 
 class TestRenderReport:
     def test_contains_all_sections(self, grav_eval):
@@ -52,9 +121,21 @@ class TestRenderReport:
 
     def test_markdown_tables_well_formed(self, grav_eval):
         text = render_report([grav_eval], 4)
-        for line in text.splitlines():
-            if line.startswith("|"):
-                assert line.endswith("|"), line
+        for section in ("Message combining", "Robustness", "Critical path"):
+            assert section in text
+        lines = text.splitlines()
+        tables = 0
+        for prev, line, nxt in zip([""] + lines, lines, lines[1:] + [""]):
+            if not line.startswith("|"):
+                continue
+            assert line.endswith("|"), line
+            if not prev.startswith("|"):
+                # A header: GitHub only renders the table if the rule
+                # under it has exactly as many columns.
+                tables += 1
+                assert set(nxt) <= set("|-"), nxt
+                assert nxt.count("|") == line.count("|"), (line, nxt)
+        assert tables == 8
 
 
 class TestBenchArtifacts:
