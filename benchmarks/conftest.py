@@ -10,8 +10,9 @@ store afterwards, and every batch can fan across worker processes:
   (default 1: serial in-process);
 * ``REPRO_BENCH_CACHE=DIR`` keep the store in DIR, so a later bench
   session starts warm (default: a directory that lives as long as the
-  pytest run).  Results carry their final arrays: the store is ~330 MB
-  at default scale and grows with the problem sizes at paper scale.
+  pytest run).  Each distinct array is stored once, shared by the plan
+  and every result that ends in it: the store is ~45 MB at default
+  scale and grows with the problem sizes at paper scale.
 
 Because serve results are proven dataclass-equal to direct in-process
 runs (tests/serve/test_differential.py), neither knob can change any

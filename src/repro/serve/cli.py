@@ -100,7 +100,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _serve_with_progress(sess: ServeSession, requests, quiet: bool):
-    """Submit every request, updating one stderr line as futures resolve.
+    """Serve the batch, updating one stderr line as futures resolve.
 
     The line rewrites itself in place (``\\r``) with completed / in-flight
     / cache-hit / computed / degraded counts; callbacks may fire from pool
@@ -133,12 +133,7 @@ def _serve_with_progress(sess: ServeSession, requests, quiet: bool):
             if not quiet:
                 print(f"\r{_line():<78}", end="", file=sys.stderr, flush=True)
 
-    futures = []
-    for request in requests:
-        fut = sess.submit(request)
-        fut.add_done_callback(_note)
-        futures.append(fut)
-    served = [f.result() for f in futures]
+    served = sess.run_batch(requests, on_done=_note)
     if not quiet:
         print(f"\r{_line():<78}", file=sys.stderr)
     return served

@@ -16,6 +16,7 @@ from typing import Any
 from repro.apps import get_app
 from repro.hpf.ast import Program
 from repro.runtime.shmem import BUILD_OPTIONS, EXECUTE_OPTIONS
+from repro.serve.keys import program_fingerprint
 from repro.spec import check_bounds, opt
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
@@ -24,6 +25,12 @@ from repro.tempest.memory import HomePolicy
 __all__ = ["BACKENDS", "RunRequest"]
 
 BACKENDS = ("shmem", "uniproc", "msgpass")
+
+
+#: (app, scale, repr(params)) -> program fingerprint, for the life of the
+#: process; ``repr`` keeps ``2``, ``2.0`` and ``True`` apart where tuple
+#: equality would not.
+_FINGERPRINTS: dict[tuple[str, str, str], str] = {}
 
 
 @dataclass(frozen=True)
@@ -101,10 +108,19 @@ class RunRequest:
         return self.program is None
 
     def resolved_fingerprint(self) -> str:
-        """Content fingerprint of the *built* program (spec-independent)."""
-        from repro.serve.keys import program_fingerprint
+        """Content fingerprint of the *built* program (spec-independent).
 
-        return program_fingerprint(self.build_program())
+        A registry program is a pure function of ``(app, scale, params)``
+        within a process, so its fingerprint is computed once per process;
+        an inline program is a mutable object and is hashed on every call.
+        """
+        if self.program is not None:
+            return program_fingerprint(self.program)
+        spec = (self.app, self.scale, repr(self.params))
+        found = _FINGERPRINTS.get(spec)
+        if found is None:
+            found = _FINGERPRINTS[spec] = program_fingerprint(self.build_program())
+        return found
 
     # ------------------------------------------------------------------ #
     def build_options(self) -> dict:

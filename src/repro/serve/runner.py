@@ -20,7 +20,8 @@ what they compute, so warm-cache hit rates hold across processes.
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
+import threading
+from collections import Counter, OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -30,9 +31,11 @@ from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
 from repro.runtime.uniproc import run_uniproc
 from repro.serve.keys import CODE_VERSION, plan_key, request_key
 from repro.serve.request import RunRequest
-from repro.serve.store import ResultStore
+from repro.serve.store import ResultStore, StoreStats
 
-__all__ = ["PlanCache", "ServeResult", "ServeSession", "execute_request"]
+__all__ = [
+    "PlanCache", "ServeResult", "ServeSession", "batch_order", "execute_request",
+]
 
 
 @dataclass
@@ -107,11 +110,10 @@ def execute_request(
     salt: str = CODE_VERSION,
 ) -> RunResult:
     """Compute one request in this process (no result-cache involvement)."""
-    program = request.build_program()
     if request.backend == "uniproc":
-        return run_uniproc(program, request.config)
+        return run_uniproc(request.build_program(), request.config)
     if request.backend == "msgpass":
-        return run_msgpass(program, request.config)
+        return run_msgpass(request.build_program(), request.config)
     if plan_cache is None:
         plan_cache = PlanCache(store=None)
     plan = plan_cache.get_or_build(request, salt)
@@ -126,29 +128,51 @@ _worker_plans: PlanCache | None = None
 _worker_cache_dir: str | None = None
 
 
-def _pool_worker(request: RunRequest, cache_dir: str | None, salt: str):
+def _pool_worker(request: RunRequest, cache_dir: str | None, salt: str, key: str):
     """Serve one request inside a worker process.
 
-    Returns ``(result, from_cache)``.  The worker re-checks the result
-    store (a sibling may have published the key since the parent's check)
-    and publishes what it computes; its plan cache persists for the
-    process's lifetime, so same-geometry cells arriving at the same
-    worker skip the functional pass.
+    Returns ``(result, from_cache, store_counts)``.  ``key`` is the
+    request key the parent already computed.  The worker re-checks the
+    result store (a sibling may have published the key since the parent's
+    check) and publishes what it computes; its plan cache persists for
+    the process's lifetime, so same-geometry cells arriving at the same
+    worker skip the functional pass.  ``store_counts`` is what this call
+    added to the worker's :class:`StoreStats`, for the session to total.
     """
     global _worker_store, _worker_plans, _worker_cache_dir
     if cache_dir != _worker_cache_dir or _worker_plans is None:
         _worker_store = ResultStore(cache_dir) if cache_dir else None
         _worker_plans = PlanCache(_worker_store)
         _worker_cache_dir = cache_dir
-    key = request_key(request, salt)
-    if _worker_store is not None:
-        cached = _worker_store.get(ResultStore.RESULTS, key)
-        if cached is not None:
-            return cached, True
-    result = execute_request(request, _worker_plans, salt)
-    if _worker_store is not None:
-        _worker_store.put(ResultStore.RESULTS, key, result)
-    return result, False
+    store = _worker_store
+    if store is None:
+        return execute_request(request, _worker_plans, salt), False, {}
+    store.stats = StoreStats()
+    result = store.get(ResultStore.RESULTS, key)
+    from_cache = result is not None
+    if not from_cache:
+        result = execute_request(request, _worker_plans, salt)
+        store.put(ResultStore.RESULTS, key, result)
+    return result, from_cache, store.stats.as_dict()
+
+
+def batch_order(requests, salt: str = CODE_VERSION) -> list[int]:
+    """Submission order for a pooled batch, as indices into ``requests``.
+
+    The first request of each distinct :func:`plan_key` (its *leader*)
+    goes first, then everything else, both in their original relative
+    order.  With at least as many distinct plans as workers, every worker
+    starts on a plan of its own and publishes it before a follower asks
+    for it; with fewer plans than workers the spare workers start on
+    followers and build their plan alongside its leader, as before.
+    """
+    seen: set[str] = set()
+    leaders, followers = [], []
+    for i, request in enumerate(requests):
+        pkey = plan_key(request, salt)
+        (followers if pkey in seen else leaders).append(i)
+        seen.add(pkey)
+    return leaders + followers
 
 
 # --------------------------------------------------------------------- #
@@ -179,6 +203,10 @@ class ServeSession:
         self.plans = PlanCache(self.store, capacity=plan_memo_size)
         self._pool: ProcessPoolExecutor | None = None
         self._inflight: dict[str, Future] = {}
+        #: store counters the pool workers report back, call by call;
+        #: folded from executor callback threads, hence the lock
+        self._pool_store_counts: Counter = Counter()
+        self._pool_store_lock = threading.Lock()
         self.counters = {
             "requests": 0,
             "cache_hits": 0,
@@ -234,7 +262,7 @@ class ServeSession:
         if self.jobs > 1 and request.picklable:
             self.counters["pool"] += 1
             raw = self._ensure_pool().submit(
-                _pool_worker, request, self.cache_dir, self.salt
+                _pool_worker, request, self.cache_dir, self.salt, key
             )
             fut = Future()
 
@@ -244,7 +272,9 @@ class ServeSession:
                 if exc is not None:
                     fut.set_exception(exc)
                     return
-                result, from_cache = done.result()
+                result, from_cache, store_counts = done.result()
+                with self._pool_store_lock:
+                    self._pool_store_counts.update(store_counts)
                 fut.set_result(
                     ServeResult(
                         key,
@@ -280,9 +310,25 @@ class ServeSession:
     def run(self, request: RunRequest) -> ServeResult:
         return self.submit(request).result()
 
-    def run_batch(self, requests) -> list[ServeResult]:
-        """Serve many requests; results come back in request order."""
-        futures = [self.submit(r) for r in requests]
+    def run_batch(self, requests, on_done=None) -> list[ServeResult]:
+        """Serve many requests; results come back in request order.
+
+        ``on_done(future)`` is called as each request's future resolves
+        (possibly from a pool callback thread).  When workers share a
+        plan store the batch is submitted in :func:`batch_order`, so two
+        workers do not build the same plan side by side; otherwise
+        (inline, or nothing to share plans through) in the order given.
+        """
+        requests = list(requests)
+        if self.jobs > 1 and self.store is not None:
+            order = batch_order(requests, self.salt)
+        else:
+            order = range(len(requests))
+        futures: list[Future | None] = [None] * len(requests)
+        for i in order:
+            futures[i] = self.submit(requests[i])
+            if on_done is not None:
+                futures[i].add_done_callback(on_done)
         return [f.result() for f in futures]
 
     async def gather(self, requests) -> list[ServeResult]:
@@ -297,7 +343,11 @@ class ServeSession:
         out = dict(self.counters)
         out.update(self.plans.stats())
         if self.store is not None:
-            out["store"] = self.store.stats.as_dict()
+            # this process's handle plus what the pool workers reported
+            out["store"] = {
+                name: count + self._pool_store_counts[name]
+                for name, count in self.store.stats.as_dict().items()
+            }
         served = self.counters["requests"]
         out["hit_rate"] = (
             self.counters["cache_hits"] / served if served else 0.0

@@ -4,28 +4,48 @@ Layout (under one root directory)::
 
     <root>/results/<k0k1>/<key>.bin     finished RunResults
     <root>/plans/<k0k1>/<key>.bin       memoized ShmemPlans
-    <root>/quarantine/                  entries that failed verification
+    <root>/blobs/<d0d1>/<sha256>.bin    array buffers, named by content
+    <root>/quarantine/                  files that failed verification
 
-Entry format — a self-verifying frame around a pickle payload::
+Entry format — a self-verifying frame around a pickle whose large
+buffers live in ``blobs/``::
 
-    MAGIC (12 bytes)  b"REPROSERVE1\\n"
+    MAGIC (12 bytes)  b"REPROSERVE2\\n"
     LENGTH (8 bytes)  big-endian payload byte count
-    PAYLOAD           pickle.dumps(obj, protocol=4)
+    PAYLOAD           NBLOBS (4 bytes, big-endian)
+                      NBLOBS x 32-byte SHA-256, one per out-of-band buffer
+                      BODY: pickle protocol 5 stream of the object
     DIGEST (32 bytes) sha256(PAYLOAD)
+
+Every contiguous buffer of at least 64 KiB the pickler meets (in
+practice: a program's arrays) is taken out of band and written once as a
+blob named by its SHA-256; smaller and non-contiguous buffers stay in
+the body.  A result's final arrays are byte-identical to its plan's
+numerics, and the unoptimized and optimized plans of one program share
+theirs, so an entry is a few KB and each distinct array is on disk once.
+Blobs are therefore shared between entries: nothing may delete one
+without knowing that no entry still names it.
 
 Durability discipline:
 
-* **Atomic publication.**  ``put`` writes to a uniquely named ``*.tmp``
-  file in the destination directory and ``os.replace``s it into place —
-  readers see either no entry or a complete one, never a torn write.
-  Concurrent writers of the same key are harmless: both frames encode the
-  same deterministic object and the last rename wins.
-* **Verified reads.**  ``get`` checks magic, length and digest before
-  unpickling, and treats *any* failure — short file, bit rot, torn
-  concurrent copy, unpicklable payload — as a cache miss: the offending
-  file is moved to ``quarantine/`` (for post-mortems) and ``None`` is
-  returned so the caller recomputes.  A poisoned cache can therefore slow
-  a sweep down but can never change its output.
+* **Atomic publication.**  Entries and blobs are written to a uniquely
+  named ``*.tmp`` file in the destination directory and ``os.replace``d
+  into place — readers see either no file or a complete one, never a
+  torn write.  A blob is published before the entry that names it, and
+  is not rewritten when a file of its name exists.  Concurrent writers
+  of the same key are harmless: both encode the same deterministic
+  object and the last rename wins.
+* **Verified reads.**  ``get`` checks the entry's magic, length and
+  digest, then that every blob it names hashes to its own name, and only
+  then unpickles.  *Any* failure — short file, bit rot, torn concurrent
+  copy, an entry in the older ``REPROSERVE1`` format, a missing or
+  altered blob, an unpicklable body — is a cache miss: the offending
+  entry (and blob) is moved to ``quarantine/`` for post-mortems and
+  ``None`` is returned so the caller recomputes.  A poisoned cache can
+  therefore slow a sweep down but can never change its output.
+* **Private arrays.**  Each ``get`` reads blobs into fresh
+  ``bytearray``s, so the arrays it returns are writable and share no
+  memory with any other ``get``.
 """
 
 from __future__ import annotations
@@ -39,30 +59,26 @@ from typing import Any
 
 __all__ = ["ResultStore", "StoreStats"]
 
-_MAGIC = b"REPROSERVE1\n"
+_MAGIC = b"REPROSERVE2\n"
 _LEN_BYTES = 8
+_COUNT_BYTES = 4
 _DIGEST_BYTES = 32
 _HEADER = len(_MAGIC) + _LEN_BYTES
+#: buffers at least this large leave the pickle body for ``blobs/``
+_BLOB_MIN_BYTES = 64 * 1024
 
 
 class StoreStats:
-    """Counters for one store handle (hits/misses/corruption)."""
+    """Counters for one store handle (hits/misses/corruption/blob dedup)."""
 
-    __slots__ = ("hits", "misses", "writes", "corrupt")
+    __slots__ = ("hits", "misses", "writes", "corrupt", "blob_writes", "blob_reuses")
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.corrupt = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "corrupt": self.corrupt,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class ResultStore:
@@ -70,6 +86,7 @@ class ResultStore:
 
     RESULTS = "results"
     PLANS = "plans"
+    BLOBS = "blobs"
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
@@ -89,20 +106,47 @@ class ResultStore:
     def put(self, kind: str, key: str, obj: Any) -> Path:
         """Serialize ``obj`` under ``key``; atomic against readers."""
         path = self._path(kind, key)
+        blobs: list[bytes] = []
+
+        def in_band(buffer: pickle.PickleBuffer) -> bool:
+            raw = buffer.raw()
+            if raw.nbytes < _BLOB_MIN_BYTES:
+                return True
+            blobs.append(self._put_blob(raw))
+            return False
+
+        body = pickle.dumps(obj, protocol=5, buffer_callback=in_band)
+        table = len(blobs).to_bytes(_COUNT_BYTES, "big") + b"".join(blobs)
+        digest = hashlib.sha256(table)
+        digest.update(body)
+        length = (len(table) + len(body)).to_bytes(_LEN_BYTES, "big")
+        self._publish(path, _MAGIC + length + table, body, digest.digest())
+        self.stats.writes += 1
+        return path
+
+    def _put_blob(self, raw: memoryview) -> bytes:
+        """Publish one buffer under its SHA-256 unless a file of that
+        name is already there; returns the digest."""
+        digest = hashlib.sha256(raw).digest()
+        path = self._path(self.BLOBS, digest.hex())
+        if path.exists():
+            self.stats.blob_reuses += 1
+        else:
+            self._publish(path, raw)
+            self.stats.blob_writes += 1
+        return digest
+
+    @staticmethod
+    def _publish(path: Path, *pieces) -> None:
+        """Write ``pieces`` to a temporary sibling and rename it to ``path``."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(obj, protocol=4)
-        frame = (
-            _MAGIC
-            + len(payload).to_bytes(_LEN_BYTES, "big")
-            + payload
-            + hashlib.sha256(payload).digest()
-        )
         fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:12]}-", suffix=".tmp", dir=path.parent
+            prefix=f".{path.stem[:12]}-", suffix=".tmp", dir=path.parent
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(frame)
+                for piece in pieces:
+                    fh.write(piece)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -110,9 +154,8 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self.stats.writes += 1
-        return path
 
+    # ------------------------------------------------------------------ #
     def get(self, kind: str, key: str) -> Any | None:
         """Load and verify the entry for ``key``; ``None`` on any failure."""
         path = self._path(kind, key)
@@ -123,41 +166,68 @@ class ResultStore:
             return None
         payload = self._verify(data)
         if payload is None:
-            self._quarantine(path, "bad-frame")
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
+            return self._corrupt(path, "bad-frame")
+        digests, body = payload
+        buffers = [self._get_blob(digest) for digest in digests]
+        if any(buffer is None for buffer in buffers):
+            return self._corrupt(path, "bad-blob")
         try:
-            obj = pickle.loads(payload)
+            obj = pickle.loads(body, buffers=buffers)
         except Exception:
-            # Digest matched but the payload will not unpickle — written by
+            # Digests matched but the body will not unpickle — written by
             # an incompatible code version, or pickled classes changed shape.
-            self._quarantine(path, "bad-pickle")
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            return None
+            return self._corrupt(path, "bad-pickle")
         self.stats.hits += 1
         return obj
 
+    def _get_blob(self, digest: bytes) -> bytearray | None:
+        """The blob named ``digest`` in a fresh buffer; ``None`` (and the
+        file quarantined) unless its content hashes to its name."""
+        path = self._path(self.BLOBS, digest.hex())
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                buffer = bytearray(os.fstat(fh.fileno()).st_size)
+                fh.readinto(buffer)
+        except OSError:
+            return None
+        if hashlib.sha256(buffer).digest() != digest:
+            self._quarantine(path, "bad-blob")
+            return None
+        return buffer
+
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _verify(data: bytes) -> bytes | None:
-        """Return the payload when the frame is intact, else ``None``."""
-        if len(data) < _HEADER + _DIGEST_BYTES:
+    def _verify(data: bytes) -> tuple[list[bytes], memoryview] | None:
+        """``(blob digests, body)`` when the frame is intact, else ``None``."""
+        if len(data) < _HEADER + _COUNT_BYTES + _DIGEST_BYTES:
             return None
         if data[: len(_MAGIC)] != _MAGIC:
             return None
         length = int.from_bytes(data[len(_MAGIC) : _HEADER], "big")
         if len(data) != _HEADER + length + _DIGEST_BYTES:
             return None
-        payload = data[_HEADER : _HEADER + length]
-        digest = data[_HEADER + length :]
-        if hashlib.sha256(payload).digest() != digest:
+        payload = memoryview(data)[_HEADER : _HEADER + length]
+        if hashlib.sha256(payload).digest() != data[_HEADER + length :]:
             return None
-        return payload
+        count = int.from_bytes(payload[:_COUNT_BYTES], "big")
+        table_end = _COUNT_BYTES + count * _DIGEST_BYTES
+        if table_end > length:
+            return None
+        digests = [
+            bytes(payload[at : at + _DIGEST_BYTES])
+            for at in range(_COUNT_BYTES, table_end, _DIGEST_BYTES)
+        ]
+        return digests, payload[table_end:]
+
+    def _corrupt(self, path: Path, reason: str) -> None:
+        """Account for an entry that failed verification: a counted miss."""
+        self._quarantine(path, reason)
+        self.stats.corrupt += 1
+        self.stats.misses += 1
+        return None
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad entry aside; never raises (recompute matters more)."""
+        """Move a bad file aside; never raises (recompute matters more)."""
         qdir = self.root / "quarantine"
         try:
             qdir.mkdir(parents=True, exist_ok=True)

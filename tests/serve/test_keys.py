@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from repro.apps import get_app
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.serve import RunRequest, canonical, fingerprint, plan_key, request_key
+from repro.serve import (
+    RunRequest,
+    canonical,
+    fingerprint,
+    plan_key,
+    program_fingerprint,
+    request_key,
+)
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig, small_config
 from repro.tempest.faults import (
     CrashScenario,
@@ -233,6 +240,66 @@ class TestPlanKey:
         base = plan_key(jacobi_request(cfg))
         assert base != plan_key(jacobi_request(cfg, optimize=True))
         assert base != plan_key(jacobi_request(cfg.scaled(n_nodes=8)))
+
+
+# --------------------------------------------------------------------- #
+# the per-process fingerprint memo
+# --------------------------------------------------------------------- #
+class TestFingerprintMemo:
+    """A registry program is a pure function of (app, scale, params)
+    within a process, so it is built and hashed once; an inline Program
+    is an object the caller can mutate, so it is hashed on every call."""
+
+    @pytest.fixture
+    def fingerprinted(self, monkeypatch):
+        from repro.serve import request as request_module
+
+        calls = []
+
+        def counting(program):
+            calls.append(program.name)
+            return program_fingerprint(program)
+
+        monkeypatch.setattr(request_module, "program_fingerprint", counting)
+        monkeypatch.setattr(request_module, "_FINGERPRINTS", {})
+        return calls
+
+    def test_registry_program_fingerprinted_once_per_spec(self, fingerprinted):
+        cfg = small_config()
+        wires = [cfg, cfg.scaled(faults=FaultConfig(drop_prob=0.05, seed=1))]
+        for spec in ({"n": 32, "iters": 2}, {"n": 32, "iters": 3}):
+            for config in wires:
+                for optimize in (False, True):
+                    req = jacobi_request(config, params=spec, optimize=optimize)
+                    request_key(req), plan_key(req), request_key(req)
+        assert fingerprinted == ["jacobi", "jacobi"]  # one per spec, not 24
+        jacobi_request(cfg, scale="paper", params=spec).resolved_fingerprint()
+        assert len(fingerprinted) == 3  # scale is part of the spec
+        # ...and so is a value's type: 3.0 == 3 must not find 3's entry
+        # (jacobi rejects a float iteration count when it is built).
+        with pytest.raises(TypeError):
+            request_key(jacobi_request(cfg, params={"n": 32, "iters": 3.0}))
+
+    def test_inline_program_fingerprinted_every_call(self, fingerprinted):
+        cfg = small_config()
+        program = get_app("jacobi").program(n=32, iters=2)
+        inline = RunRequest(program=program, config=cfg)
+        keys = {request_key(inline), request_key(inline)}
+        plan_key(inline)
+        assert len(fingerprinted) == 3 and len(keys) == 1
+        # ...which is what lets a caller edit the program between calls.
+        program.scalars["extra"] = 1.0
+        assert request_key(inline) not in keys
+
+    def test_memoized_key_equals_inline_key(self, fingerprinted):
+        cfg = small_config()
+        by_name = jacobi_request(cfg)
+        inline = RunRequest(
+            program=get_app("jacobi").program(n=32, iters=2), config=cfg
+        )
+        first, again = request_key(by_name), request_key(by_name)
+        assert first == again == request_key(inline)
+        assert plan_key(by_name) == plan_key(inline)
 
 
 # --------------------------------------------------------------------- #

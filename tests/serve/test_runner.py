@@ -8,12 +8,18 @@ import pytest
 from repro.apps import get_app
 from repro.runtime.shmem import run_shmem
 from repro.serve import (
+    ResultStore,
     RunRequest,
     ServeSession,
     execute_request,
+    plan_key,
+    request_key,
     results_equal,
+    runner,
 )
-from repro.tempest.config import small_config
+from repro.serve.runner import PlanCache, batch_order
+from repro.tempest.config import CombineConfig, SwitchConfig, small_config
+from repro.tempest.faults import FaultConfig
 
 from tests.serve.conftest import jacobi_request
 
@@ -135,7 +141,143 @@ class TestPlanMemoization:
             assert sess.plans.memo_hits == 1
 
 
+class TestProgramBuiltOnlyWhenNeeded:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = RunRequest.build_program
+
+        def counting(self):
+            calls.append(self.label())
+            return build(self)
+
+        monkeypatch.setattr(RunRequest, "build_program", counting)
+        return calls
+
+    def test_plan_hit_builds_no_program(self, cfg, store_dir, builds):
+        req = jacobi_request(cfg, optimize=True)
+        plans = PlanCache(ResultStore(store_dir))
+        first = execute_request(req, plans)
+        assert len(builds) == 1  # the plan miss
+        again = execute_request(req, plans)
+        from_disk = execute_request(req, PlanCache(ResultStore(store_dir)))
+        assert len(builds) == 1 and plans.memo_hits == 1
+        assert results_equal(first, again) and results_equal(first, from_disk)
+
+    def test_other_backends_build_once(self, cfg, builds):
+        execute_request(jacobi_request(cfg, backend="uniproc"))
+        execute_request(jacobi_request(cfg, backend="msgpass"))
+        assert len(builds) == 2
+
+
+def wire_matrix(cfg):
+    """2 apps x opt x 4 wires, wire innermost: 4 plans of 4 cells each."""
+    wires = [
+        cfg,
+        cfg.scaled(combine=CombineConfig(enabled=True)),
+        cfg.scaled(switch=SwitchConfig(enabled=True)),
+        cfg.scaled(faults=FaultConfig(drop_prob=0.02, seed=3)),
+    ]
+    specs = (("jacobi", {"n": 32, "iters": 1}), ("cg", {"rows": 16, "cols": 32, "iters": 1}))
+    return [
+        RunRequest(app=app, params=params, config=wire, optimize=optimize)
+        for app, params in specs
+        for optimize in (False, True)
+        for wire in wires
+    ]
+
+
+class TestBatchOrder:
+    def test_leaders_first_then_the_rest_in_order(self, cfg):
+        requests = wire_matrix(cfg)
+        requests += requests[-2:]
+        order = batch_order(requests)
+        assert sorted(order) == list(range(len(requests)))
+        pkeys = [plan_key(r) for r in requests]
+        n_plans = len(set(pkeys))
+        assert n_plans == 4
+        assert order[:n_plans] == [0, 4, 8, 12]
+        assert len({pkeys[i] for i in order[:n_plans]}) == n_plans
+        assert order[n_plans:] == sorted(order[n_plans:])
+        for pkey in set(pkeys):
+            members = [i for i in order if pkeys[i] == pkey]
+            assert members == sorted(members)
+        assert batch_order(requests) == order  # a pure function of the batch
+
+    def test_pooled_batch_over_a_store(self, cfg, store_dir, monkeypatch):
+        requests = wire_matrix(cfg)
+        requests += requests[-2:]
+        submitted, done = [], []
+        with ServeSession(jobs=2, cache_dir=store_dir) as sess:
+            submit = sess.submit
+            monkeypatch.setattr(
+                sess, "submit", lambda r: submitted.append(r) or submit(r)
+            )
+            served = sess.run_batch(requests, on_done=done.append)
+            plans = sess.store.entries(ResultStore.PLANS)
+        assert submitted == [requests[i] for i in batch_order(requests)]
+        assert [s.request for s in served] == requests
+        assert [s.key for s in served] == [request_key(r) for r in requests]
+        assert [s.source for s in served[-2:]] == ["deduped", "deduped"]
+        assert all(s.source == "computed" for s in served[:-2])
+        assert sorted(f.result().key for f in done) == sorted(s.key for s in served)
+        assert len(plans) == 4
+        for s in served:
+            assert results_equal(execute_request(s.request), s.result)
+
+    @pytest.mark.parametrize("jobs, cached", [(1, True), (2, False)])
+    def test_order_kept_without_workers_sharing_a_store(
+        self, cfg, tmp_path, monkeypatch, jobs, cached
+    ):
+        # inline, leaders-first would evict a plan from the LRU memo
+        # before its followers run; with no store there is nothing for a
+        # leader to publish its plan through
+        requests = wire_matrix(cfg)[:6]
+        submitted = []
+        cache_dir = str(tmp_path / "cache") if cached else None
+        with ServeSession(jobs=jobs, cache_dir=cache_dir) as sess:
+            submit = sess.submit
+            monkeypatch.setattr(
+                sess, "submit", lambda r: submitted.append(r) or submit(r)
+            )
+            served = sess.run_batch(requests)
+        assert submitted == requests
+        assert [s.request for s in served] == requests
+
+
 class TestPool:
+    def test_worker_uses_the_key_it_is_given(self, cfg, store_dir, monkeypatch):
+        def no_rekey(*args, **kwargs):
+            raise AssertionError("the worker re-derived the request key")
+
+        monkeypatch.setattr(runner, "request_key", no_rekey)
+        for name in ("_worker_store", "_worker_plans", "_worker_cache_dir"):
+            monkeypatch.setattr(runner, name, None)
+        req = jacobi_request(cfg)
+        key = "ab" * 32  # any well-formed key: the worker takes it on trust
+        result, from_cache, counts = runner._pool_worker(req, store_dir, "salt", key)
+        assert not from_cache
+        assert (counts["misses"], counts["writes"], counts["hits"]) == (2, 2, 0)
+        assert ResultStore(store_dir).contains(ResultStore.RESULTS, key)
+        again, from_cache, counts = runner._pool_worker(req, store_dir, "salt", key)
+        assert from_cache and results_equal(result, again)
+        assert (counts["misses"], counts["writes"], counts["hits"]) == (0, 0, 1)
+
+    def test_session_stats_total_the_workers_store_counters(self, cfg, store_dir):
+        reqs = [
+            jacobi_request(cfg, params={"n": 128, "iters": 1}, optimize=optimize)
+            for optimize in (False, True)
+        ]
+        with ServeSession(jobs=2, cache_dir=store_dir) as sess:
+            sess.run_batch(reqs)
+            store = sess.stats()["store"]
+            blobs = sess.store.entries(ResultStore.BLOBS)
+        # the parent only looked (2 misses); workers wrote 2 plans + 2 results
+        assert sess.store.stats.writes == 0
+        assert store["writes"] == 4 and store["corrupt"] == 0
+        assert store["blob_reuses"] > 0
+        assert 0 < len(blobs) <= store["blob_writes"]
+
     def test_pool_results_equal_inline(self, cfg):
         reqs = [
             jacobi_request(cfg),

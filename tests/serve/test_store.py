@@ -3,16 +3,22 @@
 The store's one inviolable property: a poisoned cache can cost time but
 never correctness.  Every corruption mode — truncation (kill mid-write of
 a non-atomic copy), bit rot, wrong magic, trailing garbage, a frame whose
-digest checks but whose payload won't unpickle — must be detected on
-read, quarantined, and answered with ``None`` so the caller recomputes.
+digest checks but whose body won't unpickle, an entry in the previous
+frame format, a blob that is short, altered, gone or holds other bytes —
+must be detected on read, quarantined, and answered with ``None`` so the
+caller recomputes.
 """
 
+import hashlib
+import multiprocessing
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
 from repro.serve import ResultStore, ServeSession, results_equal
-from repro.serve.store import _DIGEST_BYTES, _HEADER, _MAGIC
+from repro.serve.store import _BLOB_MIN_BYTES, _HEADER, _MAGIC
 from repro.tempest.config import small_config
 
 from tests.serve.conftest import jacobi_request
@@ -25,6 +31,42 @@ def store(tmp_path):
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
+
+
+def frame(payload: bytes, magic: bytes = _MAGIC) -> bytes:
+    """A well-formed frame around ``payload``, built by hand."""
+    return (
+        magic
+        + len(payload).to_bytes(8, "big")
+        + payload
+        + hashlib.sha256(payload).digest()
+    )
+
+
+def plant(store, key: str, data: bytes):
+    path = store._path(ResultStore.RESULTS, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+def big_array(fill: float = 0.0) -> np.ndarray:
+    """Exactly the smallest buffer that leaves the entry for ``blobs/``."""
+    return np.arange(_BLOB_MIN_BYTES // 8, dtype=np.float64) + fill
+
+
+UNPICKLED = []
+
+
+def _trip():
+    UNPICKLED.append("tripped")
+
+
+class Tripwire:
+    """Records in ``UNPICKLED`` if anything ever unpickles it."""
+
+    def __reduce__(self):
+        return (_trip, ())
 
 
 class TestRoundtrip:
@@ -108,26 +150,164 @@ class TestCorruption:
         assert store.stats.corrupt == 1
 
     def test_valid_frame_bad_pickle_quarantined(self, store):
-        import hashlib
-
-        payload = b"this is not a pickle"
-        frame = (
-            _MAGIC
-            + len(payload).to_bytes(8, "big")
-            + payload
-            + hashlib.sha256(payload).digest()
-        )
-        path = store._path(ResultStore.RESULTS, KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(frame)
+        # an intact frame naming no blobs, whose body is not a pickle
+        plant(store, KEY, frame((0).to_bytes(4, "big") + b"this is not a pickle"))
         assert store.get(ResultStore.RESULTS, KEY) is None
         assert store.stats.corrupt == 1
         assert any("bad-pickle" in q.name for q in store.quarantined())
+
+    def test_blob_table_longer_than_payload_detected(self, store):
+        plant(store, KEY, frame((7).to_bytes(4, "big") + b"\x00" * 40))
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        assert any("bad-frame" in q.name for q in store.quarantined())
+
+    def test_v1_frame_is_a_miss_and_never_unpickled(self, store):
+        payload = pickle.dumps(Tripwire(), protocol=4)
+        path = plant(store, KEY, frame(payload, magic=b"REPROSERVE1\n"))
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        assert UNPICKLED == []
+        pickle.loads(payload)  # the wire is live: unpickling does trip it
+        assert UNPICKLED.pop() == "tripped"
+        assert store.stats.corrupt == 1 and store.stats.misses == 1
+        assert not path.exists()
+        assert [q.name.split(".")[1] for q in store.quarantined()] == ["bad-frame"]
+        store.put(ResultStore.RESULTS, KEY, "fresh")
+        assert store.get(ResultStore.RESULTS, KEY) == "fresh"
 
     def test_empty_file_detected(self, store):
         path, _ = self._entry(store)
         path.write_bytes(b"")
         assert store.get(ResultStore.RESULTS, KEY) is None
+
+
+def blob_truncated(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def blob_bit_flipped(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def blob_missing(path):
+    path.unlink()
+
+
+def blob_under_wrong_name(path):
+    # a well-formed blob of the right length: some other array's bytes
+    path.write_bytes(big_array(fill=1.0).tobytes())
+
+
+class TestBlobs:
+    def test_large_buffer_leaves_the_entry(self, store):
+        obj = {"c": big_array(), "f": np.asfortranarray(big_array(1.0).reshape(64, -1))}
+        path = store.put(ResultStore.RESULTS, KEY, obj)
+        blobs = store.entries(ResultStore.BLOBS)
+        assert sorted(b.stem for b in blobs) == sorted(
+            hashlib.sha256(a.tobytes(order="A")).hexdigest() for a in obj.values()
+        )
+        assert path.stat().st_size < 1024
+        assert store.stats.blob_writes == 2 and store.stats.blob_reuses == 0
+        back = store.get(ResultStore.RESULTS, KEY)
+        for name, arr in obj.items():
+            assert np.array_equal(back[name], arr)
+            assert back[name].flags.f_contiguous == arr.flags.f_contiguous
+
+    def test_small_and_strided_buffers_stay_in_band(self, store):
+        small = big_array()[:-1]
+        strided = np.concatenate([big_array(), big_array()])[::2]
+        assert strided.nbytes >= _BLOB_MIN_BYTES and not strided.flags.contiguous
+        obj = {"small": small.copy(), "strided": strided}
+        store.put(ResultStore.RESULTS, KEY, obj)
+        assert store.entries(ResultStore.BLOBS) == []
+        assert store.stats.blob_writes == 0
+        back = store.get(ResultStore.RESULTS, KEY)
+        assert np.array_equal(back["small"], small)
+        assert np.array_equal(back["strided"], strided)
+
+    def test_equal_buffers_are_written_once(self, store):
+        store.put(ResultStore.RESULTS, KEY, {"a": big_array(), "b": big_array()})
+        store.put(ResultStore.PLANS, OTHER, [big_array()])
+        assert len(store.entries(ResultStore.BLOBS)) == 1
+        stats = store.stats.as_dict()
+        assert (stats["blob_writes"], stats["blob_reuses"]) == (1, 2)
+        back = store.get(ResultStore.RESULTS, KEY)
+        assert not np.shares_memory(back["a"], back["b"])
+
+    def test_each_get_returns_private_writable_arrays(self, store):
+        store.put(ResultStore.RESULTS, KEY, {"a": big_array()})
+        first = store.get(ResultStore.RESULTS, KEY)["a"]
+        second = store.get(ResultStore.RESULTS, KEY)["a"]
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        first[:] = -1.0
+        assert np.array_equal(second, big_array())
+        assert np.array_equal(store.get(ResultStore.RESULTS, KEY)["a"], big_array())
+
+    @pytest.mark.parametrize(
+        "damage",
+        [blob_truncated, blob_bit_flipped, blob_missing, blob_under_wrong_name],
+    )
+    def test_damaged_blob_quarantined_and_recomputable(self, store, damage):
+        obj = {"a": big_array(), "note": "x"}
+        path = store.put(ResultStore.RESULTS, KEY, obj)
+        [blob] = store.entries(ResultStore.BLOBS)
+        damage(blob)
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        assert store.stats.corrupt == 1 and store.stats.misses == 1
+        assert not path.exists() and not blob.exists()
+        reasons = sorted(q.name.split(".")[1] for q in store.quarantined())
+        assert reasons == ["bad-blob"] * (1 if damage is blob_missing else 2)
+        # Recompute-and-republish writes the blob again.
+        store.put(ResultStore.RESULTS, KEY, obj)
+        assert store.stats.blob_writes == 2
+        back = store.get(ResultStore.RESULTS, KEY)
+        assert np.array_equal(back["a"], obj["a"]) and back["note"] == "x"
+
+    def test_plan_and_result_share_blobs(self, store):
+        cfg = small_config()
+        program = jacobi_request(cfg, params={"n": 128, "iters": 1}).build_program()
+        plan = build_shmem_plan(program, cfg)
+        result = execute_shmem_plan(plan, cfg)
+        store.put(ResultStore.PLANS, KEY, plan)
+        assert store.stats.blob_reuses == 0
+        entry = store.put(ResultStore.RESULTS, OTHER, result)
+        assert store.stats.blob_reuses == len(result.arrays) > 0
+        distinct = {
+            hashlib.sha256(a.tobytes(order="A")).hexdigest()
+            for a in (*plan.arrays.values(), *result.arrays.values())
+        }
+        assert {b.stem for b in store.entries(ResultStore.BLOBS)} == distinct
+        assert entry.stat().st_size < _BLOB_MIN_BYTES
+        assert results_equal(store.get(ResultStore.RESULTS, OTHER), result)
+
+
+def _put_repeatedly(root: str, start) -> None:
+    store = ResultStore(root)
+    start.wait(timeout=60)
+    for _ in range(25):
+        store.put(ResultStore.RESULTS, KEY, {"a": big_array(), "note": "x"})
+
+
+def test_concurrent_puts_of_one_key_leave_one_verifiable_entry(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(3)
+    writers = [
+        ctx.Process(target=_put_repeatedly, args=(str(tmp_path), start))
+        for _ in range(3)
+    ]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    assert [w.exitcode for w in writers] == [0, 0, 0]
+    store = ResultStore(tmp_path)
+    assert len(store.entries(ResultStore.RESULTS)) == 1
+    assert len(store.entries(ResultStore.BLOBS)) == 1
+    assert [p for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".bin"] == []
+    back = store.get(ResultStore.RESULTS, KEY)
+    assert np.array_equal(back["a"], big_array()) and store.stats.corrupt == 0
 
 
 class TestPoisonedCacheEndToEnd:
@@ -169,3 +349,26 @@ class TestPoisonedCacheEndToEnd:
             assert sess2.plans.built == 1
             assert sess2.store.stats.corrupt == 1
         assert results_equal(first.result, second.result)
+
+    @pytest.mark.parametrize("poison", ["blob", "v1-entry"])
+    def test_poisoned_blob_or_old_format_recomputed(self, store_dir, poison):
+        req = jacobi_request(small_config(), params={"n": 128, "iters": 1})
+        with ServeSession(cache_dir=store_dir) as sess:
+            first = sess.run(req)
+            [entry] = sess.store.entries(ResultStore.RESULTS)
+            blobs = sess.store.entries(ResultStore.BLOBS)
+            assert blobs and sess.stats()["store"]["blob_reuses"] > 0
+        if poison == "blob":
+            blob_bit_flipped(blobs[0])
+        else:
+            v1 = pickle.dumps(first.result, protocol=4)
+            entry.write_bytes(frame(v1, magic=b"REPROSERVE1\n"))
+        with ServeSession(cache_dir=store_dir) as sess2:
+            second = sess2.run(req)
+            assert second.source == "computed"
+            assert sess2.store.stats.corrupt >= 1
+            with ServeSession(cache_dir=store_dir) as sess3:
+                third = sess3.run(req)
+        assert third.source == "cache"
+        assert first.result.exact_equal(second.result)
+        assert first.result.exact_equal(third.result)
