@@ -84,11 +84,24 @@ class CommPlan:
         return int(sum(len(b) for b in self.controlled.values()))
 
 
+def _absent(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask over ``a``: True where the block is not in ``b``.  Block arrays
+    are sorted and unique (``shmem_limits`` builds them so, masking keeps
+    it), which makes this a binary search; ``b`` is non-empty."""
+    return b[np.minimum(np.searchsorted(b, a), len(b) - 1)] != a
+
+
 def _merge_blocks(per_key: dict, key, blocks: np.ndarray) -> None:
     if len(blocks) == 0:
         return
     prev = per_key.get(key)
-    per_key[key] = blocks if prev is None else np.union1d(prev, blocks)
+    if prev is not None:
+        new = blocks[_absent(blocks, prev)]
+        if len(new) == 0:
+            return
+        blocks = np.concatenate((prev, new))
+        blocks.sort(kind="stable")  # two sorted runs: one merge pass
+    per_key[key] = blocks
 
 
 def plan_loop(
@@ -259,7 +272,7 @@ def plan_loop(
     # current, so the block needs no default-protocol handling.
     plan.boundary = {
         dst: (
-            np.setdiff1d(edge, recv_blocks[dst], assume_unique=True)
+            edge[_absent(edge, recv_blocks[dst])]
             if dst in recv_blocks
             else edge
         )
@@ -268,7 +281,7 @@ def plan_loop(
     if advisory:
         advisory_per_dst = {
             dst: (
-                np.setdiff1d(blocks, recv_blocks[dst], assume_unique=True)
+                blocks[_absent(blocks, recv_blocks[dst])]
                 if dst in recv_blocks
                 else blocks
             )

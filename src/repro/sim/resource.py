@@ -9,8 +9,10 @@ to be simulated, which keeps the hot path to one scheduler insert.
 Every model component that occupies a server and then acts — a handler on a
 protocol CPU, a frame on a link, a process computing — goes through one
 completion chain, :meth:`Resource.then`: a completion event at the finish
-time, then the effect as a same-instant event.  :meth:`Resource.serve` is
-the same chain with a :class:`~repro.sim.engine.Future` in the middle.
+time, then the effect as a same-instant event — one
+:meth:`~repro.sim.engine.Engine.call_chain` entry.  :meth:`Resource.serve`
+occupies the same two slots with a :class:`~repro.sim.engine.Future` in
+the middle.
 
 :class:`PortedResource` generalizes this to a bank of parallel FIFO servers
 (the output ports of a switch fabric): each job names its port and may carry
@@ -66,13 +68,25 @@ class Resource:
         """Submit a job of ``duration`` ns and run ``fn(*args)`` when it
         completes.
 
-        The completion chain is two events — one at the finish time, then
-        ``fn`` as a same-instant event behind anything already scheduled
-        for that instant — the same two ``(time, seq)`` slots that
-        ``serve(duration).add_callback(fn)`` occupies, with no Future.
+        The completion chain is :meth:`Engine.call_chain`: one slot at the
+        finish time, then ``fn`` as a same-instant event behind anything
+        already scheduled for that instant — the same two ``(time, seq)``
+        slots that ``serve(duration).add_callback(fn)`` occupies, with no
+        Future and, when nothing else is due then, no second dispatch.
         """
+        # occupy_end, written out: this is the simulator's hottest call
+        if duration < 0:
+            raise SimulationError(f"negative service time {duration}")
         engine = self._engine
-        engine.call_at(self.occupy_end(duration), engine.call_now, fn, *args)
+        start = self._free_at
+        now = engine.now
+        if start < now:
+            start = now
+        finish = start + duration
+        self._free_at = finish
+        self.busy_ns += duration
+        self.jobs += 1
+        engine.call_chain(finish, fn, *args)
 
     def use(self, duration: int) -> Serve:
         """Yieldable command: ``yield resource.use(ns)`` occupies the
@@ -170,7 +184,7 @@ class PortedResource:
         self.busy_ns[port] += duration
         self.wait_ns[port] += start - release_ns
         self.jobs[port] += 1
-        engine.call_at(finish, engine.call_now, fn, *args)
+        engine.call_chain(finish, fn, *args)
         return start, finish
 
 

@@ -246,9 +246,9 @@ class GlobalArray:
 
         blocks = np.asarray(blocks, dtype=np.int64)
         byte = blocks * self.config.block_size - self.base
-        byte = np.clip(byte, 0, self.nbytes - 1)
+        byte = np.minimum(np.maximum(byte, 0), self.nbytes - 1)
+        # byte is inside the array, so col is inside [0, extent)
         col = byte // (self._col_elems * self.itemsize)
-        col = np.clip(col, 0, self.extent - 1)
         if self.dist.kind is DistKind.BLOCK:
             chunk = self.dist.chunk(self.extent)
             return np.minimum(col // chunk, self.dist.n_procs - 1)
@@ -265,11 +265,13 @@ class GlobalArray:
 
         blocks = np.asarray(blocks, dtype=np.int64)
         bs = self.config.block_size
-        first = np.clip(blocks * bs - self.base, 0, self.nbytes - 1)
-        last = np.clip((blocks + 1) * bs - 1 - self.base, 0, self.nbytes - 1)
+        top = self.nbytes - 1
+        first = np.minimum(np.maximum(blocks * bs - self.base, 0), top)
+        last = np.minimum(np.maximum((blocks + 1) * bs - 1 - self.base, 0), top)
+        # Both bytes are inside the array, so both columns are in range.
         colbytes = self._col_elems * self.itemsize
-        col_first = np.clip(first // colbytes, 0, self.extent - 1)
-        col_last = np.clip(last // colbytes, 0, self.extent - 1)
+        col_first = first // colbytes
+        col_last = last // colbytes
         if self.dist.kind is DistKind.BLOCK:
             # Ownership is monotone in the column index, so checking the
             # block's first and last columns suffices.

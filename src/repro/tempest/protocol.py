@@ -341,7 +341,7 @@ class DefaultProtocol:
             self.access.set(requester, block, AccessTag.READONLY)
             d.deliver_copy_one(requester, block)
             self._unlock(block)
-            self.engine.call_at(self.engine.now, done.resolve, None)
+            self.engine.call_now(done.resolve, None)
             return
 
         def at_requester() -> None:
@@ -543,4 +543,4 @@ class DefaultProtocol:
             self.access.set(writer, block, AccessTag.READWRITE)
             d.deliver_copy_one(writer, block)
             self._unlock(block)
-            self.engine.call_at(self.engine.now, grant.resolve, None)
+            self.engine.call_now(grant.resolve, None)

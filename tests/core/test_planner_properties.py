@@ -150,3 +150,23 @@ def test_bulk_and_nonbulk_cover_same_blocks(geom):
     c1 = {d: set(b.tolist()) for d, b in p1.controlled.items()}
     c2 = {d: set(b.tolist()) for d, b in p2.controlled.items()}
     assert c1 == c2
+
+
+@given(
+    st.lists(st.integers(0, 60), unique=True, min_size=1, max_size=30),
+    st.lists(st.integers(0, 60), unique=True, min_size=1, max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_set_helpers_match_numpy_set_ops(xs, ys):
+    """The planner's sorted-unique shortcuts against the NumPy set
+    operations they replaced."""
+    from repro.core.planner import _absent, _merge_blocks
+
+    a = np.array(sorted(xs), dtype=np.int64)
+    b = np.array(sorted(ys), dtype=np.int64)
+    diff = a[_absent(a, b)]
+    assert np.array_equal(diff, np.setdiff1d(a, b, assume_unique=True))
+    merged = {"k": a}
+    _merge_blocks(merged, "k", b)
+    assert np.array_equal(merged["k"], np.union1d(a, b))
+    assert merged["k"].dtype == np.int64

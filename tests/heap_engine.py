@@ -28,18 +28,23 @@ class HeapEngine(Engine):
     def call_now(self, fn, *args):
         self.call_at(self.now, fn, *args)
 
+    def call_chain(self, when, fn, *args):
+        # The definition the native one-entry chain is tested against.
+        self.call_at(when, self.call_now, fn, *args)
+
     def run(self, until=None, max_events=None):
         heap = self._heap
         dispatched = 0
-        while heap and (until is None or heap[0][0] <= until):
-            if max_events is not None and dispatched >= max_events:
-                self.events_dispatched += dispatched
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a livelock"
-                )
-            self.now, _seq, fn, args = heappop(heap)
-            fn(*args)
-            dispatched += 1
-        self.events_dispatched += dispatched
+        try:
+            while heap and (until is None or heap[0][0] <= until):
+                if max_events is not None and dispatched >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely a livelock"
+                    )
+                self.now, _seq, fn, args = heappop(heap)
+                fn(*args)
+                dispatched += 1
+        finally:
+            self.events_dispatched += dispatched
         if until is not None and self.now < until:
             self.now = until

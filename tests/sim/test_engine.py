@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, Engine, Future, SimulationError
+from repro.sim import Delay, Engine, Future, Resource, SimulationError
 from tests.heap_engine import HeapEngine
 
 #: the engine and the heap oracle it is differentially tested against
@@ -274,3 +274,143 @@ def test_straggler_behind_calendar_cursor(engine_cls):
     eng.call_at(2 * bucket + 1, log.append, "straggler")
     eng.run()
     assert log == ["straggler", "far"]
+
+
+# --------------------------------------------------------------------- #
+# call_chain: one native entry (calendar) vs its two-event definition
+# (heap).  Every case pins the dispatch order *and* the slot accounting.
+# --------------------------------------------------------------------- #
+@both_schedulers
+def test_chain_alone_dispatches_two_events(engine_cls):
+    eng = engine_cls()
+    got = []
+    eng.call_chain(70, lambda a, b: got.append((eng.now, a, b)), "x", 2)
+    assert eng.max_queue_depth == 1
+    eng.run()
+    assert got == [(70, "x", 2)]
+    assert (eng.events_dispatched, eng.max_queue_depth) == (2, 1)
+
+
+@both_schedulers
+def test_chain_second_slot_runs_behind_same_instant_heap_entry(engine_cls):
+    """The chain's first slot fires in schedule order; its second slot is a
+    same-instant successor, so a rival scheduled for that instant *after*
+    the chain still runs before ``fn`` — and what the rival schedules
+    runs after it."""
+    eng = engine_cls()
+    log = []
+
+    def rival():
+        log.append("rival")
+        eng.call_now(log.append, "rival-successor")
+
+    eng.call_chain(100, log.append, "fn")
+    eng.call_at(100, rival)
+    eng.run()
+    assert log == ["rival", "fn", "rival-successor"]
+    assert (eng.events_dispatched, eng.max_queue_depth) == (4, 2)
+
+
+@both_schedulers
+def test_chain_second_slot_runs_behind_waiting_now_queue_entry(engine_cls):
+    eng = engine_cls()
+    log = []
+
+    def early():
+        log.append("early")
+        eng.call_now(log.append, "queued")
+
+    eng.call_at(100, early)
+    eng.call_chain(100, log.append, "fn")
+    eng.run()
+    assert log == ["early", "queued", "fn"]
+    assert (eng.events_dispatched, eng.max_queue_depth) == (4, 2)
+
+
+@both_schedulers
+def test_chain_scheduled_at_now(engine_cls):
+    eng = engine_cls()
+    log = []
+
+    def at_50():
+        eng.call_chain(eng.now, log.append, "fn")
+        eng.call_now(log.append, "after")
+
+    eng.call_chain(0, log.append, "at-zero")
+    eng.call_at(50, at_50)
+    eng.run()
+    assert log == ["at-zero", "after", "fn"]
+    assert (eng.now, eng.events_dispatched) == (50, 6)
+    with pytest.raises(SimulationError, match="cannot schedule"):
+        eng.call_chain(49, log.append, "past")
+
+
+@both_schedulers
+def test_chain_in_future_bucket_and_as_straggler(engine_cls):
+    bucket = 1 << 14  # _BUCKET_SHIFT
+    eng = engine_cls()
+    log = []
+    eng.call_chain(3 * bucket + 5, log.append, "far")
+    eng.call_chain(3 * bucket + 5, log.append, "far-2")  # same bucket list
+    eng.run(until=2 * bucket)  # pulls the far bucket into the cursor
+    assert log == [] and eng.now == 2 * bucket
+    eng.call_chain(2 * bucket + 1, log.append, "straggler")
+    eng.run()
+    assert log == ["straggler", "far", "far-2"]
+    assert (eng.events_dispatched, eng.max_queue_depth) == (6, 3)
+
+
+@both_schedulers
+def test_max_events_stops_between_the_slots_of_a_chain(engine_cls):
+    eng = engine_cls()
+    log = []
+    eng.call_at(10, log.append, "a")
+    eng.call_chain(20, log.append, "fn")
+    eng.call_at(30, log.append, "b")
+    with pytest.raises(SimulationError, match="max_events"):
+        eng.run(max_events=2)  # "a", then the chain's first slot only
+    assert log == ["a"]
+    assert (eng.now, eng.events_dispatched) == (20, 2)
+    eng.run()
+    assert log == ["a", "fn", "b"]
+    assert (eng.events_dispatched, eng.max_queue_depth) == (4, 3)
+
+
+@both_schedulers
+def test_cancelled_process_wake_up_through_a_chain_is_dropped(engine_cls):
+    eng = engine_cls()
+    cpu = Resource(eng, "cpu")
+    log = []
+
+    def victim():
+        yield cpu.use(100)
+        log.append("resumed")
+
+    guard = eng.spawn(victim())
+    eng.call_at(40, guard.cancel)
+    eng.run()
+    assert log == [] and guard.cancelled and not guard.resolved
+    # spawn step, the cancel, and both slots of the stale wake-up
+    assert (eng.now, eng.events_dispatched) == (100, 4)
+    assert eng._live_processes == 0
+
+
+@both_schedulers
+def test_events_dispatched_counts_callbacks_that_returned(engine_cls):
+    """A raising handler must not lose the run's whole tally: the counter
+    holds every callback that returned, and the rest still runs after."""
+    eng = engine_cls()
+    log = []
+
+    def boom():
+        raise RuntimeError("handler failed")
+
+    eng.call_at(10, log.append, "a")
+    eng.call_chain(20, boom)
+    eng.call_at(30, log.append, "b")
+    with pytest.raises(RuntimeError, match="handler failed"):
+        eng.run()
+    # "a" and the chain's first slot (which only schedules) returned
+    assert (log, eng.events_dispatched) == (["a"], 2)
+    eng.run()
+    assert (log, eng.events_dispatched) == (["a", "b"], 3)
