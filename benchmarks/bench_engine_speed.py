@@ -11,7 +11,9 @@ Two modes, one artifact:
 
 * ``--check`` is the CI guard: it re-measures the acceptance pair's
   *off* cells (unoptimized, no observability bus — exactly
-  ``bench_ablation_obs.run_cell(prog, "off")``) and the functional pass's
+  ``bench_ablation_obs.run_cell(prog, "off")``), the *fault* cell (the
+  same shallow off-cell on a lossy wire, so the reliable transport's
+  per-frame path is timed too) and the functional pass's
   *build* cells (``build_shmem_plan`` alone for lu and jacobi at default
   scale, optimized — the layer the engine cells barely touch) and fails
   when host wall regresses more than ``--budget`` (default 20%) against
@@ -64,6 +66,11 @@ BUILD_CELLS = {
     "jacobi": dict(optimize=True, rt_elim=True, pre=True),
 }
 BUILD_REPEATS = 5
+#: The guard's fault cells: an off-cell under FaultConfig(**kwargs) — the
+#: only guard cells that run the reliable transport.
+FAULT_CELLS = {
+    "shallow": dict(drop_prob=0.02, dup_prob=0.01, jitter_ns=10_000),
+}
 
 
 def calibration_s() -> float:
@@ -117,6 +124,23 @@ def measure_off_cell(app: str, repeats: int) -> float:
     return best
 
 
+def measure_fault_cell(app: str, repeats: int) -> float:
+    """Host wall (min of ``repeats``) of one off cell on a lossy wire."""
+    from repro.apps import APPS
+    from repro.runtime import run_shmem
+    from repro.tempest.config import ClusterConfig
+    from repro.tempest.faults import FaultConfig
+
+    prog = APPS[app].program("default")
+    faults = FaultConfig(**FAULT_CELLS[app])
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run_shmem(prog, ClusterConfig(n_nodes=N_NODES), faults=faults)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def measure_build_cell(app: str, repeats: int) -> float:
     """Host wall (min of ``repeats``) of one functional pass."""
     from repro.apps import APPS
@@ -143,6 +167,10 @@ def measure_matrix() -> dict:
 
 def measure_off_cells() -> dict:
     return {a: round(measure_off_cell(a, GUARD_REPEATS), 4) for a in GUARD_APPS}
+
+
+def measure_fault_cells() -> dict:
+    return {a: round(measure_fault_cell(a, GUARD_REPEATS), 4) for a in FAULT_CELLS}
 
 
 def measure_build_cells() -> dict:
@@ -192,10 +220,11 @@ def write(args: argparse.Namespace) -> int:
             cell["speedup"] = round(b["host_wall_s"] / cell["host_wall_s"], 2)
             speedups.append(cell["speedup"])
     off = measure_off_cells()
-    off_old = (
-        _baseline_measure(args.baseline_src, "measure_off_cells")
-        if args.baseline_src else {}
-    )
+    fault = measure_fault_cells()
+    off_old = fault_old = {}
+    if args.baseline_src:
+        off_old = _baseline_measure(args.baseline_src, "measure_off_cells")
+        fault_old = _baseline_measure(args.baseline_src, "measure_fault_cells")
     doc = {
         "schema": "engine-speed/1",
         "baseline_commit": args.baseline_commit,
@@ -207,6 +236,7 @@ def write(args: argparse.Namespace) -> int:
         ) if speedups else None,
         "apps": apps,
         "off_cells": off,
+        "fault_cells": fault,
         "build_cells": measure_build_cells(),
         "calibration_s": round(calibration_s(), 4),
     }
@@ -214,6 +244,11 @@ def write(args: argparse.Namespace) -> int:
         doc["off_cells_old"] = off_old
         doc["off_cells_speedup"] = {
             a: round(off_old[a] / off[a], 2) for a in off if a in off_old
+        }
+    if fault_old:
+        doc["fault_cells_old"] = fault_old
+        doc["fault_cells_speedup"] = {
+            a: round(fault_old[a] / fault[a], 2) for a in fault if a in fault_old
         }
     with open(args.json, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -237,6 +272,9 @@ def check(args: argparse.Namespace) -> int:
     failed = []
     guards = [
         ("off-cell", recorded_off, lambda app: measure_off_cell(app, GUARD_REPEATS)),
+        # Absent from artifacts written before the fault cell existed.
+        ("fault", doc.get("fault_cells", {}),
+         lambda app: measure_fault_cell(app, GUARD_REPEATS)),
         # Absent from artifacts written before the build cells existed.
         ("build", doc.get("build_cells", {}),
          lambda app: measure_build_cell(app, BUILD_REPEATS)),

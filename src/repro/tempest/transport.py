@@ -105,6 +105,7 @@ never construct one, so their event schedules are untouched.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Callable
 
 from repro.tempest.faults import FaultConfig
@@ -120,6 +121,8 @@ PARTITIONED = "partitioned"
 #: frame like the ack, deliberately *not* a MsgKind: probes never reach the
 #: protocol layer and never appear in per-kind message counters
 HEARTBEAT = "heartbeat"
+
+_deadline = attrgetter("deadline_ns")
 
 
 def _noop() -> None:  # probe frames carry no handler
@@ -152,10 +155,6 @@ class _LinkProfile:
         self.stall_prob = stall_prob
         self.stall_ns = stall_ns
         self.rng = rng
-
-    def jitter(self) -> int:
-        j = self.jitter_ns
-        return self.rng.randrange(j + 1) if j else 0
 
 
 class _Frame:
@@ -315,6 +314,8 @@ class ReliableTransport:
 
     # ------------------------------------------------------------------ #
     def _channel(self, src: int, dst: int) -> _Channel:
+        # Per-frame callers inline the hit as ``self._channels.get((src,
+        # dst)) or self._channel(src, dst)`` (a _Channel is always truthy).
         ch = self._channels.get((src, dst))
         if ch is None:
             ch = self._channels[(src, dst)] = _Channel(self._initial_rto)
@@ -387,7 +388,7 @@ class ReliableTransport:
         parent=None,
     ) -> None:
         """Submit one protocol message for reliable delivery."""
-        ch = self._channel(src, dst)
+        ch = self._channels.get((src, dst)) or self._channel(src, dst)
         # The adaptive timer is size-aware: the sender knows exactly how
         # long its own frame occupies the link, so that deterministic
         # serialization time rides on top of the estimated RTO (and is
@@ -411,42 +412,27 @@ class ReliableTransport:
             return
         ch.unacked[frame.seq] = frame
         self._transmit(frame)
+        armed = ch.timer_deadline
+        if armed is not None and armed <= frame.deadline_ns and src not in self._dead:
+            # The armed timer is already due no later than every unacked
+            # deadline and the keepalive (see _arm_timer), and the new
+            # frame's deadline is no earlier: re-arming would change nothing.
+            return
         self._arm_timer(src, dst, ch)
 
     def _transmit(self, frame: _Frame) -> None:
         """Put one wire copy of ``frame`` on the sender's link and stamp
-        its ack deadline (the channel timer is armed by the caller)."""
-        net = self.network
-        # This copy's frame.send event seq; assigned below after the emit.
-        # The closure reads the enclosing cell, so drops caused by *this*
-        # copy chain to exactly this send event.
-        send_seq = None
-
-        def on_wire_done() -> None:
-            # Fault draws in a fixed order so runs replay exactly: drop,
-            # duplicate, then per-copy jitter inside arrival.
-            prof = self._profile(frame.src, frame.dst)
-            cause = self._lost(frame.src, frame.dst, prof)
-            if cause is not None:
-                frame.pending_acks -= 1
-                self._count_drop(
-                    frame.src, frame.dst, cause, parent=send_seq, seq=frame.seq
-                )
-            if cause == "partition":
-                return  # cut, not drawn: no duplicate draw either
-            duplicated = prof.dup_prob > 0 and prof.rng.random() < prof.dup_prob
-            if cause is None:
-                self._schedule_arrival(frame)
-            if duplicated:
-                # An extra wire copy (it may still be deduplicated).
-                frame.pending_acks += 1
-                self._schedule_arrival(frame)
-
+        its ack deadline (the channel timer is armed by the caller).  The
+        copy's ``frame.send`` event seq travels with it through
+        ``Network.traverse`` as an argument of :meth:`_frame_wire_done`,
+        so a drop of *this* copy chains to exactly this send event."""
+        now = self.engine.now
         frame.pending_acks += 1
-        frame.deadline_ns = self.engine.now + frame.timeout_ns
+        frame.deadline_ns = now + frame.timeout_ns
+        send_seq = None
         if self.obs is not None:
             ev = self.obs.emit(
-                "frame.send", self.engine.now, node=frame.src,
+                "frame.send", now, node=frame.src,
                 parent=frame.parent,
                 dst=frame.dst, seq=frame.seq, msg=frame.kind,
                 size=frame.size, retries=frame.retries,
@@ -454,7 +440,38 @@ class ReliableTransport:
             send_seq = ev.seq
             if frame.first_send_seq is None:
                 frame.first_send_seq = ev.seq
-        net.traverse(frame.src, frame.dst, frame.size, send_seq, on_wire_done)
+        self.network.traverse(
+            frame.src, frame.dst, frame.size, send_seq,
+            self._frame_wire_done, frame, send_seq,
+        )
+
+    def _frame_wire_done(self, frame: _Frame, send_seq) -> None:
+        """One data copy left the bandwidth-limited path.  Fault draws
+        happen in a fixed order so runs replay exactly: drop, duplicate,
+        then one jitter per surviving copy (the original's first)."""
+        src, dst = frame.src, frame.dst
+        prof = self._profile(src, dst) if self._overrides else self._uniform
+        cause = self._lost(src, dst, prof)
+        if cause is not None:
+            frame.pending_acks -= 1
+            self._count_drop(src, dst, cause, parent=send_seq, seq=frame.seq)
+            if cause == "partition":
+                return  # cut, not drawn: no duplicate draw either
+        rng = prof.rng
+        duplicated = prof.dup_prob > 0 and rng.random() < prof.dup_prob
+        j = prof.jitter_ns
+        engine = self.engine
+        arrive = engine.now + self.network.residual_latency_ns
+        if cause is None:
+            engine.call_at(
+                arrive + (rng.randrange(j + 1) if j else 0), self._on_arrival, frame
+            )
+        if duplicated:
+            # An extra wire copy (it may still be deduplicated).
+            frame.pending_acks += 1
+            engine.call_at(
+                arrive + (rng.randrange(j + 1) if j else 0), self._on_arrival, frame
+            )
 
     def _lost(self, src: int, dst: int, prof: _LinkProfile) -> str | None:
         """Why the wire copy (data frame or ack) leaving ``src`` for ``dst``
@@ -477,11 +494,6 @@ class ReliableTransport:
                 dst=dst, **payload, cause=cause,
             )
 
-    def _schedule_arrival(self, frame: _Frame) -> None:
-        prof = self._profile(frame.src, frame.dst)
-        delay = self.network.residual_latency_ns + prof.jitter()
-        self.engine.call_after(delay, self._on_arrival, frame)
-
     # ------------------------------------------------------------------ #
     # the coalesced per-channel timer
     # ------------------------------------------------------------------ #
@@ -492,7 +504,7 @@ class ReliableTransport:
         deadline: int | None = None
         if ch.state is OPEN and src not in self._dead:
             if ch.unacked:
-                deadline = min(f.deadline_ns for f in ch.unacked.values())
+                deadline = min(map(_deadline, ch.unacked.values()))
             if (self.heartbeats_enabled and not self.monitor_suspended
                     and ch.hb_deadline is not None):
                 deadline = (ch.hb_deadline if deadline is None
@@ -518,11 +530,17 @@ class ReliableTransport:
         if ch.state is not OPEN or src in self._dead:
             return  # parked channels and dead senders arm nothing
         now = self.engine.now
-        for seq in sorted(s for s, f in ch.unacked.items()
-                          if f.deadline_ns <= now):
-            frame = ch.unacked.get(seq)
-            if frame is None or not self._retransmit_due(ch, frame):
-                return  # the channel gave up and parked mid-scan
+        unacked = ch.unacked
+        if unacked:
+            due = [s for s, f in unacked.items() if f.deadline_ns <= now]
+            if len(due) > 1:
+                due.sort()
+            for seq in due:
+                frame = unacked.get(seq)
+                if frame is None or not self._retransmit_due(ch, frame):
+                    return  # the channel gave up and parked mid-scan
+        elif ch.hb_deadline is None:
+            return  # nothing to retransmit or probe: _arm_timer would agree
         if (self.heartbeats_enabled and not self.monitor_suspended
                 and ch.hb_deadline is not None and ch.hb_deadline <= now):
             if ch.unacked:
@@ -683,7 +701,8 @@ class ReliableTransport:
         # Ack every copy, including duplicates: a lost ack means the sender
         # retransmits, and only a fresh ack can stop it.
         self._send_ack(frame)
-        ch = self._channel(frame.src, frame.dst)
+        src, dst = frame.src, frame.dst
+        ch = self._channels.get((src, dst)) or self._channel(src, dst)
         if frame.seq < ch.next_deliver_seq or frame.seq in ch.reorder:
             self.network.stats[frame.dst].net_dups += 1
             if self.obs is not None:
@@ -714,7 +733,8 @@ class ReliableTransport:
                 parent=frame.first_send_seq,
                 src=frame.src, seq=frame.seq, msg=frame.kind,
             )
-        prof = self._profile(frame.src, frame.dst)
+        prof = (self._profile(frame.src, frame.dst) if self._overrides
+                else self._uniform)
         cost = frame.handler_cost_ns
         if prof.stall_prob > 0 and prof.rng.random() < prof.stall_prob:
             # A protocol-CPU stall window: the handler's dispatch occupies
@@ -773,27 +793,36 @@ class ReliableTransport:
                     "combine.flush", self.engine.now, node=acker,
                     dst=peer, n=k, kinds=[MsgKind.ACK] * k, size=size,
                 )
-        seqs = [f.seq for f in frames]
+        self.network.traverse(
+            acker, peer, size, None,
+            self._ack_wire_done, acker, peer, frames, [f.seq for f in frames],
+        )
 
-        def on_wire_done() -> None:
-            prof = self._profile(acker, peer)
-            cause = self._lost(acker, peer, prof)
-            if cause is not None:
-                # One lost ack frame is one drop however many sequence
-                # numbers it carried; the retransmit path recovers.
-                for f in frames:
-                    f.pending_acks -= 1
-                self._count_drop(acker, peer, cause, seqs=seqs, ack=True)
-                return
-            delay = self.network.residual_latency_ns + prof.jitter()
-            self.engine.call_after(delay, self._on_acks, peer, acker, seqs)
-
-        self.network.traverse(acker, peer, size, None, on_wire_done)
+    def _ack_wire_done(
+        self, acker: int, peer: int, frames: list[_Frame], seqs: list[int]
+    ) -> None:
+        """One ack frame left the bandwidth-limited path: drop, then jitter."""
+        prof = self._profile(acker, peer) if self._overrides else self._uniform
+        cause = self._lost(acker, peer, prof)
+        if cause is not None:
+            # One lost ack frame is one drop however many sequence
+            # numbers it carried; the retransmit path recovers.
+            for f in frames:
+                f.pending_acks -= 1
+            self._count_drop(acker, peer, cause, seqs=seqs, ack=True)
+            return
+        j = prof.jitter_ns
+        engine = self.engine
+        engine.call_at(
+            engine.now + self.network.residual_latency_ns
+            + (prof.rng.randrange(j + 1) if j else 0),
+            self._on_acks, peer, acker, seqs,
+        )
 
     def _on_acks(self, src: int, dst: int, seqs: list[int]) -> None:
         if self._dead and (src in self._dead or dst in self._dead):
             return  # acks touching a fail-stopped endpoint vanish
-        ch = self._channel(src, dst)
+        ch = self._channels.get((src, dst)) or self._channel(src, dst)
         now = self.engine.now
         if self.heartbeats_enabled:
             # Proof of life from dst: push the next keepalive out.  The

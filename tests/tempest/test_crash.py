@@ -19,8 +19,10 @@ import pytest
 
 from repro.apps import jacobi
 from repro.runtime.shmem import run_shmem
+from repro.sim.engine import Engine
 from repro.tempest import FaultConfig
 from repro.tempest.faults import CrashScenario, PartitionScenario, _US
+from repro.tempest.transport import OPEN, ReliableTransport
 from tests.tempest.conftest import make_cluster, run_programs
 
 
@@ -146,6 +148,60 @@ class TestDetection:
         transport.suspend_monitoring()
         cluster.engine.run()
         assert transport.in_flight == 0
+
+
+    def test_armed_timer_never_later_than_any_deadline(self, monkeypatch):
+        """After every engine event of a storm-plus-crash run: on each OPEN
+        channel whose sender is alive, an armed timer is due no later than
+        any unacked frame's deadline and (while probing) the keepalive.
+        ``send`` relies on this to skip re-arming when its new frame's
+        deadline is at or after the armed one."""
+        transports = []
+        init = ReliableTransport.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            transports.append(self)
+
+        checks = [0]
+
+        def check():
+            for t in transports:
+                probing = t.heartbeats_enabled and not t.monitor_suspended
+                for (src, _dst), ch in t._channels.items():
+                    armed = ch.timer_deadline
+                    if armed is None or ch.state is not OPEN or src in t._dead:
+                        continue
+                    assert all(armed <= f.deadline_ns for f in ch.unacked.values())
+                    if probing and ch.hb_deadline is not None:
+                        assert armed <= ch.hb_deadline
+                    checks[0] += 1
+
+        def checked(schedule, fn_at):
+            # Same entry, same (time, seq): only the callback is wrapped.
+            def wrapper(self, *args):
+                args = list(args)
+                fn = args[fn_at]
+
+                def step(*fn_args):
+                    fn(*fn_args)
+                    check()
+
+                args[fn_at] = step
+                return schedule(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(ReliableTransport, "__init__", recording_init)
+        for name, fn_at in (("call_at", 1), ("call_chain", 1), ("call_now", 0)):
+            monkeypatch.setattr(Engine, name, checked(getattr(Engine, name), fn_at))
+        faults = crash_faults(
+            node=2, t_us=3_000, restart_us=500, checkpoint_every=1,
+            drop_prob=0.05, dup_prob=0.05, jitter_ns=10 * _US,
+        )
+        rec = run_shmem(_jacobi(), optimize=True, faults=faults)
+        assert rec.completed and rec.stats.recovery_rollbacks == 1
+        assert rec.stats.total_retransmits > 0
+        assert checks[0] > 10_000
 
 
 # --------------------------------------------------------------------- #

@@ -6,10 +6,14 @@ is exercised by name rather than hoped for statistically; the end-to-end
 tests then run real workloads under seeded fault storms.
 """
 
+import random
+
 import pytest
 
+from repro.obs.bus import EventBus
 from repro.tempest import FaultConfig, MsgKind
-from repro.tempest.faults import _US
+from repro.tempest.config import CombineConfig
+from repro.tempest.faults import PartitionScenario, _US
 from tests.tempest.conftest import make_cluster
 
 
@@ -31,6 +35,22 @@ class ScriptedRandom:
         v = self.ranges.pop(0) if self.ranges else 0
         assert v < n
         return v
+
+
+class RecordingRandom:
+    """A seeded ``random.Random`` that logs each draw as ``(method, arg)``."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.log = []
+
+    def random(self):
+        self.log.append(("random", None))
+        return self._rng.random()
+
+    def randrange(self, n):
+        self.log.append(("randrange", n))
+        return self._rng.randrange(n)
 
 
 def faulty_cluster(faults, n_nodes=2):
@@ -243,6 +263,68 @@ class TestDedupAndOrdering:
         cluster.engine.run()
         assert sorted(log) == ["fwd", "rev"]
         assert log[0] == "rev"  # undropped direction delivered first
+
+
+class TestDrawOrder:
+    def test_draw_sequence_is_pinned(self):
+        """Every RNG draw of a short two-node exchange, in order.
+
+        Per data copy: drop, dup, then one jitter per surviving copy
+        (original first, duplicate second).  Per ack frame — a combined
+        one included — drop, then jitter if it survives.  Stall at
+        delivery.  A copy cut by an active partition draws nothing.
+        """
+        faults = FaultConfig(
+            drop_prob=0.25, dup_prob=0.25, jitter_ns=10 * _US,
+            stall_prob=0.25, stall_ns=5 * _US, seed=1,
+            partitions=(PartitionScenario(
+                "blip", frozenset({1}), t_start_ns=200 * _US,
+                duration_ns=10 * _US,
+            ),),
+        )
+        cluster, _ = make_cluster(
+            n_nodes=2, faults=faults, combine=CombineConfig(enabled=True)
+        )
+        net = cluster.network
+        rng = net.transport.rng = RecordingRandom(faults.seed)
+        causes = []
+        bus = EventBus()
+        bus.subscribe(lambda ev: causes.append(ev.args["cause"]), ["frame.drop"])
+        cluster.attach_bus(bus)
+        cost = cluster.config.handler_ack_ns
+        # Node 1's link serializes 1 KiB for 52us, so its acks for node
+        # 0's three frames park and leave as one combined ack frame.
+        net.send(1, 0, MsgKind.ACK, lambda: None, cost, payload_bytes=1024)
+        for _ in range(3):
+            net.send(0, 1, MsgKind.ACK, lambda: None, cost)
+        cluster.engine.call_at(
+            200 * _US, lambda: net.send(0, 1, MsgKind.ACK, lambda: None, cost)
+        )
+        cluster.engine.run()
+
+        R, J = ("random", None), ("randrange", 10 * _US + 1)
+        assert rng.log == [
+            R, R,           # 0.8us  0->1 #0: drop (lost), dup (no)
+            R, R, J,        # 1.6us  0->1 #1: drop, dup, jitter
+            R, R, J,        # 2.4us  0->1 #2: drop, dup, jitter
+            R, R, J, J,     # 52us   1->0 #0: drop, dup (yes), jitter x2
+            R, J,           # 53us   one combined ack for 0->1 #1, #2
+            R,              # 62us   1->0 #0 delivered: stall
+            R, J,           # 63us   ack for 1->0 #0
+            R, J,           # 69us   ack for its duplicate
+            R, R, J, J,     # 121us  0->1 #0 retransmit: dup (yes)
+            R, R, R,        # 131us  0->1 #0, #1, #2 delivered: stall x3
+            R, J,           # 132us  ack for 0->1 #0
+            R, J,           # 140us  ack for its duplicate
+            #                 201us  0->1 #3 cut by the partition: no draw
+            R, R, J,        # 321us  0->1 #3 retransmit
+            R,              # 336us  0->1 #3 delivered: stall
+            R,              # 337us  ack for 0->1 #3: lost, no jitter
+            R, R, J,        # 561us  0->1 #3 retransmit
+            R, J,           # 572us  ack for the deduplicated retransmit
+        ]
+        assert causes == ["loss", "partition", "loss"]
+        assert cluster.stats.total_combine_flushes == 1
 
 
 # --------------------------------------------------------------------- #
