@@ -13,7 +13,9 @@ Two modes, one artifact:
   *off* cells (unoptimized, no observability bus — exactly
   ``bench_ablation_obs.run_cell(prog, "off")``), the *fault* cell (the
   same shallow off-cell on a lossy wire, so the reliable transport's
-  per-frame path is timed too) and the functional pass's
+  per-frame path is timed too), the *protocol* cells (pde unoptimized
+  under each coherence protocol: demand misses, so every active-message
+  handler is timed) and the functional pass's
   *build* cells (``build_shmem_plan`` alone for lu and jacobi at default
   scale, optimized — the layer the engine cells barely touch) and fails
   when host wall regresses more than ``--budget`` (default 20%) against
@@ -70,6 +72,12 @@ BUILD_REPEATS = 5
 #: only guard cells that run the reliable transport.
 FAULT_CELLS = {
     "shallow": dict(drop_prob=0.02, dup_prob=0.01, jitter_ns=10_000),
+}
+#: The guard's protocol cells: cell -> (app, coherence protocol), default
+#: scale, unoptimized — the demand-miss traffic the off cells barely make.
+PROTOCOL_CELLS = {
+    "pde/invalidate": ("pde", "invalidate"),
+    "pde/update": ("pde", "update"),
 }
 
 
@@ -141,6 +149,23 @@ def measure_fault_cell(app: str, repeats: int) -> float:
     return best
 
 
+def measure_protocol_cell(cell: str, repeats: int) -> float:
+    """Host wall (min of ``repeats``) of one unoptimized run under one
+    coherence protocol."""
+    from repro.apps import APPS
+    from repro.runtime import run_shmem
+    from repro.tempest.config import ClusterConfig
+
+    app, protocol = PROTOCOL_CELLS[cell]
+    prog = APPS[app].program("default")
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run_shmem(prog, ClusterConfig(n_nodes=N_NODES), protocol=protocol)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def measure_build_cell(app: str, repeats: int) -> float:
     """Host wall (min of ``repeats``) of one functional pass."""
     from repro.apps import APPS
@@ -171,6 +196,11 @@ def measure_off_cells() -> dict:
 
 def measure_fault_cells() -> dict:
     return {a: round(measure_fault_cell(a, GUARD_REPEATS), 4) for a in FAULT_CELLS}
+
+
+def measure_protocol_cells() -> dict:
+    return {c: round(measure_protocol_cell(c, GUARD_REPEATS), 4)
+            for c in PROTOCOL_CELLS}
 
 
 def measure_build_cells() -> dict:
@@ -221,10 +251,14 @@ def write(args: argparse.Namespace) -> int:
             speedups.append(cell["speedup"])
     off = measure_off_cells()
     fault = measure_fault_cells()
-    off_old = fault_old = {}
+    protocol = measure_protocol_cells()
+    off_old = fault_old = protocol_old = {}
     if args.baseline_src:
         off_old = _baseline_measure(args.baseline_src, "measure_off_cells")
         fault_old = _baseline_measure(args.baseline_src, "measure_fault_cells")
+        protocol_old = _baseline_measure(
+            args.baseline_src, "measure_protocol_cells"
+        )
     doc = {
         "schema": "engine-speed/1",
         "baseline_commit": args.baseline_commit,
@@ -237,6 +271,7 @@ def write(args: argparse.Namespace) -> int:
         "apps": apps,
         "off_cells": off,
         "fault_cells": fault,
+        "protocol_cells": protocol,
         "build_cells": measure_build_cells(),
         "calibration_s": round(calibration_s(), 4),
     }
@@ -249,6 +284,12 @@ def write(args: argparse.Namespace) -> int:
         doc["fault_cells_old"] = fault_old
         doc["fault_cells_speedup"] = {
             a: round(fault_old[a] / fault[a], 2) for a in fault if a in fault_old
+        }
+    if protocol_old:
+        doc["protocol_cells_old"] = protocol_old
+        doc["protocol_cells_speedup"] = {
+            c: round(protocol_old[c] / protocol[c], 2)
+            for c in protocol if c in protocol_old
         }
     with open(args.json, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -275,6 +316,9 @@ def check(args: argparse.Namespace) -> int:
         # Absent from artifacts written before the fault cell existed.
         ("fault", doc.get("fault_cells", {}),
          lambda app: measure_fault_cell(app, GUARD_REPEATS)),
+        # Absent from artifacts written before the protocol cells existed.
+        ("protocol", doc.get("protocol_cells", {}),
+         lambda cell: measure_protocol_cell(cell, GUARD_REPEATS)),
         # Absent from artifacts written before the build cells existed.
         ("build", doc.get("build_cells", {}),
          lambda app: measure_build_cell(app, BUILD_REPEATS)),

@@ -31,16 +31,18 @@ def measure_roundtrip() -> float:
     cfg = cl.config
     done = cl.engine.future("pong")
 
-    def on_pong() -> None:
+    def on_pong(_seq) -> None:
         done.resolve(cl.engine.now)
 
-    def on_ping() -> None:
+    def on_ping(_seq) -> None:
         # The replying side pays its send overhead inside the handler.
-        cl.network.send(1, 0, MsgKind.ACK, on_pong, cfg.send_overhead_ns, payload_bytes=4)
+        cl.network.send(
+            1, 0, MsgKind.ACK, on_pong, (), cfg.send_overhead_ns, payload_bytes=4
+        )
 
     def pinger():
         yield cl.nodes[0].compute_cpu.serve(cfg.send_overhead_ns)
-        cl.network.send(0, 1, MsgKind.ACK, on_ping, 0, payload_bytes=4)
+        cl.network.send(0, 1, MsgKind.ACK, on_ping, (), 0, payload_bytes=4)
         yield done
 
     start = cl.engine.now

@@ -95,7 +95,9 @@ class ChromeTraceExporter:
         # when the track follows ``ev.node``, record name or None when
         # the name follows the payload)
         self._by_kind: dict[str, tuple] = {}
-        self._sub = bus.subscribe(self._on_event)
+        # Not kept: a stored Subscription, whose callback is bound to self,
+        # would make a cycle that outlives the run until a full GC pass.
+        bus.subscribe(self._on_event)
 
     def _kind(self, kind: str) -> tuple:
         info = self._by_kind.get(kind)

@@ -138,7 +138,8 @@ class Timeline:
             self.wait: dict[int, int] = {}
             # first-frame seqs referenced by at least one frame.retransmit.
             self.retrans: set[int] = set()
-        self._sub = bus.subscribe(self._on_event, kinds=kinds)
+        # Not kept: see ChromeTraceExporter (no self-cycle through the bus).
+        bus.subscribe(self._on_event, kinds=kinds)
 
     def _phase(self, node: int) -> int:
         """The node's current phase; spans before any phase marker

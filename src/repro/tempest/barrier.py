@@ -83,29 +83,11 @@ class Barrier:
 
         # Arrival message: sender-side overhead on the compute CPU.
         yield node.compute_cpu.use(self.config.send_overhead_ns)
-        if self.obs is None:
-            self.network.send(
-                node_id,
-                self.manager,
-                MsgKind.BARRIER_ARRIVE,
-                lambda g=gen: self._on_arrival(g),
-                self.config.handler_ack_ns,
-                combinable=True,
-            )
-        else:
-            # Lineage spelling of the same send: the handler learns who
-            # arrived, when the arrival left, and which msg carried it
-            # (the ref cell closes over the seq network.send returns).
-            ref: list = [None]
-            ref[0] = self.network.send(
-                node_id,
-                self.manager,
-                MsgKind.BARRIER_ARRIVE,
-                lambda g=gen, s=node_id, t=self.engine.now, r=ref:
-                    self._on_arrival(g, s, t, r[0]),
-                self.config.handler_ack_ns,
-                combinable=True,
-            )
+        self.network.send(
+            node_id, self.manager, MsgKind.BARRIER_ARRIVE,
+            self._on_arrival, (gen, node_id, self.engine.now),
+            self.config.handler_ack_ns, combinable=True,
+        )
         yield release
         del self._release[(gen, node_id)]
         node.stats.barrier_ns += self.engine.now - bar_start
@@ -119,9 +101,9 @@ class Barrier:
             )
 
     # ------------------------------------------------------------------ #
-    def _on_arrival(
-        self, gen: int, src: int = -1, sent_ns: int = 0, cause=None
-    ) -> None:
+    def _on_arrival(self, gen: int, src: int, sent_ns: int, cause) -> None:
+        """BARRIER_ARRIVE handler at the manager; ``src``, ``sent_ns`` and
+        the arrival's own seq feed the lineage record only."""
         count = self._arrivals.get(gen, 0) + 1
         last = count >= self.config.n_nodes
         if self.obs is not None:
@@ -157,18 +139,14 @@ class Barrier:
             ).seq
         for dst in range(self.config.n_nodes):
             seq = self.network.send(
-                self.manager,
-                dst,
-                MsgKind.BARRIER_RELEASE,
-                lambda g=gen, d=dst: self._on_release(g, d),
-                self.config.handler_ack_ns,
-                combinable=True,
-                parent=rel_seq,
+                self.manager, dst, MsgKind.BARRIER_RELEASE,
+                self._on_release, (gen, dst),
+                self.config.handler_ack_ns, combinable=True, parent=rel_seq,
             )
-            if self.obs is not None and seq is not None:
+            if seq is not None:
                 self._release_msg[(gen, dst)] = seq
 
-    def _on_release(self, gen: int, node_id: int) -> None:
+    def _on_release(self, gen: int, node_id: int, _seq) -> None:
         fut = self._release.get((gen, node_id))
         if fut is None:  # pragma: no cover - protocol invariant
             raise RuntimeError(

@@ -73,19 +73,11 @@ class Collectives:
             result = self.engine.future(f"reduce{gen}.n{node_id}")
             self._result[(gen, node_id)] = result
             yield node.compute_cpu.use(cfg.send_overhead_ns)
-            # Ref cell: the contribution handler carries its own msg.send
-            # seq so the root's result broadcast can chain to the last
-            # contribution that completed the reduction.
-            ref: list = [None]
-            ref[0] = self.network.send(
-                node_id,
-                self.root,
-                MsgKind.REDUCE,
-                lambda g=gen, p=payload, r=ref: self._on_contribution(g, p, r[0]),
-                cfg.handler_request_ns,
-                payload_bytes=payload,
+            contrib = self.network.send(
+                node_id, self.root, MsgKind.REDUCE,
+                self._on_contribution, (gen, payload),
+                cfg.handler_request_ns, payload_bytes=payload,
             )
-            contrib = ref[0]
             yield result
             del self._result[(gen, node_id)]
         node.stats.reduce_ns += self.engine.now - start
@@ -129,12 +121,9 @@ class Collectives:
             parent = node_id - (node_id & -node_id)
             yield node.compute_cpu.use(cfg.send_overhead_ns)
             self.network.send(
-                node_id,
-                parent,
-                MsgKind.REDUCE,
-                lambda g=gen, p=parent: self._tree_sema(g, p).post(),
-                cfg.handler_ack_ns,
-                payload_bytes=payload,
+                node_id, parent, MsgKind.REDUCE,
+                self._on_partial, (gen, parent),
+                cfg.handler_ack_ns, payload_bytes=payload,
             )
             # Await the result coming back down.
             down = self.engine.future(f"tree{gen}.down.n{node_id}")
@@ -147,16 +136,19 @@ class Collectives:
         for child in children:
             yield node.compute_cpu.use(cfg.send_overhead_ns)
             self.network.send(
-                node_id,
-                child,
-                MsgKind.REDUCE_RESULT,
-                lambda g=gen, c=child: self._result[(g, c)].resolve(None),
-                cfg.handler_ack_ns,
-                payload_bytes=payload,
+                node_id, child, MsgKind.REDUCE_RESULT,
+                self._on_result, (gen, child),
+                cfg.handler_ack_ns, payload_bytes=payload,
             )
         self._tree_semas.pop((gen, node_id), None)
 
-    def _on_contribution(self, gen: int, payload: int, cause=None) -> None:
+    def _on_partial(self, gen: int, node_id: int, _seq) -> None:
+        """Tree REDUCE handler: one child's partial reached ``node_id``."""
+        self._tree_sema(gen, node_id).post()
+
+    def _on_contribution(self, gen: int, payload: int, cause) -> None:
+        """Central REDUCE handler at the root; the contribution's own seq
+        is the parent of the result broadcast the last one triggers."""
         count = self._arrivals.get(gen, 0) + 1
         if count < self.config.n_nodes:
             self._arrivals[gen] = count
@@ -165,16 +157,13 @@ class Collectives:
         self.reductions_completed += 1
         for dst in range(self.config.n_nodes):
             self.network.send(
-                self.root,
-                dst,
-                MsgKind.REDUCE_RESULT,
-                lambda g=gen, d=dst: self._on_result(g, d),
-                self.config.handler_response_ns,
-                payload_bytes=payload,
+                self.root, dst, MsgKind.REDUCE_RESULT,
+                self._on_result, (gen, dst),
+                self.config.handler_response_ns, payload_bytes=payload,
                 parent=cause,
             )
 
-    def _on_result(self, gen: int, node_id: int) -> None:
+    def _on_result(self, gen: int, node_id: int, _seq) -> None:
         self._result[(gen, node_id)].resolve(None)
 
     # ------------------------------------------------------------------ #
@@ -191,13 +180,12 @@ class Collectives:
         node = self.nodes[src]
         yield node.compute_cpu.use(cfg.send_overhead_ns)
         self.network.send(
-            src,
-            dst,
-            MsgKind.MP_DATA,
-            lambda d=dst: self._mp_sema[d].post(1),
-            cfg.handler_data_recv_ns,
-            payload_bytes=nbytes,
+            src, dst, MsgKind.MP_DATA, self._on_mp_data, (dst,),
+            cfg.handler_data_recv_ns, payload_bytes=nbytes,
         )
+
+    def _on_mp_data(self, dst: int, _seq) -> None:
+        self._mp_sema[dst].post(1)
 
     def mp_recv(self, node_id: int, n_messages: int) -> Generator[Any, Any, None]:
         """Block until ``n_messages`` sends addressed here have arrived."""

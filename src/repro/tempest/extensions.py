@@ -247,16 +247,12 @@ class CompilerExtensions:
                 + (count - 1) * cfg.handler_data_recv_per_block_ns
             )
             self.network.send(
-                node_id,
-                dst,
-                MsgKind.DATA,
-                lambda r=run, dn=dst: self._on_data(dn, r),
-                handler_cost,
-                payload_bytes=count * cfg.block_size,
+                node_id, dst, MsgKind.DATA, self._on_data, (dst, run),
+                handler_cost, payload_bytes=count * cfg.block_size,
             )
         finish()
 
-    def _on_data(self, dst: int, run: range) -> None:
+    def _on_data(self, dst: int, run: range, _seq) -> None:
         """Receiver handler for a compiler-pushed payload."""
         tags = self.access.rows[dst][run.start : run.stop]
         if not (tags == _READWRITE).all():
@@ -306,17 +302,13 @@ class CompilerExtensions:
                 + (count - 1) * cfg.handler_data_recv_per_block_ns
             )
             self.network.send(
-                node_id,
-                owner,
-                MsgKind.FLUSH,
-                lambda r=run, o=owner: self._on_flush(o, r),
-                handler_cost,
-                payload_bytes=count * cfg.block_size,
+                node_id, owner, MsgKind.FLUSH, self._on_flush, (owner, run),
+                handler_cost, payload_bytes=count * cfg.block_size,
             )
         self.access.set_range(node_id, list(blocks), AccessTag.INVALID)
         finish()
 
-    def _on_flush(self, owner: int, run: range) -> None:
+    def _on_flush(self, owner: int, run: range, _seq) -> None:
         for b in run:
             if self.access.get(owner, b) is not AccessTag.READWRITE:
                 raise ContractViolation(
@@ -368,18 +360,16 @@ class CompilerExtensions:
                 for b in dropped:
                     self.directory.clear_sharer(b, node_id)
                 continue
-
-            def on_notice(blks=tuple(dropped), n=node_id) -> None:
-                for b in blks:
-                    self.directory.clear_sharer(b, n)
-
             yield self.nodes[node_id].compute_cpu.use(cfg.send_overhead_ns)
             self.network.send(
-                node_id,
-                home,
-                MsgKind.SELF_INV,
-                on_notice,
+                node_id, home, MsgKind.SELF_INV,
+                self._on_notice, (tuple(dropped), node_id),
                 cfg.handler_ack_ns + len(dropped) * cfg.tag_change_per_block_ns,
                 combinable=True,
             )
         finish()
+
+    def _on_notice(self, blocks: tuple, node_id: int, _seq) -> None:
+        """SELF_INV handler at the home: forget the dropped copies."""
+        for b in blocks:
+            self.directory.clear_sharer(b, node_id)

@@ -32,12 +32,17 @@ Contention is accounted per sending node (``switch_wait_ns``,
 Disabled (the default), none of the machinery is constructed and schedules
 are byte-identical to the link-only model.
 
-Handlers are plain callables executed after their occupancy completes on the
-destination's protocol CPU (see :meth:`repro.tempest.node.Node.run_handler`).
-Self-sends skip the wire but still pay dispatch costs, matching Tempest's
-loopback path; both paths converge on one :meth:`Network.dispatch` so every
-message — local or remote, reliable or not — enters the destination node the
-same way.
+Every active message has one calling convention: a handler (a bound method)
+and an argument tuple, carried unchanged from :meth:`Network.send` to the
+destination, where it runs as ``handler(*args, seq)`` after its occupancy
+completes on the protocol CPU (see :meth:`repro.tempest.node.Node.
+run_handler`).  ``seq`` is exactly what ``send`` returned: the message's own
+``msg.send`` event seq, which the handler passes on as the lineage parent of
+whatever it sends next — None with no bus attached, and None for a message
+that parked in a combine buffer.  Self-sends skip the wire but still pay
+dispatch costs, matching Tempest's loopback path; both paths converge on
+one :meth:`Network.dispatch` so every message — local or remote, reliable
+or not — enters the destination node the same way.
 
 Message combining
 -----------------
@@ -117,17 +122,19 @@ HEADER_BYTES = 16
 class _CombineBuffer:
     """Header-only control frames parked for one (src, dst) channel."""
 
-    __slots__ = ("dst", "kinds", "handlers", "costs")
+    __slots__ = ("dst", "kinds", "calls", "costs")
 
     def __init__(self, dst: int) -> None:
         self.dst = dst
         self.kinds: list[MsgKind] = []
-        self.handlers: list[Callable[[], None]] = []
+        self.calls: list[tuple[Callable[..., None], tuple]] = []
         self.costs: list[int] = []
 
-    def add(self, kind: MsgKind, handler: Callable[[], None], cost_ns: int) -> None:
+    def add(
+        self, kind: MsgKind, handler: Callable[..., None], args: tuple, cost_ns: int
+    ) -> None:
         self.kinds.append(kind)
-        self.handlers.append(handler)
+        self.calls.append((handler, args))
         self.costs.append(cost_ns)
 
     def __len__(self) -> int:
@@ -213,8 +220,8 @@ class Network:
             self.transport = ReliableTransport(self, config.faults)
         else:
             self.transport = None
-        # Perfect plain wire (no switch, no combining, no faults):
-        # _put_on_wire goes straight to the link.  Precomputing the decision
+        # Perfect plain wire (no switch, no combining, no faults): send
+        # goes straight to the link.  Precomputing the decision
         # and the arrival delay keeps the per-frame branch to one attribute
         # load.
         self._fused_wire = (
@@ -232,14 +239,16 @@ class Network:
         src: int,
         dst: int,
         kind: MsgKind,
-        handler: Callable[[], None],
+        handler: Callable[..., None],
+        args: tuple,
         handler_cost_ns: int,
         payload_bytes: int = 0,
         combinable: bool = False,
         parent=None,
     ) -> int | None:
-        """Send an active message; ``handler`` runs at ``dst`` after
-        transport + dispatch + handler occupancy.
+        """Send an active message; ``handler(*args, seq)`` runs at ``dst``
+        after transport + dispatch + handler occupancy, ``seq`` being what
+        this call returns.
 
         The *sender-side CPU* cost (``send_overhead_ns``) is charged by the
         caller — node processes charge it to the compute CPU, protocol
@@ -277,11 +286,35 @@ class Network:
         if src == dst:
             # Loopback: no wire, but dispatch + handler still run.
             seq = self._count(src, dst, kind, size, parent)
-            self.dispatch(dst, cfg.dispatch_overhead_ns, handler_cost_ns, handler)
+            self.dispatch(
+                dst, cfg.dispatch_overhead_ns, handler_cost_ns, handler, args, seq
+            )
+            return seq
+        if self._fused_wire:
+            # Perfect plain wire, the hottest hop of every message:
+            # traverse -> serve_link -> Resource.then on the sender's link
+            # written out, config.transfer_ns as the same float expression.
+            seq = self._count(src, dst, kind, size, parent)
+            duration = int(size / self._bw_bytes_per_us * US)
+            link = self.links[src]
+            engine = self.engine
+            start = link._free_at
+            now = engine.now
+            if start < now:
+                start = now
+            finish = start + duration
+            link._free_at = finish
+            link.busy_ns += duration
+            link.jobs += 1
+            engine.call_chain(
+                finish, self._wire_done, dst, handler, args, handler_cost_ns, seq
+            )
             return seq
         if not self.combining:
             seq = self._count(src, dst, kind, size, parent)
-            self._put_on_wire(src, dst, kind, handler, handler_cost_ns, size, seq)
+            self._put_on_wire(
+                src, dst, kind, handler, args, handler_cost_ns, size, seq
+            )
             return seq
 
         # ---------------- combining fast path ---------------- #
@@ -289,7 +322,7 @@ class Network:
         if combinable:
             buf = pending.get(dst)
             if buf is not None:
-                buf.add(kind, handler, handler_cost_ns)
+                buf.add(kind, handler, args, handler_cost_ns)
                 if len(buf) >= cfg.combine.max_msgs:
                     del pending[dst]
                     self._flush_buffer(src, buf)
@@ -301,7 +334,7 @@ class Network:
             )
             if hot or self._link_jobs[src] > 0:
                 buf = pending[dst] = _CombineBuffer(dst)
-                buf.add(kind, handler, handler_cost_ns)
+                buf.add(kind, handler, args, handler_cost_ns)
                 # The hold timer bounds the wait for channel-mates; it
                 # no-ops if another trigger flushed the buffer first.
                 self.engine.call_after(
@@ -313,7 +346,7 @@ class Network:
             # channel so a burst's followers park behind this frame.
             self._last_ctl[src][dst] = self.engine.now
             seq = self._count(src, dst, kind, size, parent)
-            self._put_on_wire(src, dst, kind, handler, handler_cost_ns, size, seq)
+            self._put_on_wire(src, dst, kind, handler, args, handler_cost_ns, size, seq)
             return seq
         # Non-combinable: anything parked for this channel must enter the
         # FIFO link first, preserving per-channel order.
@@ -321,7 +354,7 @@ class Network:
         if buf is not None:
             self._flush_buffer(src, buf)
         seq = self._count(src, dst, kind, size, parent)
-        self._put_on_wire(src, dst, kind, handler, handler_cost_ns, size, seq)
+        self._put_on_wire(src, dst, kind, handler, args, handler_cost_ns, size, seq)
         return seq
 
     def _count(
@@ -329,7 +362,7 @@ class Network:
     ) -> int | None:
         """Account one message send (stats counter + bus event); returns
         the ``msg.send`` event seq (None without a bus)."""
-        s = self.stats[src]
+        s = self.stats.nodes[src]
         s.messages[kind] += 1
         s.bytes_sent += size
         if self.obs is None:
@@ -368,34 +401,34 @@ class Network:
         src: int,
         dst: int,
         kind: MsgKind,
-        handler: Callable[[], None],
+        handler: Callable[..., None],
+        args: tuple,
         handler_cost_ns: int,
         size: int,
-        parent=None,
+        seq,
     ) -> None:
-        """One frame onto the sender's link (reliable or perfect path)."""
-        if self._fused_wire:
-            # Inlined traverse -> serve_link and config.transfer_ns (same
-            # float expression): three fewer calls per frame.
-            self.links[src].then(
-                int(size / self._bw_bytes_per_us * US),
-                self._wire_done, dst, handler, handler_cost_ns,
+        """One frame onto the sender's link through the reliable transport
+        or the switch/combining path; ``seq`` is its ``msg.send`` seq."""
+        if self.transport is not None:
+            self.transport.send(
+                src, dst, kind, handler, args, handler_cost_ns, size, seq
             )
             return
-        if self.transport is not None:
-            self.transport.send(src, dst, kind, handler, handler_cost_ns, size, parent)
-            return
         self.traverse(
-            src, dst, size, parent, self._wire_done, dst, handler, handler_cost_ns
+            src, dst, size, seq,
+            self._wire_done, dst, handler, args, handler_cost_ns, seq,
         )
 
-    def _wire_done(self, dst: int, handler: Callable[[], None], handler_cost_ns: int) -> None:
+    def _wire_done(
+        self, dst: int, handler: Callable[..., None], args: tuple,
+        handler_cost_ns: int, seq,
+    ) -> None:
         """Past the bandwidth-limited path: arrival after the remaining
         propagation delay, then dispatch at the destination."""
         engine = self.engine
         engine.call_at(
             engine.now + self._arrival_delay_ns, self.nodes[dst].run_handler,
-            handler_cost_ns, handler,
+            handler_cost_ns, handler, args, seq,
         )
 
     @staticmethod
@@ -495,7 +528,8 @@ class Network:
             self.transport.flush_acks(src)
 
     def _flush_buffer(self, src: int, buf: _CombineBuffer) -> None:
-        """Emit one combine buffer: a single frame if alone, else combined."""
+        """Emit one combine buffer: a single frame if alone, else combined.
+        Either way the frame's handler is :meth:`_run_parked`."""
         self._last_ctl[src][buf.dst] = self.engine.now
         st = self.stats[src]
         k = len(buf)
@@ -503,8 +537,8 @@ class Network:
             # A lone parked frame travels exactly as it would have queued.
             seq = self._count(src, buf.dst, buf.kinds[0], HEADER_BYTES)
             self._put_on_wire(
-                src, buf.dst, buf.kinds[0], buf.handlers[0], buf.costs[0],
-                HEADER_BYTES, seq,
+                src, buf.dst, buf.kinds[0], self._run_parked, (buf.calls,),
+                buf.costs[0], HEADER_BYTES, seq,
             )
             return
         size = HEADER_BYTES + k * self.config.combine.slot_bytes
@@ -517,17 +551,19 @@ class Network:
                 "combine.flush", self.engine.now, node=src, parent=seq,
                 dst=buf.dst, n=k, kinds=list(buf.kinds), size=size,
             )
-        handlers = tuple(buf.handlers)
-
-        def run_all() -> None:
-            # Sub-handlers apply in send order at the combined frame's
-            # occupancy completion (one dispatch, one handler slot).
-            for h in handlers:
-                h()
-
         self._put_on_wire(
-            src, buf.dst, MsgKind.COMBINED, run_all, sum(buf.costs), size, seq
+            src, buf.dst, MsgKind.COMBINED, self._run_parked, (buf.calls,),
+            sum(buf.costs), size, seq,
         )
+
+    @staticmethod
+    def _run_parked(calls: list, _seq) -> None:
+        """Handler of a flushed combine buffer: the parked messages apply
+        in send order at the frame's occupancy completion (one dispatch,
+        one handler slot).  Each gets None for its seq — what ``send``
+        returned when it parked — whatever the carrying frame's seq."""
+        for handler, args in calls:
+            handler(*args, None)
 
     # ------------------------------------------------------------------ #
     def dispatch(
@@ -535,36 +571,17 @@ class Network:
         dst: int,
         delay_ns: int,
         handler_cost_ns: int,
-        handler: Callable[[], None],
+        handler: Callable[..., None],
+        args: tuple,
+        seq,
     ) -> None:
         """The single entry point into a destination node: after
-        ``delay_ns`` (remaining transport + dispatch overhead), run the
-        handler on ``dst``'s protocol CPU.  Loopback sends, perfect-wire
-        arrivals and reliable-transport deliveries all land here.
+        ``delay_ns`` (remaining transport + dispatch overhead), run
+        ``handler(*args, seq)`` on ``dst``'s protocol CPU.  Loopback sends
+        and reliable-transport deliveries land here; :meth:`_wire_done`
+        schedules the same ``run_handler`` call for perfect-wire arrivals.
         """
         self.engine.call_after(
-            delay_ns, self.nodes[dst].run_handler, handler_cost_ns, handler
+            delay_ns, self.nodes[dst].run_handler,
+            handler_cost_ns, handler, args, seq,
         )
-
-    def broadcast(
-        self,
-        src: int,
-        kind: MsgKind,
-        make_handler: Callable[[int], Callable[[], None]],
-        handler_cost_ns: int,
-        payload_bytes: int = 0,
-        include_self: bool = False,
-        combinable: bool = False,
-        parent=None,
-    ) -> int:
-        """Send to every other node (optionally self); returns count sent."""
-        sent = 0
-        for dst in range(self.config.n_nodes):
-            if dst == src and not include_self:
-                continue
-            self.send(
-                src, dst, kind, make_handler(dst), handler_cost_ns,
-                payload_bytes, combinable=combinable, parent=parent,
-            )
-            sent += 1
-        return sent

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator
 
-from repro.sim import Engine, Future, Resource
+from repro.sim import Engine, Future, Resource, SimulationError
 from repro.tempest.config import ClusterConfig
 from repro.tempest.stats import NodeStats
 
@@ -66,9 +66,11 @@ class Node:
     # ------------------------------------------------------------------ #
     # protocol handler execution
     # ------------------------------------------------------------------ #
-    def run_handler(self, cost_ns: int, fn: Callable[[], None]) -> None:
+    def run_handler(
+        self, cost_ns: int, fn: Callable[..., None], args: tuple, seq
+    ) -> None:
         """Execute a message handler: occupy the protocol CPU for its cost,
-        then apply its effects.
+        then apply its effects as ``fn(*args, seq)``.
 
         Effects apply at occupancy *completion* so that a handler's state
         changes are not visible while it is still queued behind earlier
@@ -77,15 +79,30 @@ class Node:
         """
         if not self.alive:
             return  # fail-stopped: the handler vanishes with the node
-        self.protocol_cpu.then(
-            cost_ns + self._handler_extra_ns,
-            self._apply_handler, fn, self.incarnation,
+        # Resource.then on the protocol CPU, written out: one per message.
+        duration = cost_ns + self._handler_extra_ns
+        if duration < 0:
+            raise SimulationError(f"negative service time {duration}")
+        cpu = self.protocol_cpu
+        engine = self.engine
+        start = cpu._free_at
+        now = engine.now
+        if start < now:
+            start = now
+        finish = start + duration
+        cpu._free_at = finish
+        cpu.busy_ns += duration
+        cpu.jobs += 1
+        engine.call_chain(
+            finish, self._apply_handler, fn, args, seq, self.incarnation
         )
 
-    def _apply_handler(self, fn: Callable[[], None], inc: int) -> None:
+    def _apply_handler(
+        self, fn: Callable[..., None], args: tuple, seq, inc: int
+    ) -> None:
         """Apply a handler's effects unless the node crashed since queueing."""
         if self.incarnation == inc:
-            fn()
+            fn(*args, seq)
 
     # ------------------------------------------------------------------ #
     # compute-side process fragments

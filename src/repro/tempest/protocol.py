@@ -74,8 +74,9 @@ class DefaultProtocol:
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
         # Per-block home-side transaction lock: block -> queue of deferred
-        # transaction starters.  Presence of the key means "locked".
-        self._busy: dict[int, deque[Callable[[], None]]] = {}
+        # transaction starters (fn, args).  Presence of the key means
+        # "locked".
+        self._busy: dict[int, deque[tuple[Callable[..., None], tuple]]] = {}
         # Requester-side in-flight read transactions (for prefetch overlap):
         # (node, block) -> completion future.  A demand read that finds an
         # in-flight prefetch waits on it instead of issuing a duplicate.
@@ -94,22 +95,34 @@ class DefaultProtocol:
     # ------------------------------------------------------------------ #
     # transaction lock
     # ------------------------------------------------------------------ #
-    def _lock(self, block: int, start: Callable[[], None]) -> None:
+    def _lock(self, block: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` holding ``block``'s lock, now or once it frees.
+
+        Also the handler of READ_REQ and WRITE_REQ: sent with args
+        ``(block, self._home_read | self._home_write, ...)``, the request's
+        own seq lands last, as the transaction's ``cause``."""
         q = self._busy.get(block)
         if q is None:
             self._busy[block] = deque()
-            start()
+            fn(*args)
         else:
-            q.append(start)
+            q.append((fn, args))
 
     def _unlock(self, block: int) -> None:
         q = self._busy.get(block)
         if q is None:  # pragma: no cover
             raise ProtocolError(f"unlock of unlocked block {block}")
         if q:
-            q.popleft()()  # hand the lock to the next queued transaction
+            fn, args = q.popleft()
+            fn(*args)  # hand the lock to the next queued transaction
         else:
             del self._busy[block]
+
+    def _forget_inflight(self, key: tuple[int, int]) -> None:
+        """A read transaction completed: its future resolves with the
+        requester-side ``(node, block)`` key this callback clears."""
+        self._inflight.pop(key, None)
+        self._inflight_cause.pop(key, None)
 
     # ------------------------------------------------------------------ #
     # read miss (blocking)
@@ -154,10 +167,7 @@ class DefaultProtocol:
         home = self.directory.home_of(block)
         done = self.engine.future("rd")
         self._inflight[key] = done
-        done.add_callback(lambda _v: (
-            self._inflight.pop(key, None),
-            self._inflight_cause.pop(key, None),
-        ))
+        done.add_callback(self._forget_inflight)
         root = None
         if home != node_id:
             if count_stats:
@@ -165,24 +175,15 @@ class DefaultProtocol:
                 if obs is not None:
                     self._inflight_counted[key]["remote_read_misses"] = 1
             yield node.compute_cpu.use(cfg.send_overhead_ns)
-            # The handler closure is built before network.send returns the
-            # msg.send seq; the ref cell closes the loop so the home-side
-            # chain carries the request's lineage root.
-            ref: list = [None]
-            ref[0] = self.network.send(
-                node_id,
-                home,
-                MsgKind.READ_REQ,
-                lambda r=ref: self._lock(
-                    block, lambda: self._home_read(block, node_id, done, r[0])
-                ),
+            root = self.network.send(
+                node_id, home, MsgKind.READ_REQ,
+                self._lock, (block, self._home_read, block, node_id, done),
                 cfg.handler_request_ns,
             )
-            root = ref[0]
         else:
             # Local miss at the home: only possible when the data is
             # exclusive at a remote node (otherwise the home's tag is valid).
-            self._lock(block, lambda: self._home_read(block, node_id, done))
+            self._lock(block, self._home_read, block, node_id, done)
         if obs is not None and root is not None:
             self._inflight_cause[key] = root
         yield done
@@ -238,30 +239,21 @@ class DefaultProtocol:
             ).seq
         done = self.engine.future(f"pf.b{block}.n{node_id}")
         self._inflight[key] = done
-        done.add_callback(lambda _v: (
-            self._inflight.pop(key, None),
-            self._inflight_cause.pop(key, None),
-        ))
+        done.add_callback(self._forget_inflight)
 
         # The caller (ext.prefetch) charges the issue overhead inline, so
         # the request leaves immediately and the transaction overlaps the
         # computation that follows — the whole point of the prefetch.
         if home != node_id:
-            ref: list = [None]
-            ref[0] = self.network.send(
-                node_id,
-                home,
-                MsgKind.READ_REQ,
-                lambda r=ref: self._lock(
-                    block, lambda: self._home_read(block, node_id, done, r[0])
-                ),
-                cfg.handler_request_ns,
-                parent=pf_seq,
+            root = self.network.send(
+                node_id, home, MsgKind.READ_REQ,
+                self._lock, (block, self._home_read, block, node_id, done),
+                cfg.handler_request_ns, parent=pf_seq,
             )
-            if self.obs is not None and ref[0] is not None:
-                self._inflight_cause[key] = ref[0]
+            if root is not None:
+                self._inflight_cause[key] = root
         else:
-            self._lock(block, lambda: self._home_read(block, node_id, done))
+            self._lock(block, self._home_read, block, node_id, done)
         return done
 
     def _home_read(
@@ -283,14 +275,10 @@ class DefaultProtocol:
                 self._finish_read(block, requester, done, cause)
                 return
             # 2. put-data-request to the exclusive owner.
-            ref: list = [None]
-            ref[0] = self.network.send(
-                home,
-                owner,
-                MsgKind.PUT_REQ,
-                lambda r=ref: self._owner_put(block, owner, requester, done, r[0]),
-                cfg.handler_request_ns,
-                parent=cause,
+            self.network.send(
+                home, owner, MsgKind.PUT_REQ,
+                self._owner_put, (block, owner, requester, done),
+                cfg.handler_request_ns, parent=cause,
             )
             return
         if state == _EXCLUSIVE:  # pragma: no cover - impossible
@@ -301,33 +289,31 @@ class DefaultProtocol:
         self._finish_read(block, requester, done, cause)
 
     def _owner_put(
-        self, block: int, owner: int, requester: int, done: Future, cause=None
+        self, block: int, owner: int, requester: int, done: Future, cause
     ) -> None:
-        """Exclusive owner downgrades and returns the data to the home."""
-        d = self.directory
-        home = d.home_of(block)
+        """PUT_REQ handler: the exclusive owner downgrades and returns the
+        data to the home."""
         cfg = self.config
         self.access.set(owner, block, AccessTag.READONLY)
-        ref: list = [None]
-
-        def at_home(r=ref) -> None:
-            # Home installs the current data; its own copy becomes valid.
-            d.deliver_copy_one(home, block)
-            if not self.access.readable(home, block):
-                self.access.set(home, block, AccessTag.READONLY)
-            d.add_sharer(block, owner)
-            self._finish_read(block, requester, done, r[0])
-
         # 3. put-data-response carries the block back to the home.
-        ref[0] = self.network.send(
-            owner,
-            home,
-            MsgKind.PUT_RESP,
-            at_home,
-            cfg.handler_response_ns,
-            payload_bytes=cfg.block_size,
-            parent=cause,
+        self.network.send(
+            owner, self.directory.home_of(block), MsgKind.PUT_RESP,
+            self._put_at_home, (block, owner, requester, done),
+            cfg.handler_response_ns, payload_bytes=cfg.block_size, parent=cause,
         )
+
+    def _put_at_home(
+        self, block: int, owner: int, requester: int, done: Future, cause
+    ) -> None:
+        """PUT_RESP handler (read recall): the home installs the current
+        data, its own copy becomes valid, and the read completes."""
+        d = self.directory
+        home = d.home_of(block)
+        d.deliver_copy_one(home, block)
+        if not self.access.readable(home, block):
+            self.access.set(home, block, AccessTag.READONLY)
+        d.add_sharer(block, owner)
+        self._finish_read(block, requester, done, cause)
 
     def _finish_read(
         self, block: int, requester: int, done: Future, cause=None
@@ -341,14 +327,8 @@ class DefaultProtocol:
             self.access.set(requester, block, AccessTag.READONLY)
             d.deliver_copy_one(requester, block)
             self._unlock(block)
-            self.engine.call_now(done.resolve, None)
+            self.engine.call_now(done.resolve, (requester, block))
             return
-
-        def at_requester() -> None:
-            self.access.set(requester, block, AccessTag.READONLY)
-            d.deliver_copy_one(requester, block)
-            done.resolve(None)
-
         d.add_sharer(block, requester)
         # Granting a shared copy downgrades the home itself.
         if self.access.writable(home, block):
@@ -360,15 +340,17 @@ class DefaultProtocol:
         # response, or the requester would install a copy the directory
         # already believes invalidated.
         self.network.send(
-            home,
-            requester,
-            MsgKind.READ_RESP,
-            at_requester,
-            cfg.handler_response_ns,
-            payload_bytes=cfg.block_size,
-            parent=cause,
+            home, requester, MsgKind.READ_RESP,
+            self._read_resp, (block, requester, done),
+            cfg.handler_response_ns, payload_bytes=cfg.block_size, parent=cause,
         )
         self._unlock(block)
+
+    def _read_resp(self, block: int, requester: int, done: Future, _seq) -> None:
+        """READ_RESP handler: install the copy readable, wake the reader."""
+        self.access.set(requester, block, AccessTag.READONLY)
+        self.directory.deliver_copy_one(requester, block)
+        done.resolve((requester, block))
 
     # ------------------------------------------------------------------ #
     # write fault (eager, non-blocking)
@@ -404,19 +386,13 @@ class DefaultProtocol:
         root = None
         if home != node_id:
             yield node.compute_cpu.use(cfg.send_overhead_ns)
-            ref: list = [None]
-            ref[0] = self.network.send(
-                node_id,
-                home,
-                MsgKind.WRITE_REQ,
-                lambda r=ref: self._lock(
-                    block, lambda: self._home_write(block, node_id, grant, r[0])
-                ),
+            root = self.network.send(
+                node_id, home, MsgKind.WRITE_REQ,
+                self._lock, (block, self._home_write, block, node_id, grant),
                 cfg.handler_request_ns,
             )
-            root = ref[0]
         else:
-            self._lock(block, lambda: self._home_write(block, node_id, grant))
+            self._lock(block, self._home_write, block, node_id, grant)
         if obs is not None and count_fault:
             # Covers the inline portion of the fault (detection + request
             # send); the ownership transaction itself completes in the
@@ -443,28 +419,9 @@ class DefaultProtocol:
                 self._finish_write(block, writer, grant, cause)
                 return
             # Recall: invalidate the owner; it flushes the data home.
-            inv_ref: list = [None]
-
-            def owner_inv(r=inv_ref) -> None:
-                self.access.set(owner, block, AccessTag.INVALID)
-                put_ref: list = [None]
-
-                def at_home(pr=put_ref) -> None:
-                    d.deliver_copy_one(home, block)
-                    self._finish_write(block, writer, grant, pr[0])
-
-                put_ref[0] = self.network.send(
-                    owner,
-                    home,
-                    MsgKind.PUT_RESP,
-                    at_home,
-                    cfg.handler_response_ns,
-                    payload_bytes=cfg.block_size,
-                    parent=r[0],
-                )
-
-            inv_ref[0] = self.network.send(
-                home, owner, MsgKind.INV, owner_inv,
+            self.network.send(
+                home, owner, MsgKind.INV,
+                self._recall_at_owner, (block, owner, writer, grant),
                 cfg.handler_invalidate_ns, combinable=True, parent=cause,
             )
             return
@@ -476,37 +433,56 @@ class DefaultProtocol:
         if not sharers:
             self._finish_write(block, writer, grant, cause)
             return
-
-        remaining = len(sharers)
-
-        def make_inv(sharer: int) -> tuple[Callable[[], None], list]:
-            inv_ref: list = [None]
-
-            def on_inv(r=inv_ref) -> None:
-                self.access.set(sharer, block, AccessTag.INVALID)
-                ack_ref: list = [None]
-
-                def on_ack(ar=ack_ref) -> None:
-                    nonlocal remaining
-                    remaining -= 1
-                    if remaining == 0:
-                        self._finish_write(block, writer, grant, ar[0])
-
-                # 7. acknowledgement back to the home.
-                ack_ref[0] = self.network.send(
-                    sharer, home, MsgKind.ACK, on_ack,
-                    cfg.handler_ack_ns, combinable=True, parent=r[0],
-                )
-
-            return on_inv, inv_ref
-
+        # One count shared by every invalidation's ack; the last one in
+        # completes the write.
+        remaining = [len(sharers)]
         for s in sharers:
             # 6. invalidation to each sharer.
-            on_inv, inv_ref = make_inv(s)
-            inv_ref[0] = self.network.send(
-                home, s, MsgKind.INV, on_inv,
+            self.network.send(
+                home, s, MsgKind.INV,
+                self._on_inv, (block, s, writer, grant, remaining),
                 cfg.handler_invalidate_ns, combinable=True, parent=cause,
             )
+
+    def _recall_at_owner(
+        self, block: int, owner: int, writer: int, grant: Future, cause
+    ) -> None:
+        """INV handler at an exclusive owner: drop the copy and flush the
+        data home."""
+        cfg = self.config
+        self.access.set(owner, block, AccessTag.INVALID)
+        self.network.send(
+            owner, self.directory.home_of(block), MsgKind.PUT_RESP,
+            self._flush_at_home, (block, writer, grant),
+            cfg.handler_response_ns, payload_bytes=cfg.block_size, parent=cause,
+        )
+
+    def _flush_at_home(self, block: int, writer: int, grant: Future, cause) -> None:
+        """PUT_RESP handler (write recall): the home takes the data back."""
+        d = self.directory
+        d.deliver_copy_one(d.home_of(block), block)
+        self._finish_write(block, writer, grant, cause)
+
+    def _on_inv(
+        self, block: int, sharer: int, writer: int, grant: Future,
+        remaining: list, cause,
+    ) -> None:
+        """INV handler at a sharer: drop the copy, acknowledge."""
+        self.access.set(sharer, block, AccessTag.INVALID)
+        # 7. acknowledgement back to the home.
+        self.network.send(
+            sharer, self.directory.home_of(block), MsgKind.ACK,
+            self._on_ack, (block, writer, grant, remaining),
+            self.config.handler_ack_ns, combinable=True, parent=cause,
+        )
+
+    def _on_ack(
+        self, block: int, writer: int, grant: Future, remaining: list, cause
+    ) -> None:
+        """ACK handler at the home: the last ack completes the write."""
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            self._finish_write(block, writer, grant, cause)
 
     def _finish_write(
         self, block: int, writer: int, grant: Future, cause=None
@@ -517,25 +493,12 @@ class DefaultProtocol:
         d.set_exclusive(block, writer)
         if home != writer:
             self.access.set(home, block, AccessTag.INVALID)
-            # The writer may have had no copy at all; the grant carries the
-            # current data so partial-block stores merge correctly.  The
-            # grant also (re)installs write permission: a racing writer's
-            # invalidation may have wiped the tag set eagerly at fault time
-            # while this transaction was queued at the home.
-            def at_writer() -> None:
-                self.access.set(writer, block, AccessTag.READWRITE)
-                d.deliver_copy_one(writer, block)
-                grant.resolve(None)
-
             # 8. write-grant (with data), submitted before the unlock so a
             # queued transaction's messages cannot overtake it on the link.
             self.network.send(
-                home,
-                writer,
-                MsgKind.GRANT,
-                at_writer,
-                cfg.handler_response_ns,
-                payload_bytes=cfg.block_size,
+                home, writer, MsgKind.GRANT,
+                self._grant_at_writer, (block, writer, grant),
+                cfg.handler_response_ns, payload_bytes=cfg.block_size,
                 parent=cause,
             )
             self._unlock(block)
@@ -544,3 +507,13 @@ class DefaultProtocol:
             d.deliver_copy_one(writer, block)
             self._unlock(block)
             self.engine.call_now(grant.resolve, None)
+
+    def _grant_at_writer(self, block: int, writer: int, grant: Future, _seq) -> None:
+        """GRANT handler.  The writer may have had no copy at all; the
+        grant carries the current data so partial-block stores merge
+        correctly.  It also (re)installs write permission: a racing
+        writer's invalidation may have wiped the tag set eagerly at fault
+        time while this transaction was queued at the home."""
+        self.access.set(writer, block, AccessTag.READWRITE)
+        self.directory.deliver_copy_one(writer, block)
+        grant.resolve(None)

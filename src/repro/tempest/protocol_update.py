@@ -90,38 +90,33 @@ class UpdateProtocol(DefaultProtocol):
             if not targets:
                 continue  # private data: free, like a local cache hit
             ack = self.engine.future(f"upd.b{b}.n{node_id}")
+            # One count shared by every update's ack.
             remaining = [len(targets)]
             node.post_pending(ack)
-
-            def on_ack(_remaining=remaining, _ack=ack) -> None:
-                _remaining[0] -= 1
-                if _remaining[0] == 0:
-                    _ack.resolve(None)
-
-            def make_handler(dst: int, blk: int, ack_cb=on_ack):
-                def on_update() -> None:
-                    # Install the new data (a dropped copy still acks; the
-                    # next read simply refetches).
-                    if self.access.get(dst, blk) is not AccessTag.INVALID:
-                        d.deliver_copy_one(dst, blk)
-                    self.network.send(
-                        dst,
-                        node_id,
-                        MsgKind.UPDATE_ACK,
-                        ack_cb,
-                        self.config.handler_ack_ns,
-                        combinable=True,
-                    )
-
-                return on_update
-
             yield node.compute_cpu.use(cfg.send_overhead_ns)
             for dst in sorted(targets):
                 self.network.send(
-                    node_id,
-                    dst,
-                    MsgKind.UPDATE,
-                    make_handler(dst, b),
-                    cfg.handler_response_ns,
-                    payload_bytes=cfg.block_size,
+                    node_id, dst, MsgKind.UPDATE,
+                    self._on_update, (b, node_id, dst, ack, remaining),
+                    cfg.handler_response_ns, payload_bytes=cfg.block_size,
                 )
+
+    def _on_update(
+        self, block: int, writer: int, dst: int, ack, remaining: list, _seq
+    ) -> None:
+        """UPDATE handler: install the new data (a dropped copy still
+        acks; the next read simply refetches) and acknowledge."""
+        if self.access.get(dst, block) is not AccessTag.INVALID:
+            self.directory.deliver_copy_one(dst, block)
+        self.network.send(
+            dst, writer, MsgKind.UPDATE_ACK,
+            self._on_update_ack, (ack, remaining),
+            self.config.handler_ack_ns, combinable=True,
+        )
+
+    @staticmethod
+    def _on_update_ack(ack, remaining: list, _seq) -> None:
+        """UPDATE_ACK handler at the writer: the last ack resolves."""
+        remaining[0] -= 1
+        if remaining[0] == 0:
+            ack.resolve(None)

@@ -125,10 +125,6 @@ HEARTBEAT = "heartbeat"
 _deadline = attrgetter("deadline_ns")
 
 
-def _noop() -> None:  # probe frames carry no handler
-    return None
-
-
 class _LinkProfile:
     """Effective fault parameters plus the RNG stream for one link.
 
@@ -162,7 +158,7 @@ class _Frame:
 
     __slots__ = (
         "seq", "src", "dst", "kind", "size",
-        "handler", "handler_cost_ns", "retries", "timeout_ns",
+        "handler", "args", "handler_cost_ns", "retries", "timeout_ns",
         "sent_at_ns", "pending_acks", "deadline_ns",
         "parent", "first_send_seq",
     )
@@ -174,7 +170,8 @@ class _Frame:
         dst: int,
         kind: MsgKind,
         size: int,
-        handler: Callable[[], None],
+        handler: Callable[..., None] | None,
+        args: tuple,
         handler_cost_ns: int,
         timeout_ns: int,
         sent_at_ns: int,
@@ -185,13 +182,16 @@ class _Frame:
         self.dst = dst
         self.kind = kind
         self.size = size
+        # The protocol message, delivered as handler(*args, parent).
         self.handler = handler
+        self.args = args
         self.handler_cost_ns = handler_cost_ns
         self.retries = 0
         self.timeout_ns = timeout_ns
         self.sent_at_ns = sent_at_ns
-        # Lineage: the originating msg.send event seq, and the seq of this
-        # frame's first frame.send event — the anchor every later
+        # Lineage: the originating msg.send event seq (also the seq the
+        # handler receives), and the seq of this frame's first
+        # frame.send event — the anchor every later
         # retransmit/accept/deliver/ack event points back to (kept across
         # heals so the whole repair chain shares one root).
         self.parent = parent
@@ -382,12 +382,14 @@ class ReliableTransport:
         src: int,
         dst: int,
         kind: MsgKind,
-        handler: Callable[[], None],
+        handler: Callable[..., None],
+        args: tuple,
         handler_cost_ns: int,
         size: int,
-        parent=None,
+        parent,
     ) -> None:
-        """Submit one protocol message for reliable delivery."""
+        """Submit one protocol message for reliable delivery; ``parent``
+        is its ``msg.send`` seq (None without a bus)."""
         ch = self._channels.get((src, dst)) or self._channel(src, dst)
         # The adaptive timer is size-aware: the sender knows exactly how
         # long its own frame occupies the link, so that deterministic
@@ -401,7 +403,7 @@ class ReliableTransport:
             timeout += self._deterministic_path_ns(size)
         frame = _Frame(
             ch.next_send_seq, src, dst, kind, size,
-            handler, handler_cost_ns, timeout, self.engine.now, parent,
+            handler, args, handler_cost_ns, timeout, self.engine.now, parent,
         )
         ch.next_send_seq += 1
         if ch.state is not OPEN:
@@ -741,7 +743,8 @@ class ReliableTransport:
             # the protocol processor for an extra stretch first.
             cost += prof.stall_ns
         self.network.dispatch(
-            frame.dst, self.config.dispatch_overhead_ns, cost, frame.handler
+            frame.dst, self.config.dispatch_overhead_ns, cost,
+            frame.handler, frame.args, frame.parent,
         )
 
     # ------------------------------------------------------------------ #
@@ -896,7 +899,7 @@ class ReliableTransport:
             timeout += self._deterministic_path_ns(self.ACK_BYTES)
         frame = _Frame(
             ch.next_probe_seq, src, dst, HEARTBEAT, self.ACK_BYTES,
-            _noop, 0, timeout, self.engine.now,
+            None, (), 0, timeout, self.engine.now,  # never delivered
         )
         ch.next_probe_seq -= 1
         ch.hb_deadline = self.engine.now + self.heartbeat_interval_ns

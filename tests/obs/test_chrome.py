@@ -1,6 +1,8 @@
 """Chrome trace exporter: schema validity, filters, ring cap, tracks."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -108,6 +110,34 @@ def lossy_exporter(**exporter_kwargs):
     )
     run_shmem(APPS["jacobi"].program(n=32, iters=1), cfg, obs=bus)
     return exp
+
+
+def test_observers_do_not_outlive_their_run():
+    """Deleting the bus and the observers frees them by reference counting
+    alone: neither holds its own subscription, whose bound callback would
+    close a cycle back to it and keep every retained event alive until
+    the next full GC pass."""
+    from repro.apps import shallow
+    from repro.obs import Timeline
+    from repro.runtime import run_shmem
+    from repro.tempest import ClusterConfig
+
+    gc.collect()
+    gc.disable()
+    try:
+        bus = EventBus()
+        exp = ChromeTraceExporter(bus, n_nodes=4)
+        timeline = Timeline(bus, 4, lineage=True)
+        run_shmem(
+            shallow.build(rows=33, cols=17, iters=1), ClusterConfig(n_nodes=4),
+            obs=bus, critical_path=True,
+        )
+        assert exp.events
+        refs = [weakref.ref(exp), weakref.ref(timeline)]
+        del bus, exp, timeline
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 class TestWriteBytes:

@@ -155,7 +155,7 @@ class TestSampling:
         # though their serialization times differ by ~100 us.
         bulk = adaptive_cluster()
         bulk.network.send(
-            0, 1, MsgKind.DATA, lambda: None,
+            0, 1, MsgKind.DATA, lambda _seq: None, (),
             bulk.config.handler_data_recv_ns, payload_bytes=2048,
         )
         bulk.engine.run()
@@ -178,7 +178,7 @@ def bulk_stream(adaptive, n_frames=4, payload=2048, gap=1_000 * _US):
 
     def send_one(i):
         cluster.network.send(
-            0, 1, MsgKind.DATA, lambda: log.append(i),
+            0, 1, MsgKind.DATA, lambda _seq: log.append(i), (),
             cluster.config.handler_data_recv_ns, payload_bytes=payload,
         )
 

@@ -57,7 +57,7 @@ def send_burst(cluster, n, src=0, dst=1, kind=MsgKind.ACK, combinable=True,
         label = i if tag is None else tag
         cluster.network.send(
             src, dst, kind,
-            lambda label=label: log.append((label, cluster.engine.now)),
+            lambda _seq, label=label: log.append((label, cluster.engine.now)), (),
             cluster.config.handler_ack_ns,
             combinable=combinable,
         )
@@ -173,7 +173,7 @@ class TestFlushTriggers:
         log = send_burst(cluster, 2)               # leader + one parked
         cluster.network.send(
             0, 1, MsgKind.GRANT,
-            lambda: log.append(("grant", cluster.engine.now)),
+            lambda _seq: log.append(("grant", cluster.engine.now)), (),
             cluster.config.handler_ack_ns,
         )
         cluster.engine.run()
@@ -192,7 +192,7 @@ class TestFlushTriggers:
         cluster = combining_cluster()
         with pytest.raises(SimulationError, match="header-only"):
             cluster.network.send(
-                0, 1, MsgKind.DATA, lambda: None,
+                0, 1, MsgKind.DATA, lambda _seq: None, (),
                 cluster.config.handler_ack_ns,
                 payload_bytes=64, combinable=True,
             )

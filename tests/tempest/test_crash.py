@@ -139,7 +139,7 @@ class TestDetection:
         assert transport.armed_timers == n * (n - 1)
         for _ in range(40):
             cluster.network.send(
-                0, 1, MsgKind.ACK, lambda: None,
+                0, 1, MsgKind.ACK, lambda _seq: None, (),
                 cluster.config.handler_ack_ns,
             )
         # 40 unacked frames on 0->1: still one timer per channel.

@@ -63,13 +63,17 @@ def _idle():
     yield  # pragma: no cover
 
 
+def _ignore(_seq) -> None:
+    """A message handler with no effect."""
+
+
 def send_and_run(cluster, n_messages=1, src=0, dst=1):
     """Send header-only messages and drain the engine; returns delivery log."""
     log = []
     for i in range(n_messages):
         cluster.network.send(
             src, dst, MsgKind.ACK,
-            lambda i=i: log.append((i, cluster.engine.now)),
+            lambda _seq, i=i: log.append((i, cluster.engine.now)), (),
             cluster.config.handler_ack_ns,
         )
     cluster.engine.run()
@@ -253,11 +257,11 @@ class TestDedupAndOrdering:
         t.rng = ScriptedRandom([0.0, 0.9, 0.9])  # only the very first copy drops
         log = []
         cluster.network.send(
-            0, 1, MsgKind.ACK, lambda: log.append("fwd"),
+            0, 1, MsgKind.ACK, lambda _seq: log.append("fwd"), (),
             cluster.config.handler_ack_ns,
         )
         cluster.network.send(
-            1, 0, MsgKind.ACK, lambda: log.append("rev"),
+            1, 0, MsgKind.ACK, lambda _seq: log.append("rev"), (),
             cluster.config.handler_ack_ns,
         )
         cluster.engine.run()
@@ -294,11 +298,11 @@ class TestDrawOrder:
         cost = cluster.config.handler_ack_ns
         # Node 1's link serializes 1 KiB for 52us, so its acks for node
         # 0's three frames park and leave as one combined ack frame.
-        net.send(1, 0, MsgKind.ACK, lambda: None, cost, payload_bytes=1024)
+        net.send(1, 0, MsgKind.ACK, _ignore, (), cost, payload_bytes=1024)
         for _ in range(3):
-            net.send(0, 1, MsgKind.ACK, lambda: None, cost)
+            net.send(0, 1, MsgKind.ACK, _ignore, (), cost)
         cluster.engine.call_at(
-            200 * _US, lambda: net.send(0, 1, MsgKind.ACK, lambda: None, cost)
+            200 * _US, net.send, 0, 1, MsgKind.ACK, _ignore, (), cost
         )
         cluster.engine.run()
 
@@ -403,7 +407,7 @@ class TestElapsedAccounting:
 
         def sender():
             cluster.network.send(
-                0, 1, MsgKind.ACK, lambda: None, cluster.config.handler_ack_ns
+                0, 1, MsgKind.ACK, _ignore, (), cluster.config.handler_ack_ns
             )
             return
             yield

@@ -21,7 +21,7 @@ class TestNetwork:
     def test_delivery_time_components(self):
         eng, cfg, stats, nodes, net = make_net()
         seen = []
-        net.send(0, 1, MsgKind.ACK, lambda: seen.append(eng.now), 0, payload_bytes=0)
+        net.send(0, 1, MsgKind.ACK, lambda _seq: seen.append(eng.now), (), 0, payload_bytes=0)
         eng.run()
         expect = (
             cfg.transfer_ns(HEADER_BYTES) + cfg.wire_latency_ns + cfg.dispatch_overhead_ns
@@ -31,7 +31,7 @@ class TestNetwork:
     def test_payload_extends_serialization(self):
         eng, cfg, _stats, _nodes, net = make_net()
         seen = []
-        net.send(0, 1, MsgKind.DATA, lambda: seen.append(eng.now), 0, payload_bytes=1024)
+        net.send(0, 1, MsgKind.DATA, lambda _seq: seen.append(eng.now), (), 0, payload_bytes=1024)
         eng.run()
         base = cfg.transfer_ns(HEADER_BYTES) + cfg.wire_latency_ns + cfg.dispatch_overhead_ns
         assert seen[0] == base + cfg.transfer_ns(1024)
@@ -40,7 +40,7 @@ class TestNetwork:
         eng, cfg, _stats, _nodes, net = make_net()
         seen = []
         for _ in range(3):
-            net.send(0, 1, MsgKind.DATA, lambda: seen.append(eng.now), 0, payload_bytes=2000)
+            net.send(0, 1, MsgKind.DATA, lambda _seq: seen.append(eng.now), (), 0, payload_bytes=2000)
         eng.run()
         gaps = [b - a for a, b in zip(seen, seen[1:])]
         assert all(g == cfg.transfer_ns(HEADER_BYTES + 2000) for g in gaps)
@@ -48,8 +48,8 @@ class TestNetwork:
     def test_handler_occupancy_serializes_at_destination(self):
         eng, cfg, _stats, _nodes, net = make_net()
         seen = []
-        net.send(0, 1, MsgKind.ACK, lambda: seen.append(("a", eng.now)), 50_000)
-        net.send(0, 1, MsgKind.ACK, lambda: seen.append(("b", eng.now)), 50_000)
+        net.send(0, 1, MsgKind.ACK, lambda _seq: seen.append(("a", eng.now)), (), 50_000)
+        net.send(0, 1, MsgKind.ACK, lambda _seq: seen.append(("b", eng.now)), (), 50_000)
         eng.run()
         # Second handler's effects apply a full occupancy after the first.
         assert seen[1][1] - seen[0][1] >= 50_000 - cfg.transfer_ns(HEADER_BYTES)
@@ -57,28 +57,17 @@ class TestNetwork:
     def test_loopback_skips_wire(self):
         eng, cfg, _stats, _nodes, net = make_net()
         seen = []
-        net.send(1, 1, MsgKind.ACK, lambda: seen.append(eng.now), 0)
+        net.send(1, 1, MsgKind.ACK, lambda _seq: seen.append(eng.now), (), 0)
         eng.run()
         assert seen == [cfg.dispatch_overhead_ns]
 
     def test_message_accounting(self):
         eng, cfg, stats, _nodes, net = make_net()
-        net.send(0, 1, MsgKind.DATA, lambda: None, 0, payload_bytes=128)
+        net.send(0, 1, MsgKind.DATA, lambda _seq: None, (), 0, payload_bytes=128)
         eng.run()
         assert stats[0].messages[MsgKind.DATA] == 1
         assert stats[0].bytes_sent == HEADER_BYTES + 128
         assert stats[1].bytes_sent == 0
-
-    def test_broadcast(self):
-        eng, cfg, stats, _nodes, net = make_net(n_nodes=4)
-        got = []
-        sent = net.broadcast(1, MsgKind.INV, lambda d: (lambda: got.append(d)), 0)
-        eng.run()
-        assert sent == 3 and sorted(got) == [0, 2, 3]
-        got2 = []
-        net.broadcast(1, MsgKind.INV, lambda d: (lambda: got2.append(d)), 0, include_self=True)
-        eng.run()
-        assert sorted(got2) == [0, 1, 2, 3]
 
 
 class TestNodeCompute:
@@ -115,7 +104,10 @@ class TestNodeCompute:
         cfg = ClusterConfig(n_nodes=1, dual_cpu=False)
         node = Node(0, eng, cfg, ClusterStats.for_nodes(1)[0])
         handler_done = []
-        eng.call_at(150_000, node.run_handler, 30_000, lambda: handler_done.append(eng.now))
+        eng.call_at(
+            150_000, node.run_handler,
+            30_000, lambda _seq: handler_done.append(eng.now), (), None,
+        )
 
         def prog():
             yield from node.compute(1_000_000)
@@ -133,7 +125,7 @@ class TestNodeCompute:
         eng = Engine()
         cfg = ClusterConfig(n_nodes=1, dual_cpu=True)
         node = Node(0, eng, cfg, ClusterStats.for_nodes(1)[0])
-        eng.call_at(150_000, node.run_handler, 30_000, lambda: None)
+        eng.call_at(150_000, node.run_handler, 30_000, lambda _seq: None, (), None)
 
         def prog():
             yield from node.compute(1_000_000)

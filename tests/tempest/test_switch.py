@@ -38,7 +38,7 @@ def switch_cluster(n_nodes=3, switch=SWITCH_ON, **overrides):
 def send_header(cluster, src, dst, log, tag, kind=MsgKind.ACK):
     cluster.network.send(
         src, dst, kind,
-        lambda: log.append((tag, cluster.engine.now)),
+        lambda _seq: log.append((tag, cluster.engine.now)), (),
         cluster.config.handler_ack_ns,
     )
 
@@ -268,7 +268,7 @@ def paired_bulk_run(adaptive, rounds=6):
 
     def send(src, i):
         cluster.network.send(
-            src, 0, MsgKind.DATA, lambda: delivered.append((src, i)),
+            src, 0, MsgKind.DATA, lambda _seq: delivered.append((src, i)), (),
             cluster.config.handler_data_recv_ns, payload_bytes=2048,
         )
 
@@ -324,13 +324,13 @@ class TestCombiningUnderSwitch:
         log = []
 
         def kickoff():
-            net.send(1, 0, MsgKind.DATA, lambda: None,
+            net.send(1, 0, MsgKind.DATA, lambda _seq: None, (),
                      cfg.handler_data_recv_ns, payload_bytes=4096)
-            net.send(2, 0, MsgKind.DATA, lambda: None,
+            net.send(2, 0, MsgKind.DATA, lambda _seq: None, (),
                      cfg.handler_data_recv_ns, payload_bytes=2048)
             for i in range(3):
                 net.send(2, 0, MsgKind.ACK,
-                         lambda i=i: log.append((i, cluster.engine.now)),
+                         lambda _seq, i=i: log.append((i, cluster.engine.now)), (),
                          cfg.handler_ack_ns, combinable=True)
 
         cluster.engine.call_after(0, kickoff)
