@@ -100,11 +100,15 @@ def bulk_stream_run(payload: int, adaptive: bool):
     mem.alloc("a", (32, 16), Distribution.block(config.n_nodes))
     cluster = Cluster(config, mem)
     delivered = []
+
+    def on_data(i, _seq):
+        delivered.append(i)
+
     for i in range(STREAM_FRAMES):
         cluster.engine.call_after(
             i * 1_000 * US,
             cluster.network.send,
-            0, 1, MsgKind.DATA, lambda i=i: delivered.append(i),
+            0, 1, MsgKind.DATA, on_data, (i,),
             config.handler_data_recv_ns, payload,
         )
     cluster.engine.run()

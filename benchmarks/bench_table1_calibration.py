@@ -13,7 +13,6 @@ calibrated figure within 5%.
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.sim import Delay
 from repro.tempest import Cluster, ClusterConfig, Distribution, SharedMemory
 from repro.tempest.stats import MsgKind
 
@@ -41,7 +40,7 @@ def measure_roundtrip() -> float:
         )
 
     def pinger():
-        yield cl.nodes[0].compute_cpu.serve(cfg.send_overhead_ns)
+        yield cl.nodes[0].compute_cpu.use(cfg.send_overhead_ns)
         cl.network.send(0, 1, MsgKind.ACK, on_ping, (), 0, payload_bytes=4)
         yield done
 

@@ -15,7 +15,8 @@ Pipeline (paper Section 4):
 7. ``optimizer`` — bulk transfer + run-time overhead elimination
                    (Section 4.3) and
 8. ``pre``       — partial-redundancy elimination of communication
-                   (Section 4.3's stated future work, built here);
+                   (Section 4.3's stated future work, built here as a
+                   run-time availability tracker);
 9. ``contract``  — a static checker that a schedule honours the
                    compiler/protocol contract.
 """
@@ -24,7 +25,7 @@ Pipeline (paper Section 4):
 # planning modules import repro.hpf (which itself uses repro.core.symbolic),
 # so exposing them from this __init__ would create an import cycle.  Import
 # them directly: ``from repro.core.access import analyze_loop`` etc.
-from repro.core.sections import Section, StridedInterval, SymSection
+from repro.core.sections import Section, StridedInterval
 from repro.core.symbolic import Env, Lin, Sym
 
 __all__ = [
@@ -33,5 +34,4 @@ __all__ = [
     "Section",
     "StridedInterval",
     "Sym",
-    "SymSection",
 ]

@@ -16,10 +16,10 @@ and difference.  :class:`Section` combines one strided interval for the
 last dimension with plain intervals for the inner dimensions.
 
 Bounds here are **concrete integers**; parametric sections (symbolic bounds
-in problem size / sequential loop variables) live in
-:class:`SymSection`, which instantiates to a :class:`Section` once the
-runtime knows the bindings — mirroring the paper's deferred evaluation of
-Omega-generated code fragments.
+in problem size / sequential loop variables) are
+:meth:`repro.core.access.RefPattern.section`, which instantiates one once
+the runtime knows the bindings — mirroring the paper's deferred evaluation
+of Omega-generated code fragments.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.core.symbolic import Env, Lin, LinLike, as_lin
-
-__all__ = ["Section", "StridedInterval", "SymSection", "EMPTY"]
+__all__ = ["Section", "StridedInterval", "EMPTY"]
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -308,45 +306,3 @@ class Section:
         sep = ", " if dims else ""
         return f"Section({dims}{sep}{self.last!r})"
 
-
-@dataclass(frozen=True)
-class SymSection:
-    """A section with symbolic (affine) bounds, instantiated at run time.
-
-    ``inner`` pairs and the last-dimension bounds may be :class:`Lin`
-    expressions in problem-size symbols or enclosing sequential loop
-    variables; ``step`` stays a concrete integer (ownership strides are
-    known at compile time).
-    """
-
-    inner: tuple[tuple[Lin, Lin], ...]
-    last_lo: Lin
-    last_hi: Lin
-    last_step: int = 1
-
-    @staticmethod
-    def of(
-        inner: Sequence[tuple[LinLike, LinLike]],
-        last_lo: LinLike,
-        last_hi: LinLike,
-        last_step: int = 1,
-    ) -> "SymSection":
-        return SymSection(
-            tuple((as_lin(lo), as_lin(hi)) for lo, hi in inner),
-            as_lin(last_lo),
-            as_lin(last_hi),
-            last_step,
-        )
-
-    def instantiate(self, env: Env) -> Section:
-        inner = tuple((lo.eval(env), hi.eval(env)) for lo, hi in self.inner)
-        return Section(
-            inner,
-            StridedInterval(self.last_lo.eval(env), self.last_hi.eval(env), self.last_step),
-        )
-
-    def symbols(self) -> frozenset[str]:
-        syms: set[str] = set()
-        for lo, hi in self.inner:
-            syms |= lo.symbols() | hi.symbols()
-        return frozenset(syms | self.last_lo.symbols() | self.last_hi.symbols())

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 from repro.core.sections import StridedInterval
 from repro.core.symbolic import Env, Lin
-from repro.hpf.ast import ArrayDecl, At, LoopIdx, ParallelAssign, Reduce
+from repro.hpf.ast import ArrayDecl, At, LoopIdx, ParallelAssign
 from repro.tempest.memory import Distribution
 
-__all__ = ["IterSpec", "distribution_of", "iteration_spec", "owner_of_at"]
+__all__ = ["IterSpec", "distribution_of", "iteration_spec"]
 
 
 _DISTRIBUTIONS = {
@@ -62,28 +62,14 @@ class IterSpec:
         return len(self.owned) if self.owned is not None else 1
 
 
-def iteration_spec(
-    stmt: ParallelAssign | Reduce, decl: ArrayDecl, n_procs: int
-) -> IterSpec:
-    """Build the iteration spec for a parallel statement.
-
-    For :class:`Reduce` the ``decl`` is the (first) referenced array — each
-    processor reduces over its owned iterations of that array, the usual
-    HPF lowering for reduction intrinsics.
-    """
-    if isinstance(stmt, ParallelAssign):
-        last = stmt.home_ref.last
-        if isinstance(last, At):
-            raise ValueError(
-                "single-owner statements have no iteration spec; "
-                "use owner_of_at() instead"
-            )
-        assert isinstance(last, LoopIdx)
-        offset = last.offset
-        loop = stmt.loop
-    else:
-        offset = Lin(0)
-        loop = stmt.loop
+def iteration_spec(stmt: ParallelAssign, decl: ArrayDecl, n_procs: int) -> IterSpec:
+    """Build the iteration spec for a parallel statement over ``decl``,
+    the array of its home reference."""
+    last = stmt.home_ref.last
+    if isinstance(last, At):
+        raise ValueError("single-owner statements have no iteration spec")
+    assert isinstance(last, LoopIdx)
+    loop = stmt.loop
     assert loop is not None
 
     dist = distribution_of(decl, n_procs)
@@ -95,15 +81,4 @@ def iteration_spec(
             StridedInterval.from_range(dist.owned_indices(p, extent))
             for p in range(n_procs)
         )
-    return IterSpec(owned, offset, loop.lo, loop.hi, loop.step)
-
-
-def owner_of_at(
-    stmt: ParallelAssign, decl: ArrayDecl, n_procs: int, env: Env
-) -> int:
-    """Executing processor of a single-owner statement (LHS last = At)."""
-    last = stmt.lhs.last
-    if not isinstance(last, At):
-        raise ValueError("owner_of_at needs an At LHS")
-    dist = distribution_of(decl, n_procs)
-    return dist.owner(last.index.eval(env), decl.extent)
+    return IterSpec(owned, last.offset, loop.lo, loop.hi, loop.step)

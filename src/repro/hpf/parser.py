@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass
 
 from repro.core.symbolic import Lin, Sym, as_lin
-from repro.hpf.procedures import CallStmt, SubroutineDef, inline_calls
+from repro.hpf.procedures import CallStmt, SubroutineDef, SubroutineError, inline_calls
 from repro.hpf.ast import (
     ArrayDecl,
     At,
@@ -88,6 +88,43 @@ TOKEN_RE = re.compile(
     r"|(?P<op>[()+\-*/:,=])"
     r")"
 )
+
+
+ARRAY_SPEC_RE = re.compile(
+    r"([A-Za-z_]\w*)\s*\(([^)]*)\)(?:\s+(?i:DISTRIBUTE)\s*\(([^)]*)\))?"
+)
+DISTRIBUTIONS = {"BLOCK": "block", "CYCLIC": "cyclic", "*": "replicated"}
+
+
+def parse_array_spec(text: str, what: str, line_no: int, line: str) -> ArrayDecl:
+    """``name(d0, ..., dk) [DISTRIBUTE (*, ..., BLOCK|CYCLIC|*)]`` — the
+    array spec of a REAL declaration and of a SUB formal alike."""
+    m = ARRAY_SPEC_RE.fullmatch(text)
+    if not m:
+        raise ParseError(f"malformed {what}", line_no, line)
+    name, dims_text, dist_text = m.groups()
+    try:
+        shape = tuple(int(d.strip()) for d in dims_text.split(","))
+    except ValueError:
+        raise ParseError("array extents must be integer literals", line_no, line)
+    dist = "block"
+    if dist_text is not None:
+        parts = [p.strip().upper() for p in dist_text.split(",")]
+        if len(parts) != len(shape):
+            raise ParseError("DISTRIBUTE rank mismatch", line_no, line)
+        if any(p != "*" for p in parts[:-1]):
+            raise ParseError(
+                "only the last dimension may be distributed (use '*' elsewhere)",
+                line_no,
+                line,
+            )
+        if parts[-1] not in DISTRIBUTIONS:
+            raise ParseError(f"unknown distribution {parts[-1]!r}", line_no, line)
+        dist = DISTRIBUTIONS[parts[-1]]
+    try:
+        return ArrayDecl(name, shape, dist)
+    except ValueError as e:
+        raise ParseError(str(e), line_no, line) from None
 
 
 def tokenize(text: str, line_no: int) -> list[tuple[str, str]]:
@@ -311,9 +348,10 @@ class _ProgramParser:
         self.scalars: dict[str, float] = {}
         self.name = ""
         self.seq_vars: list[str] = []
-        self._forall_counter = 0
         self.subroutines: dict[str, SubroutineDef] = {}
         self._formal_decls: dict[str, ArrayDecl] = {}  # while inside a SUB
+        #: (call, line_no, line) of every CALL outside a SUB body
+        self._calls: list[tuple[CallStmt, int, str]] = []
 
     # ------------------------------------------------------------------ #
     def next_line(self) -> tuple[int, str] | None:
@@ -335,14 +373,14 @@ class _ProgramParser:
             raise ParseError("expected 'PROGRAM <name>'", line_no, line)
         self.name = m.group(1)
         body = self.parse_block(closing="END")
-        from repro.hpf.procedures import SubroutineError
-
-        try:
-            flattened = inline_calls(
-                body, self.subroutines, list(self.arrays), dict(self.arrays)
-            )
-        except SubroutineError as e:
-            raise ParseError(str(e), 0) from None
+        # Expand each call on its own first, so an error names its line;
+        # calls inside a SUB body are checked through the calls expanding it.
+        for call, call_no, call_line in self._calls:
+            try:
+                inline_calls([call], self.subroutines, list(self.arrays), dict(self.arrays))
+            except SubroutineError as e:
+                raise ParseError(str(e), call_no, call_line) from None
+        flattened = inline_calls(body, self.subroutines, list(self.arrays), dict(self.arrays))
         return Program(self.name, self.arrays, flattened, dict(self.scalars))
 
     def parse_block(self, closing: str) -> list[Stmt]:
@@ -388,35 +426,10 @@ class _ProgramParser:
         raise ParseError(f"unrecognized statement", line_no, line)
 
     def parse_decl(self, line_no: int, line: str) -> None:
-        m = re.fullmatch(
-            r"(?i:REAL)\s+([A-Za-z_]\w*)\s*\(([^)]*)\)"
-            r"(?:\s+(?i:DISTRIBUTE)\s*\(([^)]*)\))?",
-            line,
-        )
-        if not m:
-            raise ParseError("malformed REAL declaration", line_no, line)
-        name, dims_text, dist_text = m.group(1), m.group(2), m.group(3)
-        if name in self.arrays:
-            raise ParseError(f"array {name!r} already declared", line_no, line)
-        try:
-            shape = tuple(int(d.strip()) for d in dims_text.split(","))
-        except ValueError:
-            raise ParseError("array extents must be integer literals", line_no, line)
-        dist = "block"
-        if dist_text is not None:
-            parts = [p.strip().upper() for p in dist_text.split(",")]
-            if len(parts) != len(shape):
-                raise ParseError("DISTRIBUTE rank mismatch", line_no, line)
-            if any(p != "*" for p in parts[:-1]):
-                raise ParseError(
-                    "only the last dimension may be distributed (use '*' elsewhere)",
-                    line_no,
-                    line,
-                )
-            if parts[-1] not in ("BLOCK", "CYCLIC", "*"):
-                raise ParseError(f"unknown distribution {parts[-1]!r}", line_no, line)
-            dist = {"BLOCK": "block", "CYCLIC": "cyclic", "*": "replicated"}[parts[-1]]
-        self.arrays[name] = ArrayDecl(name, shape, dist)
+        decl = parse_array_spec(line[len("REAL "):].strip(), "REAL declaration", line_no, line)
+        if decl.name in self.arrays:
+            raise ParseError(f"array {decl.name!r} already declared", line_no, line)
+        self.arrays[decl.name] = decl
 
     def parse_scalar_decl(self, line_no: int, line: str) -> None:
         m = re.fullmatch(r"(?i:SCALAR)\s+([A-Za-z_]\w*)(?:\s*=\s*([-+.\dEe]+))?", line)
@@ -471,7 +484,6 @@ class _ProgramParser:
         on_home = None
         if home_text:
             on_home = self._parse_full_ref(home_text, ctx, line_no, line)
-        self._forall_counter += 1
         return ParallelAssign(
             lhs_ref, rhs_expr, LoopSpec(var, lo, hi, step),
             f"forall@{line_no}", on_home,
@@ -513,8 +525,6 @@ class _ProgramParser:
         return ScalarAssign(target, rhs_expr, f"let@{line_no}")
 
     def parse_sub(self, line_no: int, line: str) -> None:
-        from repro.hpf.procedures import SubroutineError
-
         m = re.fullmatch(r"(?i:SUB)\s+([A-Za-z_]\w*)\s*\((.*)\)", line)
         if not m:
             raise ParseError("malformed SUB", line_no, line)
@@ -523,37 +533,16 @@ class _ProgramParser:
             raise ParseError(f"subroutine {name!r} already defined", line_no, line)
         if self._formal_decls:
             raise ParseError("nested SUB definitions are not allowed", line_no, line)
-        # Formals look like declarations: p(16, 16) [DISTRIBUTE (*, CYCLIC)]
+        # Formals are array specs, as in REAL: p(16, 16) [DISTRIBUTE (*, CYCLIC)]
         decls: list[ArrayDecl] = []
         for piece in re.split(r",(?![^()]*\))", params_text):
             piece = piece.strip()
-            pm = re.fullmatch(
-                r"([A-Za-z_]\w*)\s*\(([^)]*)\)"
-                r"(?:\s+(?i:DISTRIBUTE)\s*\(([^)]*)\))?",
-                piece,
-            )
-            if not pm:
-                raise ParseError(f"malformed formal {piece!r}", line_no, line)
-            pname, dims_text, dist_text = pm.group(1), pm.group(2), pm.group(3)
-            if pname in self.arrays:
+            decl = parse_array_spec(piece, f"formal {piece!r}", line_no, line)
+            if decl.name in self.arrays:
                 raise ParseError(
-                    f"formal {pname!r} shadows a declared array", line_no, line
+                    f"formal {decl.name!r} shadows a declared array", line_no, line
                 )
-            try:
-                shape = tuple(int(d.strip()) for d in dims_text.split(","))
-            except ValueError:
-                raise ParseError("formal extents must be integers", line_no, line)
-            dist = "block"
-            if dist_text is not None:
-                parts = [q.strip().upper() for q in dist_text.split(",")]
-                dist = {"BLOCK": "block", "CYCLIC": "cyclic", "*": "replicated"}.get(
-                    parts[-1], None
-                )
-                if dist is None:
-                    raise ParseError(
-                        f"unknown distribution {parts[-1]!r}", line_no, line
-                    )
-            decls.append(ArrayDecl(pname, shape, dist))
+            decls.append(decl)
         self._formal_decls = {d.name: d for d in decls}
         self.arrays.update(self._formal_decls)  # visible while parsing the body
         try:
@@ -574,7 +563,10 @@ class _ProgramParser:
         if not m:
             raise ParseError("malformed CALL", line_no, line)
         args = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
-        return CallStmt(m.group(1), args)
+        call = CallStmt(m.group(1), args)
+        if not self._formal_decls:
+            self._calls.append((call, line_no, line))
+        return call
 
     # ------------------------------------------------------------------ #
     @staticmethod

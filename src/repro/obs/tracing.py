@@ -63,13 +63,12 @@ class MessageTracer:
         kinds: Iterable[MsgKind] | None = None,
         max_records: int = 100_000,
     ) -> None:
-        self.bus = bus
         self.n_nodes = n_nodes
         self.kinds = frozenset(kinds) if kinds is not None else None
         self.max_records = max_records
         self.records: list[MessageRecord] = []
         self.dropped = 0
-        self._sub = bus.subscribe(self._on_event, kinds=frozenset({"msg.send"}))
+        bus.subscribe(self._on_event, kinds=frozenset({"msg.send"}))
 
     # ------------------------------------------------------------------ #
     def _on_event(self, ev: Event) -> None:
@@ -84,27 +83,14 @@ class MessageTracer:
         else:
             self.dropped += 1
 
-    def uninstall(self) -> None:
-        """Stop recording (unsubscribe from the bus)."""
-        self.bus.unsubscribe(self._sub)
-
     # ------------------------------------------------------------------ #
     # analysis
     # ------------------------------------------------------------------ #
     def by_kind(self) -> Counter:
         return Counter(r.kind for r in self.records)
 
-    def by_link(self) -> Counter:
-        return Counter((r.src, r.dst) for r in self.records)
-
     def bytes_total(self) -> int:
         return sum(r.size_bytes for r in self.records)
-
-    def between(self, t0_ns: int, t1_ns: int) -> list[MessageRecord]:
-        return [r for r in self.records if t0_ns <= r.t_ns < t1_ns]
-
-    def involving(self, node: int) -> list[MessageRecord]:
-        return [r for r in self.records if node in (r.src, r.dst)]
 
     # ------------------------------------------------------------------ #
     # rendering

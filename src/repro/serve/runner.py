@@ -19,7 +19,6 @@ what they compute, so warm-cache hit rates hold across processes.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import Counter, OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -179,7 +178,7 @@ def batch_order(requests, salt: str = CODE_VERSION) -> list[int]:
 # session
 # --------------------------------------------------------------------- #
 class ServeSession:
-    """Front end: submit/run/run_batch/gather with caching, dedup, pool.
+    """Front end: submit/run/run_batch with caching, dedup, pool.
 
     ``jobs=1`` (default) computes inline; ``jobs>1`` fans picklable
     requests across a process pool.  ``cache_dir=None`` (default) keeps
@@ -330,13 +329,6 @@ class ServeSession:
             if on_done is not None:
                 futures[i].add_done_callback(on_done)
         return [f.result() for f in futures]
-
-    async def gather(self, requests) -> list[ServeResult]:
-        """Async batch: submit everything, await all, preserve order."""
-        futures = [
-            asyncio.wrap_future(self.submit(r)) for r in requests
-        ]
-        return list(await asyncio.gather(*futures))
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:

@@ -9,7 +9,7 @@ Public API
 :class:`Engine`
     The event loop: a priority queue of timestamped events driving
     processes — simulated threads of control written as Python generators
-    that yield :class:`Delay` and :class:`Future` commands.
+    that yield delays (``int`` ns) and :class:`Future` commands.
 :class:`Future`
     One-shot synchronization cell; processes wait on it, anyone resolves it.
 :class:`Resource`
@@ -21,12 +21,11 @@ Public API
     Counter with waiters, used e.g. for ``ready_to_recv`` block arrival.
 """
 
-from repro.sim.engine import Delay, Engine, Future, SimulationError
+from repro.sim.engine import Engine, Future, SimulationError
 from repro.sim.resource import CountingSemaphore, PortedResource, Resource
 
 __all__ = [
     "CountingSemaphore",
-    "Delay",
     "Engine",
     "Future",
     "PortedResource",

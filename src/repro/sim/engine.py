@@ -23,13 +23,12 @@ results across the fault / combining / switch / crash matrix.
 Processes are generators driven by the engine (:meth:`Engine.spawn`).  A
 process yields either
 
-* a :class:`Delay` (or a bare non-negative ``int``), meaning *resume me after
-  this many nanoseconds*, or
+* a non-negative ``int``, meaning *resume me after this many nanoseconds*,
+  or
 * a :class:`Future`, meaning *resume me when this future resolves* (the
   resolved value is sent back into the generator), or
 * a :class:`Serve` command (from :meth:`repro.sim.resource.Resource.use`),
-  meaning *occupy that resource and resume me when my turn finishes* —
-  ``yield resource.serve(ns)`` without the Future.
+  meaning *occupy that resource and resume me when my turn finishes*.
 
 This tiny vocabulary is sufficient to express CPUs, protocol handlers,
 network messages and barriers, and keeps the hot loop small — important
@@ -39,11 +38,10 @@ because protocol-heavy runs schedule hundreds of thousands of events.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator
 
-__all__ = ["Delay", "Engine", "Future", "Serve", "SimulationError"]
+__all__ = ["Engine", "Future", "Serve", "SimulationError"]
 
 #: Calendar-queue bucket width is ``1 << _BUCKET_SHIFT`` ns (16.384 µs).
 #: Protocol latencies are a few µs, so the vast majority of inserts land in
@@ -57,26 +55,15 @@ class SimulationError(RuntimeError):
     """Raised on misuse of the simulator (bad yields, time travel, ...)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Delay:
-    """Command: suspend the yielding process for ``ns`` nanoseconds."""
-
-    ns: int
-
-    def __post_init__(self) -> None:
-        if self.ns < 0:
-            raise SimulationError(f"negative delay: {self.ns}")
-
-
 class Serve:
     """Command: occupy a :class:`~repro.sim.resource.Resource`, resume after.
 
     Yielded by processes via :meth:`Resource.use`.  The engine interprets it
     inline inside :meth:`Engine._step` as ``resource.then(ns, wake-up)``:
-    one :meth:`Engine.call_chain` entry, the same two ``(time, seq)`` slots
-    as ``yield resource.serve(ns)``, minus the Future.  Each resource keeps
-    one mutable ``Serve`` singleton; that is safe because the command is
-    consumed synchronously within the very ``gen.send`` round that yielded it.
+    one :meth:`Engine.call_chain` entry, two ``(time, seq)`` slots.  Each
+    resource keeps one mutable ``Serve`` singleton; that is safe because the
+    command is consumed synchronously within the very ``gen.send`` round that
+    yielded it.
     """
 
     __slots__ = ("resource", "ns")
@@ -167,7 +154,7 @@ class Engine:
     >>> eng = Engine()
     >>> log = []
     >>> def proc():
-    ...     yield Delay(100)
+    ...     yield 100
     ...     log.append(eng.now)
     >>> _ = eng.spawn(proc())
     >>> eng.run()
@@ -359,8 +346,7 @@ class Engine:
                 continue  # a bare ``yield`` is a no-op scheduling point
             cls = cmd.__class__
             if cls is int:
-                # Bare-int delay, interpreted without boxing into Delay —
-                # the single hottest yield in protocol code.
+                # A delay — the single hottest yield in protocol code.
                 if cmd == 0:
                     send = None
                     continue
@@ -373,14 +359,6 @@ class Engine:
                 # fully consumed right here, before anyone else can touch it.
                 cmd.resource.then(cmd.ns, self._step, gen, None, done)
                 return
-            if isinstance(cmd, int):
-                cmd = Delay(int(cmd))
-            if isinstance(cmd, Delay):
-                if cmd.ns == 0:
-                    send = None
-                    continue
-                self.call_at(self.now + cmd.ns, self._step, gen, None, done)
-                return
             if isinstance(cmd, Future):
                 if cmd._resolved:
                     send = cmd._value
@@ -392,7 +370,7 @@ class Engine:
                 return
             raise SimulationError(
                 f"process yielded unsupported command {cmd!r}; "
-                "expected Delay, int, Future, Serve or None"
+                "expected int, Future, Serve or None"
             )
 
     # ------------------------------------------------------------------ #

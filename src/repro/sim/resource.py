@@ -10,9 +10,8 @@ Every model component that occupies a server and then acts — a handler on a
 protocol CPU, a frame on a link, a process computing — goes through one
 completion chain, :meth:`Resource.then`: a completion event at the finish
 time, then the effect as a same-instant event — one
-:meth:`~repro.sim.engine.Engine.call_chain` entry.  :meth:`Resource.serve`
-occupies the same two slots with a :class:`~repro.sim.engine.Future` in
-the middle.
+:meth:`~repro.sim.engine.Engine.call_chain` entry.  A process occupies a
+server with ``yield resource.use(ns)``, which goes through the same chain.
 
 :class:`PortedResource` generalizes this to a bank of parallel FIFO servers
 (the output ports of a switch fabric): each job names its port and may carry
@@ -36,10 +35,9 @@ __all__ = ["CountingSemaphore", "PortedResource", "Resource"]
 
 
 class Resource:
-    """Non-preemptive FIFO single server with utilization accounting."""
+    """Non-preemptive FIFO single server with busy-time accounting."""
 
-    __slots__ = ("_engine", "_free_at", "busy_ns", "jobs", "label",
-                 "_serve_label", "_cmd")
+    __slots__ = ("_engine", "_free_at", "busy_ns", "jobs", "label", "_cmd")
 
     def __init__(self, engine: Engine, label: str = "resource") -> None:
         self._engine = engine
@@ -47,7 +45,6 @@ class Resource:
         self.busy_ns = 0
         self.jobs = 0
         self.label = label
-        self._serve_label = label + ".serve"
         # Reusable Serve command for ``use``; safe to share because the
         # engine consumes it synchronously (see Serve docs).
         self._cmd = Serve(self)
@@ -57,24 +54,15 @@ class Resource:
         """Earliest time a newly submitted job could start service."""
         return max(self._free_at, self._engine.now)
 
-    def serve(self, duration: int, tag: object = None) -> Future:
-        """Submit a job of ``duration`` ns; returns a future resolved at its
-        completion time.  Jobs are served in submission order."""
-        done = self._engine.future(self._serve_label)
-        self._engine.call_at(self.occupy_end(duration), done.resolve, tag)
-        return done
-
     def then(self, duration: int, fn: Callable[..., None], *args: Any) -> None:
         """Submit a job of ``duration`` ns and run ``fn(*args)`` when it
         completes.
 
         The completion chain is :meth:`Engine.call_chain`: one slot at the
         finish time, then ``fn`` as a same-instant event behind anything
-        already scheduled for that instant — the same two ``(time, seq)``
-        slots that ``serve(duration).add_callback(fn)`` occupies, with no
-        Future and, when nothing else is due then, no second dispatch.
+        already scheduled for that instant — two ``(time, seq)`` slots in
+        one queue entry, dispatched back to back when nothing else is due.
         """
-        # occupy_end, written out: this is the simulator's hottest call
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
         engine = self._engine
@@ -90,42 +78,11 @@ class Resource:
 
     def use(self, duration: int) -> Serve:
         """Yieldable command: ``yield resource.use(ns)`` occupies the
-        resource and resumes the process when its turn finishes, as
-        ``yield resource.serve(ns)`` does, through :meth:`then`."""
+        resource and resumes the process when its turn finishes, through
+        :meth:`then`."""
         cmd = self._cmd
         cmd.ns = duration
         return cmd
-
-    def occupy_end(self, duration: int) -> int:
-        """Charge the resource for ``duration`` ns; return the finish time.
-
-        The one occupancy routine: FIFO start, accounting, no event.
-        """
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        start = self._free_at
-        now = self._engine.now
-        if start < now:
-            start = now
-        finish = start + duration
-        self._free_at = finish
-        self.busy_ns += duration
-        self.jobs += 1
-        return finish
-
-    def occupy(self, duration: int) -> None:
-        """Charge the resource for ``duration`` ns without a completion event.
-
-        Used for fire-and-forget occupancy (e.g. a protocol handler whose
-        completion no process waits on).
-        """
-        self.occupy_end(duration)
-
-    def utilization(self, elapsed_ns: int) -> float:
-        """Fraction of ``elapsed_ns`` this resource spent busy."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self.busy_ns / elapsed_ns)
 
 
 class PortedResource:

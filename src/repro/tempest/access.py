@@ -19,7 +19,7 @@ side always observes the other's writes.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,22 +107,3 @@ class AccessControl:
 
     def writable(self, node: int, block: int) -> bool:
         return self._tag_buf[node * self.n_blocks + block] == _READWRITE
-
-    def holders(self, block: int, at_least: AccessTag = AccessTag.READONLY) -> list[int]:
-        """Nodes whose tag for ``block`` is at least ``at_least``."""
-        return np.flatnonzero(self._tags[:, block] >= int(at_least)).tolist()
-
-    def count_with_tag(self, node: int, tag: AccessTag) -> int:
-        return int(np.count_nonzero(self._tags[node] == int(tag)))
-
-    def snapshot(self, block: int) -> tuple[AccessTag, ...]:
-        """All nodes' tags for one block — handy in tests and traces."""
-        return tuple(AccessTag(int(t)) for t in self._tags[:, block])
-
-    def nonreadable_subset(self, node: int, blocks: Iterable[int]) -> list[int]:
-        """Blocks from ``blocks`` this node cannot currently read."""
-        idx = np.fromiter(blocks, dtype=np.intp)
-        if idx.size == 0:
-            return []
-        mask = self.rows[node][idx] < _READONLY
-        return idx[mask].tolist()

@@ -155,7 +155,7 @@ def _scan(
         gen = rng if rng is not None else np.random.default_rng(0)
         sel = np.flatnonzero(gen.random(directory.n_blocks) < sample_prob)
         if sel.size == 0:
-            return 0
+            return [], 0
         block_ids = sel
         state = state[sel]
         owner = owner[sel]

@@ -151,12 +151,6 @@ class Cluster:
     def compute(self, node_id: int, ns: int) -> Generator[Any, Any, None]:
         yield from self.nodes[node_id].compute(int(ns))
 
-    def compute_units(self, node_id: int, units: float) -> Generator[Any, Any, None]:
-        """Charge ``units`` of per-element work via the configured rate."""
-        yield from self.nodes[node_id].compute(
-            int(units * self.config.compute_ns_per_unit)
-        )
-
     def read_blocks(
         self,
         node_id: int,

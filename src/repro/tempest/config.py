@@ -249,10 +249,6 @@ class ClusterConfig:
         """Serialization time for ``size_bytes`` on the wire."""
         return int(size_bytes / self.bandwidth_bytes_per_us * US)
 
-    def message_latency_ns(self, size_bytes: int) -> int:
-        """Wire time for a message: propagation plus serialization."""
-        return self.wire_latency_ns + self.transfer_ns(size_bytes)
-
     @property
     def switch_ports(self) -> int:
         """Resolved output-port count of the switch fabric."""
@@ -270,12 +266,6 @@ class ClusterConfig:
             else self.bandwidth_bytes_per_us
         )
         return int(size_bytes / per_port * US)
-
-    def single_cpu(self) -> "ClusterConfig":
-        return replace(self, dual_cpu=False)
-
-    def with_nodes(self, n: int) -> "ClusterConfig":
-        return replace(self, n_nodes=n)
 
     def scaled(self, **kwargs: object) -> "ClusterConfig":
         """Return a copy with the given fields replaced."""

@@ -100,11 +100,6 @@ class Directory:
         self.owner[block] = node
         self.sharers[block] = 0
 
-    def set_idle(self, block: int) -> None:
-        self.state[block] = _IDLE
-        self.owner[block] = -1
-        self.sharers[block] = 0
-
     def clear_sharer(self, block: int, node: int) -> None:
         mask = int(self.sharers[block]) & ~(1 << node)
         self.sharers[block] = mask
@@ -147,26 +142,6 @@ class Directory:
     def copy_is_current(self, node: int, block: int) -> bool:
         return self.copy_version[node, block] >= self.global_version[block]
 
-    def validate_read(
-        self, node: int, block: int, context: str = "", phase: int | None = None
-    ) -> None:
-        """Raise :class:`StaleReadError` if ``node`` would read stale data.
-
-        ``phase`` is the reader's current phase: a block written in the
-        *same* phase is legal to read at its pre-phase version (INDEPENDENT
-        loop semantics — readers see the old value).
-        """
-        c = self.copy_version[node, block]
-        g = self.global_version[block]
-        if c >= g:
-            return
-        if phase is not None and g == phase and c >= self.prev_version[block]:
-            return
-        raise StaleReadError(
-            f"node {node} read block {block} at copy version {int(c)} < "
-            f"global {int(g)}" + (f" ({context})" if context else "")
-        )
-
     def validate_reads_bulk(
         self,
         node: int,
@@ -174,6 +149,12 @@ class Directory:
         context: str = "",
         phase: int | None = None,
     ) -> None:
+        """Raise :class:`StaleReadError` if ``node`` would read stale data.
+
+        ``phase`` is the reader's current phase: a block written in the
+        *same* phase is legal to read at its pre-phase version (INDEPENDENT
+        loop semantics — readers see the old value).
+        """
         idx = _as_index(blocks)
         if idx is None:
             return

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,10 +175,6 @@ class GlobalArray:
             self._data = np.zeros(self.shape, dtype=self.dtype, order="F")
         return self._data
 
-    @property
-    def data_allocated(self) -> bool:
-        return self._data is not None
-
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
@@ -189,16 +185,6 @@ class GlobalArray:
 
     def owner_of_column(self, j: int) -> int:
         return self.dist.owner(j, self.extent)
-
-    def owned_columns(self, proc: int) -> range:
-        return self.dist.owned_indices(proc, self.extent)
-
-    def column_byte_range(self, j: int) -> tuple[int, int]:
-        """Global byte range [lo, hi) of column ``j`` (contiguous)."""
-        if not 0 <= j < self.extent:
-            raise IndexError(f"column {j} outside [0, {self.extent})")
-        lo = self.base + j * self._col_elems * self.itemsize
-        return lo, lo + self._col_elems * self.itemsize
 
     def element_byte(self, index: Sequence[int]) -> int:
         """Global byte address of an element (Fortran order)."""
@@ -215,23 +201,6 @@ class GlobalArray:
 
     def block_of_element(self, index: Sequence[int]) -> int:
         return self.element_byte(index) // self.config.block_size
-
-    def blocks_covering(self, lo_byte: int, hi_byte: int) -> range:
-        """Block ids overlapping global byte range [lo, hi)."""
-        if hi_byte <= lo_byte:
-            return range(0, 0)
-        bs = self.config.block_size
-        return range(lo_byte // bs, (hi_byte - 1) // bs + 1)
-
-    def blocks_within(self, lo_byte: int, hi_byte: int) -> range:
-        """Block ids *fully contained* in [lo, hi) — the runtime-side
-        analogue of the paper's ``shmem_limits`` subsetting."""
-        bs = self.config.block_size
-        first = math.ceil(lo_byte / bs)
-        last = hi_byte // bs  # exclusive
-        if last <= first:
-            return range(0, 0)
-        return range(first, last)
 
     def block_range(self) -> range:
         return range(self.base_block, self.base_block + self.n_blocks)
@@ -287,20 +256,6 @@ class GlobalArray:
                 return np.ones(len(blocks), dtype=bool)
             return col_first == col_last
         raise ValueError("replicated arrays have no owners")
-
-    def owned_blocks(self, proc: int) -> list[int]:
-        """All blocks whose *first element* is owned by ``proc``.
-
-        Boundary blocks straddling an ownership boundary are attributed to
-        the owner of their first byte; this matches how the default
-        protocol's home alignment treats them.
-        """
-        if self.dist.kind is DistKind.REPLICATED:
-            return []
-        blocks = np.arange(
-            self.base_block, self.base_block + self.n_blocks, dtype=np.int64
-        )
-        return blocks[self.owners_of_blocks(blocks) == proc].tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -363,25 +318,6 @@ class SharedMemory:
     @property
     def n_blocks(self) -> int:
         return self.n_pages * self.config.blocks_per_page
-
-    def home_of_block(self, block: int) -> int:
-        page = block // self.config.blocks_per_page
-        if not 0 <= page < self.n_pages:
-            raise IndexError(f"block {block} outside the allocated segment")
-        return self._page_homes[page]
-
-    def home_of_page(self, page: int) -> int:
-        return self._page_homes[page]
-
-    def array_of_block(self, block: int) -> GlobalArray | None:
-        byte = block * self.config.block_size
-        for arr in self.arrays.values():
-            if arr.base <= byte < arr.base + arr.nbytes:
-                return arr
-        return None
-
-    def iter_arrays(self) -> Iterator[GlobalArray]:
-        return iter(self.arrays.values())
 
     def total_bytes(self) -> int:
         """Sum of array payloads (not counting page padding)."""

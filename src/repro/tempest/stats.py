@@ -164,10 +164,6 @@ class NodeStats:
         "switch.traverse", "wait_ns", total="total_switch_wait_ns",
         summary="switch.switch_wait_ms", scale=1e6)
 
-    def count_message(self, kind: MsgKind, size_bytes: int) -> None:
-        self.messages[kind] += 1
-        self.bytes_sent += size_bytes
-
     @property
     def misses(self) -> int:
         return self.read_misses + self.write_faults
@@ -176,11 +172,6 @@ class NodeStats:
     def comm_ns(self) -> int:
         """The paper's 'communication time' for this node."""
         return self.stall_ns + self.barrier_ns + self.call_ns + self.reduce_ns
-
-    @property
-    def coherence_messages(self) -> int:
-        return sum(n for k, n in self.messages.items() if k in COHERENCE_KINDS)
-
 
 @dataclass
 class PortStats:
@@ -281,10 +272,6 @@ class ClusterStats:
     def avg_comm_ns(self) -> float:
         return sum(s.comm_ns for s in self.nodes) / len(self.nodes)
 
-    @property
-    def max_comm_ns(self) -> int:
-        return max(s.comm_ns for s in self.nodes)
-
     def _group(self, group: str) -> dict:
         """The counters declared into one summary group, in declaration
         order: each one's total over the nodes (a cluster-level counter
@@ -301,12 +288,6 @@ class ClusterStats:
     def reliability_summary(self) -> dict:
         """The reliable-transport counters as a flat dict."""
         return self._group("reliability")
-
-    def msgs_combined_by_kind(self) -> Counter:
-        total: Counter = Counter()
-        for s in self.nodes:
-            total.update(s.msgs_combined)
-        return total
 
     def combining_summary(self) -> dict:
         """Message-combining counters as a flat dict (zero when disabled)."""

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.access import RefPattern, analyze_loop
 from repro.core.sections import (
     Section,
     StridedInterval,
-    SymSection,
     coalesce_points,
 )
-from repro.core.symbolic import Sym
+from repro.core.symbolic import Lin, Sym, as_lin
+from repro.hpf.dsl import I, ProgramBuilder, S
 
 
 # --------------------------------------------------------------------- #
@@ -226,26 +227,33 @@ class TestSection:
 
 
 class TestSymSection:
+    """Symbolic sections: a reference pattern's affine bounds instantiate
+    to a concrete :class:`Section` once the bindings are known."""
+
     def test_instantiate(self):
-        N = Sym("N")
-        k = Sym("k")
-        s = SymSection.of([(k + 1, N - 1)], last_lo=k + 1, last_hi=N - 1)
-        got = s.instantiate({"N": 10, "k": 2})
+        N, k = Sym("N"), Sym("k")
+        pat = RefPattern("x", ((k + 1, N - 1),), "slice", k + 1, N - 1)
+        got = pat.section(StridedInterval(0, 0), {"N": 10, "k": 2})
         assert got.inner == ((3, 9),)
         assert list(got.last) == [3, 4, 5, 6, 7, 8, 9]
 
     def test_instantiate_empty_when_bounds_cross(self):
-        N = Sym("N")
-        s = SymSection.of([], last_lo=N, last_hi=5)
-        assert s.instantiate({"N": 9}).is_empty
+        pat = RefPattern("x", (), "slice", as_lin(Sym("N")), Lin(5))
+        assert pat.section(StridedInterval(0, 0), {"N": 9}).is_empty
 
     def test_symbols(self):
-        N, k = Sym("N"), Sym("k")
-        s = SymSection.of([(0, N)], last_lo=k, last_hi=N - 1)
-        assert s.symbols() == {"N", "k"}
+        # a loop's sections depend on its symbols only: other bindings
+        # reuse the instantiated loop, its own rebuild it
+        b = ProgramBuilder("p")
+        a = b.array("a", (16, 16))
+        k = Sym("k")
+        stmt = b.forall(k + 1, 14, a[S(0, 15), I], a[S(0, 15), I - 1])
+        loop = analyze_loop(stmt, b.build(), 4)
+        first = loop.instantiate({"k": 2, "t": 0})
+        assert loop.instantiate({"k": 2, "t": 7}) is first
+        assert loop.instantiate({"k": 3, "t": 0}) is not first
 
     def test_strided_instantiation(self):
-        P = Sym("P")
-        s = SymSection.of([], last_lo=1, last_hi=P * 3, last_step=4)
-        got = s.instantiate({"P": 4})
+        pat = RefPattern("x", (), "shift", as_lin(Sym("k")))
+        got = pat.section(StridedInterval(0, 11, 4), {"k": 1})
         assert list(got.last) == [1, 5, 9]

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.access import analyze_loop
 from repro.core.sections import StridedInterval
 from repro.core.symbolic import Sym
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.hpf.lowering import distribution_of, iteration_spec, owner_of_at
+from repro.hpf.lowering import distribution_of, iteration_spec
 
 
 def build_stencil(n=16, procs=4, dist="block", offset=0):
@@ -89,25 +90,36 @@ class TestIterationSpec:
 
 
 class TestOwnerOfAt:
+    """A single-owner statement (LHS last subscript ``At``) runs once, on
+    the owner of that column."""
+
+    @staticmethod
+    def executor(stmt, prog, env):
+        iters = analyze_loop(stmt, prog, 4).instantiate(env).iterations
+        return [p for p, it in enumerate(iters) if not it.is_empty]
+
     def test_block_owner(self):
         b = ProgramBuilder("p")
         a = b.array("a", (16, 16))
         stmt = b.assign_at(a[S(0, 15), Sym("k")], 0.0)
         prog = b.build()
-        assert owner_of_at(stmt, prog.arrays["a"], 4, {"k": 0}) == 0
-        assert owner_of_at(stmt, prog.arrays["a"], 4, {"k": 15}) == 3
+        assert self.executor(stmt, prog, {"k": 0}) == [0]
+        assert self.executor(stmt, prog, {"k": 15}) == [3]
 
     def test_cyclic_owner(self):
         b = ProgramBuilder("p")
         a = b.array("a", (16, 16), dist="cyclic")
         stmt = b.assign_at(a[S(0, 15), Sym("k")], 0.0)
         prog = b.build()
-        assert owner_of_at(stmt, prog.arrays["a"], 4, {"k": 6}) == 2
+        assert self.executor(stmt, prog, {"k": 6}) == [2]
 
     def test_requires_at_lhs(self):
-        stmt, decl, _ = build_stencil()
-        with pytest.raises(ValueError, match="At"):
-            owner_of_at(stmt, decl, 4, {})
+        # a loop-indexed LHS makes no single-owner statement: owner-computes
+        # spreads its iterations over every processor
+        b = ProgramBuilder("p")
+        a = b.array("a", (16, 16))
+        stmt = b.forall(0, 15, a[S(0, 15), I], 0.0)
+        assert self.executor(stmt, b.build(), {}) == [0, 1, 2, 3]
 
 
 def test_distribution_of_mapping():

@@ -152,6 +152,7 @@ class TestParseErrors:
             ("PROGRAM p\nREAL a(8)\nREAL a(8)\nEND", "already declared"),
             ("PROGRAM p\nREAL a(8,8) DISTRIBUTE (BLOCK, *)\nEND", "last dimension"),
             ("PROGRAM p\nREAL a(8) DISTRIBUTE (DIAG)\nEND", "unknown distribution"),
+            ("PROGRAM p\nREAL a(0)\nEND", "bad shape"),
             ("PROGRAM p\nREAL a(8)\nFORALL j = 0, 7 : a(j) = b(j)\nEND", "unknown name"),
             ("PROGRAM p\nREAL a(8,8)\nFORALL j = 0, 7 : a(j) = 1.0\nEND", "rank"),
             ("PROGRAM p\nREAL a(8)\nFORALL j = 0, 7 : a(j) + 1.0\nEND", "expected '='"),
@@ -255,6 +256,30 @@ END
                 "SUB f(x(8))\n  FORALL j = 0, 7 : x(j) = 1.0\nEND SUB\n"
                 "CALL f(v)\nEND"
             )
+
+    @pytest.mark.parametrize(
+        "formal,match",
+        [
+            ("x(4, 8) DISTRIBUTE (BLOCK, *)", "last dimension"),
+            ("x(4, 8) DISTRIBUTE (BLOCK)", "rank mismatch"),
+            ("x(8) DISTRIBUTE (DIAG)", "unknown distribution"),
+            ("x(n)", "integer literals"),
+        ],
+    )
+    def test_formal_distribution_checked_like_real(self, formal, match):
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_program(f"PROGRAM p\nSUB f({formal})\nEND SUB\nEND")
+        assert exc.value.line_no == 2
+
+    def test_call_error_names_the_call_line(self):
+        with pytest.raises(ParseError, match="conform") as exc:
+            parse_program(
+                "PROGRAM p\nREAL u(8)\nREAL v(16)\n"
+                "SUB f(x(8))\n  FORALL j = 0, 7 : x(j) = 1.0\nEND SUB\n"
+                "DO t = 0, 1\n  CALL f(u)\n  CALL f(v)\nEND DO\nEND"
+            )
+        assert exc.value.line_no == 9
+        assert str(exc.value).startswith("line 9: ")
 
     def test_nested_sub_rejected(self):
         with pytest.raises(ParseError, match="nested"):

@@ -19,6 +19,8 @@ later commit to print the table it produces now.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.tempest.config import SwitchConfig
 from repro.tempest.faults import FaultConfig, PartitionScenario
 from tests.obs.attribution_matrix import CELLS as ATTRIBUTION_CELLS
@@ -82,11 +84,16 @@ def run_counters_cell(cell: str, **kwargs):
 
 
 def aggregates(stats) -> dict:
-    """Every aggregate ``ClusterStats`` offers, JSON-shaped (insertion
-    order of the by-kind ``Counter``s included)."""
+    """Every aggregate ``ClusterStats`` offers, plus the per-kind sum of the
+    nodes' ``msgs_combined``, JSON-shaped (insertion order of the by-kind
+    ``Counter``s included)."""
 
     def by_kind(counts):
         return {kind.value: n for kind, n in counts.items()}
+
+    combined: Counter = Counter()  # node order: the digest pins insertion order
+    for node in stats.nodes:
+        combined.update(node.msgs_combined)
 
     return {
         "summary": stats.summary(),
@@ -97,7 +104,7 @@ def aggregates(stats) -> dict:
         "engine": stats.engine_summary(),
         "totals": {name: getattr(stats, name) for name in TOTALS},
         "messages_by_kind": by_kind(stats.messages_by_kind()),
-        "msgs_combined_by_kind": by_kind(stats.msgs_combined_by_kind()),
+        "msgs_combined_by_kind": by_kind(combined),
         "max_port_depth": stats.max_port_depth,
     }
 

@@ -1,0 +1,231 @@
+"""Which ``src/`` functions an entry point reaches: the record behind
+deleting code that none does.
+
+    PYTHONPATH=src:. python -m tests.reach_table
+
+drives the entry points in this process under a ``sys.settrace`` call
+recorder (Python 3.11 has no ``sys.monitoring``; coverage.py is not a
+dependency): the CLI over all six apps and every flag family, ``repro
+sweep`` (``--jobs 1``) and ``repro diff``, ``repro.report``,
+``repro.obs.schema``, the seven examples, the hostbench workloads at smoke
+size, and the three benches whose paths no default-scale run takes.  It
+lists every function defined under ``src/`` that no call reached and exits
+1 unless ``KEEP`` — the decision record — names it with a reason.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import os
+import runpy
+import sys
+import tempfile
+import threading
+from functools import cache, partial
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "repro")
+
+#: reason -> "module: qualname ..." lines; a class name keeps its methods
+KEPT_FOR = {
+    "input-language surface: the grammar, the DSL vocabulary, the Lin/Expr operators": """
+        repro.core.symbolic: Lin Sym
+        repro.hpf.ast: Expr Un.__post_init__ SeqLoop.sym
+        repro.hpf.dsl: ABS sqrt ArrayHandle ProgramBuilder.call ProgramBuilder.scalar_decl
+        repro.hpf.dsl: ProgramBuilder.subroutine
+        repro.hpf.parser: _ProgramParser.parse_assign _ProgramParser.parse_scalar_decl
+        repro.hpf.parser: _ExprParser.error
+        repro.tempest.memory: Distribution.replicated""",
+    "safety code: runs only on bad input, a damaged store or a broken invariant": """
+        repro.serve.store: ResultStore._quarantine ResultStore._corrupt
+        repro.tempest.protocol_update: UpdateProtocol.write_block
+        repro.tempest.directory: Directory.copy_is_current
+        repro.hpf.parser: ParseError.__init__
+        repro.tempest.audit: CoherenceAuditError.__init__""",
+    "live path that no default-scale entry point triggers": """
+        repro.tempest.extensions: CompilerExtensions.flush_and_invalidate
+        repro.tempest.extensions: CompilerExtensions._on_flush
+        repro.runtime.traces: NodeTrace.flush
+        repro.core.pre: AvailabilityTracker.drop
+        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_abort
+        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_crash
+        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_resume
+        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_traverse
+        repro.obs.profile: _overlap
+        repro.report: render_bench_appendix _render_engine_artifact _render_serve_artifact""",
+    "runs in pool worker processes, where this recorder does not":
+        "repro.serve.runner: _pool_worker",
+    "probe or oracle a pinned check reads": """
+        repro.tempest.transport: ReliableTransport.rng ReliableTransport.in_flight
+        repro.tempest.transport: ReliableTransport.armed_timers
+        repro.tempest.stats: ClusterStats.summary ClusterStats.engine_summary
+        repro.tempest.stats: ClusterStats.events_per_ms
+        repro.runtime.results: RunResult.summary
+        repro.obs.metrics: MetricsRegistry.assert_matches
+        repro.serve.compare: assert_results_equal""",
+    "the test suite's shared fixture": "repro.tempest.config: small_config",
+    "documented library API with no second spelling": """
+        repro.serve.keys: fingerprint
+        repro.serve.runner: ServeSession.run
+        repro.obs.chrome: ChromeTraceExporter.to_chrome ChromeTraceExporter.to_json""",
+    "repr/str for debuggers, REPLs and assertion messages": """
+        repro.core.sections: Section.__repr__ StridedInterval.__repr__
+        repro.obs.bus: Event.__repr__
+        repro.obs.tracing: MessageRecord.__str__
+        repro.tempest.memory: GlobalArray.__repr__
+        repro.tempest.node: Node.__repr__""",
+    "section-algebra operation the property tests pin; not yet weighed for deletion": """
+        repro.core.sections: Section.columns Section.covers Section.empty Section.of
+        repro.core.sections: Section.inner_count Section.intersect coalesce_points
+        repro.core.sections: StridedInterval.__contains__ StridedInterval.__iter__
+        repro.core.sections: StridedInterval.clip StridedInterval.is_contiguous
+        repro.core.sections: StridedInterval.scale
+        repro.core.blocks: section_byte_runs""",
+    "accessor the unit tests read state through; not yet weighed for deletion": """
+        repro.serve.store: ResultStore.contains ResultStore.quarantined
+        repro.obs.bus: EventBus.n_subscribers EventBus.unsubscribe
+        repro.runtime.results: RunResult.checksums RunResult.speedup_over
+        repro.runtime.traces: NodeTrace.__len__
+        repro.sim.engine: Future.value
+        repro.sim.resource: PortedResource.free_at
+        repro.tempest.directory: Directory.state_of
+        repro.tempest.memory: GlobalArray.block_range
+        repro.hpf.lowering: IterSpec.n_procs""",
+}
+
+
+def _names(table: str):
+    for line in table.strip().splitlines():
+        module, _, qualnames = line.partition(":")
+        yield from (f"{module.strip()}:{qualname}" for qualname in qualnames.split())
+
+
+KEEP = {name: reason for reason, table in KEPT_FOR.items() for name in _names(table)}
+
+
+def kept(name: str) -> bool:
+    return any(name == k or name.startswith(k + ".") for k in KEEP)
+
+
+def src_functions() -> dict[str, int]:
+    """``module:qualname`` -> source lines, for every def under ``src/``."""
+    out: dict[str, int] = {}
+
+    def visit(node, module: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{module}:{prefix}{child.name}"
+                out[name] = out.get(name, 0) + child.end_lineno - child.lineno + 1
+                visit(child, module, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, module, prefix)
+
+    for dirpath, _dirs, files in os.walk(SRC):
+        for path in (os.path.join(dirpath, f) for f in files if f.endswith(".py")):
+            with open(path, encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), _module(path), "")
+    return out
+
+
+@cache
+def _module(path: str) -> str:
+    rel = os.path.relpath(path, os.path.dirname(SRC))[: -len(".py")]
+    return rel.replace(os.sep, ".").removesuffix(".__init__")
+
+
+def drive(tmp: str) -> None:
+    """Run every entry point once."""
+    from repro import report
+    from repro.cli import main
+    from repro.obs import schema
+
+    trace, store = os.path.join(tmp, "trace.json"), os.path.join(tmp, "store")
+    faults = ["--fault-drop", "0.05", "--fault-dup", "0.02", "--fault-jitter", "10"]
+    flag_families = [
+        ["--backend", "msgpass", *faults], ["--single-cpu", "--no-bulk", "--rt-elim", "--pre"],
+        ["--advisory", "full"], ["--advisory", "prefetch", "--switch"],
+        ["--protocol", "update", "--no-opt"],
+        ["--combine", "--switch", "--switch-ports", "2", "--switch-bw", "40", *faults],
+        [*faults, "--fault-stall", "0.01", "--fault-stall-us", "5", "--rto-adaptive",
+         "--rto-max-us", "4000", "--fault-link", "0:1:drop=0.1", "--audit"],
+        ["--fault-partition", "1:200:300"], ["--fault-partition", "1:200:never"],
+        ["--fault-crash", "2:300:100", "--checkpoint-every", "1", "--heartbeat-us", "100"],
+        ["--fault-crash", "2:300"], ["--nodes", "0"], ["--param", "n=abc"],
+        ["--trace-out", trace, "--trace-kinds", "miss,barrier", "--profile-phases",
+         "--whatif", "barrier", "--trace-messages", "read_req"],
+    ]
+    sweep = ["sweep", "jacobi", "cg", "--axis", "combine=off,on", "--cache-dir", store,
+             "--jobs", "1", "--json", os.path.join(tmp, "sweep.json")]
+    apps = ("cg", "grav", "jacobi", "lu", "pde", "shallow")
+    cli = [[app, "--nodes", "4", *flags]
+           for app in apps for flags in ([], ["--no-opt"], ["--pre"])]
+    cli += [["jacobi", "--nodes", "4", *flags] for flags in flag_families]
+    cli += [[*sweep, "--check-serial", "--quiet"], [*sweep, "--min-hit-rate", "0.9"],
+            ["diff", "jacobi", "-", "combine=on", "--cache-dir", store]]
+    runs = [partial(main, argv) for argv in cli]
+    runs += [partial(schema.main, [trace]),
+             partial(report.main, ["--apps", "jacobi", "--nodes", "4", "--fault-drop", "0.05"])]
+    examples = os.path.join(ROOT, "examples")
+    runs += [partial(runpy.run_path, os.path.join(examples, name), run_name="__main__")
+             for name in sorted(os.listdir(examples))]
+    argv0 = sys.argv
+    for run in runs:
+        sys.argv = ["-", "jacobi", "--nodes", "4"]  # read by examples/app_suite.py only
+        with contextlib.suppress(SystemExit):
+            run()
+    sys.argv = argv0
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks", "hostbench"))
+    from workloads import PARAMS, WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        os.makedirs(os.path.join(tmp, name))
+        w = workload(PARAMS["smoke"], 0, os.path.join(tmp, name))
+        for step in (w.setup, w.body, w.warm, w.verify):
+            step()
+    # timed benchmark rounds suspend sys.settrace; disabled, they run once
+    pytest.main(["-q", "-p", "no:cacheprovider", "--benchmark-disable", "--rootdir", ROOT,
+                 *(os.path.join(ROOT, "benchmarks", f"bench_ablation_{b}.py")
+                   for b in ("reduce", "partition", "recovery"))])
+
+
+def reached_functions() -> set[str]:
+    reached: set[str] = set()
+
+    def on_call(frame, _event, _arg):
+        code = frame.f_code
+        if code.co_filename.startswith(SRC):
+            reached.add(f"{_module(code.co_filename)}:{code.co_qualname}")
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        threading.settrace(on_call)
+        sys.settrace(on_call)
+        try:
+            drive(tmp)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+    return reached
+
+
+def main() -> int:
+    functions = src_functions()
+    reached = reached_functions()
+    unreached = {name: n for name, n in sorted(functions.items()) if name not in reached}
+    for name, n in unreached.items():
+        print(f"{n:5d}  {name}" + ("" if kept(name) else "  NOT IN KEEP"))
+    bad = [name for name in unreached if not kept(name)]
+    print(f"{len(functions) - len(unreached)} of {len(functions)} functions reached; "
+          f"{len(unreached)} unreached ({sum(unreached.values())} lines), "
+          f"{len(bad)} of them not in KEEP")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

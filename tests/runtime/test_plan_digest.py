@@ -94,7 +94,7 @@ def test_timing_pass_allocates_no_program_data(monkeypatch):
     result = execute_shmem_plan(plan, cfg)
     (mem,) = segments
     assert set(mem.arrays) == set(program.arrays)
-    assert not any(arr.data_allocated for arr in mem.iter_arrays())
+    assert all(arr._data is None for arr in mem.arrays.values())
     # The run's numerics are the plan's, untouched by the replay.
     for name, data in plan.arrays.items():
         np.testing.assert_array_equal(result.arrays[name], data)

@@ -1,6 +1,5 @@
-"""Behavioral tests of ServeSession: caching, dedup, pool, async, plans."""
+"""Behavioral tests of ServeSession: caching, dedup, pool, batches, plans."""
 
-import asyncio
 import dataclasses
 
 import pytest
@@ -338,11 +337,11 @@ class TestBatchAndAsync:
         for req, s in zip(reqs, served):
             assert results_equal(execute_request(req), s.result)
 
-    def test_async_gather(self, cfg, store_dir):
+    def test_pooled_batch_cold_then_warm(self, cfg, store_dir):
         reqs = [jacobi_request(cfg), jacobi_request(cfg, optimize=True)]
         with ServeSession(jobs=2, cache_dir=store_dir) as sess:
-            cold = asyncio.run(sess.gather(reqs))
-            warm = asyncio.run(sess.gather(reqs))
+            cold = sess.run_batch(reqs)
+            warm = sess.run_batch(reqs)
         assert [s.source for s in cold] == ["computed", "computed"]
         assert [s.source for s in warm] == ["cache", "cache"]
         for c, w in zip(cold, warm):

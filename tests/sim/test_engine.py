@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, Engine, Future, Resource, SimulationError
+from repro.sim import Engine, Future, Resource, SimulationError
 from tests.heap_engine import HeapEngine
 
 #: the engine and the heap oracle it is differentially tested against
@@ -58,9 +58,9 @@ def test_process_delay_advances_time():
     times = []
 
     def proc():
-        yield Delay(100)
+        yield 100
         times.append(eng.now)
-        yield 50  # bare int works too
+        yield 50
         times.append(eng.now)
 
     eng.spawn(proc())
@@ -72,7 +72,7 @@ def test_process_return_value_resolves_done_future():
     eng = Engine()
 
     def proc():
-        yield Delay(7)
+        yield 7
         return "payload"
 
     done = eng.spawn(proc())
@@ -85,7 +85,7 @@ def test_zero_delay_does_not_schedule_event():
 
     def proc():
         for _ in range(10):
-            yield Delay(0)
+            yield 0
         return eng.now
 
     done = eng.spawn(proc())
@@ -114,7 +114,7 @@ def test_wait_on_already_resolved_future_is_immediate():
     fut.resolve(99)
 
     def waiter():
-        value = yield Delay(10)
+        value = yield 10
         value = yield fut
         return (eng.now, value)
 
@@ -155,8 +155,14 @@ def test_multiple_waiters_all_wake():
 
 
 def test_negative_delay_rejected():
-    with pytest.raises(SimulationError):
-        Delay(-1)
+    eng = Engine()
+
+    def proc():
+        yield -1
+
+    eng.spawn(proc())
+    with pytest.raises(SimulationError, match="negative delay"):
+        eng.run()
 
 
 def test_bad_yield_type_raises():
@@ -187,7 +193,7 @@ def test_max_events_guard():
 
     def ping():
         while True:
-            yield Delay(1)
+            yield 1
 
     eng.spawn(ping())
     with pytest.raises(SimulationError, match="max_events"):
@@ -200,9 +206,9 @@ def test_determinism_two_identical_runs():
         log = []
 
         def worker(i):
-            yield Delay(i * 3 % 7)
+            yield i * 3 % 7
             log.append((eng.now, i))
-            yield Delay(5)
+            yield 5
             log.append((eng.now, i))
 
         for i in range(10):
@@ -246,7 +252,7 @@ def test_max_events_exact_count_same_instant(engine_cls):
     def burst():
         for i in range(10):
             eng.call_at(eng.now, log.append, i)
-        yield Delay(0)
+        yield 0
 
     eng.spawn(burst())
     with pytest.raises(SimulationError, match="max_events"):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     CountingSemaphore,
-    Delay,
     Engine,
     PortedResource,
     Resource,
@@ -13,12 +12,17 @@ from repro.sim import (
 from tests.heap_engine import HeapEngine
 
 
+def _noop():
+    pass
+
+
 def test_single_job_completes_after_duration():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    done = cpu.serve(100)
+    done = []
+    cpu.then(100, done.append, "job")
     eng.run()
-    assert done.resolved
+    assert done == ["job"]
     assert eng.now == 100
     assert cpu.busy_ns == 100
 
@@ -30,9 +34,8 @@ def test_jobs_queue_fifo():
 
     def submit():
         for dur in (100, 50, 25):
-            fut = cpu.serve(dur)
-            fut.add_callback(lambda _v: finish_times.append(eng.now))
-        yield Delay(0)
+            cpu.then(dur, lambda: finish_times.append(eng.now))
+        yield 0
 
     eng.spawn(submit())
     eng.run()
@@ -43,9 +46,9 @@ def test_job_submitted_later_starts_when_free():
     eng = Engine()
     cpu = Resource(eng, "cpu")
     results = []
-    cpu.serve(100).add_callback(lambda _v: results.append(eng.now))
+    cpu.then(100, lambda: results.append(eng.now))
     # Submitted at t=30 while the first job runs: starts at 100.
-    eng.call_at(30, lambda: cpu.serve(10).add_callback(lambda _v: results.append(eng.now)))
+    eng.call_at(30, cpu.then, 10, lambda: results.append(eng.now))
     eng.run()
     assert results == [100, 110]
 
@@ -53,30 +56,27 @@ def test_job_submitted_later_starts_when_free():
 def test_idle_gap_not_counted_busy():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    cpu.serve(10)
-    eng.call_at(100, lambda: cpu.serve(10))
+    cpu.then(10, _noop)
+    eng.call_at(100, cpu.then, 10, _noop)
     eng.run()
+    assert eng.now == 110
     assert cpu.busy_ns == 20
-    assert cpu.utilization(eng.now) == pytest.approx(20 / 110)
 
 
 def test_occupy_charges_without_future():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    cpu.occupy(40)
-    done = cpu.serve(10)
+    cpu.then(40, _noop)
+    done = []
+    cpu.then(10, done.append, "second")
     eng.run()
-    assert done.resolved
+    assert done == ["second"]
     assert eng.now == 50
 
 
 def test_negative_duration_rejected():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    with pytest.raises(SimulationError):
-        cpu.serve(-1)
-    with pytest.raises(SimulationError):
-        cpu.occupy(-5)
     with pytest.raises(SimulationError):
         cpu.then(-1, lambda: None)
     assert (cpu.busy_ns, cpu.jobs) == (0, 0)
@@ -93,26 +93,31 @@ def _chain_footprint(engine_cls, submit):
         log.append("rival")
         eng.call_now(log.append, "rival-successor")
 
-    cpu.occupy(60)
+    cpu.then(60, _noop)
     eng.call_at(100, log.append, "early")   # scheduled before the job
-    submit(cpu, lambda *_v: log.append("fn"))  # finishes at 60 + 40 = 100
+    submit(eng, cpu, lambda *_v: log.append("fn"))  # finishes at 60 + 40 = 100
     eng.call_at(100, rival)                 # scheduled after the job
     eng.run()
-    return log, eng.events_dispatched, eng.max_queue_depth, cpu.busy_ns, cpu.jobs
+    return log, eng.events_dispatched, eng.max_queue_depth
+
+
+def _serve_add_callback(eng, cpu, fn):
+    """The Future-shaped completion: an event at the finish time resolves
+    a Future, whose callback runs as a same-instant event."""
+    done = eng.future()
+    eng.call_at(cpu.free_at + 40, done.resolve)
+    done.add_callback(fn)
 
 
 @pytest.mark.parametrize("engine_cls", [Engine, HeapEngine], ids=["calendar", "heap"])
 def test_then_occupies_the_slots_of_serve_add_callback(engine_cls):
-    then = _chain_footprint(engine_cls, lambda cpu, fn: cpu.then(40, fn))
-    serve = _chain_footprint(
-        engine_cls, lambda cpu, fn: cpu.serve(40).add_callback(fn)
-    )
-    assert then == serve
+    then = _chain_footprint(engine_cls, lambda eng, cpu, fn: cpu.then(40, fn))
+    assert then == _chain_footprint(engine_cls, _serve_add_callback)
     # The completion event fires in schedule order among the t=100 events;
     # fn runs as its same-instant successor, behind the rival's own event
     # but ahead of what the rival schedules.
     assert then[0] == ["early", "rival", "fn", "rival-successor"]
-    assert then[1:] == (5, 3, 100, 2)
+    assert then[1:] == (7, 4)
 
 
 def test_then_passes_args():
@@ -122,10 +127,6 @@ def test_then_passes_args():
     cpu.then(10, lambda a, b: got.append((eng.now, a, b)), "x", 2)
     eng.run()
     assert got == [(10, "x", 2)]
-
-
-def _noop():
-    pass
 
 
 def test_ported_single_job_serves_at_release():

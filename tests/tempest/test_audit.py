@@ -9,7 +9,7 @@ mentioning the right site.
 import numpy as np
 import pytest
 
-from repro.tempest import AccessTag, CoherenceAuditError, audit_coherence
+from repro.tempest import AccessTag, CoherenceAuditError, audit_coherence, audit_violations
 from tests.tempest.conftest import make_cluster
 
 
@@ -170,6 +170,13 @@ class TestSampledAudit:
             np.random.default_rng(3).random(cluster.directory.n_blocks) < 0.5
         )
         assert checked == expect.size
+
+    def test_empty_sample_checks_nothing(self):
+        cluster = run_small_workload()
+        assert cluster.audit(sample_prob=1e-9) == 0
+        assert audit_violations(
+            cluster.directory, cluster.access, sample_prob=1e-9
+        ) == []
 
     def test_default_rng_is_seeded(self):
         cluster = run_small_workload()

@@ -73,16 +73,6 @@ class TestRunValidation:
 
 
 class TestFragments:
-    def test_compute_units_uses_rate(self):
-        cl, _ = build()
-
-        def prog():
-            yield from cl.compute_units(0, 100)
-
-        cl.engine.spawn(prog())
-        cl.engine.run()
-        assert cl.engine.now == 100 * cl.config.compute_ns_per_unit
-
     def test_empty_reads_and_writes_are_noops(self):
         cl, _ = build()
 

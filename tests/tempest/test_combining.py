@@ -8,6 +8,8 @@ keep: identical numerics (with a clean coherence audit) and a real
 reduction in header-only wire traffic on invalidation-heavy apps.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import APPS
@@ -116,7 +118,7 @@ class TestFlushTriggers:
         assert kinds[MsgKind.ACK] == 1          # the eager leader
         assert kinds[MsgKind.COMBINED] == 1     # the followers, together
         assert cluster.stats.total_combine_flushes == 1
-        assert cluster.stats.msgs_combined_by_kind()[MsgKind.ACK] == 3
+        assert sum(n.msgs_combined[MsgKind.ACK] for n in cluster.stats.nodes) == 3
 
     def test_combined_frame_wire_bytes(self):
         # One 16-byte leader + one combined frame of header + 3 slots.
@@ -232,7 +234,7 @@ class TestAppsUnderCombining:
         base = run_shmem(prog, CFG).stats.messages_by_kind()
         comb_run = run_shmem(prog, CFG_COMBINE).stats
         comb = comb_run.messages_by_kind()
-        absorbed = comb_run.msgs_combined_by_kind()
+        absorbed = sum((n.msgs_combined for n in comb_run.nodes), Counter())
         for kind in HEADER_KINDS:
             assert comb.get(kind, 0) + absorbed.get(kind, 0) == base.get(kind, 0)
 

@@ -27,27 +27,18 @@ def test_transfer_time_tracks_bandwidth():
     assert cfg.transfer_ns(0) == 0
 
 
-def test_message_latency_includes_wire():
-    cfg = ClusterConfig()
-    assert cfg.message_latency_ns(0) == cfg.wire_latency_ns
-    assert cfg.message_latency_ns(200) > cfg.wire_latency_ns
-
-
 def test_short_message_roundtrip_near_40us():
     cfg = ClusterConfig()
-    one_way = cfg.send_overhead_ns + cfg.message_latency_ns(20) + cfg.dispatch_overhead_ns
+    wire = cfg.wire_latency_ns + cfg.transfer_ns(20)
+    one_way = cfg.send_overhead_ns + wire + cfg.dispatch_overhead_ns
     assert 2 * one_way == pytest.approx(40 * US, rel=0.10)
 
 
 def test_single_cpu_copy():
     cfg = ClusterConfig()
-    single = cfg.single_cpu()
+    single = cfg.scaled(dual_cpu=False)
     assert not single.dual_cpu
     assert cfg.dual_cpu  # original untouched (frozen)
-
-
-def test_with_nodes():
-    assert ClusterConfig().with_nodes(2).n_nodes == 2
 
 
 def test_scaled_replaces_fields():

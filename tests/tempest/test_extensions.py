@@ -24,6 +24,12 @@ def build(n_nodes=3, cols=3, home_policy=HomePolicy.NODE0):
     return Cluster(cfg, mem), a
 
 
+def column_blocks(a, j):
+    """The blocks holding column ``j`` of ``a`` (a column is contiguous)."""
+    last = a.shape[0] - 1
+    return list(range(a.block_of_element((0, j)), a.block_of_element((last, j)) + 1))
+
+
 class TestCoalesceRuns:
     def test_empty(self):
         assert coalesce_runs([], 8) == []
@@ -53,7 +59,7 @@ class TestCoalesceRuns:
 class TestMkWritable:
     def test_brings_blocks_exclusive_at_caller(self):
         cl, a = build()
-        blocks = list(a.blocks_covering(*a.column_byte_range(1)))
+        blocks = column_blocks(a, 1)
 
         def owner():
             yield from cl.ext.mk_writable(1, blocks)
@@ -158,7 +164,7 @@ class TestImplicitWritable:
 class TestSendRecv:
     def test_full_fig2_sequence_no_misses(self):
         cl, a = build()
-        blocks = list(a.blocks_covering(*a.column_byte_range(1)))
+        blocks = column_blocks(a, 1)
         p, q = 1, 2
 
         def producer():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.tempest import ClusterConfig, Distribution, HomePolicy, SharedMemory
+from repro.core.blocks import section_blocks, shmem_limits
+from repro.core.sections import Section, StridedInterval
+from repro.tempest import Cluster, ClusterConfig, Distribution, HomePolicy, SharedMemory
 from repro.tempest.memory import DistKind
 
 
@@ -77,9 +79,9 @@ class TestGlobalArray:
 
     def test_column_is_contiguous(self, mem):
         a = mem.alloc("a", (8, 4), Distribution.block(4))
-        lo, hi = a.column_byte_range(2)
-        assert lo == a.element_byte((0, 2))
-        assert hi - lo == 8 * 8
+        lo, last = a.element_byte((0, 2)), a.element_byte((7, 2))
+        assert last - lo == 7 * 8
+        assert a.element_byte((0, 3)) == lo + 8 * 8
 
     def test_3d_addressing(self, mem):
         a = mem.alloc("a", (4, 3, 2), Distribution.block(4))
@@ -93,26 +95,29 @@ class TestGlobalArray:
         assert a.block_of_element((15, 0)) == a.base_block
         assert a.block_of_element((0, 1)) == a.base_block + 1
 
+    # Which blocks a section covers vs which it fully contains: the
+    # geometry under the paper's shmem_limits subsetting.
     def test_blocks_covering_vs_within(self, mem):
-        a = mem.alloc("a", (16, 4), Distribution.block(4))
-        bs = 128
-        # A range straddling one block boundary: covering=2, within=0 or 1
-        lo = a.base + bs // 2
-        hi = lo + bs
-        assert len(a.blocks_covering(lo, hi)) == 2
-        assert len(a.blocks_within(lo, hi)) == 0
-        # Aligned range: equal
-        assert list(a.blocks_covering(a.base, a.base + 2 * bs)) == list(
-            a.blocks_within(a.base, a.base + 2 * bs)
-        )
+        a = mem.alloc("a", (32, 4), Distribution.block(4))  # a column = 2 blocks
+        # bytes [64, 192) of column 0 straddle one block boundary
+        straddle = Section.of([(8, 23)], StridedInterval(0, 0))
+        assert len(section_blocks(a, straddle)) == 2
+        inner, boundary = shmem_limits(a, straddle)
+        assert len(inner) == 0 and len(boundary) == 2
+        # an aligned range: every covered block is fully contained
+        aligned = Section.of([(0, 31)], StridedInterval(0, 1))
+        inner, boundary = shmem_limits(a, aligned)
+        assert inner.tolist() == section_blocks(a, aligned).tolist()
+        assert len(boundary) == 0
 
     def test_blocks_within_empty_for_subblock_range(self, mem):
         a = mem.alloc("a", (16, 4), Distribution.block(4))
-        assert len(a.blocks_within(a.base + 8, a.base + 24)) == 0
+        inner, _ = shmem_limits(a, Section.of([(1, 2)], StridedInterval(0, 0)))
+        assert len(inner) == 0
 
     def test_blocks_covering_empty_range(self, mem):
         a = mem.alloc("a", (16, 4), Distribution.block(4))
-        assert len(a.blocks_covering(a.base, a.base)) == 0
+        assert len(section_blocks(a, Section.empty(2))) == 0
 
     def test_owner_of_column_follows_distribution(self, mem):
         a = mem.alloc("a", (8, 8), Distribution.cyclic(4))
@@ -125,7 +130,7 @@ class TestGlobalArray:
         with pytest.raises(IndexError):
             a.element_byte((0, 0, 0))
         with pytest.raises(IndexError):
-            a.column_byte_range(4)
+            a.element_byte((0, 4))
 
     def test_bad_shape_rejected(self, mem):
         with pytest.raises(ValueError):
@@ -160,45 +165,39 @@ class TestSharedMemory:
         # 64x64 doubles: column = 512 B; page = 4096 B = 8 columns.
         # BLOCK dist: proc p owns 16 columns = 2 pages.
         a = mem.alloc("a", (64, 64), Distribution.block(4))
-        homes = [mem.home_of_page(p) for p in range(mem.n_pages)]
+        homes = mem._page_homes
         assert homes == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_round_robin_homes(self):
         cfg = ClusterConfig(n_nodes=4)
         mem = SharedMemory(cfg, home_policy=HomePolicy.ROUND_ROBIN)
         mem.alloc("a", (64, 64), Distribution.block(4))
-        homes = [mem.home_of_page(p) for p in range(mem.n_pages)]
+        homes = mem._page_homes
         assert homes == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_node0_homes(self):
         cfg = ClusterConfig(n_nodes=4)
         mem = SharedMemory(cfg, home_policy=HomePolicy.NODE0)
         mem.alloc("a", (64, 64), Distribution.block(4))
-        assert all(mem.home_of_page(p) == 0 for p in range(mem.n_pages))
+        assert set(mem._page_homes) == {0}
 
     def test_home_of_block_consistent_with_page(self):
+        # The cluster's directory homes every block of a page at the page's home.
         cfg = ClusterConfig(n_nodes=4)
         mem = SharedMemory(cfg)
         mem.alloc("a", (64, 64), Distribution.block(4))
+        directory = Cluster(cfg, mem).directory
         bpp = cfg.blocks_per_page
-        for page in range(mem.n_pages):
+        for page, home in enumerate(mem._page_homes):
             for b in (page * bpp, (page + 1) * bpp - 1):
-                assert mem.home_of_block(b) == mem.home_of_page(page)
+                assert directory.home_of(b) == home
 
     def test_home_of_block_out_of_segment_raises(self):
-        mem = SharedMemory(ClusterConfig(n_nodes=4))
+        cfg = ClusterConfig(n_nodes=4)
+        mem = SharedMemory(cfg)
         mem.alloc("a", (16, 4), Distribution.block(4))
         with pytest.raises(IndexError):
-            mem.home_of_block(mem.n_blocks)
-
-    def test_array_of_block(self):
-        mem = SharedMemory(ClusterConfig(n_nodes=4))
-        a = mem.alloc("a", (16, 4), Distribution.block(4))
-        b = mem.alloc("b", (16, 4), Distribution.block(4))
-        assert mem.array_of_block(a.base_block) is a
-        assert mem.array_of_block(b.base_block) is b
-        # padding blocks past array payload belong to nothing
-        assert mem.array_of_block(a.base_block + a.n_blocks) is None
+            Cluster(cfg, mem).directory.home_of(mem.n_blocks)
 
     def test_total_bytes(self):
         mem = SharedMemory(ClusterConfig(n_nodes=4))
@@ -211,12 +210,8 @@ class TestSharedMemory:
         cfg = ClusterConfig(n_nodes=4)
         mem = SharedMemory(cfg)
         a = mem.alloc("a", (16, 8), Distribution.block(4))  # col == 1 block
-        all_owned = []
-        for p in range(4):
-            owned = a.owned_blocks(p)
-            assert len(owned) == 2
-            all_owned.extend(owned)
-        assert sorted(all_owned) == list(a.block_range())
+        owners = a.owners_of_blocks(list(a.block_range()))
+        assert owners.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("dist", [Distribution.block(4), Distribution.cyclic(4)])
     def test_owned_blocks_follow_first_byte_on_unaligned_columns(self, dist):
@@ -225,12 +220,11 @@ class TestSharedMemory:
         mem = SharedMemory(ClusterConfig(n_nodes=4))
         mem.alloc("pad", (8, 3), Distribution.block(4))
         a = mem.alloc("a", (20, 7), dist)
-        for p in range(4):
-            want = [
-                b
-                for b in a.block_range()
-                if a.owner_of_column(min((b * 128 - a.base) // 160, a.extent - 1)) == p
-            ]
-            assert a.owned_blocks(p) == want
-            assert all(type(b) is int for b in a.owned_blocks(p))
-        assert mem.alloc("r", (4, 4), Distribution.replicated(4)).owned_blocks(0) == []
+        blocks = list(a.block_range())
+        want = [
+            a.owner_of_column(min((b * 128 - a.base) // 160, a.extent - 1))
+            for b in blocks
+        ]
+        assert a.owners_of_blocks(blocks).tolist() == want
+        with pytest.raises(ValueError, match="replicated"):
+            mem.alloc("r", (4, 4), Distribution.replicated(4)).owners_of_blocks(blocks)

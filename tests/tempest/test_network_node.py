@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, Engine
+from repro.sim import Engine
 from repro.tempest import ClusterConfig
 from repro.tempest.network import HEADER_BYTES, Network
 from repro.tempest.node import Node

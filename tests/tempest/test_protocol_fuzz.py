@@ -101,7 +101,7 @@ def test_random_schedules_stay_coherent(schedule, policy):
     # Post-quiescence consistency between tags and directory.
     for b in blocks:
         state = cl.directory.state_of(b)
-        tags = cl.access.snapshot(b)
+        tags = [cl.access.get(n, b) for n in range(N_NODES)]
         if state is DirState.EXCLUSIVE:
             owner = cl.directory.owner_of(b)
             assert tags[owner] is AccessTag.READWRITE

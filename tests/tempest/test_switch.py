@@ -337,7 +337,7 @@ class TestCombiningUnderSwitch:
         cluster.engine.run()
         # The three parked acks rode one combined frame, in order.
         assert cluster.stats.total_combine_flushes == 1
-        assert cluster.stats.msgs_combined_by_kind()[MsgKind.ACK] == 3
+        assert sum(n.msgs_combined[MsgKind.ACK] for n in cluster.stats.nodes) == 3
         assert [i for i, _t in log] == [0, 1, 2]
         delivered = log[0][1]
         assert all(t == delivered for _i, t in log)

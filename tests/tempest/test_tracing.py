@@ -62,18 +62,9 @@ class TestMessageTracer:
         cl, a = build()
         tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes, kinds={MsgKind.READ_REQ})
         run_one_transfer(cl, a)
-        assert tracer.by_link() == {(2, 0): 1}
-        assert len(tracer.involving(2)) == 1
-        assert tracer.involving(1) == []
-
-    def test_between(self):
-        cl, a = build()
-        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
-        run_one_transfer(cl, a)
-        t_mid = tracer.records[len(tracer.records) // 2].t_ns
-        early = tracer.between(0, t_mid)
-        late = tracer.between(t_mid, tracer.records[-1].t_ns + 1)
-        assert len(early) + len(late) == len(tracer.records)
+        # the reader asks the block's home (node 0); the writer is not involved
+        assert [(r.src, r.dst) for r in tracer.records] == [(2, 0)]
+        assert not [r for r in tracer.records if 1 in (r.src, r.dst)]
 
     def test_max_records_drops_and_reports(self):
         cl, a = build()
@@ -93,13 +84,6 @@ class TestMessageTracer:
         assert "read_req" in chart
         # One line per traced message plus two header lines.
         assert len(chart.splitlines()) == 2 + len(tracer.records)
-
-    def test_uninstall_restores(self):
-        cl, a = build()
-        tracer = MessageTracer(cl.ensure_bus(), cl.n_nodes)
-        tracer.uninstall()
-        run_one_transfer(cl, a)
-        assert tracer.records == []
 
     def test_summary_readable(self):
         cl, a = build()

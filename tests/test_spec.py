@@ -278,7 +278,7 @@ class TestNodeIdsInsideTheCluster:
     def test_shrinking_the_cluster_under_a_scenario_is_rejected(self):
         cfg = ClusterConfig(faults=FaultConfig(crashes=(CrashScenario(7, 1000),)))
         with pytest.raises(ValueError, match="faults.crashes"):
-            cfg.with_nodes(4)
+            cfg.scaled(n_nodes=4)
         with pytest.raises(ValueError, match="cell nodes=4: faults.crashes"):
             expand_matrix(["jacobi"], {"nodes": [4]}, base_config=cfg)
 
