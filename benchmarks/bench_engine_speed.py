@@ -2,12 +2,14 @@
 
 Two modes, one artifact:
 
-* ``--write`` measures host wall time and event throughput for the app ×
-  scale matrix on the current tree and refreshes ``BENCH_engine.json``
-  (``engine-speed/1`` schema, rendered in the report appendix).  Baseline
-  (``old_*``) numbers come either from ``--baseline-src <path>`` — the
+* ``--write`` measures host wall time (and, within it, the functional
+  pass's ``build_s``) and event throughput for the app × scale matrix on
+  the current tree and refreshes ``BENCH_engine.json`` (``engine-speed/1``
+  schema, rendered in the report appendix).  Baseline (``old_*``,
+  ``*_old``) numbers come either from ``--baseline-src <path>`` — the
   same measurements run in a subprocess against a checkout of the
-  baseline commit — or are carried over from the existing artifact.
+  baseline commit — or, for the matrix, are carried over from the
+  existing artifact.
 
 * ``--check`` is the CI guard: it re-measures the acceptance pair's
   *off* cells (unoptimized, no observability bus — exactly
@@ -16,8 +18,9 @@ Two modes, one artifact:
   per-frame path is timed too), the *protocol* cells (pde unoptimized
   under each coherence protocol: demand misses, so every active-message
   handler is timed) and the functional pass's
-  *build* cells (``build_shmem_plan`` alone for lu and jacobi at default
-  scale, optimized — the layer the engine cells barely touch) and fails
+  *build* cells (``build_shmem_plan`` alone, optimized: lu and jacobi at
+  default scale, and lu at n=512, whose matrix outgrows the cache — the
+  layer the engine cells barely touch) and fails
   when host wall regresses more than ``--budget`` (default 20%) against
   the recorded values.  Raw wall times are not portable across runners,
   so both sides are normalized by a pure-Python calibration loop timed on
@@ -56,16 +59,21 @@ MATRIX = [
     ("grav", "paper", 1),
     ("pde", "default", 3),
     ("pde", "paper", 1),
+    ("lu", "default", 3),
+    ("lu", "paper", 1),
 ]
 #: The guard's cells: the acceptance pair's off-cells (BENCH_obs semantics).
 GUARD_APPS = ("jacobi", "shallow")
 GUARD_REPEATS = 3
-#: The guard's functional-pass cells: ``build_shmem_plan`` options per app,
-#: default scale (lu: ~250 loop instances planned once; jacobi: numerics,
-#: rt-elim retention and the PRE tracker every loop).
+#: The guard's functional-pass cells: cell -> (app, program parameters
+#: over the default scale, ``build_shmem_plan`` options).  lu: ~250 loop
+#: instances planned once; jacobi: numerics, rt-elim retention and the PRE
+#: tracker every loop; lu at n=512: a matrix that outgrows the cache, so
+#: the numerics' memory layout shows.
 BUILD_CELLS = {
-    "lu": dict(optimize=True, rt_elim=True),
-    "jacobi": dict(optimize=True, rt_elim=True, pre=True),
+    "lu": ("lu", {}, dict(optimize=True, rt_elim=True)),
+    "jacobi": ("jacobi", {}, dict(optimize=True, rt_elim=True, pre=True)),
+    "lu/n=512": ("lu", dict(n=512), dict(optimize=True, rt_elim=True)),
 }
 BUILD_REPEATS = 5
 #: The guard's fault cells: an off-cell under FaultConfig(**kwargs) — the
@@ -95,24 +103,27 @@ def calibration_s() -> float:
 
 
 def measure_cell(app: str, scale: str, repeats: int) -> dict:
-    """Host wall (min of ``repeats``) + events for one optimized run."""
+    """Host wall and its functional pass (min of ``repeats`` each) +
+    events for one optimized run."""
     from repro.apps import APPS
-    from repro.runtime import run_shmem
+    from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
     from repro.tempest.config import ClusterConfig
 
     prog = APPS[app].program(scale)
-    best = math.inf
+    cfg = ClusterConfig(n_nodes=N_NODES)
+    best = best_build = math.inf
     events = 0
     for _ in range(repeats):
         t0 = time.perf_counter()
-        r = run_shmem(
-            prog, ClusterConfig(n_nodes=N_NODES), optimize=True, bulk=True,
-            rt_elim=(app != "cg"),
-        )
+        plan = build_shmem_plan(prog, cfg, optimize=True, rt_elim=(app != "cg"))
+        t1 = time.perf_counter()
+        r = execute_shmem_plan(plan, cfg)
         best = min(best, time.perf_counter() - t0)
+        best_build = min(best_build, t1 - t0)
         events = r.stats.events_dispatched
     return {
         "host_wall_s": round(best, 4),
+        "build_s": round(best_build, 4),
         "events": events,
         "events_per_sec": int(events / best),
     }
@@ -166,17 +177,18 @@ def measure_protocol_cell(cell: str, repeats: int) -> float:
     return best
 
 
-def measure_build_cell(app: str, repeats: int) -> float:
+def measure_build_cell(cell: str, repeats: int) -> float:
     """Host wall (min of ``repeats``) of one functional pass."""
     from repro.apps import APPS
     from repro.runtime.shmem import build_shmem_plan
     from repro.tempest.config import ClusterConfig
 
-    prog = APPS[app].program("default")
+    app, params, opts = BUILD_CELLS[cell]
+    prog = APPS[app].program(**params)
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        build_shmem_plan(prog, ClusterConfig(n_nodes=N_NODES), **BUILD_CELLS[app])
+        build_shmem_plan(prog, ClusterConfig(n_nodes=N_NODES), **opts)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -204,7 +216,16 @@ def measure_protocol_cells() -> dict:
 
 
 def measure_build_cells() -> dict:
-    return {a: round(measure_build_cell(a, BUILD_REPEATS), 4) for a in BUILD_CELLS}
+    return {c: round(measure_build_cell(c, BUILD_REPEATS), 4) for c in BUILD_CELLS}
+
+
+#: The guarded cell families: artifact key -> measurement function.
+GUARDED = {
+    "off_cells": measure_off_cells,
+    "fault_cells": measure_fault_cells,
+    "protocol_cells": measure_protocol_cells,
+    "build_cells": measure_build_cells,
+}
 
 
 def _baseline_measure(baseline_src: str, fn: str = "measure_matrix") -> dict:
@@ -247,18 +268,10 @@ def write(args: argparse.Namespace) -> int:
                 continue
             cell["old_host_wall_s"] = round(b["host_wall_s"], 4)
             cell["old_events_per_sec"] = int(b["events_per_sec"])
+            if "build_s" in b:
+                cell["old_build_s"] = round(b["build_s"], 4)
             cell["speedup"] = round(b["host_wall_s"] / cell["host_wall_s"], 2)
             speedups.append(cell["speedup"])
-    off = measure_off_cells()
-    fault = measure_fault_cells()
-    protocol = measure_protocol_cells()
-    off_old = fault_old = protocol_old = {}
-    if args.baseline_src:
-        off_old = _baseline_measure(args.baseline_src, "measure_off_cells")
-        fault_old = _baseline_measure(args.baseline_src, "measure_fault_cells")
-        protocol_old = _baseline_measure(
-            args.baseline_src, "measure_protocol_cells"
-        )
     doc = {
         "schema": "engine-speed/1",
         "baseline_commit": args.baseline_commit,
@@ -269,28 +282,16 @@ def write(args: argparse.Namespace) -> int:
             math.exp(sum(map(math.log, speedups)) / len(speedups)), 2
         ) if speedups else None,
         "apps": apps,
-        "off_cells": off,
-        "fault_cells": fault,
-        "protocol_cells": protocol,
-        "build_cells": measure_build_cells(),
         "calibration_s": round(calibration_s(), 4),
     }
-    if off_old:
-        doc["off_cells_old"] = off_old
-        doc["off_cells_speedup"] = {
-            a: round(off_old[a] / off[a], 2) for a in off if a in off_old
-        }
-    if fault_old:
-        doc["fault_cells_old"] = fault_old
-        doc["fault_cells_speedup"] = {
-            a: round(fault_old[a] / fault[a], 2) for a in fault if a in fault_old
-        }
-    if protocol_old:
-        doc["protocol_cells_old"] = protocol_old
-        doc["protocol_cells_speedup"] = {
-            c: round(protocol_old[c] / protocol[c], 2)
-            for c in protocol if c in protocol_old
-        }
+    for key, measure in GUARDED.items():
+        new = doc[key] = measure()
+        if args.baseline_src:
+            old_cells = _baseline_measure(args.baseline_src, measure.__name__)
+            doc[f"{key}_old"] = old_cells
+            doc[f"{key}_speedup"] = {
+                c: round(old_cells[c] / new[c], 2) for c in new if c in old_cells
+            }
     with open(args.json, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -321,7 +322,7 @@ def check(args: argparse.Namespace) -> int:
          lambda cell: measure_protocol_cell(cell, GUARD_REPEATS)),
         # Absent from artifacts written before the build cells existed.
         ("build", doc.get("build_cells", {}),
-         lambda app: measure_build_cell(app, BUILD_REPEATS)),
+         lambda cell: measure_build_cell(cell, BUILD_REPEATS)),
     ]
     for kind, cells, measure in guards:
         for app, recorded in cells.items():

@@ -13,12 +13,16 @@ Everything is *parametric* in problem symbols and enclosing sequential
 loop variables (an :class:`LoopAccess` holds symbolic patterns), and is
 instantiated against a concrete environment at run time —
 :meth:`LoopAccess.instantiate` is memoized since time-step loops replay the
-same environment every iteration.
+same environment every iteration.  An instance binds the iterations and
+the read/write sections eagerly; the non-owner sets and the transfers are
+derived from them on first use, because most consumers never ask (see
+:class:`LoopInstance`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.sections import Section, StridedInterval
 from repro.core.symbolic import Env, Lin
@@ -116,16 +120,73 @@ class Transfer:
 # ===================================================================== #
 @dataclass
 class LoopInstance:
-    """Concrete (environment-bound) access information for one loop."""
+    """Concrete (environment-bound) access information for one loop.
+
+    The non-owner sets and the transfer lists are derived on first use and
+    then kept, once per cached instance.  Who asks: the unoptimized shmem
+    path asks for none of them; the planner for ``non_owner_reads`` and
+    ``write_transfers``; the message-passing backend for ``transfers``.
+    """
 
     n_procs: int
     iterations: tuple[StridedInterval, ...]
     # per proc: list of (array, Section)
     reads: tuple[tuple[tuple[str, Section], ...], ...]
     writes: tuple[tuple[tuple[str, Section], ...], ...]
-    non_owner_reads: tuple[tuple[tuple[str, Section], ...], ...]
-    non_owner_writes: tuple[tuple[tuple[str, Section], ...], ...]
-    transfers: tuple[Transfer, ...]
+    access: LoopAccess = field(repr=False, compare=False)
+
+    def _non_owner(self, per_proc) -> tuple[tuple[tuple[str, Section], ...], ...]:
+        """Each processor's sections minus the columns it owns, in order."""
+        acc = self.access
+        return tuple(
+            tuple(
+                (array, piece)
+                for array, sec in secs
+                if acc.decls[array].dist != "replicated"
+                for piece in sec.difference_last(acc.owned_columns(array, p))
+            )
+            for p, secs in enumerate(per_proc)
+        )
+
+    def _split(self, p: int, pieces, kind: str) -> list[Transfer]:
+        """Split ``p``'s non-owner pieces by their owning processors."""
+        owned = self.access.owned_columns
+        out = []
+        for array, piece in pieces:
+            for q in range(self.n_procs):
+                if q != p:
+                    part = piece.intersect_last(owned(array, q))
+                    if not part.is_empty:
+                        out.append(Transfer(array, part, src=q, dst=p, kind=kind))
+        return out
+
+    @cached_property
+    def non_owner_reads(self) -> tuple[tuple[tuple[str, Section], ...], ...]:
+        return self._non_owner(self.reads)
+
+    @cached_property
+    def non_owner_writes(self) -> tuple[tuple[tuple[str, Section], ...], ...]:
+        return self._non_owner(self.writes)
+
+    @cached_property
+    def write_transfers(self) -> tuple[Transfer, ...]:
+        """The ``kind == 'write'`` transfers, in :attr:`transfers` order."""
+        return tuple(
+            t
+            for p, pieces in enumerate(self.non_owner_writes)
+            for t in self._split(p, pieces, "write")
+        )
+
+    @cached_property
+    def transfers(self) -> tuple[Transfer, ...]:
+        """Every transfer: per accessor, its read pieces then its write
+        pieces, each split by owner."""
+        return tuple(
+            t
+            for p in range(self.n_procs)
+            for t in self._split(p, self.non_owner_reads[p], "read")
+            + self._split(p, self.non_owner_writes[p], "write")
+        )
 
 
 @dataclass
@@ -182,74 +243,25 @@ class LoopAccess:
         iters = self._iterations(env)
         reads: list[tuple[tuple[str, Section], ...]] = []
         writes: list[tuple[tuple[str, Section], ...]] = []
-        nor: list[tuple[tuple[str, Section], ...]] = []
-        now_: list[tuple[tuple[str, Section], ...]] = []
-        transfers: list[Transfer] = []
 
-        for p in range(self.n_procs):
-            it = iters[p]
+        for it in iters:
             p_reads = []
             p_writes = []
-            p_nor = []
-            p_now = []
             if not it.is_empty:
                 for pat in self.read_patterns:
                     sec = pat.section(it, env)
-                    if sec.is_empty:
-                        continue
-                    p_reads.append((pat.array, sec))
-                    if self.decls[pat.array].dist != "replicated":
-                        owned = self.owned_columns(pat.array, p)
-                        for piece in sec.difference_last(owned):
-                            p_nor.append((pat.array, piece))
-                            transfers.extend(
-                                self._split_by_owner(pat.array, piece, p, "read")
-                            )
+                    if not sec.is_empty:
+                        p_reads.append((pat.array, sec))
                 if self.lhs_pattern is not None:
                     wsec = self.lhs_pattern.section(it, env)
                     if not wsec.is_empty:
                         p_writes.append((self.lhs_pattern.array, wsec))
-                        if self.decls[self.lhs_pattern.array].dist != "replicated":
-                            owned = self.owned_columns(self.lhs_pattern.array, p)
-                            for piece in wsec.difference_last(owned):
-                                p_now.append((self.lhs_pattern.array, piece))
-                                transfers.extend(
-                                    self._split_by_owner(
-                                        self.lhs_pattern.array, piece, p, "write"
-                                    )
-                                )
             reads.append(tuple(p_reads))
             writes.append(tuple(p_writes))
-            nor.append(tuple(p_nor))
-            now_.append(tuple(p_now))
 
-        inst = LoopInstance(
-            self.n_procs,
-            iters,
-            tuple(reads),
-            tuple(writes),
-            tuple(nor),
-            tuple(now_),
-            tuple(transfers),
-        )
+        inst = LoopInstance(self.n_procs, iters, tuple(reads), tuple(writes), self)
         self._cache[key] = inst
         return inst
-
-    def _split_by_owner(
-        self, array: str, piece: Section, accessor: int, kind: str
-    ) -> list[Transfer]:
-        """Split a non-owner section piece by its owning processors."""
-        out = []
-        for q in range(self.n_procs):
-            if q == accessor:
-                continue
-            part = piece.intersect_last(self.owned_columns(array, q))
-            if not part.is_empty:
-                if kind == "read":
-                    out.append(Transfer(array, part, src=q, dst=accessor, kind="read"))
-                else:
-                    out.append(Transfer(array, part, src=q, dst=accessor, kind="write"))
-        return out
 
     def _used_symbols(self) -> frozenset[str]:
         syms: set[str] = set()

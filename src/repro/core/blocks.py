@@ -15,6 +15,7 @@ into sorted block-id arrays against a :class:`GlobalArray`'s geometry:
 ``section_byte_runs``  maximal contiguous byte runs of a section
 ``section_blocks``     all blocks touched (what accesses actually hit)
 ``shmem_limits``       (controllable, boundary) block split
+``BlockMemo``          both, once per distinct ``(array, Section)``
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from repro.core.sections import Section
 from repro.tempest.memory import GlobalArray
 
-__all__ = ["section_blocks", "section_byte_runs", "shmem_limits"]
+__all__ = ["BlockMemo", "section_blocks", "section_byte_runs", "shmem_limits"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
@@ -156,3 +157,41 @@ def shmem_limits(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray
     edge = np.ones(len(touched), dtype=bool)
     edge[np.searchsorted(touched, inner)] = False
     return inner, touched[edge]
+
+
+def _frozen(blocks: np.ndarray) -> np.ndarray:
+    blocks.flags.writeable = False
+    return blocks
+
+
+class BlockMemo:
+    """:func:`section_blocks` and :func:`shmem_limits`, each computed once
+    per distinct ``(array name, Section)``.
+
+    Equal sections recur within one phase: every reader of lu's pivot
+    column holds its own equal ``Section`` of it.  Scope a memo to one
+    phase record: a build-wide one would pin every block array of the run.
+    The arrays are shared between callers, so they are read-only.
+    """
+
+    __slots__ = ("arrays", "_blocks", "_limits")
+
+    def __init__(self, arrays: dict[str, GlobalArray]) -> None:
+        self.arrays = arrays
+        self._blocks: dict[tuple[str, Section], np.ndarray] = {}
+        self._limits: dict[tuple[str, Section], tuple[np.ndarray, np.ndarray]] = {}
+
+    def blocks(self, name: str, sec: Section) -> np.ndarray:
+        key = (name, sec)
+        hit = self._blocks.get(key)
+        if hit is None:
+            hit = self._blocks[key] = _frozen(section_blocks(self.arrays[name], sec))
+        return hit
+
+    def limits(self, name: str, sec: Section) -> tuple[np.ndarray, np.ndarray]:
+        key = (name, sec)
+        hit = self._limits.get(key)
+        if hit is None:
+            inner, edge = shmem_limits(self.arrays[name], sec)
+            hit = self._limits[key] = (_frozen(inner), _frozen(edge))
+        return hit

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.access import LoopInstance
-from repro.core.blocks import shmem_limits
+from repro.core.blocks import BlockMemo
 from repro.core.calls import (
     CallOp,
     FlushBlocks,
@@ -110,6 +110,7 @@ def plan_loop(
     bulk: bool = True,
     rt_elim: bool = False,
     advisory: str | bool = False,
+    memo: BlockMemo | None = None,
 ) -> CommPlan:
     """Build the communication plan for one instantiated loop.
 
@@ -124,7 +125,12 @@ def plan_loop(
     the producer's invalidation round trip for a refetch of the block every
     iteration, which loses whenever the boundary data is stable across
     loops — prefetch-only is the safer default.
+
+    ``memo`` shares block arrays with the caller's other consumers of the
+    same phase (see :class:`~repro.core.blocks.BlockMemo`).
     """
+    if memo is None:
+        memo = BlockMemo(memory.arrays)
     plan = CommPlan(rt_elim=rt_elim, bulk=bulk)
     advisory_per_dst: dict[int, np.ndarray] = {}
 
@@ -147,11 +153,8 @@ def plan_loop(
     boundary_per_dst: dict[int, np.ndarray] = {}
 
     has_write_transfers = False
-    for t in inst.transfers:
-        if t.kind != "write":
-            continue
-        arr = memory.arrays[t.array]
-        inner, edge = shmem_limits(arr, t.section)
+    for t in inst.write_transfers:
+        inner, edge = memo.limits(t.array, t.section)
         _merge_blocks(boundary_per_dst, t.dst, edge)
         if len(inner):
             has_write_transfers = True
@@ -163,7 +166,7 @@ def plan_loop(
     for dst in range(inst.n_procs):
         for aname, sec in inst.non_owner_reads[dst]:
             arr = memory.arrays[aname]
-            inner, edge = shmem_limits(arr, sec)
+            inner, edge = memo.limits(aname, sec)
             _merge_blocks(boundary_per_dst, dst, edge)
             if advisory and len(edge):
                 owners = arr.owners_of_blocks(edge)

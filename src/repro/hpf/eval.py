@@ -10,6 +10,14 @@ Every subscript keeps its axis (``At`` becomes a length-1 slice), so mixed
 subscripts broadcast naturally — e.g. the LU rank-1 update
 ``a[i, j] -= a[i, k] * a[k, j]`` evaluates as a (rows, 1) × (1, cols)
 outer product without special cases.
+
+A parallel assignment allocates its temporaries in storage (Fortran)
+order.  NumPy would lay that outer product out in C order, and every
+later pass over it — the subtraction from the storage view, the store
+back into it — would then walk it against the storage layout.
+Elementwise results do not depend on layout.  A reduction keeps NumPy's
+own layout: ``np.sum``'s pairwise summation order follows it, and so
+would the REDUCE bits.
 """
 
 from __future__ import annotations
@@ -42,7 +50,16 @@ Scalars = dict[str, float]
 
 
 class EvalError(RuntimeError):
-    """Out-of-bounds subscript or malformed statement at evaluation time."""
+    """Out-of-bounds subscript or malformed statement at evaluation time.
+
+    Raised by the ``eval_*`` statement functions with the statement's label
+    in front (``forall@3: a axis 1: ...``), so a parsed program's error
+    names its line.
+    """
+
+
+def _located(stmt, exc: EvalError) -> EvalError:
+    return EvalError(f"{stmt.label}: {exc}") if stmt.label else exc
 
 
 def _ref_key(
@@ -104,14 +121,17 @@ def _reusable(buf, other) -> bool:
     return isinstance(other, (int, float))
 
 
-def _eval(expr: Expr, arrays: Arrays, scalars: Scalars, env: Env, loop: tuple):
+def _eval(
+    expr: Expr, arrays: Arrays, scalars: Scalars, env: Env, loop: tuple, order: str
+):
     """``(value, owned)`` — ``owned`` marks a float array this evaluation
     allocated itself (a ufunc or matmul result), which a parent operator
     may overwrite in place.  Views of program storage are never owned, so
     storage is written only by the statement's final assignment; and the
     in-place form runs the same ufunc on the same operands in the same
     order, so every backend's numerics stay bit-identical to the naive
-    one-temporary-per-operator evaluation."""
+    one-temporary-per-operator evaluation.  A binary operator's fresh
+    result is laid out in ``order``."""
     if isinstance(expr, Lit):
         return expr.value, False
     if isinstance(expr, ScalarRef):
@@ -122,14 +142,17 @@ def _eval(expr: Expr, arrays: Arrays, scalars: Scalars, env: Env, loop: tuple):
     if isinstance(expr, Ref):
         return arrays[expr.array][_ref_key(expr, arrays, env, *loop)], False
     if isinstance(expr, Bin):
-        lhs, lhs_owned = _eval(expr.lhs, arrays, scalars, env, loop)
-        rhs, rhs_owned = _eval(expr.rhs, arrays, scalars, env, loop)
+        lhs, lhs_owned = _eval(expr.lhs, arrays, scalars, env, loop, order)
+        rhs, rhs_owned = _eval(expr.rhs, arrays, scalars, env, loop, order)
         plain, ufunc = _BINARY[expr.op]
         if lhs_owned and _reusable(lhs, rhs):
             return ufunc(lhs, rhs, out=lhs), True
         if rhs_owned and _reusable(rhs, lhs):
             return ufunc(lhs, rhs, out=rhs), True
-        value = plain(lhs, rhs)
+        if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+            value = ufunc(lhs, rhs, order=order)
+        else:
+            value = plain(lhs, rhs)
         return value, _ownable(value)
     if isinstance(expr, Dot):
         mat = arrays[expr.mat.array][_ref_key(expr.mat, arrays, env, *loop)]
@@ -141,7 +164,7 @@ def _eval(expr: Expr, arrays: Arrays, scalars: Scalars, env: Env, loop: tuple):
         value = vec @ mat
         return value, _ownable(value)
     if isinstance(expr, Un):
-        val, owned = _eval(expr.operand, arrays, scalars, env, loop)
+        val, owned = _eval(expr.operand, arrays, scalars, env, loop, order)
         plain, ufunc = _UNARY[expr.op]
         if owned:
             return ufunc(val, out=val), True
@@ -158,9 +181,14 @@ def eval_expr(
     loop_lo: int,
     loop_hi: int,
     loop_step: int = 1,
+    order: str = "K",
 ):
-    """Evaluate an expression over a concrete parallel-loop range."""
-    return _eval(expr, arrays, scalars, env, (loop_lo, loop_hi, loop_step))[0]
+    """Evaluate an expression over a concrete parallel-loop range.
+
+    ``order`` lays out fresh temporaries as in NumPy (``"K"``: follow the
+    operands; ``"F"``: Fortran order, the storage order).
+    """
+    return _eval(expr, arrays, scalars, env, (loop_lo, loop_hi, loop_step), order)[0]
 
 
 def loop_bounds(stmt: ParallelAssign | Reduce, env: Env) -> tuple[int, int, int]:
@@ -185,8 +213,11 @@ def eval_parallel_assign(
     lo, hi, step = loop_bounds(stmt, env)
     if hi < lo:
         return
-    value = eval_expr(stmt.rhs, arrays, scalars, env, lo, hi, step)
-    key = _ref_key(stmt.lhs, arrays, env, lo, hi, step)
+    try:
+        value = eval_expr(stmt.rhs, arrays, scalars, env, lo, hi, step, order="F")
+        key = _ref_key(stmt.lhs, arrays, env, lo, hi, step)
+    except EvalError as exc:
+        raise _located(stmt, exc) from None
     arrays[stmt.lhs.array][key] = value
 
 
@@ -196,7 +227,10 @@ def eval_reduce(stmt: Reduce, arrays: Arrays, scalars: Scalars, env: Env) -> flo
     if hi < lo:
         value = 0.0
     else:
-        data = eval_expr(stmt.rhs, arrays, scalars, env, lo, hi, step)
+        try:
+            data = eval_expr(stmt.rhs, arrays, scalars, env, lo, hi, step)
+        except EvalError as exc:
+            raise _located(stmt, exc) from None
         if stmt.op == "sum":
             value = float(np.sum(data))
         elif stmt.op == "max":
@@ -208,6 +242,9 @@ def eval_reduce(stmt: Reduce, arrays: Arrays, scalars: Scalars, env: Env) -> flo
 
 
 def eval_scalar_assign(stmt: ScalarAssign, scalars: Scalars) -> float:
-    value = eval_expr(stmt.rhs, {}, scalars, {}, 0, 0)
+    try:
+        value = eval_expr(stmt.rhs, {}, scalars, {}, 0, 0)
+    except EvalError as exc:
+        raise _located(stmt, exc) from None
     scalars[stmt.target] = float(value)
     return scalars[stmt.target]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from repro.core.blocks import section_blocks
+from repro.core.blocks import BlockMemo
 from repro.core.calls import (
     FlushBlocks,
     ImplicitInvalidate,
@@ -107,7 +107,7 @@ def trace_geometry(config: ClusterConfig) -> dict:
     }
 
 
-def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
+def _phase_blocks(mem: SharedMemory, sections, memo: BlockMemo) -> np.ndarray:
     """Union of block ids touched by a tuple of (array, Section) pairs.
 
     Memoized by object identity on the SharedMemory instance (its lifetime
@@ -115,7 +115,9 @@ def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
     time-step loop presents the *same* section tuples every iteration —
     caching here turns paper-scale trace building from minutes into
     seconds.  The cached entry pins the key object so its id cannot be
-    recycled.
+    recycled.  Each section is mapped through the phase's ``memo``; a lone
+    piece is copied, so every tuple owns its array (writable, unshared) and
+    plans pickle as if no memo existed.
     """
     cache = getattr(mem, "_phase_block_cache", None)
     if cache is None:
@@ -123,14 +125,12 @@ def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
     hit = cache.get(id(sections))
     if hit is not None:
         return hit[1]
-    pieces = [
-        section_blocks(mem.arrays[a], sec) for a, sec in sections if a in mem.arrays
-    ]
+    pieces = [memo.blocks(a, sec) for a, sec in sections if a in mem.arrays]
     pieces = [p for p in pieces if len(p)]
     if not pieces:
         out = np.empty(0, dtype=np.int64)
     elif len(pieces) == 1:
-        out = pieces[0]
+        out = pieces[0].copy()
     else:
         # Union of sorted id arrays through a bitmap over their span.
         lo = min(p[0] for p in pieces)
@@ -148,14 +148,15 @@ def _emit_loop_body(
     mem: SharedMemory,
     traces: list[NodeTrace],
     config: ClusterConfig,
+    memo: BlockMemo,
 ) -> None:
     """Reads, writes and compute of the loop itself (both modes)."""
     assert rec.inst is not None
     stmt = rec.stmt
     label = getattr(stmt, "label", "")
     for p, t in enumerate(traces):
-        t.read(_phase_blocks(mem, rec.inst.reads[p]), rec.index, label)
-        t.write(_phase_blocks(mem, rec.inst.writes[p]), rec.index)
+        t.read(_phase_blocks(mem, rec.inst.reads[p], memo), rec.index, label)
+        t.write(_phase_blocks(mem, rec.inst.writes[p], memo), rec.index)
         units = rec.compute_units(p)
         if units or not rec.inst.iterations[p].is_empty:
             t.compute(units * config.compute_ns_per_unit + config.loop_overhead_ns)
@@ -321,17 +322,20 @@ def build_shmem_plan(
             for t in traces:
                 t.compute(rec.compute_units(t.node) * config.compute_ns_per_unit)
             continue
+        # One block mapping per distinct section of this phase.
+        memo = BlockMemo(mem.arrays)
         if isinstance(rec.stmt, Reduce):
             assert rec.inst is not None
             for p, t in enumerate(traces):
-                t.read(_phase_blocks(mem, rec.inst.reads[p]), rec.index, rec.stmt.label)
+                blocks = _phase_blocks(mem, rec.inst.reads[p], memo)
+                t.read(blocks, rec.index, rec.stmt.label)
                 t.compute(rec.compute_units(p) * config.compute_ns_per_unit)
                 t.reduce(1)
             continue
 
         assert isinstance(rec.stmt, ParallelAssign) and rec.inst is not None
         if not optimize:
-            _emit_loop_body(rec, mem, traces, config)
+            _emit_loop_body(rec, mem, traces, config, memo)
             for t in traces:
                 t.barrier()
             continue
@@ -340,7 +344,9 @@ def build_shmem_plan(
         key = (id(rec.stmt), id(rec.inst))
         plan = plan_cache.get(key)
         if plan is None:
-            plan = plan_loop(rec.inst, mem, bulk=bulk, rt_elim=rt_elim, advisory=advisory)
+            plan = plan_loop(
+                rec.inst, mem, bulk=bulk, rt_elim=rt_elim, advisory=advisory, memo=memo
+            )
             plan_cache[key] = plan
             plans_built += 1
         eff = _effective_plan(plan, tracker)
@@ -383,10 +389,10 @@ def build_shmem_plan(
                         tracker.drop(dst, conflict)
             for dst, blocks in plan.controlled.items():
                 retained_rt[dst, blocks] = True
-        _emit_loop_body(rec, mem, traces, config)
+        _emit_loop_body(rec, mem, traces, config, memo)
         if tracker is not None:
             for p in range(config.n_nodes):
-                wb = _phase_blocks(mem, rec.inst.writes[p])
+                wb = _phase_blocks(mem, rec.inst.writes[p], memo)
                 if len(wb):
                     tracker.note_writes(p, wb)
         for stage in eff.post:

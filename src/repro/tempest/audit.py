@@ -145,7 +145,7 @@ def _scan(
     # runs its invariants vectorized.
     state = np.frombuffer(bytes(directory.state), dtype=np.uint8)
     owner = np.asarray(directory.owner, dtype=np.int64)
-    sharers = np.asarray([int(m) for m in directory.sharers], dtype=np.uint64)
+    sharers = np.array(directory.sharers, dtype=np.uint64)
     home = directory.home
     tags = access._tags
     implicit = access._implicit

@@ -42,6 +42,7 @@ from repro.tempest.stats import ClusterStats
 __all__ = ["Cluster"]
 
 _READONLY = int(AccessTag.READONLY)
+_READWRITE = int(AccessTag.READWRITE)
 
 
 class Cluster:
@@ -76,12 +77,10 @@ class Cluster:
         homes = np.repeat(
             np.asarray(memory._page_homes, dtype=np.int32), config.blocks_per_page
         )
-        self.directory = Directory(config.n_nodes, memory.n_blocks, homes.tolist())
+        self.directory = Directory(config.n_nodes, memory.n_blocks, homes)
         self.access = AccessControl(config.n_nodes, memory.n_blocks)
         # Each home starts with the (only) writable copy of its blocks.
-        for node in range(config.n_nodes):
-            mine = np.flatnonzero(homes == node)
-            self.access.set_range(node, mine.tolist(), AccessTag.READWRITE)
+        self.access._tags[homes, np.arange(memory.n_blocks)] = _READWRITE
 
         self.protocol = self.PROTOCOLS[protocol](
             self.engine, config, self.access, self.directory, self.network, self.nodes, self.stats

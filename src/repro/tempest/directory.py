@@ -60,7 +60,7 @@ class Directory:
         self.n_blocks = n_blocks
         self.home = np.asarray(homes, dtype=np.int32)
         #: per-block home as a Python list (home_of is a hot O(1) lookup)
-        self._home = [int(h) for h in homes]
+        self._home = self.home.tolist()
         self.state = bytearray(n_blocks)
         self.owner: list[int] = [-1] * n_blocks
         self.sharers: list[int] = [0] * n_blocks  # bitmask per block

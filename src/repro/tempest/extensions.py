@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Any, Generator, Sequence
 
+import numpy as np
+
 from repro.sim import CountingSemaphore, Engine
 from repro.tempest.access import AccessControl, AccessTag
 from repro.tempest.config import ClusterConfig
@@ -175,11 +177,10 @@ class CompilerExtensions:
         finish = self._timed(node_id, "implicit_writable")
         block_list = blocks if isinstance(blocks, range) else list(blocks)
         if memo_key is not None and memo_key in self._iw_memo[node_id]:
-            lost = [
-                b for b in block_list
-                if self.access.get(node_id, b) is not AccessTag.READWRITE
-            ]
-            if not lost:
+            # The test: one comparison over the node's tag row.
+            idx = np.asarray(block_list, dtype=np.intp)
+            lost = idx[self.access.rows[node_id][idx] != _READWRITE]
+            if not len(lost):
                 yield self.config.memoized_call_ns
                 finish()
                 return

@@ -290,25 +290,24 @@ class SharedMemory:
         arr = GlobalArray(name, shape, np.dtype(dtype), dist, self._next_base, self.config)
         self.arrays[name] = arr
         pages = math.ceil(arr.nbytes / self.config.page_size)
-        for p in range(pages):
-            self._page_homes.append(self._home_for_page(arr, p))
+        self._page_homes.extend(self._homes_for_pages(arr, pages).tolist())
         self._next_base += pages * self.config.page_size
         return arr
 
-    def _home_for_page(self, arr: GlobalArray, page_in_array: int) -> int:
-        page_index = len(self._page_homes)
-        if self.home_policy is HomePolicy.ROUND_ROBIN:
-            return page_index % self.config.n_nodes
+    def _homes_for_pages(self, arr: GlobalArray, pages: int) -> np.ndarray:
+        """Home node of each of ``arr``'s pages, the segment's next ones."""
+        n_nodes = self.config.n_nodes
         if self.home_policy is HomePolicy.NODE0:
-            return 0
-        # ALIGNED: home the page with the owner of its first element.
-        if arr.dist.kind is DistKind.REPLICATED:
-            return page_index % self.config.n_nodes
-        byte = page_in_array * self.config.page_size
-        col = byte // (arr._col_elems * arr.itemsize)
-        col = min(col, arr.extent - 1)
-        owner = arr.owner_of_column(col)
-        return owner % self.config.n_nodes
+            return np.zeros(pages, dtype=np.int64)
+        if (
+            self.home_policy is HomePolicy.ROUND_ROBIN
+            or arr.dist.kind is DistKind.REPLICATED
+        ):
+            return (len(self._page_homes) + np.arange(pages)) % n_nodes
+        # ALIGNED: home the page with the owner of its first element (the
+        # first element of the page's first block, arrays being page-aligned).
+        firsts = arr.base_block + np.arange(pages) * self.config.blocks_per_page
+        return arr.owners_of_blocks(firsts) % n_nodes
 
     # ------------------------------------------------------------------ #
     @property

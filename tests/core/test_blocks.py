@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import section_blocks, section_byte_runs, shmem_limits
+from repro.core.blocks import BlockMemo, section_blocks, section_byte_runs, shmem_limits
 from repro.core.sections import Section, StridedInterval
 from repro.tempest import ClusterConfig, Distribution, SharedMemory
 from repro.tempest.memory import GlobalArray
@@ -231,3 +231,32 @@ class TestKernelAgainstOracle:
         assert len(section_blocks(a, Section.empty(2))) == 0
         inner, boundary = shmem_limits(a, Section.empty(2))
         assert len(inner) == 0 and len(boundary) == 0
+
+
+class TestBlockMemo:
+    def memo(self):
+        a = make_array((16, 8))
+        return BlockMemo({"a": a}), a
+
+    def test_equal_sections_map_once(self):
+        memo, a = self.memo()
+        sec = Section.of([(1, 14)], StridedInterval(2, 5))
+        twin = Section.of([(1, 14)], StridedInterval(2, 5))
+        assert memo.blocks("a", sec) is memo.blocks("a", twin)
+        assert memo.limits("a", sec) is memo.limits("a", twin)
+        np.testing.assert_array_equal(memo.blocks("a", sec), section_blocks(a, sec))
+        for got, want in zip(memo.limits("a", sec), shmem_limits(a, sec)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_memoized_arrays_are_read_only(self):
+        memo, _ = self.memo()
+        for sec in (
+            Section.of([(0, 15)], StridedInterval(2, 5)),
+            Section.of([(1, 14)], StridedInterval(0, 7, 3)),
+            Section.empty(2),
+        ):
+            arrays = (memo.blocks("a", sec), *memo.limits("a", sec))
+            for blocks in arrays:
+                assert not blocks.flags.writeable
+                with pytest.raises(ValueError):
+                    blocks[:1] = 0

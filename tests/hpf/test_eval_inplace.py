@@ -1,10 +1,12 @@
 """In-place evaluation ≡ the naive evaluator, byte for byte.
 
 ``repro.hpf.eval`` overwrites temporaries it owns instead of allocating
-one per operator.  That must change nothing observable: every statement
+one per operator, and a parallel assignment allocates them in storage
+(Fortran) order.  That must change nothing observable: every statement
 of every app leaves the same bytes in the same arrays as the naive
 evaluator (``eval_oracle``), and program storage is written only through
-the statement's own LHS key.
+the statement's own LHS key.  A reduction keeps NumPy's layout, which
+``np.sum``'s summation order follows.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from repro import APPS
 from repro.core.symbolic import Sym
+from repro.hpf import eval as hpf_eval
 from repro.hpf.ast import ParallelAssign, Reduce, ScalarAssign, SeqLoop, Un
 from repro.hpf.dsl import ABS, I, ProgramBuilder, S, sqrt
 from repro.hpf.eval import (
@@ -162,3 +165,57 @@ class TestOperandShapes:
         eval_parallel_assign(stmt, self.arrays, {}, {"k": 2})
         eval_oracle.eval_parallel_assign(stmt, naive, {}, {"k": 2})
         assert all(same_bytes(self.arrays[n], naive[n]) for n in naive)
+
+
+class TestStorageOrder:
+    """lu's rank-1 update broadcasts a (rows, 1) by a (1, cols) operand."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.b = ProgramBuilder("p")
+        self.a = self.b.array("a", (64, 64))
+        self.w = self.b.array("w", (64, 64))
+        self.arrays = {
+            name: np.asfortranarray(rng.standard_normal((64, 64))) for name in "aw"
+        }
+
+    def test_broadcast_temporary_is_fortran_ordered(self):
+        a, k = self.a, Sym("k")
+        expr = a[S(k + 1, 63), k] * a[k, I]
+        env = {"k": 4}
+        got = eval_expr(expr, self.arrays, {}, env, 5, 63, order="F")
+        want = eval_oracle.eval_expr(expr, self.arrays, {}, env, 5, 63)
+        assert want.flags.c_contiguous and not want.flags.f_contiguous
+        assert got.flags.f_contiguous and not got.flags.c_contiguous
+        assert same_bytes(got, want)
+
+    def test_broadcasting_statement_matches_oracle(self, monkeypatch):
+        a, k = self.a, Sym("k")
+        stmt = self.b.forall(
+            k + 1, 63, a[S(k + 1, 63), I], a[S(k + 1, 63), I] - a[S(k + 1, 63), k] * a[k, I]
+        )
+        values = []
+        inner = hpf_eval.eval_expr
+
+        def spy(*args, **kwargs):
+            values.append(inner(*args, **kwargs))
+            return values[-1]
+
+        monkeypatch.setattr(hpf_eval, "eval_expr", spy)
+        naive = {name: v.copy(order="F") for name, v in self.arrays.items()}
+        for kk in range(3):
+            eval_parallel_assign(stmt, self.arrays, {}, {"k": kk})
+            eval_oracle.eval_parallel_assign(stmt, naive, {}, {"k": kk})
+        assert all(same_bytes(self.arrays[n], naive[n]) for n in naive)
+        assert all(v.flags.f_contiguous and not v.flags.c_contiguous for v in values)
+
+    def test_broadcasting_reduce_keeps_its_bits(self):
+        a, w = self.a, self.w
+        stmt = self.b.reduce("s", 0, 63, a[S(0, 63), 5] * w[7, I])
+        product = self.arrays["a"][:, 5:6] * self.arrays["w"][7:8, :]
+        # This data sums differently in the two layouts, so the test can tell.
+        assert float(np.sum(product)) != float(np.sum(np.asfortranarray(product)))
+        scalars, naive = {}, {}
+        got = eval_reduce(stmt, self.arrays, scalars, {})
+        want = eval_oracle.eval_reduce(stmt, self.arrays, naive, {})
+        assert got == want == float(np.sum(product))

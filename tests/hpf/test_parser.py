@@ -15,6 +15,7 @@ from repro.hpf.ast import (
     Slice,
     Un,
 )
+from repro.hpf.eval import EvalError
 from repro.hpf.parser import ParseError, parse_program
 from repro.runtime import run_shmem, run_uniproc
 from repro.tempest.config import ClusterConfig
@@ -174,6 +175,34 @@ class TestParseErrors:
             assert e.line_no == 3
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+
+class TestOutOfShapeSubscripts:
+    """Parses, then fails at evaluation — naming the statement's line."""
+
+    @pytest.mark.parametrize(
+        "stmt,message",
+        [
+            ("FORALL j = 0, 99 : a(0:7, j) = 1.0", "a axis 1: [0, 99] outside [0, 8)"),
+            ("FORALL j = 0, 7 : a(0:9, j) = 1.0", "a axis 0: [0, 9] outside [0, 8)"),
+            ("FORALL j = 0, 7 : a(0:7, j) = a(1:8, j)", "a axis 0: [1, 8] outside [0, 8)"),
+        ],
+    )
+    def test_error_names_the_statement_line(self, stmt, message):
+        src = f"PROGRAM p\nREAL a(8, 8) DISTRIBUTE (*, BLOCK)\n{stmt}\nEND"
+        prog = parse_program(src)
+        for run in (run_uniproc, run_shmem):
+            with pytest.raises(EvalError) as info:
+                run(prog, ClusterConfig(n_nodes=2))
+            assert str(info.value) == f"forall@3: {message}"
+
+    def test_reduce_error_names_its_line(self):
+        src = (
+            "PROGRAM p\nREAL a(8, 8) DISTRIBUTE (*, BLOCK)\n\n"
+            "REDUCE s = SUM(j = 0, 7 : a(0:8, j))\nEND"
+        )
+        with pytest.raises(EvalError, match=r"^reduce@4: a axis 0: \[0, 8\]"):
+            run_uniproc(parse_program(src), ClusterConfig(n_nodes=2))
 
 
 class TestParsedProgramsExecute:

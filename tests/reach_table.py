@@ -45,6 +45,7 @@ KEPT_FOR = {
         repro.tempest.protocol_update: UpdateProtocol.write_block
         repro.tempest.directory: Directory.copy_is_current
         repro.hpf.parser: ParseError.__init__
+        repro.hpf.eval: _located
         repro.tempest.audit: CoherenceAuditError.__init__""",
     "live path that no default-scale entry point triggers": """
         repro.tempest.extensions: CompilerExtensions.flush_and_invalidate
@@ -66,7 +67,8 @@ KEPT_FOR = {
         repro.tempest.stats: ClusterStats.events_per_ms
         repro.runtime.results: RunResult.summary
         repro.obs.metrics: MetricsRegistry.assert_matches
-        repro.serve.compare: assert_results_equal""",
+        repro.serve.compare: assert_results_equal
+        repro.tempest.memory: GlobalArray.owner_of_column""",
     "the test suite's shared fixture": "repro.tempest.config: small_config",
     "documented library API with no second spelling": """
         repro.serve.keys: fingerprint

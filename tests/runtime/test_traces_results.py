@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import APPS
 from repro.runtime.results import RunResult
+from repro.runtime.shmem import build_shmem_plan
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest import Cluster, ClusterConfig, Distribution, SharedMemory
 from repro.tempest.stats import ClusterStats
@@ -88,6 +90,24 @@ class TestNodeTrace:
         stats = cl.run({0: replay(cl, 0, t0.ops), 1: replay(cl, 1, t1.ops)})
         assert stats.elapsed_ns > 0
         assert stats[1].read_misses == 0  # the pushed block hits
+
+
+class TestPlanBlockArrays:
+    """The block arrays of a plan's read/write ops are each one node's own
+    writable array, however many equal sections a phase mapped once."""
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_writable_and_never_shared_between_nodes(self, app, optimize):
+        plan = build_shmem_plan(
+            APPS[app].program("default"), ClusterConfig(n_nodes=4), optimize=optimize
+        )
+        node_of: dict[int, int] = {}
+        for node, ops in enumerate(plan.traces):
+            for op in ops:
+                if op[0] in ("read", "write"):
+                    assert op[1].flags.writeable, op
+                    assert node_of.setdefault(id(op[1]), node) == node, op
 
 
 class TestRunResult:

@@ -160,6 +160,29 @@ class TestImplicitWritable:
 
         run_programs(cl, n2=reader())
 
+    @pytest.mark.parametrize("as_range", [False, True])
+    def test_memoized_repair_charges_only_the_lost_blocks(self, as_range):
+        cl, a = build(cols=3)
+        ids = list(a.block_range())
+        blocks = a.block_range() if as_range else tuple(ids)
+        key = (ids[0], len(ids))
+        lost = [ids[1], ids[4]]
+
+        def reader():
+            yield from cl.ext.implicit_writable(2, blocks, memo_key=key)
+            yield from cl.ext.implicit_invalidate(2, lost)
+            assert cl.access.get(2, ids[0]) is AccessTag.READWRITE
+            t0 = cl.engine.now
+            yield from cl.ext.implicit_writable(2, blocks, memo_key=key)
+            assert cl.engine.now - t0 == (
+                cl.config.memoized_call_ns + 2 * cl.config.tag_change_per_block_ns
+            )
+            for b in ids:
+                assert cl.access.get(2, b) is AccessTag.READWRITE
+                assert cl.access._implicit[2, b]
+
+        run_programs(cl, n2=reader())
+
 
 class TestSendRecv:
     def test_full_fig2_sequence_no_misses(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.blocks import section_blocks, shmem_limits
 from repro.core.sections import Section, StridedInterval
 from repro.tempest import Cluster, ClusterConfig, Distribution, HomePolicy, SharedMemory
+from repro.tempest.access import AccessTag
 from repro.tempest.memory import DistKind
 
 
@@ -191,6 +192,45 @@ class TestSharedMemory:
         for page, home in enumerate(mem._page_homes):
             for b in (page * bpp, (page + 1) * bpp - 1):
                 assert directory.home_of(b) == home
+
+    @pytest.mark.parametrize("policy", list(HomePolicy))
+    def test_page_homes_follow_the_per_page_rule(self, policy):
+        cfg = ClusterConfig(n_nodes=4)
+        mem = SharedMemory(cfg, home_policy=policy)
+        # Odd column sizes put page starts mid-column; BLOCK over 3 and
+        # CYCLIC over 8 processors differ from the node count.
+        arrays = [
+            mem.alloc("blk", (100, 37), Distribution.block(4)),
+            mem.alloc("cyc", (96, 29), Distribution.cyclic(4)),
+            mem.alloc("rep", (64, 40), Distribution.replicated(4)),
+            mem.alloc("blk3", (50, 61), Distribution.block(3)),
+            mem.alloc("cyc8", (16, 1000), Distribution.cyclic(8)),
+        ]
+
+        def rule(arr, page_in_array, page_index):
+            if policy is HomePolicy.ROUND_ROBIN:
+                return page_index % cfg.n_nodes
+            if policy is HomePolicy.NODE0:
+                return 0
+            if arr.dist.kind is DistKind.REPLICATED:
+                return page_index % cfg.n_nodes
+            col = page_in_array * cfg.page_size // (arr.nbytes // arr.extent)
+            return arr.dist.owner(min(col, arr.extent - 1), arr.extent) % cfg.n_nodes
+
+        want = [
+            rule(arr, p, arr.base // cfg.page_size + p)
+            for arr in arrays
+            for p in range(-(-arr.nbytes // cfg.page_size))
+        ]
+        assert mem._page_homes == want
+        # The cluster homes each block at its page's home, writable there only.
+        cluster = Cluster(cfg, mem)
+        homes = np.repeat(want, cfg.blocks_per_page)
+        assert cluster.directory._home == homes.tolist()
+        for node in range(cfg.n_nodes):
+            writable = cluster.access.rows[node] == AccessTag.READWRITE
+            np.testing.assert_array_equal(writable, homes == node)
+            assert not cluster.access._implicit[node].any()
 
     def test_home_of_block_out_of_segment_raises(self):
         cfg = ClusterConfig(n_nodes=4)
