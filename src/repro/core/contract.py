@@ -62,6 +62,19 @@ def check_plan(
     recv_counts: dict[int, int] = {}
 
     for stage_idx, stage in enumerate(plan.pre):
+        writer: dict[int, int] = {}  # rule 5: block -> its mk_writable node
+        for op in stage:
+            if isinstance(op, MkWritable):
+                for b in op.blocks:
+                    writer.setdefault(b, op.node)
+        for op in stage if writer else ():
+            if isinstance(op, (MkWritable, ImplicitWritable)):
+                clash = [b for b in op.blocks if writer.get(b, op.node) != op.node]
+                if clash:
+                    raise ContractError(
+                        f"stage {stage_idx}: {type(op).__name__} at node {op.node} on "
+                        f"blocks {clash[:4]} that node {writer[clash[0]]} makes writable"
+                    )
         for op in stage:
             if isinstance(op, MkWritable):
                 prepared_send.setdefault(op.node, set()).update(op.blocks)

@@ -119,7 +119,7 @@ def plan_loop(
     suggested-but-unexplored optimization for pronounced edge effects:
 
     * ``"prefetch"`` — co-operative prefetch before the loop only;
-    * ``"full"`` (or True) — prefetch plus post-loop self-invalidate.
+    * ``"full"`` — prefetch plus post-loop self-invalidate.
 
     Measurement note (see bench_ablation_advisory): self-invalidate trades
     the producer's invalidation round trip for a refetch of the block every
@@ -305,7 +305,7 @@ def _append_advisory(
         plan.pre.append([])
     for node, blocks in sorted(advisory_per_dst.items()):
         plan.pre[-1].append(Prefetch(node, tuple(blocks.tolist())))
-    if mode is True or mode == "full":
+    if mode == "full":
         if not plan.post:
             plan.post.append([])
         for node, blocks in sorted(advisory_per_dst.items()):

@@ -77,6 +77,7 @@ from repro.tempest.faults import FaultConfig
 from repro.tempest.memory import HomePolicy, SharedMemory
 
 __all__ = [
+    "ADVISORY_MODES",
     "BUILD_OPTIONS",
     "EXECUTE_OPTIONS",
     "ShmemPlan",
@@ -107,21 +108,20 @@ def trace_geometry(config: ClusterConfig) -> dict:
     }
 
 
-def _phase_blocks(mem: SharedMemory, sections, memo: BlockMemo) -> np.ndarray:
+def _phase_blocks(
+    mem: SharedMemory, sections, memo: BlockMemo, cache: dict
+) -> np.ndarray:
     """Union of block ids touched by a tuple of (array, Section) pairs.
 
-    Memoized by object identity on the SharedMemory instance (its lifetime
-    matches the run): loop instances are cached per environment, so a
-    time-step loop presents the *same* section tuples every iteration —
-    caching here turns paper-scale trace building from minutes into
-    seconds.  The cached entry pins the key object so its id cannot be
-    recycled.  Each section is mapped through the phase's ``memo``; a lone
-    piece is copied, so every tuple owns its array (writable, unshared) and
-    plans pickle as if no memo existed.
+    Memoized by object identity in ``cache``, which lives for one build:
+    loop instances are cached per environment, so a time-step loop
+    presents the *same* section tuples every iteration — caching here
+    turns paper-scale trace building from minutes into seconds.  The
+    cached entry pins the key object so its id cannot be recycled.  Each
+    section is mapped through the phase's ``memo``; a lone piece is
+    copied, so every tuple owns its array (writable, unshared) and plans
+    pickle as if no memo existed.
     """
-    cache = getattr(mem, "_phase_block_cache", None)
-    if cache is None:
-        cache = mem._phase_block_cache = {}
     hit = cache.get(id(sections))
     if hit is not None:
         return hit[1]
@@ -149,14 +149,15 @@ def _emit_loop_body(
     traces: list[NodeTrace],
     config: ClusterConfig,
     memo: BlockMemo,
+    cache: dict,
 ) -> None:
     """Reads, writes and compute of the loop itself (both modes)."""
     assert rec.inst is not None
     stmt = rec.stmt
     label = getattr(stmt, "label", "")
     for p, t in enumerate(traces):
-        t.read(_phase_blocks(mem, rec.inst.reads[p], memo), rec.index, label)
-        t.write(_phase_blocks(mem, rec.inst.writes[p], memo), rec.index)
+        t.read(_phase_blocks(mem, rec.inst.reads[p], memo, cache), rec.index, label)
+        t.write(_phase_blocks(mem, rec.inst.writes[p], memo, cache), rec.index)
         units = rec.compute_units(p)
         if units or not rec.inst.iterations[p].is_empty:
             t.compute(units * config.compute_ns_per_unit + config.loop_overhead_ns)
@@ -254,6 +255,10 @@ class ShmemPlan:
 def _check_optimizer_options(
     optimize: bool, rt_elim: bool, pre: bool, advisory: str | bool, protocol: str
 ) -> None:
+    if advisory not in ADVISORY_MODES:
+        raise ValueError(
+            f"advisory must be one of {ADVISORY_MODES}; got {advisory!r}"
+        )
     if (rt_elim or pre or advisory) and not optimize:
         raise ValueError("rt_elim/pre/advisory are optimizer options; pass optimize=True")
     if optimize and protocol != "invalidate":
@@ -263,17 +268,16 @@ def _check_optimizer_options(
         )
 
 
+#: The spellings of ``advisory``: off, prefetch only, prefetch + self-invalidate.
+ADVISORY_MODES = (False, "prefetch", "full")
+
 #: The keyword options of the functional pass and of the timing pass, by
 #: name (``obs`` is an attachment, not an option).  ``RunRequest`` keys and
 #: forwards exactly these, and a test pins them to the two signatures, so
 #: an option cannot be keyed but not forwarded.
-BUILD_OPTIONS = (
-    "optimize", "bulk", "rt_elim", "pre", "advisory", "home_policy",
-    "check_contracts",
-)
+BUILD_OPTIONS = ("optimize", "bulk", "rt_elim", "pre", "advisory", "home_policy")
 EXECUTE_OPTIONS = (
-    "protocol", "audit", "audit_each_barrier", "audit_sample_prob",
-    "profile_phases", "critical_path",
+    "protocol", "audit_each_barrier", "profile_phases", "critical_path",
 )
 
 
@@ -286,7 +290,6 @@ def build_shmem_plan(
     pre: bool = False,
     advisory: str | bool = False,
     home_policy: HomePolicy = HomePolicy.ALIGNED,
-    check_contracts: bool = True,
 ) -> ShmemPlan:
     """The functional pass: evaluate numerics and emit per-node traces.
 
@@ -307,6 +310,7 @@ def build_shmem_plan(
     # one boolean row per node, like the tracker's.
     retained_rt = np.zeros((config.n_nodes, mem.n_blocks), dtype=bool)
     plan_cache: dict[tuple[int, int], CommPlan] = {}
+    block_cache: dict[int, tuple] = {}  # see _phase_blocks
     plans_built = 0
     controlled_blocks = 0
 
@@ -327,7 +331,7 @@ def build_shmem_plan(
         if isinstance(rec.stmt, Reduce):
             assert rec.inst is not None
             for p, t in enumerate(traces):
-                blocks = _phase_blocks(mem, rec.inst.reads[p], memo)
+                blocks = _phase_blocks(mem, rec.inst.reads[p], memo, block_cache)
                 t.read(blocks, rec.index, rec.stmt.label)
                 t.compute(rec.compute_units(p) * config.compute_ns_per_unit)
                 t.reduce(1)
@@ -335,7 +339,7 @@ def build_shmem_plan(
 
         assert isinstance(rec.stmt, ParallelAssign) and rec.inst is not None
         if not optimize:
-            _emit_loop_body(rec, mem, traces, config, memo)
+            _emit_loop_body(rec, mem, traces, config, memo, block_cache)
             for t in traces:
                 t.barrier()
             continue
@@ -350,7 +354,7 @@ def build_shmem_plan(
             plan_cache[key] = plan
             plans_built += 1
         eff = _effective_plan(plan, tracker)
-        if check_contracts and not eff.is_empty:
+        if not eff.is_empty:
             # Note: captured after PRE filtering, so freshly pushed blocks
             # count as retained for the restore-consistency rule (their
             # invalidation is deferred to the region-end cleanup).
@@ -389,10 +393,10 @@ def build_shmem_plan(
                         tracker.drop(dst, conflict)
             for dst, blocks in plan.controlled.items():
                 retained_rt[dst, blocks] = True
-        _emit_loop_body(rec, mem, traces, config, memo)
+        _emit_loop_body(rec, mem, traces, config, memo, block_cache)
         if tracker is not None:
             for p in range(config.n_nodes):
-                wb = _phase_blocks(mem, rec.inst.writes[p], memo)
+                wb = _phase_blocks(mem, rec.inst.writes[p], memo, block_cache)
                 if len(wb):
                     tracker.note_writes(p, wb)
         for stage in eff.post:
@@ -432,9 +436,7 @@ def execute_shmem_plan(
     plan: ShmemPlan,
     config: ClusterConfig | None = None,
     protocol: str = "invalidate",
-    audit: bool = True,
     audit_each_barrier: bool = False,
-    audit_sample_prob: float = 1.0,
     obs=None,
     profile_phases: bool = False,
     critical_path: bool = False,
@@ -444,6 +446,7 @@ def execute_shmem_plan(
     ``config`` must agree with the plan on every geometry field (see
     :func:`trace_geometry`); the fault/combining/switch layers are free to
     differ from whatever the plan was built under — that is the point.
+    The coherence auditor always runs at the end of the run.
     """
     config = config or ClusterConfig()
     _check_optimizer_options(
@@ -483,9 +486,8 @@ def execute_shmem_plan(
 
     stats = cluster.run(
         {n: replay(cluster, n, traces[n]) for n in range(config.n_nodes)},
-        audit=audit,
+        audit=True,
         audit_each_barrier=audit_each_barrier,
-        audit_sample_prob=audit_sample_prob,
         program_factory=program_factory,
     )
 
@@ -576,14 +578,11 @@ def run_shmem(
     pre: bool = False,
     advisory: str | bool = False,
     home_policy: HomePolicy = HomePolicy.ALIGNED,
-    check_contracts: bool = True,
     protocol: str = "invalidate",
     faults: FaultConfig | None = None,
     combine: CombineConfig | None = None,
     switch: SwitchConfig | None = None,
-    audit: bool = True,
     audit_each_barrier: bool = False,
-    audit_sample_prob: float = 1.0,
     obs=None,
     profile_phases: bool = False,
     critical_path: bool = False,
@@ -596,10 +595,10 @@ def run_shmem(
     transport.  ``combine`` enables control-message combining (see
     :class:`~repro.tempest.config.CombineConfig`); ``switch`` enables the
     shared-switch contention model (see
-    :class:`~repro.tempest.config.SwitchConfig`).  ``audit`` (default on)
-    runs the coherence auditor at the end of the run — every directory
-    entry cross-checked against access tags and block versions;
-    ``audit_sample_prob`` makes per-barrier audits sampled.
+    :class:`~repro.tempest.config.SwitchConfig`).  The coherence auditor
+    runs at the end of every run — every directory entry cross-checked
+    against access tags and block versions — and ``audit_each_barrier``
+    also runs it at every barrier.
 
     Partition survival: a ``FaultConfig`` with per-link profiles or
     partition scenarios may make some channels give up.  If a healing

@@ -7,7 +7,7 @@ The key contract (see docs/serve.md for the full rules):
   initial array contents), the full :class:`ClusterConfig` (including the
   fault seed, per-link overlays, partition windows and crash scenarios),
   the run options (backend, optimize/bulk/rt_elim/pre/advisory, protocol,
-  home policy, audit settings), and a *code-version salt*.
+  home policy, per-barrier auditing, profiling), and a *code-version salt*.
 * Canonicalization is semantic, not syntactic: dict/field ordering,
   default-vs-explicit config values, and overlay tuple ordering all
   collapse to one encoding — requests that mean the same run share a key.

@@ -15,7 +15,7 @@ from typing import Any
 
 from repro.apps import get_app
 from repro.hpf.ast import Program
-from repro.runtime.shmem import BUILD_OPTIONS, EXECUTE_OPTIONS
+from repro.runtime.shmem import ADVISORY_MODES, BUILD_OPTIONS, EXECUTE_OPTIONS
 from repro.serve.keys import program_fingerprint
 from repro.spec import check_bounds, opt
 from repro.tempest.cluster import Cluster
@@ -58,17 +58,14 @@ class RunRequest:
         False, "--rt-elim", "run-time overhead elimination", axis="rt_elim")
     pre: bool = opt(
         False, "--pre", "PRE redundant-communication elimination", axis="pre")
-    advisory: str | bool = False
+    advisory: str | bool = opt(False, choices=ADVISORY_MODES)
     home_policy: HomePolicy = HomePolicy.ALIGNED
-    check_contracts: bool = True
     protocol: str = opt(
         "invalidate", "--protocol", "coherence protocol", axis="protocol",
         choices=tuple(sorted(Cluster.PROTOCOLS)))
-    audit: bool = True
     audit_each_barrier: bool = opt(
         False, "--audit", "shmem: also audit coherence at every barrier "
         "(the end-of-run audit always runs)")
-    audit_sample_prob: float = 1.0
     profile_phases: bool = opt(
         False, "--profile-phases", "attribute each node's time to compute / "
         "read-miss / write-miss / barrier-wait / protocol-overhead / "

@@ -28,7 +28,7 @@ from repro.runtime.msgpass import run_msgpass
 from repro.runtime.results import RunResult
 from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
 from repro.runtime.uniproc import run_uniproc
-from repro.serve.keys import CODE_VERSION, plan_key, request_key
+from repro.serve.keys import plan_key, request_key
 from repro.serve.request import RunRequest
 from repro.serve.store import ResultStore, StoreStats
 
@@ -68,8 +68,8 @@ class PlanCache:
         self.disk_hits = 0
         self.built = 0
 
-    def get_or_build(self, request: RunRequest, salt: str):
-        pkey = plan_key(request, salt)
+    def get_or_build(self, request: RunRequest):
+        pkey = plan_key(request)
         plan = self._memo.get(pkey)
         if plan is not None:
             self._memo.move_to_end(pkey)
@@ -104,9 +104,7 @@ class PlanCache:
 
 
 def execute_request(
-    request: RunRequest,
-    plan_cache: PlanCache | None = None,
-    salt: str = CODE_VERSION,
+    request: RunRequest, plan_cache: PlanCache | None = None
 ) -> RunResult:
     """Compute one request in this process (no result-cache involvement)."""
     if request.backend == "uniproc":
@@ -115,7 +113,7 @@ def execute_request(
         return run_msgpass(request.build_program(), request.config)
     if plan_cache is None:
         plan_cache = PlanCache(store=None)
-    plan = plan_cache.get_or_build(request, salt)
+    plan = plan_cache.get_or_build(request)
     return execute_shmem_plan(plan, request.config, **request.execute_options())
 
 
@@ -127,7 +125,7 @@ _worker_plans: PlanCache | None = None
 _worker_cache_dir: str | None = None
 
 
-def _pool_worker(request: RunRequest, cache_dir: str | None, salt: str, key: str):
+def _pool_worker(request: RunRequest, cache_dir: str | None, key: str):
     """Serve one request inside a worker process.
 
     Returns ``(result, from_cache, store_counts)``.  ``key`` is the
@@ -145,17 +143,17 @@ def _pool_worker(request: RunRequest, cache_dir: str | None, salt: str, key: str
         _worker_cache_dir = cache_dir
     store = _worker_store
     if store is None:
-        return execute_request(request, _worker_plans, salt), False, {}
+        return execute_request(request, _worker_plans), False, {}
     store.stats = StoreStats()
     result = store.get(ResultStore.RESULTS, key)
     from_cache = result is not None
     if not from_cache:
-        result = execute_request(request, _worker_plans, salt)
+        result = execute_request(request, _worker_plans)
         store.put(ResultStore.RESULTS, key, result)
     return result, from_cache, store.stats.as_dict()
 
 
-def batch_order(requests, salt: str = CODE_VERSION) -> list[int]:
+def batch_order(requests) -> list[int]:
     """Submission order for a pooled batch, as indices into ``requests``.
 
     The first request of each distinct :func:`plan_key` (its *leader*)
@@ -168,7 +166,7 @@ def batch_order(requests, salt: str = CODE_VERSION) -> list[int]:
     seen: set[str] = set()
     leaders, followers = [], []
     for i, request in enumerate(requests):
-        pkey = plan_key(request, salt)
+        pkey = plan_key(request)
         (followers if pkey in seen else leaders).append(i)
         seen.add(pkey)
     return leaders + followers
@@ -188,18 +186,11 @@ class ServeSession:
     deterministic outcomes of their (program, config, seed) key.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache_dir: str | None = None,
-        salt: str = CODE_VERSION,
-        plan_memo_size: int = 4,
-    ) -> None:
+    def __init__(self, jobs: int = 1, cache_dir: str | None = None) -> None:
         self.jobs = max(1, int(jobs))
         self.cache_dir = str(cache_dir) if cache_dir else None
-        self.salt = salt
         self.store = ResultStore(self.cache_dir) if self.cache_dir else None
-        self.plans = PlanCache(self.store, capacity=plan_memo_size)
+        self.plans = PlanCache(self.store)
         self._pool: ProcessPoolExecutor | None = None
         self._inflight: dict[str, Future] = {}
         #: store counters the pool workers report back, call by call;
@@ -228,7 +219,7 @@ class ServeSession:
         joined (the duplicate's ServeResult says ``source='deduped'``).
         """
         self.counters["requests"] += 1
-        key = request_key(request, self.salt)
+        key = request_key(request)
 
         if self.store is not None:
             cached = self.store.get(ResultStore.RESULTS, key)
@@ -261,7 +252,7 @@ class ServeSession:
         if self.jobs > 1 and request.picklable:
             self.counters["pool"] += 1
             raw = self._ensure_pool().submit(
-                _pool_worker, request, self.cache_dir, self.salt, key
+                _pool_worker, request, self.cache_dir, key
             )
             fut = Future()
 
@@ -294,7 +285,7 @@ class ServeSession:
         fut = Future()
         self._inflight[key] = fut
         try:
-            result = execute_request(request, self.plans, self.salt)
+            result = execute_request(request, self.plans)
             if self.store is not None:
                 self.store.put(ResultStore.RESULTS, key, result)
         except BaseException as exc:
@@ -320,7 +311,7 @@ class ServeSession:
         """
         requests = list(requests)
         if self.jobs > 1 and self.store is not None:
-            order = batch_order(requests, self.salt)
+            order = batch_order(requests)
         else:
             order = range(len(requests))
         futures: list[Future | None] = [None] * len(requests)

@@ -165,7 +165,6 @@ class Engine:
     __slots__ = (
         "_seq",
         "now",
-        "_live_processes",
         "events_dispatched",
         "max_queue_depth",
         "_npending",
@@ -180,7 +179,6 @@ class Engine:
     def __init__(self) -> None:
         self._seq = 0
         self.now = 0
-        self._live_processes = 0
         self.events_dispatched = 0
         # High-water mark of the pending-event count: a cheap storm detector
         # (retransmit storms, broadcast bursts) visible in ClusterStats
@@ -228,8 +226,8 @@ class Engine:
         key = when >> _BUCKET_SHIFT
         if key <= self._cur_key:
             # Current bucket region — or a straggler scheduled behind the
-            # calendar cursor (possible after run(until=...) pre-pulled a
-            # future bucket).  _cur is a true heap, so mixed keys order
+            # calendar cursor (possible after a max_events stop pre-pulled
+            # a future bucket).  _cur is a true heap, so mixed keys order
             # correctly; the one thing that must never happen is an event
             # sitting in _buckets with a key at or before the cursor.
             heappush(self._cur, (when, seq, fn, args))
@@ -311,7 +309,6 @@ class Engine:
         """
         done = self.future(label or getattr(gen, "__name__", "process"))
         done._gen = gen
-        self._live_processes += 1
         self.call_now(self._step, gen, None, done)
         return done
 
@@ -321,7 +318,6 @@ class Engine:
         if gen is not None:
             done._gen = None
             gen.close()
-            self._live_processes -= 1
 
     def _step(self, gen: Generator[Any, Any, Any], send: Any, done: Future) -> None:
         """Advance ``gen`` by one yield, interpreting its command."""
@@ -337,7 +333,6 @@ class Engine:
             try:
                 cmd = gen.send(send)
             except StopIteration as stop:
-                self._live_processes -= 1
                 done._gen = None
                 done.resolve(stop.value)
                 return
@@ -376,13 +371,11 @@ class Engine:
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
-    def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Dispatch events until the queues drain (or limits are hit).
+    def run(self, max_events: int | None = None) -> None:
+        """Dispatch events until the queues drain (or the limit is hit).
 
         Parameters
         ----------
-        until:
-            Stop once the next event would fire strictly after this time.
         max_events:
             Safety valve for tests; raise *before* dispatching event
             ``max_events + 1``, so exactly ``max_events`` events run.
@@ -394,8 +387,6 @@ class Engine:
         Time never advances while the now-queue is non-empty, so this
         reproduces a single heap's global (time, seq) order exactly.
         """
-        if until is not None and until < self.now:
-            return  # nothing can fire: every pending event is at >= now
         nowq = self._nowq
         dispatched = 0
         try:
@@ -415,8 +406,6 @@ class Engine:
                         heapify(cur)
                         self._cur = cur
                         self._cur_key = key
-                    if until is not None and cur[0][0] > until:
-                        break
                     from_cur = True
                 if max_events is not None and dispatched >= max_events:
                     raise SimulationError(
@@ -447,5 +436,3 @@ class Engine:
         finally:
             # Also on a raising callback: count what returned before it.
             self.events_dispatched += dispatched
-        if until is not None and self.now < until:
-            self.now = until

@@ -35,16 +35,13 @@ __all__ = ["CountingSemaphore", "PortedResource", "Resource"]
 
 
 class Resource:
-    """Non-preemptive FIFO single server with busy-time accounting."""
+    """Non-preemptive FIFO single server."""
 
-    __slots__ = ("_engine", "_free_at", "busy_ns", "jobs", "label", "_cmd")
+    __slots__ = ("_engine", "_free_at", "_cmd")
 
-    def __init__(self, engine: Engine, label: str = "resource") -> None:
+    def __init__(self, engine: Engine) -> None:
         self._engine = engine
         self._free_at = 0
-        self.busy_ns = 0
-        self.jobs = 0
-        self.label = label
         # Reusable Serve command for ``use``; safe to share because the
         # engine consumes it synchronously (see Serve docs).
         self._cmd = Serve(self)
@@ -72,8 +69,6 @@ class Resource:
             start = now
         finish = start + duration
         self._free_at = finish
-        self.busy_ns += duration
-        self.jobs += 1
         engine.call_chain(finish, fn, *args)
 
     def use(self, duration: int) -> Serve:
@@ -95,17 +90,13 @@ class PortedResource:
     engine's event order, which is exactly what makes runs replayable.
     """
 
-    __slots__ = ("_engine", "_free_at", "busy_ns", "wait_ns", "jobs", "label")
+    __slots__ = ("_engine", "_free_at")
 
-    def __init__(self, engine: Engine, n_ports: int, label: str = "ports") -> None:
+    def __init__(self, engine: Engine, n_ports: int) -> None:
         if n_ports < 1:
             raise SimulationError(f"need at least one port; got {n_ports}")
         self._engine = engine
         self._free_at = [0] * n_ports
-        self.busy_ns = [0] * n_ports
-        self.wait_ns = [0] * n_ports
-        self.jobs = [0] * n_ports
-        self.label = label
 
     @property
     def n_ports(self) -> int:
@@ -125,8 +116,7 @@ class PortedResource:
         Returns ``(start, finish)``: service runs [start, finish) with
         ``start = max(port_free_at, release_ns, now)``, and ``fn`` runs
         through the :meth:`Resource.then` completion chain at ``finish``.
-        ``start - release_ns`` is the job's queueing (contention) delay,
-        accumulated in ``wait_ns[port]``.
+        ``start - release_ns`` is the job's queueing (contention) delay.
         """
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")
@@ -138,9 +128,6 @@ class PortedResource:
         start = max(self._free_at[port], release_ns)
         finish = start + duration
         self._free_at[port] = finish
-        self.busy_ns[port] += duration
-        self.wait_ns[port] += start - release_ns
-        self.jobs[port] += 1
         engine.call_chain(finish, fn, *args)
         return start, finish
 

@@ -86,8 +86,6 @@ def audit_coherence(
     directory: Directory,
     access: AccessControl,
     context: str = "",
-    sample_prob: float = 1.0,
-    rng: np.random.Generator | None = None,
     skip_nodes: frozenset[int] = frozenset(),
 ) -> int:
     """Cross-check directory state, access tags and block versions.
@@ -96,29 +94,18 @@ def audit_coherence(
     :class:`CoherenceAuditError` on any violation.  Cheap enough to run
     after every test: the common case is a handful of vectorized scans.
 
-    ``sample_prob < 1`` audits a random subset of blocks (each kept
-    independently with that probability) — the per-barrier mode for large
-    clusters, where a full scan at every quiescent point would dominate
-    wall-clock.  Violation messages always name *real* block ids, so a hit
-    in a sampled audit is directly reproducible by a full one.  Pass a
-    seeded ``numpy`` generator for replayable sampling.
-
     ``skip_nodes`` exempts unreachable nodes (and the blocks they home or
     exclusively own) from every invariant — the degraded-run mode.
     """
-    violations, n_blocks = _scan(
-        directory, access, sample_prob, rng, skip_nodes
-    )
+    violations = _scan(directory, access, skip_nodes)
     if violations:
         raise CoherenceAuditError(violations, context)
-    return n_blocks
+    return directory.n_blocks
 
 
 def audit_violations(
     directory: Directory,
     access: AccessControl,
-    sample_prob: float = 1.0,
-    rng: np.random.Generator | None = None,
     skip_nodes: frozenset[int] = frozenset(),
 ) -> list[str]:
     """Like :func:`audit_coherence` but *collects* instead of raising.
@@ -126,19 +113,12 @@ def audit_violations(
     Used by degraded runs to report residual inconsistency among the
     surviving nodes without turning the failure report into a traceback.
     """
-    violations, _ = _scan(directory, access, sample_prob, rng, skip_nodes)
-    return violations
+    return _scan(directory, access, skip_nodes)
 
 
 def _scan(
-    directory: Directory,
-    access: AccessControl,
-    sample_prob: float,
-    rng: np.random.Generator | None,
-    skip_nodes: frozenset[int],
-) -> tuple[list[str], int]:
-    if not 0.0 < sample_prob <= 1.0:
-        raise ValueError(f"sample_prob must be in (0, 1]; got {sample_prob}")
+    directory: Directory, access: AccessControl, skip_nodes: frozenset[int]
+) -> list[str]:
     n_nodes = directory.n_nodes
     # The directory keeps these as plain Python containers for the
     # protocol's scalar hot path; the auditor converts once per scan and
@@ -151,23 +131,7 @@ def _scan(
     implicit = access._implicit
     copy_version = directory.copy_version
     global_version = directory.global_version
-    if sample_prob < 1.0:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        sel = np.flatnonzero(gen.random(directory.n_blocks) < sample_prob)
-        if sel.size == 0:
-            return [], 0
-        block_ids = sel
-        state = state[sel]
-        owner = owner[sel]
-        sharers = sharers[sel]
-        home = home[sel]
-        tags = tags[:, sel]
-        implicit = implicit[:, sel]
-        copy_version = copy_version[:, sel]
-        global_version = global_version[sel]
-    else:
-        block_ids = np.arange(directory.n_blocks)
-    n_blocks = block_ids.size
+    n_blocks = directory.n_blocks
     current = copy_version >= global_version[None, :]
     readable = tags >= int(AccessTag.READONLY)
 
@@ -214,23 +178,23 @@ def _scan(
     # --- structural sanity -------------------------------------------- #
     _report(
         excl & ((owner < 0) | (owner >= n_nodes)),
-        lambda b: f"block {block_ids[b]}: EXCLUSIVE with invalid owner {int(owner[b])}",
+        lambda b: f"block {b}: EXCLUSIVE with invalid owner {int(owner[b])}",
     )
     _report(
         excl & (sharers != 0),
-        lambda b: f"block {block_ids[b]}: EXCLUSIVE but sharer bitmask 0x{int(sharers[b]):x}",
+        lambda b: f"block {b}: EXCLUSIVE but sharer bitmask 0x{int(sharers[b]):x}",
     )
     _report(
         shared & (sharers == 0),
-        lambda b: f"block {block_ids[b]}: SHARED with empty sharer set",
+        lambda b: f"block {b}: SHARED with empty sharer set",
     )
     _report(
         (shared | idle) & (owner != -1),
-        lambda b: f"block {block_ids[b]}: non-exclusive state records owner {int(owner[b])}",
+        lambda b: f"block {b}: non-exclusive state records owner {int(owner[b])}",
     )
     _report(
         idle & (sharers != 0),
-        lambda b: f"block {block_ids[b]}: IDLE but sharer bitmask 0x{int(sharers[b]):x}",
+        lambda b: f"block {b}: IDLE but sharer bitmask 0x{int(sharers[b]):x}",
     )
 
     # --- the exclusive owner really is the sole writer ----------------- #
@@ -244,14 +208,14 @@ def _scan(
         _report(
             valid_owner & ~owner_rw,
             lambda b: (
-                f"block {block_ids[b]}: exclusive owner {int(owner[b])} holds tag "
+                f"block {b}: exclusive owner {int(owner[b])} holds tag "
                 f"{AccessTag(int(tags[owner[b], b])).name}, not READWRITE"
             ),
         )
         _report(
             valid_owner & owner_rw & ~owner_cur,
             lambda b: (
-                f"block {block_ids[b]}: exclusive owner {int(owner[b])} is stale "
+                f"block {b}: exclusive owner {int(owner[b])} is stale "
                 f"(copy v{int(copy_version[owner[b], b])} < "
                 f"global v{int(global_version[b])})"
             ),
@@ -261,7 +225,7 @@ def _scan(
     _report(
         is_sharer & shared[None, :] & readable & ~current,
         lambda n, b: (
-            f"block {block_ids[b]}: sharer {n} is stale "
+            f"block {b}: sharer {n} is stale "
             f"(copy v{int(copy_version[n, b])} < "
             f"global v{int(global_version[b])})"
         ),
@@ -273,14 +237,14 @@ def _scan(
     _report(
         idle & (home_tags < int(AccessTag.READONLY)),
         lambda b: (
-            f"block {block_ids[b]}: IDLE but home {int(home[b])} tag is "
+            f"block {b}: IDLE but home {int(home[b])} tag is "
             f"{AccessTag(int(home_tags[b])).name}"
         ),
     )
     _report(
         idle & ~home_cur,
         lambda b: (
-            f"block {block_ids[b]}: IDLE but home {int(home[b])} memory is stale "
+            f"block {b}: IDLE but home {int(home[b])} memory is stale "
             f"(copy v{int(copy_version[home[b], b])} < "
             f"global v{int(global_version[b])})"
         ),
@@ -293,7 +257,7 @@ def _scan(
     _report(
         readable & ~known & ~implicit,
         lambda n, b: (
-            f"block {block_ids[b]}: node {n} holds unexplained tag "
+            f"block {b}: node {n} holds unexplained tag "
             f"{AccessTag(int(tags[n, b])).name} (state "
             f"{DirState(int(state[b])).name}, not a directory holder, "
             "not compiler-granted)"
@@ -307,7 +271,7 @@ def _scan(
         & ~(is_sharer & shared[None, :])  # sharer staleness reported above
         & ~(is_owner & excl[None, :]),    # owner staleness reported above
         lambda n, b: (
-            f"block {block_ids[b]}: node {n} survived with stale readable copy "
+            f"block {b}: node {n} survived with stale readable copy "
             f"(copy v{int(copy_version[n, b])} < "
             f"global v{int(global_version[b])}, state "
             f"{DirState(int(state[b])).name})"
@@ -318,9 +282,9 @@ def _scan(
     _report(
         implicit & ~readable,
         lambda n, b: (
-            f"block {block_ids[b]}: node {n} flagged compiler-controlled but tag is "
+            f"block {b}: node {n} flagged compiler-controlled but tag is "
             f"{AccessTag(int(tags[n, b])).name}"
         ),
     )
 
-    return violations, n_blocks
+    return violations

@@ -210,24 +210,14 @@ class Cluster:
     # ------------------------------------------------------------------ #
     # verification
     # ------------------------------------------------------------------ #
-    def audit(
-        self,
-        context: str = "",
-        sample_prob: float = 1.0,
-        rng: "np.random.Generator | None" = None,
-    ) -> int:
+    def audit(self, context: str = "") -> int:
         """Cross-check directory, tags and versions; raise on violation.
 
         See :func:`repro.tempest.audit.audit_coherence` for the invariants.
-        Returns the number of blocks checked.  ``sample_prob < 1`` audits a
-        random block subset (cheap per-barrier mode for large clusters).
+        Returns the number of blocks checked.
         """
         return audit_coherence(
-            self.directory,
-            self.access,
-            context or f"protocol={self.protocol_name}",
-            sample_prob=sample_prob,
-            rng=rng,
+            self.directory, self.access, context or f"protocol={self.protocol_name}"
         )
 
     # ------------------------------------------------------------------ #
@@ -238,7 +228,6 @@ class Cluster:
         programs: Mapping[int, Generator[Any, Any, Any]],
         audit: bool = False,
         audit_each_barrier: bool = False,
-        audit_sample_prob: float = 1.0,
         program_factory=None,
     ) -> ClusterStats:
         """Run one generator program per node to completion.
@@ -246,9 +235,7 @@ class Cluster:
         ``audit`` runs the coherence auditor once at the end of the run;
         ``audit_each_barrier`` additionally runs it at every global
         barrier's all-arrived instant (a quiescent point — release fences
-        drained, nobody resumed).  ``audit_sample_prob < 1`` makes the
-        per-barrier audits sample that fraction of blocks (seeded, so runs
-        replay); the end-of-run audit always scans everything.
+        drained, nobody resumed).
 
         Partition survival: if the reliable transport gave up on one or
         more channels (``PartitionScenario`` or organic loss past
@@ -276,11 +263,8 @@ class Cluster:
 
             self.recovery = RecoveryManager(self, program_factory)
         if audit_each_barrier:
-            audit_rng = np.random.default_rng(0)
             self.barrier_net.on_complete = lambda n: self.audit(
-                f"barrier {n}, protocol={self.protocol_name}",
-                sample_prob=audit_sample_prob,
-                rng=audit_rng,
+                f"barrier {n}, protocol={self.protocol_name}"
             )
         guards = [
             self.engine.spawn(programs[n], label=f"node{n}") for n in range(self.n_nodes)

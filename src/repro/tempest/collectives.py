@@ -46,7 +46,6 @@ class Collectives:
         self._mp_sema = [
             CountingSemaphore(engine, f"mp.n{i}") for i in range(config.n_nodes)
         ]
-        self.reductions_completed = 0
 
     # ------------------------------------------------------------------ #
     # global SUM-style reduction (combine at root, broadcast result)
@@ -130,8 +129,6 @@ class Collectives:
             self._result[(gen, node_id)] = down
             yield down
             del self._result[(gen, node_id)]
-        else:
-            self.reductions_completed += 1
         # Broadcast: forward the result to every child.
         for child in children:
             yield node.compute_cpu.use(cfg.send_overhead_ns)
@@ -154,7 +151,6 @@ class Collectives:
             self._arrivals[gen] = count
             return
         self._arrivals.pop(gen, None)
-        self.reductions_completed += 1
         for dst in range(self.config.n_nodes):
             self.network.send(
                 self.root, dst, MsgKind.REDUCE_RESULT,

@@ -181,12 +181,10 @@ class Network:
         self.obs = None
         #: frame size -> wire_ns published on msg.send (read only with a bus)
         self._wire_ns: dict[int, int] = {}
-        self.links = [
-            Resource(engine, f"link{n}") for n in range(config.n_nodes)
-        ]
+        self.links = [Resource(engine) for _ in range(config.n_nodes)]
         if config.switch.enabled:
             n_ports = config.switch_ports
-            self.switch = PortedResource(engine, n_ports, "switch")
+            self.switch = PortedResource(engine, n_ports)
             self._port_depth = [0] * n_ports
             # The switch sits mid-path: propagation splits in half around
             # the store-and-forward hop on the output port.
@@ -304,8 +302,6 @@ class Network:
                 start = now
             finish = start + duration
             link._free_at = finish
-            link.busy_ns += duration
-            link.jobs += 1
             engine.call_chain(
                 finish, self._wire_done, dst, handler, args, handler_cost_ns, seq
             )

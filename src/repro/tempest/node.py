@@ -48,9 +48,9 @@ class Node:
         self.engine = engine
         self.config = config
         self.stats = stats
-        self.compute_cpu = Resource(engine, f"n{node_id}.cpu")
+        self.compute_cpu = Resource(engine)
         if config.dual_cpu:
-            self.protocol_cpu = Resource(engine, f"n{node_id}.pcpu")
+            self.protocol_cpu = Resource(engine)
         else:
             self.protocol_cpu = self.compute_cpu
         self.pending: list[Future] = []
@@ -91,8 +91,6 @@ class Node:
             start = now
         finish = start + duration
         cpu._free_at = finish
-        cpu.busy_ns += duration
-        cpu.jobs += 1
         engine.call_chain(
             finish, self._apply_handler, fn, args, seq, self.incarnation
         )

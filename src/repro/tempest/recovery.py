@@ -68,8 +68,6 @@ class Checkpoint:
     """
 
     barrier_gen: int                    #: barriers completed at the cut
-    t_ns: int                           #: simulated instant of the cut
-    nbytes: int                         #: modeled snapshot size
     cursors: list[int]                  #: per-node resume op index
     tags: np.ndarray
     implicit: np.ndarray
@@ -80,7 +78,6 @@ class Checkpoint:
     dir_pver: np.ndarray
     dir_cver: np.ndarray
     coll_gen: list[int] = field(default_factory=list)
-    reductions: int = 0
     arrival_counts: list[int] = field(default_factory=list)
     iw_memo: list[set] = field(default_factory=list)
     mp_counts: list[int] = field(default_factory=list)
@@ -107,7 +104,6 @@ class RecoveryManager:
         self._last_checkpoint: Checkpoint | None = None
         self._guards: list[Future] = []
         self._finished = 0
-        self._rollbacks = 0
         #: set once a detected crash is recoverable; Cluster.run polls it
         #: each time the event heap drains.
         self.pending_recovery = False
@@ -239,8 +235,6 @@ class RecoveryManager:
         nbytes = cluster.memory.checkpoint_bytes()
         ck = Checkpoint(
             barrier_gen=ordinal,
-            t_ns=self.engine.now,
-            nbytes=nbytes,
             # The barrier op is accounted complete by the restored
             # generation counters; resume at the op after it.
             cursors=[c + 1 for c in cursors],
@@ -253,7 +247,6 @@ class RecoveryManager:
             dir_pver=d.prev_version.copy(),
             dir_cver=d.copy_version.copy(),
             coll_gen=list(coll._node_gen),
-            reductions=coll.reductions_completed,
             arrival_counts=[s.count for s in ext.arrival_sema],
             iw_memo=[set(m) for m in ext._iw_memo],
             mp_counts=[s.count for s in coll._mp_sema],
@@ -335,7 +328,6 @@ class RecoveryManager:
         bar._release.clear()
         coll = cluster.collectives
         coll._node_gen = list(ck.coll_gen)
-        coll.reductions_completed = ck.reductions
         coll._arrivals.clear()
         coll._result.clear()
         coll._tree_semas.clear()
@@ -392,7 +384,6 @@ class RecoveryManager:
         ]
         self.watch(guards)
 
-        self._rollbacks += 1
         stats.recovery_rollbacks += 1
         obs = cluster.obs
         if obs is not None:

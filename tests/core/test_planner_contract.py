@@ -193,6 +193,29 @@ class TestCheckPlan:
         inst, mem = stencil_setup()
         check_plan(plan_loop(inst, mem, rt_elim=True))
 
+    # Rule 5: one designated writer per block in a stage (Section 4.2).
+    def test_two_writers_of_one_block_caught(self):
+        plan = self._valid_plan()
+        mkw = plan.pre[0][0]
+        plan.pre[0].append(MkWritable((mkw.node + 1) % 4, mkw.blocks[:1]))
+        with pytest.raises(ContractError, match="MkWritable at node .* makes writable"):
+            check_plan(plan)
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_writer_and_implicit_writer_in_one_stage_caught(self, first):
+        plan = self._valid_plan()
+        mkw = plan.pre[0][0]
+        iw = ImplicitWritable((mkw.node + 1) % 4, mkw.blocks[:1], None)
+        plan.pre[0].insert(0 if first else len(plan.pre[0]), iw)
+        with pytest.raises(ContractError, match="ImplicitWritable at node .* makes writable"):
+            check_plan(plan)
+
+    def test_writer_may_take_its_own_block_implicitly_writable(self):
+        plan = self._valid_plan()
+        mkw = plan.pre[0][0]
+        plan.pre[0].append(ImplicitWritable(mkw.node, mkw.blocks[:1], None))
+        check_plan(plan)
+
 
 class TestAvailabilityTracker:
     def test_first_send_passes_through(self):

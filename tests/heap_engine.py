@@ -32,11 +32,11 @@ class HeapEngine(Engine):
         # The definition the native one-entry chain is tested against.
         self.call_at(when, self.call_now, fn, *args)
 
-    def run(self, until=None, max_events=None):
+    def run(self, max_events=None):
         heap = self._heap
         dispatched = 0
         try:
-            while heap and (until is None or heap[0][0] <= until):
+            while heap:
                 if max_events is not None and dispatched >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a livelock"
@@ -46,5 +46,3 @@ class HeapEngine(Engine):
                 dispatched += 1
         finally:
             self.events_dispatched += dispatched
-        if until is not None and self.now < until:
-            self.now = until

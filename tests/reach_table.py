@@ -11,6 +11,11 @@ sweep`` (``--jobs 1``) and ``repro diff``, ``repro.report``,
 size, and the three benches whose paths no default-scale run takes.  It
 lists every function defined under ``src/`` that no call reached and exits
 1 unless ``KEEP`` — the decision record — names it with a reason.
+
+It also runs a static pass, :func:`write_only_state`: every attribute
+stored under ``src/`` must be loaded somewhere under ``src/``, or be named
+in ``WRITE_ONLY_KEEP`` with a reason.  Tier-1 ``tests/test_reach_table.py``
+runs that pass on its own (it needs no entry point driven).
 """
 
 from __future__ import annotations
@@ -216,7 +221,129 @@ def reached_functions() -> set[str]:
     return reached
 
 
+# --------------------------------------------------------------------- #
+# write-only state: a static pass over src/
+# --------------------------------------------------------------------- #
+#: reason -> "Owner.attr ..." lines (``Owner.*``: every field of Owner)
+WRITE_ONLY_KEPT_FOR = {
+    "counter read generically, through repro.tempest.stats.COUNTERS or StoreStats.as_dict":
+        "NodeStats.* PortStats.* ClusterStats.* StoreStats.*",
+    "exception payload for the code that catches it":
+        "CoherenceAuditError.violations CoherenceAuditError.context",
+    "numpy array flag: storing it is the effect": "flags.writeable",
+}
+WRITE_ONLY_KEEP = {
+    name: reason for reason, names in WRITE_ONLY_KEPT_FOR.items() for name in names.split()
+}
+
+
+def _store_target(node: ast.AST, parents: dict) -> bool:
+    """Whether a loaded ``node`` only receives a subscript store
+    (``obj.attr[i] = v``, ``obj.attr[i][j] += v``) rather than being read."""
+    parent = parents.get(node)
+    while isinstance(parent, ast.Subscript) and parent.value is node:
+        if not isinstance(parent.ctx, ast.Load):
+            return True
+        node, parent = parent, parents.get(parent)
+    return False
+
+
+def _last_name(node: ast.AST) -> str:
+    """``self`` for ``self``, ``flags`` for ``a.flags``, ``?`` otherwise."""
+    return getattr(node, "id", None) or getattr(node, "attr", None) or "?"
+
+
+def attribute_uses(src: str = SRC):
+    """Every attribute store under ``src`` and every attribute name loaded.
+
+    Returns ``(stores, loaded, declared)``: ``stores`` lists ``(attr,
+    owner, receiver, where)``, ``owner`` being the enclosing class of a
+    store through ``self`` (else None) and ``receiver`` the last name of
+    the stored-to expression; ``declared`` maps an attribute name to the
+    classes that declare it (a class-body annotation, ``__slots__`` or a
+    store through ``self``).  An augmented assignment to the attribute and
+    a subscript store into it are stores, not loads; ``getattr`` /
+    ``hasattr`` / ``attrgetter`` with a literal name are loads, and
+    ``setattr`` / ``object.__setattr__`` with one are stores.
+    """
+    stores: list[tuple[str, str | None, str, str]] = []
+    loaded: set[str] = set()
+    declared: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, cls: str | None, module: str, parents: dict) -> None:
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+            where = f"{module}:{getattr(child, 'lineno', 0)}"
+            if isinstance(child, ast.ClassDef):
+                for stmt in child.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        declared.setdefault(stmt.target.id, set()).add(child.name)
+                    elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                          and getattr(stmt.targets[0], "id", None) == "__slots__"
+                          and isinstance(stmt.value, (ast.Tuple, ast.List))):
+                        for elt in stmt.value.elts:
+                            declared.setdefault(elt.value, set()).add(child.name)
+                visit(child, child.name, module, parents)
+                continue
+            if isinstance(child, ast.Attribute):
+                recv = _last_name(child.value)
+                is_self = isinstance(child.value, ast.Name) and recv == "self"
+                if isinstance(child.ctx, ast.Store):
+                    stores.append((child.attr, cls if is_self else None, recv, where))
+                    if is_self and cls:
+                        declared.setdefault(child.attr, set()).add(cls)
+                elif isinstance(child.ctx, ast.Load) and not _store_target(child, parents):
+                    loaded.add(child.attr)
+            elif isinstance(child, ast.Call) and len(child.args) >= 2:
+                fn = child.func
+                name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                literal = child.args[1]
+                if isinstance(literal, ast.Constant) and isinstance(literal.value, str):
+                    if name in ("getattr", "hasattr"):
+                        loaded.add(literal.value)
+                    elif name in ("setattr", "__setattr__"):
+                        recv = _last_name(child.args[0])
+                        owner = cls if recv == "self" else None
+                        stores.append((literal.value, owner, recv, where))
+            elif (isinstance(child, ast.Call) and getattr(child.func, "id", None) == "attrgetter"
+                  and child.args and isinstance(child.args[0], ast.Constant)):
+                loaded.add(child.args[0].value)
+            visit(child, cls, module, parents)
+
+    for dirpath, _dirs, files in os.walk(src):
+        for path in (os.path.join(dirpath, f) for f in files if f.endswith(".py")):
+            with open(path, encoding="utf-8") as fh:
+                module = os.path.relpath(path, os.path.dirname(src))[: -len(".py")]
+                visit(ast.parse(fh.read()), None, module.replace(os.sep, "."), {})
+    return stores, loaded, declared
+
+
+def write_only_state(src: str = SRC, keep=WRITE_ONLY_KEEP) -> dict[str, list[str]]:
+    """``Owner.attr`` -> store sites, for every attribute stored under
+    ``src`` whose name nothing there loads and that ``keep`` does not name.
+
+    The check works on attribute *names*: a load of ``x.busy_ns`` anywhere
+    counts as a read of every class's ``busy_ns``, so two classes that
+    share an attribute name mask each other.  A store through ``self`` is
+    charged to its enclosing class; any other store to every class that
+    declares the name (or, when none does, to the receiver's last name).
+    """
+    stores, loaded, declared = attribute_uses(src)
+    out: dict[str, list[str]] = {}
+    for attr, owner, receiver, where in stores:
+        if attr in loaded:
+            continue
+        owners = {owner} if owner else declared.get(attr) or {receiver}
+        for cls in owners:
+            if f"{cls}.{attr}" not in keep and f"{cls}.*" not in keep:
+                out.setdefault(f"{cls}.{attr}", []).append(where)
+    return dict(sorted(out.items()))
+
+
 def main() -> int:
+    write_only = write_only_state()
+    for name, sites in write_only.items():
+        print(f"write-only  {name}  ({', '.join(sites)})")
     functions = src_functions()
     reached = reached_functions()
     unreached = {name: n for name, n in sorted(functions.items()) if name not in reached}
@@ -225,8 +352,9 @@ def main() -> int:
     bad = [name for name in unreached if not kept(name)]
     print(f"{len(functions) - len(unreached)} of {len(functions)} functions reached; "
           f"{len(unreached)} unreached ({sum(unreached.values())} lines), "
-          f"{len(bad)} of them not in KEEP")
-    return 1 if bad else 0
+          f"{len(bad)} of them not in KEEP; "
+          f"{len(write_only)} write-only attributes not in WRITE_ONLY_KEEP")
+    return 1 if bad or write_only else 0
 
 
 if __name__ == "__main__":

@@ -129,15 +129,16 @@ class TestPlanMemoization:
             RunRequest(app="jacobi", params={"n": n, "iters": 1}, config=cfg)
             for n in sizes
         ]
-        with ServeSession(plan_memo_size=2) as sess:
-            sess.run_batch(reqs)
-            assert len(sess.plans._memo) == 2
-            # Re-running the oldest rebuilds (it was evicted)...
-            sess.run(reqs[0])
-            assert sess.plans.built == len(sizes) + 1
-            # ...while the newest is still memoized.
-            sess.run(reqs[0])
-            assert sess.plans.memo_hits == 1
+        plans = PlanCache(None, capacity=2)
+        for req in reqs:
+            execute_request(req, plans)
+        assert len(plans._memo) == 2
+        # Re-running the oldest rebuilds (it was evicted)...
+        execute_request(reqs[0], plans)
+        assert plans.built == len(sizes) + 1
+        # ...while the newest is still memoized.
+        execute_request(reqs[0], plans)
+        assert plans.memo_hits == 1
 
 
 class TestProgramBuiltOnlyWhenNeeded:
@@ -254,11 +255,11 @@ class TestPool:
             monkeypatch.setattr(runner, name, None)
         req = jacobi_request(cfg)
         key = "ab" * 32  # any well-formed key: the worker takes it on trust
-        result, from_cache, counts = runner._pool_worker(req, store_dir, "salt", key)
+        result, from_cache, counts = runner._pool_worker(req, store_dir, key)
         assert not from_cache
         assert (counts["misses"], counts["writes"], counts["hits"]) == (2, 2, 0)
         assert ResultStore(store_dir).contains(ResultStore.RESULTS, key)
-        again, from_cache, counts = runner._pool_worker(req, store_dir, "salt", key)
+        again, from_cache, counts = runner._pool_worker(req, store_dir, key)
         assert from_cache and results_equal(result, again)
         assert (counts["misses"], counts["writes"], counts["hits"]) == (0, 0, 1)
 

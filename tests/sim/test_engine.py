@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import inspect
+
 import pytest
 
 from repro.sim import Engine, Future, Resource, SimulationError
@@ -176,18 +178,6 @@ def test_bad_yield_type_raises():
         eng.run()
 
 
-def test_run_until_bound():
-    eng = Engine()
-    log = []
-    eng.call_at(10, lambda: log.append(10))
-    eng.call_at(20, lambda: log.append(20))
-    eng.run(until=15)
-    assert log == [10]
-    assert eng.now == 15  # time advances to the bound
-    eng.run()
-    assert log == [10, 20]
-
-
 def test_max_events_guard():
     eng = Engine()
 
@@ -267,19 +257,21 @@ def test_max_events_exact_count_same_instant(engine_cls):
 def test_straggler_behind_calendar_cursor(engine_cls):
     """An event scheduled into an already-passed bucket region still fires.
 
-    ``run(until=...)`` can leave the calendar cursor inside a future bucket;
-    an event then scheduled at an earlier time (but >= now) must not strand
-    in a bucket the cursor has already passed.
+    A ``max_events`` stop pulls the next bucket into the calendar cursor
+    before it raises; an event then scheduled at an earlier time (but >=
+    now) must not strand in a bucket the cursor has already passed.
     """
     bucket = 1 << 14  # _BUCKET_SHIFT
     eng = engine_cls()
     log = []
+    eng.call_at(2 * bucket, log.append, "near")
     eng.call_at(3 * bucket + 5, log.append, "far")
-    eng.run(until=2 * bucket)  # pulls the far bucket into the cursor
-    assert eng.now == 2 * bucket
+    with pytest.raises(SimulationError, match="max_events"):
+        eng.run(max_events=1)  # pulls the far bucket into the cursor
+    assert log == ["near"] and eng.now == 2 * bucket
     eng.call_at(2 * bucket + 1, log.append, "straggler")
     eng.run()
-    assert log == ["straggler", "far"]
+    assert log == ["near", "straggler", "far"]
 
 
 # --------------------------------------------------------------------- #
@@ -356,14 +348,16 @@ def test_chain_in_future_bucket_and_as_straggler(engine_cls):
     bucket = 1 << 14  # _BUCKET_SHIFT
     eng = engine_cls()
     log = []
+    eng.call_at(2 * bucket, log.append, "near")
     eng.call_chain(3 * bucket + 5, log.append, "far")
     eng.call_chain(3 * bucket + 5, log.append, "far-2")  # same bucket list
-    eng.run(until=2 * bucket)  # pulls the far bucket into the cursor
-    assert log == [] and eng.now == 2 * bucket
+    with pytest.raises(SimulationError, match="max_events"):
+        eng.run(max_events=1)  # pulls the far bucket into the cursor
+    assert log == ["near"] and eng.now == 2 * bucket
     eng.call_chain(2 * bucket + 1, log.append, "straggler")
     eng.run()
-    assert log == ["straggler", "far", "far-2"]
-    assert (eng.events_dispatched, eng.max_queue_depth) == (6, 3)
+    assert log == ["near", "straggler", "far", "far-2"]
+    assert (eng.events_dispatched, eng.max_queue_depth) == (7, 3)
 
 
 @both_schedulers
@@ -385,20 +379,21 @@ def test_max_events_stops_between_the_slots_of_a_chain(engine_cls):
 @both_schedulers
 def test_cancelled_process_wake_up_through_a_chain_is_dropped(engine_cls):
     eng = engine_cls()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     log = []
 
     def victim():
         yield cpu.use(100)
         log.append("resumed")
 
-    guard = eng.spawn(victim())
+    gen = victim()
+    guard = eng.spawn(gen)
     eng.call_at(40, guard.cancel)
     eng.run()
     assert log == [] and guard.cancelled and not guard.resolved
     # spawn step, the cancel, and both slots of the stale wake-up
     assert (eng.now, eng.events_dispatched) == (100, 4)
-    assert eng._live_processes == 0
+    assert inspect.getgeneratorstate(gen) == inspect.GEN_CLOSED
 
 
 @both_schedulers

@@ -18,18 +18,17 @@ def _noop():
 
 def test_single_job_completes_after_duration():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     done = []
-    cpu.then(100, done.append, "job")
+    cpu.then(100, lambda: done.append(eng.now))
     eng.run()
-    assert done == ["job"]
+    assert done == [100]
     assert eng.now == 100
-    assert cpu.busy_ns == 100
 
 
 def test_jobs_queue_fifo():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     finish_times = []
 
     def submit():
@@ -44,7 +43,7 @@ def test_jobs_queue_fifo():
 
 def test_job_submitted_later_starts_when_free():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     results = []
     cpu.then(100, lambda: results.append(eng.now))
     # Submitted at t=30 while the first job runs: starts at 100.
@@ -55,17 +54,18 @@ def test_job_submitted_later_starts_when_free():
 
 def test_idle_gap_not_counted_busy():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
-    cpu.then(10, _noop)
-    eng.call_at(100, cpu.then, 10, _noop)
+    cpu = Resource(eng)
+    finish_times = []
+    cpu.then(10, lambda: finish_times.append(eng.now))
+    eng.call_at(100, cpu.then, 10, lambda: finish_times.append(eng.now))
     eng.run()
-    assert eng.now == 110
-    assert cpu.busy_ns == 20
+    # The second job starts when submitted, not at the first one's end.
+    assert finish_times == [10, 110]
 
 
 def test_occupy_charges_without_future():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     cpu.then(40, _noop)
     done = []
     cpu.then(10, done.append, "second")
@@ -76,17 +76,21 @@ def test_occupy_charges_without_future():
 
 def test_negative_duration_rejected():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     with pytest.raises(SimulationError):
         cpu.then(-1, lambda: None)
-    assert (cpu.busy_ns, cpu.jobs) == (0, 0)
+    # The rejected job occupied nothing: the next one starts at once.
+    done = []
+    cpu.then(10, lambda: done.append(eng.now))
+    eng.run()
+    assert done == [10]
 
 
 def _chain_footprint(engine_cls, submit):
     """One job on a busy resource, finishing at the same instant as a
     competing event that itself schedules a same-instant successor."""
     eng = engine_cls()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     log = []
 
     def rival():
@@ -122,7 +126,7 @@ def test_then_occupies_the_slots_of_serve_add_callback(engine_cls):
 
 def test_then_passes_args():
     eng = Engine()
-    cpu = Resource(eng, "cpu")
+    cpu = Resource(eng)
     got = []
     cpu.then(10, lambda a, b: got.append((eng.now, a, b)), "x", 2)
     eng.run()
@@ -138,8 +142,7 @@ def test_ported_single_job_serves_at_release():
     eng.run()
     assert done == ["tag"]
     assert eng.now == 40
-    assert ports.busy_ns == [10, 0]
-    assert ports.wait_ns == [0, 0]
+    assert ports.free_at(1) == 40         # port 1 never served
 
 
 def test_ported_jobs_queue_fifo_per_port():
@@ -154,17 +157,15 @@ def test_ported_jobs_queue_fifo_per_port():
     assert (s1, f1) == (110, 160)
     eng.run()
     assert order == [(0, 110), (1, 160)]
-    assert ports.wait_ns[0] == 70
-    assert ports.jobs[0] == 2
+    assert s1 - 40 == 70                  # the second job's wait
 
 
 def test_ported_ports_are_independent():
     eng = Engine()
     ports = PortedResource(eng, 2)
-    ports.serve_at(0, 0, 100, _noop)
+    s0, _f0 = ports.serve_at(0, 0, 100, _noop)
     s1, _f1 = ports.serve_at(1, 0, 100, _noop)
-    assert s1 == 0                        # no cross-port interference
-    assert ports.wait_ns == [0, 0]
+    assert (s0, s1) == (0, 0)             # no cross-port interference
 
 
 def test_ported_submission_order_wins_over_release_order():
@@ -174,8 +175,7 @@ def test_ported_submission_order_wins_over_release_order():
     ports = PortedResource(eng, 1)
     ports.serve_at(0, 50, 10, _noop)
     s1, _f1 = ports.serve_at(0, 0, 10, _noop)
-    assert s1 == 60
-    assert ports.wait_ns[0] == 60
+    assert s1 == 60                       # waited 60 behind the first
 
 
 def test_ported_free_at_tracks_clock_and_backlog():

@@ -182,7 +182,7 @@ class TestAdvisoryPlanning:
         cfg = ClusterConfig(n_nodes=8)
         prog = APPS["grav"].program()
         base = run_shmem(prog, cfg, optimize=True)
-        adv = run_shmem(prog, cfg, optimize=True, advisory=True)
+        adv = run_shmem(prog, cfg, optimize=True, advisory="full")
         adv.assert_same_numerics(run_uniproc(prog, cfg))
         assert adv.total_misses < base.total_misses
         assert sum(s.prefetches for s in adv.stats.nodes) > 0
@@ -192,4 +192,20 @@ class TestAdvisoryPlanning:
         from repro.runtime import run_shmem
 
         with pytest.raises(ValueError, match="optimize"):
-            run_shmem(APPS["grav"].program(), ClusterConfig(n_nodes=4), advisory=True)
+            run_shmem(APPS["grav"].program(), ClusterConfig(n_nodes=4), advisory="full")
+
+    @pytest.mark.parametrize("mode", ["fulll", True, "on"])
+    def test_only_the_three_spellings_are_accepted(self, mode):
+        # False, "prefetch" and "full" are the modes; a typo or a bare True
+        # used to plan prefetch-only (or full) without a word.
+        from repro.apps import APPS
+        from repro.runtime import run_shmem
+        from repro.serve.request import RunRequest
+
+        with pytest.raises(ValueError, match="advisory"):
+            run_shmem(
+                APPS["grav"].program(), ClusterConfig(n_nodes=4),
+                optimize=True, advisory=mode,
+            )
+        with pytest.raises(ValueError, match="advisory"):
+            RunRequest(app="grav", optimize=True, advisory=mode)

@@ -9,7 +9,7 @@ mentioning the right site.
 import numpy as np
 import pytest
 
-from repro.tempest import AccessTag, CoherenceAuditError, audit_coherence, audit_violations
+from repro.tempest import AccessTag, CoherenceAuditError, audit_coherence
 from tests.tempest.conftest import make_cluster
 
 
@@ -144,101 +144,6 @@ class TestImplicitTagsExempt:
         # the contract checker's responsibility).
         cluster.access.set(outsider, b, AccessTag.READWRITE, implicit=True)
         cluster.audit()
-
-
-class TestSampledAudit:
-    """``sample_prob < 1`` audits a seeded random subset of blocks."""
-
-    @pytest.mark.parametrize("prob", [0.0, -0.5, 1.5])
-    def test_bad_sample_prob_rejected(self, prob):
-        cluster = run_small_workload()
-        with pytest.raises(ValueError, match="sample_prob"):
-            cluster.audit(sample_prob=prob)
-
-    def test_full_probability_is_the_full_audit(self):
-        cluster = run_small_workload()
-        assert cluster.audit(sample_prob=1.0) == cluster.audit()
-
-    def test_sampled_audit_checks_fewer_blocks_deterministically(self):
-        cluster = run_small_workload()
-        total = cluster.audit()
-        rng = np.random.default_rng(3)
-        checked = cluster.audit(sample_prob=0.5, rng=rng)
-        assert 0 < checked < total
-        # The selection is exactly the seeded generator's draw.
-        expect = np.flatnonzero(
-            np.random.default_rng(3).random(cluster.directory.n_blocks) < 0.5
-        )
-        assert checked == expect.size
-
-    def test_empty_sample_checks_nothing(self):
-        cluster = run_small_workload()
-        assert cluster.audit(sample_prob=1e-9) == 0
-        assert audit_violations(
-            cluster.directory, cluster.access, sample_prob=1e-9
-        ) == []
-
-    def test_default_rng_is_seeded(self):
-        cluster = run_small_workload()
-        assert (cluster.audit(sample_prob=0.5)
-                == cluster.audit(sample_prob=0.5))
-
-    def test_sampled_violations_name_real_block_ids(self):
-        # Corrupt exactly the blocks a known seed selects; the sampled
-        # audit must report them under their true ids, and only them.
-        cluster = run_small_workload(read_all=False)
-        n_blocks = cluster.directory.n_blocks
-        seed = next(
-            s for s in range(100)
-            if {0, 1} & set(
-                np.flatnonzero(np.random.default_rng(s).random(n_blocks) < 0.5)
-            ) == {0}
-        )
-        cluster.access._tags[3, 0] = int(AccessTag.READWRITE)
-        cluster.access._tags[3, 1] = int(AccessTag.READWRITE)
-        cluster.access._implicit[3, 0:2] = False
-        with pytest.raises(CoherenceAuditError) as exc:
-            audit_coherence(
-                cluster.directory, cluster.access,
-                sample_prob=0.5, rng=np.random.default_rng(seed),
-            )
-        messages = "\n".join(exc.value.violations)
-        assert "block 0:" in messages      # sampled, real id reported
-        assert "block 1:" not in messages  # corrupted but not sampled
-
-    def test_sampled_miss_passes_full_audit_catches(self):
-        # A corruption outside the sample goes unseen -- that is the
-        # bargain -- but the full audit still raises.
-        cluster = run_small_workload(read_all=False)
-        n_blocks = cluster.directory.n_blocks
-        seed = next(
-            s for s in range(100)
-            if 0 not in np.flatnonzero(
-                np.random.default_rng(s).random(n_blocks) < 0.5
-            )
-        )
-        cluster.access._tags[3, 0] = int(AccessTag.READWRITE)
-        cluster.access._implicit[3, 0] = False
-        audit_coherence(
-            cluster.directory, cluster.access,
-            sample_prob=0.5, rng=np.random.default_rng(seed),
-        )
-        with pytest.raises(CoherenceAuditError):
-            cluster.audit()
-
-    def test_run_with_sampled_barrier_audits(self):
-        cluster, _arr = make_cluster(n_nodes=2)
-
-        def program(n):
-            yield from cluster.write_blocks(n, [n], phase=1)
-            yield from cluster.barrier(n)
-            yield from cluster.read_blocks(n, [1 - n], phase=2)
-            yield from cluster.barrier(n)
-
-        cluster.run(
-            {n: program(n) for n in range(2)},
-            audit=True, audit_each_barrier=True, audit_sample_prob=0.5,
-        )
 
 
 class TestErrorStructure:

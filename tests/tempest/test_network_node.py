@@ -75,6 +75,8 @@ class TestNodeCompute:
         eng = Engine()
         cfg = ClusterConfig(n_nodes=1, dual_cpu=True)
         node = Node(0, eng, cfg, ClusterStats.for_nodes(1)[0])
+        queued = []
+        eng.call_at(150_000, node.compute_cpu.then, 0, lambda: queued.append(eng.now))
 
         def prog():
             yield from node.compute(10_000_000)
@@ -83,13 +85,16 @@ class TestNodeCompute:
         eng.run()
         assert eng.now == 10_000_000
         assert node.stats.compute_ns == 10_000_000
-        # One job on the CPU, not many slices.
-        assert node.compute_cpu.jobs == 1
+        # One job on the CPU, not many slices: a job queued mid-compute
+        # waits for all of it.
+        assert queued == [10_000_000]
 
     def test_single_cpu_compute_sliced(self):
         eng = Engine()
         cfg = ClusterConfig(n_nodes=1, dual_cpu=False)
         node = Node(0, eng, cfg, ClusterStats.for_nodes(1)[0])
+        queued = []
+        eng.call_at(150_000, node.compute_cpu.then, 0, lambda: queued.append(eng.now))
 
         def prog():
             yield from node.compute(1_000_000)
@@ -97,7 +102,9 @@ class TestNodeCompute:
         eng.spawn(prog())
         eng.run()
         assert eng.now == 1_000_000
-        assert node.compute_cpu.jobs == 1_000_000 // cfg.compute_quantum_ns
+        # A job queued mid-compute runs at the end of the current slice,
+        # long before the compute ends.
+        assert queued == [2 * cfg.compute_quantum_ns]
 
     def test_single_cpu_handlers_interleave_and_stall_accounted(self):
         eng = Engine()

@@ -144,17 +144,23 @@ class TestPortQueueing:
 
     def test_backpressure_holds_the_sending_link(self):
         # Node 1's link stays occupied until port 2 accepts its frame:
-        # 800 ns serialization + the 800 ns the port made it wait.
+        # 800 ns serialization + the 800 ns the port made it wait.  So
+        # node 1's next frame, to the idle port 0, leaves at 1600 ns:
+        #   ser [1600, 2400) | to-switch 5000 | port 0 [7400, 8200)
+        #   | residual 5000 + dispatch 4000 | ack handler 4000.
         cluster = switch_cluster()
+        log = []
 
         def kickoff():
             send_header(cluster, 0, 2, [], "a")
             send_header(cluster, 1, 2, [], "b")
+            send_header(cluster, 1, 0, log, "c")
 
         cluster.engine.call_after(0, kickoff)
         cluster.engine.run()
-        assert cluster.network.links[0].busy_ns == 800
-        assert cluster.network.links[1].busy_ns == 1600
+        assert log == [("c", 21200)]
+        assert cluster.stats.ports[2].wait_ns == 800
+        assert cluster.stats.ports[0].wait_ns == 0
 
     def test_per_port_fifo_follows_submission_order(self):
         # Three senders race to one destination in one engine event;
@@ -346,7 +352,7 @@ class TestCombiningUnderSwitch:
         # nowhere near the 10 ms hold-timer deadline.
         assert delivered == 550400
         assert delivered < combine.max_wait_ns
-        # The link really was held by the switch: 103.2 us serialization
-        # + 308 us of backpressure + the combined frame's own ser/hold.
-        assert net.links[2].busy_ns == 514400
+        # The port, not the link, set the pace: all of its queueing fell
+        # on node 2's frames, 308 us of it on the 2 KB one.
+        assert cluster.stats.ports[0].wait_ns == 409800
         assert cluster.stats[2].switch_wait_ns == 409800

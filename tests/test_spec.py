@@ -137,7 +137,14 @@ class TestOneSpelling:
 
 
 class TestParentCompatibility:
-    """Pinned on the parent commit (PR 13) before the spec existed."""
+    """Option strings pinned before the spec existed.
+
+    The cache-key digests were re-recorded once, when ``check_contracts``
+    left ``build_options()`` and ``check_contracts``, ``audit`` and
+    ``audit_sample_prob`` left ``run_options()``: each had one value in
+    use.  No result changed, so ``CODE_VERSION`` stayed; a cache entry
+    written before then is a miss, never a wrong hit.
+    """
 
     REPRO = [
         "--advisory", "--audit", "--backend", "--checkpoint-every", "--combine",
@@ -174,27 +181,27 @@ class TestParentCompatibility:
         assert (args.combine, args.switch, args.rt_elim) == (False, False, False)
         assert args.switch_ports is None and args.switch_bw is None
 
-    #: request_key / plan_key hex digests recorded on the parent commit:
-    #: ``CODE_VERSION`` is unchanged, so warm caches must keep hitting.
+    #: request_key / plan_key hex digests: with ``CODE_VERSION`` and the
+    #: option set unchanged, warm caches must keep hitting.
     KEYS = {
         "default": (
             lambda: RunRequest(app="jacobi"),
-            "0243d3faf8768ae15cf03d6261c752402a63d7fbab40bf997d10d7b12df7a8ab",
-            "906ddc030eeb9e352c5ed84a5bf6ff9bc90615b5731a57417cb48fa8e6406a4e",
+            "bb0fe5d3e2d5963fe720ff01a303858f4d2c9f575cddd0d034f721c72af8d96d",
+            "362aa84c71feecfff6ed3041b054dba5323aa42076849a8b37efb80f1deacb4c",
         ),
         "storm": (
             lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
                 n_nodes=4, faults=FaultConfig(
                     drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
-            "3ddac67353e2722e465ecc541db2c2bad7ea4cd5229866781bb25c13b45c177f",
-            "6e941bf1b1236877d63f608337fe140e04ed03bed3809dfc6147a69ac80b05e0",
+            "f1f41f2d112625f7bee45b367731ff37aab838b04353f90c423b6f0333b6f1d5",
+            "9ff88f0f628c4568ef5cfa7984877b8c612f3c2f228c146391b572923eb9aa17",
         ),
         "combine_switch": (
             lambda: RunRequest(app="cg", config=ClusterConfig(
                 combine=CombineConfig(enabled=True, max_msgs=4),
                 switch=SwitchConfig(enabled=True, ports=2))),
-            "66ab19ef3bc995e14c44053d568473e6b6489d7712badb2d9d418e008653d9bf",
-            "c0f6342a2b9c1d23476eb9e8689bf250548bea0d0fafe1265be431393b82395f",
+            "0576e910edeb374be846bccd746cbde7d5ba539130f66ecc48d2372dd5a729cb",
+            "1288afcaf6de1163b6436748f4fb19faed7c5cfbf65c7e31c2a904e0e358f3bf",
         ),
         "crash_checkpoint": (
             lambda: RunRequest(
@@ -202,21 +209,21 @@ class TestParentCompatibility:
                 config=ClusterConfig(faults=FaultConfig(
                     crashes=(CrashScenario(2, 3000 * US, 500 * US),),
                     checkpoint_every=1))),
-            "024830f9860482b296f3cd7696417b1346d302311c01253a4389f10191b99ef4",
-            "100c13766ac44668fa7c4e18e4188590b8bdab2fd729f7a3e7f9e98cd4133a23",
+            "72e37d84ae5a3a1deb09d8d95b4badddea0bdcc8151d0427d86fc0220539c154",
+            "bbaac04465df43c72a71fbce0904a9b9a2030dab238105ab2bbb95ff73c65954",
         ),
         "profile": (
             lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
                                profile_phases=True, critical_path=True),
-            "d2e5a09a8706e47e0da1e706e4bda4c78882db9839a82fe0ff8e282456a165d2",
-            "3e226b1991209470d934ab717fab6b2662bcadc7a64d4170270c7f82498875e1",
+            "a014dcd2ffbedf276da36e6c1bc74ffc562bb3725e22fb9c6994d240e2e8bb6c",
+            "f0d116a13ee694ea8398bad53b6caa75831eed8fdd68efe09c1a0997a53ea39b",
         ),
         "inline": (
             lambda: RunRequest(
                 program=APPS["jacobi"].program("default", n=16, iters=1),
                 config=ClusterConfig(n_nodes=4)),
-            "5d92d0b243706ca803e22e822f09178efd9dce34cc4af8cec8328607833346ac",
-            "5d7c8fbf598663686c9f8bdc2a55e67e2c559aa200b8d3d11b41766d4c641e65",
+            "d0fa171b80d11e5f288fbafa978b1bae534f3cfafdb0215f3ec5e1c3dea0cae0",
+            "f3b78c11f92b9903eb5efbf3a11b0462c764bb7726c59b8c947139768b8b8d62",
         ),
     }
 
