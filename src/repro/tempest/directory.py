@@ -83,10 +83,6 @@ class Directory:
     def home_of(self, block: int) -> int:
         return self._home[block]
 
-    def sharers_of(self, block: int) -> list[int]:
-        mask = int(self.sharers[block])
-        return [n for n in range(self.n_nodes) if mask >> n & 1]
-
     # ------------------------------------------------------------------ #
     # state transitions (called by protocol handlers)
     # ------------------------------------------------------------------ #

@@ -445,7 +445,21 @@ class Network:
         ``parent`` is the lineage seq for the ``switch.traverse`` event.
         """
         if self.switch is None:
-            self.serve_link(src, size, 0, on_done, *args)
+            if self.combining:
+                self.serve_link(src, size, 0, on_done, *args)
+                return
+            # Plain link, the reliable transport's hop for every frame and
+            # ack: serve_link -> Resource.then written out as in send's
+            # fused wire, with the same float expression for transfer_ns.
+            link = self.links[src]
+            engine = self.engine
+            start = link._free_at
+            now = engine.now
+            if start < now:
+                start = now
+            finish = start + int(size / self._bw_bytes_per_us * US)
+            link._free_at = finish
+            engine.call_chain(finish, on_done, *args)
             return
         cfg = self.config
         # The whole path is reserved now: link occupancy and port service
@@ -492,11 +506,13 @@ class Network:
     ) -> None:
         """Serialize ``size`` bytes on ``src``'s link, then ``on_done(*args)``.
 
-        The single chokepoint for link occupancy: with combining enabled it
-        maintains the per-link busy count and flushes parked control frames
-        the moment the link goes idle — inside the same completion event,
-        so no extra engine events are scheduled.  ``hold_ns`` extends the
-        occupancy past serialization (switch backpressure).
+        The link hop of the switch and combining paths (a plain link is
+        written out in :meth:`send` and :meth:`traverse`).  With combining
+        enabled it is the one place that maintains the per-link busy count
+        and flushes parked control frames the moment the link goes idle —
+        inside the same completion event, so no extra engine events are
+        scheduled.  ``hold_ns`` extends the occupancy past serialization
+        (switch backpressure).
         """
         ns = self.config.transfer_ns(size) + hold_ns
         if not self.combining:
@@ -577,7 +593,8 @@ class Network:
         and reliable-transport deliveries land here; :meth:`_wire_done`
         schedules the same ``run_handler`` call for perfect-wire arrivals.
         """
-        self.engine.call_after(
-            delay_ns, self.nodes[dst].run_handler,
+        engine = self.engine
+        engine.call_at(
+            engine.now + delay_ns, self.nodes[dst].run_handler,
             handler_cost_ns, handler, args, seq,
         )

@@ -429,15 +429,18 @@ class DefaultProtocol:
         # The home's own readable copy dies inline (no self-messages needed).
         if home != writer:
             self.access.set(home, block, AccessTag.INVALID)
-        sharers = [s for s in d.sharers_of(block) if s != writer and s != home]
-        if not sharers:
+        mask = d.sharers[block] & ~(1 << writer | 1 << home)
+        if not mask:
             self._finish_write(block, writer, grant, cause)
             return
         # One count shared by every invalidation's ack; the last one in
         # completes the write.
-        remaining = [len(sharers)]
-        for s in sharers:
-            # 6. invalidation to each sharer.
+        remaining = [mask.bit_count()]
+        while mask:
+            # 6. invalidation to each sharer, in ascending node order.
+            low = mask & -mask
+            mask ^= low
+            s = low.bit_length() - 1
             self.network.send(
                 home, s, MsgKind.INV,
                 self._on_inv, (block, s, writer, grant, remaining),

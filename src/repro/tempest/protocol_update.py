@@ -78,12 +78,13 @@ class UpdateProtocol(DefaultProtocol):
             self.access.set_range(node_id, held, AccessTag.READWRITE)
 
         # Push the new data to every other holder; the home always gets a
-        # copy so cold readers fetch current data from it.
+        # copy so cold readers fetch current data from it.  Each block's
+        # sharer mask is read when the loop reaches it: the loop yields
+        # between blocks, and handlers may change the masks meanwhile.
+        sharers = d.sharers
+        writer_bit = 1 << node_id
         for b in blocks.tolist():
-            home = d.home_of(b)
-            targets = set(d.sharers_of(b))
-            targets.add(home)
-            targets.discard(node_id)
+            targets = (sharers[b] | 1 << d.home_of(b)) & ~writer_bit
             # The writer is a holder the directory must track, so a later
             # writer's updates reach it.
             d.add_sharer(b, node_id)
@@ -91,10 +92,14 @@ class UpdateProtocol(DefaultProtocol):
                 continue  # private data: free, like a local cache hit
             ack = self.engine.future(f"upd.b{b}.n{node_id}")
             # One count shared by every update's ack.
-            remaining = [len(targets)]
+            remaining = [targets.bit_count()]
             node.post_pending(ack)
             yield node.compute_cpu.use(cfg.send_overhead_ns)
-            for dst in sorted(targets):
+            while targets:
+                # Ascending node order: lowest set bit first.
+                low = targets & -targets
+                targets ^= low
+                dst = low.bit_length() - 1
                 self.network.send(
                     node_id, dst, MsgKind.UPDATE,
                     self._on_update, (b, node_id, dst, ack, remaining),

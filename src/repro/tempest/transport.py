@@ -67,9 +67,11 @@ event heap drains, and the cluster finishes *degraded* (see
 Transport acks are header-only control frames below the protocol layer:
 they occupy the ack sender's link (serialization is real) and can
 themselves be dropped or jittered — a lost ack is repaired by the data
-frame's retransmission and the receiver's dedup.  When message combining is
-enabled (:class:`~repro.tempest.config.CombineConfig`), acks queued behind
-a busy link coalesce into one combined ack frame carrying several sequence
+frame's retransmission and the receiver's dedup.  An ack normally goes
+straight to :meth:`Network.traverse` as a one-frame ack, the same link hop
+a data frame takes.  With message combining
+(:class:`~repro.tempest.config.CombineConfig`), acks queued behind a busy
+link coalesce into one combined ack frame carrying several sequence
 numbers — one header, one drop/jitter draw.  Acks never appear in the
 per-kind message counters; reliability costs are tracked separately as
 ``net_drops`` / ``net_dups`` / ``net_retransmits`` / ``net_backoffs`` /
@@ -767,7 +769,11 @@ class ReliableTransport:
                 del peers[frame.src]
                 self._transmit_acks(acker, frame.src, buf)
             return
-        self._transmit_acks(acker, frame.src, [frame])
+        # A lone ack frame: straight onto the link.
+        net.traverse(
+            acker, frame.src, self.ACK_BYTES, None,
+            self._ack_wire_done, acker, frame.src, [frame], [frame.seq],
+        )
 
     def flush_acks(self, acker: int) -> None:
         """Link idle: put parked (combined) acks on the wire."""

@@ -196,3 +196,71 @@ class TestOverlappingRangesConflict:
         prog = self._program()
         result = run_shmem(prog, cfg, optimize=True, **options)
         result.assert_same_numerics(run_uniproc(prog, cfg))
+
+
+#: The two run-ending failures ROADMAP item 1 names, as its one-line
+#: ``repro`` commands.  F1: a permanent partition after a checkpointed,
+#: restarting crash livelocks (keepalives never let the queue drain).
+#: F2: both nodes of a 2-node cluster crash, no channel gives up, and the
+#: stuck programs are raised as a deadlock.
+F1_COMMAND = (
+    "lu --param n=32 --nodes 4 --fault-crash 1:243:247 "
+    "--fault-partition 0:466:never --heartbeat-us 297 --checkpoint-every 2"
+)
+F2_COMMAND = (
+    "jacobi --param n=32 --param iters=2 --nodes 2 --fault-crash 1:93:18 "
+    "--fault-crash 0:189:493 --heartbeat-us 347 --checkpoint-every 1"
+)
+#: Events per ``Engine.run`` call; F1's no-partition twin needs under 50k.
+MAX_EVENTS = 200_000
+
+
+def run_command(command):
+    """``run_shmem`` on the program and config ``repro COMMAND`` builds."""
+    from repro.cli import APPS, build_parser, config_from_args
+    from repro.runtime import run_shmem
+
+    parser = build_parser()
+    args = parser.parse_args(command.split())
+    spec = APPS[args.app]
+    params = {k: int(v) for k, v in (p.split("=") for p in args.param)}
+    return run_shmem(
+        spec.program(args.scale, **params), config_from_args(parser, args),
+        optimize=not args.no_opt,
+    )
+
+
+@pytest.fixture
+def bounded_engine(monkeypatch):
+    """Every ``Engine.run`` without a limit stops after ``MAX_EVENTS``."""
+    from repro.sim import Engine
+
+    run = Engine.run
+
+    def bounded(self, max_events=None):
+        return run(self, MAX_EVENTS if max_events is None else max_events)
+
+    monkeypatch.setattr(Engine, "run", bounded)
+
+
+class TestRunEndingRule:
+    """A run that cannot finish ends degraded (``completed is False``).
+    F1 and F2 break that contract today; strict xfails flag the fix."""
+
+    def test_f1_without_partition_recovers_within_bound(self, bounded_engine):
+        twin = F1_COMMAND.replace("--fault-partition 0:466:never ", "")
+        assert run_command(twin).completed
+
+    @pytest.mark.xfail(
+        strict=True, raises=SimulationError,
+        reason="F1: livelock, hits the max_events bound",
+    )
+    def test_f1_partition_after_rollback_degrades(self, bounded_engine):
+        assert run_command(F1_COMMAND).completed is False
+
+    @pytest.mark.xfail(
+        strict=True, raises=SimulationError,
+        reason="F2: both nodes crash, raised as a deadlock",
+    )
+    def test_f2_two_node_double_crash_degrades(self, bounded_engine):
+        assert run_command(F2_COMMAND).completed is False

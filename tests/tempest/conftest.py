@@ -31,6 +31,12 @@ def make_cluster(
     return cluster, arr
 
 
+def sharers_of(directory, block):
+    """The nodes in ``block``'s directory sharer bitmask, ascending."""
+    mask = int(directory.sharers[block])
+    return [n for n in range(directory.n_nodes) if mask >> n & 1]
+
+
 def run_programs(cluster, **programs):
     """Run programs given as node_id=generator kwargs; idle others."""
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.tempest.access import AccessControl, AccessTag
 from repro.tempest.directory import Directory, DirState, StaleReadError
+from tests.tempest.conftest import sharers_of
 
 
 class TestAccessControl:
@@ -71,7 +72,7 @@ class TestDirectory:
     def test_initial_state_idle(self, d):
         assert d.state_of(0) is DirState.IDLE
         assert d.owner_of(0) == -1
-        assert d.sharers_of(0) == []
+        assert sharers_of(d, 0) == []
 
     def test_homes(self, d):
         assert d.home_of(0) == 0 and d.home_of(5) == 2
@@ -84,9 +85,9 @@ class TestDirectory:
         d.add_sharer(3, 1)
         d.add_sharer(3, 2)
         assert d.state_of(3) is DirState.SHARED
-        assert d.sharers_of(3) == [1, 2]
+        assert sharers_of(d, 3) == [1, 2]
         d.clear_sharer(3, 1)
-        assert d.sharers_of(3) == [2]
+        assert sharers_of(d, 3) == [2]
         d.clear_sharer(3, 2)
         assert d.state_of(3) is DirState.IDLE
 
@@ -95,7 +96,7 @@ class TestDirectory:
         d.set_exclusive(0, 2)
         assert d.state_of(0) is DirState.EXCLUSIVE
         assert d.owner_of(0) == 2
-        assert d.sharers_of(0) == []
+        assert sharers_of(d, 0) == []
 
     # ----------------------- versions / staleness ---------------------- #
     def test_everyone_current_initially(self, d):

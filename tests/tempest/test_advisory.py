@@ -12,7 +12,7 @@ from repro.tempest import (
     SharedMemory,
 )
 from repro.tempest.stats import MsgKind
-from tests.tempest.conftest import run_programs
+from tests.tempest.conftest import run_programs, sharers_of
 
 
 def build(n_nodes=2):
@@ -111,13 +111,13 @@ class TestSelfInvalidate:
 
         def reader():
             yield from cl.read_blocks(1, [b])
-            assert 1 in cl.directory.sharers_of(b)
+            assert 1 in sharers_of(cl.directory, b)
             yield from cl.ext.self_invalidate(1, [b])
             assert cl.access.get(1, b) is AccessTag.INVALID
 
         stats = run_programs(cl, n1=reader())
         assert stats.messages_by_kind()[MsgKind.SELF_INV] == 1
-        assert 1 not in cl.directory.sharers_of(b)
+        assert 1 not in sharers_of(cl.directory, b)
 
     def test_spares_writer_the_invalidation_roundtrip(self):
         def run2(self_inv):
@@ -171,7 +171,7 @@ class TestSelfInvalidate:
             yield from cl.barrier(1)
 
         run_programs(cl, n0=reader(), n1=other())
-        assert 0 not in cl.directory.sharers_of(b1)
+        assert 0 not in sharers_of(cl.directory, b1)
 
 
 class TestAdvisoryPlanning:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.tempest import AccessTag, CoherenceAuditError, audit_coherence
-from tests.tempest.conftest import make_cluster
+from tests.tempest.conftest import make_cluster, sharers_of
 
 
 def run_small_workload(read_all=True, **overrides):
@@ -63,7 +63,7 @@ class TestCorruptionsCaught:
         b = 0
         outsider = next(
             n for n in range(4)
-            if n not in cluster.directory.sharers_of(b)
+            if n not in sharers_of(cluster.directory, b)
             and n != cluster.directory.home_of(b)
             and cluster.access.get(n, b) is AccessTag.INVALID
         )
@@ -96,7 +96,7 @@ class TestCorruptionsCaught:
         # Pick a genuinely shared block and silently bump its version, as a
         # lost invalidation would: every sharer is now stale.
         b = next(
-            b for b in range(4) if cluster.directory.sharers_of(b)
+            b for b in range(4) if sharers_of(cluster.directory, b)
         )
         cluster.directory.global_version[b] += 1
         with pytest.raises(CoherenceAuditError, match="stale"):
@@ -104,7 +104,7 @@ class TestCorruptionsCaught:
 
     def test_shared_with_empty_sharer_set(self):
         cluster = run_small_workload()
-        b = next(b for b in range(4) if cluster.directory.sharers_of(b))
+        b = next(b for b in range(4) if sharers_of(cluster.directory, b))
         cluster.directory.sharers[b] = np.uint64(0)
         with pytest.raises(CoherenceAuditError, match="empty sharer set"):
             cluster.audit()
@@ -135,7 +135,7 @@ class TestImplicitTagsExempt:
         b = 0
         outsider = next(
             n for n in range(4)
-            if n not in cluster.directory.sharers_of(b)
+            if n not in sharers_of(cluster.directory, b)
             and n != cluster.directory.home_of(b)
             and cluster.access.get(n, b) is AccessTag.INVALID
         )

@@ -14,7 +14,7 @@ from repro.tempest import (
 from repro.tempest.extensions import ContractViolation, coalesce_runs
 from repro.tempest.stats import COHERENCE_KINDS, MsgKind
 
-from tests.tempest.conftest import run_programs
+from tests.tempest.conftest import run_programs, sharers_of
 
 
 def build(n_nodes=3, cols=3, home_policy=HomePolicy.NODE0):
@@ -116,7 +116,7 @@ class TestImplicitWritable:
             assert cl.access.get(2, b) is AccessTag.READWRITE
             # Directory deliberately unaware (Figure 2C).
             assert cl.directory.state_of(b) is DirState.IDLE
-            assert 2 not in cl.directory.sharers_of(b)
+            assert 2 not in sharers_of(cl.directory, b)
 
         run_programs(cl, n2=reader())
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.sim import Engine
-from repro.tempest import ClusterConfig
+from repro.tempest import ClusterConfig, FaultConfig
 from repro.tempest.network import HEADER_BYTES, Network
 from repro.tempest.node import Node
 from repro.tempest.stats import ClusterStats, MsgKind
+from repro.tempest.transport import ReliableTransport
 
 
 def make_net(n_nodes=2, **cfg_kw):
@@ -68,6 +69,66 @@ class TestNetwork:
         assert stats[0].messages[MsgKind.DATA] == 1
         assert stats[0].bytes_sent == HEADER_BYTES + 128
         assert stats[1].bytes_sent == 0
+
+
+def frame_sizes(cfg):
+    """Every frame size the model puts on a link: a bare header or ack,
+    a combined frame or combined ack of 2..max_msgs slots, and a data
+    payload of 1..max_payload_blocks blocks."""
+    slots = range(2, cfg.combine.max_msgs + 1)
+    return sorted(
+        {HEADER_BYTES, ReliableTransport.ACK_BYTES}
+        | {HEADER_BYTES + k * cfg.combine.slot_bytes for k in slots}
+        | {ReliableTransport.ACK_BYTES + k * cfg.combine.slot_bytes for k in slots}
+        | {HEADER_BYTES + m * cfg.block_size
+           for m in range(1, cfg.max_payload_blocks + 1)}
+    )
+
+
+class TestWrittenOutOccupancy:
+    """The per-message hops write ``Resource.then`` out inline; each copy
+    must charge exactly what ``ClusterConfig.transfer_ns`` (links) or the
+    handler cost (protocol CPU) says, to the nanosecond."""
+
+    @pytest.mark.parametrize("bandwidth", [20.0, 7.3, 33.3])
+    def test_perfect_wire_send(self, bandwidth):
+        eng, cfg, _stats, _nodes, net = make_net(bandwidth_bytes_per_us=bandwidth)
+        assert net._fused_wire
+        for size in frame_sizes(cfg):
+            start = eng.now
+            seen = []
+            net.send(
+                0, 1, MsgKind.DATA, lambda _seq: seen.append(eng.now), (), 0,
+                payload_bytes=size - HEADER_BYTES,
+            )
+            eng.run()
+            arrival = seen[0] - cfg.wire_latency_ns - cfg.dispatch_overhead_ns
+            assert arrival - start == cfg.transfer_ns(size), size
+
+    @pytest.mark.parametrize("bandwidth", [20.0, 7.3, 33.3])
+    def test_lossy_wire_link_hop(self, bandwidth):
+        eng, cfg, _stats, _nodes, net = make_net(
+            bandwidth_bytes_per_us=bandwidth, faults=FaultConfig(drop_prob=0.01)
+        )
+        assert net.transport is not None and net.switch is None
+        assert not net.combining
+        for size in frame_sizes(cfg):
+            start = eng.now
+            seen = []
+            net.traverse(0, 1, size, None, lambda: seen.append(eng.now))
+            eng.run()
+            assert seen == [start + cfg.transfer_ns(size)], size
+
+    @pytest.mark.parametrize("dual_cpu", [True, False])
+    def test_handler_occupancy(self, dual_cpu):
+        eng, cfg, _stats, nodes, _net = make_net(dual_cpu=dual_cpu)
+        extra = 0 if dual_cpu else cfg.interrupt_overhead_ns
+        for cost in (0, cfg.handler_ack_ns, cfg.handler_request_ns):
+            start = eng.now
+            seen = []
+            nodes[1].run_handler(cost, lambda _seq: seen.append(eng.now), (), None)
+            eng.run()
+            assert seen == [start + cost + extra], cost
 
 
 class TestNodeCompute:

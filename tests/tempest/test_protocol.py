@@ -18,7 +18,7 @@ from repro.tempest import (
 )
 from repro.tempest.stats import COHERENCE_KINDS, MsgKind
 
-from tests.tempest.conftest import make_cluster, run_programs
+from tests.tempest.conftest import make_cluster, run_programs, sharers_of
 
 
 def one_block_cluster(n_nodes=3, home_policy=HomePolicy.NODE0):
@@ -44,7 +44,7 @@ class TestReadMiss:
         assert stats[1].read_misses == 1
         assert cl.access.get(1, b) is AccessTag.READONLY
         assert cl.directory.state_of(b) is DirState.SHARED
-        assert 1 in cl.directory.sharers_of(b)
+        assert 1 in sharers_of(cl.directory, b)
 
     def test_clean_remote_read_latency_93us(self):
         cl, a = one_block_cluster()

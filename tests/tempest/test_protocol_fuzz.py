@@ -39,6 +39,7 @@ from repro.tempest import (
     SwitchConfig,
 )
 from repro.tempest.faults import CrashScenario, _US
+from tests.tempest.conftest import sharers_of
 
 N_NODES = 3
 N_BLOCKS = 4
@@ -111,7 +112,7 @@ def test_random_schedules_stay_coherent(schedule, policy):
             # The owner's copy is the latest version.
             assert cl.directory.copy_is_current(owner, b)
         elif state is DirState.SHARED:
-            for sharer in cl.directory.sharers_of(b):
+            for sharer in sharers_of(cl.directory, b):
                 assert tags[sharer] in (AccessTag.READONLY, AccessTag.READWRITE)
                 assert cl.directory.copy_is_current(sharer, b)
         else:  # IDLE: the home holds the data

@@ -13,7 +13,7 @@ from tests.tempest import transport_digests as td
 
 def test_sample_spans_every_axis():
     """The seeded sample engages each axis the digests are meant to pin."""
-    cells = td.CONFIGS
+    cells = td.CONFIGS[:td.N_CONFIGS]
     faults = [c["faults"] for c in cells]
     seen = {
         "drop": any(f.drop_prob for f in faults),
@@ -31,10 +31,10 @@ def test_sample_spans_every_axis():
         "switch": any("switch" in c for c in cells),
     }
     assert [axis for axis, hit in seen.items() if not hit] == []
-    assert set(td.DIGESTS) == set(range(td.N_CONFIGS))
+    assert set(td.DIGESTS) == set(range(len(td.CONFIGS)))
 
 
-@pytest.mark.parametrize("index", range(td.N_CONFIGS))
+@pytest.mark.parametrize("index", range(len(td.CONFIGS)))
 def test_schedule_matches_recorded_digest(index):
     result = td.run_config(td.CONFIGS[index])
     assert td.schedule_digest(result) == td.DIGESTS[index]
