@@ -317,8 +317,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             kinds = None
             if args.trace_kinds:
                 kinds = [k.strip() for k in args.trace_kinds.split(",") if k.strip()]
-            exporter = ChromeTraceExporter(
-                bus, kinds=kinds, max_events=args.trace_cap, n_nodes=args.nodes
+            exporter = _checked(
+                parser, "--trace-cap", ChromeTraceExporter, bus, kinds=kinds,
+                max_events=args.trace_cap, n_nodes=args.nodes,
             )
         if args.trace_messages:
             mkinds = None

@@ -10,10 +10,10 @@ Design constraints, in order of importance:
    mutate simulation state.
 2. **Zero cost when off.**  Components hold ``self.obs = None`` and
    guard every publish with ``if self.obs is not None``; with no bus
-   attached no :class:`Event` is ever constructed.
-3. **Low overhead when on.**  One object per event, one dict lookup to
-   the callbacks that want its kind, no string formatting on the hot
-   path.
+   attached not even the payload dict is built.
+3. **Low overhead when on.**  Positional arguments, one dict lookup to
+   the callbacks that want the kind, one :class:`Event` only when some
+   callback does, no string formatting on the hot path.
 
 Event kinds are dotted strings (``miss.read``, ``frame.retransmit``,
 ``channel.heal``, ...); the full taxonomy lives in
@@ -32,9 +32,9 @@ class Event:
     ``seq`` is the bus-wide publish ordinal (unique, monotonic) and
     ``parent`` is the ``seq`` of the event that *caused* this one — the
     causal-lineage edge the critical-path analyzer walks.  ``parent`` is
-    None at chain roots (compute ops, probes, timer-driven events).  The
-    keyword is deliberately ``parent``, not ``cause``: several emit
-    sites already carry a ``cause=`` payload kwarg (``frame.drop``).
+    None at chain roots (compute ops, probes, timer-driven events).  It is
+    deliberately ``parent``, not ``cause``: ``frame.drop`` already carries
+    a ``cause`` payload key.
     """
 
     __slots__ = ("kind", "t_ns", "dur_ns", "node", "args", "seq", "parent")
@@ -92,19 +92,19 @@ class EventBus:
     def n_subscribers(self) -> int:
         return len(self._subs)
 
-    def emit(self, kind: str, t_ns: int, dur_ns: int = 0, node=None,
-             parent=None, **args) -> Event:
-        """Publish one event and fan it out synchronously.
+    def emit(self, kind: str, t_ns: int, dur_ns: int, node, parent,
+             args: dict) -> int:
+        """Publish one event, fan it out synchronously, return its seq.
 
         Never schedules engine work; safe to call from inside process
         fragments, handlers, and resource-completion callbacks.
         ``parent`` is the causal predecessor's ``Event.seq`` (or None
-        for a root); the returned event carries its own ``seq`` so
-        publishers can thread lineage through closures.
+        for a root) and ``args`` the payload dict, built at the guarded
+        call site; the returned seq lets publishers thread lineage.  The
+        :class:`Event` is only built when some subscriber wants ``kind``.
         """
         seq = self.events_published
         self.events_published = seq + 1
-        ev = Event(kind, t_ns, dur_ns, node, args, seq, parent)
         callbacks = self._routes.get(kind)
         if callbacks is None:
             callbacks = self._routes[kind] = tuple(
@@ -112,6 +112,8 @@ class EventBus:
                 for sub in self._subs
                 if sub.kinds is None or kind in sub.kinds
             )
-        for callback in callbacks:
-            callback(ev)
-        return ev
+        if callbacks:
+            ev = Event(kind, t_ns, dur_ns, node, args, seq, parent)
+            for callback in callbacks:
+                callback(ev)
+        return seq

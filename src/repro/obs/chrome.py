@@ -22,6 +22,7 @@ chains can be followed in the UI.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import os
 from collections import deque
@@ -42,18 +43,17 @@ _FABRIC_THREADS = (
     (_TID_GLOBAL, "global"),
 )
 
-#: records handed to the C encoder per call in :meth:`write`; bounds what
-#: an export holds beyond the retained events themselves.  256 records
-#: encode to ~55 KB, well under glibc's 128 KiB mmap threshold; measured on
-#: hostbench ``observed``, 512 and 1024 cost the same wall and read
-#: ``peak_rss_mb`` 10 MB higher.
+#: records joined per piece of output; bounds what an export holds beyond
+#: the retained events themselves.  256 records render to ~55 KB, well
+#: under glibc's 128 KiB mmap threshold.
 _CHUNK = 256
-# The pass builds every record from scalars and _json_safe's fresh lists,
-# so there is no cycle for the encoder's per-container check to find.
+# Only fresh containers reach it (metadata, _json_safe's lists), so there
+# is no cycle for the encoder's per-container check to find.
 _encode = json.JSONEncoder(check_circular=False).encode
-#: exact payload types the encoder takes as they are (an Enum that
-#: subclasses one of them is not in here and goes through _json_safe)
-_PLAIN = frozenset((int, float, str, bool, type(None)))
+_str = json.encoder.encode_basestring_ascii
+_float = float.__repr__
+#: args keys the exporter sets itself
+_RESERVED = frozenset(("kind", "seq", "parent", "node"))
 
 
 def _json_safe(value):
@@ -68,11 +68,32 @@ def _json_safe(value):
     return str(value)
 
 
-def _meta(name: str, pid: int, label: str, tid=None) -> dict:
+@functools.cache
+def _member(value: enum.Enum) -> str:
+    return _encode(_json_safe(value))
+
+
+def _other(value) -> str:
+    if isinstance(value, enum.Enum):
+        # A member's text never changes: its class's members are memoized.
+        _TEXT[type(value)] = _member
+    return _encode(_json_safe(value))
+
+
+#: exact payload type -> its JSON text, as ``json.dumps`` writes it
+_TEXT = {
+    int: int.__repr__,
+    str: _str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _meta(name: str, pid: int, label: str, tid=None) -> str:
     rec = {"name": name, "ph": "M", "pid": pid, "args": {"name": label}}
     if tid is not None:
         rec["tid"] = tid
-    return rec
+    return _encode(rec)
 
 
 class ChromeTraceExporter:
@@ -85,19 +106,37 @@ class ChromeTraceExporter:
         max_events: int = 1_000_000,
         n_nodes: Optional[int] = None,
     ):
+        if max_events < 1:
+            raise ValueError(f"max_events must be >= 1, got {max_events}")
         # ``kinds`` are prefix filters: "miss" keeps "miss.read" and
         # "miss.write"; "frame.drop" keeps exactly that kind.
         self.kinds = tuple(kinds) if kinds else None
-        self.events: deque[Event] = deque(maxlen=max(1, max_events))
-        self.dropped = 0
+        self.events: deque[Event] = deque(maxlen=max_events)
         self.n_nodes = n_nodes
         # kind -> (kept by the ``kinds`` filter, cat, fabric tid or None
-        # when the track follows ``ev.node``, record name or None when
-        # the name follows the payload)
+        # when the track follows ``ev.node``)
         self._by_kind: dict[str, tuple] = {}
         # Not kept: a stored Subscription, whose callback is bound to self,
         # would make a cycle that outlives the run until a full GC pass.
-        bus.subscribe(self._on_event)
+        if self.kinds is None:
+            # Every event lands in the ring, so the ring's own C append is
+            # the subscriber and the bus's publish count says how many
+            # events the ring has seen.
+            self._bus = bus
+            self._seen_before = bus.events_published
+            bus.subscribe(self.events.append)
+        else:
+            self._kept = 0
+            bus.subscribe(self._on_event)
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted from the full ring, oldest first."""
+        if self.kinds is None:
+            seen = self._bus.events_published - self._seen_before
+        else:
+            seen = self._kept
+        return seen - len(self.events)
 
     def _kind(self, kind: str) -> tuple:
         info = self._by_kind.get(kind)
@@ -112,29 +151,44 @@ class ChromeTraceExporter:
                 tid = _TID_SWITCH
             else:
                 tid = None
-            name = None if kind in ("op", "msg.send") else kind
-            info = self._by_kind[kind] = (kept, cat, tid, name)
+            info = self._by_kind[kind] = (kept, cat, tid)
         return info
 
     def _on_event(self, ev: Event) -> None:
-        if self.kinds is not None and not self._kind(ev.kind)[0]:
-            return
-        if len(self.events) == self.events.maxlen:
-            self.dropped += 1
-        self.events.append(ev)
+        if self._kind(ev.kind)[0]:
+            self._kept += 1
+            self.events.append(ev)
 
-    @staticmethod
-    def _payload_name(ev: Event) -> str:
+    def _head(self, kind: str, node, named) -> tuple:
+        """A record's texts up to ``"ts": ``, from ``"kind"`` to ``"seq": ``
+        and after the lineage."""
+        _, cat, tid = self._kind(kind)
+        if tid is not None:
+            pid = _PID_FABRIC
+        elif node is None:
+            pid, tid = _PID_FABRIC, _TID_GLOBAL
+        else:
+            pid, tid = _PID_CLUSTER, node
         # Readability in Perfetto: replayed ops and sends surface the
         # specific op / message kind instead of the generic event kind.
-        if ev.kind == "op":
-            return f"op:{ev.args.get('op', '?')}"
-        return f"send:{_json_safe(ev.args.get('msg'))}"
+        if kind == "op":
+            kind_name = f"op:{named}"
+        elif kind == "msg.send":
+            kind_name = f"send:{_json_safe(named)}"
+        else:
+            kind_name = kind
+        return (
+            f'{{"name": {_str(kind_name)}, "cat": {_str(cat)}, "pid": {pid}, '
+            f'"tid": {_encode(tid)}, "ts": ',
+            f'"kind": {_str(kind)}, "seq": ',
+            "}}" if node is None else f', "node": {_encode(node)}}}}}',
+        )
 
-    def _records(self, other: dict) -> Iterator[dict]:
-        """The record pass behind every output form, in file order:
-        metadata, one record per retained event, then the flow pairs.
-        ``other`` becomes the trace's ``otherData`` once it is exhausted.
+    def _record_texts(self, other: dict) -> Iterator[str]:
+        """The record pass behind every output form, in file order: the
+        JSON text of the metadata, of one record per retained event, then
+        of the flow pairs.  ``other`` becomes the trace's ``otherData``
+        once it is exhausted.
         """
         events = self.events
         # Thread names lead the file, so the tid set is needed before the
@@ -167,62 +221,59 @@ class ChromeTraceExporter:
         # eviction can never leave a dangling flow id.
         pending: dict[tuple, float] = {}
         flows: list[tuple[float, float]] = []
-        by_kind = self._by_kind  # the pre-pass saw every retained kind
+        heads: dict[tuple, tuple] = {}
+        text = _TEXT.get
         for ev in events:
             kind = ev.kind
-            _, cat, tid, name = by_kind[kind]
             node = ev.node
-            if tid is not None:
-                pid = _PID_FABRIC
-            elif node is None:
-                pid, tid = _PID_FABRIC, _TID_GLOBAL
+            args = ev.args
+            if kind == "op":
+                named = args.get("op", "?")
             else:
-                pid, tid = _PID_CLUSTER, node
+                named = args.get("msg") if kind == "msg.send" else None
+            head = heads.get((kind, node, named))
+            if head is None:
+                head = heads[kind, node, named] = self._head(kind, node, named)
+            rec, lineage, close = head
             ts = ev.t_ns / 1000.0
-            args = {
-                k: v if type(v) in _PLAIN else _json_safe(v)
-                for k, v in ev.args.items()
-            }
-            args["kind"] = kind
-            args["seq"] = ev.seq
-            if ev.parent is not None:
-                args["parent"] = ev.parent
-            if node is not None:
-                args["node"] = node
-            if name is None:
-                name = self._payload_name(ev)
-            rec = {
-                "name": name,
-                "cat": cat,
-                "pid": pid,
-                "tid": tid,
-                "ts": ts,
-            }
             if ev.dur_ns > 0:
-                rec["ph"] = "X"
-                rec["dur"] = ev.dur_ns / 1000.0
+                ph = f', "ph": "X", "dur": {_float(ev.dur_ns / 1000.0)}, "args": {{'
             else:
-                rec["ph"] = "i"
-                rec["s"] = "t"
-            rec["args"] = args
-            yield rec
+                ph = ', "ph": "i", "s": "t", "args": {'
+            fields = args
+            if args.keys().isdisjoint(_RESERVED):
+                tail = lineage + str(ev.seq)
+                if ev.parent is not None:
+                    tail += f', "parent": {ev.parent}'
+                tail = f"{', ' if args else ''}{tail}{close}"
+            else:
+                # The exporter's keys overwrite the payload's in place, as
+                # a dict update does (a frame's ``seq`` gives way to the
+                # event's).
+                fields = {**args, "kind": kind, "seq": ev.seq}
+                if ev.parent is not None:
+                    fields["parent"] = ev.parent
+                if node is not None:
+                    fields["node"] = node
+                tail = "}}"
+            payload = ", ".join([
+                f"{_str(k)}: {text(type(v), _other)(v)}" for k, v in fields.items()
+            ])
+            yield f"{rec}{_float(ts)}{ph}{payload}{tail}"
             if kind == "frame.send":
-                pending[(node, ev.args["dst"], ev.args["seq"])] = ts
+                pending[(node, args["dst"], args["seq"])] = ts
             elif kind == "frame.deliver":
-                sent_ts = pending.pop((ev.args["src"], node, ev.args["seq"]), None)
+                sent_ts = pending.pop((args["src"], node, args["seq"]), None)
                 if sent_ts is not None:
                     flows.append((sent_ts, ts))
 
         for flow_id, (sent_ts, ts) in enumerate(flows, 1):
-            flow = {
-                "name": "frame",
-                "cat": "flow",
-                "id": flow_id,
-                "pid": _PID_FABRIC,
-                "tid": _TID_TRANSPORT,
-            }
-            yield {**flow, "ph": "s", "ts": sent_ts}
-            yield {**flow, "ph": "f", "bp": "e", "ts": ts}
+            flow = (
+                f'{{"name": "frame", "cat": "flow", "id": {flow_id}, '
+                f'"pid": {_PID_FABRIC}, "tid": {_TID_TRANSPORT}, "ph": '
+            )
+            yield f'{flow}"s", "ts": {_float(sent_ts)}}}'
+            yield f'{flow}"f", "bp": "e", "ts": {_float(ts)}}}'
 
         other.update(
             generator="repro.obs",
@@ -231,39 +282,35 @@ class ChromeTraceExporter:
             dropped_events=self.dropped,
         )
 
-    def to_chrome(self) -> dict:
+    def _text(self) -> Iterator[str]:
+        """The trace's JSON text, a chunk of records per piece."""
         other: dict = {}
-        records = list(self._records(other))
-        return {
-            "traceEvents": records,
-            "displayTimeUnit": "ns",
-            "otherData": other,
-        }
+        records = self._record_texts(other)
+        yield '{"traceEvents": ['
+        sep = ""
+        while chunk := list(islice(records, _CHUNK)):
+            yield sep
+            yield ", ".join(chunk)
+            sep = ", "
+        yield f'], "displayTimeUnit": "ns", "otherData": {_encode(other)}}}'
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_chrome(), indent=indent)
+    def to_json(self) -> str:
+        return "".join(self._text())
+
+    def to_chrome(self) -> dict:
+        return json.loads(self.to_json())
 
     def write(self, path) -> int:
         """Write the trace to ``path``; returns the retained event count.
 
-        The bytes are ``json.dumps(self.to_chrome())``, rendered a chunk of
-        records at a time, and published with ``os.replace`` so ``path``
-        never holds a truncated trace.
+        The bytes are :meth:`to_json`'s text, rendered a chunk of records
+        at a time, and published with ``os.replace`` so ``path`` never
+        holds a truncated trace.
         """
-        other: dict = {}
-        records = self._records(other)
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write('{"traceEvents": [')
-                sep = ""
-                while chunk := list(islice(records, _CHUNK)):
-                    fh.write(sep)
-                    fh.write(_encode(chunk)[1:-1])
-                    sep = ", "
-                fh.write(
-                    f'], "displayTimeUnit": "ns", "otherData": {_encode(other)}}}'
-                )
+                fh.writelines(self._text())
             os.replace(tmp, path)
         except BaseException:
             with suppress(OSError):

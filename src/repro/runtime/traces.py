@@ -131,57 +131,51 @@ def replay(
     """
     obs = cluster.obs
     cursor = cluster.replay_cursor
-    if cursor is None:
-        # Fast paths: the overwhelmingly common crash-free case keeps the
-        # original tight loops (hundreds of thousands of ops per run).
-        if obs is None:
-            # The four dominant op kinds dispatch straight to their cluster
-            # fragments — one generator frame (and one delegation level per
-            # resume) cheaper than going through _run_op.
-            read_blocks = cluster.read_blocks
-            write_blocks = cluster.write_blocks
-            compute = cluster.compute
-            enter_barrier = cluster.barrier_net.enter
-            for op in ops:
-                kind = op[0]
-                if kind == "read":
-                    yield from read_blocks(node, op[1], context=op[3], phase=op[2])
-                elif kind == "compute":
-                    yield from compute(node, op[1])
-                elif kind == "write":
-                    yield from write_blocks(node, op[1], op[2])
-                elif kind == "barrier":
-                    yield from enter_barrier(node)
-                elif kind != "phase":
-                    yield from _run_op(cluster, node, op)
-            return
-        engine = cluster.engine
+    if cursor is None and obs is None:
+        # Fast path: the overwhelmingly common crash-free, unobserved case
+        # (hundreds of thousands of ops per run).  The four dominant op
+        # kinds dispatch straight to their cluster fragments — one
+        # generator frame (and one delegation level per resume) cheaper
+        # than going through _run_op.
+        read_blocks = cluster.read_blocks
+        write_blocks = cluster.write_blocks
+        compute = cluster.compute
+        enter_barrier = cluster.barrier_net.enter
         for op in ops:
             kind = op[0]
-            if kind == "phase":
-                obs.emit("phase", engine.now, node=node, index=op[1], label=op[2])
-                continue
-            t0 = engine.now
-            yield from _run_op(cluster, node, op)
-            dur = engine.now - t0
-            if dur:
-                obs.emit("op", t0, dur, node=node, op=kind)
+            if kind == "read":
+                yield from read_blocks(node, op[1], context=op[3], phase=op[2])
+            elif kind == "compute":
+                yield from compute(node, op[1])
+            elif kind == "write":
+                yield from write_blocks(node, op[1], op[2])
+            elif kind == "barrier":
+                yield from enter_barrier(node)
+            elif kind != "phase":
+                yield from _run_op(cluster, node, op)
         return
     engine = cluster.engine
     for i in range(start, len(ops)):
         op = ops[i]
-        cursor[node] = i
+        if cursor is not None:
+            cursor[node] = i
         kind = op[0]
         if kind == "phase":
             if obs is not None:
-                obs.emit("phase", engine.now, node=node, index=op[1], label=op[2])
+                obs.emit(
+                    "phase", engine.now, 0, node, None,
+                    {"index": op[1], "label": op[2]},
+                )
             continue
         t0 = engine.now
         yield from _run_op(cluster, node, op)
         if obs is not None:
             dur = engine.now - t0
             if dur:
-                obs.emit("op", t0, dur, node=node, op=kind, idx=i)
+                obs.emit(
+                    "op", t0, dur, node, None,
+                    {"op": kind} if cursor is None else {"op": kind, "idx": i},
+                )
 
 
 def _run_op(cluster: Cluster, node: int, op: tuple) -> Generator[Any, Any, None]:

@@ -95,9 +95,9 @@ class Barrier:
             # The span covers the whole barrier as the node experiences it:
             # release fence (drain) + arrival + wait for release.
             self.obs.emit(
-                "barrier", start, self.engine.now - start, node=node_id,
-                gen=gen, fence_ns=fence_ns,
-                release_msg=self._release_msg.pop((gen, node_id), None),
+                "barrier", start, self.engine.now - start, node_id, None,
+                {"gen": gen, "fence_ns": fence_ns,
+                 "release_msg": self._release_msg.pop((gen, node_id), None)},
             )
 
     # ------------------------------------------------------------------ #
@@ -107,13 +107,13 @@ class Barrier:
         count = self._arrivals.get(gen, 0) + 1
         last = count >= self.config.n_nodes
         if self.obs is not None:
-            ev = self.obs.emit(
-                "barrier.arrive", self.engine.now, node=self.manager,
-                parent=cause, gen=gen, src=src, sent_ns=sent_ns,
-                count=count, last=last,
+            seq = self.obs.emit(
+                "barrier.arrive", self.engine.now, 0, self.manager, cause,
+                {"gen": gen, "src": src, "sent_ns": sent_ns, "count": count,
+                 "last": last},
             )
             if last:
-                self._arrive_seq[gen] = ev.seq
+                self._arrive_seq[gen] = seq
         if not last:
             self._arrivals[gen] = count
             return
@@ -134,9 +134,9 @@ class Barrier:
         rel_seq = None
         if self.obs is not None:
             rel_seq = self.obs.emit(
-                "barrier.release", self.engine.now, node=self.manager,
-                parent=self._arrive_seq.pop(gen, None), gen=gen,
-            ).seq
+                "barrier.release", self.engine.now, 0, self.manager,
+                self._arrive_seq.pop(gen, None), {"gen": gen},
+            )
         for dst in range(self.config.n_nodes):
             seq = self.network.send(
                 self.manager, dst, MsgKind.BARRIER_RELEASE,

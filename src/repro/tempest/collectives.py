@@ -82,8 +82,8 @@ class Collectives:
         node.stats.reduce_ns += self.engine.now - start
         if self.obs is not None:
             self.obs.emit(
-                "reduce", start, self.engine.now - start, node=node_id,
-                parent=contrib, gen=gen, n_values=n_values,
+                "reduce", start, self.engine.now - start, node_id, contrib,
+                {"gen": gen, "n_values": n_values},
             )
 
     # ------------------------------------------------------------------ #

@@ -115,8 +115,8 @@ class CompilerExtensions:
             self.nodes[node_id].stats.call_ns += self.engine.now - start
             if self.obs is not None:
                 self.obs.emit(
-                    "call", start, self.engine.now - start,
-                    node=node_id, op=op,
+                    "call", start, self.engine.now - start, node_id, None,
+                    {"op": op},
                 )
 
         return finish

@@ -377,11 +377,10 @@ class Network:
                 if self.switch is not None:
                     wire_ns += self.config.switch_forward_ns(size)
                 self._wire_ns[size] = wire_ns
-        ev = self.obs.emit(
-            "msg.send", self.engine.now, node=src, parent=parent,
-            src=src, dst=dst, msg=kind, size=size, wire_ns=wire_ns,
+        return self.obs.emit(
+            "msg.send", self.engine.now, 0, src, parent,
+            {"src": src, "dst": dst, "msg": kind, "size": size, "wire_ns": wire_ns},
         )
-        return ev.seq
 
     def _flush_timer(self, src: int, dst: int, buf: _CombineBuffer) -> None:
         """Hold timer expired: flush ``buf`` if it is still parked."""
@@ -484,9 +483,9 @@ class Network:
             ps.max_depth = depth
         if self.obs is not None:
             self.obs.emit(
-                "switch.traverse", self.engine.now, node=src, parent=parent,
-                dst=dst, port=port, wait_ns=wait, forward_ns=forward_ns,
-                depth=depth, size=size,
+                "switch.traverse", self.engine.now, 0, src, parent,
+                {"dst": dst, "port": port, "wait_ns": wait,
+                 "forward_ns": forward_ns, "depth": depth, "size": size},
             )
         # Backpressure: a backlogged port delays accepting the frame, and
         # the sending link stays held until it does (blocking flow
@@ -560,8 +559,8 @@ class Network:
             st.msgs_combined[kind] += 1
         if self.obs is not None:
             self.obs.emit(
-                "combine.flush", self.engine.now, node=src, parent=seq,
-                dst=buf.dst, n=k, kinds=list(buf.kinds), size=size,
+                "combine.flush", self.engine.now, 0, src, seq,
+                {"dst": buf.dst, "n": k, "kinds": list(buf.kinds), "size": size},
             )
         self._put_on_wire(
             src, buf.dst, MsgKind.COMBINED, self._run_parked, (buf.calls,),

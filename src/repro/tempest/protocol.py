@@ -154,8 +154,8 @@ class DefaultProtocol:
             if obs is not None and count_stats:
                 self._inflight_counted.pop(key, None)
                 obs.emit(
-                    "miss.join", t0, self.engine.now - t0,
-                    node=node_id, parent=joined, block=block,
+                    "miss.join", t0, self.engine.now - t0, node_id, joined,
+                    {"block": block},
                 )
             return
         if count_stats:
@@ -190,8 +190,8 @@ class DefaultProtocol:
         if obs is not None and count_stats:
             self._inflight_counted.pop(key, None)
             obs.emit(
-                "miss.read", t0, self.engine.now - t0, node=node_id,
-                parent=root, block=block, home=home, remote=home != node_id,
+                "miss.read", t0, self.engine.now - t0, node_id, root,
+                {"block": block, "home": home, "remote": home != node_id},
             )
 
     # ------------------------------------------------------------------ #
@@ -234,9 +234,9 @@ class DefaultProtocol:
         pf_seq = None
         if self.obs is not None:
             pf_seq = self.obs.emit(
-                "miss.prefetch", self.engine.now, node=node_id,
-                block=block, home=home,
-            ).seq
+                "miss.prefetch", self.engine.now, 0, node_id, None,
+                {"block": block, "home": home},
+            )
         done = self.engine.future(f"pf.b{block}.n{node_id}")
         self._inflight[key] = done
         done.add_callback(self._forget_inflight)
@@ -399,8 +399,8 @@ class DefaultProtocol:
             # background and resolves ``grant``.
             self._inflight_counted.pop((node_id, block), None)
             obs.emit(
-                "miss.write", t0, self.engine.now - t0, node=node_id,
-                parent=root, block=block, home=home,
+                "miss.write", t0, self.engine.now - t0, node_id, root,
+                {"block": block, "home": home},
             )
         return grant
 

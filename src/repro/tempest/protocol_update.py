@@ -69,8 +69,8 @@ class UpdateProtocol(DefaultProtocol):
                 yield from self.read_block(node_id, b, count_stats=False)
                 if obs is not None:
                     obs.emit(
-                        "miss.write", t0, self.engine.now - t0,
-                        node=node_id, block=b, home=d.home_of(b),
+                        "miss.write", t0, self.engine.now - t0, node_id, None,
+                        {"block": b, "home": d.home_of(b)},
                     )
             self.access.set(node_id, b, AccessTag.READWRITE)
         held = blocks[tags >= int(AccessTag.READONLY)]

@@ -171,8 +171,8 @@ class RecoveryManager:
         obs = self.cluster.obs
         if obs is not None:
             obs.emit(
-                "crash.node", self.engine.now, 0, node=scen.node,
-                restarts=scen.restarts,
+                "crash.node", self.engine.now, 0, scen.node, None,
+                {"restarts": scen.restarts},
             )
 
     # ------------------------------------------------------------------ #
@@ -194,8 +194,8 @@ class RecoveryManager:
         obs = self.cluster.obs
         if obs is not None:
             obs.emit(
-                "channel.dead", self.engine.now, 0, src=src, dst=dst,
-                first=first_detection,
+                "channel.dead", self.engine.now, 0, None, None,
+                {"src": src, "dst": dst, "first": first_detection},
             )
         if self._can_recover():
             self.pending_recovery = True
@@ -259,8 +259,8 @@ class RecoveryManager:
         obs = cluster.obs
         if obs is not None:
             obs.emit(
-                "ckpt.write", self.engine.now, cost, gen=ordinal,
-                nbytes=nbytes,
+                "ckpt.write", self.engine.now, cost, None, None,
+                {"gen": ordinal, "nbytes": nbytes},
             )
         return cost
 
@@ -354,8 +354,8 @@ class RecoveryManager:
                 cluster.protocol._inflight_counted.items()
             ):
                 obs.emit(
-                    "miss.abort", engine.now, node=node_id, block=block,
-                    **counted,
+                    "miss.abort", engine.now, 0, node_id, None,
+                    {"block": block, **counted},
                 )
         cluster.protocol._busy.clear()
         cluster.protocol._inflight.clear()
@@ -388,14 +388,15 @@ class RecoveryManager:
         obs = cluster.obs
         if obs is not None:
             obs.emit(
-                "recover.rollback", engine.now, 0, gen=ck.barrier_gen,
-                resume=list(ck.cursors), reached=reached,
+                "recover.rollback", engine.now, 0, None, None,
+                {"gen": ck.barrier_gen, "resume": list(ck.cursors),
+                 "reached": reached},
             )
             for node_id in revived:
                 rec = self._recs[node_id]
                 obs.emit(
-                    "recover.resume", engine.now, 0, node=node_id,
-                    restart_t_ns=rec["restart_t_ns"],
+                    "recover.resume", engine.now, 0, node_id, None,
+                    {"restart_t_ns": rec["restart_t_ns"]},
                 )
         self._dead.clear()
         self.pending_recovery = False

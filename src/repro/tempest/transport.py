@@ -435,15 +435,13 @@ class ReliableTransport:
         frame.deadline_ns = now + frame.timeout_ns
         send_seq = None
         if self.obs is not None:
-            ev = self.obs.emit(
-                "frame.send", now, node=frame.src,
-                parent=frame.parent,
-                dst=frame.dst, seq=frame.seq, msg=frame.kind,
-                size=frame.size, retries=frame.retries,
+            send_seq = self.obs.emit(
+                "frame.send", now, 0, frame.src, frame.parent,
+                {"dst": frame.dst, "seq": frame.seq, "msg": frame.kind,
+                 "size": frame.size, "retries": frame.retries},
             )
-            send_seq = ev.seq
             if frame.first_send_seq is None:
-                frame.first_send_seq = ev.seq
+                frame.first_send_seq = send_seq
         self.network.traverse(
             frame.src, frame.dst, frame.size, send_seq,
             self._frame_wire_done, frame, send_seq,
@@ -494,8 +492,8 @@ class ReliableTransport:
         self.network.stats[src].net_drops += 1
         if self.obs is not None:
             self.obs.emit(
-                "frame.drop", self.engine.now, node=src, parent=parent,
-                dst=dst, **payload, cause=cause,
+                "frame.drop", self.engine.now, 0, src, parent,
+                {"dst": dst, **payload, "cause": cause},
             )
 
     # ------------------------------------------------------------------ #
@@ -585,10 +583,11 @@ class ReliableTransport:
         frame.timeout_ns = next_timeout
         if self.obs is not None:
             self.obs.emit(
-                "frame.retransmit", self.engine.now, node=frame.src,
-                parent=frame.first_send_seq,
-                dst=frame.dst, seq=frame.seq, retries=frame.retries,
-                spurious=spurious, backoff=backoff, timeout_ns=next_timeout,
+                "frame.retransmit", self.engine.now, 0, frame.src,
+                frame.first_send_seq,
+                {"dst": frame.dst, "seq": frame.seq, "retries": frame.retries,
+                 "spurious": spurious, "backoff": backoff,
+                 "timeout_ns": next_timeout},
             )
         self._transmit(frame)
         return True
@@ -628,12 +627,10 @@ class ReliableTransport:
         ch.give_up_event = event
         stats.partition_events.append(event)
         if self.obs is not None:
-            ev = self.obs.emit(
-                "channel.giveup", now, node=src,
-                parent=frame.first_send_seq,
-                dst=dst, parked=len(moved), scenario=event["scenario"],
+            ch.give_up_seq = self.obs.emit(
+                "channel.giveup", now, 0, src, frame.first_send_seq,
+                {"dst": dst, "parked": len(moved), "scenario": event["scenario"]},
             )
-            ch.give_up_seq = ev.seq
         if scens and all(s.heals for s in scens):
             heal_at = max(s.heal_ns for s in scens)
             self.engine.call_after(heal_at - now, self._heal, src, dst)
@@ -667,8 +664,8 @@ class ReliableTransport:
         parked, ch.parked = ch.parked, []
         if self.obs is not None:
             self.obs.emit(
-                "channel.heal", now, node=src, parent=ch.give_up_seq,
-                dst=dst, drained=len(parked),
+                "channel.heal", now, 0, src, ch.give_up_seq,
+                {"dst": dst, "drained": len(parked)},
             )
             ch.give_up_seq = None
         for f in parked:
@@ -711,16 +708,15 @@ class ReliableTransport:
             self.network.stats[frame.dst].net_dups += 1
             if self.obs is not None:
                 self.obs.emit(
-                    "frame.dup", self.engine.now, node=frame.dst,
-                    parent=frame.first_send_seq,
-                    src=frame.src, seq=frame.seq,
+                    "frame.dup", self.engine.now, 0, frame.dst,
+                    frame.first_send_seq,
+                    {"src": frame.src, "seq": frame.seq},
                 )
             return
         if self.obs is not None:
             self.obs.emit(
-                "frame.accept", self.engine.now, node=frame.dst,
-                parent=frame.first_send_seq,
-                src=frame.src, seq=frame.seq,
+                "frame.accept", self.engine.now, 0, frame.dst, frame.first_send_seq,
+                {"src": frame.src, "seq": frame.seq},
             )
         ch.reorder[frame.seq] = frame
         # Deliver the contiguous run starting at the cursor; later frames
@@ -733,9 +729,8 @@ class ReliableTransport:
     def _deliver(self, frame: _Frame) -> None:
         if self.obs is not None:
             self.obs.emit(
-                "frame.deliver", self.engine.now, node=frame.dst,
-                parent=frame.first_send_seq,
-                src=frame.src, seq=frame.seq, msg=frame.kind,
+                "frame.deliver", self.engine.now, 0, frame.dst, frame.first_send_seq,
+                {"src": frame.src, "seq": frame.seq, "msg": frame.kind},
             )
         prof = (self._profile(frame.src, frame.dst) if self._overrides
                 else self._uniform)
@@ -799,8 +794,8 @@ class ReliableTransport:
             st.msgs_combined[MsgKind.ACK] += k
             if self.obs is not None:
                 self.obs.emit(
-                    "combine.flush", self.engine.now, node=acker,
-                    dst=peer, n=k, kinds=[MsgKind.ACK] * k, size=size,
+                    "combine.flush", self.engine.now, 0, acker, None,
+                    {"dst": peer, "n": k, "kinds": [MsgKind.ACK] * k, "size": size},
                 )
         self.network.traverse(
             acker, peer, size, None,
@@ -844,9 +839,8 @@ class ReliableTransport:
                 continue  # duplicate/stale ack
             if self.obs is not None:
                 self.obs.emit(
-                    "frame.ack", now, node=src,
-                    parent=frame.first_send_seq,
-                    dst=dst, seq=seq, rtt_ns=now - frame.sent_at_ns,
+                    "frame.ack", now, 0, src, frame.first_send_seq,
+                    {"dst": dst, "seq": seq, "rtt_ns": now - frame.sent_at_ns},
                 )
             if self.adaptive and frame.retries == 0:
                 # Karn's rule: only never-retransmitted frames sample RTT

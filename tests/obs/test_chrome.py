@@ -15,13 +15,18 @@ from repro.tempest.stats import MsgKind
 def make_bus_with_traffic():
     bus = EventBus()
     exp = ChromeTraceExporter(bus, n_nodes=2)
-    bus.emit("op", 0, 500, node=0, op="compute")
-    bus.emit("miss.read", 100, 300, node=1, block=4, home=0, remote=True)
-    bus.emit("msg.send", 120, node=1, src=1, dst=0, msg=MsgKind.READ_REQ, size=16)
-    bus.emit("frame.drop", 150, node=1, dst=0, seq=3, cause="loss")
-    bus.emit("switch.traverse", 200, node=0, dst=1, port=1, wait_ns=40,
-             forward_ns=10, depth=2, size=16)
-    bus.emit("phase", 600, node=0, index=1, label="sweep")
+    bus.emit("op", 0, 500, 0, None, {"op": "compute"})
+    bus.emit("miss.read", 100, 300, 1, None, {"block": 4, "home": 0, "remote": True})
+    bus.emit(
+        "msg.send", 120, 0, 1, None,
+        {"src": 1, "dst": 0, "msg": MsgKind.READ_REQ, "size": 16},
+    )
+    bus.emit("frame.drop", 150, 0, 1, None, {"dst": 0, "seq": 3, "cause": "loss"})
+    bus.emit(
+        "switch.traverse", 200, 0, 0, None,
+        {"dst": 1, "port": 1, "wait_ns": 40, "forward_ns": 10, "depth": 2, "size": 16},
+    )
+    bus.emit("phase", 600, 0, 0, None, {"index": 1, "label": "sweep"})
     return bus, exp
 
 
@@ -76,12 +81,15 @@ class TestFilters:
     def test_kind_prefix_filter(self):
         bus = EventBus()
         exp = ChromeTraceExporter(bus, kinds=["miss", "frame.drop"])
-        bus.emit("miss.read", 0, 10, node=0, block=1, home=0, remote=False)
-        bus.emit("miss.write", 5, 10, node=0, block=1, home=0)
-        bus.emit("frame.drop", 8, node=0, dst=1, seq=1, cause="loss")
-        bus.emit("frame.retransmit", 9, node=0, dst=1, seq=1, retries=1,
-                 spurious=False, backoff=False, timeout_ns=100)
-        bus.emit("missile", 10, node=0)  # shares the prefix string, not a kind
+        bus.emit("miss.read", 0, 10, 0, None, {"block": 1, "home": 0, "remote": False})
+        bus.emit("miss.write", 5, 10, 0, None, {"block": 1, "home": 0})
+        bus.emit("frame.drop", 8, 0, 0, None, {"dst": 1, "seq": 1, "cause": "loss"})
+        bus.emit(
+            "frame.retransmit", 9, 0, 0, None,
+            {"dst": 1, "seq": 1, "retries": 1, "spurious": False,
+             "backoff": False, "timeout_ns": 100},
+        )
+        bus.emit("missile", 10, 0, 0, None, {})  # shares the prefix string, not a kind
         kinds = [ev.kind for ev in exp.events]
         assert kinds == ["miss.read", "miss.write", "frame.drop"]
 
@@ -89,12 +97,29 @@ class TestFilters:
         bus = EventBus()
         exp = ChromeTraceExporter(bus, max_events=3)
         for i in range(10):
-            bus.emit("op", i, 1, node=0, op="compute")
+            bus.emit("op", i, 1, 0, None, {"op": "compute"})
         assert len(exp.events) == 3
         assert exp.dropped == 7
         # The newest events survive.
         assert [ev.t_ns for ev in exp.events] == [7, 8, 9]
         assert exp.to_chrome()["otherData"]["dropped_events"] == 7
+
+    def test_filtered_ring_counts_only_kept_events_past_the_cap(self):
+        bus = EventBus()
+        bus.emit("op", 0, 1, 0, None, {"op": "compute"})  # before subscribing
+        full = ChromeTraceExporter(bus, max_events=2)
+        ops = ChromeTraceExporter(bus, kinds=["op"], max_events=2)
+        for i in range(1, 6):
+            bus.emit("op", i, 1, 0, None, {"op": "compute"})
+            bus.emit("barrier", i, 1, 0, None, {"gen": i})
+        assert [ev.t_ns for ev in ops.events] == [4, 5] and ops.dropped == 3
+        assert [ev.kind for ev in full.events] == ["op", "barrier"]
+        assert full.dropped == 8
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_events"):
+            ChromeTraceExporter(EventBus(), max_events=cap)
 
 
 def lossy_exporter(**exporter_kwargs):
@@ -141,7 +166,7 @@ def test_observers_do_not_outlive_their_run():
 
 
 class TestWriteBytes:
-    """``write`` streams chunks through the C encoder; the file must be
+    """``write`` renders the records a chunk at a time; the file must be
     exactly ``json.dumps(to_chrome())`` wherever the chunk seams fall."""
 
     @staticmethod
@@ -175,7 +200,7 @@ class TestWriteBytes:
         exp = ChromeTraceExporter(bus, n_nodes=2)
         n_meta = 4  # two process names, two node threads
         for i in range(2 * chrome._CHUNK - n_meta + extra):
-            bus.emit("op", i, 1, node=0, op="compute")
+            bus.emit("op", i, 1, 0, None, {"op": "compute"})
         data = self.check(exp, tmp_path)
         assert len(data["traceEvents"]) == 2 * chrome._CHUNK + extra
 
@@ -199,10 +224,12 @@ class TestWriteBytes:
         exp.write(path)
         before = path.read_bytes()
 
-        def explode(_chunk):
+        def explode(*_args):
             raise RuntimeError("interrupted")
 
-        monkeypatch.setattr(chrome, "_encode", explode)
+        # The metadata chunk reaches the file before the first event fails.
+        monkeypatch.setattr(chrome, "_CHUNK", 2)
+        monkeypatch.setattr(ChromeTraceExporter, "_head", explode)
         with pytest.raises(RuntimeError):
             exp.write(path)
         assert path.read_bytes() == before

@@ -82,6 +82,16 @@ class TestMain:
         assert "--trace-out" in captured.err and "no directory" in captured.err
         assert captured.out == ""  # rejected before anything ran
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_trace_cap_below_one_is_a_usage_error(self, tmp_path, capsys, cap):
+        path = tmp_path / "t.json"
+        with pytest.raises(SystemExit) as exc:
+            main(SMALL + ["--trace-out", str(path), "--trace-cap", cap])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--trace-cap" in captured.err and "max_events" in captured.err
+        assert captured.out == "" and not path.exists()
+
     def test_trace_out_naming_a_directory_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(SMALL + ["--trace-out", str(tmp_path)])

@@ -80,7 +80,7 @@ class TestPhases:
     def test_ops_without_markers_land_in_startup_phase(self):
         bus = EventBus()
         timeline = Timeline(bus, 1)
-        bus.emit("op", 0, 100, node=0, op="compute")
+        bus.emit("op", 0, 100, 0, None, {"op": "compute"})
         bd = phase_breakdown(timeline)
         assert bd["phases"][0]["label"] == "startup"
         assert bd["phases"][0]["node_ns"][0]["compute"] == 100
@@ -109,9 +109,12 @@ class TestRecoveryBucket:
     def test_recovery_never_exceeds_op_duration(self):
         bus = EventBus()
         timeline = Timeline(bus, 1)
-        bus.emit("channel.giveup", 0, node=0, dst=1, parked=2, scenario="s")
+        bus.emit(
+            "channel.giveup", 0, 0, 0, None,
+            {"dst": 1, "parked": 2, "scenario": "s"},
+        )
         # Window still open: a read op fully inside it converts wholly.
-        bus.emit("op", 10, 50, node=0, op="read")
+        bus.emit("op", 10, 50, 0, None, {"op": "read"})
         bd = phase_breakdown(timeline)
         buckets = bd["phases"][0]["node_ns"][0]
         assert buckets["transport_recovery"] == 50
@@ -124,19 +127,25 @@ class TestRollbackLedger:
     def script(self):
         bus = EventBus()
         timeline = Timeline(bus, 2)
-        bus.emit("phase", 0, node=0, index=1, label="sweep")
-        bus.emit("op", 0, 100, node=0, op="compute", idx=0)
-        bus.emit("op", 100, 50, node=0, op="read", idx=1)
-        bus.emit("channel.giveup", 120, node=1, dst=0, parked=1, scenario="s")
-        bus.emit("op", 0, 130, node=1, op="barrier", idx=0)
+        bus.emit("phase", 0, 0, 0, None, {"index": 1, "label": "sweep"})
+        bus.emit("op", 0, 100, 0, None, {"op": "compute", "idx": 0})
+        bus.emit("op", 100, 50, 0, None, {"op": "read", "idx": 1})
+        bus.emit(
+            "channel.giveup", 120, 0, 1, None,
+            {"dst": 0, "parked": 1, "scenario": "s"},
+        )
+        bus.emit("op", 0, 130, 1, None, {"op": "barrier", "idx": 0})
         # Crash: everyone restarts at t=400 from cursor 0; node 0 had
         # reached op 2, node 1 op 1.
-        bus.emit("recover.rollback", 400, gen=0, resume=[0, 0], reached=[2, 1])
-        bus.emit("op", 400, 100, node=0, op="compute", idx=0)
-        bus.emit("op", 500, 50, node=0, op="read", idx=1)
-        bus.emit("op", 550, 30, node=0, op="write", idx=2)
-        bus.emit("op", 400, 200, node=1, op="barrier", idx=0)
-        bus.emit("op", 600, 10, node=1, op="barrier", idx=1)
+        bus.emit(
+            "recover.rollback", 400, 0, None, None,
+            {"gen": 0, "resume": [0, 0], "reached": [2, 1]},
+        )
+        bus.emit("op", 400, 100, 0, None, {"op": "compute", "idx": 0})
+        bus.emit("op", 500, 50, 0, None, {"op": "read", "idx": 1})
+        bus.emit("op", 550, 30, 0, None, {"op": "write", "idx": 2})
+        bus.emit("op", 400, 200, 1, None, {"op": "barrier", "idx": 0})
+        bus.emit("op", 600, 10, 1, None, {"op": "barrier", "idx": 1})
         return timeline
 
     def test_outage_is_a_span_and_replayed_ops_are_redo(self):

@@ -64,8 +64,9 @@ def test_serve_doc_axis_table_matches_the_spec():
 
 
 def emit_sites() -> dict[str, list[set[str]]]:
-    """Event kind -> the payload keyword names of each ``.emit("kind", ...)``
-    call under ``src/`` (a ``**mapping`` argument contributes none)."""
+    """Event kind -> the payload key names of each payload shape an
+    ``.emit("kind", t_ns, dur_ns, node, parent, {...})`` call under
+    ``src/`` publishes (a ``**mapping`` entry contributes none)."""
     sites: dict[str, list[set[str]]] = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -76,9 +77,17 @@ def emit_sites() -> dict[str, list[set[str]]]:
                 and node.args
                 and isinstance(node.args[0], ast.Constant)
             ):
-                sites.setdefault(node.args[0].value, []).append(
-                    {kw.arg for kw in node.keywords if kw.arg}
+                payload = node.args[5]
+                # ``{...} if cond else {...}`` publishes either shape
+                shapes = (
+                    [payload.body, payload.orelse]
+                    if isinstance(payload, ast.IfExp) else [payload]
                 )
+                for shape in shapes:
+                    assert isinstance(shape, ast.Dict), ast.unparse(node)
+                    sites.setdefault(node.args[0].value, []).append(
+                        {k.value for k in shape.keys if isinstance(k, ast.Constant)}
+                    )
     return sites
 
 
