@@ -36,6 +36,7 @@ def warmup_then_trace(cl, b, producer_body, consumer_body):
     def producer():
         for phase in (1, 2):
             if phase == 2:
+                cl.obs.flush()  # fold the warm-up before dropping it
                 tracer.records.clear()
             yield from producer_body(phase)
             yield from cl.barrier(1)
@@ -76,6 +77,7 @@ def compiler_controlled():
     def producer():
         yield from cl.ext.mk_writable(1, [b])
         yield from cl.barrier(1)
+        cl.obs.flush()  # fold the warm-up before dropping it
         tracer.records.clear()  # trace the steady state only
         yield from cl.write_blocks(1, [b], phase=1)
         yield from cl.ext.send_blocks(1, [b], 2)

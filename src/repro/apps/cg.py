@@ -29,6 +29,8 @@ def build(rows: int = 60, cols: int = 120, iters: int = 25) -> Program:
     """CGNR on a ``rows`` x ``cols`` system for a fixed ``iters`` sweeps."""
     if rows < 8 or cols < 8:
         raise ValueError("system too small")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     b = ProgramBuilder("cg")
     rng = np.random.default_rng(1993)
     a_data = rng.standard_normal((rows, cols)) / np.sqrt(cols)

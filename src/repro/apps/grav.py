@@ -29,6 +29,8 @@ def build(n: int = 33, iters: int = 2) -> Program:
     """Potential solver on an ``n``^3 grid for ``iters`` iterations."""
     if n < 8:
         raise ValueError("grid too small")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     b = ProgramBuilder("grav")
 
     def blob(shape):

@@ -24,6 +24,8 @@ def build(n: int = 256, iters: int = 10) -> Program:
     """4-point Jacobi on an ``n`` x ``n`` grid for ``iters`` sweeps."""
     if n < 8:
         raise ValueError("grid too small to have an interior")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     b = ProgramBuilder("jacobi")
 
     def hot_boundary(shape):

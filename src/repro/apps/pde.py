@@ -33,6 +33,8 @@ def build(n: int = 32, iters: int = 4, ordering: str = "jacobi") -> Program:
     """
     if n < 8:
         raise ValueError("grid too small to have an interior")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     if ordering not in ("jacobi", "redblack"):
         raise ValueError(f"unknown ordering {ordering!r}")
     b = ProgramBuilder("pde" if ordering == "jacobi" else "pde-rb")

@@ -29,6 +29,8 @@ def build(rows: int = 129, cols: int = 65, iters: int = 10) -> Program:
     """Shallow-water on a ``rows`` x ``cols`` grid for ``iters`` steps."""
     if rows < 8 or cols < 8:
         raise ValueError("grid too small")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     b = ProgramBuilder("shallow")
     m = rows - 1  # interior row bound
     nl = cols - 1

@@ -2,8 +2,9 @@
 
 The simulator's components (engine, coherence protocol, reliable
 transport, combining buffers, switch ports, barriers) publish typed
-span/instant events to one :class:`~repro.obs.bus.EventBus`; everything
-else in this package is a *subscriber*:
+span/instant events to one :class:`~repro.obs.bus.EventBus`, which records
+them as plain tuples; everything else in this package is a *consumer*
+that folds that one stream a chunk of records at a time:
 
 * :class:`~repro.obs.chrome.ChromeTraceExporter` — Chrome trace-event
   JSON (one track per node plus transport/switch tracks), loadable in
@@ -28,15 +29,17 @@ else in this package is a *subscriber*:
 * :mod:`repro.obs.schema` — a dependency-free validator for the
   exported trace JSON (``python -m repro.obs.schema trace.json``).
 
-The bus never schedules engine events and subscribers never touch
+The bus never schedules engine events and consumers never touch
 simulation state, so attaching any combination of them cannot perturb a
-run: schedules, stats and numerics stay byte-identical.  With no bus
-attached (the default) not a single event object is constructed.
+run: schedules, stats and numerics stay byte-identical.  ``Cluster.run``
+flushes the bus when its engine loop ends, so consumers are complete
+when a run returns or raises.  With no bus attached (the default) not a
+single event record is constructed.
 
 See ``docs/observability.md`` for the event taxonomy.
 """
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.bus import EventBus
 from repro.obs.chrome import ChromeTraceExporter
 from repro.obs.critical import COST_CLASSES, critical_path, render_critical_path
 from repro.obs.metrics import MetricsRegistry
@@ -54,7 +57,6 @@ __all__ = [
     "BUCKETS",
     "COST_CLASSES",
     "ChromeTraceExporter",
-    "Event",
     "EventBus",
     "MessageRecord",
     "MessageTracer",

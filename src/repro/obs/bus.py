@@ -1,19 +1,29 @@
-"""The event bus: typed span/instant events, synchronous fan-out.
+"""The event bus: one recorded stream of span/instant events, folded by
+its consumers a chunk at a time.
 
 Design constraints, in order of importance:
 
 1. **Determinism.**  The engine's heap breaks simultaneous-event ties
    with a monotonic sequence number, so *any* extra scheduled event
    shifts every later tiebreaker and can reorder a run.  The bus
-   therefore never touches the engine: ``emit`` fans out to subscribers
-   synchronously, inline, at the publishing site.  Subscribers must not
-   mutate simulation state.
+   therefore never touches the engine: ``emit`` appends a record and
+   hands full chunks to the consumers' folds inline, at the publishing
+   site.  Folds must not mutate simulation state.
 2. **Zero cost when off.**  Components hold ``self.obs = None`` and
    guard every publish with ``if self.obs is not None``; with no bus
    attached not even the payload dict is built.
-3. **Low overhead when on.**  Positional arguments, one dict lookup to
-   the callbacks that want the kind, one :class:`Event` only when some
-   callback does, no string formatting on the hot path.
+3. **Low overhead when on.**  Positional arguments, one tuple and one
+   list append per event; each consumer runs one loop over a chunk
+   instead of one call per event.
+
+A record is the tuple ``(kind, t_ns, dur_ns, node, parent, args, seq)``.
+``seq`` is the bus-wide publish ordinal (unique, monotonic) and
+``parent`` is the ``seq`` of the event that *caused* this one — the
+causal-lineage edge the critical-path walk follows; it is None at chain
+roots (compute ops, probes, timer-driven events).  It is deliberately
+``parent``, not ``cause``: ``frame.drop`` already carries a ``cause``
+payload key.  ``args`` is the kind-specific payload, which a publisher
+never mutates after ``emit``: consumers read it up to a chunk later.
 
 Event kinds are dotted strings (``miss.read``, ``frame.retransmit``,
 ``channel.heal``, ...); the full taxonomy lives in
@@ -23,97 +33,50 @@ Event kinds are dotted strings (``miss.read``, ``frame.retransmit``,
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
-
-class Event:
-    """One published event.  ``args`` is kind-specific payload.
-
-    ``seq`` is the bus-wide publish ordinal (unique, monotonic) and
-    ``parent`` is the ``seq`` of the event that *caused* this one — the
-    causal-lineage edge the critical-path analyzer walks.  ``parent`` is
-    None at chain roots (compute ops, probes, timer-driven events).  It is
-    deliberately ``parent``, not ``cause``: ``frame.drop`` already carries
-    a ``cause`` payload key.
-    """
-
-    __slots__ = ("kind", "t_ns", "dur_ns", "node", "args", "seq", "parent")
-
-    def __init__(self, kind: str, t_ns: int, dur_ns: int, node, args: dict,
-                 seq: int = 0, parent=None):
-        self.kind = kind
-        self.t_ns = t_ns
-        self.dur_ns = dur_ns
-        self.node = node
-        self.args = args
-        self.seq = seq
-        self.parent = parent
-
-    def __repr__(self) -> str:  # debugging aid only; never on the hot path
-        span = f"+{self.dur_ns}" if self.dur_ns else "i"
-        lin = f" #{self.seq}" + (f"<-{self.parent}" if self.parent is not None else "")
-        return f"Event({self.kind} @{self.t_ns}ns {span} n{self.node}{lin} {self.args})"
-
-
-class Subscription:
-    __slots__ = ("callback", "kinds")
-
-    def __init__(self, callback: Callable[[Event], None], kinds):
-        self.callback = callback
-        self.kinds = kinds  # frozenset of exact kinds, or None for all
+#: records handed to the folds at once
+CHUNK = 4096
 
 
 class EventBus:
-    __slots__ = ("_subs", "_routes", "events_published")
+    __slots__ = ("_folds", "_pending", "events_published")
 
     def __init__(self):
-        self._subs: list[Subscription] = []
-        # kind -> callbacks wanting it, in subscription order; filled per
-        # kind on first emit, emptied whenever the subscriber list changes
-        self._routes: dict[str, tuple] = {}
+        self._folds: list[Callable[[list], None]] = []
+        self._pending: list[tuple] = []
         self.events_published = 0
 
-    def subscribe(
-        self,
-        callback: Callable[[Event], None],
-        kinds: Optional[Iterable[str]] = None,
-    ) -> Subscription:
-        """Register ``callback``; restrict to exact ``kinds`` if given."""
-        sub = Subscription(callback, frozenset(kinds) if kinds is not None else None)
-        self._subs.append(sub)
-        self._routes.clear()
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        self._subs.remove(sub)
-        self._routes.clear()
-
-    @property
-    def n_subscribers(self) -> int:
-        return len(self._subs)
+    def subscribe(self, fold: Callable[[list], None]) -> None:
+        """Register ``fold(records)``; it sees every event published from
+        now on, a chunk at a time, after the folds registered before it."""
+        self.flush()
+        self._folds.append(fold)
 
     def emit(self, kind: str, t_ns: int, dur_ns: int, node, parent,
              args: dict) -> int:
-        """Publish one event, fan it out synchronously, return its seq.
+        """Record one event and return its seq.
 
         Never schedules engine work; safe to call from inside process
         fragments, handlers, and resource-completion callbacks.
-        ``parent`` is the causal predecessor's ``Event.seq`` (or None
-        for a root) and ``args`` the payload dict, built at the guarded
-        call site; the returned seq lets publishers thread lineage.  The
-        :class:`Event` is only built when some subscriber wants ``kind``.
+        ``parent`` is the causal predecessor's seq (or None for a root)
+        and ``args`` the payload dict, built at the guarded call site;
+        the returned seq lets publishers thread lineage.
         """
         seq = self.events_published
         self.events_published = seq + 1
-        callbacks = self._routes.get(kind)
-        if callbacks is None:
-            callbacks = self._routes[kind] = tuple(
-                sub.callback
-                for sub in self._subs
-                if sub.kinds is None or kind in sub.kinds
-            )
-        if callbacks:
-            ev = Event(kind, t_ns, dur_ns, node, args, seq, parent)
-            for callback in callbacks:
-                callback(ev)
+        pending = self._pending
+        pending.append((kind, t_ns, dur_ns, node, parent, args, seq))
+        if len(pending) >= CHUNK:
+            self.flush()
         return seq
+
+    def flush(self) -> None:
+        """Hand the pending records to every fold, in registration order.
+        ``Cluster.run`` calls it when its engine loop ends, however it
+        ends, so consumers read complete results after a run."""
+        records = self._pending
+        if records:
+            self._pending = []
+            for fold in self._folds:
+                fold(records)

@@ -30,7 +30,7 @@ from contextlib import suppress
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.bus import EventBus
 
 _PID_CLUSTER = 1
 _PID_FABRIC = 2
@@ -97,7 +97,7 @@ def _meta(name: str, pid: int, label: str, tid=None) -> str:
 
 
 class ChromeTraceExporter:
-    """Bus subscriber that renders retained events as a Chrome trace."""
+    """Bus consumer that renders retained events as a Chrome trace."""
 
     def __init__(
         self,
@@ -111,31 +111,32 @@ class ChromeTraceExporter:
         # ``kinds`` are prefix filters: "miss" keeps "miss.read" and
         # "miss.write"; "frame.drop" keeps exactly that kind.
         self.kinds = tuple(kinds) if kinds else None
-        self.events: deque[Event] = deque(maxlen=max_events)
+        #: retained records, oldest first (see ``repro.obs.bus``)
+        self.events: deque[tuple] = deque(maxlen=max_events)
         self.n_nodes = n_nodes
         # kind -> (kept by the ``kinds`` filter, cat, fabric tid or None
-        # when the track follows ``ev.node``)
+        # when the track follows the record's node)
         self._by_kind: dict[str, tuple] = {}
-        # Not kept: a stored Subscription, whose callback is bound to self,
-        # would make a cycle that outlives the run until a full GC pass.
+        # Not kept: the bus, whose folds would close a cycle back to self
+        # and keep every retained record alive until a full GC pass.
         if self.kinds is None:
-            # Every event lands in the ring, so the ring's own C append is
-            # the subscriber and the bus's publish count says how many
-            # events the ring has seen.
-            self._bus = bus
-            self._seen_before = bus.events_published
-            bus.subscribe(self.events.append)
+            # Every record lands in the ring, so the ring's own C extend
+            # is the fold, and the seqs it holds say how many it has seen.
+            self._first_seq = bus.events_published
+            bus.subscribe(self.events.extend)
         else:
             self._kept = 0
-            bus.subscribe(self._on_event)
+            bus.subscribe(self._fold)
 
     @property
     def dropped(self) -> int:
         """Events evicted from the full ring, oldest first."""
-        if self.kinds is None:
-            seen = self._bus.events_published - self._seen_before
-        else:
+        if self.kinds is not None:
             seen = self._kept
+        elif self.events:
+            seen = self.events[-1][6] + 1 - self._first_seq
+        else:
+            seen = 0
         return seen - len(self.events)
 
     def _kind(self, kind: str) -> tuple:
@@ -154,10 +155,11 @@ class ChromeTraceExporter:
             info = self._by_kind[kind] = (kept, cat, tid)
         return info
 
-    def _on_event(self, ev: Event) -> None:
-        if self._kind(ev.kind)[0]:
-            self._kept += 1
-            self.events.append(ev)
+    def _fold(self, records: list) -> None:
+        info = self._kind
+        kept = [rec for rec in records if info(rec[0])[0]]
+        self._kept += len(kept)
+        self.events.extend(kept)
 
     def _head(self, kind: str, node, named) -> tuple:
         """A record's texts up to ``"ts": ``, from ``"kind"`` to ``"seq": ``
@@ -196,7 +198,7 @@ class ChromeTraceExporter:
         # capture-time tally, which would outlive ring eviction).
         node_tids = set(range(self.n_nodes or 0))
         fabric_tids = set()
-        for kind, node in {(ev.kind, ev.node) for ev in events}:
+        for kind, node in {(rec[0], rec[3]) for rec in events}:
             tid = self._kind(kind)[2]
             if tid is not None:
                 fabric_tids.add(tid)
@@ -223,10 +225,7 @@ class ChromeTraceExporter:
         flows: list[tuple[float, float]] = []
         heads: dict[tuple, tuple] = {}
         text = _TEXT.get
-        for ev in events:
-            kind = ev.kind
-            node = ev.node
-            args = ev.args
+        for kind, t_ns, dur_ns, node, parent, args, seq in events:
             if kind == "op":
                 named = args.get("op", "?")
             else:
@@ -235,24 +234,24 @@ class ChromeTraceExporter:
             if head is None:
                 head = heads[kind, node, named] = self._head(kind, node, named)
             rec, lineage, close = head
-            ts = ev.t_ns / 1000.0
-            if ev.dur_ns > 0:
-                ph = f', "ph": "X", "dur": {_float(ev.dur_ns / 1000.0)}, "args": {{'
+            ts = t_ns / 1000.0
+            if dur_ns > 0:
+                ph = f', "ph": "X", "dur": {_float(dur_ns / 1000.0)}, "args": {{'
             else:
                 ph = ', "ph": "i", "s": "t", "args": {'
             fields = args
             if args.keys().isdisjoint(_RESERVED):
-                tail = lineage + str(ev.seq)
-                if ev.parent is not None:
-                    tail += f', "parent": {ev.parent}'
+                tail = lineage + str(seq)
+                if parent is not None:
+                    tail += f', "parent": {parent}'
                 tail = f"{', ' if args else ''}{tail}{close}"
             else:
                 # The exporter's keys overwrite the payload's in place, as
                 # a dict update does (a frame's ``seq`` gives way to the
                 # event's).
-                fields = {**args, "kind": kind, "seq": ev.seq}
-                if ev.parent is not None:
-                    fields["parent"] = ev.parent
+                fields = {**args, "kind": kind, "seq": seq}
+                if parent is not None:
+                    fields["parent"] = parent
                 if node is not None:
                     fields["node"] = node
                 tail = "}}"

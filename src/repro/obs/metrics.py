@@ -3,40 +3,22 @@
 The simulator's ``NodeStats``/``PortStats``/``ClusterStats`` counters are
 bumped inline at dozens of sites; the same sites publish events.  Each
 counter's declaration (``repro.tempest.stats.COUNTERS``) names the event
-and payload argument it can be re-derived from, and this subscriber turns
-every such declaration into one bus callback over one column of
-independent values, subscribed to exactly its own kind — so tests can
-assert the two bookkeeping systems agree: if an emit site drifts from its
-counter (or vice versa) the fuzz-matrix coherence test fails loudly
-instead of traces silently lying.  A counter declared tomorrow is folded
-and diffed with no edit here.
+and payload argument it can be re-derived from, and this consumer turns
+every such declaration into one rule over one column of independent
+values, filed under its event kind; one fold runs the bus's records
+through that table — so tests can assert the two bookkeeping systems
+agree: if an emit site drifts from its counter (or vice versa) the
+fuzz-matrix coherence test fails loudly instead of traces silently
+lying.  A counter declared tomorrow is folded and diffed with no edit
+here.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.bus import EventBus
 from repro.tempest.stats import COUNTERS, ClusterStats, NodeStats, PortStats
-
-
-def _rule(col, arg, keyed):
-    """The fold one declaration describes (see ``stats.counter``), as a bus
-    callback over that counter's column."""
-    if keyed:
-        def fold(ev: Event) -> None:
-            key = ev.args[arg]
-            if type(key) is list:  # one entry per message in a combined frame
-                col[ev.node].update(key)
-            else:
-                col[ev.node][key] += 1
-    elif arg is None:
-        def fold(ev: Event) -> None:
-            col[ev.node] += 1
-    else:
-        def fold(ev: Event) -> None:
-            col[ev.node] += ev.args[arg]
-    return fold
 
 
 class MetricsRegistry:
@@ -47,51 +29,63 @@ class MetricsRegistry:
         #: ``NodeStats`` counter, the output port for a ``PortStats`` one,
         #: ``None`` for a ``ClusterStats`` one (its events name no node)
         self.derived: dict[tuple, defaultdict] = {}
-        per_port = []
+        #: event kind -> its rules ``(how, column, payload arg)``; ``how``
+        #: is the fold the declaration describes (see ``stats.counter``)
+        self._rules: dict[str, list[tuple]] = {}
         for cls, f in COUNTERS:
             m = f.metadata
             if m["event"] is None:
                 continue  # not event-derived; the declaration says why
             col = self.derived[cls, f.name] = defaultdict(Counter if m["keyed"] else int)
             if cls is PortStats:
-                per_port.append((f.name, col, m["arg"]))
-            elif f.name != "recovery_ns":  # (hand-written below)
-                bus.subscribe(_rule(col, m["arg"], m["keyed"]), kinds=(m["event"],))
+                # Charged to the payload's output port, not to the
+                # sending node; max_depth is a high-water mark.
+                how = "max" if f.name == "max_depth" else "port"
+            elif f.name == "recovery_ns":
+                how = "outage"
+            elif m["keyed"]:
+                how = "keyed"
+            else:
+                how = "count" if m["arg"] is None else "add"
+            self._rules.setdefault(m["event"], []).append((how, col, m["arg"]))
+        # The rules that need more than a declaration can say: a rollback
+        # orphaned an in-flight transaction (credit the counters its
+        # payload names, since no completion event will come), and an
+        # outage starts at its node's crash.
+        self._rules.setdefault("miss.abort", []).append(("abort", None, None))
+        self._rules.setdefault("crash.node", []).append(("crash", None, None))
+        self._crashed_at: dict[int, int] = {}
+        # Not kept: see ChromeTraceExporter (no self-cycle through the bus).
+        bus.subscribe(self._fold)
 
-        # The three rules that need more than a declaration can say.
-        def on_abort(ev: Event) -> None:
-            # A rollback orphaned an in-flight transaction: credit the
-            # counters it had bumped (the payload names them), since no
-            # completion event will come.
-            for name, n in ev.args.items():
-                if (NodeStats, name) in self.derived:
-                    self.derived[NodeStats, name][ev.node] += n
-
-        crashed_at: dict[int, int] = {}
-        outage = self.derived[ClusterStats, "recovery_ns"]
-
-        def on_crash(ev: Event) -> None:
-            crashed_at[ev.node] = ev.t_ns
-
-        def on_resume(ev: Event) -> None:
-            outage[None] += ev.args["restart_t_ns"] - crashed_at.pop(ev.node)
-
-        def on_traverse(ev: Event) -> None:
-            # PortStats are charged to the payload's output port, not to
-            # the sending node, and max_depth is a high-water mark.
-            args = ev.args
-            port = args["port"]
-            for name, col, arg in per_port:
-                value = 1 if arg is None else args[arg]
-                if name != "max_depth":
-                    col[port] += value
-                elif value > col[port]:
-                    col[port] = value
-
-        bus.subscribe(on_abort, kinds=("miss.abort",))
-        bus.subscribe(on_crash, kinds=("crash.node",))
-        bus.subscribe(on_resume, kinds=("recover.resume",))
-        bus.subscribe(on_traverse, kinds=("switch.traverse",))
+    def _fold(self, records: list) -> None:
+        rules = self._rules
+        for kind, t_ns, _, node, _, args, _ in records:
+            for how, col, arg in rules.get(kind, ()):
+                if how == "count":
+                    col[node] += 1
+                elif how == "add":
+                    col[node] += args[arg]
+                elif how == "keyed":
+                    key = args[arg]
+                    if type(key) is list:  # one entry per message in a combined frame
+                        col[node].update(key)
+                    else:
+                        col[node][key] += 1
+                elif how == "port":
+                    col[args["port"]] += 1 if arg is None else args[arg]
+                elif how == "max":
+                    port = args["port"]
+                    if args[arg] > col[port]:
+                        col[port] = args[arg]
+                elif how == "abort":
+                    for name, n in args.items():
+                        if (NodeStats, name) in self.derived:
+                            self.derived[NodeStats, name][node] += n
+                elif how == "crash":
+                    self._crashed_at[node] = t_ns
+                else:  # "outage"
+                    col[None] += args[arg] - self._crashed_at.pop(node)
 
     def diff(self, stats) -> list[str]:
         """Mismatches between event-derived counters and ``stats``."""

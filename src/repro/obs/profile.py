@@ -1,6 +1,6 @@
 """Time attribution: one recorded timeline, and the per-phase folding of it.
 
-:class:`Timeline` is the only time-attribution subscriber.  Per node it
+:class:`Timeline` is the only time-attribution consumer.  Per node it
 records a chronological, gap-free list of spans ``(t0, t1, op, phase)``:
 every replayed trace op is a contiguous span on its node's timeline (ops
 run back-to-back from t=0), and the one thing that breaks the tiling — a
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from math import inf
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.bus import EventBus
 
 BUCKETS = (
     "compute",
@@ -94,7 +94,7 @@ _LINEAGE_KINDS = {
 
 
 class Timeline:
-    """Bus subscriber recording the per-node span ledger.
+    """Bus consumer recording the per-node span ledger.
 
     Attach before the run; fold afterwards.  Recording never schedules
     engine events, so instrumented runs stay schedule-identical to plain
@@ -119,9 +119,9 @@ class Timeline:
         # the latest rollback; ops in flight across one are cancelled, so
         # "latest published" and "latest before the op started" agree).
         self._reached: list[int] = [0] * n_nodes
-        kinds = _KINDS
+        self._kinds = _KINDS
         if lineage:
-            kinds = _KINDS | _LINEAGE_KINDS
+            self._kinds = _KINDS | _LINEAGE_KINDS
             # Per-node barrier spans (t0, t1, gen, release_msg_seq|None).
             self.bars: list[list[tuple]] = [[] for _ in range(n_nodes)]
             # Per-node miss sub-spans (t0, t1, root_msg_seq|None).
@@ -139,7 +139,7 @@ class Timeline:
             # first-frame seqs referenced by at least one frame.retransmit.
             self.retrans: set[int] = set()
         # Not kept: see ChromeTraceExporter (no self-cycle through the bus).
-        bus.subscribe(self._on_event, kinds=kinds)
+        bus.subscribe(self._fold)
 
     def _phase(self, node: int) -> int:
         """The node's current phase; spans before any phase marker
@@ -154,77 +154,71 @@ class Timeline:
         if not self.labels.get(index):
             self.labels[index] = label
 
-    def _on_event(self, ev: Event) -> None:
-        kind = ev.kind
-        if kind == "op":
-            node = ev.node
-            op = ev.args["op"]
-            idx = ev.args.get("idx")
-            if idx is not None and idx < self._reached[node]:
-                op = REDO
-            self.spans[node].append(
-                (ev.t_ns, ev.t_ns + ev.dur_ns, op, self._phase(node))
-            )
-        elif kind == "msg.send":
-            self.wire[ev.seq] = ev.args["wire_ns"]
-            if ev.parent is not None:
-                self.children.setdefault(ev.parent, []).append(ev.seq)
-        elif kind == "frame.send":
-            if ev.parent is not None:
-                self.children.setdefault(ev.parent, []).append(ev.seq)
-        elif kind == "switch.traverse":
-            if ev.parent is not None and ev.args["wait_ns"]:
-                self.wait[ev.parent] = (
-                    self.wait.get(ev.parent, 0) + ev.args["wait_ns"]
+    def _fold(self, records: list) -> None:
+        kinds = self._kinds
+        for kind, t_ns, dur_ns, node, parent, args, seq in records:
+            if kind not in kinds:
+                continue
+            if kind == "op":
+                op = args["op"]
+                idx = args.get("idx")
+                if idx is not None and idx < self._reached[node]:
+                    op = REDO
+                self.spans[node].append((t_ns, t_ns + dur_ns, op, self._phase(node)))
+            elif kind == "msg.send":
+                self.wire[seq] = args["wire_ns"]
+                if parent is not None:
+                    self.children.setdefault(parent, []).append(seq)
+            elif kind == "frame.send":
+                if parent is not None:
+                    self.children.setdefault(parent, []).append(seq)
+            elif kind == "switch.traverse":
+                if parent is not None and args["wait_ns"]:
+                    self.wait[parent] = self.wait.get(parent, 0) + args["wait_ns"]
+            elif kind == "frame.retransmit":
+                if parent is not None:
+                    self.retrans.add(parent)
+            elif kind in ("miss.read", "miss.join", "miss.write"):
+                self.miss[node].append((t_ns, t_ns + dur_ns, parent))
+            elif kind == "barrier":
+                self.bars[node].append(
+                    (t_ns, t_ns + dur_ns, args["gen"], args.get("release_msg"))
                 )
-        elif kind == "frame.retransmit":
-            if ev.parent is not None:
-                self.retrans.add(ev.parent)
-        elif kind in ("miss.read", "miss.join", "miss.write"):
-            self.miss[ev.node].append((ev.t_ns, ev.t_ns + ev.dur_ns, ev.parent))
-        elif kind == "barrier":
-            self.bars[ev.node].append(
-                (ev.t_ns, ev.t_ns + ev.dur_ns, ev.args["gen"],
-                 ev.args.get("release_msg"))
-            )
-        elif kind == "barrier.arrive":
-            if ev.args["last"]:
-                self.arrive.setdefault(ev.args["gen"], []).append(
-                    (ev.t_ns, ev.args["src"], ev.args["sent_ns"],
-                     ev.parent, ev.node)
-                )
-        elif kind == "barrier.release":
-            self.release.setdefault(ev.args["gen"], []).append(ev.t_ns)
-        elif kind == "phase":
-            self._cur[ev.node] = ev.args["index"]
-            self._label(ev.args["index"], ev.args["label"])
-        elif kind == "ckpt.write":
-            if ev.dur_ns:
-                self.ckpts.append((ev.t_ns, ev.t_ns + ev.dur_ns))
-        elif kind == "channel.giveup":
-            node = ev.node
-            if self._open[node] == 0:
-                self.cuts[node].append([ev.t_ns, inf])
-            self._open[node] += 1
-        elif kind == "channel.heal":
-            node = ev.node
-            if self._open[node] > 0:
-                self._open[node] -= 1
+            elif kind == "barrier.arrive":
+                if args["last"]:
+                    self.arrive.setdefault(args["gen"], []).append(
+                        (t_ns, args["src"], args["sent_ns"], parent, node)
+                    )
+            elif kind == "barrier.release":
+                self.release.setdefault(args["gen"], []).append(t_ns)
+            elif kind == "phase":
+                self._cur[node] = args["index"]
+                self._label(args["index"], args["label"])
+            elif kind == "ckpt.write":
+                if dur_ns:
+                    self.ckpts.append((t_ns, t_ns + dur_ns))
+            elif kind == "channel.giveup":
                 if self._open[node] == 0:
-                    self.cuts[node][-1][1] = ev.t_ns
-        elif kind == "recover.rollback":
-            restart = ev.t_ns
-            for node, spans in enumerate(self.spans):
-                # The transport reset heals every given-up channel without
-                # per-channel heal events: the open window ends here.
-                if self._open[node]:
-                    self._open[node] = 0
-                    self.cuts[node][-1][1] = restart
-                # The outage: last completed op -> common restart instant.
-                last_end = spans[-1][1] if spans else 0
-                if restart > last_end:
-                    spans.append((last_end, restart, OUTAGE, self._phase(node)))
-            self._reached = list(ev.args["reached"])
+                    self.cuts[node].append([t_ns, inf])
+                self._open[node] += 1
+            elif kind == "channel.heal":
+                if self._open[node] > 0:
+                    self._open[node] -= 1
+                    if self._open[node] == 0:
+                        self.cuts[node][-1][1] = t_ns
+            elif kind == "recover.rollback":
+                for n, spans in enumerate(self.spans):
+                    # The transport reset heals every given-up channel
+                    # without per-channel heal events: the open window
+                    # ends here.
+                    if self._open[n]:
+                        self._open[n] = 0
+                        self.cuts[n][-1][1] = t_ns
+                    # The outage: last completed op -> common restart instant.
+                    last_end = spans[-1][1] if spans else 0
+                    if t_ns > last_end:
+                        spans.append((last_end, t_ns, OUTAGE, self._phase(n)))
+                self._reached = list(args["reached"])
 
 
 def _overlap(windows, t0: int, t1: int) -> int:

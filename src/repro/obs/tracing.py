@@ -1,9 +1,9 @@
 """Message tracing: record and render protocol traffic.
 
 Debugging a coherence protocol is archaeology over message interleavings;
-this module makes the dig pleasant.  A :class:`MessageTracer` subscribes to
-an :class:`~repro.obs.bus.EventBus` and records every ``msg.send`` event
-with its timestamp, endpoints, kind and size.  Afterwards it renders
+this module makes the dig pleasant.  A :class:`MessageTracer` folds an
+:class:`~repro.obs.bus.EventBus`'s records and keeps every ``msg.send``
+event with its timestamp, endpoints, kind and size.  Afterwards it renders
 
 * a textual **message-sequence chart** (one column per node, time flowing
   down) — the format protocol papers draw by hand, and
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.bus import EventBus
 
 if TYPE_CHECKING:  # pragma: no cover - repro.obs imports nothing it observes
     from repro.tempest.stats import MsgKind
@@ -68,20 +68,22 @@ class MessageTracer:
         self.max_records = max_records
         self.records: list[MessageRecord] = []
         self.dropped = 0
-        bus.subscribe(self._on_event, kinds=frozenset({"msg.send"}))
+        bus.subscribe(self._fold)
 
     # ------------------------------------------------------------------ #
-    def _on_event(self, ev: Event) -> None:
-        args = ev.args
-        kind = args["msg"]
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        if len(self.records) < self.max_records:
-            self.records.append(
-                MessageRecord(ev.t_ns, args["src"], args["dst"], kind, args["size"])
-            )
-        else:
-            self.dropped += 1
+    def _fold(self, records: list) -> None:
+        for event, t_ns, _, _, _, args, _ in records:
+            if event != "msg.send":
+                continue
+            kind = args["msg"]
+            if self.kinds is not None and kind not in self.kinds:
+                continue
+            if len(self.records) < self.max_records:
+                self.records.append(
+                    MessageRecord(t_ns, args["src"], args["dst"], kind, args["size"])
+                )
+            else:
+                self.dropped += 1
 
     # ------------------------------------------------------------------ #
     # analysis

@@ -285,17 +285,22 @@ class Cluster:
             watch_finishes(guards)
         if self.recovery is not None:
             self.recovery.install(guards)
-        while True:
-            self.engine.run()
-            if self.recovery is not None and self.recovery.pending_recovery:
-                # The event queue is drained: no stale timers or handler
-                # effects survive into the restored world.  Roll back and
-                # rerun.
-                guards = self.recovery.perform_rollback()
-                if faults_on:
-                    watch_finishes(guards)
-                continue
-            break
+        try:
+            while True:
+                self.engine.run()
+                if self.recovery is not None and self.recovery.pending_recovery:
+                    # The event queue is drained: no stale timers or handler
+                    # effects survive into the restored world.  Roll back and
+                    # rerun.
+                    guards = self.recovery.perform_rollback()
+                    if faults_on:
+                        watch_finishes(guards)
+                    continue
+                break
+        finally:
+            # However the run ends, its consumers see every event.
+            if self.obs is not None:
+                self.obs.flush()
         self.stats.events_dispatched = self.engine.events_dispatched
         self.stats.max_queue_depth = self.engine.max_queue_depth
         stuck = [f.label for f in guards if not f.resolved]

@@ -1,0 +1,183 @@
+"""One-line semantic mutants of ``src/``, each of which a named tier-1
+subset must kill.
+
+    PYTHONPATH=src:. python -m tests.mutation_smoke [NAME ...]
+
+Each mutant replaces one line of one file in a temporary copy of ``src/``
+and runs its tests with that copy first on ``PYTHONPATH``.  A mutant whose
+tests still pass has survived: the script prints its diff and exits 1.
+Before any mutant runs, the unmutated copy must pass every named test (or
+a kill would prove nothing) and must be the ``repro`` the tests import.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: per pytest run; a mutant that hangs its tests counts as killed
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/repro
+    old: str  # occurs exactly once in ``path``
+    new: str  # ``old`` with one line changed
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "bus folds a chunk one record late", "obs/bus.py",
+        "        if len(pending) >= CHUNK:\n",
+        "        if len(pending) > CHUNK:\n",
+        ("tests/obs/test_bus.py", "tests/obs/test_chunks.py"),
+    ),
+    Mutant(
+        "a run ends without flushing the bus", "tempest/cluster.py",
+        "                self.obs.flush()\n",
+        "                pass\n",
+        ("tests/obs/test_chunks.py",),
+    ),
+    Mutant(
+        "the registry ignores list-valued keys", "obs/metrics.py",
+        "                        col[node].update(key)\n",
+        "                        pass\n",
+        ("tests/obs/test_metrics.py",),
+    ),
+    Mutant(
+        "the timeline never marks REDO", "obs/profile.py",
+        "                    op = REDO\n",
+        "                    pass\n",
+        ("tests/obs/test_profile.py",),
+    ),
+    Mutant(
+        "the ring miscounts what it evicted", "obs/chrome.py",
+        "            seen = self.events[-1][6] + 1 - self._first_seq\n",
+        "            seen = self.events[-1][6] - self._first_seq\n",
+        ("tests/obs/test_chrome.py",),
+    ),
+    Mutant(
+        "a filtered exporter keeps every kind", "obs/chrome.py",
+        "        kept = [rec for rec in records if info(rec[0])[0]]\n",
+        "        kept = list(records)\n",
+        ("tests/obs/test_chrome.py",),
+    ),
+    Mutant(
+        "a shared grant leaves the home writable", "tempest/protocol.py",
+        "            self.access.set(home, block, AccessTag.READONLY)\n"
+        "        d.add_sharer(block, home)\n",
+        "            pass\n"
+        "        d.add_sharer(block, home)\n",
+        ("tests/tempest/test_protocol_races.py",),
+    ),
+    Mutant(
+        "msg.send drops the wire latency", "tempest/network.py",
+        "                    int(self.config.transfer_ns(size)) + self.config.wire_latency_ns\n",
+        "                    int(self.config.transfer_ns(size))\n",
+        ("tests/obs/test_critical.py", "tests/obs/test_attribution.py"),
+    ),
+    Mutant(
+        "strided intervals lose their last element", "core/sections.py",
+        "        return (self.hi - self.lo) // self.step + 1\n",
+        "        return (self.hi - self.lo) // self.step\n",
+        ("tests/core/test_sections.py",),
+    ),
+    Mutant(
+        "jacobi accepts zero iterations", "apps/jacobi.py",
+        "    if iters < 1:\n",
+        "    if iters < 0:\n",
+        ("tests/test_cli.py",),
+    ),
+)
+
+
+def mutate(src: str, mutant: Mutant) -> list[str]:
+    """Apply ``mutant`` under the ``src`` copy; return its unified diff."""
+    path = os.path.join(src, "repro", mutant.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the mutated text must occur once in {mutant.path}")
+    changed = [
+        line for line in difflib.ndiff(mutant.old.splitlines(), mutant.new.splitlines())
+        if line[0] in "+-"
+    ]
+    if len(changed) != 2:
+        raise ValueError(f"{mutant.name}: a mutant changes exactly one line")
+    mutated = text.replace(mutant.old, mutant.new)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(mutated)
+    name = f"src/repro/{mutant.path}"
+    return list(difflib.unified_diff(
+        text.splitlines(keepends=True), mutated.splitlines(keepends=True), name, name,
+    ))
+
+
+def run_tests(src: str, tests) -> str:
+    """``passed``, ``failed`` or ``timeout`` for ``tests`` over ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, ROOT]))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if proc.returncode == 0 else "failed"
+
+
+def fresh_copy(tmp: str) -> str:
+    src = os.path.join(tmp, "src")
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = fresh_copy(tmp)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, ROOT]))
+        where = subprocess.run(
+            [sys.executable, "-c", "import repro; print(repro.__file__)"],
+            cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        if not where.startswith(src):
+            print(f"the tests would import {where}, not the copy under {src}")
+            return 2
+        tests = sorted({t for m in mutants for t in m.tests})
+        if run_tests(src, tests) != "passed":
+            print(f"the unmutated tree fails {' '.join(tests)}")
+            return 2
+        for mutant in mutants:
+            src = fresh_copy(tmp)
+            diff = mutate(src, mutant)
+            t0 = time.perf_counter()
+            outcome = run_tests(src, mutant.tests)
+            verdict = "SURVIVED" if outcome == "passed" else f"killed ({outcome})"
+            print(f"{verdict:18} {time.perf_counter() - t0:6.1f}s  {mutant.name}",
+                  flush=True)
+            if outcome == "passed":
+                survivors.append(mutant)
+                sys.stdout.writelines(diff)
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

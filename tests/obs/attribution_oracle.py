@@ -10,13 +10,41 @@ commit 77a29f1; ``tests/obs/test_attribution.py`` attaches them to the
 same bus as the new recorder and requires equal dicts on every matrix
 cell.  Nothing under ``src/`` imports this module (the
 ``tests/heap_engine.py`` / ``tests/core/blocks_oracle.py`` pattern).
+
+The bus has since stopped calling consumers per event: it hands them
+chunks of record tuples.  :func:`_per_event` folds a chunk through the
+kind filter the parent subscribed with and passes each record to the
+unchanged callback as an :class:`Event`, the attribute view it was
+written against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.obs.bus import Event, EventBus
+from repro.obs.bus import EventBus
+
+
+class Event:
+    """One record under the attribute names of the parent's ``Event``."""
+
+    __slots__ = ("kind", "t_ns", "dur_ns", "node", "parent", "args", "seq")
+
+    def __init__(self, record: tuple):
+        (self.kind, self.t_ns, self.dur_ns, self.node, self.parent, self.args,
+         self.seq) = record
+
+
+def _per_event(callback, kinds):
+    """A bus fold calling ``callback`` once per record of ``kinds``."""
+
+    def fold(records: list) -> None:
+        for record in records:
+            if record[0] in kinds:
+                callback(Event(record))
+
+    return fold
+
 
 # --------------------------------------------------------------------- #
 # obs/profile.py @ 77a29f1
@@ -60,13 +88,13 @@ class PhaseProfiler:
         self._last_end = [0] * n_nodes
         self._ckpt_windows: list[tuple[int, int]] = []
         self._reexec_until = [-1] * n_nodes
-        self._sub = bus.subscribe(
+        bus.subscribe(_per_event(
             self._on_event,
             kinds={
                 "op", "phase", "channel.giveup", "channel.heal",
                 "ckpt.write", "recover.rollback",
             },
-        )
+        ))
 
     def _entry(self, index: int, label: str = "") -> dict:
         e = self._phases.get(index)
@@ -264,7 +292,7 @@ class CriticalPathAnalyzer:
         self._retrans: set[int] = set()
         # (restart_t_ns, reached_cursors) per rollback, chronological.
         self._rollbacks: list[tuple[int, list]] = []
-        self._sub = bus.subscribe(self._on_event, kinds=_KINDS)
+        bus.subscribe(_per_event(self._on_event, _KINDS))
 
     # ------------------------------------------------------------------ #
     # recording

@@ -92,7 +92,7 @@ def test_composed_fault_cells_exercise_both_carvers():
 def test_profiled_critical_run_attaches_exactly_one_subscriber():
     bus = EventBus()
     r = run_cell("clean", obs=bus)
-    assert bus.n_subscribers == 1
+    assert len(bus._folds) == 1
     assert r.phase_breakdown is not None and r.critical_path is not None
 
 

@@ -1,47 +1,25 @@
-"""EventBus mechanics: fan-out, filtering, counting, zero-cost-off."""
+"""EventBus mechanics: records, chunked folds, counting, zero-cost-off."""
 
 import ast
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.obs import Event, EventBus
+from repro.obs import EventBus
+from repro.obs import bus as bus_module
 
 
 class TestEmit:
     def test_emit_returns_the_seq_and_delivers_the_payload(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
+        bus.subscribe(seen.extend)
         assert bus.emit("op", 0, 0, None, None, {}) == 0
         assert bus.emit("miss.read", 100, 50, 2, 0, {"block": 7, "home": 1}) == 1
-        ev = seen[-1]
-        assert isinstance(ev, Event)
-        assert ev.kind == "miss.read" and ev.seq == 1 and ev.parent == 0
-        assert ev.t_ns == 100 and ev.dur_ns == 50 and ev.node == 2
-        assert ev.args == {"block": 7, "home": 1}
-
-    def test_no_event_is_built_for_a_kind_nobody_wants(self, monkeypatch):
-        from repro.obs import bus as bus_module
-
-        built = []
-
-        class CountingEvent(Event):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                built.append(args[0])
-                super().__init__(*args)
-
-        monkeypatch.setattr(bus_module, "Event", CountingEvent)
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, kinds={"op"})
-        assert bus.emit("miss.read", 0, 0, 1, None, {"block": 1}) == 0
-        assert bus.emit("op", 1, 5, 1, None, {"op": "compute"}) == 1
-        assert built == ["op"] and [ev.seq for ev in seen] == [1]
-        assert bus.events_published == 2
+        bus.flush()
+        kind, t_ns, dur_ns, node, parent, args, seq = seen[-1]
+        assert kind == "miss.read" and seq == 1 and parent == 0
+        assert t_ns == 100 and dur_ns == 50 and node == 2
+        assert args == {"block": 7, "home": 1}
 
     def test_events_published_counts_all_emits(self):
         bus = EventBus()
@@ -50,99 +28,75 @@ class TestEmit:
         assert bus.events_published == 5
 
     def test_fan_out_is_synchronous_and_ordered(self):
+        """A flush hands the chunk to every fold before it returns, in
+        registration order."""
         bus = EventBus()
         seen = []
-        bus.subscribe(lambda ev: seen.append(("a", ev.kind)))
-        bus.subscribe(lambda ev: seen.append(("b", ev.kind)))
+        bus.subscribe(lambda records: seen.extend(("a", r[0]) for r in records))
+        bus.subscribe(lambda records: seen.extend(("b", r[0]) for r in records))
         bus.emit("barrier", 0, 0, None, None, {})
+        bus.flush()
         assert seen == [("a", "barrier"), ("b", "barrier")]
+
+    def test_a_full_chunk_is_folded_without_a_flush(self, monkeypatch):
+        monkeypatch.setattr(bus_module, "CHUNK", 3)
+        bus = EventBus()
+        chunks = []
+        bus.subscribe(lambda records: chunks.append([r[6] for r in records]))
+        for i in range(7):
+            bus.emit("op", i, 0, None, None, {})
+        assert chunks == [[0, 1, 2], [3, 4, 5]]
+        bus.flush()
+        bus.flush()  # nothing pending: no empty chunk
+        assert chunks == [[0, 1, 2], [3, 4, 5], [6]]
 
 
 class TestSubscriptions:
-    def test_kind_filter_is_exact(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, kinds={"miss.read"})
-        bus.emit("miss.read", 0, 0, None, None, {})
-        bus.emit("miss.write", 0, 0, None, None, {})
-        bus.emit("miss", 0, 0, None, None, {})  # a prefix of a subscribed kind
-        assert [ev.kind for ev in seen] == ["miss.read"]
-
     def test_no_filter_receives_everything(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append)
+        bus.subscribe(seen.extend)
         bus.emit("a", 0, 0, None, None, {})
         bus.emit("b.c", 0, 0, None, None, {})
+        bus.flush()
         assert len(seen) == 2
-
-    def test_unsubscribe_stops_delivery(self):
-        bus = EventBus()
-        seen = []
-        sub = bus.subscribe(seen.append)
-        bus.emit("a", 0, 0, None, None, {})
-        bus.unsubscribe(sub)
-        bus.emit("b", 0, 0, None, None, {})
-        assert [ev.kind for ev in seen] == ["a"]
-        assert bus.n_subscribers == 0
-        # Publishing still counts even with nobody listening.
-        assert bus.events_published == 2
-
-    def test_unsubscribe_unknown_raises(self):
-        bus = EventBus()
-        sub = bus.subscribe(lambda ev: None)
-        bus.unsubscribe(sub)
-        with pytest.raises(ValueError):
-            bus.unsubscribe(sub)
 
 
 class TestRouting:
-    """emit routes through a per-kind callback table rebuilt on change."""
+    """Folds run in registration order, each filtering for itself, and
+    see exactly the events published after they subscribed."""
 
     def test_subscription_order_across_filtered_and_unfiltered(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(lambda ev: seen.append("all-1"))
-        bus.subscribe(lambda ev: seen.append("miss"), kinds={"miss.read"})
-        bus.subscribe(lambda ev: seen.append("all-2"))
-        bus.subscribe(lambda ev: seen.append("op"), kinds={"op"})
+
+        def fold(label, kind=None):
+            return lambda records: seen.extend(
+                label for r in records if kind is None or r[0] == kind
+            )
+
+        bus.subscribe(fold("all-1"))
+        bus.subscribe(fold("miss", "miss.read"))
+        bus.subscribe(fold("all-2"))
+        bus.subscribe(fold("op", "op"))
         bus.emit("miss.read", 0, 0, None, None, {})
+        bus.flush()
         assert seen == ["all-1", "miss", "all-2"]
         del seen[:]
         bus.emit("op", 0, 0, None, None, {})
+        bus.flush()
         assert seen == ["all-1", "all-2", "op"]
 
     def test_subscribe_between_emits_of_one_kind(self):
         bus = EventBus()
         first, late = [], []
-        bus.subscribe(first.append)
+        bus.subscribe(first.extend)
         bus.emit("op", 0, 0, None, None, {})
-        bus.subscribe(late.append, kinds={"op"})
+        bus.subscribe(late.extend)
         bus.emit("op", 1, 0, None, None, {})
-        assert [ev.t_ns for ev in first] == [0, 1]
-        assert [ev.t_ns for ev in late] == [1]
-
-    def test_unsubscribe_between_emits_of_one_kind(self):
-        bus = EventBus()
-        kept, gone = [], []
-        bus.subscribe(kept.append)
-        sub = bus.subscribe(gone.append, kinds={"op"})
-        bus.emit("op", 0, 0, None, None, {})
-        bus.unsubscribe(sub)
-        bus.emit("op", 1, 0, None, None, {})
-        assert [ev.t_ns for ev in kept] == [0, 1]
-        assert [ev.t_ns for ev in gone] == [0]
-
-    def test_unsubscribe_unknown_raises_after_routing(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        stranger = EventBus().subscribe(lambda ev: None)
-        bus.emit("op", 0, 0, None, None, {})
-        with pytest.raises(ValueError):
-            bus.unsubscribe(stranger)
-        bus.emit("op", 1, 0, None, None, {})
-        assert len(seen) == 2
+        bus.flush()
+        assert [r[1] for r in first] == [0, 1]
+        assert [r[1] for r in late] == [1]
 
 
 class TestZeroCostOff:

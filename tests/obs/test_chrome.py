@@ -27,6 +27,7 @@ def make_bus_with_traffic():
         {"dst": 1, "port": 1, "wait_ns": 40, "forward_ns": 10, "depth": 2, "size": 16},
     )
     bus.emit("phase", 600, 0, 0, None, {"index": 1, "label": "sweep"})
+    bus.flush()
     return bus, exp
 
 
@@ -90,7 +91,8 @@ class TestFilters:
              "backoff": False, "timeout_ns": 100},
         )
         bus.emit("missile", 10, 0, 0, None, {})  # shares the prefix string, not a kind
-        kinds = [ev.kind for ev in exp.events]
+        bus.flush()
+        kinds = [rec[0] for rec in exp.events]
         assert kinds == ["miss.read", "miss.write", "frame.drop"]
 
     def test_ring_buffer_caps_and_counts(self):
@@ -98,10 +100,11 @@ class TestFilters:
         exp = ChromeTraceExporter(bus, max_events=3)
         for i in range(10):
             bus.emit("op", i, 1, 0, None, {"op": "compute"})
+        bus.flush()
         assert len(exp.events) == 3
         assert exp.dropped == 7
         # The newest events survive.
-        assert [ev.t_ns for ev in exp.events] == [7, 8, 9]
+        assert [rec[1] for rec in exp.events] == [7, 8, 9]
         assert exp.to_chrome()["otherData"]["dropped_events"] == 7
 
     def test_filtered_ring_counts_only_kept_events_past_the_cap(self):
@@ -112,8 +115,9 @@ class TestFilters:
         for i in range(1, 6):
             bus.emit("op", i, 1, 0, None, {"op": "compute"})
             bus.emit("barrier", i, 1, 0, None, {"gen": i})
-        assert [ev.t_ns for ev in ops.events] == [4, 5] and ops.dropped == 3
-        assert [ev.kind for ev in full.events] == ["op", "barrier"]
+        bus.flush()
+        assert [rec[1] for rec in ops.events] == [4, 5] and ops.dropped == 3
+        assert [rec[0] for rec in full.events] == ["op", "barrier"]
         assert full.dropped == 8
 
     @pytest.mark.parametrize("cap", [0, -3])
@@ -201,6 +205,7 @@ class TestWriteBytes:
         n_meta = 4  # two process names, two node threads
         for i in range(2 * chrome._CHUNK - n_meta + extra):
             bus.emit("op", i, 1, 0, None, {"op": "compute"})
+        bus.flush()
         data = self.check(exp, tmp_path)
         assert len(data["traceEvents"]) == 2 * chrome._CHUNK + extra
 
@@ -214,7 +219,7 @@ class TestWriteBytes:
         exp = lossy_exporter(kinds=["frame", "miss"], max_events=200)
         other = self.check(exp, tmp_path)["otherData"]
         assert other["retained_events"] == 200 and other["dropped_events"] > 0
-        assert {ev.kind.split(".")[0] for ev in exp.events} <= {"frame", "miss"}
+        assert {rec[0].split(".")[0] for rec in exp.events} <= {"frame", "miss"}
         # Sends evicted from the ring take their arrows with them.
         assert 0 < other["flow_pairs"] < full["flow_pairs"]
 

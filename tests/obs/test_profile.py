@@ -81,6 +81,7 @@ class TestPhases:
         bus = EventBus()
         timeline = Timeline(bus, 1)
         bus.emit("op", 0, 100, 0, None, {"op": "compute"})
+        bus.flush()
         bd = phase_breakdown(timeline)
         assert bd["phases"][0]["label"] == "startup"
         assert bd["phases"][0]["node_ns"][0]["compute"] == 100
@@ -115,6 +116,7 @@ class TestRecoveryBucket:
         )
         # Window still open: a read op fully inside it converts wholly.
         bus.emit("op", 10, 50, 0, None, {"op": "read"})
+        bus.flush()
         bd = phase_breakdown(timeline)
         buckets = bd["phases"][0]["node_ns"][0]
         assert buckets["transport_recovery"] == 50
@@ -146,6 +148,7 @@ class TestRollbackLedger:
         bus.emit("op", 550, 30, 0, None, {"op": "write", "idx": 2})
         bus.emit("op", 400, 200, 1, None, {"op": "barrier", "idx": 0})
         bus.emit("op", 600, 10, 1, None, {"op": "barrier", "idx": 1})
+        bus.flush()
         return timeline
 
     def test_outage_is_a_span_and_replayed_ops_are_redo(self):

@@ -38,28 +38,32 @@ def _shallow_run(**kwargs) -> ChromeTraceExporter:
     return exporter
 
 
+#: drops, duplicates and jitter under combining, switch ports and the
+#: adaptive retransmit timer
+LOSSY = dict(
+    faults=FaultConfig(
+        drop_prob=0.02, dup_prob=0.01, jitter_ns=10_000, seed=3,
+        adaptive_rto=True,
+    ),
+    combine=CombineConfig(enabled=True),
+    switch=SwitchConfig(enabled=True),
+)
+#: node 2 fail-stops 15 ms in and the cluster rolls back to the last
+#: per-barrier checkpoint
+CRASH = dict(
+    faults=FaultConfig(
+        checkpoint_every=1,
+        crashes=(CrashScenario(node=2, t_ns=15_000_000, restart_delay_ns=500_000),),
+    ),
+)
+
+
 def lossy() -> ChromeTraceExporter:
-    """Drops, duplicates and jitter under combining, switch ports and the
-    adaptive retransmit timer."""
-    return _shallow_run(
-        faults=FaultConfig(
-            drop_prob=0.02, dup_prob=0.01, jitter_ns=10_000, seed=3,
-            adaptive_rto=True,
-        ),
-        combine=CombineConfig(enabled=True),
-        switch=SwitchConfig(enabled=True),
-    )
+    return _shallow_run(**LOSSY)
 
 
 def crash() -> ChromeTraceExporter:
-    """Node 2 fail-stops 15 ms in and the cluster rolls back to the last
-    per-barrier checkpoint."""
-    return _shallow_run(
-        faults=FaultConfig(
-            checkpoint_every=1,
-            crashes=(CrashScenario(node=2, t_ns=15_000_000, restart_delay_ns=500_000),),
-        ),
-    )
+    return _shallow_run(**CRASH)
 
 
 def synthetic() -> ChromeTraceExporter:
@@ -75,6 +79,7 @@ def synthetic() -> ChromeTraceExporter:
         {"gen": 1, "bytes": 4096, "ratio": 0.1 + 0.2, "big": 1e16,
          "tiny": 1e-7, "neg": -2.5, "whole": 3.0},
     )
+    bus.flush()
     return exporter
 
 
@@ -103,7 +108,7 @@ COVERS = {
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_written_trace_bytes_are_pinned(run, tmp_path):
     exporter = RUNS[run]()
-    assert COVERS[run] <= {ev.kind for ev in exporter.events}
+    assert COVERS[run] <= {rec[0] for rec in exporter.events}
     path = tmp_path / "t.json"
     exporter.write(path)
     data = path.read_bytes()

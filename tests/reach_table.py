@@ -57,10 +57,6 @@ KEPT_FOR = {
         repro.tempest.extensions: CompilerExtensions._on_flush
         repro.runtime.traces: NodeTrace.flush
         repro.core.pre: AvailabilityTracker.drop
-        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_abort
-        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_crash
-        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_resume
-        repro.obs.metrics: MetricsRegistry.__init__.<locals>.on_traverse
         repro.obs.profile: _overlap
         repro.report: render_bench_appendix _render_engine_artifact _render_serve_artifact""",
     "runs in pool worker processes, where this recorder does not":
@@ -81,7 +77,6 @@ KEPT_FOR = {
         repro.obs.chrome: ChromeTraceExporter.to_chrome ChromeTraceExporter.to_json""",
     "repr/str for debuggers, REPLs and assertion messages": """
         repro.core.sections: Section.__repr__ StridedInterval.__repr__
-        repro.obs.bus: Event.__repr__
         repro.obs.tracing: MessageRecord.__str__
         repro.tempest.memory: GlobalArray.__repr__
         repro.tempest.node: Node.__repr__""",
@@ -94,7 +89,6 @@ KEPT_FOR = {
         repro.core.blocks: section_byte_runs""",
     "accessor the unit tests read state through; not yet weighed for deletion": """
         repro.serve.store: ResultStore.contains ResultStore.quarantined
-        repro.obs.bus: EventBus.n_subscribers EventBus.unsubscribe
         repro.runtime.results: RunResult.checksums RunResult.speedup_over
         repro.runtime.traces: NodeTrace.__len__
         repro.sim.engine: Future.value

@@ -293,7 +293,9 @@ class TestDrawOrder:
         rng = net.transport.rng = RecordingRandom(faults.seed)
         causes = []
         bus = EventBus()
-        bus.subscribe(lambda ev: causes.append(ev.args["cause"]), ["frame.drop"])
+        bus.subscribe(lambda records: causes.extend(
+            args["cause"] for kind, *_, args, _ in records if kind == "frame.drop"
+        ))
         cluster.attach_bus(bus)
         cost = cluster.config.handler_ack_ns
         # Node 1's link serializes 1 KiB for 52us, so its acks for node
@@ -305,6 +307,7 @@ class TestDrawOrder:
             200 * _US, net.send, 0, 1, MsgKind.ACK, _ignore, (), cost
         )
         cluster.engine.run()
+        bus.flush()
 
         R, J = ("random", None), ("randrange", 10 * _US + 1)
         assert rng.log == [

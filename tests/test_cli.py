@@ -95,6 +95,21 @@ class TestMain:
             assert flag in message and why in message, argv
             assert captured.out == "", argv  # nothing had started
 
+    @pytest.mark.parametrize("app", ["cg", "grav", "jacobi", "pde", "shallow"])
+    def test_fewer_than_one_iteration_is_rejected(self, app, capsys):
+        """A zero-iteration program has nothing to time (the speedup
+        divided by its elapsed time); a negative count is no program."""
+        from repro.apps import APPS
+
+        for iters in (0, -1):
+            with pytest.raises(ValueError, match="iters"):
+                APPS[app].program(iters=iters)
+            with pytest.raises(SystemExit) as e:
+                main([app, "--param", f"iters={iters}"])
+            assert e.value.code == 2
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            assert "--param" in message and "iters" in message
+
 
 class TestFaultOverlayParsing:
     def test_link_fault_spec(self):
