@@ -282,6 +282,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return diff_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.backend == "msgpass":
+        # run_msgpass takes only (program, config): these would be ignored.
+        shmem_only = [flag for flag, on in [
+            ("--no-opt", args.no_opt), ("--no-bulk", args.no_bulk),
+            ("--rt-elim", args.rt_elim), ("--pre", args.pre),
+            ("--protocol", args.protocol != parser.get_default("protocol")),
+            ("--advisory", args.advisory is not None), ("--audit", args.audit),
+        ] if on]
+        if shmem_only:
+            parser.error(
+                f"{', '.join(shmem_only)}: shmem-backend options; they are "
+                "not available with --backend msgpass"
+            )
     if args.trace_out:
         # Found out now, not after the whole simulation has run.
         out_dir = os.path.dirname(os.path.abspath(args.trace_out))

@@ -1,19 +1,16 @@
 """Event loop for the discrete-event simulator.
 
-The engine keeps pending events ordered by ``(time, seq)``.  Time is an
-integer count of nanoseconds; ``seq`` is a monotonically increasing tie
-breaker so that simultaneous events fire in schedule order, which makes every
-simulation run bit-for-bit deterministic.
+The engine dispatches pending events in ``(time, seq)`` order.  Time is an
+integer count of nanoseconds; ``seq`` is the schedule order, the tie breaker
+that makes simultaneous events fire in the order they were scheduled, so
+every simulation run is bit-for-bit deterministic.
 
-The scheduler is a slotted calendar queue.  Events are bucketed by
-``when >> _BUCKET_SHIFT``; only the *current* bucket is kept as a binary
-heap, future buckets are plain append-only lists that are heapified once,
-when they become current.  Events scheduled for the current instant
-(``when == now``) bypass the heap entirely and go to a FIFO ``deque`` —
-correct because every such event necessarily carries a larger ``seq`` than
-any same-time event still in the heap, and FIFO order *is* seq order.  This
-turns the dominant scheduling pattern (near-future inserts + resolve-at-now
-hops) into O(1) appends instead of O(log n) sifts over one big heap.
+The scheduler is a min-heap of the distinct future instants, with one FIFO
+list of ``(fn, args)`` entries per instant.  An event scheduled for a future
+instant ``T`` is appended to ``T``'s list; one scheduled at ``now`` is
+appended to the list being dispatched.  Both lists are in schedule order,
+which is ``seq`` order, so walking them reproduces the ``(time, seq)`` order
+with no ``seq`` stored and no tuple compared.
 
 The seed's single binary heap is the reference this scheduler is tested
 against: it lives in ``tests/heap_engine.py`` as an ``Engine`` subclass, and
@@ -37,18 +34,10 @@ because protocol-heavy runs schedule hundreds of thousands of events.
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 __all__ = ["Engine", "Future", "Serve", "SimulationError"]
-
-#: Calendar-queue bucket width is ``1 << _BUCKET_SHIFT`` ns (16.384 µs).
-#: Protocol latencies are a few µs, so the vast majority of inserts land in
-#: the current or an adjacent bucket; ms-scale timers (retransmits, crash
-#: scenarios, flush timers) land in genuinely future buckets and are not
-#: touched until the clock reaches them.
-_BUCKET_SHIFT = 14
 
 
 class SimulationError(RuntimeError):
@@ -163,21 +152,17 @@ class Engine:
     """
 
     __slots__ = (
-        "_seq",
         "now",
         "events_dispatched",
         "max_queue_depth",
         "_npending",
-        # the calendar queue
-        "_nowq",
-        "_cur",
-        "_cur_key",
-        "_buckets",
-        "_bucket_keys",
+        "_at",
+        "_instants",
+        "_today",
+        "_walk",
     )
 
     def __init__(self) -> None:
-        self._seq = 0
         self.now = 0
         self.events_dispatched = 0
         # High-water mark of the pending-event count: a cheap storm detector
@@ -185,21 +170,17 @@ class Engine:
         # summaries without needing a trace.
         self.max_queue_depth = 0
         self._npending = 0
-        # Event entries everywhere are (when, seq, fn, args) tuples; args
-        # are unpacked at dispatch.  seq is unique, so fn/args never
-        # participate in heap comparisons, and no closure is allocated per
-        # event — the engine's hottest allocation site in protocol-heavy
-        # runs.
-        #: events at ``when == now``, FIFO (FIFO order == seq order)
-        self._nowq: deque = deque()
-        #: the current bucket, a real heap; also absorbs stragglers
-        #: scheduled into already-passed bucket regions (key <= cur_key)
-        self._cur: list[tuple[int, int, Callable[..., None], tuple]] = []
-        self._cur_key = 0
-        #: future buckets: key -> unsorted event list (heapified on pull)
-        self._buckets: dict[int, list] = {}
-        #: min-heap of the keys present in _buckets
-        self._bucket_keys: list[int] = []
+        # Entries are (fn, args) pairs, args unpacked at dispatch: no
+        # closure is allocated per event, the engine's hottest allocation
+        # site in protocol-heavy runs.
+        #: future instant -> its entries, in schedule order
+        self._at: dict[int, list[tuple[Callable[..., None] | None, tuple]]] = {}
+        #: min-heap of the keys of ``_at``
+        self._instants: list[int] = []
+        #: the entries of instant ``now``; ``_walk`` iterates it and stands
+        #: at the first entry not yet dispatched
+        self._today: list[tuple[Callable[..., None] | None, tuple]] = []
+        self._walk = iter(self._today)
 
     # ------------------------------------------------------------------ #
     # scheduling primitives
@@ -209,49 +190,32 @@ class Engine:
         now = self.now
         if when < now:
             raise SimulationError(f"cannot schedule at {when} < now {now}")
-        seq = self._seq + 1
-        self._seq = seq
         npending = self._npending + 1
         self._npending = npending
         if npending > self.max_queue_depth:
             self.max_queue_depth = npending
         if when == now:
-            # Same-instant events: every (time, seq) predecessor at this
-            # time sits in _cur (it was scheduled before the clock reached
-            # ``now``, hence with a smaller seq), so a FIFO append preserves
-            # the global dispatch order — see ``run``.  FIFO order *is* seq
-            # order, so the entry carries neither field.
-            self._nowq.append((fn, args))
+            self._today.append((fn, args))
             return
-        key = when >> _BUCKET_SHIFT
-        if key <= self._cur_key:
-            # Current bucket region — or a straggler scheduled behind the
-            # calendar cursor (possible after a max_events stop pre-pulled
-            # a future bucket).  _cur is a true heap, so mixed keys order
-            # correctly; the one thing that must never happen is an event
-            # sitting in _buckets with a key at or before the cursor.
-            heappush(self._cur, (when, seq, fn, args))
-            return
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [(when, seq, fn, args)]
-            heappush(self._bucket_keys, key)
+        fifo = self._at.get(when)
+        if fifo is None:
+            self._at[when] = [(fn, args)]
+            heappush(self._instants, when)
         else:
-            bucket.append((when, seq, fn, args))
+            fifo.append((fn, args))
 
     def call_now(self, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current instant.
 
-        Semantically ``call_at(self.now, ...)``, minus the time checks and
-        bucket math that cannot apply to a same-instant event.  This is the
-        single hottest scheduling call (future resolution, process spawns).
+        Semantically ``call_at(self.now, ...)``, minus the time checks that
+        cannot apply to a same-instant event.  This is the single hottest
+        scheduling call (future resolution, process spawns).
         """
-        self._seq += 1
         npending = self._npending + 1
         self._npending = npending
         if npending > self.max_queue_depth:
             self.max_queue_depth = npending
-        self._nowq.append((fn, args))
+        self._today.append((fn, args))
 
     def call_chain(self, when: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule the completion chain ``call_at(when, self.call_now, fn,
@@ -259,34 +223,28 @@ class Engine:
         same-instant event behind whatever else is already due then.
 
         That is the definition (``tests/heap_engine.py`` spells it).  Here
-        the chain is one queue entry, marked ``fn = None``; :meth:`run`
-        accounts the second ``(time, seq)`` slot when it pops the first.
+        the chain is one queue entry, ``(None, (fn, args))``; :meth:`run`
+        counts its first slot and appends ``(fn, args)`` to the instant's
+        list when it reaches it.
         """
         # call_at's body around a chain entry, not a call to it: one more
         # frame per chain is measurable on protocol-heavy runs.
         now = self.now
         if when < now:
             raise SimulationError(f"cannot schedule at {when} < now {now}")
-        seq = self._seq + 1
-        self._seq = seq
         npending = self._npending + 1
         self._npending = npending
         if npending > self.max_queue_depth:
             self.max_queue_depth = npending
-        chain = (fn, args)
         if when == now:
-            self._nowq.append((None, chain))
+            self._today.append((None, (fn, args)))
             return
-        key = when >> _BUCKET_SHIFT
-        if key <= self._cur_key:
-            heappush(self._cur, (when, seq, None, chain))
-            return
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [(when, seq, None, chain)]
-            heappush(self._bucket_keys, key)
+        fifo = self._at.get(when)
+        if fifo is None:
+            self._at[when] = [(None, (fn, args))]
+            heappush(self._instants, when)
         else:
-            bucket.append((when, seq, None, chain))
+            fifo.append((None, (fn, args)))
 
     def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay`` nanoseconds from now."""
@@ -372,67 +330,55 @@ class Engine:
     # the loop
     # ------------------------------------------------------------------ #
     def run(self, max_events: int | None = None) -> None:
-        """Dispatch events until the queues drain (or the limit is hit).
+        """Dispatch events until the queue drains (or the limit is hit).
 
         Parameters
         ----------
         max_events:
             Safety valve for tests; raise *before* dispatching event
-            ``max_events + 1``, so exactly ``max_events`` events run.
+            ``max_events + 1``, so exactly ``max_events`` events run.  That
+            event stays queued and ``now`` stays put; a later ``run()``
+            resumes from it, as it does after a callback that raises.
 
-        Dispatch order: at each instant the remaining ``_cur`` heap entries
-        for that time fire first (they were scheduled before the clock
-        arrived, hence with seqs smaller than anything scheduled *at* the
-        instant), then the now-queue drains in FIFO order (== seq order).
-        Time never advances while the now-queue is non-empty, so this
-        reproduces a single heap's global (time, seq) order exactly.
+        Dispatch walks the current instant's list while callbacks append
+        to it; when the list runs out, the next instant is popped from the
+        heap and its list becomes the current one.
         """
-        nowq = self._nowq
+        at = self._at
+        instants = self._instants
+        today = self._today
+        walk = self._walk
+        livelock = f"exceeded max_events={max_events}; likely a livelock"
         dispatched = 0
         try:
             while True:
-                # Select the next event (peek before popping so hitting the
-                # max_events limit never loses an undispatched event).
-                cur = self._cur
-                if nowq:
-                    from_cur = bool(cur) and cur[0][0] == self.now
-                else:
-                    if not cur:
-                        keys = self._bucket_keys
-                        if not keys:
-                            break
-                        key = heappop(keys)
-                        cur = self._buckets.pop(key)
-                        heapify(cur)
-                        self._cur = cur
-                        self._cur_key = key
-                    from_cur = True
-                if max_events is not None and dispatched >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; likely a livelock"
-                    )
-                if from_cur:
-                    when, _seq, fn, args = heappop(cur)
-                    self.now = when
-                else:
-                    fn, args = nowq.popleft()
-                if fn is None:
-                    # First slot of a call_chain entry: it "ran" call_now,
-                    # so the second slot takes the next seq and the pending
-                    # count stays (one popped, one scheduled).
-                    self._seq += 1
-                    dispatched += 1
-                    if (nowq or (cur and cur[0][0] == self.now)
-                            or (max_events is not None
-                                and dispatched >= max_events)):
-                        nowq.append(args)  # the (fn, args) pair, as is
+                for fn, args in walk:
+                    if max_events is not None and dispatched >= max_events:
+                        self._today = today = [(fn, args), *walk]
+                        self._walk = iter(today)
+                        raise SimulationError(livelock)
+                    if fn is None:
+                        # First slot of a call_chain entry: it "runs"
+                        # call_now, so the pending count stays (one
+                        # dispatched, one scheduled).
+                        dispatched += 1
+                        today.append(args)
                         continue
-                    # Nothing else is due at this instant, so the second
-                    # slot is the very next event: dispatch it from here.
-                    fn, args = args
-                self._npending -= 1
-                fn(*args)
-                dispatched += 1
+                    self._npending -= 1
+                    fn(*args)
+                    dispatched += 1
+                if instants and (max_events is None or dispatched < max_events):
+                    self.now = now = heappop(instants)
+                    self._today = today = at.pop(now)
+                    self._walk = walk = iter(today)
+                    continue
+                # An exhausted list iterator never sees a later append, so
+                # the spent list is replaced before anything appends to it.
+                self._today = today = []
+                self._walk = iter(today)
+                if instants:
+                    raise SimulationError(livelock)
+                return
         finally:
             # Also on a raising callback: count what returned before it.
             self.events_dispatched += dispatched

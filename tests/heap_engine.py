@@ -1,5 +1,5 @@
 """The seed's scheduler — one binary heap ordered by ``(time, seq)`` — kept
-as the oracle `repro.sim.Engine`'s calendar queue is tested against.
+as the oracle `repro.sim.Engine`'s per-instant FIFOs are tested against.
 
 Not an option of the simulator: tests substitute it, e.g.
 ``monkeypatch.setattr("repro.tempest.cluster.Engine", HeapEngine)``.
@@ -11,11 +11,12 @@ from repro.sim import Engine, SimulationError
 
 
 class HeapEngine(Engine):
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self):
         super().__init__()
         self._heap = []
+        self._seq = 0
 
     def call_at(self, when, fn, *args):
         if when < self.now:

@@ -34,7 +34,29 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+#: the engine's unit tests, its property test against the heap oracle and
+#: the cluster-level differential against that oracle
+ENGINE_TESTS = (
+    "tests/sim/test_engine.py",
+    "tests/sim/test_engine_oracle.py",
+    "tests/test_engine_differential.py",
+)
+
 MUTANTS = (
+    Mutant(
+        "a future instant's FIFO takes new entries at the front", "sim/engine.py",
+        "            fifo.append((fn, args))\n",
+        "            fifo.insert(0, (fn, args))\n",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        "a chain's first slot is not counted", "sim/engine.py",
+        "                        dispatched += 1\n"
+        "                        today.append(args)\n",
+        "                        pass\n"
+        "                        today.append(args)\n",
+        ENGINE_TESTS,
+    ),
     Mutant(
         "bus folds a chunk one record late", "obs/bus.py",
         "        if len(pending) >= CHUNK:\n",

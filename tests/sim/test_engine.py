@@ -7,7 +7,8 @@ import pytest
 from repro.sim import Engine, Future, Resource, SimulationError
 from tests.heap_engine import HeapEngine
 
-#: the engine and the heap oracle it is differentially tested against
+#: the engine and the heap oracle it is differentially tested against (the
+#: engine's ID dates from when it was a calendar queue)
 both_schedulers = pytest.mark.parametrize(
     "engine_cls", [Engine, HeapEngine], ids=["calendar", "heap"]
 )
@@ -234,8 +235,8 @@ def test_max_events_exact_count(engine_cls):
 
 @both_schedulers
 def test_max_events_exact_count_same_instant(engine_cls):
-    """The exact-count guarantee also holds for same-instant ties
-    (calendar scheduler: events sitting in the FIFO now-queue)."""
+    """The exact-count guarantee also holds for same-instant ties (events
+    appended to the list of the instant being dispatched)."""
     eng = engine_cls()
     log = []
 
@@ -254,28 +255,25 @@ def test_max_events_exact_count_same_instant(engine_cls):
 
 
 @both_schedulers
-def test_straggler_behind_calendar_cursor(engine_cls):
-    """An event scheduled into an already-passed bucket region still fires.
-
-    A ``max_events`` stop pulls the next bucket into the calendar cursor
-    before it raises; an event then scheduled at an earlier time (but >=
-    now) must not strand in a bucket the cursor has already passed.
-    """
-    bucket = 1 << 14  # _BUCKET_SHIFT
+def test_event_scheduled_after_a_stop_runs_before_the_next_instant(engine_cls):
+    """A ``max_events`` stop at an instant boundary leaves ``now`` and the
+    next instant alone; an event then scheduled between the two fires
+    before the next instant's."""
+    t = 1 << 14
     eng = engine_cls()
     log = []
-    eng.call_at(2 * bucket, log.append, "near")
-    eng.call_at(3 * bucket + 5, log.append, "far")
+    eng.call_at(2 * t, log.append, "near")
+    eng.call_at(3 * t + 5, log.append, "far")
     with pytest.raises(SimulationError, match="max_events"):
-        eng.run(max_events=1)  # pulls the far bucket into the cursor
-    assert log == ["near"] and eng.now == 2 * bucket
-    eng.call_at(2 * bucket + 1, log.append, "straggler")
+        eng.run(max_events=1)  # stops with "far" the next event
+    assert log == ["near"] and eng.now == 2 * t
+    eng.call_at(2 * t + 1, log.append, "between")
     eng.run()
-    assert log == ["near", "straggler", "far"]
+    assert log == ["near", "between", "far"]
 
 
 # --------------------------------------------------------------------- #
-# call_chain: one native entry (calendar) vs its two-event definition
+# call_chain: one native entry (engine) vs its two-event definition
 # (heap).  Every case pins the dispatch order *and* the slot accounting.
 # --------------------------------------------------------------------- #
 @both_schedulers
@@ -310,7 +308,7 @@ def test_chain_second_slot_runs_behind_same_instant_heap_entry(engine_cls):
 
 
 @both_schedulers
-def test_chain_second_slot_runs_behind_waiting_now_queue_entry(engine_cls):
+def test_chain_second_slot_runs_behind_an_entry_already_at_its_instant(engine_cls):
     eng = engine_cls()
     log = []
 
@@ -344,19 +342,19 @@ def test_chain_scheduled_at_now(engine_cls):
 
 
 @both_schedulers
-def test_chain_in_future_bucket_and_as_straggler(engine_cls):
-    bucket = 1 << 14  # _BUCKET_SHIFT
+def test_chains_at_a_future_instant_and_after_a_stop(engine_cls):
+    t = 1 << 14
     eng = engine_cls()
     log = []
-    eng.call_at(2 * bucket, log.append, "near")
-    eng.call_chain(3 * bucket + 5, log.append, "far")
-    eng.call_chain(3 * bucket + 5, log.append, "far-2")  # same bucket list
+    eng.call_at(2 * t, log.append, "near")
+    eng.call_chain(3 * t + 5, log.append, "far")
+    eng.call_chain(3 * t + 5, log.append, "far-2")  # same instant's list
     with pytest.raises(SimulationError, match="max_events"):
-        eng.run(max_events=1)  # pulls the far bucket into the cursor
-    assert log == ["near"] and eng.now == 2 * bucket
-    eng.call_chain(2 * bucket + 1, log.append, "straggler")
+        eng.run(max_events=1)  # stops with "far" the next event
+    assert log == ["near"] and eng.now == 2 * t
+    eng.call_chain(2 * t + 1, log.append, "between")
     eng.run()
-    assert log == ["near", "straggler", "far", "far-2"]
+    assert log == ["near", "between", "far", "far-2"]
     assert (eng.events_dispatched, eng.max_queue_depth) == (7, 3)
 
 

@@ -57,6 +57,21 @@ class TestMain:
         assert rc == 0
         assert "msgpass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--no-opt"], ["--no-bulk"], ["--rt-elim"], ["--pre"],
+        ["--advisory", "prefetch"], ["--audit"], ["--protocol", "update"],
+    ], ids=lambda flags: flags[0])
+    def test_msgpass_rejects_shmem_only_flags(self, flags, capsys):
+        """run_msgpass takes no run options, so a shmem-only flag would be
+        silently ignored: it is a usage error naming the flag instead."""
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", "--backend", "msgpass", *flags,
+                  "--param", "n=32", "--param", "iters=1"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err.strip().splitlines()[-1]
+        assert captured.out == ""  # nothing had started
+
     def test_update_protocol_requires_no_opt(self):
         with pytest.raises(ValueError, match="invalidate"):
             main(["jacobi", "--nodes", "4", "--protocol", "update",

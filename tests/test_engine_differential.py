@@ -1,7 +1,8 @@
 """Differential golden test: the seed's heap scheduler vs `repro.sim.Engine`.
 
-The calendar-queue engine (PR 9) replaced the seed's single binary heap.
-The seed scheduler survives as ``tests/heap_engine.py`` — an ``Engine``
+The engine's per-instant FIFOs replaced the seed's single binary heap
+(by way of a calendar queue, which gave this test its name).  The seed
+scheduler survives as ``tests/heap_engine.py`` — an ``Engine``
 subclass substituted here for the one ``Cluster`` constructs — and the
 engine's correctness contract is that both produce **bit-identical
 simulated results** on every configuration: same elapsed time, same
@@ -10,7 +11,7 @@ the fault / combining / switch / crash fuzz matrix.
 
 The matrix deliberately includes the degraded cells (a partition that
 never heals, a crash with no restart) where recovery rolls the clock
-forward externally — the calendar cursor must tolerate that too.
+forward externally — the engine must tolerate that too.
 """
 
 import dataclasses
