@@ -56,9 +56,9 @@ def build(n: int = 128) -> Program:
     return b.build()
 
 
-def check_factorization(result_a: np.ndarray, original: np.ndarray, rtol=1e-8) -> bool:
+def check_factorization(result_a: np.ndarray, original: np.ndarray) -> bool:
     """Verify L*U reconstructs the original matrix (test helper)."""
     n = original.shape[0]
     lower = np.tril(result_a, -1) + np.eye(n)
     upper = np.triu(result_a)
-    return np.allclose(lower @ upper, original, rtol=rtol, atol=1e-8)
+    return np.allclose(lower @ upper, original, rtol=1e-8, atol=1e-8)

@@ -472,14 +472,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _print_degraded(result, cfg) -> None:
     """The failure-report section for a run that finished degraded."""
     failure = result.extra.get("failure") or {}
-    rel = result.stats.reliability_summary()
+    stats = result.stats
+    rel = stats.reliability_summary()
     print(f"backend:          {result.backend}")
     crashed = failure.get("crashed_nodes", [])
-    if crashed:
-        names = ", ".join(f"node {n}" for n in crashed)
-        print(f"RUN DEGRADED:     {names} fail-stopped and never came back "
-              "(no checkpoint to roll back to)")
-    else:
+    restarts = {c.node: c.restarts for c in cfg.faults.crashes}
+    detected = {e["node"]: e["detected_t_ns"] is not None for e in stats.crash_events}
+    for i, n in enumerate(crashed):
+        # The one reason this crash was not rolled back (docs/faults.md).
+        if not restarts[n]:
+            why = "it never restarts"
+        elif not detected[n]:
+            why = "no live node detected the crash"
+        elif not stats.recovery_checkpoints:
+            why = "no checkpoint was written to roll back to"
+        else:
+            why = "another crash blocks the rollback"
+        print(f"{'' if i else 'RUN DEGRADED:':18}node {n} fail-stopped; {why}")
+    if not crashed:
         print("RUN DEGRADED:     the interconnect partitioned and never healed")
     print(
         f"simulated time:   {result.elapsed_ms:.1f} ms "
@@ -500,8 +510,8 @@ def _print_degraded(result, cfg) -> None:
         f"{rel['retransmits']} retransmits, {rel['gave_up']} give-ups "
         f"(seed {cfg.faults.seed})"
     )
-    print(f"partial stats:    {result.stats.total_messages} messages, "
-          f"{result.stats.total_misses} misses recorded before give-up")
+    print(f"partial stats:    {stats.total_messages} messages, "
+          f"{stats.total_misses} misses recorded before give-up")
     residual = failure.get("residual_violations", [])
     if residual:
         print(f"residual damage:  {len(residual)} coherence violation(s) "

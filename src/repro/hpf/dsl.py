@@ -214,10 +214,10 @@ class ProgramBuilder:
         self._stack[-1].append(stmt)
         return stmt
 
-    def scalar(self, target: str, rhs: ExprLike, label: str = "") -> ScalarAssign:
+    def scalar(self, target: str, rhs: ExprLike) -> ScalarAssign:
         if target not in self._scalars:
             self._scalars[target] = 0.0
-        stmt = ScalarAssign(target, as_expr(rhs), label or self._auto_label("S"))
+        stmt = ScalarAssign(target, as_expr(rhs), self._auto_label("S"))
         self._stack[-1].append(stmt)
         return stmt
 
@@ -236,9 +236,9 @@ class ProgramBuilder:
             self._stack[-1].append(SeqLoop(var, lo, hi, body))
 
     @contextmanager
-    def timesteps(self, n: int, var: str = "t") -> Iterator[Sym]:
-        """Sugar for the ubiquitous time-step loop ``0 .. n-1``."""
-        with self.seq(var, 0, n - 1) as sym:
+    def timesteps(self, n: int) -> Iterator[Sym]:
+        """Sugar for the ubiquitous time-step loop ``t = 0 .. n-1``."""
+        with self.seq("t", 0, n - 1) as sym:
             yield sym
 
     # ------------------------------------------------------------------ #

@@ -97,12 +97,13 @@ class MessageTracer:
     # ------------------------------------------------------------------ #
     # rendering
     # ------------------------------------------------------------------ #
-    def sequence_chart(self, max_rows: int = 60, col_width: int = 14) -> str:
+    def sequence_chart(self) -> str:
         """Render a text message-sequence chart (columns = nodes).
 
         Each row is one send: the message label sits in the source node's
         column with an arrow toward the destination.
         """
+        max_rows, col_width = 60, 14
         n = self.n_nodes or (
             max((max(r.src, r.dst) for r in self.records), default=0) + 1
         )

@@ -107,7 +107,7 @@ class PhaseRecord:
             return "reduce"
         return "scalar"
 
-    def compute_units(self, proc: int, default_inner: int = 1) -> int:
+    def compute_units(self, proc: int) -> int:
         """Work units this processor contributes to the phase."""
         if isinstance(self.stmt, ScalarAssign):
             return SCALAR_UNITS

@@ -112,8 +112,9 @@ class RunResult:
         """Stable per-array checksums for cross-backend comparison."""
         return {name: float(np.sum(arr)) for name, arr in sorted(self.arrays.items())}
 
-    def assert_same_numerics(self, other: "RunResult", rtol: float = 1e-10) -> None:
+    def assert_same_numerics(self, other: "RunResult") -> None:
         """Raise if two runs' final arrays/scalars diverge."""
+        rtol = 1e-10
         if set(self.arrays) != set(other.arrays):
             raise AssertionError(
                 f"array sets differ: {sorted(self.arrays)} vs {sorted(other.arrays)}"

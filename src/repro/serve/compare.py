@@ -125,8 +125,9 @@ def diff_breakdowns(a: RunResult, b: RunResult) -> dict:
     return out
 
 
-def render_diff(diff: dict, max_rows: int = 8) -> str:
+def render_diff(diff: dict) -> str:
     """Terminal rendering of :func:`diff_breakdowns` with attribution."""
+    max_rows = 8
     e = diff["elapsed_ns"]
     ms = lambda ns: ns / 1e6  # noqa: E731 — local formatting shorthand
     lines = [

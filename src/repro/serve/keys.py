@@ -206,7 +206,7 @@ def request_key(request, salt: str = CODE_VERSION) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def plan_key(request, salt: str = CODE_VERSION) -> str:
+def plan_key(request) -> str:
     """The key of the memoized compiler analysis for a request.
 
     Deliberately coarser than :func:`request_key`: the fault, combining
@@ -216,7 +216,7 @@ def plan_key(request, salt: str = CODE_VERSION) -> str:
     """
     payload = {
         "schema": "plan/1",
-        "salt": salt,
+        "salt": CODE_VERSION,
         "program": request.resolved_fingerprint(),
         "geometry": geometry_canonical(request.config),
         "options": canonical(request.build_options()),

@@ -57,9 +57,9 @@ class Serve:
 
     __slots__ = ("resource", "ns")
 
-    def __init__(self, resource: Any = None, ns: int = 0) -> None:
+    def __init__(self, resource: Any = None) -> None:
         self.resource = resource
-        self.ns = ns
+        self.ns = 0
 
 
 class Future:

@@ -41,12 +41,13 @@ Degraded runs
 -------------
 A run that survives a network partition (see
 :class:`~repro.tempest.faults.PartitionScenario`) finishes with some nodes
-torn mid-transaction.  ``skip_nodes`` masks those nodes out of the scan:
+torn mid-transaction.  :func:`audit_violations` is the non-raising
+variant — it returns the violation list so a degraded run can *report*
+residual inconsistency among the survivors instead of raising
+mid-teardown — and its ``skip_nodes`` masks those nodes out of the scan:
 their own tag rows are ignored, and so is every block they home or
 exclusively own (state for such a block is unknowable from the surviving
-side).  :func:`audit_violations` is the non-raising variant — it returns
-the violation list so a degraded run can *report* residual inconsistency
-among the survivors instead of raising mid-teardown.
+side).
 """
 
 from __future__ import annotations
@@ -86,18 +87,14 @@ def audit_coherence(
     directory: Directory,
     access: AccessControl,
     context: str = "",
-    skip_nodes: frozenset[int] = frozenset(),
 ) -> int:
     """Cross-check directory state, access tags and block versions.
 
     Returns the number of blocks checked; raises
     :class:`CoherenceAuditError` on any violation.  Cheap enough to run
     after every test: the common case is a handful of vectorized scans.
-
-    ``skip_nodes`` exempts unreachable nodes (and the blocks they home or
-    exclusively own) from every invariant — the degraded-run mode.
     """
-    violations = _scan(directory, access, skip_nodes)
+    violations = _scan(directory, access, frozenset())
     if violations:
         raise CoherenceAuditError(violations, context)
     return directory.n_blocks
@@ -111,7 +108,9 @@ def audit_violations(
     """Like :func:`audit_coherence` but *collects* instead of raising.
 
     Used by degraded runs to report residual inconsistency among the
-    surviving nodes without turning the failure report into a traceback.
+    surviving nodes without turning the failure report into a traceback:
+    ``skip_nodes`` exempts unreachable nodes (and the blocks they home or
+    exclusively own) from every invariant.
     """
     return _scan(directory, access, skip_nodes)
 

@@ -237,21 +237,14 @@ class Cluster:
         barrier's all-arrived instant (a quiescent point — release fences
         drained, nobody resumed).
 
-        Partition survival: if the reliable transport gave up on one or
-        more channels (``PartitionScenario`` or organic loss past
-        ``max_retries``) and the affected programs could not finish, the
-        run returns a *degraded* ``ClusterStats`` — ``completed=False``,
-        counters up to the give-up point, and a ``failure`` report naming
-        the stuck programs, partitioned channels, parked frames and any
-        residual coherence violations among the surviving nodes — instead
-        of raising.  A genuine deadlock (no give-up) still raises.
-
-        Fail-stop survival: crash scenarios install a
-        :class:`~repro.tempest.recovery.RecoveryManager`.  If the crash is
-        detected, every dead node restarts, and a barrier checkpoint
-        exists, the run rolls back and re-executes instead of degrading;
-        ``program_factory(node_id, resume_cursor)`` must then produce a
-        fresh replay generator (the runtime passes one automatically).
+        The run ends when the event queue drains (docs/faults.md, "How a
+        run ends").  If the crash scenarios' ``RecoveryManager`` says
+        ``rollback_due()``, it rolls back and goes on:
+        ``program_factory(node_id, resume_cursor)`` (the runtime passes
+        one) respawns each program.  A stuck run is *degraded* when a
+        channel gave up or a node is dead: ``completed=False``, counters
+        up to that point and a ``failure`` report.  Any other stuck run
+        raises :class:`~repro.sim.SimulationError`.
         """
         if set(programs) != set(range(self.n_nodes)):
             raise ValueError(
@@ -286,17 +279,13 @@ class Cluster:
         if self.recovery is not None:
             self.recovery.install(guards)
         try:
-            while True:
+            self.engine.run()
+            while self.recovery is not None and self.recovery.rollback_due():
+                # The queue is drained: no stale timer or handler effect
+                # survives into the restored world.  Roll back and rerun.
+                guards = self.recovery.perform_rollback()
+                watch_finishes(guards)
                 self.engine.run()
-                if self.recovery is not None and self.recovery.pending_recovery:
-                    # The event queue is drained: no stale timers or handler
-                    # effects survive into the restored world.  Roll back and
-                    # rerun.
-                    guards = self.recovery.perform_rollback()
-                    if faults_on:
-                        watch_finishes(guards)
-                    continue
-                break
         finally:
             # However the run ends, its consumers see every event.
             if self.obs is not None:
@@ -305,17 +294,18 @@ class Cluster:
         self.stats.max_queue_depth = self.engine.max_queue_depth
         stuck = [f.label for f in guards if not f.resolved]
         if stuck:
-            if not (faults_on and self.stats.total_gave_up > 0):
-                # Not a transport give-up: a real bug (e.g. a node stuck at
-                # a barrier nobody else reached).  Keep the loud failure.
+            crashed = self.recovery.dead_nodes() if self.recovery is not None else []
+            if not (self.stats.total_gave_up or crashed):
+                # No give-up and nobody dead: a real bug (e.g. a node stuck
+                # at a barrier nobody else reached).  Keep the loud failure.
                 raise SimulationError(
                     f"deadlock: processes never finished: {stuck}"
                 )
-            # Degraded completion: the partition never healed.  Everything
-            # accumulated up to the give-up point survives in the stats.
+            # Degraded: a partition never healed or a crash was not rolled
+            # back.  The stats keep everything accumulated up to that point.
             self.stats.completed = False
             self.stats.elapsed_ns = self.engine.now
-            self.stats.failure = self._failure_report(stuck)
+            self.stats.failure = self._failure_report(stuck, crashed)
             return self.stats
         self.stats.elapsed_ns = max(finish_ns) if faults_on else self.engine.now
         if audit:
@@ -327,7 +317,7 @@ class Cluster:
             self.audit(context)
         return self.stats
 
-    def _failure_report(self, stuck: list[str]) -> dict:
+    def _failure_report(self, stuck: list[str], crashed: list[int]) -> dict:
         """Describe a degraded run: who is stuck, which channels gave up,
         which nodes are unreachable, and what residual coherence damage the
         surviving nodes can see."""
@@ -346,9 +336,7 @@ class Cluster:
             # Organic give-up (no scenario): the far ends of the dead
             # channels are the effectively unreachable nodes.
             unreachable = sorted({c["dst"] for c in channels})
-        crashed = self.recovery.dead_nodes() if self.recovery is not None else []
-        if crashed:
-            unreachable = sorted(set(unreachable) | set(crashed))
+        unreachable = sorted(set(unreachable) | set(crashed))
         residual = audit_violations(
             self.directory,
             self.access,

@@ -282,12 +282,11 @@ class SharedMemory:
         name: str,
         shape: Sequence[int],
         dist: Distribution,
-        dtype: np.dtype | type = np.float64,
     ) -> GlobalArray:
-        """Allocate a page-aligned distributed array."""
+        """Allocate a page-aligned float64 distributed array."""
         if name in self.arrays:
             raise ValueError(f"array {name!r} already allocated")
-        arr = GlobalArray(name, shape, np.dtype(dtype), dist, self._next_base, self.config)
+        arr = GlobalArray(name, shape, np.dtype(np.float64), dist, self._next_base, self.config)
         self.arrays[name] = arr
         pages = math.ceil(arr.nbytes / self.config.page_size)
         self._page_homes.extend(self._homes_for_pages(arr, pages).tolist())

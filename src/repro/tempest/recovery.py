@@ -10,7 +10,9 @@ learn of the death the way a real cluster does, through silence: the
 transport's per-channel keepalive probes (and any regular retransmit
 traffic) exhaust ``max_retries`` and the channel gives up, which this
 manager observes through the ``on_give_up`` hook and surfaces as a
-``channel.dead`` event.
+``channel.dead`` event.  Keepalives are the only events that re-arm
+themselves, so this manager alone decides when they stop, by the rule
+docs/faults.md states in "How a run ends".
 
 Checkpoints
 -----------
@@ -25,16 +27,16 @@ simulated time; a zero cost keeps the schedule byte-identical.
 
 Recovery
 --------
-Once the event heap drains with a detected crash outstanding, and every
-dead node's scenario restarts, and a checkpoint exists, the cluster rolls
-back: simulated time advances to the restart instant, the transport resets
-(fresh channel epochs, cleared parked/ack state), the snapshot is restored,
-surviving programs are cancelled, and fresh replay generators resume every
-node from its checkpointed cursor.  The numerics are computed host-side
-before the run, so a recovered run's final answers are byte-identical to a
-crash-free run by construction — what recovery buys is *completion* (and
-honest accounting of its cost under ``recovery_*`` stats) instead of the
-degraded ``completed=False`` contract.
+Once the event queue drains with every dead node detected and restarting,
+and a checkpoint exists, the cluster rolls back: simulated time advances
+to the restart instant, the transport resets (fresh channel epochs,
+cleared parked/ack state), the snapshot is restored, surviving programs
+are cancelled, and fresh replay generators resume every node from its
+checkpointed cursor.  The numerics are computed host-side before the run,
+so a recovered run's final answers are byte-identical to a crash-free run
+by construction — what recovery buys is *completion* (and honest
+accounting of its cost under ``recovery_*`` stats) instead of the degraded
+``completed=False`` contract.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ class RecoveryManager:
         self._last_checkpoint: Checkpoint | None = None
         self._guards: list[Future] = []
         self._finished = 0
-        #: set once a detected crash is recoverable; Cluster.run polls it
-        #: each time the event heap drains.
-        self.pending_recovery = False
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -114,22 +113,21 @@ class RecoveryManager:
     def install(self, guards: list[Future]) -> None:
         """Arm crash timers, hook detection + checkpointing, start probes."""
         cluster = self.cluster
-        transport = cluster.network.transport
         for scen in self.faults.crashes:
             self.engine.call_at(scen.t_ns, self._crash, scen)
-        if transport is not None:
-            transport.on_give_up = self._on_give_up
         if self.faults.checkpoint_every > 0:
             cluster.barrier_net.on_checkpoint = self._on_barrier
         self.watch(guards)
+        transport = cluster.network.transport
         if transport is not None:
+            transport.on_give_up = self._on_give_up
             transport.start_monitoring()
 
     def watch(self, guards: list[Future]) -> None:
         """Track a (re)spawned program set so probes stop at completion.
 
         Without this, live-live keepalives re-arm forever and the event
-        heap never drains on a crash-free (or post-recovery) run.
+        queue never drains on a crash-free (or post-recovery) run.
         """
         self._guards = guards
         self._finished = 0
@@ -141,23 +139,18 @@ class RecoveryManager:
         if self._finished == self.cluster.n_nodes:
             transport = self.cluster.network.transport
             if transport is not None:
-                transport.suspend_monitoring()
+                transport.probing = False  # rule (i): every program finished
 
     # ------------------------------------------------------------------ #
     # crash injection
     # ------------------------------------------------------------------ #
     def _crash(self, scen: CrashScenario) -> None:
         node = self.cluster.nodes[scen.node]
-        if not node.alive:  # pragma: no cover - config forbids duplicates
-            return
         node.alive = False
         node.incarnation += 1
         node.pending.clear()
-        transport = self.cluster.network.transport
-        if transport is not None:
-            transport.mark_dead(scen.node)
-        if scen.node < len(self._guards):
-            self._guards[scen.node].cancel()
+        self.cluster.network.transport.mark_dead(scen.node)
+        self._guards[scen.node].cancel()
         rec = {
             "node": scen.node,
             "t_ns": self.engine.now,
@@ -174,41 +167,50 @@ class RecoveryManager:
                 "crash.node", self.engine.now, 0, scen.node, None,
                 {"restarts": scen.restarts},
             )
+        self._settle()
 
     # ------------------------------------------------------------------ #
     # detection (transport give-up hook)
     # ------------------------------------------------------------------ #
     def _on_give_up(self, src: int, dst: int) -> None:
-        if dst not in self._dead:
-            return  # an ordinary partition give-up; not ours
-        rec = self._recs[dst]
-        first_detection = rec["detected_t_ns"] is None
-        if first_detection:
-            rec["detected_t_ns"] = self.engine.now
-            transport = self.cluster.network.transport
-            if transport is not None:
-                # One death proven is enough; stop probing so the heap can
-                # drain.  Remaining survivor->dead channels still give up
-                # organically off their own outstanding traffic.
-                transport.suspend_monitoring()
-        obs = self.cluster.obs
-        if obs is not None:
-            obs.emit(
-                "channel.dead", self.engine.now, 0, None, None,
-                {"src": src, "dst": dst, "first": first_detection},
-            )
-        if self._can_recover():
-            self.pending_recovery = True
+        if dst in self._dead:
+            rec = self._recs[dst]
+            first_detection = rec["detected_t_ns"] is None
+            if first_detection:
+                rec["detected_t_ns"] = self.engine.now
+            obs = self.cluster.obs
+            if obs is not None:
+                obs.emit(
+                    "channel.dead", self.engine.now, 0, None, None,
+                    {"src": src, "dst": dst, "first": first_detection},
+                )
+        self._settle()
 
-    def _can_recover(self) -> bool:
-        """Recovery needs a checkpoint, a way to respawn programs, and
-        *every* dead node to be restarting — rolling back while a
-        never-restart node stays dead would re-crash forever."""
+    def _settle(self) -> None:
+        """Rule (ii): stop probing once every crash has fired and every
+        dead node is detected or cut off for good from every live node."""
+        if len(self._recs) < len(self.faults.crashes):
+            return  # a crash is still to come: probes must be there to see it
+        transport = self.cluster.network.transport
+        live = [n for n in range(self.cluster.n_nodes) if n not in self._dead]
+        if all(
+            self._recs[d]["detected_t_ns"] is not None
+            or not any(transport.reachable(n, d) for n in live)
+            for d in self._dead
+        ):
+            transport.probing = False
+
+    def rollback_due(self) -> bool:
+        """Whether the drained run rolls back: a checkpoint and a program
+        factory exist, and every dead node restarts and was detected."""
         return (
             self._last_checkpoint is not None
             and self.program_factory is not None
             and bool(self._dead)
-            and all(s.restarts for s in self._dead.values())
+            and all(
+                s.restarts and self._recs[n]["detected_t_ns"] is not None
+                for n, s in self._dead.items()
+            )
         )
 
     def dead_nodes(self) -> list[int]:
@@ -265,12 +267,12 @@ class RecoveryManager:
         return cost
 
     # ------------------------------------------------------------------ #
-    # rollback-recovery (called by Cluster.run at heap drain)
+    # rollback-recovery (called by Cluster.run at the drained queue)
     # ------------------------------------------------------------------ #
     def perform_rollback(self) -> list[Future]:
         """Restore the last checkpoint and respawn every program.
 
-        The event heap is empty when this runs (Cluster.run only calls it
+        The event queue is empty when this runs (Cluster.run only calls it
         after ``engine.run()`` returns), so there are no stale timers,
         link jobs or handler completions to race against — restoring state
         wholesale is safe.  Returns the fresh program guards.
@@ -301,13 +303,11 @@ class RecoveryManager:
         transport = cluster.network.transport
         for node_id in list(self._dead):
             cluster.nodes[node_id].alive = True
-            if transport is not None:
-                transport.mark_alive(node_id)
+            transport.mark_alive(node_id)
 
         # Transport epoch reset: all channels and ack buffers dropped,
-        # fresh sequence spaces, monitoring restarted.
-        if transport is not None:
-            transport.reset()
+        # fresh sequence spaces, keepalives on again.
+        transport.reset()
 
         # Coherence state back to the cut.
         cluster.access._tags[:] = ck.tags
@@ -399,5 +399,4 @@ class RecoveryManager:
                     {"restart_t_ns": rec["restart_t_ns"]},
                 )
         self._dead.clear()
-        self.pending_recovery = False
         return guards

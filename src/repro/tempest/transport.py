@@ -96,8 +96,8 @@ unacked/retransmit machinery, so a fail-stopped peer — whose arriving
 frames and acks simply vanish — is detected with *no oracle*: the probe
 (or any data frame) exhausts ``max_retries``, the channel parks, and the
 ``on_give_up`` hook lets the recovery layer recognize the dead endpoint.
-After the first detection (or once every program finished) monitoring is
-suspended so the event heap can drain.  Crash-free configs never probe,
+The recovery layer alone turns ``probing`` off so the event queue can
+drain (docs/faults.md, "How a run ends").  Crash-free configs never probe,
 never pre-create channels, and keep their exact event schedules.
 
 The transport exists only while faults are enabled; fault-free clusters
@@ -215,7 +215,7 @@ class _Channel:
     __slots__ = (
         "next_send_seq", "unacked", "next_deliver_seq", "reorder",
         "srtt_ns", "rttvar_ns", "rto_ns",
-        "state", "parked", "give_up_event", "give_up_seq",
+        "state", "parked", "heals", "give_up_event", "give_up_seq",
         "timer_deadline", "timer_seq", "hb_deadline", "next_probe_seq",
     )
 
@@ -235,6 +235,7 @@ class _Channel:
         # partition_events record so the heal can mark it healed.
         self.state = OPEN
         self.parked: list[_Frame] = []
+        self.heals = False  # a heal is scheduled
         self.give_up_event: dict | None = None
         # Lineage: the channel.giveup event seq, so the matching
         # channel.heal can chain to the give-up that parked it.
@@ -291,13 +292,11 @@ class ReliableTransport:
         # vanish at arrival time (no ack — that silence *is* the failure
         # signal), and their own timers stop re-arming.
         self._dead: set[int] = set()
-        # Heartbeats exist only when crashes are configured; crash-free
+        # Keepalives run only when crashes are configured: crash-free
         # configs never probe, pre-create no channels, consume no draws.
-        self.heartbeats_enabled = bool(faults.crashes)
+        # The RecoveryManager alone turns probing off; reset() turns it on.
+        self.probing = bool(faults.crashes)
         self.heartbeat_interval_ns = faults.heartbeat_interval_ns
-        # Set after the first dead-peer detection (or once every program
-        # finished): stops probes so the event heap can drain.
-        self.monitor_suspended = False
         # Recovery hook: called as on_give_up(src, dst) after a channel
         # give-up is recorded; the RecoveryManager uses it to recognize
         # channels that died because their peer fail-stopped.
@@ -507,8 +506,7 @@ class ReliableTransport:
         if ch.state is OPEN and src not in self._dead:
             if ch.unacked:
                 deadline = min(map(_deadline, ch.unacked.values()))
-            if (self.heartbeats_enabled and not self.monitor_suspended
-                    and ch.hb_deadline is not None):
+            if self.probing and ch.hb_deadline is not None:
                 deadline = (ch.hb_deadline if deadline is None
                             else min(deadline, ch.hb_deadline))
         if deadline is None:
@@ -543,8 +541,7 @@ class ReliableTransport:
                     return  # the channel gave up and parked mid-scan
         elif ch.hb_deadline is None:
             return  # nothing to retransmit or probe: _arm_timer would agree
-        if (self.heartbeats_enabled and not self.monitor_suspended
-                and ch.hb_deadline is not None and ch.hb_deadline <= now):
+        if self.probing and ch.hb_deadline is not None and ch.hb_deadline <= now:
             if ch.unacked:
                 # Traffic already in flight probes liveness for free.
                 ch.hb_deadline = now + self.heartbeat_interval_ns
@@ -631,7 +628,8 @@ class ReliableTransport:
                 "channel.giveup", now, 0, src, frame.first_send_seq,
                 {"dst": dst, "parked": len(moved), "scenario": event["scenario"]},
             )
-        if scens and all(s.heals for s in scens):
+        ch.heals = bool(scens) and all(s.heals for s in scens)
+        if ch.heals:
             heal_at = max(s.heal_ns for s in scens)
             self.engine.call_after(heal_at - now, self._heal, src, dst)
         # No active healing scenario: nothing is scheduled, the parked
@@ -653,7 +651,8 @@ class ReliableTransport:
         if scens:
             # Still cut — an overlapping scenario took over; chase its
             # window if it heals, otherwise stay parked for good.
-            if all(s.heals for s in scens):
+            ch.heals = all(s.heals for s in scens)
+            if ch.heals:
                 heal_at = max(s.heal_ns for s in scens)
                 self.engine.call_after(heal_at - now, self._heal, src, dst)
             return
@@ -677,7 +676,7 @@ class ReliableTransport:
             f.timeout_ns = timeout
             ch.unacked[f.seq] = f
             self._transmit(f)
-        if self.heartbeats_enabled and not self.monitor_suspended:
+        if self.probing:
             # Restart the keepalive clock: the pre-give-up deadline is
             # stale (possibly in the past) and the reopened channel should
             # get a full quiet interval before its next probe.
@@ -828,10 +827,11 @@ class ReliableTransport:
             return  # acks touching a fail-stopped endpoint vanish
         ch = self._channels.get((src, dst)) or self._channel(src, dst)
         now = self.engine.now
-        if self.heartbeats_enabled:
+        if self.probing:
             # Proof of life from dst: push the next keepalive out.  The
             # deadline only moves later, so the armed timer needs no
             # re-arm — it fires, sees nothing due, and re-arms itself.
+            # Probing never restarts on a live channel (reset() drops them).
             ch.hb_deadline = now + self.heartbeat_interval_ns
         for seq in seqs:
             frame = ch.unacked.pop(seq, None)
@@ -873,7 +873,7 @@ class ReliableTransport:
         keepalive: full-mesh coverage means a fail-stopped node is detected
         even on channels that never carried traffic (e.g. a node that died
         before its first barrier arrival)."""
-        if not self.heartbeats_enabled:
+        if not self.probing:
             return
         n = self.config.n_nodes
         first = self.engine.now + self.heartbeat_interval_ns
@@ -884,11 +884,6 @@ class ReliableTransport:
                 ch = self._channel(src, dst)
                 ch.hb_deadline = first
                 self._arm_timer(src, dst, ch)
-
-    def suspend_monitoring(self) -> None:
-        """Stop keepalives (first detection made, or all programs done) so
-        outstanding probe timers expire as no-ops and the heap can drain."""
-        self.monitor_suspended = True
 
     def _send_probe(self, src: int, dst: int, ch: _Channel) -> None:
         """One header-only keepalive on an idle channel.  The probe sits in
@@ -906,6 +901,12 @@ class ReliableTransport:
         ch.unacked[frame.seq] = frame
         self._transmit(frame)
 
+    def reachable(self, src: int, dst: int) -> bool:
+        """False once ``src -> dst`` gave up with no partition scenario
+        left to heal it: nothing sent on it will ever reach ``dst``."""
+        ch = self._channels.get((src, dst))
+        return ch is None or ch.state is OPEN or ch.heals
+
     def mark_dead(self, node: int) -> None:
         """Fail-stop ``node``: from now on every frame or ack arriving at
         (or sent to confirm) this endpoint vanishes silently."""
@@ -922,7 +923,7 @@ class ReliableTransport:
         the replayed schedule, not from rewinding entropy."""
         self._channels.clear()
         self._ack_buffers.clear()
-        self.monitor_suspended = False
+        self.probing = bool(self.faults.crashes)
         self.start_monitoring()
 
     # ------------------------------------------------------------------ #

@@ -198,11 +198,14 @@ class TestOverlappingRangesConflict:
         result.assert_same_numerics(run_uniproc(prog, cfg))
 
 
-#: The two run-ending failures ROADMAP item 1 names, as its one-line
-#: ``repro`` commands.  F1: a permanent partition after a checkpointed,
-#: restarting crash livelocks (keepalives never let the queue drain).
-#: F2: both nodes of a 2-node cluster crash, no channel gives up, and the
-#: stuck programs are raised as a deadlock.
+#: The three hangs the run-ending rule (docs/faults.md, "How a run ends")
+#: ends degraded, as one-line ``repro`` commands.  F1: a permanent
+#: partition after a checkpointed, restarting crash livelocked (post-rollback
+#: keepalives never let the queue drain).  F2: both nodes of a 2-node
+#: cluster crash, nobody detects either death, no channel gives up, and the
+#: stuck programs were raised as a deadlock.  F3: a node already partitioned
+#: away for good crashes; no probe can reach it, and the survivors' probes
+#: of each other livelocked.
 F1_COMMAND = (
     "lu --param n=32 --nodes 4 --fault-crash 1:243:247 "
     "--fault-partition 0:466:never --heartbeat-us 297 --checkpoint-every 2"
@@ -210,6 +213,10 @@ F1_COMMAND = (
 F2_COMMAND = (
     "jacobi --param n=32 --param iters=2 --nodes 2 --fault-crash 1:93:18 "
     "--fault-crash 0:189:493 --heartbeat-us 347 --checkpoint-every 1"
+)
+F3_COMMAND = (
+    "jacobi --param n=32 --param iters=4 --nodes 4 "
+    "--fault-partition 0:100:never --fault-crash 0:500 --heartbeat-us 200"
 )
 #: Events per ``Engine.run`` call; F1's no-partition twin needs under 50k.
 MAX_EVENTS = 200_000
@@ -244,23 +251,61 @@ def bounded_engine(monkeypatch):
 
 
 class TestRunEndingRule:
-    """A run that cannot finish ends degraded (``completed is False``).
-    F1 and F2 break that contract today; strict xfails flag the fix."""
+    """A run that cannot finish ends degraded (``completed is False``)
+    within a bounded engine, and its failure report names who is dead and
+    who is out of reach."""
 
     def test_f1_without_partition_recovers_within_bound(self, bounded_engine):
         twin = F1_COMMAND.replace("--fault-partition 0:466:never ", "")
         assert run_command(twin).completed
 
-    @pytest.mark.xfail(
-        strict=True, raises=SimulationError,
-        reason="F1: livelock, hits the max_events bound",
-    )
     def test_f1_partition_after_rollback_degrades(self, bounded_engine):
-        assert run_command(F1_COMMAND).completed is False
+        result = run_command(F1_COMMAND)
+        assert result.completed is False
+        assert result.stats.recovery_rollbacks == 1
+        failure = result.extra["failure"]
+        assert failure["crashed_nodes"] == []  # node 1 came back
+        assert failure["unreachable_nodes"] == [0]
 
-    @pytest.mark.xfail(
-        strict=True, raises=SimulationError,
-        reason="F2: both nodes crash, raised as a deadlock",
-    )
     def test_f2_two_node_double_crash_degrades(self, bounded_engine):
-        assert run_command(F2_COMMAND).completed is False
+        result = run_command(F2_COMMAND)
+        assert result.completed is False
+        failure = result.extra["failure"]
+        assert failure["crashed_nodes"] == [0, 1]
+        assert failure["unreachable_nodes"] == [0, 1]
+
+    def test_f3_crash_behind_a_permanent_partition_degrades(self, bounded_engine):
+        result = run_command(F3_COMMAND)
+        assert result.completed is False
+        [crash] = result.stats.crash_events
+        assert crash["detected_t_ns"] is None  # no probe could reach it
+        failure = result.extra["failure"]
+        assert failure["crashed_nodes"] == [0]
+        assert failure["unreachable_nodes"] == [0]
+
+    def test_f2_rollback_is_not_due(self, bounded_engine, monkeypatch):
+        # Two dead nodes, both restarting, a checkpoint interval — but
+        # neither death was detected, so no peer knows to roll back.
+        from repro.tempest.recovery import RecoveryManager
+
+        managers = []
+        init = RecoveryManager.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            managers.append(self)
+
+        monkeypatch.setattr(RecoveryManager, "__init__", recording_init)
+        run_command(F2_COMMAND)
+        [manager] = managers
+        assert manager.dead_nodes() == [0, 1]
+        assert manager.rollback_due() is False
+
+    @pytest.mark.parametrize(
+        "command", [F1_COMMAND, F2_COMMAND, F3_COMMAND], ids=["F1", "F2", "F3"]
+    )
+    def test_cli_exits_degraded(self, command, bounded_engine, capsys):
+        from repro.cli import main
+
+        assert main(command.split()) == 4
+        assert "RUN DEGRADED" in capsys.readouterr().out

@@ -114,6 +114,18 @@ MUTANTS = (
         ("tests/core/test_sections.py",),
     ),
     Mutant(
+        "probing ignores dead nodes cut off for good", "tempest/recovery.py",
+        "            or not any(transport.reachable(n, d) for n in live)\n",
+        "            or False\n",
+        ("tests/integration/test_failure_injection.py",),
+    ),
+    Mutant(
+        "a stuck run with only dead nodes is raised as a deadlock", "tempest/cluster.py",
+        "            if not (self.stats.total_gave_up or crashed):\n",
+        "            if not self.stats.total_gave_up:\n",
+        ("tests/integration/test_failure_injection.py",),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

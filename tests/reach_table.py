@@ -12,10 +12,14 @@ size, and the three benches whose paths no default-scale run takes.  It
 lists every function defined under ``src/`` that no call reached and exits
 1 unless ``KEEP`` — the decision record — names it with a reason.
 
-It also runs a static pass, :func:`write_only_state`: every attribute
-stored under ``src/`` must be loaded somewhere under ``src/``, or be named
-in ``WRITE_ONLY_KEEP`` with a reason.  Tier-1 ``tests/test_reach_table.py``
-runs that pass on its own (it needs no entry point driven).
+It also runs two static passes.  :func:`write_only_state`: every
+attribute stored under ``src/`` must be loaded somewhere under ``src/``,
+or be named in ``WRITE_ONLY_KEEP`` with a reason.
+:func:`single_valued_keywords`: every defaulted keyword of a public
+``src/`` callable must take some other value at a call site in ``src/``,
+``tests/``, ``benchmarks/`` or ``examples/``, or be named in
+``KEYWORD_KEEP`` with a reason.  Tier-1 ``tests/test_reach_table.py``
+runs both passes on their own (they need no entry point driven).
 """
 
 from __future__ import annotations
@@ -334,10 +338,124 @@ def write_only_state(src: str = SRC, keep=WRITE_ONLY_KEEP) -> dict[str, list[str
     return dict(sorted(out.items()))
 
 
+# --------------------------------------------------------------------- #
+# single-valued keywords: a static pass over src/ and its callers
+# --------------------------------------------------------------------- #
+#: where call sites are collected
+CALLERS = tuple(os.path.join(ROOT, d) for d in ("src", "tests", "benchmarks", "examples"))
+
+#: reason -> "module:qualname(keyword) ..." lines
+KEYWORD_KEPT_FOR = {}
+KEYWORD_KEEP = {
+    name: reason for reason, names in KEYWORD_KEPT_FOR.items() for name in names.split()
+}
+
+
+def _py_files(root: str):
+    for dirpath, _dirs, files in os.walk(root):
+        yield from (os.path.join(dirpath, f) for f in sorted(files) if f.endswith(".py"))
+
+
+def defaulted_keywords(src: str = SRC) -> dict[str, list[tuple[str, list[str], dict]]]:
+    """Function name -> ``(module:qualname, positional, defaults)`` for
+    every public function and method under ``src`` with a defaulted
+    parameter: the parameters a caller may pass by position (``self`` /
+    ``cls`` dropped) and each defaulted parameter's default, as source.
+    ``__init__`` counts under its class's name."""
+    out: dict[str, list[tuple[str, list[str], dict]]] = {}
+
+    def visit(node, module: str, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if not child.name.startswith("_") and cls is None:
+                    visit(child, module, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                name = child.name
+                if name.startswith("_") and name != "__init__":
+                    continue
+                a = child.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                                    map(ast.unparse, a.defaults)))
+                defaults.update(
+                    (p.arg, ast.unparse(d)) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None
+                )
+                if not defaults:
+                    continue
+                decorators = {getattr(d, "id", None) for d in child.decorator_list}
+                if cls is not None and "staticmethod" not in decorators:
+                    positional = positional[1:]
+                qualname = f"{cls}.{name}" if cls else name
+                key = cls if name == "__init__" else name
+                out.setdefault(key, []).append((f"{module}:{qualname}", positional, defaults))
+
+    for path in _py_files(src):
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()), _module(path), None)
+    return out
+
+
+#: a value no literal comparison can pin (``*args`` / ``**kwargs``)
+ANY = "<any>"
+
+
+def passed_keywords(functions, roots=CALLERS) -> dict[str, dict[str, set[str]]]:
+    """``module:qualname`` -> defaulted parameter -> the values (as source)
+    calls under ``roots`` pass it, matching calls to definitions by name
+    (``f(...)``, ``x.f(...)``; a class call reaches its ``__init__``).  A
+    positional argument binds by position; ``*args`` or ``**kwargs`` at a
+    call site passes every parameter :data:`ANY` value."""
+    passed: dict[str, dict[str, set[str]]] = {}
+    for root in roots:
+        for path in _py_files(root):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                for qualname, positional, defaults in functions.get(name, ()):
+                    got = passed.setdefault(qualname, {})
+                    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                        k.arg is None for k in call.keywords
+                    ):
+                        for p in defaults:
+                            got.setdefault(p, set()).add(ANY)
+                        continue
+                    bound = [*zip(positional, call.args),
+                             *((k.arg, k.value) for k in call.keywords)]
+                    for p, value in bound:
+                        if p in defaults:
+                            got.setdefault(p, set()).add(ast.unparse(value))
+    return passed
+
+
+def single_valued_keywords(src: str = SRC, keep=KEYWORD_KEEP) -> list[str]:
+    """``module:qualname(keyword)`` for every defaulted keyword of a public
+    ``src`` callable that takes only its default — no call site passes it,
+    or every one passes the default's own literal — and that ``keep``
+    does not name: such a parameter is a constant."""
+    functions = defaulted_keywords(src)
+    passed = passed_keywords(functions)
+    out = []
+    for defs in functions.values():
+        for qualname, _positional, defaults in defs:
+            for p, default in defaults.items():
+                values = passed.get(qualname, {}).get(p, set())
+                name = f"{qualname}({p})"
+                if values <= {default} and name not in keep:
+                    out.append(name)
+    return sorted(out)
+
+
 def main() -> int:
     write_only = write_only_state()
     for name, sites in write_only.items():
         print(f"write-only  {name}  ({', '.join(sites)})")
+    keywords = single_valued_keywords()
+    for name in keywords:
+        print(f"single-valued keyword  {name}")
     functions = src_functions()
     reached = reached_functions()
     unreached = {name: n for name, n in sorted(functions.items()) if name not in reached}
@@ -347,8 +465,9 @@ def main() -> int:
     print(f"{len(functions) - len(unreached)} of {len(functions)} functions reached; "
           f"{len(unreached)} unreached ({sum(unreached.values())} lines), "
           f"{len(bad)} of them not in KEEP; "
-          f"{len(write_only)} write-only attributes not in WRITE_ONLY_KEEP")
-    return 1 if bad or write_only else 0
+          f"{len(write_only)} write-only attributes not in WRITE_ONLY_KEEP; "
+          f"{len(keywords)} single-valued keywords not in KEYWORD_KEEP")
+    return 1 if bad or write_only or keywords else 0
 
 
 if __name__ == "__main__":

@@ -145,7 +145,7 @@ class TestDetection:
         # 40 unacked frames on 0->1: still one timer per channel.
         assert len(transport._channel(0, 1).unacked) >= 40
         assert transport.armed_timers == n * (n - 1)
-        transport.suspend_monitoring()
+        transport.probing = False
         cluster.engine.run()
         assert transport.in_flight == 0
 
@@ -167,7 +167,7 @@ class TestDetection:
 
         def check():
             for t in transports:
-                probing = t.heartbeats_enabled and not t.monitor_suspended
+                probing = t.probing
                 for (src, _dst), ch in t._channels.items():
                     armed = ch.timer_deadline
                     if armed is None or ch.state is not OPEN or src in t._dead:

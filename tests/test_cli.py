@@ -265,7 +265,28 @@ class TestCrashMain:
         assert rc == 4
         out = capsys.readouterr().out
         assert "RUN DEGRADED" in out
-        assert "fail-stopped" in out
+        assert "node 2 fail-stopped; no checkpoint was written" in out
+
+    def test_degraded_crash_names_its_own_reason(self, capsys):
+        # Seven checkpoints exist: what blocks the rollback is the restart.
+        rc = main(["jacobi", "--param", "n=32", "--param", "iters=8",
+                   "--nodes", "4", "--fault-crash", "2:6000",
+                   "--heartbeat-us", "200", "--checkpoint-every", "1",
+                   "--fault-retries", "3"])
+        assert rc == 4
+        out = capsys.readouterr().out
+        assert "RUN DEGRADED:     node 2 fail-stopped; it never restarts\n" in out
+
+    def test_undetected_double_crash_names_its_own_reason(self, capsys):
+        # ROADMAP's F2: each node dies before the other could notice.
+        rc = main(["jacobi", "--param", "n=32", "--param", "iters=2",
+                   "--nodes", "2", "--fault-crash", "1:93:18",
+                   "--fault-crash", "0:189:493", "--heartbeat-us", "347",
+                   "--checkpoint-every", "1"])
+        assert rc == 4
+        out = capsys.readouterr().out
+        assert "node 0 fail-stopped; no live node detected the crash" in out
+        assert "node 1 fail-stopped; no live node detected the crash" in out
 
     def test_checkpoint_without_crash_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,9 +1,17 @@
 """The reach table's decision records name only code that exists: a
 function or class deleted or renamed under ``src/`` must leave ``KEEP``
-with it, and an attribute no code reads must be deleted or named in
-``WRITE_ONLY_KEEP``."""
+with it, an attribute no code reads must be deleted or named in
+``WRITE_ONLY_KEEP``, and a keyword every caller leaves at its default
+must be deleted or named in ``KEYWORD_KEEP``."""
 
-from tests.reach_table import KEEP, WRITE_ONLY_KEEP, src_functions, write_only_state
+from tests.reach_table import (
+    KEEP,
+    KEYWORD_KEEP,
+    WRITE_ONLY_KEEP,
+    single_valued_keywords,
+    src_functions,
+    write_only_state,
+)
 
 
 def test_every_kept_name_is_a_src_function_or_class():
@@ -33,3 +41,22 @@ def test_every_write_only_keep_entry_is_needed():
         and not (name.endswith(".*") and name[:-2] in owners)
     ]
     assert stale == []
+
+
+def test_no_single_valued_keywords():
+    assert single_valued_keywords() == []
+
+
+def test_every_keyword_keep_entry_is_needed():
+    unkept = single_valued_keywords(keep={})
+    assert [name for name in KEYWORD_KEEP if name not in unkept] == []
+
+
+def test_keyword_pass_flags_a_keyword_no_caller_passes(tmp_path):
+    (tmp_path / "lonely.py").write_text(
+        "def nobody_calls_this(x, flag=False, *, scale=1):\n    return x\n"
+    )
+    found = single_valued_keywords(str(tmp_path))
+    assert [name.rpartition(":")[2] for name in found] == [
+        "nobody_calls_this(flag)", "nobody_calls_this(scale)",
+    ]
