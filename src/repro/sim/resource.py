@@ -168,6 +168,16 @@ class CountingSemaphore:
         self._maybe_release()
         return fut
 
+    def snapshot(self) -> int:
+        """The checkpoint cut: the count."""
+        return self.count
+
+    def restore(self, count: int) -> None:
+        """Back to a cut: the count restored, the waiter forgotten."""
+        self.count = count
+        self._threshold = None
+        self._waiter = None
+
     def _maybe_release(self) -> None:
         if self._waiter is not None and self.count >= (self._threshold or 0):
             fut, self._waiter = self._waiter, None

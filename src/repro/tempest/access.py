@@ -72,6 +72,15 @@ class AccessControl:
         self.rows = [self._tags[n] for n in range(n_nodes)]
 
     # ------------------------------------------------------------------ #
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """The checkpoint cut: copies of the tags and the implicit bits."""
+        return self._tags.copy(), self._implicit.copy()
+
+    def restore(self, cut: tuple[np.ndarray, np.ndarray]) -> None:
+        tags, implicit = cut
+        self._tags[:] = tags
+        self._implicit[:] = implicit
+
     def get(self, node: int, block: int) -> AccessTag:
         return AccessTag(self._tag_buf[node * self.n_blocks + block])
 

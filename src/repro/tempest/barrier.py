@@ -18,7 +18,7 @@ from repro.sim import Engine, Future
 from repro.tempest.config import ClusterConfig
 from repro.tempest.network import Network
 from repro.tempest.node import Node
-from repro.tempest.stats import ClusterStats, MsgKind
+from repro.tempest.stats import MsgKind
 
 __all__ = ["Barrier"]
 
@@ -32,13 +32,11 @@ class Barrier:
         config: ClusterConfig,
         network: Network,
         nodes: list[Node],
-        stats: ClusterStats,
     ) -> None:
         self.engine = engine
         self.config = config
         self.network = network
         self.nodes = nodes
-        self.stats = stats
         self.manager = config.barrier_manager
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
@@ -64,6 +62,19 @@ class Barrier:
         # consistent cut).  None or a zero return keeps the schedule
         # byte-identical to a checkpoint-free run.
         self.on_checkpoint = None
+
+    def snapshot(self) -> int:
+        """The checkpoint cut: the barriers completed (at a checkpoint, each node's generation)."""
+        return self.barriers_completed
+
+    def restore(self, completed: int) -> None:
+        """Back to a cut; no arrival, release or lineage record is left over."""
+        self.barriers_completed = completed
+        self._node_gen = [completed] * len(self._node_gen)
+        self._arrivals.clear()
+        self._release.clear()
+        self._arrive_seq.clear()
+        self._release_msg.clear()
 
     def enter(self, node_id: int) -> Generator[Any, Any, None]:
         """Process fragment: release fence, arrive, wait for release."""

@@ -83,7 +83,7 @@ class Cluster:
         self.access._tags[homes, np.arange(memory.n_blocks)] = _READWRITE
 
         self.protocol = self.PROTOCOLS[protocol](
-            self.engine, config, self.access, self.directory, self.network, self.nodes, self.stats
+            self.engine, config, self.access, self.directory, self.network, self.nodes
         )
         self.ext = CompilerExtensions(
             self.engine,
@@ -95,8 +95,11 @@ class Cluster:
             self.protocol,
             self.stats,
         )
-        self.barrier_net = Barrier(self.engine, config, self.network, self.nodes, self.stats)
-        self.collectives = Collectives(self.engine, config, self.network, self.nodes, self.stats)
+        self.barrier_net = Barrier(self.engine, config, self.network, self.nodes)
+        self.collectives = Collectives(self.engine, config, self.network, self.nodes)
+        #: every component with a checkpoint cut, in the order a rollback restores them
+        self.components = (self.access, self.directory, self.barrier_net, self.collectives,
+                           self.ext, self.protocol, self.network, *self.nodes)
         #: the observability bus (repro.obs.EventBus) or None.  Publishing
         #: sites guard on their component's ``obs`` being non-None, so a
         #: cluster without a bus constructs no event objects at all.
@@ -122,13 +125,10 @@ class Cluster:
         a run without one.
         """
         self.obs = bus
-        self.network.obs = bus
-        if self.network.transport is not None:
-            self.network.transport.obs = bus
-        self.protocol.obs = bus
-        self.ext.obs = bus
-        self.barrier_net.obs = bus
-        self.collectives.obs = bus
+        for component in (self.network, self.network.transport, self.protocol,
+                          self.ext, self.barrier_net, self.collectives):
+            if component is not None:
+                component.obs = bus
         return bus
 
     def ensure_bus(self):

@@ -14,7 +14,7 @@ from repro.sim import CountingSemaphore, Engine, Future
 from repro.tempest.config import ClusterConfig
 from repro.tempest.network import Network
 from repro.tempest.node import Node
-from repro.tempest.stats import ClusterStats, MsgKind
+from repro.tempest.stats import MsgKind
 
 __all__ = ["Collectives"]
 
@@ -28,13 +28,11 @@ class Collectives:
         config: ClusterConfig,
         network: Network,
         nodes: list[Node],
-        stats: ClusterStats,
     ) -> None:
         self.engine = engine
         self.config = config
         self.network = network
         self.nodes = nodes
-        self.stats = stats
         self.root = config.barrier_manager
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
@@ -46,6 +44,20 @@ class Collectives:
         self._mp_sema = [
             CountingSemaphore(engine, f"mp.n{i}") for i in range(config.n_nodes)
         ]
+
+    def snapshot(self) -> tuple[list[int], list[int]]:
+        """The checkpoint cut: the per-node generations and the mp counts."""
+        return list(self._node_gen), [s.snapshot() for s in self._mp_sema]
+
+    def restore(self, cut: tuple[list[int], list[int]]) -> None:
+        """Back to a cut; no reduction is left in progress."""
+        node_gen, mp_counts = cut
+        self._node_gen = list(node_gen)
+        for sema, count in zip(self._mp_sema, mp_counts):
+            sema.restore(count)
+        self._arrivals.clear()
+        self._result.clear()
+        self._tree_semas.clear()
 
     # ------------------------------------------------------------------ #
     # global SUM-style reduction (combine at root, broadcast result)

@@ -71,6 +71,22 @@ class Directory:
         self.prev_version = np.zeros(n_blocks, dtype=np.int64)
         self.copy_version = np.zeros((n_nodes, n_blocks), dtype=np.int64)
 
+    def snapshot(self) -> dict[str, object]:
+        """The checkpoint cut: a copy of every field, by name."""
+        return {
+            "state": self.state.copy(),
+            "owner": self.owner.copy(),
+            "sharers": self.sharers.copy(),
+            "global_version": self.global_version.copy(),
+            "prev_version": self.prev_version.copy(),
+            "copy_version": self.copy_version.copy(),
+        }
+
+    def restore(self, cut: dict[str, object]) -> None:
+        """Write every field of ``cut`` back in place."""
+        for name, saved in cut.items():
+            getattr(self, name)[:] = saved
+
     # ------------------------------------------------------------------ #
     # state queries
     # ------------------------------------------------------------------ #

@@ -107,12 +107,23 @@ class CompilerExtensions:
         self._iw_memo: list[set[tuple[int, int]]] = [set() for _ in range(config.n_nodes)]
 
     # ------------------------------------------------------------------ #
+    def snapshot(self) -> tuple[list[int], list[set[tuple[int, int]]]]:
+        """The checkpoint cut: the arrival counts and the rt-elim memo."""
+        return [s.snapshot() for s in self.arrival_sema], [set(m) for m in self._iw_memo]
+
+    def restore(self, cut: tuple[list[int], list[set[tuple[int, int]]]]) -> None:
+        counts, memo = cut
+        for sema, count in zip(self.arrival_sema, counts):
+            sema.restore(count)
+        self._iw_memo = [set(m) for m in memo]
+
+    # ------------------------------------------------------------------ #
     def _timed(self, node_id: int, op: str = ""):
         """Context helper: measure a call's elapsed time into call_ns."""
         start = self.engine.now
 
         def finish() -> None:
-            self.nodes[node_id].stats.call_ns += self.engine.now - start
+            self.stats[node_id].call_ns += self.engine.now - start
             if self.obs is not None:
                 self.obs.emit(
                     "call", start, self.engine.now - start, node_id, None,

@@ -232,6 +232,15 @@ class Network:
         )
         self._bw_bytes_per_us = config.bandwidth_bytes_per_us
 
+    def snapshot(self) -> None:
+        """No cut: the combine buffers hold frames in flight."""
+
+    def restore(self, _cut: None) -> None:
+        """Drop the combine buffers and every channel's heat."""
+        if self.combining:
+            self._pending = [{} for _ in self._pending]
+            self._last_ctl = [{} for _ in self._last_ctl]
+
     def send(
         self,
         src: int,

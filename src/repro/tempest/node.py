@@ -63,6 +63,12 @@ class Node:
         # Per-handler surcharge: the interrupt entry cost on a shared CPU.
         self._handler_extra_ns = 0 if config.dual_cpu else config.interrupt_overhead_ns
 
+    def snapshot(self) -> None:
+        """No cut: the pending writes are transactions in flight."""
+
+    def restore(self, _cut: None) -> None:
+        self.pending.clear()
+
     # ------------------------------------------------------------------ #
     # protocol handler execution
     # ------------------------------------------------------------------ #

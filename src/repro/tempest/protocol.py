@@ -42,7 +42,7 @@ _EXCLUSIVE = int(DirState.EXCLUSIVE)
 _READWRITE = int(AccessTag.READWRITE)
 from repro.tempest.network import Network
 from repro.tempest.node import Node
-from repro.tempest.stats import ClusterStats, MsgKind
+from repro.tempest.stats import MsgKind
 
 __all__ = ["DefaultProtocol", "ProtocolError"]
 
@@ -62,7 +62,6 @@ class DefaultProtocol:
         directory: Directory,
         network: Network,
         nodes: list[Node],
-        stats: ClusterStats,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -70,7 +69,6 @@ class DefaultProtocol:
         self.directory = directory
         self.network = network
         self.nodes = nodes
-        self.stats = stats
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
         # Per-block home-side transaction lock: block -> queue of deferred
@@ -86,11 +84,26 @@ class DefaultProtocol:
         # chain to the fetch it piggybacked on.
         self._inflight_cause: dict[tuple[int, int], int] = {}
         # Observability only: (node, block) -> the stats fields a
-        # still-incomplete transaction has already bumped.  A rollback
-        # that orphans the transaction emits a compensating ``miss.abort``
-        # from this record, so event-derived counters stay exactly equal
-        # to ClusterStats even when a crash wipes in-flight misses.
+        # still-incomplete transaction has already bumped (see restore).
         self._inflight_counted: dict[tuple[int, int], dict[str, int]] = {}
+
+    def snapshot(self) -> None:
+        """No cut: the protocol's state is its transactions in flight."""
+
+    def restore(self, _cut: None) -> None:
+        """Drop the transactions a rollback orphans.  Each already bumped stats
+        counters that will never see its completion, so it gets a compensating
+        ``miss.abort`` record: event-derived counters stay equal to ClusterStats."""
+        if self.obs is not None:
+            for (node_id, block), counted in sorted(self._inflight_counted.items()):
+                self.obs.emit(
+                    "miss.abort", self.engine.now, 0, node_id, None,
+                    {"block": block, **counted},
+                )
+        self._busy.clear()
+        self._inflight.clear()
+        self._inflight_cause.clear()
+        self._inflight_counted.clear()
 
     # ------------------------------------------------------------------ #
     # transaction lock

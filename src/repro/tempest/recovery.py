@@ -14,37 +14,27 @@ manager observes through the ``on_give_up`` hook and surfaces as a
 themselves, so this manager alone decides when they stop, by the rule
 docs/faults.md states in "How a run ends".
 
-Checkpoints
------------
-Barrier completion is a globally consistent cut: every node has drained its
-release fence and none has resumed, so there are no in-flight protocol
-transactions to reason about.  Every ``checkpoint_every`` barriers the
-manager snapshots the coherence state (access tags, directory arrays),
-synchronization generation counters, and each node's trace-replay cursor.
-The modeled write cost (segment bytes x ``checkpoint_cost_ns_per_kb``)
-defers the barrier's release broadcast, so checkpointing visibly costs
-simulated time; a zero cost keeps the schedule byte-identical.
-
-Recovery
---------
-Once the event queue drains with every dead node detected and restarting,
-and a checkpoint exists, the cluster rolls back: simulated time advances
-to the restart instant, the transport resets (fresh channel epochs,
-cleared parked/ack state), the snapshot is restored, surviving programs
-are cancelled, and fresh replay generators resume every node from its
-checkpointed cursor.  The numerics are computed host-side before the run,
-so a recovered run's final answers are byte-identical to a crash-free run
-by construction — what recovery buys is *completion* (and honest
-accounting of its cost under ``recovery_*`` stats) instead of the degraded
-``completed=False`` contract.
+Checkpoints and recovery
+------------------------
+Every ``checkpoint_every`` barriers, at the all-arrived instant (a globally
+consistent cut), the manager records each node's trace-replay cursor and
+the ``snapshot()`` of every component in ``Cluster.components``;
+docs/faults.md lists what each cut holds.  The modeled write cost defers
+the barrier's release broadcast; a zero cost keeps the schedule
+byte-identical.  Once the event queue drains with every dead node detected
+and restarting, the cluster rolls back: the clock advances to the restart
+instant, the transport starts a fresh epoch, every component is restored
+from its cut, and fresh replay generators resume every node from its cursor.
+The numerics are computed before the run, so a recovered run's answers are
+byte-identical to a crash-free run's by construction: what recovery buys
+is *completion* (with its cost under ``recovery_*`` stats) instead of the
+degraded ``completed=False`` contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, TYPE_CHECKING
-
-import numpy as np
 
 from repro.sim import Future
 from repro.tempest.faults import CrashScenario
@@ -60,29 +50,15 @@ ProgramFactory = Callable[[int, int], Generator[Any, Any, Any]]
 
 @dataclass
 class Checkpoint:
-    """A barrier-consistent snapshot of everything rollback must restore.
-
-    NumPy fields are defensive copies; nothing aliases live cluster state.
-    The engine clock, statistics and RNG streams are deliberately *not*
-    part of the cut — time only moves forward, stats keep accumulating
-    across a rollback (re-execution is real work), and determinism comes
-    from the replayed operation schedule, not from rewinding randomness.
-    """
+    """A barrier-consistent cut: the replay cursors and one ``snapshot()``
+    (a copy) per component of ``Cluster.components``, in order.  The clock,
+    stats and RNG streams are deliberately not in it: time only moves
+    forward, stats keep accumulating across a rollback (re-execution is
+    real work), and determinism comes from the replayed schedule."""
 
     barrier_gen: int                    #: barriers completed at the cut
     cursors: list[int]                  #: per-node resume op index
-    tags: np.ndarray
-    implicit: np.ndarray
-    dir_state: np.ndarray
-    dir_owner: np.ndarray
-    dir_sharers: np.ndarray
-    dir_gver: np.ndarray
-    dir_pver: np.ndarray
-    dir_cver: np.ndarray
-    coll_gen: list[int] = field(default_factory=list)
-    arrival_counts: list[int] = field(default_factory=list)
-    iw_memo: list[set] = field(default_factory=list)
-    mp_counts: list[int] = field(default_factory=list)
+    cuts: list[Any]                     #: per-component snapshots
 
 
 class RecoveryManager:
@@ -230,30 +206,12 @@ class RecoveryManager:
             # from, so checkpointing is a silent no-op (degraded contract
             # still applies on a crash).
             return 0
-        access = cluster.access
-        d = cluster.directory
-        coll = cluster.collectives
-        ext = cluster.ext
         nbytes = cluster.memory.checkpoint_bytes()
-        ck = Checkpoint(
-            barrier_gen=ordinal,
-            # The barrier op is accounted complete by the restored
-            # generation counters; resume at the op after it.
-            cursors=[c + 1 for c in cursors],
-            tags=access._tags.copy(),
-            implicit=access._implicit.copy(),
-            dir_state=d.state.copy(),
-            dir_owner=d.owner.copy(),
-            dir_sharers=d.sharers.copy(),
-            dir_gver=d.global_version.copy(),
-            dir_pver=d.prev_version.copy(),
-            dir_cver=d.copy_version.copy(),
-            coll_gen=list(coll._node_gen),
-            arrival_counts=[s.count for s in ext.arrival_sema],
-            iw_memo=[set(m) for m in ext._iw_memo],
-            mp_counts=[s.count for s in coll._mp_sema],
+        # The barrier op is accounted complete by the restored generation
+        # counters; resume at the op after it.
+        self._last_checkpoint = Checkpoint(
+            ordinal, [c + 1 for c in cursors], [c.snapshot() for c in cluster.components]
         )
-        self._last_checkpoint = ck
         stats = cluster.stats
         stats.recovery_checkpoints += 1
         stats.recovery_checkpoint_bytes += nbytes
@@ -309,66 +267,10 @@ class RecoveryManager:
         # fresh sequence spaces, keepalives on again.
         transport.reset()
 
-        # Coherence state back to the cut.
-        cluster.access._tags[:] = ck.tags
-        cluster.access._implicit[:] = ck.implicit
-        d = cluster.directory
-        d.state[:] = ck.dir_state
-        d.owner[:] = ck.dir_owner
-        d.sharers[:] = ck.dir_sharers
-        d.global_version[:] = ck.dir_gver
-        d.prev_version[:] = ck.dir_pver
-        d.copy_version[:] = ck.dir_cver
-
-        # Synchronization services back to the cut.
-        bar = cluster.barrier_net
-        bar._node_gen = [ck.barrier_gen] * cluster.n_nodes
-        bar.barriers_completed = ck.barrier_gen
-        bar._arrivals.clear()
-        bar._release.clear()
-        coll = cluster.collectives
-        coll._node_gen = list(ck.coll_gen)
-        coll._arrivals.clear()
-        coll._result.clear()
-        coll._tree_semas.clear()
-        for sema, count in zip(coll._mp_sema, ck.mp_counts):
-            sema.count = count
-            sema._waiter = None
-            sema._threshold = None
-        ext = cluster.ext
-        for sema, count in zip(ext.arrival_sema, ck.arrival_counts):
-            sema.count = count
-            sema._waiter = None
-            sema._threshold = None
-        for memo, saved in zip(ext._iw_memo, ck.iw_memo):
-            memo.clear()
-            memo.update(saved)
-
-        # In-progress transactions are orphaned with their generators.
-        # Each one already bumped stats counters that will never see their
-        # completion event; compensating miss.abort events keep the
-        # event-derived counters exactly equal to ClusterStats.
-        obs = cluster.obs
-        if obs is not None:
-            for (node_id, block), counted in sorted(
-                cluster.protocol._inflight_counted.items()
-            ):
-                obs.emit(
-                    "miss.abort", engine.now, 0, node_id, None,
-                    {"block": block, **counted},
-                )
-        cluster.protocol._busy.clear()
-        cluster.protocol._inflight.clear()
-        cluster.protocol._inflight_cause.clear()
-        cluster.protocol._inflight_counted.clear()
-        for node in cluster.nodes:
-            node.pending.clear()
-        net = cluster.network
-        if getattr(net, "_pending", None) is not None:
-            for per_dst in net._pending:
-                per_dst.clear()
-            for per_dst in net._last_ctl:
-                per_dst.clear()
+        # Every component back to its cut.  The protocol's restore emits a
+        # compensating miss.abort record per transaction it drops.
+        for component, cut in zip(cluster.components, ck.cuts):
+            component.restore(cut)
 
         # Cancel surviving programs (their state is pre-rollback) and
         # respawn everyone from the checkpointed cursors.

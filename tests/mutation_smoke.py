@@ -126,6 +126,18 @@ MUTANTS = (
         ("tests/integration/test_failure_injection.py",),
     ),
     Mutant(
+        "rollback forgets copy_version", "tempest/directory.py",
+        "        for name, saved in cut.items():\n",
+        "        for name, saved in list(cut.items())[:-1]:\n",
+        ("tests/tempest/test_checkpoint_cut.py",),
+    ),
+    Mutant(
+        "the directory's cut drops a field", "tempest/directory.py",
+        '            "prev_version": self.prev_version.copy(),\n',
+        "            # prev_version left out of the cut\n",
+        ("tests/test_reach_table.py",),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

@@ -12,20 +12,25 @@ size, and the three benches whose paths no default-scale run takes.  It
 lists every function defined under ``src/`` that no call reached and exits
 1 unless ``KEEP`` — the decision record — names it with a reason.
 
-It also runs two static passes.  :func:`write_only_state`: every
+It also runs three static passes.  :func:`write_only_state`: every
 attribute stored under ``src/`` must be loaded somewhere under ``src/``,
 or be named in ``WRITE_ONLY_KEEP`` with a reason.
 :func:`single_valued_keywords`: every defaulted keyword of a public
 ``src/`` callable must take some other value at a call site in ``src/``,
 ``tests/``, ``benchmarks/`` or ``examples/``, or be named in
-``KEYWORD_KEEP`` with a reason.  Tier-1 ``tests/test_reach_table.py``
-runs both passes on their own (they need no entry point driven).
+``KEYWORD_KEEP`` with a reason.  :func:`checkpoint_cut`: every attribute
+of a class with a ``restore`` that code changes after construction must
+be read by the class's ``snapshot`` or ``restore``, or be named in
+``CUT_KEEP`` with a reason.  Tier-1 ``tests/test_reach_table.py`` runs
+the three passes on their own (they need no entry point driven).
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import contextlib
+import importlib.util
 import io
 import os
 import runpy
@@ -37,7 +42,9 @@ from functools import cache, partial
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src", "repro")
+#: the ``repro`` package this process imports: ``src/repro``, or the
+#: mutated copy ``tests.mutation_smoke`` puts first on the path
+SRC = os.path.dirname(importlib.util.find_spec("repro").origin)
 
 #: reason -> "module: qualname ..." lines; a class name keeps its methods
 KEPT_FOR = {
@@ -339,6 +346,190 @@ def write_only_state(src: str = SRC, keep=WRITE_ONLY_KEEP) -> dict[str, list[str
 
 
 # --------------------------------------------------------------------- #
+# checkpoint cut: a static pass over src/
+# --------------------------------------------------------------------- #
+#: reason -> "Class.attr ..." lines
+CUT_KEPT_FOR = {
+    "observability handle, set when a bus is attached":
+        "Barrier.obs Collectives.obs CompilerExtensions.obs Network.obs",
+    "stats keep accumulating across a rollback: re-execution is real work":
+        "CompilerExtensions.stats Network.stats Node.stats",
+    "fail-stop state: the RecoveryManager revives a node before the restore loop, "
+    "and incarnations stay bumped so that no handler queued before a crash runs":
+        "Node.alive Node.incarnation",
+    "a hook installed before the run": "Barrier.on_checkpoint Barrier.on_complete",
+    "the storage under, or per-node views of, the arrays the cut copies":
+        "AccessControl._tag_buf AccessControl._imp_buf AccessControl.rows",
+    "a server: its free-at time only moves forward, and a drained queue leaves no job":
+        "Node.compute_cpu Network.links Network.switch",
+    "counts jobs in service, which a drained queue leaves at zero":
+        "Network._link_jobs Network._port_depth",
+    "a cache of each frame size's wire time, fixed by the config": "Network._wire_ns",
+    "restores itself: ReliableTransport.reset() starts a fresh epoch at every rollback":
+        "Network.transport",
+}
+CUT_KEEP = {
+    name: reason for reason, names in CUT_KEPT_FOR.items() for name in names.split()
+}
+
+#: methods that only read the object they are called on
+READ_ONLY_CALLS = frozenset({"get", "items", "keys", "values", "copy"})
+
+
+def _chain(node: ast.AST) -> tuple[ast.AST, list[str]]:
+    """``(root, attrs)`` of ``root.a[i].b``: ``attrs`` is ``["a", "b"]``."""
+    attrs = []
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+        node = node.value
+    return node, attrs[::-1]
+
+
+def _changes(tree: ast.AST):
+    """``(stmt, expr, how)`` for every change in ``tree``: ``expr`` is an
+    assigned, augmented or deleted target (``how`` is ``"store"``) or the
+    receiver of a method call that is not in :data:`READ_ONLY_CALLS`
+    (``"call"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for target in (t for top in targets for t in ast.walk(top)):
+                if (isinstance(target, (ast.Attribute, ast.Subscript))
+                        and not isinstance(target.ctx, ast.Load)):
+                    yield node, target, "store"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr not in READ_ONLY_CALLS):
+            yield node, node.func.value, "call"
+
+
+def _self_attrs(tree: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def _cleared(restore: ast.FunctionDef) -> set[str]:
+    """Attributes ``restore`` empties: ``self.x.clear()``, or ``self.x = v``
+    where ``v`` reads no name but ``self``, a builtin or its own loop
+    variables, so nothing of the cut."""
+    out = set()
+    for stmt, expr, how in _changes(restore):
+        root, attrs = _chain(expr)
+        if getattr(root, "id", None) != "self" or len(attrs) != 1:
+            continue
+        if how == "call" and stmt.func.attr == "clear":
+            out.add(attrs[0])
+        elif isinstance(stmt, ast.Assign):
+            names = [n for n in ast.walk(stmt.value) if isinstance(n, ast.Name)]
+            bound = {n.id for n in names if isinstance(n.ctx, ast.Store)} | {"self"}
+            if all(n.id in bound or n.id in vars(builtins) for n in names):
+                out.add(attrs[0])
+    return out
+
+
+def _defs(tree: ast.AST, cls: str | None = None):
+    """``(class, def)`` for every function not nested in another one;
+    ``class`` names the enclosing class, or is None."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _defs(node, node.name)
+        elif isinstance(node, ast.FunctionDef):
+            yield cls, node
+        else:
+            yield from _defs(node, cls)
+
+
+def restore_classes(src: str = SRC) -> dict[str, dict]:
+    """Every class under ``src`` that defines ``restore``: its name ->
+    ``{"state": {attr: sites}, "cut": attrs, "covered": attrs, "cleared":
+    attrs}``.
+
+    An attribute is *state* when a function under ``src`` changes it (see
+    :func:`_changes`).  In the class's own methods but ``__init__``, and in
+    its subclasses that do not define ``restore``, a change through
+    ``self.attr`` — however deep the chain below it — changes ``attr``.
+    Anywhere, a change of ``x.attr`` or ``x.attr[i]`` changes every such
+    class's ``attr`` by name.  An attribute ``__init__`` binds to a
+    constructor parameter as it is (``self.engine = engine``) refers to a
+    component owned elsewhere: only a store through it is a change.
+    ``cut`` is what ``snapshot`` reads, ``covered`` what it or ``restore``
+    reads, and ``cleared`` what ``restore`` empties outside the cut.
+    """
+    trees = {}
+    for path in _py_files(src):
+        with open(path, encoding="utf-8") as fh:
+            module = os.path.relpath(path, os.path.dirname(src))[: -len(".py")]
+            trees[module.replace(os.sep, ".")] = ast.parse(fh.read())
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+        return {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+
+    scope = {name: cls for name, cls in classes.items() if "restore" in methods(cls)}
+    owner = {name: name for name in scope}  # class -> the scope class it belongs to
+    while found := {name: owner[base.id] for name, cls in classes.items()
+                    if name not in owner for base in cls.bases
+                    if getattr(base, "id", None) in owner}:
+        owner.update(found)
+    declared = {name: set() for name in scope}
+    refs = {name: set() for name in scope}
+    for name, target in owner.items():
+        declared[target] |= _self_attrs(classes[name])
+        init = methods(classes[name]).get("__init__")
+        params = {a.arg for a in init.args.args} if init else set()
+        refs[target] |= {
+            t.attr for stmt in (init.body if init else ()) if isinstance(stmt, ast.Assign)
+            and getattr(stmt.value, "id", None) in params for t in stmt.targets
+            if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
+        }
+    changed = {name: {} for name in scope}
+    for module, tree in trees.items():
+        for cls, fn in _defs(tree):
+            inside = owner.get(cls) if fn.name != "__init__" else None
+            for _stmt, expr, how in _changes(fn):
+                root, attrs = _chain(expr)
+                via_self = getattr(root, "id", None) == "self"
+                site = (how, f"{module}:{expr.lineno}")
+                if attrs and via_self and inside:
+                    changed[inside].setdefault(attrs[0], []).append(site)
+                if attrs and not (via_self and len(attrs) == 1):
+                    for target in scope:
+                        if attrs[-1] in declared[target]:
+                            changed[target].setdefault(attrs[-1], []).append(site)
+    out = {}
+    for name, cls in scope.items():
+        own = methods(cls)
+        cut = _self_attrs(own["snapshot"]) if "snapshot" in own else set()
+        state = {}
+        for attr, sites in changed[name].items():
+            if attr in refs[name]:
+                sites = [site for site in sites if site[0] == "store"]
+            if attr in declared[name] and sites:
+                state[attr] = sorted({where for _, where in sites})
+        out[name] = {
+            "state": state,
+            "cut": cut,
+            "covered": cut | _self_attrs(own["restore"]),
+            "cleared": _cleared(own["restore"]) - cut,
+        }
+    return out
+
+
+def checkpoint_cut(src: str = SRC, keep=CUT_KEEP) -> dict[str, list[str]]:
+    """``Class.attr`` -> change sites, for every attribute of a class with a
+    ``restore`` that is state (:func:`restore_classes`) but that neither the
+    class's ``snapshot`` nor its ``restore`` reads, and that ``keep`` does
+    not name: a field a rollback would silently leave as it is."""
+    out = {}
+    for name, info in restore_classes(src).items():
+        for attr, sites in info["state"].items():
+            if attr not in info["covered"] and f"{name}.{attr}" not in keep:
+                out[f"{name}.{attr}"] = sites
+    return dict(sorted(out.items()))
+
+
+# --------------------------------------------------------------------- #
 # single-valued keywords: a static pass over src/ and its callers
 # --------------------------------------------------------------------- #
 #: where call sites are collected
@@ -456,6 +647,9 @@ def main() -> int:
     keywords = single_valued_keywords()
     for name in keywords:
         print(f"single-valued keyword  {name}")
+    outside_cut = checkpoint_cut()
+    for name, sites in outside_cut.items():
+        print(f"outside the checkpoint cut  {name}  ({', '.join(sites)})")
     functions = src_functions()
     reached = reached_functions()
     unreached = {name: n for name, n in sorted(functions.items()) if name not in reached}
@@ -466,8 +660,9 @@ def main() -> int:
           f"{len(unreached)} unreached ({sum(unreached.values())} lines), "
           f"{len(bad)} of them not in KEEP; "
           f"{len(write_only)} write-only attributes not in WRITE_ONLY_KEEP; "
-          f"{len(keywords)} single-valued keywords not in KEYWORD_KEEP")
-    return 1 if bad or write_only or keywords else 0
+          f"{len(keywords)} single-valued keywords not in KEYWORD_KEEP; "
+          f"{len(outside_cut)} attributes outside the checkpoint cut not in CUT_KEEP")
+    return 1 if bad or write_only or keywords or outside_cut else 0
 
 
 if __name__ == "__main__":

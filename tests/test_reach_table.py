@@ -2,12 +2,16 @@
 function or class deleted or renamed under ``src/`` must leave ``KEEP``
 with it, an attribute no code reads must be deleted or named in
 ``WRITE_ONLY_KEEP``, and a keyword every caller leaves at its default
-must be deleted or named in ``KEYWORD_KEEP``."""
+must be deleted or named in ``KEYWORD_KEEP``, and a field a class with a
+``restore`` changes must be in its checkpoint cut, cleared by its
+``restore`` or named in ``CUT_KEEP``."""
 
 from tests.reach_table import (
+    CUT_KEEP,
     KEEP,
     KEYWORD_KEEP,
     WRITE_ONLY_KEEP,
+    checkpoint_cut,
     single_valued_keywords,
     src_functions,
     write_only_state,
@@ -60,3 +64,34 @@ def test_keyword_pass_flags_a_keyword_no_caller_passes(tmp_path):
     assert [name.rpartition(":")[2] for name in found] == [
         "nobody_calls_this(flag)", "nobody_calls_this(scale)",
     ]
+
+
+def test_checkpoint_cut_is_complete():
+    assert checkpoint_cut() == {}
+
+
+def test_every_cut_keep_entry_is_needed():
+    unkept = checkpoint_cut(keep={})
+    assert [name for name in CUT_KEEP if name not in unkept] == []
+
+
+def test_cut_pass_flags_a_changed_field_the_cut_forgets(tmp_path):
+    (tmp_path / "planted.py").write_text(
+        "class Planted:\n"
+        "    def __init__(self, engine):\n"
+        "        self.engine = engine\n"
+        "        self.count = 0\n"
+        "        self.seen = []\n"
+        "    def bump(self):\n"
+        "        self.engine.call_now(print)\n"
+        "        self.count += 1\n"
+        "        self.seen.append(self.count)\n"
+        "    def snapshot(self):\n"
+        "        return self.count\n"
+        "    def restore(self, cut):\n"
+        "        self.count = cut\n"
+    )
+    # count is in the cut; engine is a constructor reference only called
+    found = checkpoint_cut(str(tmp_path))
+    assert {name: [site.rpartition(".")[2] for site in sites]
+            for name, sites in found.items()} == {"Planted.seen": ["planted:9"]}
