@@ -155,7 +155,7 @@ def measure_fault_cell(app: str, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        run_shmem(prog, ClusterConfig(n_nodes=N_NODES), faults=faults)
+        run_shmem(prog, ClusterConfig(n_nodes=N_NODES, faults=faults))
         best = min(best, time.perf_counter() - t0)
     return best
 

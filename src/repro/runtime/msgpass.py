@@ -66,35 +66,14 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
                 key = (t.dst, t.src)
                 post_bytes[key] = post_bytes.get(key, 0) + nbytes
 
-        pre_expected: dict[int, tuple[int, int]] = {}
-        for (src, dst), nbytes in sorted(pre_bytes.items()):
-            # Section gather into the pack buffer, then the send.
-            traces[src].compute(nbytes * config.mp_pack_ns_per_byte)
-            traces[src].mp_send(dst, nbytes)
-            count, rbytes = pre_expected.get(dst, (0, 0))
-            pre_expected[dst] = (count + 1, rbytes + nbytes)
-            total_msgs += 1
-            total_bytes += nbytes
-        for dst, (count, rbytes) in sorted(pre_expected.items()):
-            traces[dst].mp_recv(count)
-            traces[dst].compute(rbytes * config.mp_pack_ns_per_byte)  # scatter
-
+        _exchange(traces, pre_bytes, config)
         for p, t in enumerate(traces):
             units = rec.compute_units(p)
             if units or not rec.inst.iterations[p].is_empty:
                 t.compute(units * config.compute_ns_per_unit + config.loop_overhead_ns)
-
-        post_expected: dict[int, tuple[int, int]] = {}
-        for (src, dst), nbytes in sorted(post_bytes.items()):
-            traces[src].compute(nbytes * config.mp_pack_ns_per_byte)
-            traces[src].mp_send(dst, nbytes)
-            count, rbytes = post_expected.get(dst, (0, 0))
-            post_expected[dst] = (count + 1, rbytes + nbytes)
-            total_msgs += 1
-            total_bytes += nbytes
-        for dst, (count, rbytes) in sorted(post_expected.items()):
-            traces[dst].mp_recv(count)
-            traces[dst].compute(rbytes * config.mp_pack_ns_per_byte)
+        _exchange(traces, post_bytes, config)
+        total_msgs += len(pre_bytes) + len(post_bytes)
+        total_bytes += sum(pre_bytes.values()) + sum(post_bytes.values())
 
     cluster = Cluster(config, mem)
     stats = cluster.run({n: replay(cluster, n, traces[n].ops) for n in range(config.n_nodes)})
@@ -107,3 +86,20 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
         dict(scalars),
         {"mp_messages": total_msgs, "mp_bytes": total_bytes, "dual_cpu": config.dual_cpu},
     )
+
+
+def _exchange(
+    traces: list[NodeTrace], nbytes_of: dict[tuple[int, int], int], config: ClusterConfig
+) -> None:
+    """One packed message per ``(src, dst)`` of ``nbytes_of``: each sender
+    gathers its section into the pack buffer and sends; each receiver then
+    waits for all of its messages and scatters them."""
+    expected: dict[int, tuple[int, int]] = {}
+    for (src, dst), nbytes in sorted(nbytes_of.items()):
+        traces[src].compute(nbytes * config.mp_pack_ns_per_byte)
+        traces[src].mp_send(dst, nbytes)
+        count, rbytes = expected.get(dst, (0, 0))
+        expected[dst] = (count + 1, rbytes + nbytes)
+    for dst, (count, rbytes) in sorted(expected.items()):
+        traces[dst].mp_recv(count)
+        traces[dst].compute(rbytes * config.mp_pack_ns_per_byte)

@@ -72,8 +72,7 @@ from repro.runtime.phases import (
 from repro.runtime.results import RunResult
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest.cluster import Cluster
-from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
-from repro.tempest.faults import FaultConfig
+from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy, SharedMemory
 
 __all__ = [
@@ -474,18 +473,12 @@ def execute_shmem_plan(
         timeline = Timeline(obs, config.n_nodes, lineage=critical_path)
     cluster = Cluster(config, mem, protocol=protocol, obs=obs)
     traces = plan.traces
-    program_factory = None
-    if config.faults.crashes or config.faults.checkpoint_every:
-        # Crash/checkpoint runs track per-node replay cursors so a barrier
-        # checkpoint can record where each node is, and rollback can respawn
-        # replays mid-trace from the recorded cursor.
-        cluster.replay_cursor = [0] * config.n_nodes
 
-        def program_factory(n: int, start: int):
-            return replay(cluster, n, traces[n], start)
+    def program_factory(n: int, start: int):
+        return replay(cluster, n, traces[n], start)
 
     stats = cluster.run(
-        {n: replay(cluster, n, traces[n]) for n in range(config.n_nodes)},
+        {n: program_factory(n, 0) for n in range(config.n_nodes)},
         audit=True,
         audit_each_barrier=audit_each_barrier,
         program_factory=program_factory,
@@ -579,26 +572,23 @@ def run_shmem(
     advisory: str | bool = False,
     home_policy: HomePolicy = HomePolicy.ALIGNED,
     protocol: str = "invalidate",
-    faults: FaultConfig | None = None,
-    combine: CombineConfig | None = None,
-    switch: SwitchConfig | None = None,
     audit_each_barrier: bool = False,
     obs=None,
     profile_phases: bool = False,
     critical_path: bool = False,
-    plan: ShmemPlan | None = None,
 ) -> RunResult:
     """Run a program on simulated fine-grain DSM; returns timing + numerics.
 
-    ``faults`` injects interconnect faults (see
+    ``config.faults`` injects interconnect faults (see
     :class:`~repro.tempest.faults.FaultConfig`), engaging the reliable
-    transport.  ``combine`` enables control-message combining (see
-    :class:`~repro.tempest.config.CombineConfig`); ``switch`` enables the
-    shared-switch contention model (see
-    :class:`~repro.tempest.config.SwitchConfig`).  The coherence auditor
-    runs at the end of every run — every directory entry cross-checked
-    against access tags and block versions — and ``audit_each_barrier``
-    also runs it at every barrier.
+    transport.  ``config.combine`` enables control-message combining (see
+    :class:`~repro.tempest.config.CombineConfig`); ``config.switch``
+    enables the shared-switch contention model (see
+    :class:`~repro.tempest.config.SwitchConfig`); vary one with
+    ``config.scaled(faults=...)``.  The coherence auditor runs at the end
+    of every run — every directory entry cross-checked against access
+    tags and block versions — and ``audit_each_barrier`` also runs it at
+    every barrier.
 
     Partition survival: a ``FaultConfig`` with per-link profiles or
     partition scenarios may make some channels give up.  If a healing
@@ -627,25 +617,13 @@ def run_shmem(
     decomposition and what-if bounds (:func:`repro.obs.critical_path`,
     completed runs only).  None of these perturb the simulation —
     schedules, stats and numerics stay identical.
-
-    ``plan`` short-circuits the functional pass with a previously built
-    :class:`ShmemPlan` (it must match this call's program and geometry);
-    ``repro.serve`` uses this to replay one memoized compiler analysis
-    across every wire configuration of a sweep.
     """
     opts = locals()
     config = config or ClusterConfig()
-    if faults is not None:
-        config = config.scaled(faults=faults)
-    if combine is not None:
-        config = config.scaled(combine=combine)
-    if switch is not None:
-        config = config.scaled(switch=switch)
     _check_optimizer_options(optimize, rt_elim, pre, advisory, protocol)
-    if plan is None:
-        plan = build_shmem_plan(
-            program, config, **{name: opts[name] for name in BUILD_OPTIONS}
-        )
+    plan = build_shmem_plan(
+        program, config, **{name: opts[name] for name in BUILD_OPTIONS}
+    )
     return execute_shmem_plan(
         plan, config, obs=obs, **{name: opts[name] for name in EXECUTE_OPTIONS}
     )

@@ -104,11 +104,9 @@ class Cluster:
         #: sites guard on their component's ``obs`` being non-None, so a
         #: cluster without a bus constructs no event objects at all.
         self.obs = None
-        #: per-node trace-replay op cursor (set by repro.runtime.traces when
-        #: programs are trace replays); checkpoints snapshot it and rollback
-        #: resumes from it.  None for hand-written generator programs.
-        self.replay_cursor: list[int] | None = None
-        #: the RecoveryManager for runs with crash scenarios / checkpoints.
+        #: the RecoveryManager for runs with crash scenarios / checkpoints,
+        #: created by :meth:`run`; it owns the per-node replay cursors
+        #: (``recovery.cursors``), so None also means a replay keeps none.
         self.recovery = None
         if obs is not None:
             self.attach_bus(obs)
@@ -238,7 +236,9 @@ class Cluster:
         drained, nobody resumed).
 
         The run ends when the event queue drains (docs/faults.md, "How a
-        run ends").  If the crash scenarios' ``RecoveryManager`` says
+        run ends").  This method alone decides whether a run can roll
+        back: a config with crash scenarios or a checkpoint interval gets
+        a ``RecoveryManager``, which owns the replay cursors.  If it says
         ``rollback_due()``, it rolls back and goes on:
         ``program_factory(node_id, resume_cursor)`` (the runtime passes
         one) respawns each program.  A stuck run is *degraded* when a

@@ -67,7 +67,9 @@ class RecoveryManager:
     Constructed by :meth:`Cluster.run` whenever the fault config carries
     crash scenarios or a checkpoint interval.  Holds no engine events of
     its own beyond the one-shot crash timers; detection is driven entirely
-    by the transport's organic give-up machinery.
+    by the transport's organic give-up machinery.  It owns the per-node
+    replay cursors (``cursors``): trace replays write them, checkpoints
+    copy them and rollback resets them.
     """
 
     def __init__(self, cluster: "Cluster", program_factory: ProgramFactory | None) -> None:
@@ -75,6 +77,9 @@ class RecoveryManager:
         self.engine = cluster.engine
         self.program_factory = program_factory
         self.faults = cluster.config.faults
+        #: per-node index of the trace op each replay is executing; the
+        #: replays write it, checkpoints copy it, rollback resumes from it
+        self.cursors = [0] * cluster.n_nodes
         #: node_id -> CrashScenario for currently-dead nodes
         self._dead: dict[int, CrashScenario] = {}
         #: node_id -> mutable crash record (aliased into stats.crash_events)
@@ -199,18 +204,17 @@ class RecoveryManager:
         """Snapshot at barrier ``ordinal``; return the modeled write cost."""
         if ordinal % self.faults.checkpoint_every != 0:
             return 0
-        cluster = self.cluster
-        cursors = cluster.replay_cursor
-        if cursors is None:
+        if self.program_factory is None:
             # Programs are not trace replays: there is nothing to resume
             # from, so checkpointing is a silent no-op (degraded contract
             # still applies on a crash).
             return 0
+        cluster = self.cluster
         nbytes = cluster.memory.checkpoint_bytes()
         # The barrier op is accounted complete by the restored generation
         # counters; resume at the op after it.
         self._last_checkpoint = Checkpoint(
-            ordinal, [c + 1 for c in cursors], [c.snapshot() for c in cluster.components]
+            ordinal, [c + 1 for c in self.cursors], [c.snapshot() for c in cluster.components]
         )
         stats = cluster.stats
         stats.recovery_checkpoints += 1
@@ -242,7 +246,7 @@ class RecoveryManager:
         stats = cluster.stats
 
         # Where each node had gotten to, for the observability record.
-        reached = list(cluster.replay_cursor) if cluster.replay_cursor else []
+        reached = list(self.cursors)
         revived = sorted(self._dead)
 
         # Advance the clock to the instant every crashed node is back up.
@@ -277,7 +281,7 @@ class RecoveryManager:
         for g in self._guards:
             if not g.resolved and not g.cancelled:
                 g.cancel()
-        cluster.replay_cursor = list(ck.cursors)
+        self.cursors = list(ck.cursors)
         factory = self.program_factory
         assert factory is not None
         guards = [

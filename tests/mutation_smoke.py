@@ -138,6 +138,20 @@ MUTANTS = (
         ("tests/test_reach_table.py",),
     ),
     Mutant(
+        "replay swaps read's phase and context", "runtime/traces.py",
+        "            yield from cluster.read_blocks(node, op[1], context=op[3], phase=op[2])\n",
+        "            yield from cluster.read_blocks(node, op[1], context=op[2], phase=op[3])\n",
+        ("tests/runtime/test_traces_results.py",),
+    ),
+    # While op i runs, a cursor recorded after each op still names op i - 1,
+    # so a rollback re-enters the checkpoint's barrier.
+    Mutant(
+        "replay records its cursor after the op instead of before", "runtime/traces.py",
+        "            cursor[node] = i\n",
+        "            cursor[node] = i - 1\n",
+        ("tests/tempest/test_crash.py", "tests/obs/test_trace_bytes.py"),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

@@ -19,9 +19,8 @@ import hashlib
 import json
 
 from repro.runtime import run_shmem
-from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import CrashScenario, FaultConfig, PartitionScenario
-from tests.runtime.conftest import jacobi_program
+from tests.runtime.conftest import cell_config, jacobi_program
 from tests.tempest.test_protocol_fuzz import COMBINE_ON, FAULT_MATRIX, SWITCH_MATRIX
 
 #: Node 1 is cut off 0.2 ms in and the cut heals 2.5 ms later; channels
@@ -126,7 +125,7 @@ def digest(obj) -> str:
 def run_cell(cell: str, **kwargs):
     opts = {"profile_phases": True, "critical_path": True, **CELLS[cell], **kwargs}
     return run_shmem(
-        jacobi_program(n=opts.pop("n", 32), iters=2), ClusterConfig(), **opts
+        jacobi_program(n=opts.pop("n", 32), iters=2), cell_config(opts), **opts
     )
 
 

@@ -16,12 +16,13 @@ from repro.runtime import run_shmem
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 
 if __name__ == "__main__":
-    config = ClusterConfig()
+    config = ClusterConfig(
+        switch=SwitchConfig(enabled=True), combine=CombineConfig(enabled=True)
+    )
     bus = EventBus()
     registry = MetricsRegistry(bus, config.n_nodes)
     result = run_shmem(
-        get_app("grav").program("paper"), config, optimize=True, advisory="full",
-        switch=SwitchConfig(enabled=True), combine=CombineConfig(enabled=True), obs=bus,
+        get_app("grav").program("paper"), config, optimize=True, advisory="full", obs=bus,
     )
     mismatches = registry.diff(result.stats)
     print("\n".join(mismatches) or f"{bus.events_published} events, 0 mismatches")

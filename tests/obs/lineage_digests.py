@@ -24,9 +24,8 @@ from repro.apps import grav, shallow
 from repro.hpf.dsl import I, S, ProgramBuilder
 from repro.obs import ChromeTraceExporter, EventBus
 from repro.runtime import run_shmem
-from repro.tempest.config import ClusterConfig
 from tests.obs import attribution_matrix as am
-from tests.runtime.conftest import jacobi_program
+from tests.runtime.conftest import cell_config, jacobi_program
 
 
 def _non_owner_writes():
@@ -85,10 +84,7 @@ def run_cell(cell: str):
     """(result, exporter) of one cell."""
     make, n_nodes, kwargs = CELLS[cell]
     kwargs = dict(kwargs)
-    config = ClusterConfig(
-        n_nodes=n_nodes,
-        reduce_algorithm=kwargs.pop("reduce_algorithm", "central"),
-    )
+    config = cell_config(kwargs, n_nodes=n_nodes)
     bus = EventBus()
     exporter = ChromeTraceExporter(bus, n_nodes=n_nodes)
     result = run_shmem(make(), config, obs=bus, critical_path=True, **kwargs)

@@ -133,8 +133,8 @@ def test_trailing_rollback_starts_the_walk_on_the_node_that_worked_longest():
     analyzer = CriticalPathAnalyzer(bus, 4)
     timeline = Timeline(bus, 4)
     r = run_shmem(
-        APPS["jacobi"].program(n=32, iters=2), ClusterConfig(n_nodes=4),
-        faults=faults, obs=bus, profile_phases=True, critical_path=True,
+        APPS["jacobi"].program(n=32, iters=2), ClusterConfig(n_nodes=4, faults=faults),
+        obs=bus, profile_phases=True, critical_path=True,
     )
     assert r.completed and r.stats.recovery_rollbacks == 1
     assert {spans[-1][1:3] for spans in timeline.spans} == {(r.elapsed_ns, "outage")}

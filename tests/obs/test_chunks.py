@@ -66,15 +66,15 @@ def test_pinned_traces_do_not_see_chunk_seams(
     assert pending_high_water[0] <= chunk
 
 
-def observe(kwargs) -> dict:
+def observe(config: ClusterConfig) -> dict:
     """A shallow run with every consumer on one bus; what each computed."""
     bus = EventBus()
     exporter = ChromeTraceExporter(bus, n_nodes=4)
     registry = MetricsRegistry(bus, 4)
     tracer = MessageTracer(bus, 4)
     result = run_shmem(
-        shallow.build(rows=33, cols=17, iters=2), ClusterConfig(n_nodes=4),
-        obs=bus, profile_phases=True, critical_path=True, **kwargs,
+        shallow.build(rows=33, cols=17, iters=2), config,
+        obs=bus, profile_phases=True, critical_path=True,
     )
     assert result.completed and bus._pending == []
     assert registry.diff(result.stats) == []
@@ -89,15 +89,15 @@ def observe(kwargs) -> dict:
 
 @pytest.mark.parametrize("config", ["lossy", "crash"])
 def test_consumers_do_not_see_chunk_seams(config, monkeypatch, pending_high_water):
-    kwargs = {"lossy": LOSSY, "crash": CRASH}[config]
+    cluster_config = {"lossy": LOSSY, "crash": CRASH}[config]
     if config == "crash":
-        assert kwargs["faults"].crashes  # the run rolls back
-    default = observe(kwargs)
+        assert cluster_config.faults.crashes  # the run rolls back
+    default = observe(cluster_config)
     assert pending_high_water[0] <= bus_module.CHUNK
     for chunk in CHUNKS:
         monkeypatch.setattr(bus_module, "CHUNK", chunk)
         pending_high_water[0] = 0
-        assert observe(kwargs) == default, chunk
+        assert observe(cluster_config) == default, chunk
         assert pending_high_water[0] <= chunk
 
 

@@ -31,13 +31,12 @@ from tests.runtime.conftest import jacobi_program
 from tests.tempest.test_protocol_fuzz import FAULT_MATRIX
 
 
-def run_cp(profile=False, **kwargs):
+def run_cp(profile=False, **fields):
     return run_shmem(
         jacobi_program(n=32, iters=2),
-        ClusterConfig(),
+        ClusterConfig(**fields),
         critical_path=True,
         profile_phases=profile,
-        **kwargs,
     )
 
 
@@ -93,9 +92,8 @@ def test_degraded_run_has_no_critical_path():
     """A never-restarting crash degrades; no exact decomposition exists."""
     r = run_shmem(
         jacobi_program(n=32, iters=2),
-        ClusterConfig(),
+        ClusterConfig(faults=FaultConfig(crashes=(CrashScenario(node=2, t_ns=3_000_000),))),
         critical_path=True,
-        faults=FaultConfig(crashes=(CrashScenario(node=2, t_ns=3_000_000),)),
     )
     assert not r.completed
     assert r.critical_path is None

@@ -121,7 +121,6 @@ def test_engine_queue_depth_and_rate_counters():
     )
     # A faulted run dispatches more events (retransmit timers) and its
     # queue runs deeper; the counters make that visible without a trace.
-    faulted = run_shmem(prog, ClusterConfig(n_nodes=4),
-                        faults=FAULT_MATRIX["storm"])
+    faulted = run_shmem(prog, ClusterConfig(n_nodes=4, faults=FAULT_MATRIX["storm"]))
     assert faulted.stats.events_dispatched > stats.events_dispatched
     assert faulted.stats.max_queue_depth >= stats.max_queue_depth

@@ -106,9 +106,7 @@ def test_registry_matches_full_application_run():
     registry = MetricsRegistry(bus, 4)
     result = run_shmem(
         jacobi_program(n=32, iters=2),
-        ClusterConfig(n_nodes=4),
-        faults=FAULT_MATRIX["storm"],
-        combine=COMBINE_ON,
+        ClusterConfig(n_nodes=4, faults=FAULT_MATRIX["storm"], combine=COMBINE_ON),
         obs=bus,
     )
     registry.assert_matches(result.stats)

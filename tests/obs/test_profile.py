@@ -23,10 +23,9 @@ from tests.runtime.conftest import jacobi_program
 N = 4
 
 
-def profiled_run(**kwargs):
-    cfg = ClusterConfig(n_nodes=N)
-    return run_shmem(jacobi_program(n=32, iters=2), cfg,
-                     profile_phases=True, **kwargs)
+def profiled_run(**fields):
+    cfg = ClusterConfig(n_nodes=N, **fields)
+    return run_shmem(jacobi_program(n=32, iters=2), cfg, profile_phases=True)
 
 
 class TestExactness:

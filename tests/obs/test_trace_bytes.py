@@ -27,20 +27,18 @@ from repro.tempest.faults import CrashScenario
 from tests.obs.test_chrome import make_bus_with_traffic
 
 
-def _shallow_run(**kwargs) -> ChromeTraceExporter:
+def _shallow_run(config: ClusterConfig) -> ChromeTraceExporter:
     bus = EventBus()
     exporter = ChromeTraceExporter(bus, n_nodes=4)
-    result = run_shmem(
-        shallow.build(rows=33, cols=17, iters=2), ClusterConfig(n_nodes=4),
-        obs=bus, **kwargs,
-    )
+    result = run_shmem(shallow.build(rows=33, cols=17, iters=2), config, obs=bus)
     assert result.completed
     return exporter
 
 
 #: drops, duplicates and jitter under combining, switch ports and the
 #: adaptive retransmit timer
-LOSSY = dict(
+LOSSY = ClusterConfig(
+    n_nodes=4,
     faults=FaultConfig(
         drop_prob=0.02, dup_prob=0.01, jitter_ns=10_000, seed=3,
         adaptive_rto=True,
@@ -50,7 +48,8 @@ LOSSY = dict(
 )
 #: node 2 fail-stops 15 ms in and the cluster rolls back to the last
 #: per-barrier checkpoint
-CRASH = dict(
+CRASH = ClusterConfig(
+    n_nodes=4,
     faults=FaultConfig(
         checkpoint_every=1,
         crashes=(CrashScenario(node=2, t_ns=15_000_000, restart_delay_ns=500_000),),
@@ -59,11 +58,11 @@ CRASH = dict(
 
 
 def lossy() -> ChromeTraceExporter:
-    return _shallow_run(**LOSSY)
+    return _shallow_run(LOSSY)
 
 
 def crash() -> ChromeTraceExporter:
-    return _shallow_run(**CRASH)
+    return _shallow_run(CRASH)
 
 
 def synthetic() -> ChromeTraceExporter:

@@ -536,7 +536,10 @@ def checkpoint_cut(src: str = SRC, keep=CUT_KEEP) -> dict[str, list[str]]:
 CALLERS = tuple(os.path.join(ROOT, d) for d in ("src", "tests", "benchmarks", "examples"))
 
 #: reason -> "module:qualname(keyword) ..." lines
-KEYWORD_KEPT_FOR = {}
+KEYWORD_KEPT_FOR = {
+    "passed positionally through replay's op table":
+        "repro.tempest.extensions:CompilerExtensions.flush_and_invalidate(bulk)",
+}
 KEYWORD_KEEP = {
     name: reason for reason, names in KEYWORD_KEPT_FOR.items() for name in names.split()
 }

@@ -1,5 +1,7 @@
 """Shared program fixtures for runtime tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.hpf.dsl import I, ProgramBuilder, S
@@ -9,6 +11,15 @@ from repro.tempest.config import ClusterConfig
 @pytest.fixture
 def cfg4():
     return ClusterConfig(n_nodes=4)
+
+
+def cell_config(options: dict, **fields) -> ClusterConfig:
+    """A config of ``fields`` and of every entry of ``options`` that names a
+    ``ClusterConfig`` field (``faults``, ``combine``, ``switch``, ...).
+    Those entries are popped: test cells list the wire layers beside
+    ``run_shmem``'s options, and ``run_shmem`` takes them only in its config."""
+    names = {f.name for f in dataclasses.fields(ClusterConfig)}
+    return ClusterConfig(**fields, **{k: options.pop(k) for k in list(options) if k in names})
 
 
 def jacobi_program(n=64, iters=3, name="jacobi"):

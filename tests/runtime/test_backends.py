@@ -12,6 +12,7 @@ The central invariants:
 import numpy as np
 import pytest
 
+from repro import APPS
 from repro.core.symbolic import Sym
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
@@ -294,3 +295,24 @@ class TestReductionsAndScalars:
         kinds = r.stats.messages_by_kind()
         assert kinds[MsgKind.REDUCE] == 4
         assert kinds[MsgKind.REDUCE_RESULT] == 4
+
+
+class TestMsgpassSchedule:
+    #: app -> (elapsed_ns, events_dispatched, total_messages, total_bytes) of
+    #: run_msgpass at default scale on 4 nodes, recorded before its pre- and
+    #: post-loop exchanges became one helper
+    PINNED = {
+        "cg": (39027700, 10596, 1020, 183744),
+        "grav": (30991040, 1226, 152, 98688),
+        "jacobi": (61921600, 824, 60, 122880),
+        "lu": (45938040, 5798, 378, 201088),
+        "pde": (166207600, 332, 24, 738432),
+        "shallow": (121860200, 3584, 210, 433440),
+    }
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_schedule_is_pinned(self, app, cfg4):
+        r = run_msgpass(APPS[app].program("default"), cfg4)
+        s = r.stats
+        got = (r.elapsed_ns, s.events_dispatched, s.total_messages, s.total_bytes)
+        assert got == self.PINNED[app]

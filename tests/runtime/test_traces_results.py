@@ -1,12 +1,14 @@
 """Unit tests for trace building/replay and run results."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro import APPS
 from repro.runtime.results import RunResult
 from repro.runtime.shmem import build_shmem_plan
-from repro.runtime.traces import NodeTrace, replay
+from repro.runtime.traces import NodeTrace, _fragments, replay
 from repro.tempest import Cluster, ClusterConfig, Distribution, SharedMemory
 from repro.tempest.stats import ClusterStats
 
@@ -27,10 +29,14 @@ class TestNodeTrace:
         t.flush((5,), 1, False)
         t.mp_send(1, 64)
         t.mp_recv(2)
+        t.prefetch((6,))
+        t.selfinv((7,))
+        t.phase(3, "loop")
         kinds = [op[0] for op in t.ops]
         assert kinds == [
             "compute", "read", "write", "barrier", "reduce", "mkw", "iw",
             "send", "recv", "inv", "flush", "mp_send", "mp_recv",
+            "prefetch", "selfinv", "phase",
         ]
 
     def test_empty_payloads_skipped(self):
@@ -46,7 +52,11 @@ class TestNodeTrace:
         t.flush((), 0, True)
         t.mp_send(1, 0)
         t.mp_recv(0)
+        t.prefetch(np.array([], dtype=np.int64))
+        t.selfinv(())
         assert len(t) == 0
+        t.phase(0, "")
+        assert t.ops == [("phase", 0, "")]  # a marker has no payload to skip
 
     def test_replay_unknown_op_raises(self):
         cfg = ClusterConfig(n_nodes=2)
@@ -90,6 +100,90 @@ class TestNodeTrace:
         stats = cl.run({0: replay(cl, 0, t0.ops), 1: replay(cl, 1, t1.ops)})
         assert stats.elapsed_ns > 0
         assert stats[1].read_misses == 0  # the pushed block hits
+
+
+def one_op_of_each_kind() -> NodeTrace:
+    """Node 1's trace holding one op of every kind, each argument distinct."""
+    t = NodeTrace(1)
+    t.phase(2, "loop")
+    t.compute(100)
+    t.read((1, 2), 3, "ctx")
+    t.write((3,), 4)
+    t.barrier()
+    t.reduce(2)
+    t.mkw((5,))
+    t.iw((6,), (7, 8))
+    t.send((9,), 0, False)
+    t.recv(3)
+    t.inv((10,))
+    t.flush((11,), 2, False)
+    t.prefetch((12,))
+    t.selfinv((13,))
+    t.mp_send(0, 64)
+    t.mp_recv(5)
+    return t
+
+
+class TestReplayDispatch:
+    """Each op kind reaches its own fragment, with its arguments bound to
+    the right parameters: read's op order (blocks, phase, context) is not
+    ``read_blocks``' parameter order, so a table can silently swap them."""
+
+    @pytest.fixture
+    def cluster(self):
+        cfg = ClusterConfig(n_nodes=4)
+        mem = SharedMemory(cfg)
+        mem.alloc("a", (16, 4), Distribution.block(4))
+        return Cluster(cfg, mem)
+
+    def test_each_op_reaches_its_fragment(self, cluster):
+        calls = []
+
+        def recorder(owner, name):
+            signature = inspect.signature(getattr(owner, name))
+
+            def fragment(*args, **kwargs):
+                calls.append((name, dict(signature.bind(*args, **kwargs).arguments)))
+                return iter(())
+            setattr(owner, name, fragment)
+
+        for owner, names in (
+            (cluster, ("compute", "read_blocks", "write_blocks", "barrier", "reduce")),
+            (cluster.ext, ("mk_writable", "implicit_writable", "send_blocks",
+                           "ready_to_recv", "implicit_invalidate", "flush_and_invalidate",
+                           "prefetch", "self_invalidate")),
+            (cluster.collectives, ("mp_send", "mp_recv")),
+        ):
+            for name in names:
+                recorder(owner, name)
+        assert list(replay(cluster, 1, one_op_of_each_kind().ops)) == []
+        assert calls == [
+            ("compute", {"node_id": 1, "ns": 100}),
+            ("read_blocks", {"node_id": 1, "blocks": (1, 2), "context": "ctx", "phase": 3}),
+            ("write_blocks", {"node_id": 1, "blocks": (3,), "phase": 4}),
+            ("barrier", {"node_id": 1}),
+            ("reduce", {"node_id": 1, "n_values": 2}),
+            ("mk_writable", {"node_id": 1, "blocks": (5,)}),
+            ("implicit_writable", {"node_id": 1, "blocks": (6,), "memo_key": (7, 8)}),
+            ("send_blocks", {"node_id": 1, "blocks": (9,), "dst": 0, "bulk": False}),
+            ("ready_to_recv", {"node_id": 1, "n_blocks": 3}),
+            ("implicit_invalidate", {"node_id": 1, "blocks": (10,)}),
+            ("flush_and_invalidate",
+             {"node_id": 1, "blocks": (11,), "owner": 2, "bulk": False}),
+            ("prefetch", {"node_id": 1, "blocks": (12,)}),
+            ("self_invalidate", {"node_id": 1, "blocks": (13,)}),
+            ("mp_send", {"src": 1, "dst": 0, "nbytes": 64}),
+            ("mp_recv", {"node_id": 1, "n_messages": 5}),
+        ]
+
+    def test_replay_knows_exactly_the_kinds_node_trace_emits(self, cluster):
+        emitters = {
+            name for name, member in vars(NodeTrace).items()
+            if not name.startswith("_") and inspect.isfunction(member)
+        }
+        emitted = {op[0] for op in one_op_of_each_kind().ops}
+        assert emitted == emitters  # the trace above calls every emitter
+        assert {"phase", "read", *_fragments(cluster)} == emitted
 
 
 class TestPlanBlockArrays:

@@ -45,7 +45,7 @@ CELLS = {
     "cg plain": (APPS["cg"].program(), dict(config=FOUR), 3_000, {
         "Collectives[0]", "DefaultProtocol._busy", "DefaultProtocol._inflight"}),
     "jacobi opt+combine": (APPS["jacobi"].program(), dict(
-        config=FOUR, optimize=True, combine=CombineConfig(enabled=True)), 3_000,
+        config=FOUR.scaled(combine=CombineConfig(enabled=True)), optimize=True), 3_000,
         {"AccessControl[1]", "Network._last_ctl"}),
     "pde opt+rt_elim": (APPS["pde"].program(), dict(
         config=FOUR, optimize=True, rt_elim=True), 1_500, {"CompilerExtensions[0]"}),
@@ -167,7 +167,9 @@ def test_every_cut_round_trips_and_every_rollback_lands_on_its_cut(
         crashes=(CrashScenario(2, crash_us * _US, 500 * _US),), checkpoint_every=1,
     )
     obs = EventBus() if cell == "jacobi opt" else None
-    result = run_shmem(program, faults=faults, obs=obs, **options)
+    options = dict(options)
+    config = options.pop("config", ClusterConfig()).scaled(faults=faults)
+    result = run_shmem(program, config, obs=obs, **options)
     assert result.completed
     assert seen["checkpoints"] > 0
     assert seen["rollbacks"] == result.stats.recovery_rollbacks >= 1

@@ -20,7 +20,7 @@ import pytest
 from repro.apps import jacobi
 from repro.runtime.shmem import run_shmem
 from repro.sim.engine import Engine
-from repro.tempest import FaultConfig
+from repro.tempest import ClusterConfig, FaultConfig
 from repro.tempest.faults import CrashScenario, PartitionScenario, _US
 from repro.tempest.transport import OPEN, ReliableTransport
 from tests.tempest.conftest import make_cluster, run_programs
@@ -198,7 +198,7 @@ class TestDetection:
             node=2, t_us=3_000, restart_us=500, checkpoint_every=1,
             drop_prob=0.05, dup_prob=0.05, jitter_ns=10 * _US,
         )
-        rec = run_shmem(_jacobi(), optimize=True, faults=faults)
+        rec = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert rec.completed and rec.stats.recovery_rollbacks == 1
         assert rec.stats.total_retransmits > 0
         assert checks[0] > 10_000
@@ -216,7 +216,7 @@ class TestRecovery:
         clean = run_shmem(_jacobi(), optimize=True)
         faults = crash_faults(node=2, t_us=3_000, restart_us=500,
                               checkpoint_every=1)
-        rec = run_shmem(_jacobi(), optimize=True, faults=faults)
+        rec = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert rec.completed is True  # end-of-run audit ran clean
         for name in clean.arrays:
             assert np.array_equal(clean.arrays[name], rec.arrays[name])
@@ -227,26 +227,29 @@ class TestRecovery:
         assert event["recovered"] is True
         assert event["restart_t_ns"] == 3_500 * _US
         assert rec.extra["recovery"]["rollbacks"] == 1
+        # Every node resumed just past its checkpoint barrier: the barrier
+        # count restored at rollback ends where the crash-free run's does.
+        assert rec.extra["barriers"] == clean.extra["barriers"]
         # Recovery costs real simulated time over the crash-free run.
         assert rec.elapsed_ns > clean.elapsed_ns
 
     def test_recovery_is_deterministic(self):
         faults = crash_faults(node=2, t_us=3_000, restart_us=500,
                               checkpoint_every=2)
-        a = run_shmem(_jacobi(), optimize=True, faults=faults)
-        b = run_shmem(_jacobi(), optimize=True, faults=faults)
+        a = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
+        b = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert a.completed and b.completed
         assert a.stats == b.stats
 
     def test_crash_without_checkpoint_degrades(self):
         faults = crash_faults(node=2, t_us=3_000, restart_us=500)
-        deg = run_shmem(_jacobi(), optimize=True, faults=faults)
+        deg = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert deg.completed is False
         assert deg.extra["failure"]["crashed_nodes"] == [2]
 
     def test_never_restart_degrades_despite_checkpoints(self):
         faults = crash_faults(node=2, t_us=3_000, checkpoint_every=1)
-        deg = run_shmem(_jacobi(), optimize=True, faults=faults)
+        deg = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert deg.completed is False
         assert deg.stats.recovery_checkpoints > 0
         assert deg.stats.recovery_rollbacks == 0
@@ -266,7 +269,7 @@ class TestRecovery:
             crashes=(CrashScenario(2, 3_000 * _US, 500 * _US),),
             checkpoint_every=1,
         )
-        rec = run_shmem(_jacobi(), optimize=True, faults=faults)
+        rec = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert rec.completed is True
         for name in clean.arrays:
             assert np.array_equal(clean.arrays[name], rec.arrays[name])
@@ -279,7 +282,7 @@ class TestRecovery:
         dear = crash_faults(node=2, t_us=3_000, restart_us=500,
                             checkpoint_every=1,
                             checkpoint_cost_ns_per_kb=10_000)
-        a = run_shmem(_jacobi(), optimize=True, faults=cheap)
-        b = run_shmem(_jacobi(), optimize=True, faults=dear)
+        a = run_shmem(_jacobi(), ClusterConfig(faults=cheap), optimize=True)
+        b = run_shmem(_jacobi(), ClusterConfig(faults=dear), optimize=True)
         assert a.completed and b.completed
         assert b.elapsed_ns > a.elapsed_ns

@@ -402,8 +402,8 @@ class TestRunResultContract:
         from repro.runtime import run_shmem
         from tests.runtime.conftest import jacobi_program
 
-        cfg = ClusterConfig(n_nodes=4)
-        return run_shmem(jacobi_program(n=32, iters=2), cfg, faults=faults)
+        cfg = ClusterConfig(n_nodes=4, faults=faults or FaultConfig())
+        return run_shmem(jacobi_program(n=32, iters=2), cfg)
 
     def test_healed_partition_run_matches_fault_free_numerics(self):
         clean = self.make(None)

@@ -385,7 +385,7 @@ def test_fault_matrix_final_memory_matches_fault_free():
     cfg = ClusterConfig(n_nodes=4)
     prog = jacobi_program(n=32, iters=2)
     clean = run_shmem(prog, cfg)  # audit=True by default
-    faulted = run_shmem(prog, cfg, faults=FAULT_MATRIX["storm"])
+    faulted = run_shmem(prog, cfg.scaled(faults=FAULT_MATRIX["storm"]))
     faulted.assert_same_numerics(clean)
     assert faulted.extra["faults"]["retransmits"] >= 0
     assert faulted.stats.messages_by_kind() == clean.stats.messages_by_kind()
@@ -417,15 +417,12 @@ CRASH_MATRIX = {
 }
 
 
-def _run_crash_cell(faults, switch=None, combine=None):
+def _run_crash_cell(faults, **layers):
     from repro.runtime import run_shmem
     from tests.runtime.conftest import jacobi_program
 
-    cfg = ClusterConfig(n_nodes=4)
-    return run_shmem(
-        jacobi_program(n=32, iters=2), cfg,
-        faults=faults, switch=switch, combine=combine,
-    )
+    cfg = ClusterConfig(n_nodes=4, faults=faults or FaultConfig(), **layers)
+    return run_shmem(jacobi_program(n=32, iters=2), cfg)
 
 
 @pytest.mark.parametrize("cell_name", sorted(CRASH_MATRIX))

@@ -33,11 +33,12 @@ import random
 
 from repro.apps import jacobi, shallow
 from repro.runtime import run_shmem
-from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
+from repro.tempest.config import CombineConfig, SwitchConfig
 from repro.tempest.faults import (
     CrashScenario, FaultConfig, LinkFaultConfig, PartitionScenario,
 )
 from tests.obs.attribution_matrix import digest
+from tests.runtime.conftest import cell_config
 
 N_CONFIGS = 30
 SAMPLE_SEED = 25
@@ -160,8 +161,7 @@ _PROGRAMS = {
 def run_config(cell: dict):
     kwargs = dict(cell)
     program = _PROGRAMS[kwargs.pop("app")]()
-    config = ClusterConfig(n_nodes=kwargs.pop("n_nodes"))
-    return run_shmem(program, config, **kwargs)
+    return run_shmem(program, cell_config(kwargs), **kwargs)
 
 
 def schedule_digest(result) -> str:
