@@ -284,11 +284,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.backend == "msgpass":
         # run_msgpass takes only (program, config): these would be ignored.
+        # It passes no program factory, so no checkpoint is ever written.
         shmem_only = [flag for flag, on in [
             ("--no-opt", args.no_opt), ("--no-bulk", args.no_bulk),
             ("--rt-elim", args.rt_elim), ("--pre", args.pre),
             ("--protocol", args.protocol != parser.get_default("protocol")),
             ("--advisory", args.advisory is not None), ("--audit", args.audit),
+            ("--checkpoint-every", args.checkpoint_every),
         ] if on]
         if shmem_only:
             parser.error(
@@ -471,11 +473,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _print_degraded(result, cfg) -> None:
     """The failure-report section for a run that finished degraded."""
-    failure = result.extra.get("failure") or {}
     stats = result.stats
+    failure = stats.failure
     rel = stats.reliability_summary()
     print(f"backend:          {result.backend}")
-    crashed = failure.get("crashed_nodes", [])
+    crashed = failure["crashed_nodes"]
     restarts = {c.node: c.restarts for c in cfg.faults.crashes}
     detected = {e["node"]: e["detected_t_ns"] is not None for e in stats.crash_events}
     for i, n in enumerate(crashed):
@@ -495,16 +497,13 @@ def _print_degraded(result, cfg) -> None:
         f"simulated time:   {result.elapsed_ms:.1f} ms "
         "(up to the give-up point; no uniproc cross-check)"
     )
-    print(f"stuck programs:   {', '.join(failure.get('stuck', [])) or 'none'}")
-    chans = failure.get("partitioned_channels", [])
+    print(f"stuck programs:   {', '.join(failure['stuck']) or 'none'}")
     chan_desc = ", ".join(
-        f"{c['src']}->{c['dst']} ({c['parked']} parked)" for c in chans
+        f"{c['src']}->{c['dst']} ({c['parked']} parked)"
+        for c in failure["partitioned_channels"]
     )
     print(f"dead channels:    {chan_desc or 'none'}")
-    print(
-        f"unreachable:      nodes "
-        f"{failure.get('unreachable_nodes', []) or '[]'}"
-    )
+    print(f"unreachable:      nodes {failure['unreachable_nodes']}")
     print(
         f"reliability:      {rel['drops']} drops, "
         f"{rel['retransmits']} retransmits, {rel['gave_up']} give-ups "
@@ -512,7 +511,7 @@ def _print_degraded(result, cfg) -> None:
     )
     print(f"partial stats:    {stats.total_messages} messages, "
           f"{stats.total_misses} misses recorded before give-up")
-    residual = failure.get("residual_violations", [])
+    residual = failure["residual_violations"]
     if residual:
         print(f"residual damage:  {len(residual)} coherence violation(s) "
               "among surviving nodes:")

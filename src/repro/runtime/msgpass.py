@@ -84,7 +84,7 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
         stats,
         {name: arr.copy() for name, arr in arrays.items()},
         dict(scalars),
-        {"mp_messages": total_msgs, "mp_bytes": total_bytes, "dual_cpu": config.dual_cpu},
+        {"mp_messages": total_msgs, "mp_bytes": total_bytes},
     )
 
 

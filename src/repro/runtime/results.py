@@ -44,11 +44,9 @@ class RunResult:
     stats: ClusterStats | None
     arrays: dict[str, np.ndarray]
     scalars: dict[str, float]
+    #: numbers no other object holds (message-passing volume, barrier and
+    #: planner counts); the run's outcome lives in ``stats``
     extra: dict = field(default_factory=dict)
-    #: False for a *degraded* run: the interconnect partitioned, the
-    #: transport gave up and parked instead of aborting, and stats/arrays
-    #: reflect the state at the give-up point (see ``stats.failure``).
-    completed: bool = True
     #: per-phase time-breakdown (see repro.obs.phase_breakdown);
     #: None unless the run was profiled (``run_shmem(profile_phases=True)``)
     phase_breakdown: dict | None = None
@@ -56,6 +54,13 @@ class RunResult:
     #: repro.obs.critical_path); None unless the run was analyzed
     #: (``run_shmem(critical_path=True)``) and completed
     critical_path: dict | None = None
+
+    @property
+    def completed(self) -> bool:
+        """False for a *degraded* run: a channel gave up or a node died,
+        and stats/arrays reflect the state at that point (see
+        ``stats.failure``).  A uniproc run has no stats and cannot degrade."""
+        return self.stats is None or self.stats.completed
 
     @property
     def elapsed_ms(self) -> float:

@@ -221,7 +221,7 @@ class ShmemPlan:
 
     A plan is a pure value: per-node op traces (plain tuples and ndarrays),
     the program's final numerics, the planner's counters, and the build
-    inputs needed to validate reuse.  It contains no engine, cluster or
+    inputs replay needs.  It contains no engine, cluster or
     generator state, so it pickles cleanly — ``repro.serve`` content-
     addresses plans on disk and replays one plan under many wire configs.
     """
@@ -238,12 +238,8 @@ class ShmemPlan:
     scalars: dict[str, float]
     #: geometry fields (see :func:`trace_geometry`) the plan was built under
     geometry: dict
-    # build options
+    #: the build options replay needs: the backend name and the layout
     optimize: bool = False
-    bulk: bool = True
-    rt_elim: bool = False
-    pre: bool = False
-    advisory: str | bool = False
     home_policy: HomePolicy = HomePolicy.ALIGNED
     # planner counters, reported verbatim in RunResult.extra
     plans_built: int = 0
@@ -252,7 +248,7 @@ class ShmemPlan:
 
 
 def _check_optimizer_options(
-    optimize: bool, rt_elim: bool, pre: bool, advisory: str | bool, protocol: str
+    optimize: bool, rt_elim: bool, pre: bool, advisory: str | bool
 ) -> None:
     if advisory not in ADVISORY_MODES:
         raise ValueError(
@@ -260,6 +256,9 @@ def _check_optimizer_options(
         )
     if (rt_elim or pre or advisory) and not optimize:
         raise ValueError("rt_elim/pre/advisory are optimizer options; pass optimize=True")
+
+
+def _check_protocol(optimize: bool, protocol: str) -> None:
     if optimize and protocol != "invalidate":
         raise ValueError(
             "the compiler-control extensions assume invalidation semantics; "
@@ -298,7 +297,7 @@ def build_shmem_plan(
     ``config`` matters — see :func:`trace_geometry`.
     """
     config = config or ClusterConfig()
-    _check_optimizer_options(optimize, rt_elim, pre, advisory, "invalidate")
+    _check_optimizer_options(optimize, rt_elim, pre, advisory)
     mem, arrays = allocate_segment(program.arrays.values(), config, home_policy)
     apply_initializers(program, arrays)
     scalars = dict(program.scalars)
@@ -420,10 +419,6 @@ def build_shmem_plan(
         scalars=scalars,
         geometry=trace_geometry(config),
         optimize=optimize,
-        bulk=bulk,
-        rt_elim=rt_elim,
-        pre=pre,
-        advisory=advisory,
         home_policy=home_policy,
         plans_built=plans_built,
         controlled_blocks=controlled_blocks,
@@ -446,11 +441,14 @@ def execute_shmem_plan(
     :func:`trace_geometry`); the fault/combining/switch layers are free to
     differ from whatever the plan was built under — that is the point.
     The coherence auditor always runs at the end of the run.
+
+    The result's ``stats`` record what the run did, degradation included
+    (``stats.failure``); ``extra`` holds only what they do not: the
+    barrier count and, for an optimized plan, the planner's and the PRE
+    tracker's counters.
     """
     config = config or ClusterConfig()
-    _check_optimizer_options(
-        plan.optimize, plan.rt_elim, plan.pre, plan.advisory, protocol
-    )
+    _check_protocol(plan.optimize, protocol)
     geometry = trace_geometry(config)
     if geometry != plan.geometry:
         changed = sorted(
@@ -485,60 +483,10 @@ def execute_shmem_plan(
     )
 
     backend = "shmem-opt" if plan.optimize else "shmem"
-    extra = {
-        "dual_cpu": config.dual_cpu,
-        "barriers": cluster.barrier_net.barriers_completed,
-        "protocol": protocol,
-    }
-    if config.faults.enabled:
-        extra["faults"] = {
-            "drop_prob": config.faults.drop_prob,
-            "dup_prob": config.faults.dup_prob,
-            "jitter_ns": config.faults.jitter_ns,
-            "seed": config.faults.seed,
-            **stats.reliability_summary(),
-        }
-        if config.faults.link_faults:
-            extra["faults"]["link_profiles"] = len(config.faults.link_faults)
-        if config.faults.partitions:
-            extra["faults"]["partitions"] = [
-                s.name for s in config.faults.partitions
-            ]
-        if config.faults.crashes:
-            extra["faults"]["crashes"] = [
-                {
-                    "node": c.node,
-                    "t_ns": c.t_ns,
-                    "restart_delay_ns": c.restart_delay_ns,
-                }
-                for c in config.faults.crashes
-            ]
-    if stats.crash_events or stats.recovery_checkpoints:
-        extra["recovery"] = stats.recovery_summary()
-    if stats.partition_events:
-        extra["partition_events"] = list(stats.partition_events)
-    if not stats.completed:
-        extra["failure"] = stats.failure
-    if config.combine.enabled:
-        extra["combining"] = {
-            "max_msgs": config.combine.max_msgs,
-            "slot_bytes": config.combine.slot_bytes,
-            "max_wait_ns": config.combine.max_wait_ns,
-            **stats.combining_summary(),
-        }
-    if config.switch.enabled:
-        extra["switch"] = {
-            "ports": config.switch_ports,
-            **stats.switch_summary(),
-        }
+    extra = {"barriers": cluster.barrier_net.barriers_completed}
     if plan.optimize:
         extra.update(
-            plans_built=plan.plans_built,
-            controlled_blocks=plan.controlled_blocks,
-            bulk=plan.bulk,
-            rt_elim=plan.rt_elim,
-            pre=plan.pre,
-            advisory=plan.advisory,
+            plans_built=plan.plans_built, controlled_blocks=plan.controlled_blocks
         )
         if plan.tracker_stats is not None:
             extra.update(plan.tracker_stats)
@@ -550,7 +498,6 @@ def execute_shmem_plan(
         {name: arr.copy() for name, arr in plan.arrays.items()},
         dict(plan.scalars),
         extra,
-        completed=stats.completed,
         phase_breakdown=(
             profile.phase_breakdown(timeline) if profile_phases else None
         ),
@@ -594,16 +541,16 @@ def run_shmem(
     partition scenarios may make some channels give up.  If a healing
     scenario drains them the run completes normally (and the end audit
     re-proves coherence post-heal); otherwise the run returns a *degraded*
-    ``RunResult`` — ``completed=False``, stats up to the give-up point,
-    and ``extra["failure"]`` describing the stuck programs, partitioned
+    ``RunResult`` — ``completed`` false, stats up to the give-up point,
+    and ``stats.failure`` describing the stuck programs, partitioned
     channels and residual violations — instead of raising.
 
     Fail-stop survival: ``faults.crashes`` kills nodes mid-run; with
     ``faults.checkpoint_every`` barrier checkpoints and restarting crash
     scenarios the run rolls back and re-executes to completion (final
-    numerics identical to a crash-free run; costs under
-    ``extra["recovery"]``), otherwise it degrades as above with the dead
-    node reported.
+    numerics identical to a crash-free run; costs in
+    ``stats.recovery_summary()``), otherwise it degrades as above with the
+    dead node reported.
 
     ``obs`` attaches an observability bus (:class:`repro.obs.EventBus`) to
     the cluster: every component publishes typed events to it, and replay
@@ -620,7 +567,7 @@ def run_shmem(
     """
     opts = locals()
     config = config or ClusterConfig()
-    _check_optimizer_options(optimize, rt_elim, pre, advisory, protocol)
+    _check_protocol(optimize, protocol)  # before the build, which is the slow half
     plan = build_shmem_plan(
         program, config, **{name: opts[name] for name in BUILD_OPTIONS}
     )

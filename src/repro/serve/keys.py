@@ -34,8 +34,8 @@ import numpy as np
 
 from repro.core.symbolic import Lin, Sym
 from repro.hpf.ast import Program
-from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
-from repro.tempest.faults import FaultConfig
+from repro.runtime.shmem import trace_geometry
+from repro.tempest.config import ClusterConfig
 
 __all__ = [
     "CODE_VERSION",
@@ -51,7 +51,9 @@ __all__ = [
 #: change for identical inputs (cost-model retune, protocol fix, stats
 #: schema change): every cached entry is invalidated in one stroke, no
 #: cache deletion required.
-CODE_VERSION = "repro-serve/3"  # /3: RunResult gains critical_path (PR 10)
+#: /3: RunResult gains critical_path.  /4: RunResult derives ``completed``
+#: from its stats, and ``extra`` and ShmemPlan stop echoing config and options.
+CODE_VERSION = "repro-serve/4"
 
 
 # --------------------------------------------------------------------- #
@@ -141,17 +143,6 @@ def config_canonical(config: ClusterConfig) -> Any:
     return canonical(dataclasses.replace(config, faults=faults))
 
 
-def geometry_canonical(config: ClusterConfig) -> Any:
-    """Canonical form of the plan-relevant (wire-independent) geometry."""
-    neutral = dataclasses.replace(
-        config,
-        faults=FaultConfig(),
-        combine=CombineConfig(),
-        switch=SwitchConfig(),
-    )
-    return canonical(neutral)
-
-
 # --------------------------------------------------------------------- #
 # programs
 # --------------------------------------------------------------------- #
@@ -209,16 +200,17 @@ def request_key(request, salt: str = CODE_VERSION) -> str:
 def plan_key(request) -> str:
     """The key of the memoized compiler analysis for a request.
 
-    Deliberately coarser than :func:`request_key`: the fault, combining
-    and switch configs are replaced by their defaults, so every cell of a
-    wire-ablation matrix maps to the same plan entry and the functional
-    pass runs once per (program, geometry, optimizer flags).
+    Deliberately coarser than :func:`request_key`: only the config fields
+    a plan depends on (:func:`repro.runtime.shmem.trace_geometry`) are
+    hashed, so every cell of a wire-ablation matrix maps to the same plan
+    entry and the functional pass runs once per (program, geometry,
+    optimizer flags).
     """
     payload = {
         "schema": "plan/1",
         "salt": CODE_VERSION,
         "program": request.resolved_fingerprint(),
-        "geometry": geometry_canonical(request.config),
+        "geometry": canonical(trace_geometry(request.config)),
         "options": canonical(request.build_options()),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -243,7 +243,8 @@ class Cluster:
         ``program_factory(node_id, resume_cursor)`` (the runtime passes
         one) respawns each program.  A stuck run is *degraded* when a
         channel gave up or a node is dead: ``completed=False``, counters
-        up to that point and a ``failure`` report.  Any other stuck run
+        up to that point and a ``failure`` report (the give-up count and
+        the partition events stay in their own fields).  Any other stuck run
         raises :class:`~repro.sim.SimulationError`.
         """
         if set(programs) != set(range(self.n_nodes)):
@@ -344,11 +345,9 @@ class Cluster:
         )
         return {
             "stuck": stuck,
-            "gave_up": self.stats.total_gave_up,
             "partitioned_channels": channels,
             "parked_frames": transport.parked_frames,
             "unreachable_nodes": unreachable,
             "crashed_nodes": crashed,
-            "partition_events": list(self.stats.partition_events),
             "residual_violations": residual,
         }

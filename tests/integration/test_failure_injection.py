@@ -263,14 +263,14 @@ class TestRunEndingRule:
         result = run_command(F1_COMMAND)
         assert result.completed is False
         assert result.stats.recovery_rollbacks == 1
-        failure = result.extra["failure"]
+        failure = result.stats.failure
         assert failure["crashed_nodes"] == []  # node 1 came back
         assert failure["unreachable_nodes"] == [0]
 
     def test_f2_two_node_double_crash_degrades(self, bounded_engine):
         result = run_command(F2_COMMAND)
         assert result.completed is False
-        failure = result.extra["failure"]
+        failure = result.stats.failure
         assert failure["crashed_nodes"] == [0, 1]
         assert failure["unreachable_nodes"] == [0, 1]
 
@@ -279,7 +279,7 @@ class TestRunEndingRule:
         assert result.completed is False
         [crash] = result.stats.crash_events
         assert crash["detected_t_ns"] is None  # no probe could reach it
-        failure = result.extra["failure"]
+        failure = result.stats.failure
         assert failure["crashed_nodes"] == [0]
         assert failure["unreachable_nodes"] == [0]
 

@@ -152,6 +152,12 @@ MUTANTS = (
         ("tests/tempest/test_crash.py", "tests/obs/test_trace_bytes.py"),
     ),
     Mutant(
+        "a result reports completion whatever its stats say", "runtime/results.py",
+        "        return self.stats is None or self.stats.completed\n",
+        "        return True\n",
+        ("tests/runtime/test_backends.py",),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

@@ -6,7 +6,9 @@ The central invariants:
 * the optimized backend removes most demand misses,
 * the optimizer options behave per the paper (bulk coalesces messages,
   rt-elim removes calls+barriers, PRE elides stable-data resends),
-* no contract violations or stale reads anywhere.
+* no contract violations or stale reads anywhere,
+* a run's outcome lives in its stats: every backend degrades the same
+  way, and ``extra`` carries only numbers nothing else holds.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.core.symbolic import Sym
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
 from repro.tempest.config import ClusterConfig
+from repro.tempest.faults import CrashScenario, FaultConfig, PartitionScenario, _US
 from repro.tempest.memory import HomePolicy
 from repro.tempest.stats import COHERENCE_KINDS, MsgKind
 
@@ -316,3 +319,47 @@ class TestMsgpassSchedule:
         s = r.stats
         got = (r.elapsed_ns, s.events_dispatched, s.total_messages, s.total_bytes)
         assert got == self.PINNED[app]
+
+
+class TestRunRecord:
+    """``ClusterStats`` is the one record of what a run did: a result's
+    completion reads it, and ``extra`` echoes neither config nor options."""
+
+    def test_msgpass_degrades_behind_a_permanent_partition(self):
+        cut = PartitionScenario("cut", frozenset({1}), t_start_ns=100 * _US)
+        cfg = ClusterConfig(n_nodes=4, faults=FaultConfig(partitions=(cut,), max_retries=3))
+        r = run_msgpass(jacobi_program(n=32, iters=2), cfg)
+        assert r.completed is False and r.stats.completed is False
+        assert r.stats.failure["unreachable_nodes"] == [1]
+        parked = r.stats.failure["partitioned_channels"]
+        assert parked and all(1 in (c["src"], c["dst"]) for c in parked)
+
+    def test_msgpass_degrades_when_a_node_never_restarts(self):
+        cfg = ClusterConfig(
+            n_nodes=4, faults=FaultConfig(crashes=(CrashScenario(1, 300 * _US),))
+        )
+        r = run_msgpass(jacobi_program(n=32, iters=2), cfg)
+        assert r.completed is False
+        assert r.stats.failure["crashed_nodes"] == [1]
+
+    #: each backend's ``extra`` keys; an optimized shmem run adds the planner's
+    #: counters and, with PRE, the availability tracker's
+    EXTRA_KEYS = {"uniproc": {"phases"}, "msgpass": {"mp_messages", "mp_bytes"},
+                  "shmem": {"barriers"}}
+    PLANNER_KEYS = {"plans_built", "controlled_blocks"}
+    PRE_KEYS = {"sends_elided", "blocks_elided", "live_blocks"}
+
+    def test_extra_holds_no_echoes(self):
+        prog = jacobi_program(n=32, iters=2)
+        faults = FaultConfig(drop_prob=0.05, seed=1)
+        cfg = ClusterConfig(n_nodes=4, faults=faults)
+        assert set(run_uniproc(prog, cfg).extra) == self.EXTRA_KEYS["uniproc"]
+        assert set(run_msgpass(prog, cfg).extra) == self.EXTRA_KEYS["msgpass"]
+        shmem = self.EXTRA_KEYS["shmem"]
+        assert set(run_shmem(prog, cfg).extra) == shmem
+        assert set(run_shmem(prog, cfg, optimize=True, rt_elim=True).extra) == (
+            shmem | self.PLANNER_KEYS
+        )
+        assert set(run_shmem(prog, cfg, optimize=True, pre=True).extra) == (
+            shmem | self.PLANNER_KEYS | self.PRE_KEYS
+        )

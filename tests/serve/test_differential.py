@@ -157,7 +157,7 @@ def test_degraded_runs_are_cached_not_retried(tmp_path):
     assert cold.result.completed is False
     assert warm.source == "cache"
     assert results_equal(cold.result, warm.result)
-    assert warm.result.extra["failure"]["unreachable_nodes"] == [1]
+    assert warm.result.stats.failure["unreachable_nodes"] == [1]
 
 
 @pytest.mark.parametrize("backend", ["uniproc", "msgpass"])
@@ -169,6 +169,24 @@ def test_other_backends_match_direct(backend, tmp_path):
         warm = sess.run(req)
     assert_results_equal(direct, cold.result, f"{backend} cold")
     assert_results_equal(direct, warm.result, f"{backend} warm")
+
+
+def test_degraded_msgpass_cell_is_served_degraded(tmp_path):
+    """A message-passing run whose peer never restarts degrades, and the
+    served result says so cold and warm."""
+    config = CFG.scaled(faults=FaultConfig(crashes=(CrashScenario(1, 300 * _US),)))
+    req = _request(config, dict(backend="msgpass"))
+    direct = _direct(req)
+    assert direct.completed is False
+    with ServeSession(cache_dir=str(tmp_path / "c")) as sess:
+        cold = sess.run(req)
+        warm = sess.run(req)
+    assert warm.source == "cache"
+    for served in (cold, warm):
+        assert served.result.completed is False
+        assert served.result.stats.failure["crashed_nodes"] == [1]
+    assert_results_equal(direct, cold.result, "msgpass degraded cold")
+    assert_results_equal(direct, warm.result, "msgpass degraded warm")
 
 
 def test_full_matrix_through_pool_matches_serial():

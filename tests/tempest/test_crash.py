@@ -226,7 +226,7 @@ class TestRecovery:
         [event] = rec.stats.crash_events
         assert event["recovered"] is True
         assert event["restart_t_ns"] == 3_500 * _US
-        assert rec.extra["recovery"]["rollbacks"] == 1
+        assert rec.stats.recovery_summary()["rollbacks"] == 1
         # Every node resumed just past its checkpoint barrier: the barrier
         # count restored at rollback ends where the crash-free run's does.
         assert rec.extra["barriers"] == clean.extra["barriers"]
@@ -245,7 +245,7 @@ class TestRecovery:
         faults = crash_faults(node=2, t_us=3_000, restart_us=500)
         deg = run_shmem(_jacobi(), ClusterConfig(faults=faults), optimize=True)
         assert deg.completed is False
-        assert deg.extra["failure"]["crashed_nodes"] == [2]
+        assert deg.stats.failure["crashed_nodes"] == [2]
 
     def test_never_restart_degrades_despite_checkpoints(self):
         faults = crash_faults(node=2, t_us=3_000, checkpoint_every=1)
@@ -253,7 +253,21 @@ class TestRecovery:
         assert deg.completed is False
         assert deg.stats.recovery_checkpoints > 0
         assert deg.stats.recovery_rollbacks == 0
-        assert deg.extra["failure"]["crashed_nodes"] == [2]
+        assert deg.stats.failure["crashed_nodes"] == [2]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: ReliableTransport._on_arrival drops a copy at a dead "
+        "endpoint without decrementing pending_acks, so every retransmit to "
+        "a fail-stopped peer counts as spurious; the fix re-records the "
+        "crash pins (ROADMAP item 3(b))"))
+    def test_retransmits_to_a_dead_peer_are_not_spurious(self):
+        # All 96 retransmits go to node 1 after it died: none of them had a
+        # live copy or ack on the wire, so none is spurious.
+        faults = crash_faults(node=1, t_us=300)
+        deg = run_shmem(_jacobi(), ClusterConfig(n_nodes=4, faults=faults))
+        assert deg.completed is False
+        assert deg.stats.total_retransmits == 96
+        assert deg.stats.total_spurious_retransmits == 0
 
     def test_crash_during_partition_still_recovers(self):
         # A healing partition window overlaps the crash: the transport must

@@ -387,7 +387,7 @@ def test_fault_matrix_final_memory_matches_fault_free():
     clean = run_shmem(prog, cfg)  # audit=True by default
     faulted = run_shmem(prog, cfg.scaled(faults=FAULT_MATRIX["storm"]))
     faulted.assert_same_numerics(clean)
-    assert faulted.extra["faults"]["retransmits"] >= 0
+    assert faulted.stats.reliability_summary()["retransmits"] > 0
     assert faulted.stats.messages_by_kind() == clean.stats.messages_by_kind()
 
 

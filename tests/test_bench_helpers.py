@@ -7,13 +7,13 @@ import pytest
 from benchmarks import conftest as bench
 from repro.runtime.results import RunResult
 from repro.tempest.config import ClusterConfig
+from repro.tempest.stats import ClusterStats
 
 
 def fake_result(value: float, completed: bool = True) -> RunResult:
-    return RunResult(
-        "jacobi", "shmem", 1_000, None, {"a": np.full(4, value)}, {},
-        completed=completed,
-    )
+    stats = ClusterStats.for_nodes(4)
+    stats.completed = completed
+    return RunResult("jacobi", "shmem", 1_000, stats, {"a": np.full(4, value)}, {})
 
 
 def serve_fakes(monkeypatch, results: dict):

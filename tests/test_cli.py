@@ -60,6 +60,7 @@ class TestMain:
     @pytest.mark.parametrize("flags", [
         ["--no-opt"], ["--no-bulk"], ["--rt-elim"], ["--pre"],
         ["--advisory", "prefetch"], ["--audit"], ["--protocol", "update"],
+        ["--checkpoint-every", "1", "--fault-crash", "1:300:100"],
     ], ids=lambda flags: flags[0])
     def test_msgpass_rejects_shmem_only_flags(self, flags, capsys):
         """run_msgpass takes no run options, so a shmem-only flag would be
@@ -71,6 +72,18 @@ class TestMain:
         captured = capsys.readouterr()
         assert flags[0] in captured.err.strip().splitlines()[-1]
         assert captured.out == ""  # nothing had started
+
+    @pytest.mark.parametrize("fault", [
+        ["--fault-partition", "1:200:never"], ["--fault-crash", "1:300"],
+    ], ids=lambda fault: fault[0])
+    def test_degraded_msgpass_run_exits_4(self, fault, capsys):
+        """A message-passing run whose programs never finish is degraded,
+        not a speedup."""
+        rc = main(["jacobi", "--backend", "msgpass", "--nodes", "4", *fault])
+        out = capsys.readouterr().out
+        assert rc == 4
+        assert "RUN DEGRADED" in out
+        assert "speedup" not in out
 
     def test_update_protocol_requires_no_opt(self):
         with pytest.raises(ValueError, match="invalidate"):

@@ -71,7 +71,7 @@ class TestEvaluateApp:
         assert grav_eval.app == "grav"
         assert grav_eval.uni.backend == "uniproc"
         assert grav_eval.msgpass.backend == "msgpass"
-        assert grav_eval.opt_dual.extra["rt_elim"] is True
+        assert paper_cells("grav", n_nodes=4, params=TINY["grav"])["opt_dual"].rt_elim
 
     def test_derived_metrics_sensible(self, grav_eval):
         assert 0 < grav_eval.miss_reduction <= 100
@@ -81,8 +81,7 @@ class TestEvaluateApp:
         )
 
     def test_cg_disables_rt_elim(self):
-        e = evaluate_app("cg", n_nodes=4, rows=24, cols=48, iters=2)
-        assert e.opt_dual.extra["rt_elim"] is False
+        assert not paper_cells("cg", n_nodes=4, params=TINY["cg"])["opt_dual"].rt_elim
 
     def test_optional_cells_honour_overrides(self, grav_eval):
         # iters=1 is not grav's default: a cell simulated from a rebuilt

@@ -143,7 +143,9 @@ class TestParentCompatibility:
     left ``build_options()`` and ``check_contracts``, ``audit`` and
     ``audit_sample_prob`` left ``run_options()``: each had one value in
     use.  No result changed, so ``CODE_VERSION`` stayed; a cache entry
-    written before then is a miss, never a wrong hit.
+    written before then is a miss, never a wrong hit.  They were recorded
+    again when ``CODE_VERSION`` became ``repro-serve/4`` and ``plan_key``
+    began hashing ``trace_geometry(config)``.
     """
 
     REPRO = [
@@ -181,27 +183,28 @@ class TestParentCompatibility:
         assert (args.combine, args.switch, args.rt_elim) == (False, False, False)
         assert args.switch_ports is None and args.switch_bw is None
 
-    #: request_key / plan_key hex digests: with ``CODE_VERSION`` and the
-    #: option set unchanged, warm caches must keep hitting.
+    #: request_key / plan_key hex digests under ``repro-serve/4``: with
+    #: ``CODE_VERSION`` and the option set unchanged, warm caches must keep
+    #: hitting.
     KEYS = {
         "default": (
             lambda: RunRequest(app="jacobi"),
-            "bb0fe5d3e2d5963fe720ff01a303858f4d2c9f575cddd0d034f721c72af8d96d",
-            "362aa84c71feecfff6ed3041b054dba5323aa42076849a8b37efb80f1deacb4c",
+            "f1f88a31320ee718df262b57d6e282b8352bcecf816a84639e5f5732e67f9513",
+            "7529b155b83f76120d9e637acd6ddd8d6b0723371f5d7710a30589f7ccff8833",
         ),
         "storm": (
             lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
                 n_nodes=4, faults=FaultConfig(
                     drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
-            "f1f41f2d112625f7bee45b367731ff37aab838b04353f90c423b6f0333b6f1d5",
-            "9ff88f0f628c4568ef5cfa7984877b8c612f3c2f228c146391b572923eb9aa17",
+            "9457181b41b1a6033b9554383ec272d2f9d8b34de3a583872a466fa7e75665b4",
+            "5c25fbc9beda70e3a587635c5de7344de65745ce196480cea2b6047f31e5a92a",
         ),
         "combine_switch": (
             lambda: RunRequest(app="cg", config=ClusterConfig(
                 combine=CombineConfig(enabled=True, max_msgs=4),
                 switch=SwitchConfig(enabled=True, ports=2))),
-            "0576e910edeb374be846bccd746cbde7d5ba539130f66ecc48d2372dd5a729cb",
-            "1288afcaf6de1163b6436748f4fb19faed7c5cfbf65c7e31c2a904e0e358f3bf",
+            "77a763bc163666d66b2288326c309d3e792a039a97b26bc19e46d1c2881c0cdd",
+            "8ae6bff4461b8414ab5564e902dc561148420843017f9f111bd3cd897ff08d33",
         ),
         "crash_checkpoint": (
             lambda: RunRequest(
@@ -209,21 +212,21 @@ class TestParentCompatibility:
                 config=ClusterConfig(faults=FaultConfig(
                     crashes=(CrashScenario(2, 3000 * US, 500 * US),),
                     checkpoint_every=1))),
-            "72e37d84ae5a3a1deb09d8d95b4badddea0bdcc8151d0427d86fc0220539c154",
-            "bbaac04465df43c72a71fbce0904a9b9a2030dab238105ab2bbb95ff73c65954",
+            "c9e4206d23e7eb1c608d7f79748d8a87c60b94a5e981b730997290bca9bc9fce",
+            "2a10920a1ad7cda01ad59d07dd03f5ac078d1241df23d757675309683c8162aa",
         ),
         "profile": (
             lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
                                profile_phases=True, critical_path=True),
-            "a014dcd2ffbedf276da36e6c1bc74ffc562bb3725e22fb9c6994d240e2e8bb6c",
-            "f0d116a13ee694ea8398bad53b6caa75831eed8fdd68efe09c1a0997a53ea39b",
+            "7d2223fbdafc55c68b945e31be706b9c707c8d206fea6554d9b6c35e49d1c164",
+            "681e25b93ee1e1ea1eb3636b3c2f50478abb13e7aa777951988fbf507b4b76ac",
         ),
         "inline": (
             lambda: RunRequest(
                 program=APPS["jacobi"].program("default", n=16, iters=1),
                 config=ClusterConfig(n_nodes=4)),
-            "d0fa171b80d11e5f288fbafa978b1bae534f3cfafdb0215f3ec5e1c3dea0cae0",
-            "f3b78c11f92b9903eb5efbf3a11b0462c764bb7726c59b8c947139768b8b8d62",
+            "0b0aba25db605c324ac3f55f10a3612c050560745288fc7ae56f3959673e16bd",
+            "d4cfc21a13a415c97d6bd2e4451215abd5ab12aef4c6ccf9145393528a3bae62",
         ),
     }
 
