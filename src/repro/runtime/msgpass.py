@@ -82,7 +82,7 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
         "msgpass",
         stats.elapsed_ns,
         stats,
-        {name: arr.copy() for name, arr in arrays.items()},
+        arrays,
         dict(scalars),
         {"mp_messages": total_msgs, "mp_bytes": total_bytes},
     )

@@ -224,6 +224,9 @@ class ShmemPlan:
     inputs replay needs.  It contains no engine, cluster or
     generator state, so it pickles cleanly — ``repro.serve`` content-
     addresses plans on disk and replays one plan under many wire configs.
+    Every result executed from a plan holds read-only views of its
+    ``arrays``, never copies (the rule is :class:`RunResult`'s), so the
+    plan's arrays stay writable and a result cannot write them.
     """
 
     program_name: str
@@ -426,6 +429,14 @@ def build_shmem_plan(
     )
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that cannot write it: a result borrows its plan's
+    numerics, so no write through a result can reach the plan."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def execute_shmem_plan(
     plan: ShmemPlan,
     config: ClusterConfig | None = None,
@@ -445,7 +456,9 @@ def execute_shmem_plan(
     The result's ``stats`` record what the run did, degradation included
     (``stats.failure``); ``extra`` holds only what they do not: the
     barrier count and, for an optimized plan, the planner's and the PRE
-    tracker's counters.
+    tracker's counters.  The result's arrays are read-only views of
+    ``plan.arrays``, not copies (see :class:`RunResult`): copy one before
+    mutating it.
     """
     config = config or ClusterConfig()
     _check_protocol(plan.optimize, protocol)
@@ -495,7 +508,7 @@ def execute_shmem_plan(
         backend,
         stats.elapsed_ns,
         stats,
-        {name: arr.copy() for name, arr in plan.arrays.items()},
+        {name: _read_only(arr) for name, arr in plan.arrays.items()},
         dict(plan.scalars),
         extra,
         phase_breakdown=(

@@ -40,7 +40,7 @@ def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunRes
         "uniproc",
         total_ns,
         None,
-        {name: arr.copy() for name, arr in arrays.items()},
+        arrays,
         dict(scalars),
         {"phases": phases},
     )

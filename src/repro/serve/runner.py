@@ -57,7 +57,10 @@ class PlanCache:
 
     Plans hold the program's full numerics, so the memory tier stays tiny
     (default 4 entries); the disk tier shares the result store's
-    crash-safety (verified frames, quarantine on corruption).
+    crash-safety (verified frames, quarantine on corruption).  A result
+    executed from a plan holds read-only views of the plan's arrays, so it
+    keeps those numerics alive after the plan leaves the memo, and no
+    write through a result can change a memoized plan.
     """
 
     def __init__(self, store: ResultStore | None, capacity: int = 4) -> None:

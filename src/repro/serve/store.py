@@ -44,8 +44,11 @@ Durability discipline:
   ``None`` is returned so the caller recomputes.  A poisoned cache can
   therefore slow a sweep down but can never change its output.
 * **Private arrays.**  Each ``get`` reads blobs into fresh
-  ``bytearray``s, so the arrays it returns are writable and share no
-  memory with any other ``get``.
+  ``bytearray``s, so the arrays it returns share no memory with any
+  other ``get``.  They are writable only if they were stored writable:
+  a shmem result's arrays are read-only views of its plan's (see
+  ``RunResult``), and pickle carries that flag, so they come back
+  read-only.
 """
 
 from __future__ import annotations

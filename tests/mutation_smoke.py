@@ -158,6 +158,20 @@ MUTANTS = (
         ("tests/runtime/test_backends.py",),
     ),
     Mutant(
+        "execute hands the plan's numerics out writable", "runtime/shmem.py",
+        "    view.flags.writeable = False\n",
+        "    view.flags.writeable = True\n",
+        ("tests/runtime/test_backends.py",),
+    ),
+    Mutant(
+        "the exact-equal shortcut breaks instead of continuing", "runtime/results.py",
+        "            if np.array_equal(a, b, equal_nan=True):\n"
+        "                continue\n",
+        "            if np.array_equal(a, b, equal_nan=True):\n"
+        "                break\n",
+        ("tests/runtime/test_traces_results.py",),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

@@ -8,7 +8,9 @@ The central invariants:
   rt-elim removes calls+barriers, PRE elides stable-data resends),
 * no contract violations or stale reads anywhere,
 * a run's outcome lives in its stats: every backend degrades the same
-  way, and ``extra`` carries only numbers nothing else holds.
+  way, and ``extra`` carries only numbers nothing else holds,
+* a run's numerics are held once: a shmem result views its plan's arrays
+  read-only, and uniproc and msgpass hand over the arrays they computed.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from repro import APPS
 from repro.core.symbolic import Sym
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
+from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
+from repro.serve import ResultStore
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import CrashScenario, FaultConfig, PartitionScenario, _US
 from repro.tempest.memory import HomePolicy
@@ -363,3 +367,51 @@ class TestRunRecord:
         assert set(run_shmem(prog, cfg, optimize=True, pre=True).extra) == (
             shmem | self.PLANNER_KEYS | self.PRE_KEYS
         )
+
+
+class TestNumericsHeldOnce:
+    """Results never copy numerics: a shmem result holds read-only views of
+    its plan's arrays, so neither the plan nor a memoized copy of it can be
+    written through a result; uniproc and msgpass hand over what they
+    computed.  The arrays are 128 KiB each, so a stored result keeps them
+    in blobs."""
+
+    @pytest.fixture(scope="class")
+    def prog(self):
+        return jacobi_program(n=128, iters=2)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["unopt", "opt"])
+    def test_shmem_results_view_the_plan_read_only(self, prog, cfg4, optimize):
+        plan = build_shmem_plan(prog, cfg4, optimize=optimize)
+        first = execute_shmem_plan(plan, cfg4)
+        assert set(first.arrays) == set(plan.arrays)
+        for name, arr in first.arrays.items():
+            assert np.shares_memory(arr, plan.arrays[name])
+            assert not arr.flags.writeable
+            assert plan.arrays[name].flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = -1.0
+        again = execute_shmem_plan(plan, cfg4)
+        assert again.exact_equal(first)
+
+    def test_uniproc_and_msgpass_hand_over_writable_fortran_arrays(self, prog, cfg4):
+        shmem = run_shmem(prog, cfg4)
+        for result in (run_uniproc(prog, cfg4), run_msgpass(prog, cfg4)):
+            assert set(result.arrays) == set(shmem.arrays)
+            for name, arr in result.arrays.items():
+                assert arr.flags.writeable and arr.flags.f_contiguous, result.backend
+                assert arr.dtype == shmem.arrays[name].dtype
+                assert np.array_equal(arr, shmem.arrays[name]), (result.backend, name)
+
+    def test_a_served_shmem_result_is_private_and_read_only(self, prog, cfg4, tmp_path):
+        direct = run_shmem(prog, cfg4, optimize=True)
+        store = ResultStore(tmp_path / "store")
+        key = "ab" * 32
+        store.put(ResultStore.RESULTS, key, direct)
+        first = store.get(ResultStore.RESULTS, key)
+        second = store.get(ResultStore.RESULTS, key)
+        assert first.exact_equal(direct) and second.exact_equal(direct)
+        for name, arr in first.arrays.items():
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, second.arrays[name])
+            assert not np.shares_memory(arr, direct.arrays[name])

@@ -248,6 +248,27 @@ class TestRunResult:
         with pytest.raises(AssertionError, match="array sets differ"):
             self._result().assert_same_numerics(other)
 
+    def test_assert_same_numerics_passes_within_rtol(self):
+        other = self._result(arrays={"a": np.arange(4.0) * (1 + 1e-12)})
+        self._result().assert_same_numerics(other)
+
+    def test_assert_same_numerics_passes_on_nans_at_the_same_positions(self):
+        nans = np.array([0.0, np.nan, 2.0, np.nan])
+        self._result(arrays={"a": nans}).assert_same_numerics(
+            self._result(arrays={"a": nans.copy()})
+        )
+
+    def test_assert_same_numerics_catches_shape_mismatch(self):
+        other = self._result(arrays={"a": np.arange(4.0).reshape(2, 2)})
+        with pytest.raises(AssertionError, match="shape"):
+            self._result().assert_same_numerics(other)
+
+    def test_assert_same_numerics_checks_arrays_after_an_equal_one(self):
+        same = {"a": np.arange(4.0), "b": np.ones(3)}
+        differs = {"a": np.arange(4.0), "b": np.array([1.0, 1.0, 1.5])}
+        with pytest.raises(AssertionError, match="array 'b'"):
+            self._result(arrays=same).assert_same_numerics(self._result(arrays=differs))
+
     def test_assert_same_numerics_catches_scalar_diff(self):
         other = self._result()
         other.scalars["s"] = 2.0
