@@ -110,7 +110,10 @@ def expand_matrix(
             try:
                 requests.append(_cell_request(base, cell))
             except ValueError as e:
-                settings = ",".join(f"{n}={v}" for n, v in cell.items())
+                settings = ",".join(
+                    f"{n}={('off', 'on')[v] if isinstance(v, bool) else v}"
+                    for n, v in cell.items()
+                )
                 raise ValueError(f"cell {settings or '-'}: {e}") from None
     return requests
 

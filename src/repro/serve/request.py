@@ -15,7 +15,13 @@ from typing import Any
 
 from repro.apps import get_app
 from repro.hpf.ast import Program
-from repro.runtime.shmem import ADVISORY_MODES, BUILD_OPTIONS, EXECUTE_OPTIONS
+from repro.runtime.shmem import (
+    ADVISORY_MODES,
+    BUILD_OPTIONS,
+    EXECUTE_OPTIONS,
+    _check_optimizer_options,
+    _check_protocol,
+)
 from repro.serve.keys import program_fingerprint
 from repro.spec import check_bounds, opt
 from repro.tempest.cluster import Cluster
@@ -85,6 +91,10 @@ class RunRequest:
         if (self.app is None) == (self.program is None):
             raise ValueError("RunRequest needs exactly one of app= or program=")
         check_bounds(self)
+        if self.backend == "shmem":
+            # the run would refuse these; refuse them before it is queued
+            _check_optimizer_options(self.optimize, self.rt_elim, self.pre, self.advisory)
+            _check_protocol(self.optimize, self.protocol)
         if isinstance(self.params, dict):
             # Accept a dict at construction; store the hashable spelling.
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))

@@ -15,6 +15,13 @@ The serving pipeline for one request:
 Workers re-check the result store before computing (another worker may
 have finished the same key between submit and execution) and publish
 what they compute, so warm-cache hit rates hold across processes.
+
+Arrays are held once per process.  A shmem result's arrays are read-only
+views of its plan's, and the store lends read-only arrays: every ``get``
+of a digest shares one verified copy while any borrower lives, so a
+session over a store takes pool results back through its own handle
+instead of as a private copy down the pipe.  Writable arrays (a plan's,
+a uniproc or msgpass result's) are always private to whoever got them.
 """
 
 from __future__ import annotations
@@ -57,10 +64,12 @@ class PlanCache:
 
     Plans hold the program's full numerics, so the memory tier stays tiny
     (default 4 entries); the disk tier shares the result store's
-    crash-safety (verified frames, quarantine on corruption).  A result
-    executed from a plan holds read-only views of the plan's arrays, so it
-    keeps those numerics alive after the plan leaves the memo, and no
-    write through a result can change a memoized plan.
+    crash-safety (verified frames, quarantine on corruption).  A plan's
+    arrays are writable, so the store never lends them: each disk hit is
+    private to this cache.  A result executed from a plan holds read-only
+    views of the plan's arrays, so it keeps those numerics alive after the
+    plan leaves the memo, and no write through a result can change a
+    memoized plan.
     """
 
     def __init__(self, store: ResultStore | None, capacity: int = 4) -> None:
@@ -128,7 +137,9 @@ _worker_plans: PlanCache | None = None
 _worker_cache_dir: str | None = None
 
 
-def _pool_worker(request: RunRequest, cache_dir: str | None, key: str):
+def _pool_worker(
+    request: RunRequest, cache_dir: str | None, key: str, hand_back: bool = False
+):
     """Serve one request inside a worker process.
 
     Returns ``(result, from_cache, store_counts)``.  ``key`` is the
@@ -138,6 +149,8 @@ def _pool_worker(request: RunRequest, cache_dir: str | None, key: str):
     the process's lifetime, so same-geometry cells arriving at the same
     worker skip the functional pass.  ``store_counts`` is what this call
     added to the worker's :class:`StoreStats`, for the session to total.
+    Over a store, ``result`` is ``None`` unless ``hand_back``: the entry
+    is published, and the parent reads it through its own handle.
     """
     global _worker_store, _worker_plans, _worker_cache_dir
     if cache_dir != _worker_cache_dir or _worker_plans is None:
@@ -153,7 +166,7 @@ def _pool_worker(request: RunRequest, cache_dir: str | None, key: str):
     if not from_cache:
         result = execute_request(request, _worker_plans)
         store.put(ResultStore.RESULTS, key, result)
-    return result, from_cache, store.stats.as_dict()
+    return result if hand_back else None, from_cache, store.stats.as_dict()
 
 
 def batch_order(requests) -> list[int]:
@@ -259,15 +272,37 @@ class ServeSession:
             )
             fut = Future()
 
-            def _wrap(done: Future, fut=fut, key=key, request=request) -> None:
-                self._inflight.pop(key, None)
+            def _wrap(
+                done: Future, fut=fut, key=key, request=request, from_cache=None
+            ) -> None:
                 exc = done.exception()
                 if exc is not None:
+                    self._inflight.pop(key, None)
                     fut.set_exception(exc)
                     return
-                result, from_cache, store_counts = done.result()
+                result, cached, store_counts = done.result()
                 with self._pool_store_lock:
                     self._pool_store_counts.update(store_counts)
+                if from_cache is None:
+                    from_cache = cached
+                if result is None:
+                    # the worker published the entry: take it back lent
+                    result = self.store.get(ResultStore.RESULTS, key)
+                if result is None:
+                    # damaged between publish and read: once more, by pipe
+                    try:
+                        again = self._pool.submit(
+                            _pool_worker, request, self.cache_dir, key, True
+                        )
+                    except RuntimeError as exc:  # the session closed meanwhile
+                        self._inflight.pop(key, None)
+                        fut.set_exception(exc)
+                        return
+                    again.add_done_callback(
+                        lambda done: _wrap(done, from_cache=from_cache)
+                    )
+                    return
+                self._inflight.pop(key, None)
                 fut.set_result(
                     ServeResult(
                         key,

@@ -10,10 +10,11 @@ Layout (under one root directory)::
 Entry format — a self-verifying frame around a pickle whose large
 buffers live in ``blobs/``::
 
-    MAGIC (12 bytes)  b"REPROSERVE2\\n"
+    MAGIC (12 bytes)  b"REPROSERVE3\\n"
     LENGTH (8 bytes)  big-endian payload byte count
     PAYLOAD           NBLOBS (4 bytes, big-endian)
-                      NBLOBS x 32-byte SHA-256, one per out-of-band buffer
+                      NBLOBS x (32-byte SHA-256 + 1 byte: 1 if read-only),
+                      one per out-of-band buffer
                       BODY: pickle protocol 5 stream of the object
     DIGEST (32 bytes) sha256(PAYLOAD)
 
@@ -38,17 +39,22 @@ Durability discipline:
 * **Verified reads.**  ``get`` checks the entry's magic, length and
   digest, then that every blob it names hashes to its own name, and only
   then unpickles.  *Any* failure — short file, bit rot, torn concurrent
-  copy, an entry in the older ``REPROSERVE1`` format, a missing or
+  copy, an entry in an older format (``REPROSERVE1``/``2``), a missing or
   altered blob, an unpicklable body — is a cache miss: the offending
   entry (and blob) is moved to ``quarantine/`` for post-mortems and
   ``None`` is returned so the caller recomputes.  A poisoned cache can
   therefore slow a sweep down but can never change its output.
-* **Private arrays.**  Each ``get`` reads blobs into fresh
-  ``bytearray``s, so the arrays it returns share no memory with any
-  other ``get``.  They are writable only if they were stored writable:
-  a shmem result's arrays are read-only views of its plan's (see
-  ``RunResult``), and pickle carries that flag, so they come back
-  read-only.
+* **Lent read-only arrays, private writable ones.**  The table records
+  whether each buffer was read-only when it was stored (a shmem result's
+  arrays are read-only views of its plan's, see ``RunResult``; a plan's
+  and a uniproc/msgpass result's are writable).  A read-only buffer is
+  *lent*: the handle keeps a weak table from digest to one verified,
+  immutable copy, and every ``get`` that names the digest while any
+  array over it lives shares that copy (``StoreStats.blob_lends``), so
+  its file is read and hashed once (a file damaged meanwhile is noticed
+  once the last borrower is gone).  A writable buffer is always a fresh
+  private ``bytearray`` (copied from the lent bytes when the table has
+  them), so writable arrays share no memory with any other ``get``.
 """
 
 from __future__ import annotations
@@ -57,24 +63,34 @@ import hashlib
 import os
 import pickle
 import tempfile
+import threading
+import weakref
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 __all__ = ["ResultStore", "StoreStats"]
 
-_MAGIC = b"REPROSERVE2\n"
+_MAGIC = b"REPROSERVE3\n"
 _LEN_BYTES = 8
 _COUNT_BYTES = 4
 _DIGEST_BYTES = 32
+#: one blob-table row: the buffer's SHA-256, then 1 if it was read-only
+_ROW_BYTES = _DIGEST_BYTES + 1
 _HEADER = len(_MAGIC) + _LEN_BYTES
 #: buffers at least this large leave the pickle body for ``blobs/``
 _BLOB_MIN_BYTES = 64 * 1024
 
 
 class StoreStats:
-    """Counters for one store handle (hits/misses/corruption/blob dedup)."""
+    """Counters for one store handle (hits/misses/corruption/blob dedup,
+    and blob references lent from memory instead of read from disk)."""
 
-    __slots__ = ("hits", "misses", "writes", "corrupt", "blob_writes", "blob_reuses")
+    __slots__ = (
+        "hits", "misses", "writes", "corrupt", "blob_writes", "blob_reuses",
+        "blob_lends",
+    )
 
     def __init__(self) -> None:
         for name in self.__slots__:
@@ -85,7 +101,8 @@ class StoreStats:
 
 
 class ResultStore:
-    """Content-addressed store; safe under concurrent readers and writers."""
+    """Content-addressed store; safe under concurrent readers and writers
+    (processes, and threads sharing one handle)."""
 
     RESULTS = "results"
     PLANS = "plans"
@@ -95,6 +112,13 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
+        #: digest -> the verified read-only bytes every borrower shares
+        self._lent: weakref.WeakValueDictionary[bytes, np.ndarray] = (
+            weakref.WeakValueDictionary()
+        )
+        #: guards ``_lent`` and ``stats``: a session reads from its pool's
+        #: callback thread as well as its own
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _path(self, kind: str, key: str) -> Path:
@@ -115,7 +139,7 @@ class ResultStore:
             raw = buffer.raw()
             if raw.nbytes < _BLOB_MIN_BYTES:
                 return True
-            blobs.append(self._put_blob(raw))
+            blobs.append(self._put_blob(raw) + bytes([raw.readonly]))
             return False
 
         body = pickle.dumps(obj, protocol=5, buffer_callback=in_band)
@@ -124,7 +148,7 @@ class ResultStore:
         digest.update(body)
         length = (len(table) + len(body)).to_bytes(_LEN_BYTES, "big")
         self._publish(path, _MAGIC + length + table, body, digest.digest())
-        self.stats.writes += 1
+        self._count("writes")
         return path
 
     def _put_blob(self, raw: memoryview) -> bytes:
@@ -133,11 +157,16 @@ class ResultStore:
         digest = hashlib.sha256(raw).digest()
         path = self._path(self.BLOBS, digest.hex())
         if path.exists():
-            self.stats.blob_reuses += 1
+            self._count("blob_reuses")
         else:
             self._publish(path, raw)
-            self.stats.blob_writes += 1
+            self._count("blob_writes")
         return digest
+
+    def _count(self, *names: str) -> None:
+        with self._lock:
+            for name in names:
+                setattr(self.stats, name, getattr(self.stats, name) + 1)
 
     @staticmethod
     def _publish(path: Path, *pieces) -> None:
@@ -165,13 +194,13 @@ class ResultStore:
         try:
             data = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
+            self._count("misses")
             return None
         payload = self._verify(data)
         if payload is None:
             return self._corrupt(path, "bad-frame")
-        digests, body = payload
-        buffers = [self._get_blob(digest) for digest in digests]
+        table, body = payload
+        buffers = [self._get_blob(digest, readonly) for digest, readonly in table]
         if any(buffer is None for buffer in buffers):
             return self._corrupt(path, "bad-blob")
         try:
@@ -180,28 +209,45 @@ class ResultStore:
             # Digests matched but the body will not unpickle — written by
             # an incompatible code version, or pickled classes changed shape.
             return self._corrupt(path, "bad-pickle")
-        self.stats.hits += 1
+        self._count("hits")
         return obj
 
-    def _get_blob(self, digest: bytes) -> bytearray | None:
-        """The blob named ``digest`` in a fresh buffer; ``None`` (and the
-        file quarantined) unless its content hashes to its name."""
+    def _get_blob(self, digest: bytes, readonly: bool) -> np.ndarray | bytearray | None:
+        """The blob named ``digest``: lent from the table if ``readonly``,
+        else in a fresh buffer; ``None`` (and the file quarantined) unless
+        its content hashes to its name."""
+        with self._lock:
+            lent = self._lent.get(digest)
+            if lent is not None and readonly:
+                self.stats.blob_lends += 1
+                return lent
+        if lent is not None:
+            return bytearray(lent)
         path = self._path(self.BLOBS, digest.hex())
         try:
-            with open(path, "rb", buffering=0) as fh:
-                buffer = bytearray(os.fstat(fh.fileno()).st_size)
-                fh.readinto(buffer)
+            if readonly:
+                # immutable ``bytes``: nothing reached through ``.base`` of
+                # a lent array can write it
+                buffer = path.read_bytes()
+            else:
+                with open(path, "rb", buffering=0) as fh:
+                    buffer = bytearray(os.fstat(fh.fileno()).st_size)
+                    fh.readinto(buffer)
         except OSError:
             return None
         if hashlib.sha256(buffer).digest() != digest:
             self._quarantine(path, "bad-blob")
             return None
-        return buffer
+        if not readonly:
+            return buffer
+        with self._lock:
+            return self._lent.setdefault(digest, np.frombuffer(buffer, np.uint8))
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _verify(data: bytes) -> tuple[list[bytes], memoryview] | None:
-        """``(blob digests, body)`` when the frame is intact, else ``None``."""
+    def _verify(data: bytes) -> tuple[list[tuple[bytes, bool]], memoryview] | None:
+        """``(blob table, body)`` when the frame is intact, else ``None``;
+        the table lists ``(digest, readonly)`` per out-of-band buffer."""
         if len(data) < _HEADER + _COUNT_BYTES + _DIGEST_BYTES:
             return None
         if data[: len(_MAGIC)] != _MAGIC:
@@ -213,20 +259,19 @@ class ResultStore:
         if hashlib.sha256(payload).digest() != data[_HEADER + length :]:
             return None
         count = int.from_bytes(payload[:_COUNT_BYTES], "big")
-        table_end = _COUNT_BYTES + count * _DIGEST_BYTES
+        table_end = _COUNT_BYTES + count * _ROW_BYTES
         if table_end > length:
             return None
-        digests = [
-            bytes(payload[at : at + _DIGEST_BYTES])
-            for at in range(_COUNT_BYTES, table_end, _DIGEST_BYTES)
+        table = [
+            (bytes(payload[at : at + _DIGEST_BYTES]), bool(payload[at + _DIGEST_BYTES]))
+            for at in range(_COUNT_BYTES, table_end, _ROW_BYTES)
         ]
-        return digests, payload[table_end:]
+        return table, payload[table_end:]
 
     def _corrupt(self, path: Path, reason: str) -> None:
         """Account for an entry that failed verification: a counted miss."""
         self._quarantine(path, reason)
-        self.stats.corrupt += 1
-        self.stats.misses += 1
+        self._count("corrupt", "misses")
         return None
 
     def _quarantine(self, path: Path, reason: str) -> None:

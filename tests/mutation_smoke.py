@@ -164,6 +164,18 @@ MUTANTS = (
         ("tests/runtime/test_backends.py",),
     ),
     Mutant(
+        "a writable reference is lent the shared buffer", "serve/store.py",
+        "        buffers = [self._get_blob(digest, readonly) for digest, readonly in table]\n",
+        "        buffers = [self._get_blob(digest, True) for digest, readonly in table]\n",
+        ("tests/serve/test_store.py",),
+    ),
+    Mutant(
+        "put records every buffer writable", "serve/store.py",
+        "            blobs.append(self._put_blob(raw) + bytes([raw.readonly]))\n",
+        "            blobs.append(self._put_blob(raw) + bytes([False]))\n",
+        ("tests/runtime/test_backends.py",),
+    ),
+    Mutant(
         "the exact-equal shortcut breaks instead of continuing", "runtime/results.py",
         "            if np.array_equal(a, b, equal_nan=True):\n"
         "                continue\n",

@@ -403,7 +403,7 @@ class TestNumericsHeldOnce:
                 assert arr.dtype == shmem.arrays[name].dtype
                 assert np.array_equal(arr, shmem.arrays[name]), (result.backend, name)
 
-    def test_a_served_shmem_result_is_private_and_read_only(self, prog, cfg4, tmp_path):
+    def test_a_served_shmem_result_is_lent_read_only(self, prog, cfg4, tmp_path):
         direct = run_shmem(prog, cfg4, optimize=True)
         store = ResultStore(tmp_path / "store")
         key = "ab" * 32
@@ -411,7 +411,10 @@ class TestNumericsHeldOnce:
         first = store.get(ResultStore.RESULTS, key)
         second = store.get(ResultStore.RESULTS, key)
         assert first.exact_equal(direct) and second.exact_equal(direct)
+        assert store.stats.blob_lends == len(direct.arrays) > 0
         for name, arr in first.arrays.items():
-            assert not arr.flags.writeable
-            assert not np.shares_memory(arr, second.arrays[name])
+            assert np.shares_memory(arr, second.arrays[name])
+            assert not arr.flags.writeable and not second.arrays[name].flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
             assert not np.shares_memory(arr, direct.arrays[name])

@@ -1,7 +1,5 @@
 """Behavioral tests of ServeSession: caching, dedup, pool, batches, plans."""
 
-import dataclasses
-
 import pytest
 
 from repro.apps import get_app
@@ -35,6 +33,21 @@ class TestRequestValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             RunRequest(app="jacobi", backend="quantum")
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (dict(rt_elim=True), "optimizer options"),
+            (dict(pre=True), "optimizer options"),
+            (dict(advisory="prefetch"), "optimizer options"),
+            (dict(optimize=True, protocol="update"), "requires protocol='invalidate'"),
+        ],
+    )
+    def test_shmem_options_the_run_would_refuse_are_refused(self, options, named):
+        with pytest.raises(ValueError, match=named):
+            RunRequest(app="jacobi", **options)
+        # uniproc and msgpass take no shmem options, so nothing checks them
+        RunRequest(app="jacobi", backend="uniproc", **options)
 
     def test_params_accept_dict_or_tuple(self):
         a = RunRequest(app="jacobi", params={"n": 32, "iters": 2})
@@ -255,13 +268,17 @@ class TestPool:
             monkeypatch.setattr(runner, name, None)
         req = jacobi_request(cfg)
         key = "ab" * 32  # any well-formed key: the worker takes it on trust
+        direct = runner.execute_request(req)
+        # Over a store the worker publishes the entry and hands back None:
+        # the parent reads the result through its own handle.
         result, from_cache, counts = runner._pool_worker(req, store_dir, key)
-        assert not from_cache
+        assert result is None and not from_cache
         assert (counts["misses"], counts["writes"], counts["hits"]) == (2, 2, 0)
-        assert ResultStore(store_dir).contains(ResultStore.RESULTS, key)
+        assert ResultStore(store_dir).get(ResultStore.RESULTS, key).exact_equal(direct)
         again, from_cache, counts = runner._pool_worker(req, store_dir, key)
-        assert from_cache and results_equal(result, again)
+        assert again is None and from_cache
         assert (counts["misses"], counts["writes"], counts["hits"]) == (0, 0, 1)
+        assert ResultStore(store_dir).get(ResultStore.RESULTS, key).exact_equal(direct)
 
     def test_session_stats_total_the_workers_store_counters(self, cfg, store_dir):
         reqs = [
@@ -348,12 +365,15 @@ class TestBatchAndAsync:
         for c, w in zip(cold, warm):
             assert results_equal(c.result, w.result)
 
-    def test_submit_propagates_compute_errors(self, cfg):
-        req = dataclasses.replace(
-            jacobi_request(cfg), optimize=True, protocol="update"
-        )
+    def test_submit_propagates_compute_errors(self, cfg, monkeypatch):
+        # A request the run would refuse cannot be built, so the run
+        # itself is made to fail.
+        def refuse(*_args, **_kwargs):
+            raise ValueError("the run refuses this cell")
+
+        monkeypatch.setattr(runner, "execute_request", refuse)
         with ServeSession() as sess:
-            with pytest.raises(ValueError, match="invalidate"):
-                sess.submit(req).result()
+            with pytest.raises(ValueError, match="refuses"):
+                sess.submit(jacobi_request(cfg)).result()
         # The failed key is not stuck in the in-flight table.
         assert sess._inflight == {}

@@ -3,21 +3,31 @@
 The store's one inviolable property: a poisoned cache can cost time but
 never correctness.  Every corruption mode — truncation (kill mid-write of
 a non-atomic copy), bit rot, wrong magic, trailing garbage, a frame whose
-digest checks but whose body won't unpickle, an entry in the previous
+digest checks but whose body won't unpickle, an entry in a previous
 frame format, a blob that is short, altered, gone or holds other bytes —
 must be detected on read, quarantined, and answered with ``None`` so the
-caller recomputes.
+caller recomputes.  A full disk or a killed writer must leave nothing a
+reader takes for an entry, and lending a read-only blob to many gets must
+never let a writable array share its memory.
 """
 
+import errno
+import gc
 import hashlib
 import multiprocessing
+import os
 import pickle
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro.serve.store as store_module
 from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
 from repro.serve import ResultStore, ServeSession, results_equal
+from repro.serve.runner import execute_request
 from repro.serve.store import _BLOB_MIN_BYTES, _HEADER, _MAGIC
 from repro.tempest.config import small_config
 
@@ -174,6 +184,15 @@ class TestCorruption:
         store.put(ResultStore.RESULTS, KEY, "fresh")
         assert store.get(ResultStore.RESULTS, KEY) == "fresh"
 
+    def test_v2_frame_is_a_miss_and_never_unpickled(self, store):
+        # an intact entry of the previous format: no read-only flags
+        payload = (0).to_bytes(4, "big") + pickle.dumps(Tripwire(), protocol=5)
+        path = plant(store, KEY, frame(payload, magic=b"REPROSERVE2\n"))
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        assert UNPICKLED == []
+        assert store.stats.corrupt == 1 and not path.exists()
+        assert [q.name.split(".")[1] for q in store.quarantined()] == ["bad-frame"]
+
     def test_empty_file_detected(self, store):
         path, _ = self._entry(store)
         path.write_bytes(b"")
@@ -281,6 +300,216 @@ class TestBlobs:
         assert {b.stem for b in store.entries(ResultStore.BLOBS)} == distinct
         assert entry.stat().st_size < _BLOB_MIN_BYTES
         assert results_equal(store.get(ResultStore.RESULTS, OTHER), result)
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.fixture
+def served(store):
+    """A jacobi plan under ``KEY`` and the shmem result replayed from it
+    under ``OTHER``: the same digests, stored writable and read-only."""
+    cfg = small_config()
+    program = jacobi_request(cfg, params={"n": 128, "iters": 1}).build_program()
+    plan = build_shmem_plan(program, cfg)
+    result = execute_shmem_plan(plan, cfg)
+    store.put(ResultStore.PLANS, KEY, plan)
+    store.put(ResultStore.RESULTS, OTHER, result)
+    return plan, result
+
+
+class TestLending:
+    """Read-only arrays are lent from one verified copy per handle;
+    writable arrays stay private to each ``get``."""
+
+    def test_a_plan_stays_private_while_its_result_is_lent(self, store, served):
+        plan, result = served
+        first = store.get(ResultStore.RESULTS, OTHER)
+        second = store.get(ResultStore.RESULTS, OTHER)
+        assert store.stats.blob_lends == len(result.arrays) > 0
+        got = store.get(ResultStore.PLANS, KEY)
+        assert store.stats.blob_lends == len(result.arrays)  # nothing lent
+        assert first.exact_equal(result) and second.exact_equal(result)
+        for name, arr in got.arrays.items():
+            assert np.array_equal(arr, plan.arrays[name])
+            assert np.shares_memory(first.arrays[name], second.arrays[name])
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, first.arrays[name])
+            arr[...] = -1.0
+        assert first.exact_equal(result)
+        again = store.get(ResultStore.PLANS, KEY)
+        for name, arr in again.arrays.items():
+            assert np.array_equal(arr, plan.arrays[name])
+
+    def test_a_blob_damaged_while_lent_leaves_the_result_intact(self, store, served):
+        _, result = served
+        live = store.get(ResultStore.RESULTS, OTHER)
+        for blob in store.entries(ResultStore.BLOBS):
+            blob_bit_flipped(blob)
+        assert live.exact_equal(result)
+        # a borrower lives, so the next get is lent the verified copy
+        assert store.get(ResultStore.RESULTS, OTHER).exact_equal(result)
+        assert store.stats.corrupt == 0
+
+    def test_the_table_dies_with_its_last_borrower(self, store):
+        store.put(ResultStore.RESULTS, KEY, {"a": read_only(big_array())})
+        first = store.get(ResultStore.RESULTS, KEY)
+        second = store.get(ResultStore.RESULTS, KEY)
+        assert np.shares_memory(first["a"], second["a"])
+        assert len(store._lent) == 1
+        [blob] = store.entries(ResultStore.BLOBS)
+        blob_bit_flipped(blob)
+        del first, second
+        gc.collect()
+        assert len(store._lent) == 0
+        # nothing is lent any more, so the damage is read, and caught
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        assert store.stats.corrupt == 1
+        assert sorted(q.name.split(".")[1] for q in store.quarantined()) == [
+            "bad-blob", "bad-blob",
+        ]
+
+    def test_threads_sharing_a_handle_get_exact_results(self, store):
+        obj = {"lent": read_only(big_array()), "private": big_array(1.0)}
+        store.put(ResultStore.RESULTS, KEY, obj)
+        warm = store.get(ResultStore.RESULTS, KEY)
+        # more threads than cores, switching as often as the interpreter
+        # allows, so a lost counter update would show
+        gets, threads = 20, (os.cpu_count() or 1) + 2
+        start = threading.Barrier(threads)
+        got = [[] for _ in range(threads)]
+
+        def reader(out):
+            start.wait(timeout=60)
+            for _ in range(gets):
+                out.append(store.get(ResultStore.RESULTS, KEY))
+
+        workers = [threading.Thread(target=reader, args=(out,)) for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        served = [back for out in got for back in out]
+        assert len(served) == threads * gets
+        for back in served:
+            assert np.array_equal(back["lent"], obj["lent"])
+            assert np.array_equal(back["private"], obj["private"])
+            assert np.shares_memory(back["lent"], warm["lent"])
+            assert back["private"].flags.writeable
+            assert not np.shares_memory(back["private"], warm["private"])
+        stats = store.stats.as_dict()
+        assert stats["hits"] == threads * gets + 1
+        assert stats["blob_lends"] == threads * gets
+        assert (stats["misses"], stats["corrupt"]) == (0, 0)
+
+    def test_a_pool_result_that_misses_its_read_back_is_handed_back(
+        self, store_dir, monkeypatch
+    ):
+        req = jacobi_request(small_config(), params={"n": 128, "iters": 1})
+        direct = execute_request(req)
+        with ServeSession(jobs=2, cache_dir=store_dir) as sess:
+            real, dropped = sess.store.get, []
+
+            def flaky(kind, key):
+                # the first read of a published entry misses, as if it had
+                # been damaged between the worker's publish and this read
+                if not dropped and sess.store.contains(kind, key):
+                    dropped.append(key)
+                    return None
+                return real(kind, key)
+
+            monkeypatch.setattr(sess.store, "get", flaky)
+            served = sess.run(req)
+            stats = sess.stats()
+        assert dropped == [served.key]
+        assert (served.source, served.where) == ("computed", "pool")
+        assert served.result.exact_equal(direct)
+        assert stats["cache_hits"] == 0 and stats["hit_rate"] == 0.0
+        # the hand-back worker found the entry its sibling published
+        assert stats["store"]["writes"] == 2 and stats["store"]["hits"] == 1
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("failing", ["blob", "entry"])
+    def test_a_full_disk_mid_publish_leaves_no_trace(self, store, monkeypatch, failing):
+        store.put(ResultStore.RESULTS, OTHER, {"a": big_array(2.0), "note": "kept"})
+        real, opened = os.fdopen, []
+
+        def disk_full():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fdopen(fd, mode):
+            opened.append(mode)
+            fh = real(fd, mode)
+            # the blob is published first, the entry second
+            if len(opened) == ("blob", "entry").index(failing) + 1:
+                return BrokenFile(fh, disk_full)
+            return fh
+
+        monkeypatch.setattr(store_module.os, "fdopen", fdopen)
+        with pytest.raises(OSError) as e:
+            store.put(ResultStore.RESULTS, KEY, {"a": big_array(), "note": "x"})
+        monkeypatch.undo()
+        assert e.value.errno == errno.ENOSPC
+        assert list(store.root.rglob("*.tmp")) == []
+        assert not store.contains(ResultStore.RESULTS, KEY)
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        back = store.get(ResultStore.RESULTS, OTHER)
+        assert np.array_equal(back["a"], big_array(2.0)) and back["note"] == "kept"
+        assert store.stats.corrupt == 0
+
+    def test_a_writer_killed_mid_blob_leaves_only_a_tmp_file(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        writer = ctx.Process(target=_die_mid_blob_write, args=(str(tmp_path),))
+        writer.start()
+        writer.join(timeout=120)
+        assert writer.exitcode == -signal.SIGKILL
+        [left] = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert left.suffix == ".tmp" and left.parent.parent.name == ResultStore.BLOBS
+        store = ResultStore(tmp_path)
+        assert store.get(ResultStore.RESULTS, KEY) is None
+        assert store.stats.corrupt == 0
+        obj = {"a": big_array(), "note": "x"}
+        store.put(ResultStore.RESULTS, KEY, obj)
+        back = store.get(ResultStore.RESULTS, KEY)
+        assert np.array_equal(back["a"], obj["a"]) and back["note"] == "x"
+
+
+class BrokenFile:
+    """A file that takes half of its first write, then calls ``fail``."""
+
+    def __init__(self, fh, fail):
+        self.fh, self.fail = fh, fail
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, piece):
+        self.fh.write(bytes(piece[: len(piece) // 2]))
+        self.fh.flush()
+        self.fail()
+
+
+def _die_mid_blob_write(root: str) -> None:
+    """Start a put, and SIGKILL this process halfway through its blob."""
+    real = os.fdopen
+
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    store_module.os.fdopen = lambda fd, mode: BrokenFile(real(fd, mode), die)
+    ResultStore(root).put(ResultStore.RESULTS, KEY, {"a": big_array(), "note": "x"})
 
 
 def _put_repeatedly(root: str, start) -> None:

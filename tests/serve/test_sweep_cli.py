@@ -44,6 +44,19 @@ class TestUsageErrors:
             assert e.value.code == 2, argv
             assert named in capsys.readouterr().err.splitlines()[-1], argv
 
+    def test_invalid_option_combination_exits_2(self, capsys):
+        """A cell the run would refuse is a usage error naming the cell,
+        not a traceback out of the worker that ran it."""
+        with pytest.raises(SystemExit) as e:
+            sweep_main([
+                "jacobi", "--no-cache",
+                "--axis", "optimize=off,on", "--axis", "rt_elim=off,on",
+            ])
+        assert e.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "cell optimize=off,rt_elim=on: " in err
+        assert "optimizer options" in err
+
     def test_axis_without_values_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             sweep_main(["jacobi", "--axis", "combine="])

@@ -32,6 +32,8 @@ SMALL = ["jacobi", "--param", "n=32", "--param", "iters=1"]
 #: companions that keep the cross-flag usage errors (stall needs a window,
 #: checkpoint/heartbeat need a crash) out of the way of the flag under test
 CONTEXT = ["--fault-stall-us", "300", "--fault-crash", "1:1000"]
+#: request fields a shmem run accepts only with ``optimize`` on
+OPTIMIZER_OPTIONS = ("rt_elim", "pre", "advisory")
 FIELDS = list(spec.walk(RunRequest))
 IDS = [".".join(path + (f.name,)) for path, f in FIELDS]
 
@@ -89,17 +91,21 @@ class TestOneSpelling:
         stored = spec.to_field(f, value)
         base = RunRequest(app="jacobi")
         assert getattr(_owner(base, path), f.name) != stored
+        needs_opt = path == () and f.name in OPTIMIZER_OPTIONS
         if flag:
             args = build_parser().parse_args(
                 ["jacobi", *CONTEXT, *_flag_argv(f, value)]
             )
             owner = type(_owner(base, path))
             extra = {"app": "jacobi"} if owner is RunRequest else {}
+            if needs_opt:
+                extra["optimize"] = True
             built = spec.from_args(owner, args, **extra)
             assert getattr(built, f.name) == stored
         if axis:
             text = {True: "on", False: "off"}.get(value, str(value))
-            (cell,) = expand_matrix(["jacobi"], parse_axis_specs([f"{axis}={text}"]))
+            specs = [f"{axis}={text}"] + (["optimize=on"] if needs_opt else [])
+            (cell,) = expand_matrix(["jacobi"], parse_axis_specs(specs))
             assert getattr(_owner(cell, path), f.name) == stored
 
     @pytest.mark.parametrize(("path", "f"), FIELDS, ids=IDS)
@@ -251,8 +257,12 @@ class TestCellLabels:
                 "switch")},
         }
         assert sorted(two) == sorted(AXES)
-        cells = expand_matrix(["jacobi"], two)
-        assert len(cells) == 2 ** 14
+        # Every valid cell: a request refuses rt_elim or pre without
+        # optimize, and optimize with any protocol but invalidate.
+        optimized = {**two, "optimize": ["on"], "protocol": ["invalidate"]}
+        plain = {**two, "optimize": ["off"], "rt_elim": ["off"], "pre": ["off"]}
+        cells = expand_matrix(["jacobi"], optimized) + expand_matrix(["jacobi"], plain)
+        assert len(cells) == 2 ** 12 + 2 ** 11
         assert len({cell_label(c) for c in cells}) == len(cells)
 
     def test_label_spelling(self):
