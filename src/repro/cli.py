@@ -310,8 +310,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     prog = _checked(parser, "--param", spec.program, args.scale, **overrides)
     cfg = config_from_args(parser, args)
     # The run options travel as a RunRequest: one list of what run_shmem
-    # takes (and the same range checks the serve layer applies).
-    request = from_args(
+    # takes (and the same range and combination checks the serve layer
+    # applies).
+    request = _checked(
+        parser, "--no-opt/--rt-elim/--pre/--advisory/--protocol", from_args,
         RunRequest, args, program=prog, config=cfg, optimize=not args.no_opt,
         bulk=not args.no_bulk, advisory=args.advisory or False,
         critical_path=want_critical,

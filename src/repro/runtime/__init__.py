@@ -15,12 +15,12 @@ Four backends, matching the paper's evaluation matrix:
     speedup denominator.
 
 Execution is two-pass: a *functional* pass walks the program in order,
-computing real numerics (vectorized NumPy against the single backing
-store) while emitting per-node access traces; a *timing* pass replays
-those traces as node processes against the discrete-event cluster, where
-the protocol state machines, version validators and contract checks run
-for real.  All backends must produce identical numerics — the integration
-suite asserts it.
+emitting per-node access traces; a *timing* pass replays those traces as
+node processes against the discrete-event cluster, where the protocol
+state machines, version validators and contract checks run for real.
+The real numerics (vectorized NumPy) are evaluated once per program, by
+:func:`repro.runtime.phases.numerics`, into a read-only record that every
+backend's result shares — traces never depend on them.
 """
 
 from repro.runtime.results import RunResult

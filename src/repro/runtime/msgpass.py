@@ -16,8 +16,8 @@ from __future__ import annotations
 from repro.hpf.ast import ParallelAssign, Program, Reduce, ScalarAssign
 from repro.runtime.phases import (
     ProgramAnalysis,
-    allocate_segment,
-    apply_initializers,
+    numerics,
+    segment_geometry,
     walk_phases,
 )
 from repro.runtime.results import RunResult
@@ -30,18 +30,17 @@ __all__ = ["run_msgpass"]
 
 def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunResult:
     config = config or ClusterConfig()
-    # A shared segment is still allocated (the nodes' memories), but no
+    # A shared segment is still laid out (the nodes' memories), but no
     # coherence traffic ever touches it — data moves by explicit messages.
-    mem, arrays = allocate_segment(program.arrays.values(), config)
-    apply_initializers(program, arrays)
-    scalars = dict(program.scalars)
+    mem = segment_geometry(program.arrays.values(), config)
+    record = numerics(program)
     analysis = ProgramAnalysis(program, config.n_nodes)
     traces = [NodeTrace(n) for n in range(config.n_nodes)]
     itemsize = 8
     total_msgs = 0
     total_bytes = 0
 
-    for rec in walk_phases(program, analysis, arrays, scalars):
+    for rec in walk_phases(program, analysis):
         if isinstance(rec.stmt, ScalarAssign):
             for t in traces:
                 t.compute(rec.compute_units(t.node) * config.compute_ns_per_unit)
@@ -82,8 +81,8 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
         "msgpass",
         stats.elapsed_ns,
         stats,
-        arrays,
-        dict(scalars),
+        dict(record.arrays),
+        dict(record.scalars),
         {"mp_messages": total_msgs, "mp_bytes": total_bytes},
     )
 

@@ -39,10 +39,10 @@ class RunResult:
     """Outcome of one backend run of one program.
 
     A result never copies its numerics.  ``arrays`` is what the run
-    computed: a shmem result holds read-only views of its plan's arrays
-    (one plan serves many results), and a uniproc or msgpass result holds
-    the arrays its own functional pass wrote.  Arrays shared with a plan
-    are read-only, so copy one before mutating it.
+    computed: the program's one read-only numerics record
+    (:func:`repro.runtime.phases.numerics`), which a uniproc or msgpass
+    result holds as is and a shmem result views through its plan (one
+    plan serves many results).  Copy an array before mutating it.
     """
 
     program: str

@@ -1,19 +1,18 @@
 """Uniprocessor reference run — the speedup denominator.
 
-Runs the program's numerics on a single logical processor and charges the
+Walks the program's phases on a single logical processor and charges the
 full compute-model cost with zero communication, matching the paper's
 "speedups are calculated relative to a uniprocessor run".  (The paper's
 uniprocessor baselines are *not* cache-blocked, which is where its
 superlinear speedups come from; our compute model is cache-less, so
-speedup ceilings equal the node count — see DESIGN.md.)
+speedup ceilings equal the node count — see DESIGN.md.)  Its numerics
+are the program's one shared record (:func:`~repro.runtime.phases.numerics`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hpf.ast import Program
-from repro.runtime.phases import ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import ProgramAnalysis, numerics, walk_phases
 from repro.runtime.results import RunResult
 from repro.tempest.config import ClusterConfig
 
@@ -22,15 +21,11 @@ __all__ = ["run_uniproc"]
 
 def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunResult:
     config = config or ClusterConfig()
-    arrays = {
-        decl.name: np.zeros(decl.shape, order="F") for decl in program.arrays.values()
-    }
-    apply_initializers(program, arrays)
-    scalars = dict(program.scalars)
+    record = numerics(program)
     analysis = ProgramAnalysis(program, n_procs=1)
     total_ns = 0
     phases = 0
-    for rec in walk_phases(program, analysis, arrays, scalars):
+    for rec in walk_phases(program, analysis):
         phases += 1
         total_ns += rec.compute_units(0) * config.compute_ns_per_unit
         if rec.kind != "scalar":
@@ -40,7 +35,7 @@ def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunRes
         "uniproc",
         total_ns,
         None,
-        arrays,
-        dict(scalars),
+        dict(record.arrays),
+        dict(record.scalars),
         {"phases": phases},
     )

@@ -33,9 +33,8 @@ __all__ = ["BACKENDS", "RunRequest"]
 BACKENDS = ("shmem", "uniproc", "msgpass")
 
 
-#: (app, scale, repr(params)) -> program fingerprint, for the life of the
-#: process; ``repr`` keeps ``2``, ``2.0`` and ``True`` apart where tuple
-#: equality would not.
+#: :meth:`RunRequest.registry_spec` -> program fingerprint, for the life
+#: of the process.
 _FINGERPRINTS: dict[tuple[str, str, str], str] = {}
 
 
@@ -114,6 +113,12 @@ class RunRequest:
         carry initializer closures and must run in the parent process."""
         return self.program is None
 
+    def registry_spec(self) -> tuple[str, str, str]:
+        """``(app, scale, repr(params))``: equal for two registry requests
+        that build the same program; ``repr`` keeps ``2``, ``2.0`` and
+        ``True`` apart where tuple equality would not."""
+        return (self.app, self.scale, repr(self.params))
+
     def resolved_fingerprint(self) -> str:
         """Content fingerprint of the *built* program (spec-independent).
 
@@ -123,7 +128,7 @@ class RunRequest:
         """
         if self.program is not None:
             return program_fingerprint(self.program)
-        spec = (self.app, self.scale, repr(self.params))
+        spec = self.registry_spec()
         found = _FINGERPRINTS.get(spec)
         if found is None:
             found = _FINGERPRINTS[spec] = program_fingerprint(self.build_program())

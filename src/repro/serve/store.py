@@ -45,9 +45,10 @@ Durability discipline:
   ``None`` is returned so the caller recomputes.  A poisoned cache can
   therefore slow a sweep down but can never change its output.
 * **Lent read-only arrays, private writable ones.**  The table records
-  whether each buffer was read-only when it was stored (a shmem result's
-  arrays are read-only views of its plan's, see ``RunResult``; a plan's
-  and a uniproc/msgpass result's are writable).  A read-only buffer is
+  whether each buffer was read-only when it was stored (a program's
+  numerics are one read-only record that plans and results of every
+  backend share, see ``RunResult``; a hand-built entry may hold writable
+  arrays).  A read-only buffer is
   *lent*: the handle keeps a weak table from digest to one verified,
   immutable copy, and every ``get`` that names the digest while any
   array over it lives shares that copy (``StoreStats.blob_lends``), so

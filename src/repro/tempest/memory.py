@@ -120,10 +120,9 @@ class HomePolicy(enum.Enum):
 class GlobalArray:
     """A distributed array living in the shared segment.
 
-    Holds the address geometry used by the coherence model, and the single
-    NumPy backing store real numerics run against.  The store is allocated
-    on first use of :attr:`data`: the functional pass asks for it, the
-    timing pass (which moves block ids, never values) does not.
+    Holds the address geometry used by the coherence model, and no data:
+    the simulator moves block ids, never values, and a program's numerics
+    live in its record (:func:`repro.runtime.phases.numerics`).
     """
 
     __slots__ = (
@@ -133,7 +132,6 @@ class GlobalArray:
         "dist",
         "base",
         "nbytes",
-        "_data",
         "itemsize",
         "_col_elems",
         "config",
@@ -158,7 +156,6 @@ class GlobalArray:
         self.dist = dist
         self.base = base
         self.itemsize = self.dtype.itemsize
-        self._data: np.ndarray | None = None
         self.nbytes = math.prod(self.shape) * self.itemsize
         # Number of elements in one "column" (all dims but the last).
         self._col_elems = 1
@@ -167,13 +164,6 @@ class GlobalArray:
         self.config = config
         self.base_block = base // config.block_size
         self.n_blocks = math.ceil(self.nbytes / config.block_size)
-
-    @property
-    def data(self) -> np.ndarray:
-        """The backing store: zeroed, Fortran-ordered, allocated on demand."""
-        if self._data is None:
-            self._data = np.zeros(self.shape, dtype=self.dtype, order="F")
-        return self._data
 
     # ------------------------------------------------------------------ #
     # geometry

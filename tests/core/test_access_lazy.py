@@ -15,7 +15,7 @@ import pytest
 from repro import APPS, run_msgpass
 from repro.core.access import LoopAccess, Transfer
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.runtime.phases import ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import ProgramAnalysis, walk_phases
 from repro.runtime.shmem import build_shmem_plan
 from repro.tempest.config import ClusterConfig
 
@@ -97,12 +97,10 @@ def eager(acc: LoopAccess, env: dict) -> dict:
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_every_phase_derives_the_eager_sets(name, n_procs):
     program = PROGRAMS[name]()
-    arrays = {d.name: np.zeros(d.shape, order="F") for d in program.arrays.values()}
-    apply_initializers(program, arrays)
     analysis = ProgramAnalysis(program, n_procs)
     phases = 0
     non_owner = 0
-    for rec in walk_phases(program, analysis, arrays, dict(program.scalars)):
+    for rec in walk_phases(program, analysis):
         if rec.inst is None:
             continue
         want = eager(analysis.access(rec.stmt), rec.env)

@@ -16,7 +16,7 @@ from repro.core.contract import ContractError, check_plan
 from repro.core.planner import CommPlan, PlanError, plan_loop
 from repro.core.pre import AvailabilityTracker
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.runtime.phases import allocate_segment
+from repro.runtime.phases import segment_geometry
 from repro.tempest.config import ClusterConfig
 
 
@@ -36,7 +36,7 @@ def stencil_setup(n=128, rows=16, procs=4, on_home=False):
         )
     prog = b.build()
     cfg = ClusterConfig(n_nodes=procs)
-    mem, _arrays = allocate_segment(prog.arrays.values(), cfg)
+    mem = segment_geometry(prog.arrays.values(), cfg)
     inst = analyze_loop(stmt, prog, procs).instantiate({})
     return inst, mem
 
@@ -99,7 +99,7 @@ class TestPlanLoop:
         stmt = b.forall(0, 63, out[S(0, 15), I], a[S(0, 15), I] * 2.0)
         prog = b.build()
         cfg = ClusterConfig(n_nodes=4)
-        mem, _ = allocate_segment(prog.arrays.values(), cfg)
+        mem = segment_geometry(prog.arrays.values(), cfg)
         plan = plan_loop(analyze_loop(stmt, prog, 4).instantiate({}), mem)
         assert plan.is_empty
 
@@ -112,7 +112,7 @@ class TestPlanLoop:
         stmt = b.forall(0, 127, y[I], x[S(0, 127)] * 1.0)
         prog = b.build()
         cfg = ClusterConfig(n_nodes=8)  # 16 elements = 1 block per proc
-        mem, _ = allocate_segment(prog.arrays.values(), cfg)
+        mem = segment_geometry(prog.arrays.values(), cfg)
         plan = plan_loop(analyze_loop(stmt, prog, 8).instantiate({}), mem)
         total = plan.total_controlled_blocks()
         assert total > 0
@@ -132,7 +132,7 @@ class TestPlanLoop:
         )
         prog = b.build()
         cfg = ClusterConfig(n_nodes=4)
-        mem, _ = allocate_segment(prog.arrays.values(), cfg)
+        mem = segment_geometry(prog.arrays.values(), cfg)
         plan = plan_loop(analyze_loop(stmt, prog, 4).instantiate({}), mem)
         assert any(len(v) for v in plan.boundary.values())
 

@@ -31,7 +31,7 @@ from repro.core.calls import (
 from repro.core.contract import check_plan
 from repro.core.planner import PlanError, plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.runtime.phases import allocate_segment
+from repro.runtime.phases import segment_geometry
 from repro.tempest.config import ClusterConfig
 
 
@@ -63,7 +63,7 @@ def build_case(rows, cols, n_nodes, block_size, dist, offsets, row_lo, row_hi, m
     prog = b.build()
     cfg = ClusterConfig(n_nodes=n_nodes, block_size=block_size,
                         page_size=max(block_size * 4, 512))
-    mem, _ = allocate_segment(prog.arrays.values(), cfg)
+    mem = segment_geometry(prog.arrays.values(), cfg)
     inst = analyze_loop(stmt, prog, n_nodes).instantiate({})
     return prog, cfg, mem, inst
 

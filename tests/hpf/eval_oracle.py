@@ -2,14 +2,26 @@
 
 This is ``repro.hpf.eval.eval_expr`` as it was before operands were
 overwritten in place: every operator allocates a fresh result.  The
-in-place evaluator must agree with it byte for byte.
+in-place evaluator must agree with it byte for byte.  :func:`run_program`
+walks a whole program through it, independently of
+``repro.runtime.phases``: the oracle of a program's numerics record.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hpf.ast import Bin, Dot, Lit, Ref, ScalarRef, Un
+from repro.hpf.ast import (
+    Bin,
+    Dot,
+    Lit,
+    ParallelAssign,
+    Reduce,
+    Ref,
+    ScalarRef,
+    SeqLoop,
+    Un,
+)
 from repro.hpf.eval import EvalError, _ref_key, loop_bounds
 
 
@@ -69,3 +81,32 @@ def eval_reduce(stmt, arrays, scalars, env) -> float:
         value = float({"sum": np.sum, "max": np.max, "min": np.min}[stmt.op](data))
     scalars[stmt.target] = value
     return value
+
+
+def eval_scalar_assign(stmt, scalars) -> float:
+    scalars[stmt.target] = float(eval_expr(stmt.rhs, {}, scalars, {}, 0, 0))
+    return scalars[stmt.target]
+
+
+def run_program(program):
+    """``(arrays, scalars)`` after running ``program`` from its initial
+    data, statement by statement, sequential loops unrolled here."""
+    arrays = {d.name: np.zeros(d.shape, order="F") for d in program.arrays.values()}
+    for name, fn in program.initializers.items():
+        arrays[name][...] = np.asarray(fn(arrays[name].shape), dtype=np.float64)
+    scalars = dict(program.scalars)
+
+    def visit(body, env):
+        for stmt in body:
+            if isinstance(stmt, SeqLoop):
+                for v in range(stmt.lo.eval(env), stmt.hi.eval(env) + 1):
+                    visit(stmt.body, {**env, stmt.var: v})
+            elif isinstance(stmt, ParallelAssign):
+                eval_parallel_assign(stmt, arrays, scalars, env)
+            elif isinstance(stmt, Reduce):
+                eval_reduce(stmt, arrays, scalars, env)
+            else:
+                eval_scalar_assign(stmt, scalars)
+
+    visit(program.body, {})
+    return arrays, scalars

@@ -20,6 +20,7 @@ from repro import APPS
 from repro.core.symbolic import Sym
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
+from repro.runtime.phases import numerics
 from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
 from repro.serve import ResultStore
 from repro.tempest.config import ClusterConfig
@@ -370,11 +371,11 @@ class TestRunRecord:
 
 
 class TestNumericsHeldOnce:
-    """Results never copy numerics: a shmem result holds read-only views of
-    its plan's arrays, so neither the plan nor a memoized copy of it can be
-    written through a result; uniproc and msgpass hand over what they
-    computed.  The arrays are 128 KiB each, so a stored result keeps them
-    in blobs."""
+    """Numerics are computed and held once: a program's one read-only
+    record is what its plans hold and what every backend's result views,
+    so no plan, result or memoized copy can be written through another;
+    a shmem result views its plan's arrays.  The arrays are 128 KiB each,
+    so a stored result keeps them in blobs."""
 
     @pytest.fixture(scope="class")
     def prog(self):
@@ -388,20 +389,28 @@ class TestNumericsHeldOnce:
         for name, arr in first.arrays.items():
             assert np.shares_memory(arr, plan.arrays[name])
             assert not arr.flags.writeable
-            assert plan.arrays[name].flags.writeable
+            assert plan.arrays[name] is numerics(prog).arrays[name]
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                plan.arrays[name][0, 0] = -1.0
         again = execute_shmem_plan(plan, cfg4)
         assert again.exact_equal(first)
 
-    def test_uniproc_and_msgpass_hand_over_writable_fortran_arrays(self, prog, cfg4):
-        shmem = run_shmem(prog, cfg4)
-        for result in (run_uniproc(prog, cfg4), run_msgpass(prog, cfg4)):
-            assert set(result.arrays) == set(shmem.arrays)
+    def test_every_backend_views_the_one_read_only_record(self, prog, cfg4):
+        record = numerics(prog)
+        results = [
+            run_shmem(prog, cfg4), run_shmem(prog, cfg4, optimize=True),
+            run_uniproc(prog, cfg4), run_msgpass(prog, cfg4),
+        ]
+        for result in results:
+            assert set(result.arrays) == set(record.arrays)
+            assert result.scalars == dict(record.scalars)
             for name, arr in result.arrays.items():
-                assert arr.flags.writeable and arr.flags.f_contiguous, result.backend
-                assert arr.dtype == shmem.arrays[name].dtype
-                assert np.array_equal(arr, shmem.arrays[name]), (result.backend, name)
+                assert not arr.flags.writeable and arr.flags.f_contiguous, result.backend
+                assert np.shares_memory(arr, record.arrays[name]), (result.backend, name)
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
 
     def test_a_served_shmem_result_is_lent_read_only(self, prog, cfg4, tmp_path):
         direct = run_shmem(prog, cfg4, optimize=True)

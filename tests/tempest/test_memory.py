@@ -137,11 +137,6 @@ class TestGlobalArray:
         with pytest.raises(ValueError):
             mem.alloc("bad", (0, 4), Distribution.block(4))
 
-    def test_data_is_fortran_ordered(self, mem):
-        a = mem.alloc("a", (8, 4), Distribution.block(4))
-        assert a.data.flags["F_CONTIGUOUS"]
-        assert a.data.dtype == np.float64
-
 
 # --------------------------------------------------------------------- #
 # segment allocation and homes

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import APPS
 from repro.cli import (
     _parse_crash,
     _parse_link_fault,
@@ -9,6 +10,7 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.runtime import phases
 
 
 class TestParser:
@@ -85,10 +87,41 @@ class TestMain:
         assert "RUN DEGRADED" in out
         assert "speedup" not in out
 
-    def test_update_protocol_requires_no_opt(self):
-        with pytest.raises(ValueError, match="invalidate"):
-            main(["jacobi", "--nodes", "4", "--protocol", "update",
+    @staticmethod
+    def _refused(capsys, *flags) -> str:
+        """An option combination the run would refuse is a usage error
+        naming the options, before anything starts, not a traceback."""
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", *flags,
                   "--param", "n=32", "--param", "iters=1"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.strip().splitlines()[-1]
+        assert all(flag in message for flag in flags if flag.startswith("--"))
+        return message
+
+    def test_update_protocol_requires_no_opt(self, capsys):
+        assert "protocol='invalidate'" in self._refused(capsys, "--protocol", "update")
+
+    def test_optimizer_options_require_opt(self, capsys):
+        assert "rt_elim" in self._refused(capsys, "--no-opt", "--rt-elim")
+
+    def test_a_run_evaluates_its_program_once(self, monkeypatch, capsys):
+        """The uniprocessor reference and the simulated run share one
+        numerics record: one evaluator pass, at default scale."""
+        calls = []
+        real = phases.eval_parallel_assign
+        monkeypatch.setattr(
+            phases, "eval_parallel_assign",
+            lambda *args: calls.append(args[0]) or real(*args),
+        )
+        phases.numerics(APPS["jacobi"].program())
+        one_pass = len(calls)
+        assert one_pass > 0
+        assert main(["jacobi"]) == 0
+        assert len(calls) == 2 * one_pass
+        assert "speedup" in capsys.readouterr().out
 
     def test_update_protocol_with_no_opt(self, capsys):
         rc = main(["jacobi", "--nodes", "4", "--protocol", "update", "--no-opt",

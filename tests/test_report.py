@@ -14,6 +14,7 @@ from repro.report import (
     render_bench_appendix,
     render_report,
 )
+from repro.runtime import phases
 from repro.serve import ServeSession, plan_key
 from repro.tempest.faults import FaultConfig
 
@@ -92,6 +93,24 @@ class TestEvaluateApp:
         assert grav_eval.faulted.reliability["drops"] > 0
         with pytest.raises(AttributeError):
             grav_eval.no_such_cell
+
+    def test_an_inline_evaluation_runs_the_numerics_once(self, monkeypatch):
+        # Eight cells over four distinct plans (the single- and dual-CPU
+        # cells share theirs), one program, one evaluator pass.
+        calls = []
+        real = phases.eval_parallel_assign
+        monkeypatch.setattr(
+            phases, "eval_parallel_assign",
+            lambda *args: calls.append(args[0]) or real(*args),
+        )
+        phases.numerics(APPS["jacobi"].program())
+        one_pass = len(calls)
+        assert one_pass > 0
+        session = ServeSession()
+        evaluation = evaluate_app("jacobi", session=session)
+        assert len(calls) == 2 * one_pass
+        assert len(evaluation.cells) == 8
+        assert session.stats()["plans_built"] == 4
 
     @pytest.mark.parametrize("app", ["grav", "cg"])
     def test_served_equals_inline(self, app, tmp_path):

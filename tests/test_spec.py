@@ -151,7 +151,9 @@ class TestParentCompatibility:
     use.  No result changed, so ``CODE_VERSION`` stayed; a cache entry
     written before then is a miss, never a wrong hit.  They were recorded
     again when ``CODE_VERSION`` became ``repro-serve/4`` and ``plan_key``
-    began hashing ``trace_geometry(config)``.
+    began hashing ``trace_geometry(config)``.  The plan digests alone were
+    re-recorded when ``trace_geometry`` shrank to the five fields the
+    build reads; request digests and ``CODE_VERSION`` did not move.
     """
 
     REPRO = [
@@ -190,27 +192,27 @@ class TestParentCompatibility:
         assert args.switch_ports is None and args.switch_bw is None
 
     #: request_key / plan_key hex digests under ``repro-serve/4``: with
-    #: ``CODE_VERSION`` and the option set unchanged, warm caches must keep
-    #: hitting.
+    #: ``CODE_VERSION``, the option set and the plan geometry unchanged,
+    #: warm caches must keep hitting.
     KEYS = {
         "default": (
             lambda: RunRequest(app="jacobi"),
             "f1f88a31320ee718df262b57d6e282b8352bcecf816a84639e5f5732e67f9513",
-            "7529b155b83f76120d9e637acd6ddd8d6b0723371f5d7710a30589f7ccff8833",
+            "4d50943fa2edc8695b4c9d36409cb6d2c940aa1e7e6a2cc33468773649f1a829",
         ),
         "storm": (
             lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
                 n_nodes=4, faults=FaultConfig(
                     drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
             "9457181b41b1a6033b9554383ec272d2f9d8b34de3a583872a466fa7e75665b4",
-            "5c25fbc9beda70e3a587635c5de7344de65745ce196480cea2b6047f31e5a92a",
+            "1cc25c06cbb4eec0c0a69bf84d11bb56620f79f6d09c63fc27161dcf9996cb97",
         ),
         "combine_switch": (
             lambda: RunRequest(app="cg", config=ClusterConfig(
                 combine=CombineConfig(enabled=True, max_msgs=4),
                 switch=SwitchConfig(enabled=True, ports=2))),
             "77a763bc163666d66b2288326c309d3e792a039a97b26bc19e46d1c2881c0cdd",
-            "8ae6bff4461b8414ab5564e902dc561148420843017f9f111bd3cd897ff08d33",
+            "29a38f70fb2e76103b79ee8085189c2b5fd80e2e4e302c3dadacb50aad415cba",
         ),
         "crash_checkpoint": (
             lambda: RunRequest(
@@ -219,20 +221,20 @@ class TestParentCompatibility:
                     crashes=(CrashScenario(2, 3000 * US, 500 * US),),
                     checkpoint_every=1))),
             "c9e4206d23e7eb1c608d7f79748d8a87c60b94a5e981b730997290bca9bc9fce",
-            "2a10920a1ad7cda01ad59d07dd03f5ac078d1241df23d757675309683c8162aa",
+            "5a6fa182a5039cbcfde189c350744776d07d97c886538f62743a9b87be4685bc",
         ),
         "profile": (
             lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
                                profile_phases=True, critical_path=True),
             "7d2223fbdafc55c68b945e31be706b9c707c8d206fea6554d9b6c35e49d1c164",
-            "681e25b93ee1e1ea1eb3636b3c2f50478abb13e7aa777951988fbf507b4b76ac",
+            "2799f447beda0f82cacf9ebf5e1a5adaad264012d7b9b86fce064f0fbc8c92e5",
         ),
         "inline": (
             lambda: RunRequest(
                 program=APPS["jacobi"].program("default", n=16, iters=1),
                 config=ClusterConfig(n_nodes=4)),
             "0b0aba25db605c324ac3f55f10a3612c050560745288fc7ae56f3959673e16bd",
-            "d4cfc21a13a415c97d6bd2e4451215abd5ab12aef4c6ccf9145393528a3bae62",
+            "587c493d5c89ea835f3a4b4b5b81face77f0aecebd3a0e24c9a0ecaa3fa6f093",
         ),
     }
 
