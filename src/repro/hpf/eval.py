@@ -129,7 +129,7 @@ def _eval(
     may overwrite in place.  Views of program storage are never owned, so
     storage is written only by the statement's final assignment; and the
     in-place form runs the same ufunc on the same operands in the same
-    order, so every backend's numerics stay bit-identical to the naive
+    order, so the numerics stay bit-identical to the naive
     one-temporary-per-operator evaluation.  A binary operator's fresh
     result is laid out in ``order``."""
     if isinstance(expr, Lit):

@@ -4,8 +4,12 @@ Hypothesis generates small random programs — random array shapes, random
 stencil offsets and coefficients, random loop bounds, optional reductions
 and time-step loops — and asserts the system-level invariants:
 
-* every backend (unopt, optimized with every knob, msgpass) computes
-  numerics identical to the uniprocessor reference;
+* the program's numerics record (``repro.runtime.phases.numerics``) is
+  byte-identical to a naive whole-program walk (``tests/hpf/eval_oracle``),
+  and every backend (unopt, optimized with every knob, msgpass) reports
+  the uniprocessor reference's numerics.  Every backend reads that one
+  record, so the oracle is the check that the numerics are right; the
+  cross-backend comparison only checks that each backend hands it over;
 * no stale read, contract violation or deadlock occurs anywhere;
 * the optimized run never takes more demand misses than the unoptimized.
 
@@ -20,7 +24,9 @@ from hypothesis import strategies as st
 
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
+from repro.runtime.phases import numerics
 from repro.tempest.config import ClusterConfig
+from tests.hpf import eval_oracle
 
 
 @st.composite
@@ -73,6 +79,16 @@ def stencil_programs(draw):
 CFG = ClusterConfig(n_nodes=4)
 
 
+def assert_matches_oracle(prog):
+    arrays, scalars = eval_oracle.run_program(prog)
+    record = numerics(prog)
+    assert list(record.arrays) == list(arrays)
+    for name, want in arrays.items():
+        got = record.arrays[name]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert dict(record.scalars) == scalars
+
+
 @given(prog=stencil_programs())
 @settings(
     max_examples=25,
@@ -81,6 +97,7 @@ CFG = ClusterConfig(n_nodes=4)
 )
 def test_random_programs_all_backends_agree(prog):
     uni = run_uniproc(prog, CFG)
+    assert_matches_oracle(prog)
     unopt = run_shmem(prog, CFG)
     opt = run_shmem(prog, CFG, optimize=True)
     rte = run_shmem(prog, CFG, optimize=True, rt_elim=True)
@@ -100,5 +117,6 @@ def test_random_programs_all_backends_agree(prog):
 )
 def test_random_programs_update_protocol_agrees(prog):
     uni = run_uniproc(prog, CFG)
+    assert_matches_oracle(prog)
     upd = run_shmem(prog, CFG, protocol="update")
     upd.assert_same_numerics(uni)
