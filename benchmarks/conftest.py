@@ -40,6 +40,7 @@ import pytest
 from repro.report import AppEvaluation, evaluate_app, load_bench_artifact
 from repro.runtime.results import RunResult
 from repro.serve import RunRequest, ServeSession
+from repro.serve.request import SHMEM_OPTIONS
 from repro.tempest.config import ClusterConfig
 
 APP_NAMES = ["pde", "shallow", "grav", "lu", "cg", "jacobi"]  # paper order
@@ -151,8 +152,11 @@ def run_matrix(
         for app in apps
         for variant, config in variants.items()
     }
+    # the references take the program options only: a shmem run option
+    # is refused on any other backend
+    program = {k: v for k, v in options.items() if k not in SHMEM_OPTIONS}
     refs = {
-        app: bench_request(app, plain, backend="uniproc", **options)
+        app: bench_request(app, plain, backend="uniproc", **program)
         for app in apps
     }
     results = run_cells({**refs, **cells})

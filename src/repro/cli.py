@@ -1,8 +1,12 @@
 """Command-line interface: ``python -m repro <app> [options]``.
 
 Runs one of the paper's applications on the simulated cluster and reports
-the evaluation metrics.  ``examples/app_suite.py`` is a thin wrapper over
-this module; see its docstring for usage examples.
+the evaluation metrics.  :func:`main` parses the command line, builds one
+:class:`~repro.serve.request.RunRequest` (which owns every rule across
+options), runs it and its uniprocessor reference through
+:func:`~repro.serve.runner.execute_request`, and prints.
+``examples/app_suite.py`` is a thin wrapper over this module; see its
+docstring for usage examples.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import sys
 from typing import Sequence
 
 from repro.apps import APPS
-from repro.runtime import run_msgpass, run_shmem, run_uniproc
 from repro.serve.request import RunRequest
-from repro.spec import add_flags, from_args
+from repro.serve.runner import execute_request, request_program
+from repro.spec import OptionError, add_flags, from_args, walk
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import (
     CrashScenario,
@@ -266,6 +270,11 @@ def config_from_args(parser: argparse.ArgumentParser, args) -> ClusterConfig:
         parser.error(str(e))
 
 
+#: RunRequest fields set by hand-written flags (the others declare their
+#: flag in their field spec)
+_HAND_FLAGS = {"optimize": "--no-opt", "bulk": "--no-bulk", "advisory": "--advisory"}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "sweep":
@@ -282,21 +291,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return diff_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend == "msgpass":
-        # run_msgpass takes only (program, config): these would be ignored.
-        # It passes no program factory, so no checkpoint is ever written.
-        shmem_only = [flag for flag, on in [
-            ("--no-opt", args.no_opt), ("--no-bulk", args.no_bulk),
-            ("--rt-elim", args.rt_elim), ("--pre", args.pre),
-            ("--protocol", args.protocol != parser.get_default("protocol")),
-            ("--advisory", args.advisory is not None), ("--audit", args.audit),
-            ("--checkpoint-every", args.checkpoint_every),
-        ] if on]
-        if shmem_only:
-            parser.error(
-                f"{', '.join(shmem_only)}: shmem-backend options; they are "
-                "not available with --backend msgpass"
-            )
+    shmem = args.backend == "shmem"
+    # RunRequest refuses every shmem-only field; these flags are the CLI's own
+    cli_only = [flag for flag, on in [
+        ("--no-opt", args.no_opt), ("--trace-out", args.trace_out),
+        ("--trace-messages", args.trace_messages)] if on]
+    if cli_only and not shmem:
+        parser.error(f"{', '.join(cli_only)}: shmem-backend options; "
+                     f"backend={args.backend!r} does not take them")
     if args.trace_out:
         # Found out now, not after the whole simulation has run.
         out_dir = os.path.dirname(os.path.abspath(args.trace_out))
@@ -304,29 +306,32 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"--trace-out {args.trace_out!r}: no directory {out_dir!r}")
         if not os.access(out_dir, os.W_OK) or os.path.isdir(args.trace_out):
             parser.error(f"--trace-out {args.trace_out!r}: cannot be written")
-    want_critical = args.critical_path or args.whatif is not None
     spec = APPS[args.app]
     overrides = _checked(parser, "--param", _parse_params, args.param, spec)
-    prog = _checked(parser, "--param", spec.program, args.scale, **overrides)
     cfg = config_from_args(parser, args)
-    # The run options travel as a RunRequest: one list of what run_shmem
-    # takes (and the same range and combination checks the serve layer
-    # applies).
-    request = _checked(
-        parser, "--no-opt/--rt-elim/--pre/--advisory/--protocol", from_args,
-        RunRequest, args, program=prog, config=cfg, optimize=not args.no_opt,
-        bulk=not args.no_bulk, advisory=args.advisory or False,
-        critical_path=want_critical,
+    try:
+        request = from_args(
+            RunRequest, args, app=args.app, params=overrides, config=cfg,
+            backend=args.backend, optimize=shmem and not args.no_opt,
+            bulk=not args.no_bulk, advisory=args.advisory or False,
+            critical_path=args.critical_path or args.whatif is not None,
+        )
+    except OptionError as e:  # a usage error naming the flags that set the fields
+        flags = {".".join(path + (f.name,)): f.metadata["flag"]
+                 for path, f in walk(RunRequest) if f.metadata["flag"]}
+        flags.update(_HAND_FLAGS)
+        flags["critical_path"] = "--critical-path" if args.critical_path else "--whatif"
+        parser.error(f"{', '.join(flags.get(n, n) for n in e.fields)}: {e.why}")
+    # The uniprocessor reference: the same program on a fault-free machine.
+    reference = RunRequest(
+        app=args.app, scale=args.scale, params=overrides, backend="uniproc",
+        config=cfg.scaled(faults=FaultConfig()),
     )
+    programs: dict = {}  # one program, so one numerics record, for both runs
+    prog = _checked(parser, "--param", request_program, request, programs)
 
     bus = exporter = tracer = None
-    if args.trace_out or args.profile_phases or args.trace_messages or want_critical:
-        if args.backend != "shmem":
-            parser.error(
-                "--trace-out/--profile-phases/--trace-messages/"
-                "--critical-path instrument the shmem backend; they are "
-                "not available with --backend msgpass"
-            )
+    if args.trace_out or args.trace_messages:
         from repro.obs import ChromeTraceExporter, EventBus, MessageTracer
 
         bus = EventBus()
@@ -339,16 +344,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 max_events=args.trace_cap, n_nodes=args.nodes,
             )
         if args.trace_messages:
-            mkinds = None
-            if args.trace_messages != "all":
-                try:
-                    mkinds = {
-                        MsgKind(k.strip())
-                        for k in args.trace_messages.split(",")
-                        if k.strip()
-                    }
-                except ValueError as e:
-                    parser.error(f"--trace-messages: {e}")
+            mkinds = None if args.trace_messages == "all" else _checked(
+                parser, "--trace-messages", lambda: {
+                    MsgKind(k.strip()) for k in args.trace_messages.split(",") if k.strip()
+                },
+            )
             tracer = MessageTracer(bus, args.nodes, kinds=mkinds)
 
     print(f"{spec.name}: {spec.description}")
@@ -359,18 +359,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"arrays={prog.total_bytes() / 1e6:.1f} MB\n"
     )
 
-    uni = run_uniproc(prog, cfg)
-    if args.backend == "msgpass":
-        result = run_msgpass(prog, cfg)
-    else:
-        try:
-            result = run_shmem(prog, cfg, obs=bus, **request.run_options())
-        finally:
-            # Written before anything below can raise, and when the run
-            # itself does: a failed audit, a degraded finish or a numerics
-            # mismatch is exactly what the trace is for dissecting.
-            if exporter is not None:
-                retained = exporter.write(args.trace_out)
+    uni = execute_request(reference, programs=programs)
+    try:
+        result = execute_request(request, programs=programs, obs=bus)
+    finally:
+        # Written before anything below can raise, and when the run itself
+        # does: a failed audit, a degraded finish or a numerics mismatch
+        # is exactly what the trace is for dissecting.
+        if exporter is not None:
+            retained = exporter.write(args.trace_out)
     if not result.completed:
         # Degraded run: the partition never healed.  Partial stats and a
         # failure report instead of a traceback; numerics are partial too,
@@ -449,7 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{rec['rollbacks']} rollback(s), "
                 f"{rec['recovery_ms']:.2f} ms outage recovered"
             )
-    if args.backend == "shmem":
+    if shmem:
         scope = "end of run + every barrier" if args.audit else "end of run"
         if result.stats.partition_events:
             scope = f"post-heal, {scope}"

@@ -73,6 +73,7 @@ from repro.runtime.phases import (
 )
 from repro.runtime.results import RunResult
 from repro.runtime.traces import NodeTrace, replay
+from repro.spec import OptionError
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy, SharedMemory
@@ -261,15 +262,20 @@ def _check_optimizer_options(
         raise ValueError(
             f"advisory must be one of {ADVISORY_MODES}; got {advisory!r}"
         )
-    if (rt_elim or pre or advisory) and not optimize:
-        raise ValueError("rt_elim/pre/advisory are optimizer options; pass optimize=True")
+    named = [n for n, on in (("rt_elim", rt_elim), ("pre", pre), ("advisory", advisory)) if on]
+    if named and not optimize:
+        raise OptionError(
+            ("optimize", *named),
+            "rt_elim/pre/advisory are optimizer options; pass optimize=True",
+        )
 
 
 def _check_protocol(optimize: bool, protocol: str) -> None:
     if optimize and protocol != "invalidate":
-        raise ValueError(
+        raise OptionError(
+            ("optimize", "protocol"),
             "the compiler-control extensions assume invalidation semantics; "
-            "optimize=True requires protocol='invalidate'"
+            "optimize=True requires protocol='invalidate'",
         )
 
 

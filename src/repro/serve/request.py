@@ -23,14 +23,17 @@ from repro.runtime.shmem import (
     _check_protocol,
 )
 from repro.serve.keys import program_fingerprint
-from repro.spec import check_bounds, opt
+from repro.spec import OptionError, check_bounds, opt
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy
 
-__all__ = ["BACKENDS", "RunRequest"]
+__all__ = ["BACKENDS", "SHMEM_OPTIONS", "RunRequest"]
 
 BACKENDS = ("shmem", "uniproc", "msgpass")
+
+#: The run options, each shmem-only: uniproc and msgpass take their defaults.
+SHMEM_OPTIONS = BUILD_OPTIONS + EXECUTE_OPTIONS
 
 
 #: :meth:`RunRequest.registry_spec` -> program fingerprint, for the life
@@ -87,6 +90,7 @@ class RunRequest:
     config: ClusterConfig = field(default_factory=ClusterConfig)
 
     def __post_init__(self) -> None:
+        """Every rule across options lives here (docs/serve.md lists them)."""
         if (self.app is None) == (self.program is None):
             raise ValueError("RunRequest needs exactly one of app= or program=")
         check_bounds(self)
@@ -94,6 +98,18 @@ class RunRequest:
             # the run would refuse these; refuse them before it is queued
             _check_optimizer_options(self.optimize, self.rt_elim, self.pre, self.advisory)
             _check_protocol(self.optimize, self.protocol)
+        else:
+            # the run would ignore these: uniproc and msgpass take only
+            # (program, config), and msgpass writes no checkpoints
+            defaults = self.__dataclass_fields__
+            ignored = [n for n in SHMEM_OPTIONS if getattr(self, n) != defaults[n].default]
+            if self.config.faults.checkpoint_every:
+                ignored.append("config.faults.checkpoint_every")
+            if ignored:
+                raise OptionError(
+                    ignored, f"shmem-backend options; backend={self.backend!r} "
+                    "does not take them",
+                )
         if isinstance(self.params, dict):
             # Accept a dict at construction; store the hashable spelling.
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))
@@ -159,3 +175,4 @@ class RunRequest:
         if self.optimize:
             bits.append("opt")
         return "/".join(bits)
+

@@ -140,16 +140,20 @@ def execute_request(
     request: RunRequest,
     plan_cache: PlanCache | None = None,
     programs: dict | None = None,
+    obs=None,
 ) -> RunResult:
     """Compute one request in this process (no result-cache involvement);
-    a program it needs comes from ``programs`` (see :func:`request_program`)."""
+    a program it needs comes from ``programs`` (see :func:`request_program`).
+    ``obs`` attaches a bus to a shmem run, as ``run_shmem``'s does (unkeyed)."""
     if request.backend != "shmem":
+        if obs is not None:
+            raise ValueError(f"obs instruments the shmem backend, not {request.backend!r}")
         run = run_uniproc if request.backend == "uniproc" else run_msgpass
         return run(request_program(request, programs), request.config)
     if plan_cache is None:
         plan_cache = PlanCache(store=None)
     plan = plan_cache.get_or_build(request, programs)
-    return execute_shmem_plan(plan, request.config, **request.execute_options())
+    return execute_shmem_plan(plan, request.config, obs=obs, **request.execute_options())
 
 
 # --------------------------------------------------------------------- #

@@ -18,8 +18,8 @@ import dataclasses
 import typing
 
 __all__ = [
-    "add_flags", "check_bounds", "from_args", "from_text", "kind", "opt",
-    "to_field", "to_flag", "walk",
+    "OptionError", "add_flags", "check_bounds", "from_args", "from_text",
+    "kind", "opt", "to_field", "to_flag", "walk",
 ]
 
 _KINDS = {"bool": bool, "int": int, "float": float, "str": str}
@@ -88,6 +88,17 @@ def check_bounds(obj) -> None:
             raise ValueError(f"{f.name} must be > {gt}; got {v}")
 
 
+class OptionError(ValueError):
+    """``fields`` (dotted paths) refused together, and ``why``."""
+
+    def __init__(self, fields, why: str) -> None:
+        super().__init__(tuple(fields), why)
+        self.fields, self.why = tuple(fields), why
+
+    def __str__(self) -> str:
+        return f"{', '.join(self.fields)}: {self.why}"
+
+
 def _flagged(cls, only=None):
     """``(field, flag, dest)`` for the flags ``cls`` declares."""
     for f in dataclasses.fields(cls):
@@ -146,3 +157,4 @@ def walk(cls, path: tuple = ()):
             yield from walk(hints[f.name], path + (f.name,))
         elif "unit" in f.metadata:
             yield path, f
+

@@ -214,6 +214,12 @@ MUTANTS = (
         ("tests/runtime/test_traces_results.py",),
     ),
     Mutant(
+        "a uniproc or msgpass request keeps its shmem options", "serve/request.py",
+        "            if ignored:\n",
+        "            if False:\n",
+        ("tests/serve/test_runner.py",),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

@@ -169,6 +169,7 @@ def drive(tmp: str) -> None:
         ["--fault-partition", "1:200:300"], ["--fault-partition", "1:200:never"],
         ["--fault-crash", "2:300:100", "--checkpoint-every", "1", "--heartbeat-us", "100"],
         ["--fault-crash", "2:300"], ["--nodes", "0"], ["--param", "n=abc"],
+        ["--no-opt", "--rt-elim"],
         ["--trace-out", trace, "--trace-kinds", "miss,barrier", "--profile-phases",
          "--whatif", "barrier", "--trace-messages", "read_req"],
     ]
@@ -179,7 +180,8 @@ def drive(tmp: str) -> None:
            for app in apps for flags in ([], ["--no-opt"], ["--pre"])]
     cli += [["jacobi", "--nodes", "4", *flags] for flags in flag_families]
     cli += [[*sweep, "--check-serial", "--quiet"], [*sweep, "--min-hit-rate", "0.9"],
-            ["diff", "jacobi", "-", "combine=on", "--cache-dir", store]]
+            ["diff", "jacobi", "-", "combine=on", "--cache-dir", store],
+            ["sweep", "jacobi", "--axis", "rt_elim=on"]]
     runs = [partial(main, argv) for argv in cli]
     runs += [partial(schema.main, [trace]),
              partial(report.main, ["--apps", "jacobi", "--nodes", "4", "--fault-drop", "0.05"])]

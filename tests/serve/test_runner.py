@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import get_app
+from repro.obs import EventBus
 from repro.runtime.shmem import run_shmem
 from repro.serve import (
     ResultStore,
@@ -15,10 +16,31 @@ from repro.serve import (
     runner,
 )
 from repro.serve.runner import PlanCache, batch_order
+from repro.spec import OptionError
 from repro.tempest.config import CombineConfig, SwitchConfig, small_config
-from repro.tempest.faults import FaultConfig
+from repro.tempest.faults import CrashScenario, FaultConfig
+from repro.tempest.memory import HomePolicy
 
 from tests.serve.conftest import jacobi_request
+
+
+#: one non-default setting of each shmem-only option (plus what the shmem
+#: backend needs beside it), by the field a refusal names
+SHMEM_ONLY = [
+    ("optimize", dict(optimize=True)),
+    ("bulk", dict(bulk=False)),
+    ("rt_elim", dict(optimize=True, rt_elim=True)),
+    ("pre", dict(optimize=True, pre=True)),
+    ("advisory", dict(optimize=True, advisory="full")),
+    ("home_policy", dict(home_policy=HomePolicy.ROUND_ROBIN)),
+    ("protocol", dict(protocol="update")),
+    ("audit_each_barrier", dict(audit_each_barrier=True)),
+    ("profile_phases", dict(profile_phases=True)),
+    ("critical_path", dict(critical_path=True)),
+    ("config.faults.checkpoint_every", dict(config=small_config(faults=FaultConfig(
+        crashes=(CrashScenario(1, 300_000, 100_000),), checkpoint_every=1,
+    )))),
+]
 
 
 class TestRequestValidation:
@@ -44,10 +66,26 @@ class TestRequestValidation:
         ],
     )
     def test_shmem_options_the_run_would_refuse_are_refused(self, options, named):
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(OptionError, match=named):
             RunRequest(app="jacobi", **options)
-        # uniproc and msgpass take no shmem options, so nothing checks them
-        RunRequest(app="jacobi", backend="uniproc", **options)
+        # uniproc and msgpass would ignore them, so they are refused there too
+        with pytest.raises(OptionError, match="backend='uniproc'"):
+            RunRequest(app="jacobi", backend="uniproc", **options)
+
+    @pytest.mark.parametrize("backend", ["uniproc", "msgpass"])
+    @pytest.mark.parametrize(
+        "field, options", SHMEM_ONLY, ids=[field for field, _ in SHMEM_ONLY]
+    )
+    def test_shmem_only_options_are_refused_on_other_backends(
+        self, field, options, backend
+    ):
+        """One rule list: every option the uniproc and msgpass runs would
+        silently ignore is refused, naming the field and the backend."""
+        RunRequest(app="jacobi", **options)  # shmem takes it
+        with pytest.raises(OptionError) as e:
+            RunRequest(app="jacobi", backend=backend, **options)
+        assert field in e.value.fields
+        assert field in str(e.value) and f"backend={backend!r}" in str(e.value)
 
     def test_params_accept_dict_or_tuple(self):
         a = RunRequest(app="jacobi", params={"n": 32, "iters": 2})
@@ -88,6 +126,21 @@ class TestInlineServing:
             warm = sess2.run(req)
         assert warm.source == "cache"
         assert results_equal(cold.result, warm.result)
+
+    @pytest.mark.parametrize("options", [
+        dict(optimize=True), dict(profile_phases=True, critical_path=True),
+    ], ids=["opt", "instrumented"])
+    def test_obs_attaches_a_bus_as_run_shmem_does(self, cfg, options):
+        req = jacobi_request(cfg, **options)
+        served, direct = EventBus(), EventBus()
+        a = execute_request(req, obs=served)
+        b = run_shmem(req.build_program(), cfg, obs=direct, **req.run_options())
+        assert a.exact_equal(b)
+        assert served.events_published == direct.events_published > 0
+
+    def test_obs_on_another_backend_is_refused(self, cfg):
+        with pytest.raises(ValueError, match="shmem"):
+            execute_request(jacobi_request(cfg, backend="msgpass"), obs=EventBus())
 
     def test_provenance_never_pollutes_run_result(self, cfg, store_dir):
         """Cache metadata lives on ServeResult; RunResult must stay

@@ -40,6 +40,7 @@ def test_run_matrix_batches_the_reference_with_the_cells(monkeypatch):
     matrix = bench.run_matrix(["jacobi"], VARIANTS, 4, optimize=True)
     assert list(matrix["jacobi"]) == ["plain", "wide"]
     assert seen["jacobi"].backend == "uniproc"
+    assert not seen["jacobi"].optimize  # a shmem option the reference refuses
     assert seen["jacobi", "plain"].config == seen["jacobi"].config == ClusterConfig(n_nodes=4)
     assert seen["jacobi", "wide"].config is VARIANTS["wide"]
     assert seen["jacobi", "wide"].optimize

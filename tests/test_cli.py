@@ -63,6 +63,8 @@ class TestMain:
         ["--no-opt"], ["--no-bulk"], ["--rt-elim"], ["--pre"],
         ["--advisory", "prefetch"], ["--audit"], ["--protocol", "update"],
         ["--checkpoint-every", "1", "--fault-crash", "1:300:100"],
+        ["--profile-phases"], ["--critical-path"], ["--whatif", "wire"],
+        ["--trace-messages"],
     ], ids=lambda flags: flags[0])
     def test_msgpass_rejects_shmem_only_flags(self, flags, capsys):
         """run_msgpass takes no run options, so a shmem-only flag would be
