@@ -150,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g = p.add_argument_group("fault injection (engages the reliable transport)")
     add_flags(g, FaultConfig)
-    g.add_argument("--rto-max-us", type=float, default=None, metavar="US",
-                   help="ceiling for the retransmit timer in microseconds, "
-                        "applied to both the exponential backoff and the "
-                        "adaptive-RTO clamp (default 2000; raise it when "
-                        "bulk bursts queue behind the wire for longer than "
-                        "the cap, or every deep-queued frame retransmits "
-                        "spuriously; needs fault injection)")
     g.add_argument("--fault-link", action="append", default=[],
                    metavar="SRC:DST:KEY=VAL[,KEY=VAL...]",
                    help="per-link fault profile overriding the uniform rates "
@@ -220,47 +213,26 @@ def _scenarios(parser, flag: str, specs: Sequence[str], parse) -> tuple:
 def config_from_args(parser: argparse.ArgumentParser, args) -> ClusterConfig:
     """The full cluster config a parsed command line describes.
 
-    Spec'd flags are read generically (:func:`repro.spec.from_args`); the
-    irregular ones and the cross-flag usage errors are handled here.  Any
-    ``ValueError`` from the config constructors — range checks, node ids
-    outside the cluster — is a usage error (exit 2).
+    Spec'd flags are read generically (:func:`repro.spec.from_args`), the
+    repeatable scenario flags are parsed here, and every rule belongs to
+    the config constructors: any ``ValueError`` they raise — range checks,
+    rules across fields, node ids outside the cluster — is a usage error
+    (exit 2) naming the flag when a flag sets the field.
     """
-    crashes = _scenarios(
-        parser, "--fault-crash", args.fault_crash, lambda s, i: _parse_crash(s)
-    )
-    extra = dict(
-        link_faults=_scenarios(
-            parser, "--fault-link", args.fault_link,
-            lambda s, i: _parse_link_fault(s),
-        ),
-        partitions=_scenarios(
-            parser, "--fault-partition", args.fault_partition, _parse_partition
-        ),
-        crashes=crashes,
-    )
-    if args.checkpoint_every and not crashes:
-        parser.error(
-            "--checkpoint-every takes barrier-consistent checkpoints for "
-            "crash rollback-recovery; add --fault-crash NODE:T_US:RESTART_US"
-        )
-    if args.heartbeat_us != parser.get_default("heartbeat_us") and not crashes:
-        parser.error(
-            "--heartbeat-us tunes the crash-detection keepalive interval; "
-            "add --fault-crash"
-        )
-    if args.rto_max_us is not None:
-        extra["max_backoff_ns"] = extra["rto_max_ns"] = int(args.rto_max_us * 1000)
     try:
-        faults = from_args(FaultConfig, args, **extra)
-        if (args.rto_adaptive or args.rto_max_us is not None) and not faults.enabled:
-            # Historically this was silently ignored (the transport is
-            # bypassed on a perfect wire); fail fast instead.
-            flag = "--rto-adaptive" if args.rto_adaptive else "--rto-max-us"
-            parser.error(
-                f"{flag} tunes the reliable transport's retransmit "
-                "timer, which only runs under fault injection; add a "
-                "--fault-* flag (e.g. --fault-drop)"
-            )
+        faults = from_args(
+            FaultConfig, args,
+            crashes=_scenarios(
+                parser, "--fault-crash", args.fault_crash, lambda s, i: _parse_crash(s)
+            ),
+            link_faults=_scenarios(
+                parser, "--fault-link", args.fault_link,
+                lambda s, i: _parse_link_fault(s),
+            ),
+            partitions=_scenarios(
+                parser, "--fault-partition", args.fault_partition, _parse_partition
+            ),
+        )
         return from_args(
             ClusterConfig, args, dual_cpu=not args.single_cpu, faults=faults,
             combine=from_args(CombineConfig, args),
@@ -383,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(
         f"simulated time:   {result.elapsed_ms:.1f} ms "
         f"(uniproc {uni.elapsed_ms:.1f} ms, "
-        f"speedup {uni.elapsed_ns / result.elapsed_ns:.2f})"
+        f"speedup {result.speedup_over(uni):.2f})"
     )
     print(f"compute time:     {result.compute_ms:.1f} ms/node")
     print(f"comm time:        {result.comm_ms:.1f} ms/node")

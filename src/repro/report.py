@@ -137,7 +137,7 @@ class AppEvaluation:
         return 100 * (1 - self.opt_single.comm_ms / max(self.unopt_single.comm_ms, 1e-12))
 
     def speedup(self, result: RunResult) -> float:
-        return self.uni.elapsed_ns / result.elapsed_ns
+        return result.speedup_over(self.uni)
 
     def time_reduction(self, variant: RunResult) -> float:
         return 100 * (1 - variant.elapsed_ns / self.unopt_dual.elapsed_ns)

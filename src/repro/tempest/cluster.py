@@ -237,11 +237,10 @@ class Cluster:
 
         The run ends when the event queue drains (docs/faults.md, "How a
         run ends").  This method alone decides whether a run can roll
-        back: a config with crash scenarios or a checkpoint interval gets
-        a ``RecoveryManager``, which owns the replay cursors.  If it says
-        ``rollback_due()``, it rolls back and goes on:
-        ``program_factory(node_id, resume_cursor)`` (the runtime passes
-        one) respawns each program.  A stuck run is *degraded* when a
+        back: a config with crash scenarios gets a ``RecoveryManager``,
+        which owns the replay cursors.  If it says ``rollback_due()``, it
+        rolls back and goes on: ``program_factory(node_id,
+        resume_cursor)`` (the runtime passes one) respawns each program.  A stuck run is *degraded* when a
         channel gave up or a node is dead: ``completed=False``, counters
         up to that point and a ``failure`` report (the give-up count and
         the partition events stay in their own fields).  Any other stuck run
@@ -252,7 +251,7 @@ class Cluster:
                 f"need exactly one program per node; got {sorted(programs)}"
             )
         fc = self.config.faults
-        if fc.crashes or fc.checkpoint_every:
+        if fc.crashes:
             from repro.tempest.recovery import RecoveryManager
 
             self.recovery = RecoveryManager(self, program_factory)

@@ -204,7 +204,6 @@ class FaultConfig:
 
     # --- reliable-delivery tuning ------------------------------------- #
     retransmit_timeout_ns: int = opt(120 * _US, gt=0)  # initial ack timeout (~3 RTT)
-    max_backoff_ns: int = 2_000 * _US        # cap for exponential backoff
     max_retries: int = opt(
         32, "--fault-retries", "retransmit budget per frame before the "
         "channel gives up and parks its traffic", metavar="N", ge=1)
@@ -213,22 +212,28 @@ class FaultConfig:
     # With ``adaptive_rto`` the fixed timer above only seeds the estimate:
     # each (src, dst) channel keeps a Jacobson-style smoothed RTT
     # (SRTT/RTTVAR, RTO = SRTT + 4·RTTVAR) measured ack-to-send on
-    # non-retransmitted frames (Karn's rule), clamped to the floor and
-    # ceiling below.  Bulk payload serialization and congestion then
-    # inflate the RTO instead of firing spurious retransmits.
+    # non-retransmitted frames (Karn's rule), clamped between the fixed
+    # timeout and ``rto_max_ns``.  Bulk payload serialization and
+    # congestion then inflate the RTO instead of firing spurious
+    # retransmits.
     #
-    # The floor defaults to the fixed timeout itself (``rto_min_ns=None``):
-    # the adaptive timer never fires *earlier* than the timer it replaces,
-    # it only waits longer when the measured path — or the frame's own
-    # serialization time — justifies it.  Ack round trips on a congested
-    # link routinely spike past any tight floor learned from quiet-period
-    # samples, so an aggressive floor trades real retransmit storms for a
-    # latency win that a correctly-sized fixed timer already banked.
+    # The floor is the fixed timeout itself: the adaptive timer never
+    # fires *earlier* than the timer it replaces, it only waits longer
+    # when the measured path — or the frame's own serialization time —
+    # justifies it.  Ack round trips on a congested link routinely spike
+    # past any tight floor learned from quiet-period samples, so an
+    # aggressive floor trades real retransmit storms for a latency win
+    # that a correctly-sized fixed timer already banked.
     adaptive_rto: bool = opt(
         False, "--rto-adaptive", "per-channel Jacobson RTT estimator for "
         "the reliable transport's retransmit timer (needs fault injection)")
-    rto_min_ns: int | None = opt(None, gt=0)  # floor; None = the fixed timeout
-    rto_max_ns: int = 2_000 * _US            # ceiling: matches backoff cap
+    rto_max_ns: int = opt(
+        2_000 * _US, "--rto-max-us", "ceiling for the retransmit timer in "
+        "microseconds, applied to both the exponential backoff and the "
+        "adaptive-RTO clamp; raise it when bulk bursts queue behind the "
+        "wire for longer than the cap, or every deep-queued frame "
+        "retransmits spuriously; needs fault injection", unit=1000,
+        metavar="US", gt=0)
 
     # --- asymmetric failure overlays ----------------------------------- #
     # Per-link overrides of the uniform axes above (each link with a
@@ -247,8 +252,9 @@ class FaultConfig:
     # ``checkpoint_every`` > 0 snapshots protocol state every K completed
     # barriers (a globally consistent cut); the modeled write cost is
     # ``checkpoint_cost_ns_per_kb`` per KiB of shared memory, charged by
-    # deferring the barrier release.  Both default off: crash-free configs
-    # take no probes, no snapshots, and no extra draws.
+    # deferring the barrier release.  Both need a crash (``__post_init__``
+    # refuses them without one): crash-free configs take no probes, no
+    # snapshots, and no extra draws.
     crashes: tuple[CrashScenario, ...] = ()
     heartbeat_interval_ns: int = opt(
         500 * _US, "--heartbeat-us", "keepalive probe interval for crash "
@@ -262,8 +268,8 @@ class FaultConfig:
     checkpoint_cost_ns_per_kb: int = opt(50, ge=0)  # ~20 GB/s local snapshot rate
 
     def __post_init__(self) -> None:
-        if self.rto_min_ns is None:
-            object.__setattr__(self, "rto_min_ns", self.retransmit_timeout_ns)
+        """Every rule across this config's fields lives here; a refusal
+        names the field first, so a CLI names the flag that set it."""
         # Tolerate lists for the overlay fields; freeze to tuples.
         for name, cls in (
             ("link_faults", LinkFaultConfig),
@@ -280,10 +286,8 @@ class FaultConfig:
         check_bounds(self)
         if self.stall_prob and not self.stall_ns:
             raise ValueError("stall_prob set but stall_ns is zero")
-        if self.max_backoff_ns < self.retransmit_timeout_ns:
-            raise ValueError("max_backoff_ns must be >= retransmit_timeout_ns")
-        if self.rto_max_ns < self.rto_min_ns:
-            raise ValueError("rto_max_ns must be >= rto_min_ns")
+        if self.rto_max_ns < self.retransmit_timeout_ns:
+            raise ValueError("rto_max_ns must be >= retransmit_timeout_ns")
         seen: set[tuple[int, int]] = set()
         for lf in self.link_faults:
             if lf.key in seen:
@@ -305,6 +309,22 @@ class FaultConfig:
             if c.node in crash_nodes:
                 raise ValueError(f"node {c.node} crashes more than once")
             crash_nodes.add(c.node)
+        # Tuning for machinery this config never runs would be ignored.
+        fields = self.__dataclass_fields__
+        for name, needs_crash, what in (
+            ("adaptive_rto", False, "the retransmit timer"),
+            ("rto_max_ns", False, "the retransmit timer"),
+            ("heartbeat_interval_ns", True, "crash detection"),
+            ("checkpoint_every", True, "rollback-recovery"),
+        ):
+            if getattr(self, name) != fields[name].default and not (
+                self.crashes if needs_crash else self.enabled
+            ):
+                when = "with a crash scenario" if needs_crash else "under fault injection"
+                raise ValueError(
+                    f"{name} tunes {what}, which runs only {when}, so this "
+                    "config would ignore it"
+                )
 
     @property
     def enabled(self) -> bool:

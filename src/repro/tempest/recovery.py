@@ -65,11 +65,11 @@ class RecoveryManager:
     """Orchestrates crash injection, detection, checkpointing and rollback.
 
     Constructed by :meth:`Cluster.run` whenever the fault config carries
-    crash scenarios or a checkpoint interval.  Holds no engine events of
-    its own beyond the one-shot crash timers; detection is driven entirely
-    by the transport's organic give-up machinery.  It owns the per-node
-    replay cursors (``cursors``): trace replays write them, checkpoints
-    copy them and rollback resets them.
+    crash scenarios (which engage the transport it drives).  Holds no
+    engine events of its own beyond the one-shot crash timers; detection
+    is driven entirely by the transport's organic give-up machinery.  It
+    owns the per-node replay cursors (``cursors``): trace replays write
+    them, checkpoints copy them and rollback resets them.
     """
 
     def __init__(self, cluster: "Cluster", program_factory: ProgramFactory | None) -> None:
@@ -100,9 +100,8 @@ class RecoveryManager:
             cluster.barrier_net.on_checkpoint = self._on_barrier
         self.watch(guards)
         transport = cluster.network.transport
-        if transport is not None:
-            transport.on_give_up = self._on_give_up
-            transport.start_monitoring()
+        transport.on_give_up = self._on_give_up
+        transport.start_monitoring()
 
     def watch(self, guards: list[Future]) -> None:
         """Track a (re)spawned program set so probes stop at completion.
@@ -118,9 +117,8 @@ class RecoveryManager:
     def _on_finish(self, _value: Any) -> None:
         self._finished += 1
         if self._finished == self.cluster.n_nodes:
-            transport = self.cluster.network.transport
-            if transport is not None:
-                transport.probing = False  # rule (i): every program finished
+            # rule (i): every program finished
+            self.cluster.network.transport.probing = False
 
     # ------------------------------------------------------------------ #
     # crash injection

@@ -24,10 +24,11 @@ late, and the timer fires a *spurious* retransmit — the frame (or its ack)
 was still en route.  With ``FaultConfig.adaptive_rto`` each channel keeps a
 Jacobson-style estimator instead: SRTT/RTTVAR smoothed from ack round trips
 of non-retransmitted frames (Karn's rule), RTO = SRTT + 4·RTTVAR clamped to
-``[rto_min_ns, rto_max_ns]``.  The adaptive timer is also *size-aware*:
-each frame's own deterministic serialization time rides on top of the RTO
-(and is excluded from samples), so bulk payloads never trip a timeout
-learned from short control frames.  Queueing backlog — on the sender's own
+``[retransmit_timeout_ns, rto_max_ns]`` (the fixed timeout is the floor,
+and ``rto_max_ns`` also caps the backoff).  The adaptive timer is also
+*size-aware*: each frame's own deterministic serialization time rides on
+top of the RTO (and is excluded from samples), so bulk payloads never
+trip a timeout learned from short control frames.  Queueing backlog — on the sender's own
 link, or (with :class:`~repro.tempest.config.SwitchConfig`) cross-traffic
 contention at a shared switch port, which both frames and acks traverse —
 then inflates the RTO via SRTT/RTTVAR and the spurious-retransmit class
@@ -278,12 +279,6 @@ class ReliableTransport:
         self._partitions = faults.partitions
         self._channels: dict[tuple[int, int], _Channel] = {}
         self.adaptive = faults.adaptive_rto
-        self._initial_rto = (
-            min(max(faults.retransmit_timeout_ns, faults.rto_min_ns),
-                faults.rto_max_ns)
-            if self.adaptive
-            else faults.retransmit_timeout_ns
-        )
         # Combined-ack buffers: acker -> (peer -> list of frames to ack).
         # Only touched when the network's combining layer is enabled.
         self._ack_buffers: dict[int, dict[int, list[_Frame]]] = {}
@@ -319,7 +314,8 @@ class ReliableTransport:
         # dst)) or self._channel(src, dst)`` (a _Channel is always truthy).
         ch = self._channels.get((src, dst))
         if ch is None:
-            ch = self._channels[(src, dst)] = _Channel(self._initial_rto)
+            ch = _Channel(self.faults.retransmit_timeout_ns)
+            self._channels[(src, dst)] = ch
         return ch
 
     def _profile(self, src: int, dst: int) -> _LinkProfile:
@@ -573,7 +569,7 @@ class ReliableTransport:
             self.network.stats[frame.src].net_spurious_retransmits += 1
         frame.retries += 1
         self.network.stats[frame.src].net_retransmits += 1
-        next_timeout = min(frame.timeout_ns * 2, fc.max_backoff_ns)
+        next_timeout = min(frame.timeout_ns * 2, fc.rto_max_ns)
         backoff = next_timeout > frame.timeout_ns
         if backoff:
             self.network.stats[frame.src].net_backoffs += 1
@@ -862,7 +858,7 @@ class ReliableTransport:
             ch.srtt_ns += err // 8
         fc = self.faults
         ch.rto_ns = min(
-            max(ch.srtt_ns + 4 * ch.rttvar_ns, fc.rto_min_ns), fc.rto_max_ns
+            max(ch.srtt_ns + 4 * ch.rttvar_ns, fc.retransmit_timeout_ns), fc.rto_max_ns
         )
 
     # ------------------------------------------------------------------ #

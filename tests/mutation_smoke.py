@@ -220,6 +220,12 @@ MUTANTS = (
         ("tests/serve/test_runner.py",),
     ),
     Mutant(
+        "the adaptive RTO is accepted without fault injection", "tempest/faults.py",
+        '            ("adaptive_rto", False, "the retransmit timer"),\n',
+        '            # ("adaptive_rto", False, "the retransmit timer"),\n',
+        ("tests/tempest/test_adaptive_rto.py",),
+    ),
+    Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",
         "    if iters < 1:\n",
         "    if iters < 0:\n",

@@ -100,7 +100,7 @@ KEPT_FOR = {
         repro.core.blocks: section_byte_runs""",
     "accessor the unit tests read state through; not yet weighed for deletion": """
         repro.serve.store: ResultStore.contains ResultStore.quarantined
-        repro.runtime.results: RunResult.checksums RunResult.speedup_over
+        repro.runtime.results: RunResult.checksums
         repro.runtime.traces: NodeTrace.__len__
         repro.sim.engine: Future.value
         repro.sim.resource: PortedResource.free_at

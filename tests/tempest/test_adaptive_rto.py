@@ -26,53 +26,45 @@ def adaptive_cluster(n_nodes=2, **fault_overrides):
 # configuration
 # --------------------------------------------------------------------- #
 class TestAdaptiveConfig:
-    def test_adaptive_alone_does_not_engage_transport(self):
-        # Like a bare seed: the flag without fault rates must not perturb
-        # fault-free schedules.
-        assert not FaultConfig(adaptive_rto=True).enabled
-        cluster, _ = make_cluster(
-            n_nodes=2, faults=FaultConfig(adaptive_rto=True)
-        )
-        assert cluster.network.transport is None
+    def test_adaptive_alone_is_refused(self):
+        # Without fault injection the transport never runs, so the flag
+        # would be silently ignored: refused, naming the field.
+        with pytest.raises(ValueError, match="^adaptive_rto "):
+            FaultConfig(adaptive_rto=True)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(rto_min_ns=0),
-            dict(rto_min_ns=-1),
-            dict(rto_min_ns=100 * _US, rto_max_ns=50 * _US),
+            dict(retransmit_timeout_ns=0),
+            dict(rto_max_ns=0),
+            dict(rto_max_ns=50 * _US),           # below the 120 us floor
+            dict(retransmit_timeout_ns=100 * _US, rto_max_ns=50 * _US),
         ],
     )
     def test_invalid_bounds_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            FaultConfig(adaptive_rto=True, **kwargs)
+            FaultConfig(jitter_ns=1, adaptive_rto=True, **kwargs)
 
-    def test_floor_defaults_to_fixed_timeout(self):
+    def test_floor_is_the_fixed_timeout(self):
         # The adaptive timer never fires earlier than the fixed timer it
-        # replaces: with no explicit floor, rto_min is the fixed timeout.
-        assert (FaultConfig(adaptive_rto=True).rto_min_ns
-                == FaultConfig().retransmit_timeout_ns)
-        assert (FaultConfig(retransmit_timeout_ns=77 * _US).rto_min_ns
-                == 77 * _US)
+        # replaces: small samples clamp the RTO to the fixed timeout.
+        t = adaptive_cluster(retransmit_timeout_ns=77 * _US).network.transport
+        ch = t._channel(0, 1)
+        for _ in range(200):
+            t._sample_rtt(ch, 1 * _US)
+        assert ch.rto_ns == 77 * _US
 
-    def test_initial_rto_is_clamped_fixed_timeout(self):
-        # Before any sample a channel runs on the configured fixed timeout,
-        # clamped into [rto_min, rto_max].
-        cluster = adaptive_cluster(
-            retransmit_timeout_ns=10 * _US, rto_min_ns=40 * _US
-        )
-        assert cluster.network.transport._initial_rto == 40 * _US
-        cluster = adaptive_cluster(
-            retransmit_timeout_ns=5_000 * _US, max_backoff_ns=5_000 * _US,
-            rto_min_ns=40 * _US,
-        )
-        assert cluster.network.transport._initial_rto == FaultConfig().rto_max_ns
+    def test_initial_rto_is_the_fixed_timeout(self):
+        # Before any sample a channel runs on the fixed timeout, which is
+        # also the floor, so no clamp applies.
+        t = adaptive_cluster(retransmit_timeout_ns=10 * _US).network.transport
+        assert t._channel(0, 1).rto_ns == 10 * _US
 
     def test_fixed_mode_ignores_bounds(self):
-        cluster = faulty_cluster(FaultConfig(jitter_ns=1))
-        t = cluster.network.transport
+        faults = FaultConfig(jitter_ns=1, rto_max_ns=5_000 * _US)
+        t = faulty_cluster(faults).network.transport
         assert not t.adaptive
-        assert t._initial_rto == FaultConfig().retransmit_timeout_ns
+        assert t._channel(0, 1).rto_ns == FaultConfig().retransmit_timeout_ns
 
 
 # --------------------------------------------------------------------- #
@@ -91,8 +83,9 @@ class TestEstimator:
         assert ch.rto_ns == 150 * _US    # srtt + 4 * rttvar
 
     def test_constant_rtt_converges_to_it(self):
-        # Floor lowered so the raw estimator arithmetic is visible.
-        t, ch = self.channel(rto_min_ns=1 * _US)
+        # Floor (the fixed timeout) lowered so the raw estimator
+        # arithmetic is visible.
+        t, ch = self.channel(retransmit_timeout_ns=1 * _US)
         for _ in range(200):
             t._sample_rtt(ch, 50 * _US)
         assert ch.srtt_ns == 50 * _US
@@ -103,7 +96,7 @@ class TestEstimator:
         t, ch = self.channel()
         for _ in range(200):
             t._sample_rtt(ch, 1 * _US)
-        assert ch.rto_ns == FaultConfig().rto_min_ns
+        assert ch.rto_ns == FaultConfig().retransmit_timeout_ns
 
     def test_rto_ceiling_clamps_huge_rtts(self):
         t, ch = self.channel()
@@ -123,7 +116,7 @@ class TestEstimator:
         a, b = t._channel(0, 1), t._channel(0, 2)
         t._sample_rtt(a, 50 * _US)
         assert b.srtt_ns == -1
-        assert b.rto_ns == t._initial_rto
+        assert b.rto_ns == FaultConfig().retransmit_timeout_ns
 
 
 # --------------------------------------------------------------------- #
@@ -135,7 +128,7 @@ class TestSampling:
         send_and_run(cluster)
         ch = cluster.network.transport._channel(0, 1)
         assert ch.srtt_ns > 0
-        assert ch.rto_ns >= FaultConfig().rto_min_ns
+        assert ch.rto_ns >= FaultConfig().retransmit_timeout_ns
 
     def test_karn_retransmitted_frame_never_samples(self):
         # First copy drops; the ack answers the retransmit, which is

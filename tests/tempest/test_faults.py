@@ -108,7 +108,7 @@ class TestFaultConfig:
             dict(stall_prob=0.5),          # stall_ns missing
             dict(jitter_ns=-1),
             dict(retransmit_timeout_ns=0),
-            dict(retransmit_timeout_ns=100, max_backoff_ns=50),
+            dict(drop_prob=0.1, retransmit_timeout_ns=100, rto_max_ns=50),
             dict(max_retries=0),
         ],
     )
@@ -195,7 +195,7 @@ class TestBackoff:
         faults = FaultConfig(
             drop_prob=0.9, seed=0,
             retransmit_timeout_ns=100 * _US,
-            max_backoff_ns=400 * _US,
+            rto_max_ns=400 * _US,
             max_retries=6,
         )
         cluster = faulty_cluster(faults)
@@ -211,7 +211,7 @@ class TestBackoff:
         faults = FaultConfig(
             drop_prob=0.5, seed=0,
             retransmit_timeout_ns=100 * _US,
-            max_backoff_ns=10_000 * _US,
+            rto_max_ns=10_000 * _US,
         )
         cluster = faulty_cluster(faults)
         # Drop the first two copies, deliver the third, ack passes.

@@ -113,14 +113,15 @@ def sample_config(rng: random.Random) -> dict:
         faults["checkpoint_every"] = draw(rng, FaultConfig, "checkpoint_every")
         faults.setdefault("max_retries", 6)
     faults["adaptive_rto"] = rng.random() < 0.3
+    if not FaultConfig(**dict(faults, adaptive_rto=False)).enabled:
+        # A cell must engage the transport (the adaptive RTO needs it).
+        faults["drop_prob"] = 0.01
     cell = {
         "app": rng.choice(("shallow", "jacobi")),
         "n_nodes": n,
         "optimize": rng.random() < 0.5,
         "faults": FaultConfig(**faults),
     }
-    if not cell["faults"].enabled:
-        cell["faults"] = dataclasses.replace(cell["faults"], drop_prob=0.01)
     if rng.random() < 0.3:
         cell["combine"] = CombineConfig(enabled=True)
     if rng.random() < 0.3:

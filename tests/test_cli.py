@@ -11,6 +11,9 @@ from repro.cli import (
     main,
 )
 from repro.runtime import phases
+from repro.serve.request import RunRequest
+from repro.tempest.config import small_config
+from repro.tempest.faults import CrashScenario, FaultConfig
 
 
 class TestParser:
@@ -228,7 +231,8 @@ class TestFaultMain:
         # Historically silently ignored; must fail fast now.
         with pytest.raises(SystemExit):
             main(self.SMALL + ["--rto-adaptive"])
-        assert "--fault-" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("repro: error: --rto-adaptive: adaptive_rto ")
 
     def test_rto_adaptive_with_faults_accepted(self, capsys):
         rc = main(self.SMALL + ["--rto-adaptive", "--fault-drop", "0.05"])
@@ -238,7 +242,8 @@ class TestFaultMain:
     def test_rto_max_alone_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(self.SMALL + ["--rto-max-us", "20000"])
-        assert "--rto-max-us" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("repro: error: --rto-max-us: rto_max_ns ")
 
     def test_rto_max_with_faults_accepted(self, capsys):
         rc = main(self.SMALL + ["--rto-max-us", "20000",
@@ -249,7 +254,9 @@ class TestFaultMain:
     def test_rto_max_below_initial_timeout_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(self.SMALL + ["--rto-max-us", "10", "--fault-drop", "0.05"])
-        assert "max_backoff_ns" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == ("repro: error: --rto-max-us: rto_max_ns must be >= "
+                        "retransmit_timeout_ns")
 
     def test_link_profile_run(self, capsys):
         rc = main(self.SMALL + ["--fault-link", "0:1:drop=0.3"])
@@ -281,6 +288,56 @@ class TestFaultMain:
         assert "RUN DEGRADED" in out
         assert "dead channels" in out
         assert "recorded before give-up" in out
+
+
+#: FaultConfig's rules across fields: a setting that tunes machinery the
+#: config never runs is refused.  field -> (its setting, the flag that
+#: sets it, the companion that engages the machinery)
+_DROP = dict(drop_prob=0.05)
+_CRASH = dict(crashes=(CrashScenario(2, 3_000_000, 500_000),))
+FAULT_RULES = {
+    "adaptive_rto": (dict(adaptive_rto=True), ["--rto-adaptive"], _DROP),
+    "rto_max_ns": (dict(rto_max_ns=4_000_000), ["--rto-max-us", "4000"], _DROP),
+    "heartbeat_interval_ns": (dict(heartbeat_interval_ns=100_000),
+                              ["--heartbeat-us", "100"], _CRASH),
+    "checkpoint_every": (dict(checkpoint_every=1), ["--checkpoint-every", "1"], _CRASH),
+}
+
+
+class TestFaultConfigRules:
+    """The library refuses what ``repro APP`` refuses: the rules live on
+    ``FaultConfig.__post_init__``, and every entry point inherits them."""
+
+    @pytest.mark.parametrize("name", sorted(FAULT_RULES))
+    def test_refused_alone_on_every_entry(self, name, capsys):
+        fields, flag, _ = FAULT_RULES[name]
+        with pytest.raises(ValueError, match=f"^{name} "):
+            FaultConfig(**fields)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            RunRequest(app="jacobi", config=small_config(faults=FaultConfig(**fields)))
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", *flag])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith(
+            f"repro: error: {flag[0]}: {name} ")
+        assert captured.out == ""  # nothing had started
+
+    @pytest.mark.parametrize("name", sorted(FAULT_RULES))
+    def test_accepted_with_its_companion_only(self, name):
+        fields, _, companion = FAULT_RULES[name]
+        assert getattr(FaultConfig(**fields, **companion), name) == fields[name]
+        if companion is _CRASH:  # fault injection alone runs no crash machinery
+            with pytest.raises(ValueError, match=f"^{name} "):
+                FaultConfig(**fields, **_DROP)
+
+    def test_a_perfect_wire_refuses_transport_tuning(self):
+        # On a perfect wire every setting here is ignored: the run would
+        # equal the plain run to the nanosecond.
+        with pytest.raises(ValueError, match="^adaptive_rto "):
+            small_config(faults=FaultConfig(
+                adaptive_rto=True, rto_max_ns=9_000_000,
+                heartbeat_interval_ns=7_000))
 
 
 class TestCrashMain:
@@ -339,12 +396,14 @@ class TestCrashMain:
     def test_checkpoint_without_crash_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(self.SMALL + ["--checkpoint-every", "2"])
-        assert "--fault-crash" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("repro: error: --checkpoint-every: checkpoint_every ")
 
     def test_heartbeat_without_crash_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(self.SMALL + ["--heartbeat-us", "200"])
-        assert "--fault-crash" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("repro: error: --heartbeat-us: heartbeat_interval_ns ")
 
     def test_crash_node_out_of_range(self, capsys):
         with pytest.raises(SystemExit):

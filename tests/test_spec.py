@@ -34,6 +34,14 @@ SMALL = ["jacobi", "--param", "n=32", "--param", "iters=1"]
 CONTEXT = ["--fault-stall-us", "300", "--fault-crash", "1:1000"]
 #: request fields a shmem run accepts only with ``optimize`` on
 OPTIMIZER_OPTIONS = ("rt_elim", "pre", "advisory")
+#: fault fields ``FaultConfig`` accepts off their default only beside the
+#: machinery they tune: fault injection (a drop) or a crash scenario
+FAULT_COMPANIONS = {
+    "adaptive_rto": {"drop_prob": 0.01},
+    "rto_max_ns": {"drop_prob": 0.01},
+    "heartbeat_interval_ns": {"crashes": (CrashScenario(1, 1000 * US),)},
+    "checkpoint_every": {"crashes": (CrashScenario(1, 1000 * US),)},
+}
 FIELDS = list(spec.walk(RunRequest))
 IDS = [".".join(path + (f.name,)) for path, f in FIELDS]
 
@@ -53,7 +61,9 @@ def _sample(f):
         return not f.default
     if kind is int:
         return (f.default or 0) + 3
-    return 7.5 if f.metadata["unit"] != 1 else 0.25
+    if f.metadata["unit"] != 1:  # above the default: a ceiling stays above its floor
+        return (spec.to_flag(f, f.default) or 0) + 7.5
+    return 0.25
 
 
 def _flag_argv(f, value):
@@ -100,6 +110,8 @@ class TestOneSpelling:
             extra = {"app": "jacobi"} if owner is RunRequest else {}
             if needs_opt:
                 extra["optimize"] = True
+            if owner is FaultConfig:
+                extra.update(FAULT_COMPANIONS.get(f.name, {}))
             built = spec.from_args(owner, args, **extra)
             assert getattr(built, f.name) == stored
         if axis:
@@ -154,6 +166,11 @@ class TestParentCompatibility:
     began hashing ``trace_geometry(config)``.  The plan digests alone were
     re-recorded when ``trace_geometry`` shrank to the five fields the
     build reads; request digests and ``CODE_VERSION`` did not move.
+    The request digests alone were re-recorded when ``FaultConfig`` lost
+    ``max_backoff_ns`` (merged into ``rto_max_ns``) and ``rto_min_ns``
+    (the floor is ``retransmit_timeout_ns``): its canonical form has two
+    fields fewer.  No result changed, so ``CODE_VERSION`` stayed; an
+    older cache entry is a miss, never a wrong hit.
     """
 
     REPRO = [
@@ -197,21 +214,21 @@ class TestParentCompatibility:
     KEYS = {
         "default": (
             lambda: RunRequest(app="jacobi"),
-            "f1f88a31320ee718df262b57d6e282b8352bcecf816a84639e5f5732e67f9513",
+            "05ef0626deb17415956e13cf75fd91ad67d4cae3510cd0ca587b81ac79b34be7",
             "4d50943fa2edc8695b4c9d36409cb6d2c940aa1e7e6a2cc33468773649f1a829",
         ),
         "storm": (
             lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
                 n_nodes=4, faults=FaultConfig(
                     drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
-            "9457181b41b1a6033b9554383ec272d2f9d8b34de3a583872a466fa7e75665b4",
+            "6520f9516ea0747f6f8394988e256031df22be753e009d651ef3c26c3d8f3ca6",
             "1cc25c06cbb4eec0c0a69bf84d11bb56620f79f6d09c63fc27161dcf9996cb97",
         ),
         "combine_switch": (
             lambda: RunRequest(app="cg", config=ClusterConfig(
                 combine=CombineConfig(enabled=True, max_msgs=4),
                 switch=SwitchConfig(enabled=True, ports=2))),
-            "77a763bc163666d66b2288326c309d3e792a039a97b26bc19e46d1c2881c0cdd",
+            "622e7b610ec177b65adb0f046b3a55f3b6d1f36b6f535eb14184e7e288ae4fb7",
             "29a38f70fb2e76103b79ee8085189c2b5fd80e2e4e302c3dadacb50aad415cba",
         ),
         "crash_checkpoint": (
@@ -220,20 +237,20 @@ class TestParentCompatibility:
                 config=ClusterConfig(faults=FaultConfig(
                     crashes=(CrashScenario(2, 3000 * US, 500 * US),),
                     checkpoint_every=1))),
-            "c9e4206d23e7eb1c608d7f79748d8a87c60b94a5e981b730997290bca9bc9fce",
+            "a902149cf190f6e3ef39ca4713fd3b8a92fc202c51618b9bb5f061f99bee339f",
             "5a6fa182a5039cbcfde189c350744776d07d97c886538f62743a9b87be4685bc",
         ),
         "profile": (
             lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
                                profile_phases=True, critical_path=True),
-            "7d2223fbdafc55c68b945e31be706b9c707c8d206fea6554d9b6c35e49d1c164",
+            "9c4a427d4c6bd09aa1bfbf59d87df33f160b4fc6b7619702e0a59dd9279d713c",
             "2799f447beda0f82cacf9ebf5e1a5adaad264012d7b9b86fce064f0fbc8c92e5",
         ),
         "inline": (
             lambda: RunRequest(
                 program=APPS["jacobi"].program("default", n=16, iters=1),
                 config=ClusterConfig(n_nodes=4)),
-            "0b0aba25db605c324ac3f55f10a3612c050560745288fc7ae56f3959673e16bd",
+            "7c57a37b815623a55603630f300db19aa07f52c96815c042d7e1a730913f41d1",
             "587c493d5c89ea835f3a4b4b5b81face77f0aecebd3a0e24c9a0ecaa3fa6f093",
         ),
     }
