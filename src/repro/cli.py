@@ -27,6 +27,7 @@ from repro.tempest.faults import (
     LinkFaultConfig,
     PartitionScenario,
 )
+from repro.tempest.network import COMBINE_MAX_MSGS, COMBINE_MAX_WAIT_NS
 from repro.tempest.stats import COHERENCE_KINDS, MsgKind
 
 __all__ = ["build_parser", "config_from_args", "main"]
@@ -373,16 +374,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             f"combining:        {comb['msgs_combined']} messages rode "
             f"{comb['combine_flushes']} combined frames "
-            f"(cap {cfg.combine.max_msgs}, wait {cfg.combine.max_wait_ns / 1000:.0f} us)"
+            f"(cap {COMBINE_MAX_MSGS}, wait {COMBINE_MAX_WAIT_NS / 1000:.0f} us)"
         )
     if cfg.switch.enabled:
         sw = result.stats.switch_summary()
-        agg = cfg.switch.bandwidth_bytes_per_us
         print(
             f"switch:           {sw['switch_frames']} frames through "
-            f"{cfg.switch_ports} ports, {sw['switch_wait_ms']:.2f} ms queued "
-            f"(max depth {sw['max_port_depth']}, "
-            f"{'link-rate ports' if agg is None else f'{agg:.0f} MB/s aggregate'})"
+            f"{cfg.n_nodes} ports, {sw['switch_wait_ms']:.2f} ms queued "
+            f"(max depth {sw['max_port_depth']}, link-rate ports)"
         )
     if cfg.faults.enabled:
         rel = result.stats.reliability_summary()

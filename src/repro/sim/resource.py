@@ -98,10 +98,6 @@ class PortedResource:
         self._engine = engine
         self._free_at = [0] * n_ports
 
-    @property
-    def n_ports(self) -> int:
-        return len(self._free_at)
-
     def free_at(self, port: int) -> int:
         """Earliest time a newly submitted job on ``port`` could start."""
         return max(self._free_at[port], self._engine.now)

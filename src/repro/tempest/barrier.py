@@ -37,7 +37,7 @@ class Barrier:
         self.config = config
         self.network = network
         self.nodes = nodes
-        self.manager = config.barrier_manager
+        self.manager = 0  # collects arrivals, broadcasts releases
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
         self._node_gen = [0] * config.n_nodes

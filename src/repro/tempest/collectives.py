@@ -33,7 +33,7 @@ class Collectives:
         self.config = config
         self.network = network
         self.nodes = nodes
-        self.root = config.barrier_manager
+        self.root = 0  # central reductions combine here
         #: observability bus (see repro.obs); None keeps publishing free
         self.obs = None
         self._node_gen = [0] * config.n_nodes

@@ -46,16 +46,17 @@ class CombineConfig:
 
     The first control frame on a cold channel transmits immediately — an
     isolated frame never pays combining latency — but heats the channel:
-    followers within ``max_wait_ns`` (one short-message roundtrip by
-    default), or frames finding the link busy, park in a per-channel
-    combine buffer.  That is exactly the shape of the bursts the eager
-    protocol emits — consecutive boundary-block invalidations, their acks,
-    barrier fan-in.  A buffer flushes when it fills (``max_msgs``), when
-    its oldest frame has waited ``max_wait_ns``, when the outgoing link
-    goes idle after a busy spell, or when a non-combinable message to the
-    same destination must not be overtaken.  Transport acks combine only
-    opportunistically (when their link is busy serializing), keeping RTT
-    samples tight.
+    followers within the hold window (``COMBINE_MAX_WAIT_NS``, one
+    short-message roundtrip), or frames finding the link busy, park in a
+    per-channel combine buffer.  That is exactly the shape of the bursts
+    the eager protocol emits — consecutive boundary-block invalidations,
+    their acks, barrier fan-in.  A buffer flushes when it holds
+    ``COMBINE_MAX_MSGS`` frames, when its oldest frame has waited the hold
+    window, when the outgoing link goes idle after a busy spell, or when a
+    non-combinable message to the same destination must not be overtaken.
+    Transport acks combine only opportunistically (when their link is busy
+    serializing), keeping RTT samples tight.  The constants live beside
+    ``HEADER_BYTES`` in :mod:`repro.tempest.network`.
 
     Disabled (the default) the combining machinery is bypassed entirely:
     schedules are byte-identical to a build without it, the same
@@ -66,20 +67,6 @@ class CombineConfig:
         False, "--[no-]combine", "coalesce header-only control messages per "
         "channel (--no-combine restores the one-frame-per-message wire "
         "model)", axis="combine")
-    max_msgs: int = opt(
-        8, "--combine-max-msgs", "most sub-messages folded into one combined "
-        "frame", metavar="N", ge=2)
-    #: wire bytes per sub-message inside a combined frame (a packed kind
-    #: tag + block/seq operand; the 16-byte header is paid only once)
-    slot_bytes: int = opt(4, ge=1)
-    max_wait_ns: int = opt(
-        40 * US, "--combine-wait", "combine-buffer hold window in "
-        "microseconds: the longest a parked control frame may wait for "
-        "channel-mates before the buffer flushes on its own (bounds added "
-        "latency; ~1 short-msg RTT)", unit=1000, metavar="US", gt=0)
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -92,18 +79,13 @@ class SwitchConfig:
     routes every remote frame sender-link → switch output port → receiver:
     the one-way propagation splits in half around a store-and-forward hop
     on the destination's *output port*, a FIFO server forwarding at the
-    switch's per-port rate.  Frames racing to one hot destination
-    serialize on its port, and the port's backlog *backpressures* the
-    sender — the sending link stays held until the port accepts the frame
-    (Myrinet's blocking flow control), so upstream traffic, the adaptive
-    RTO's RTT samples, and the combining layer's link-busy parking all
-    feel the congestion.
-
-    ``ports`` output ports serve destination ``dst % ports`` (``None`` =
-    one port per node).  ``bandwidth_bytes_per_us`` caps the *aggregate*
-    forwarding bandwidth, split evenly across ports; ``None`` gives every
-    port the link rate, so an uncontended frame pays exactly one extra
-    store-and-forward serialization and no artificial slowdown.
+    link rate.  As in the paper's crossbar, every node has its own output
+    port, so an uncontended frame pays exactly one extra store-and-forward
+    serialization.  Frames racing to one hot destination serialize on its
+    port, and the port's backlog *backpressures* the sender — the sending
+    link stays held until the port accepts the frame (Myrinet's blocking
+    flow control), so upstream traffic, the adaptive RTO's RTT samples,
+    and the combining layer's link-busy parking all feel the congestion.
 
     Disabled (the default) none of the machinery is constructed and
     schedules are byte-identical to the link-only model — the same
@@ -115,16 +97,6 @@ class SwitchConfig:
         "fabric: frames to one destination queue on its output port and "
         "backpressure their senders (--no-switch keeps the independent-link "
         "wire model)", axis="switch")
-    ports: int | None = opt(
-        None, "--switch-ports", "output ports on the switch, destination = "
-        "dst mod N (default: one port per node)", metavar="N", ge=1)
-    bandwidth_bytes_per_us: float | None = opt(
-        None, "--switch-bw", "aggregate switch forwarding bandwidth in MB/s "
-        "(== bytes/us), split evenly across ports (default: every port "
-        "forwards at the link rate)", metavar="MBPS", gt=0)
-
-    def __post_init__(self) -> None:
-        check_bounds(self)
 
 
 def _cost(default: int):
@@ -196,7 +168,6 @@ class ClusterConfig:
     loop_overhead_ns: int = _cost(2 * US)       # per parallel-loop fixed cost
 
     # --- barrier / collectives --------------------------------------------- #
-    barrier_manager: int = opt(0, ge=0)         # node that collects arrivals
     # 'central' (combine at root, broadcast) or 'tree' (binomial).
     reduce_algorithm: str = opt("central", choices=("central", "tree"))
 
@@ -225,10 +196,9 @@ class ClusterConfig:
         if self.page_size % self.block_size:
             raise ValueError("page_size must be a multiple of block_size")
         # Every node id the config names must exist: an id past the end is
-        # an IndexError mid-run (crash, barrier manager) or silently dead
-        # config (partition, link profile).
+        # an IndexError mid-run (crash) or silently dead config (partition,
+        # link profile).
         for what, nodes in (
-            ("barrier_manager", (self.barrier_manager,)),
             *(("faults.crashes", (c.node,)) for c in self.faults.crashes),
             *(("faults.partitions", s.nodes) for s in self.faults.partitions),
             *(("faults.link_faults", lf.key) for lf in self.faults.link_faults),
@@ -248,24 +218,6 @@ class ClusterConfig:
     def transfer_ns(self, size_bytes: int) -> int:
         """Serialization time for ``size_bytes`` on the wire."""
         return int(size_bytes / self.bandwidth_bytes_per_us * US)
-
-    @property
-    def switch_ports(self) -> int:
-        """Resolved output-port count of the switch fabric."""
-        return self.switch.ports or self.n_nodes
-
-    def switch_forward_ns(self, size_bytes: int) -> int:
-        """Store-and-forward time for one frame on a switch output port.
-
-        Ports split the aggregate bandwidth cap evenly; with no explicit
-        cap every port forwards at the link rate.
-        """
-        agg = self.switch.bandwidth_bytes_per_us
-        per_port = (
-            agg / self.switch_ports if agg is not None
-            else self.bandwidth_bytes_per_us
-        )
-        return int(size_bytes / per_port * US)
 
     def scaled(self, **kwargs: object) -> "ClusterConfig":
         """Return a copy with the given fields replaced."""

@@ -195,7 +195,7 @@ class FaultConfig:
         "in [0, 1); needs --fault-stall-us", metavar="P", ge=0, lt=1)
     stall_ns: int = opt(
         0, "--fault-stall-us", "length of one protocol-CPU stall window "
-        "(microseconds)", unit=1000, metavar="US", ge=0)
+        "(microseconds); needs --fault-stall", unit=1000, metavar="US", ge=0)
 
     # --- determinism -------------------------------------------------- #
     seed: int = opt(
@@ -206,7 +206,8 @@ class FaultConfig:
     retransmit_timeout_ns: int = opt(120 * _US, gt=0)  # initial ack timeout (~3 RTT)
     max_retries: int = opt(
         32, "--fault-retries", "retransmit budget per frame before the "
-        "channel gives up and parks its traffic", metavar="N", ge=1)
+        "channel gives up and parks its traffic; needs fault injection",
+        metavar="N", ge=1)
 
     # --- adaptive retransmission (congestion-aware RTO) ---------------- #
     # With ``adaptive_rto`` the fixed timer above only seeds the estimate:
@@ -301,6 +302,10 @@ class FaultConfig:
                 raise ValueError(
                     f"link {lf.key}: stall_prob set but effective stall_ns is zero"
                 )
+            if lf.stall_ns is not None and not eff_prob:
+                raise ValueError(
+                    f"link {lf.key}: stall_ns set but effective stall_prob is zero"
+                )
         names = [s.name for s in self.partitions]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate partition scenario names: {names}")
@@ -310,17 +315,23 @@ class FaultConfig:
                 raise ValueError(f"node {c.node} crashes more than once")
             crash_nodes.add(c.node)
         # Tuning for machinery this config never runs would be ignored.
+        # The uniform stall_ns stalls the uniform stall_prob's deliveries
+        # and those of any link profile that inherits it.
+        stalls = self.stall_prob or any(
+            lf.stall_prob and lf.stall_ns is None for lf in self.link_faults
+        )
+        injected, crash = "under fault injection", "with a crash scenario"
         fields = self.__dataclass_fields__
-        for name, needs_crash, what in (
-            ("adaptive_rto", False, "the retransmit timer"),
-            ("rto_max_ns", False, "the retransmit timer"),
-            ("heartbeat_interval_ns", True, "crash detection"),
-            ("checkpoint_every", True, "rollback-recovery"),
+        for name, runs, what, when in (
+            ("adaptive_rto", self.enabled, "the retransmit timer", injected),
+            ("rto_max_ns", self.enabled, "the retransmit timer", injected),
+            ("max_retries", self.enabled, "the retransmit budget", injected),
+            ("stall_ns", stalls, "the protocol-CPU stall window",
+             "with a stall_prob that uses it"),
+            ("heartbeat_interval_ns", self.crashes, "crash detection", crash),
+            ("checkpoint_every", self.crashes, "rollback-recovery", crash),
         ):
-            if getattr(self, name) != fields[name].default and not (
-                self.crashes if needs_crash else self.enabled
-            ):
-                when = "with a crash scenario" if needs_crash else "under fault injection"
+            if getattr(self, name) != fields[name].default and not runs:
                 raise ValueError(
                     f"{name} tunes {what}, which runs only {when}, so this "
                     "config would ignore it"

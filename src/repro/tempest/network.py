@@ -19,14 +19,15 @@ independent links cannot reproduce cross-traffic queueing.  With
 routes sender-link → switch output port → receiver: the one-way
 propagation splits in half around a store-and-forward hop on the
 *destination's* output port (a :class:`~repro.sim.PortedResource` server
-forwarding at the switch's per-port rate, ``dst % ports``).  Frames from
-different senders racing to one destination serialize on its port, and the
-port's backlog *backpressures* the sender: the sending link stays held
-until the port accepts the frame (Myrinet-style blocking flow control), so
-later traffic from the same sender queues behind the congestion, the
-adaptive RTO's RTT samples inflate, and the combining layer's link-busy
-parking windows lengthen.  Port arbitration is in link-submission order —
-the engine's deterministic event order — so contended runs replay exactly.
+with one port per node, forwarding at the link rate, as in the paper's
+crossbar).  Frames from different senders racing to one destination
+serialize on its port, and the port's backlog *backpressures* the sender:
+the sending link stays held until the port accepts the frame
+(Myrinet-style blocking flow control), so later traffic from the same
+sender queues behind the congestion, the adaptive RTO's RTT samples
+inflate, and the combining layer's link-busy parking windows lengthen.
+Port arbitration is in link-submission order — the engine's deterministic
+event order — so contended runs replay exactly.
 Contention is accounted per sending node (``switch_wait_ns``,
 ``switch_frames``) and per port (:class:`~repro.tempest.stats.PortStats`).
 Disabled (the default), none of the machinery is constructed and schedules
@@ -55,17 +56,19 @@ consecutive boundary-block invalidations to one sharer arrive ~10 us apart
 — and the combining layer exploits exactly that shape.  The first control
 frame on a *cold* channel transmits immediately (an isolated frame never
 pays combining latency), but it heats the channel: any combinable frame
-sent to the same destination within ``max_wait_ns``, or while the outgoing
-link is busy serializing, parks in a per-(src, dst) combine buffer.
-Channel-mates accumulate and travel as ONE combined frame: one 16-byte
-header plus ``slot_bytes`` per sub-message on the wire, one receiver-side
-dispatch, the sub-handlers executed back to back in send order.
+sent to the same destination within ``COMBINE_MAX_WAIT_NS``, or while the
+outgoing link is busy serializing, parks in a per-(src, dst) combine
+buffer.  Channel-mates accumulate and travel as ONE combined frame: one
+16-byte header plus ``COMBINE_SLOT_BYTES`` per sub-message on the wire,
+one receiver-side dispatch, the sub-handlers executed back to back in send
+order.
 
 A buffer flushes on the earliest of four triggers:
 
-* it reaches ``max_msgs`` sub-messages;
-* its oldest frame has waited ``max_wait_ns`` (the hold timer — bounds the
-  latency any parked control frame can pick up, ~1 short-message RTT);
+* it reaches ``COMBINE_MAX_MSGS`` sub-messages;
+* its oldest frame has waited ``COMBINE_MAX_WAIT_NS`` (the hold timer —
+  bounds the latency any parked control frame can pick up, ~1
+  short-message RTT);
 * the outgoing link goes idle after a busy spell (frames parked behind
   bulk serialization leave the moment the link frees);
 * a non-combinable message to the same destination is sent — the buffer
@@ -113,10 +116,21 @@ from repro.sim import Engine, PortedResource, Resource, SimulationError
 from repro.tempest.config import US, ClusterConfig
 from repro.tempest.stats import ClusterStats, MsgKind, PortStats
 
-__all__ = ["Network", "HEADER_BYTES"]
+__all__ = [
+    "Network", "HEADER_BYTES", "COMBINE_MAX_MSGS", "COMBINE_SLOT_BYTES",
+    "COMBINE_MAX_WAIT_NS",
+]
 
 #: Fixed header on every message (request/control payloads are header-only).
 HEADER_BYTES = 16
+#: Most sub-messages one combined frame carries.
+COMBINE_MAX_MSGS = 8
+#: Wire bytes per sub-message inside a combined frame (a packed kind tag +
+#: block/seq operand; the header is paid only once).
+COMBINE_SLOT_BYTES = 4
+#: Combine-buffer hold window, ~1 short-message RTT: the longest a parked
+#: control frame waits for channel-mates, and how long a channel stays hot.
+COMBINE_MAX_WAIT_NS = 40 * US
 
 
 class _CombineBuffer:
@@ -183,16 +197,16 @@ class Network:
         self._wire_ns: dict[int, int] = {}
         self.links = [Resource(engine) for _ in range(config.n_nodes)]
         if config.switch.enabled:
-            n_ports = config.switch_ports
-            self.switch = PortedResource(engine, n_ports)
-            self._port_depth = [0] * n_ports
+            # One output port per destination node.
+            self.switch = PortedResource(engine, config.n_nodes)
+            self._port_depth = [0] * config.n_nodes
             # The switch sits mid-path: propagation splits in half around
             # the store-and-forward hop on the output port.
             self._lat_to_switch = config.wire_latency_ns // 2
             self.residual_latency_ns = (
                 config.wire_latency_ns - self._lat_to_switch
             )
-            stats.ports = [PortStats(p) for p in range(n_ports)]
+            stats.ports = [PortStats(p) for p in range(config.n_nodes)]
         else:
             self.switch = None
             self.residual_latency_ns = config.wire_latency_ns
@@ -328,14 +342,14 @@ class Network:
             buf = pending.get(dst)
             if buf is not None:
                 buf.add(kind, handler, args, handler_cost_ns)
-                if len(buf) >= cfg.combine.max_msgs:
+                if len(buf) >= COMBINE_MAX_MSGS:
                     del pending[dst]
                     self._flush_buffer(src, buf)
                 return None
             last = self._last_ctl[src].get(dst)
             hot = (
                 last is not None
-                and self.engine.now - last < cfg.combine.max_wait_ns
+                and self.engine.now - last < COMBINE_MAX_WAIT_NS
             )
             if hot or self._link_jobs[src] > 0:
                 buf = pending[dst] = _CombineBuffer(dst)
@@ -343,7 +357,7 @@ class Network:
                 # The hold timer bounds the wait for channel-mates; it
                 # no-ops if another trigger flushed the buffer first.
                 self.engine.call_after(
-                    cfg.combine.max_wait_ns, self._flush_timer, src, dst, buf
+                    COMBINE_MAX_WAIT_NS, self._flush_timer, src, dst, buf
                 )
                 return None
             # Cold channel, idle link: transmit eagerly — an isolated
@@ -384,7 +398,7 @@ class Network:
                     int(self.config.transfer_ns(size)) + self.config.wire_latency_ns
                 )
                 if self.switch is not None:
-                    wire_ns += self.config.switch_forward_ns(size)
+                    wire_ns += self.config.transfer_ns(size)
                 self._wire_ns[size] = wire_ns
         return self.obs.emit(
             "msg.send", self.engine.now, 0, src, parent,
@@ -469,31 +483,30 @@ class Network:
             link._free_at = finish
             engine.call_chain(finish, on_done, *args)
             return
-        cfg = self.config
         # The whole path is reserved now: link occupancy and port service
         # times are known at submission, so contention delay is exact.
-        link_done = self.links[src].free_at + cfg.transfer_ns(size)
+        # Port ``dst`` forwards at the link rate.
+        forward_ns = self.config.transfer_ns(size)
+        link_done = self.links[src].free_at + forward_ns
         release = link_done + self._lat_to_switch
-        port = dst % self.switch.n_ports
-        forward_ns = cfg.switch_forward_ns(size)
         start, _finish = self.switch.serve_at(
-            port, release, forward_ns, self._port_done, port, on_done, args
+            dst, release, forward_ns, self._port_done, dst, on_done, args
         )
         wait = start - release
         st = self.stats[src]
         st.switch_frames += 1
         st.switch_wait_ns += wait
-        ps = self.stats.ports[port]
+        ps = self.stats.ports[dst]
         ps.frames += 1
         ps.wait_ns += wait
         ps.busy_ns += forward_ns
-        depth = self._port_depth[port] = self._port_depth[port] + 1
+        depth = self._port_depth[dst] = self._port_depth[dst] + 1
         if depth > ps.max_depth:
             ps.max_depth = depth
         if self.obs is not None:
             self.obs.emit(
                 "switch.traverse", self.engine.now, 0, src, parent,
-                {"dst": dst, "port": port, "wait_ns": wait,
+                {"dst": dst, "port": dst, "wait_ns": wait,
                  "forward_ns": forward_ns, "depth": depth, "size": size},
             )
         # Backpressure: a backlogged port delays accepting the frame, and
@@ -561,7 +574,7 @@ class Network:
                 buf.costs[0], HEADER_BYTES, seq,
             )
             return
-        size = HEADER_BYTES + k * self.config.combine.slot_bytes
+        size = HEADER_BYTES + k * COMBINE_SLOT_BYTES
         seq = self._count(src, buf.dst, MsgKind.COMBINED, size)
         st.combine_flushes += 1
         for kind in buf.kinds:

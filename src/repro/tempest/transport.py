@@ -112,6 +112,7 @@ from operator import attrgetter
 from typing import Callable
 
 from repro.tempest.faults import FaultConfig
+from repro.tempest.network import COMBINE_MAX_MSGS, COMBINE_SLOT_BYTES
 from repro.tempest.stats import MsgKind
 
 __all__ = ["ReliableTransport", "OPEN", "PARTITIONED", "HEARTBEAT"]
@@ -368,7 +369,7 @@ class ReliableTransport:
         path."""
         path = self.config.transfer_ns(size)
         if self.network.switch is not None:
-            path += self.config.switch_forward_ns(size)
+            path *= 2  # the output port forwards at the link rate
         return path
 
     # ------------------------------------------------------------------ #
@@ -755,7 +756,7 @@ class ReliableTransport:
             peers = self._ack_buffers.setdefault(acker, {})
             buf = peers.setdefault(frame.src, [])
             buf.append(frame)
-            if len(buf) >= self.config.combine.max_msgs:
+            if len(buf) >= COMBINE_MAX_MSGS:
                 del peers[frame.src]
                 self._transmit_acks(acker, frame.src, buf)
             return
@@ -783,7 +784,7 @@ class ReliableTransport:
         k = len(frames)
         size = self.ACK_BYTES
         if k > 1:
-            size += k * self.config.combine.slot_bytes
+            size += k * COMBINE_SLOT_BYTES
             st = self.network.stats[acker]
             st.combine_flushes += 1
             st.msgs_combined[MsgKind.ACK] += k

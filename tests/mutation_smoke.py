@@ -221,9 +221,15 @@ MUTANTS = (
     ),
     Mutant(
         "the adaptive RTO is accepted without fault injection", "tempest/faults.py",
-        '            ("adaptive_rto", False, "the retransmit timer"),\n',
-        '            # ("adaptive_rto", False, "the retransmit timer"),\n',
+        '            ("adaptive_rto", self.enabled, "the retransmit timer", injected),\n',
+        '            # ("adaptive_rto", self.enabled, "the retransmit timer", injected),\n',
         ("tests/tempest/test_adaptive_rto.py",),
+    ),
+    Mutant(
+        "a retransmit budget is accepted without fault injection", "tempest/faults.py",
+        '            ("max_retries", self.enabled, "the retransmit budget", injected),\n',
+        '            # ("max_retries", self.enabled, "the retransmit budget", injected),\n',
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "jacobi accepts zero iterations", "apps/jacobi.py",

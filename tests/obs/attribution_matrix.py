@@ -11,6 +11,12 @@ recorded with
 
 before either class was touched.  Run the same command on any later
 commit to print the table it produces now.
+
+The ``switch`` and ``storm+combine+switch`` cells first ran a two-port
+switch.  When the switch's port count stopped being settable (one
+link-rate port per node is the only switch), both cells moved to that
+switch and their digests were recorded again the same way, on the parent
+of that change.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import json
 from repro.runtime import run_shmem
 from repro.tempest.faults import CrashScenario, FaultConfig, PartitionScenario
 from tests.runtime.conftest import cell_config, jacobi_program
-from tests.tempest.test_protocol_fuzz import COMBINE_ON, FAULT_MATRIX, SWITCH_MATRIX
+from tests.tempest.test_protocol_fuzz import COMBINE_ON, FAULT_MATRIX, SWITCH_ON
 
 #: Node 1 is cut off 0.2 ms in and the cut heals 2.5 ms later; channels
 #: give up after six retries, so the heal is a real ``channel.heal``.
@@ -49,11 +55,11 @@ CELLS = {
     "opt": {"n": 64, "optimize": True, "rt_elim": True},
     "storm": {"faults": FAULT_MATRIX["storm"]},
     "combine": {"combine": COMBINE_ON},
-    "switch": {"switch": SWITCH_MATRIX["narrow"]},
+    "switch": {"switch": SWITCH_ON},
     "storm+combine+switch": {
         "faults": FAULT_MATRIX["storm"],
         "combine": COMBINE_ON,
-        "switch": SWITCH_MATRIX["narrow"],
+        "switch": SWITCH_ON,
     },
     "healed-partition": {
         "faults": FaultConfig(partitions=(_CUT,), max_retries=6),
@@ -88,12 +94,12 @@ DIGESTS: dict[str, tuple[str, str]] = {
         "5b110514ee8ce48669210ec442637766bda99592461d05de543908200f6f8190",
     ),
     "switch": (
-        "a5959eb9ed334a3590b09c7b91da691e0df5dff567d688addc9c95fa790cab7e",
-        "15827ec17a8874bef27e4b1290bfd062ad69054a0357c0c9678cd148db0ee1e4",
+        "c9bc28496d15cce33c4cf81aee8e0819905eb44a0aa83a9017e9270c618d247e",
+        "5941590884756204ee6c22d082d686bc4f1abf87d26f32bec5b68e8e0e328833",
     ),
     "storm+combine+switch": (
-        "72465c81ced486f80cee1136a9858496f956ef46fe9ada99c6d0a27054109953",
-        "49b71f2157c3ea842e1c59f36e6129fb4e8e1b652cd82a1b12bea1f44ae52fdd",
+        "8e9238bdb18ef5f1bbc61f835e819930a3ff9da0f81008643e283dbeb28cb94b",
+        "5cfbeda073fa1299139fe22f0d4e21feadde28475e3b6cd294eda5a6cb9aaba7",
     ),
     "healed-partition": (
         "6b4347fdbbcefb84152dc55c40e80cbe96296153f06963c23b390c5c2a94be30",

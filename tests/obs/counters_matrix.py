@@ -14,7 +14,10 @@ properties, five hand-written summary dicts) produced them, recorded with
     PYTHONPATH=<parent>/src:. python -m tests.obs.counters_matrix
 
 before ``tempest/stats.py`` was touched.  Run the same command on any
-later commit to print the table it produces now.
+later commit to print the table it produces now.  The ``switch`` and
+``storm+combine+switch`` digests were recorded again, on the parent of
+the change that made one link-rate port per node the only switch, when
+those two cells moved from a two-port switch to it.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ DIGESTS: dict[str, str] = {
     "opt": "c83a68be29273d7691ac4f0d8576ed45d24a23caac218e35832592d938f98e63",
     "storm": "210d55bf073303f9902ff4a6ed1da9fe894cbe1f91b00f741e4327e8ff02d844",
     "combine": "9f19f9d86d9496e395a5b4f93ff830b96a394ad4f49dcd11126bae1f82d77f2b",
-    "switch": "221c25870d1a1f9f4cd8efa893c9d8a44c14b17e014e5789ff3a398b25d80766",
-    "storm+combine+switch": "2ff3a112f98220f0a7cc39996ec576b1dd80271989a3af82fc6babedbaa36572",
+    "switch": "7d67fac56e832c7dfa9449c9643ba986bcd01e8717cdcbe6dbd113fe0c640a22",
+    "storm+combine+switch": "0a973ce013aec270b1b9a42a53e1ac39e3af8a08dea168db93b4b7d67deb400d",
     "healed-partition": "30ff74b46db83909fbddbda6deaaf884edd61fb5569c8c765a7738e7cf2cc298",
     "crash+rollback": "606700929200d595f5302bd280f28781c6ca88027aa221e53d756051628efa2d",
     "crash-in-partition": "762708c207106f0bf75beaa46e66562f8163a1c2bf108e7e54079c970d44f9fd",

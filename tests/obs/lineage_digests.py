@@ -16,6 +16,9 @@ closures to bound methods, with
     PYTHONPATH=<parent>/src:. python -m tests.obs.lineage_digests
 
 Run the same command on any later commit to print the table it produces.
+The ``storm+combine+switch`` digest was recorded again, on the parent of
+the change that made one link-rate port per node the only switch, when
+that cell moved from a two-port switch to it.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ DIGESTS: dict[str, str] = {
     "opt+flush": "2083b3bff88823308b3a3b9bd3051215b839ae8153f2c6b3d8eb9b257cf73911",
     "reduce-flat": "ed619ad1765580bdb7af55253b6256145b27e3f6e0277845936ca62dc0cce6c4",
     "reduce-tree": "c2b009664f6f9b4e1eb94d4b68bfa3b813de6751d9b5e9bcab8f848c250d2a11",
-    "storm+combine+switch": "fbe84ae861c456eaf74c44a261e5905405a1400a39b3d2501922832766ed16e1",
+    "storm+combine+switch": "705e8e87617a3fa6c34753d6aff9ca5df3d37646de6a7a9a99083aa7127ca022",
     "crash+rollback": "d2c85f9a9c9d77687ad7ceb84f03b1ad57a97e09e135325e6fbb1be2e3311bce",
 }
 

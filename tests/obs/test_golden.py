@@ -25,18 +25,18 @@ from tests.tempest.test_protocol_fuzz import (
     COMBINE_ON,
     FAULT_MATRIX,
     N_NODES,
-    SWITCH_MATRIX,
+    SWITCH_ON,
     build_cluster,
     fixed_schedule,
 )
 
 #: The golden configuration axis: perfect wire, fault storm, combining,
-#: narrow shared switch.
+#: shared switch.
 CONFIGS = {
     "fault-free": {},
     "faults": {"faults": FAULT_MATRIX["storm"]},
     "combine": {"combine": COMBINE_ON},
-    "switch": {"switch": SWITCH_MATRIX["narrow"]},
+    "switch": {"switch": SWITCH_ON},
 }
 
 

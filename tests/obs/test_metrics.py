@@ -32,7 +32,7 @@ from tests.tempest.test_protocol_fuzz import (
     COMBINE_ON,
     FAULT_MATRIX,
     N_NODES,
-    SWITCH_MATRIX,
+    SWITCH_ON,
     build_cluster,
     fixed_schedule,
 )
@@ -41,11 +41,11 @@ CELLS = {
     "clean": {},
     "storm": {"faults": FAULT_MATRIX["storm"]},
     "combine": {"combine": COMBINE_ON},
-    "switch": {"switch": SWITCH_MATRIX["narrow"]},
+    "switch": {"switch": SWITCH_ON},
     "storm+combine+switch": {
         "faults": FAULT_MATRIX["storm"],
         "combine": COMBINE_ON,
-        "switch": SWITCH_MATRIX["narrow"],
+        "switch": SWITCH_ON,
     },
 }
 

@@ -163,7 +163,7 @@ def drive(tmp: str) -> None:
         ["--backend", "msgpass", *faults], ["--single-cpu", "--no-bulk", "--rt-elim", "--pre"],
         ["--advisory", "full"], ["--advisory", "prefetch", "--switch"],
         ["--protocol", "update", "--no-opt"],
-        ["--combine", "--switch", "--switch-ports", "2", "--switch-bw", "40", *faults],
+        ["--combine", "--switch", *faults],
         [*faults, "--fault-stall", "0.01", "--fault-stall-us", "5", "--rto-adaptive",
          "--rto-max-us", "4000", "--fault-link", "0:1:drop=0.1", "--audit"],
         ["--fault-partition", "1:200:300"], ["--fault-partition", "1:200:never"],

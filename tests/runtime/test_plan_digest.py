@@ -145,11 +145,10 @@ TIMING_ONLY = {
     "memoized_call_ns": 2_000,
     "max_payload_blocks": 8,
     "mp_pack_ns_per_byte": 30,
-    "barrier_manager": 3,
     "reduce_algorithm": "tree",
     "faults": FaultConfig(drop_prob=0.05, dup_prob=0.01, seed=3),
     "combine": CombineConfig(enabled=True),
-    "switch": SwitchConfig(enabled=True, ports=2),
+    "switch": SwitchConfig(enabled=True),
 }
 
 

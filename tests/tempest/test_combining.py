@@ -1,7 +1,7 @@
 """Tests for the control-message combining layer.
 
 The unit tests drive ``Network.send`` directly so each flush trigger
-(cold-eager send, hot-channel parking, max_msgs cap, hold timer,
+(cold-eager send, hot-channel parking, the size cap, hold timer,
 link-idle flush, non-combinable flush-ahead) is exercised by name.  The
 app-level tests then prove the two properties the optimization must
 keep: identical numerics (with a clean coherence audit) and a real
@@ -17,7 +17,12 @@ from repro.runtime import run_shmem, run_uniproc
 from repro.sim import SimulationError
 from repro.tempest import ClusterConfig, MsgKind
 from repro.tempest.config import US, CombineConfig
-from repro.tempest.network import HEADER_BYTES
+from repro.tempest.network import (
+    COMBINE_MAX_MSGS,
+    COMBINE_MAX_WAIT_NS,
+    COMBINE_SLOT_BYTES,
+    HEADER_BYTES,
+)
 from tests.tempest.conftest import make_cluster
 
 #: Kinds that travel as bare headers and are marked combinable somewhere
@@ -45,8 +50,8 @@ CFG = ClusterConfig(n_nodes=4)
 CFG_COMBINE = ClusterConfig(n_nodes=4, combine=CombineConfig(enabled=True))
 
 
-def combining_cluster(n_nodes=2, **combine_overrides):
-    combine = CombineConfig(enabled=True, **combine_overrides)
+def combining_cluster(n_nodes=2):
+    combine = CombineConfig(enabled=True)
     cluster, _arr = make_cluster(n_nodes=n_nodes, combine=combine)
     return cluster
 
@@ -94,7 +99,9 @@ class TestCombineConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # The cap, slot size and hold window are module constants, so a
+        # config spelling any of them is refused, whatever the value.
+        with pytest.raises(TypeError, match="unexpected keyword"):
             CombineConfig(enabled=True, **kwargs)
 
     def test_disabled_network_has_no_machinery(self):
@@ -125,20 +132,23 @@ class TestFlushTriggers:
         cluster = combining_cluster()
         send_burst(cluster, 4)
         cluster.engine.run()
-        slot = cluster.config.combine.slot_bytes
-        assert cluster.stats[0].bytes_sent == HEADER_BYTES + (HEADER_BYTES + 3 * slot)
+        assert cluster.stats[0].bytes_sent == (
+            HEADER_BYTES + (HEADER_BYTES + 3 * COMBINE_SLOT_BYTES)
+        )
 
     def test_max_msgs_cap_flushes_eagerly(self):
-        # Cap 2: leader, then pairs of followers flush the moment they fill.
-        cluster = combining_cluster(max_msgs=2)
-        log = send_burst(cluster, 5)
+        # Leader, then every 8 followers flush the moment they fill the
+        # buffer: both combined frames are out before the engine runs.
+        cluster = combining_cluster()
+        n = 1 + 2 * COMBINE_MAX_MSGS
+        log = send_burst(cluster, n)
+        assert cluster.stats.total_combine_flushes == 2
+        assert cluster.stats.total_msgs_combined == 2 * COMBINE_MAX_MSGS
         cluster.engine.run()
-        assert [i for i, _t in log] == [0, 1, 2, 3, 4]
+        assert [i for i, _t in log] == list(range(n))
         kinds = cluster.stats.messages_by_kind()
         assert kinds[MsgKind.ACK] == 1
         assert kinds[MsgKind.COMBINED] == 2
-        assert cluster.stats.total_msgs_combined == 4
-        assert cluster.stats.total_combine_flushes == 2
 
     def test_lone_parked_frame_travels_as_its_own_kind(self):
         # A follower with no channel-mates degenerates to a normal single
@@ -154,14 +164,14 @@ class TestFlushTriggers:
 
     def test_hold_timer_bounds_parked_latency(self):
         # A follower parked on a hot-but-idle channel leaves on the hold
-        # timer, max_wait_ns after parking -- never later.
+        # timer, COMBINE_MAX_WAIT_NS after parking -- never later.
         cluster = combining_cluster()
         log = send_burst(cluster, 1)               # heats the channel at t=0
         cluster.engine.call_after(
             20 * US, lambda: send_burst(cluster, 1, log=log, tag=1)
         )
         cluster.engine.run()
-        wait = cluster.config.combine.max_wait_ns
+        wait = COMBINE_MAX_WAIT_NS
         # Parked at 20us, flushed at 20us + max_wait, delivered after the
         # usual wire costs; it must not have left before the timer.
         assert log[1][1] >= 20 * US + wait
@@ -200,7 +210,7 @@ class TestFlushTriggers:
             )
 
     def test_cold_channel_after_quiet_spell_sends_eagerly(self):
-        # Once max_wait_ns passes with no traffic the channel cools; the
+        # Once the hold window passes with no traffic the channel cools; the
         # next lone control frame again pays zero combining latency.
         cluster = combining_cluster()
         log = send_burst(cluster, 1)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.sim import Engine
 from repro.tempest import ClusterConfig, FaultConfig
-from repro.tempest.network import HEADER_BYTES, Network
+from repro.tempest.network import (
+    COMBINE_MAX_MSGS,
+    COMBINE_SLOT_BYTES,
+    HEADER_BYTES,
+    Network,
+)
 from repro.tempest.node import Node
 from repro.tempest.stats import ClusterStats, MsgKind
 from repro.tempest.transport import ReliableTransport
@@ -73,13 +78,13 @@ class TestNetwork:
 
 def frame_sizes(cfg):
     """Every frame size the model puts on a link: a bare header or ack,
-    a combined frame or combined ack of 2..max_msgs slots, and a data
-    payload of 1..max_payload_blocks blocks."""
-    slots = range(2, cfg.combine.max_msgs + 1)
+    a combined frame or combined ack of 2..COMBINE_MAX_MSGS slots, and a
+    data payload of 1..max_payload_blocks blocks."""
+    slots = range(2, COMBINE_MAX_MSGS + 1)
     return sorted(
         {HEADER_BYTES, ReliableTransport.ACK_BYTES}
-        | {HEADER_BYTES + k * cfg.combine.slot_bytes for k in slots}
-        | {ReliableTransport.ACK_BYTES + k * cfg.combine.slot_bytes for k in slots}
+        | {HEADER_BYTES + k * COMBINE_SLOT_BYTES for k in slots}
+        | {ReliableTransport.ACK_BYTES + k * COMBINE_SLOT_BYTES for k in slots}
         | {HEADER_BYTES + m * cfg.block_size
            for m in range(1, cfg.max_payload_blocks + 1)}
     )

@@ -46,13 +46,15 @@ N_BLOCKS = 4
 
 
 def build_cluster(
-    home_policy, faults=None, protocol="invalidate", switch=None, combine=None
+    home_policy, faults=None, protocol="invalidate", switch=None, combine=None,
+    **wire,
 ):
     cfg = ClusterConfig(
         n_nodes=N_NODES,
         faults=faults or FaultConfig(),
         switch=switch or SwitchConfig(),
         combine=combine or CombineConfig(),
+        **wire,
     )
     mem = SharedMemory(cfg, home_policy=home_policy)
     arr = mem.alloc("a", (16, N_BLOCKS), Distribution.block(N_NODES))
@@ -182,10 +184,10 @@ def fixed_schedule(n_phases=6, seed=2026):
     ]
 
 
-def run_faulted(schedule, protocol, faults=None, switch=None, combine=None):
+def run_faulted(schedule, protocol, faults=None, switch=None, combine=None, **wire):
     cl, blocks = build_cluster(
         HomePolicy.ALIGNED, faults=faults, protocol=protocol,
-        switch=switch, combine=combine,
+        switch=switch, combine=combine, **wire,
     )
 
     def node_program(node):
@@ -317,10 +319,13 @@ def test_link_matrix_is_seed_deterministic(cell_name):
 # (queueing, backpressure, retransmit timing) but — like faults and
 # combining — must never change what the protocol layer concludes.
 # --------------------------------------------------------------------- #
+SWITCH_ON = SwitchConfig(enabled=True)
+
+#: switch cells: ClusterConfig fields on top of the 3-node cluster
 SWITCH_MATRIX = {
-    "on": SwitchConfig(enabled=True),
-    "narrow": SwitchConfig(enabled=True, ports=2),
-    "slow": SwitchConfig(enabled=True, bandwidth_bytes_per_us=30.0),
+    "on": dict(switch=SWITCH_ON),
+    # A half-rate wire: links and output ports forward at 10 bytes/us.
+    "slow": dict(switch=SWITCH_ON, bandwidth_bytes_per_us=10.0),
 }
 
 COMBINE_ON = CombineConfig(enabled=True)
@@ -335,15 +340,15 @@ def test_switch_matrix_preserves_protocol_outcome(switch_name, combine):
     cell_cl, cell_stats = run_faulted(
         schedule, "invalidate",
         faults=FAULT_MATRIX["storm"],
-        switch=SWITCH_MATRIX[switch_name],
         combine=combine,
+        **SWITCH_MATRIX[switch_name],
     )
     clean, cell = protocol_state(clean_cl), protocol_state(cell_cl)
     for key in clean:
         assert np.array_equal(clean[key], cell[key]), key
     # The fabric was actually exercised, and the counters say so.
     assert cell_stats.total_switch_frames > 0
-    assert len(cell_stats.ports) == (2 if switch_name == "narrow" else N_NODES)
+    assert len(cell_stats.ports) == N_NODES
 
 
 def test_switch_off_cells_report_no_switch_counters():
@@ -359,7 +364,7 @@ def test_switch_off_cells_report_no_switch_counters():
 @pytest.mark.parametrize("protocol", ["invalidate", "update"])
 def test_contended_runs_are_golden_deterministic(protocol):
     # Two identical seeded runs under full contention (storm faults +
-    # combining + a narrow switch) must produce *identical* ClusterStats —
+    # combining + a switch on a slow wire) must produce *identical* ClusterStats —
     # dataclass equality covers every per-node counter, every per-port
     # counter, the event count and the clock.
     schedule = fixed_schedule()
@@ -367,8 +372,8 @@ def test_contended_runs_are_golden_deterministic(protocol):
         run_faulted(
             schedule, protocol,
             faults=FAULT_MATRIX["storm"],
-            switch=SWITCH_MATRIX["narrow"],
             combine=COMBINE_ON,
+            **SWITCH_MATRIX["slow"],
         )[1]
         for _ in range(2)
     ]
@@ -439,12 +444,11 @@ def test_crash_matrix_recovers_fault_free_numerics(cell_name):
 
 
 def test_crash_composed_with_switch_and_combine():
-    # Full-contention cell: fail-stop + narrow shared switch + combining.
+    # Full-contention cell: fail-stop + shared switch on a slow wire +
+    # combining.
     clean = _run_crash_cell(None)
     cell = _run_crash_cell(
-        CRASH_MATRIX["crash"],
-        switch=SWITCH_MATRIX["narrow"],
-        combine=COMBINE_ON,
+        CRASH_MATRIX["crash"], combine=COMBINE_ON, **SWITCH_MATRIX["slow"]
     )
     assert cell.completed
     cell.assert_same_numerics(clean)

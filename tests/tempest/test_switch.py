@@ -23,7 +23,8 @@ import pytest
 from repro.apps import APPS
 from repro.runtime import run_shmem
 from repro.tempest import ClusterConfig, FaultConfig, MsgKind
-from repro.tempest.config import MS, US, CombineConfig, SwitchConfig
+from repro.tempest.config import US, CombineConfig, SwitchConfig
+from repro.tempest.network import COMBINE_MAX_WAIT_NS
 from tests.tempest.conftest import make_cluster
 
 SWITCH_ON = SwitchConfig(enabled=True)
@@ -61,25 +62,25 @@ class TestSwitchConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # The switch has no port count or bandwidth cap to set (one port
+        # per node at link rate, as in the paper's crossbar), so a config
+        # spelling either is refused, whatever the value.
+        with pytest.raises(TypeError, match="unexpected keyword"):
             SwitchConfig(enabled=True, **kwargs)
 
     def test_port_count_defaults_to_node_count(self):
-        assert ClusterConfig(n_nodes=8).switch_ports == 8
-        cfg = ClusterConfig(n_nodes=8, switch=SwitchConfig(ports=3))
-        assert cfg.switch_ports == 3
+        # One output port per destination node.
+        for n_nodes in (3, 8):
+            cluster = switch_cluster(n_nodes=n_nodes)
+            assert [p.port for p in cluster.stats.ports] == list(range(n_nodes))
 
     def test_forwarding_rate_defaults_to_link_rate(self):
-        cfg = ClusterConfig()
-        assert cfg.switch_forward_ns(16) == cfg.transfer_ns(16)
-
-    def test_aggregate_bandwidth_splits_across_ports(self):
-        # 40 MB/s over 4 ports = 10 B/us per port: 16 bytes take 1600 ns.
-        cfg = ClusterConfig(
-            n_nodes=4,
-            switch=SwitchConfig(enabled=True, bandwidth_bytes_per_us=40.0),
-        )
-        assert cfg.switch_forward_ns(16) == 1600
+        # A port's busy time for one frame is the frame's link
+        # serialization time.
+        cluster = switch_cluster()
+        send_header(cluster, 0, 1, [], "x")
+        cluster.engine.run()
+        assert cluster.stats.ports[1].busy_ns == cluster.config.transfer_ns(16)
 
     def test_disabled_network_has_no_machinery(self):
         cluster = switch_cluster(switch=SwitchConfig())
@@ -102,7 +103,7 @@ class TestPortQueueing:
             cluster = switch_cluster(switch=switch)
             send_header(cluster, 0, 1, log, "x")
             cluster.engine.run()
-        fwd = ClusterConfig().switch_forward_ns(16)
+        fwd = ClusterConfig().transfer_ns(16)
         assert log_on[0][1] == log_off[0][1] + fwd
 
     def test_two_senders_serialize_on_one_port(self):
@@ -180,24 +181,6 @@ class TestPortQueueing:
         # Waits stack: 0, one fwd, two fwds.
         assert [cluster.stats[n].switch_wait_ns for n in (2, 0, 1)] == [0, 800, 1600]
 
-    def test_destinations_map_to_ports_modulo(self):
-        # 2 ports on a 4-node cluster: dst 1 and dst 3 share port 1.
-        cluster = switch_cluster(
-            n_nodes=4, switch=SwitchConfig(enabled=True, ports=2)
-        )
-
-        def kickoff():
-            send_header(cluster, 0, 1, [], "a")
-            send_header(cluster, 2, 3, [], "b")
-
-        cluster.engine.call_after(0, kickoff)
-        cluster.engine.run()
-        assert len(cluster.stats.ports) == 2
-        assert cluster.stats.ports[1].frames == 2
-        assert cluster.stats.ports[0].frames == 0
-        # Different destinations, same port: the second sender queued.
-        assert cluster.stats[2].switch_wait_ns == 800
-
     def test_loopback_skips_the_switch(self):
         cluster = switch_cluster()
         log = []
@@ -215,14 +198,11 @@ class TestAppsUnderSwitch:
     CFG8 = ClusterConfig(n_nodes=8)
 
     def test_disabled_switch_is_byte_identical(self):
-        # A disabled-but-nondefault SwitchConfig must not perturb the
+        # An explicitly disabled SwitchConfig must not perturb the
         # schedule at all: full ClusterStats equality, events included.
         prog = APPS["jacobi"].program(**JACOBI)
         base = run_shmem(prog, self.CFG8)
-        off = run_shmem(prog, self.CFG8.scaled(
-            switch=SwitchConfig(enabled=False, ports=3,
-                                bandwidth_bytes_per_us=5.0),
-        ))
+        off = run_shmem(prog, self.CFG8.scaled(switch=SwitchConfig(enabled=False)))
         assert off.stats == base.stats
         assert off.stats.events_dispatched == base.stats.events_dispatched
 
@@ -320,26 +300,36 @@ class TestCombiningUnderSwitch:
         # Port 0 is backlogged by node 1's 4 KB frame; node 2's 2 KB
         # frame queues behind it, and backpressure holds node 2's link
         # for the whole 308 us wait (vs 103.2 us of pure serialization).
-        # Three control frames park behind the held link.  The hold
-        # timer is 10 ms — only the link-idle trigger can explain a
-        # flush at link-free time (411.2 us), and it must still fire
-        # even though the *switch*, not the link, set that time.
-        combine = CombineConfig(enabled=True, max_wait_ns=10 * MS)
-        cluster = switch_cluster(combine=combine)
+        # Three control frames park behind the held link at 380 us, so
+        # their hold timer would fire at 420 us — only the link-idle
+        # trigger can explain a flush at link-free time (411.2 us), and
+        # it must still fire even though the *switch*, not the link, set
+        # that time.
+        cluster = switch_cluster(combine=CombineConfig(enabled=True))
         net, cfg = cluster.network, cluster.config
         log = []
+        parked_at = 380 * US
 
-        def kickoff():
+        def bulk():
             net.send(1, 0, MsgKind.DATA, lambda _seq: None, (),
                      cfg.handler_data_recv_ns, payload_bytes=4096)
             net.send(2, 0, MsgKind.DATA, lambda _seq: None, (),
                      cfg.handler_data_recv_ns, payload_bytes=2048)
+
+        def control():
             for i in range(3):
                 net.send(2, 0, MsgKind.ACK,
                          lambda _seq, i=i: log.append((i, cluster.engine.now)), (),
                          cfg.handler_ack_ns, combinable=True)
 
-        cluster.engine.call_after(0, kickoff)
+        # Probe between link-free and the hold timer's deadline.
+        flushes_at_415_us = []
+        cluster.engine.call_after(0, bulk)
+        cluster.engine.call_after(parked_at, control)
+        cluster.engine.call_after(
+            415 * US,
+            lambda: flushes_at_415_us.append(cluster.stats.total_combine_flushes),
+        )
         cluster.engine.run()
         # The three parked acks rode one combined frame, in order.
         assert cluster.stats.total_combine_flushes == 1
@@ -348,10 +338,10 @@ class TestCombiningUnderSwitch:
         delivered = log[0][1]
         assert all(t == delivered for _i, t in log)
         # Flushed at link-free (411.2 us, set by backpressure), queued
-        # once more behind the 2 KB forwarding, delivered at 550.4 us —
-        # nowhere near the 10 ms hold-timer deadline.
+        # once more behind the 2 KB forwarding, delivered at 550.4 us.
         assert delivered == 550400
-        assert delivered < combine.max_wait_ns
+        assert flushes_at_415_us == [1]
+        assert 415 * US < parked_at + COMBINE_MAX_WAIT_NS
         # The port, not the link, set the pace: all of its queueing fell
         # on node 2's frames, 308 us of it on the 2 KB one.
         assert cluster.stats.ports[0].wait_ns == 409800

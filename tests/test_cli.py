@@ -13,7 +13,7 @@ from repro.cli import (
 from repro.runtime import phases
 from repro.serve.request import RunRequest
 from repro.tempest.config import small_config
-from repro.tempest.faults import CrashScenario, FaultConfig
+from repro.tempest.faults import CrashScenario, FaultConfig, LinkFaultConfig
 
 
 class TestParser:
@@ -39,10 +39,7 @@ class TestParser:
         assert args.advisory == "prefetch" and args.param == ["n=17"]
 
     def test_switch_flags_parse(self):
-        args = build_parser().parse_args(
-            ["jacobi", "--switch", "--switch-ports", "4", "--switch-bw", "80"]
-        )
-        assert args.switch and args.switch_ports == 4 and args.switch_bw == 80.0
+        assert build_parser().parse_args(["jacobi", "--switch"]).switch
         args = build_parser().parse_args(["jacobi", "--no-switch"])
         assert not args.switch
         assert build_parser().parse_args(["jacobi"]).switch is False
@@ -149,8 +146,6 @@ class TestMain:
             (["--param", "n=abc"], "--param", "not an integer"),
             (["--param", "bogus=3"], "--param", "no parameter 'bogus'"),
             (["--nodes", "0"], "--nodes", "n_nodes must be >= 1"),
-            (["--combine", "--combine-max-msgs", "0"], "--combine-max-msgs", "max_msgs"),
-            (["--switch", "--switch-ports", "0"], "--switch-ports", "ports"),
             (["--fault-drop", "2"], "--fault-", "drop_prob"),
         ]:
             with pytest.raises(SystemExit) as e:
@@ -301,7 +296,16 @@ FAULT_RULES = {
     "heartbeat_interval_ns": (dict(heartbeat_interval_ns=100_000),
                               ["--heartbeat-us", "100"], _CRASH),
     "checkpoint_every": (dict(checkpoint_every=1), ["--checkpoint-every", "1"], _CRASH),
+    "max_retries": (dict(max_retries=5), ["--fault-retries", "5"], _DROP),
+    "stall_ns": (dict(stall_ns=300_000), ["--fault-stall-us", "300"], dict(stall_prob=0.1)),
 }
+#: the flags that engage each rule's machinery (the rest are run elsewhere)
+COMPANION_FLAGS = {
+    "max_retries": ["--fault-drop", "0.01"],
+    "stall_ns": ["--fault-stall", "0.1"],
+}
+#: a link profile's stall window without a stall probability to use it
+_LINK_STALL = dict(link_faults=(LinkFaultConfig(0, 1, stall_ns=300_000),))
 
 
 class TestFaultConfigRules:
@@ -330,6 +334,46 @@ class TestFaultConfigRules:
         if companion is _CRASH:  # fault injection alone runs no crash machinery
             with pytest.raises(ValueError, match=f"^{name} "):
                 FaultConfig(**fields, **_DROP)
+
+    @pytest.mark.parametrize("name", sorted(COMPANION_FLAGS))
+    def test_runs_beside_its_companion_flag(self, name, capsys):
+        _, flag, _ = FAULT_RULES[name]
+        argv = ["jacobi", "--nodes", "4", "--param", "n=32", "--param", "iters=2"]
+        assert main([*argv, *flag, *COMPANION_FLAGS[name]]) == 0
+        assert "reliability:" in capsys.readouterr().out
+
+    def test_a_link_stall_window_needs_a_stall_probability(self, capsys):
+        named = r"^link \(0, 1\): stall_ns "
+        with pytest.raises(ValueError, match=named):
+            FaultConfig(**_LINK_STALL)
+        with pytest.raises(ValueError, match=named):
+            RunRequest(app="jacobi", config=small_config(faults=FaultConfig(**_LINK_STALL)))
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", "--fault-link", "0:1:stall_us=300"])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "repro: error: link (0, 1): stall_ns ")
+        # The uniform stall probability is the link's too.
+        FaultConfig(**_LINK_STALL, stall_prob=0.1, stall_ns=100_000)
+
+    def test_a_link_profile_can_use_the_uniform_stall_window(self):
+        inherits = LinkFaultConfig(0, 1, stall_prob=0.1)
+        assert FaultConfig(stall_ns=300_000, link_faults=(inherits,)).stall_ns == 300_000
+        overrides = LinkFaultConfig(0, 1, stall_prob=0.1, stall_ns=100_000)
+        with pytest.raises(ValueError, match="^stall_ns "):
+            FaultConfig(stall_ns=300_000, link_faults=(overrides,))
+
+    @pytest.mark.parametrize("flag", [
+        "--combine-max-msgs", "--combine-wait", "--switch-ports", "--switch-bw",
+    ])
+    def test_removed_knobs_are_unrecognized(self, flag, capsys):
+        # The combine cap and hold window are constants and the switch has
+        # one link-rate port per node, so these flags no longer exist.
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", "--combine", "--switch", flag, "2"])
+        assert e.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"repro: error: unrecognized arguments: {flag} 2"
 
     def test_a_perfect_wire_refuses_transport_tuning(self):
         # On a perfect wire every setting here is ignored: the run would

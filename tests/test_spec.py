@@ -29,9 +29,10 @@ from repro.tempest.faults import (
 )
 
 SMALL = ["jacobi", "--param", "n=32", "--param", "iters=1"]
-#: companions that keep the cross-flag usage errors (stall needs a window,
-#: checkpoint/heartbeat need a crash) out of the way of the flag under test
-CONTEXT = ["--fault-stall-us", "300", "--fault-crash", "1:1000"]
+#: companions that keep the cross-flag usage errors (a stall and its window
+#: need each other, checkpoint/heartbeat need a crash) out of the way of
+#: the flag under test
+CONTEXT = ["--fault-stall", "0.1", "--fault-stall-us", "300", "--fault-crash", "1:1000"]
 #: request fields a shmem run accepts only with ``optimize`` on
 OPTIMIZER_OPTIONS = ("rt_elim", "pre", "advisory")
 #: fault fields ``FaultConfig`` accepts off their default only beside the
@@ -170,19 +171,26 @@ class TestParentCompatibility:
     ``max_backoff_ns`` (merged into ``rto_max_ns``) and ``rto_min_ns``
     (the floor is ``retransmit_timeout_ns``): its canonical form has two
     fields fewer.  No result changed, so ``CODE_VERSION`` stayed; an
-    older cache entry is a miss, never a wrong hit.
+    older cache entry is a miss, never a wrong hit.  The request digests
+    alone were recorded again when ``ClusterConfig`` lost
+    ``barrier_manager`` (node 0 manages), ``CombineConfig`` lost
+    ``max_msgs``, ``slot_bytes`` and ``max_wait_ns`` (module constants)
+    and ``SwitchConfig`` lost ``ports`` and ``bandwidth_bytes_per_us``
+    (one link-rate port per node), for the same reason and with the same
+    consequence; ``combine_switch`` now enables both layers without
+    tuning them.
     """
 
     REPRO = [
         "--advisory", "--audit", "--backend", "--checkpoint-every", "--combine",
-        "--combine-max-msgs", "--combine-wait", "--critical-path",
+        "--critical-path",
         "--fault-crash", "--fault-drop", "--fault-dup", "--fault-jitter",
         "--fault-link", "--fault-partition", "--fault-retries", "--fault-seed",
         "--fault-stall", "--fault-stall-us", "--heartbeat-us", "--help",
         "--no-bulk", "--no-combine", "--no-opt", "--no-switch", "--nodes",
         "--param", "--pre", "--profile-phases", "--protocol", "--rt-elim",
         "--rto-adaptive", "--rto-max-us", "--scale", "--single-cpu", "--switch",
-        "--switch-bw", "--switch-ports", "--trace-cap", "--trace-kinds",
+        "--trace-cap", "--trace-kinds",
         "--trace-messages", "--trace-out", "--whatif", "-h",
     ]
     SWEEP = [
@@ -206,7 +214,6 @@ class TestParentCompatibility:
         assert (args.scale, args.nodes, args.protocol) == ("default", 8, "invalidate")
         assert (args.fault_drop, args.fault_jitter, args.fault_seed) == (0.0, 0.0, 0)
         assert (args.combine, args.switch, args.rt_elim) == (False, False, False)
-        assert args.switch_ports is None and args.switch_bw is None
 
     #: request_key / plan_key hex digests under ``repro-serve/4``: with
     #: ``CODE_VERSION``, the option set and the plan geometry unchanged,
@@ -214,21 +221,21 @@ class TestParentCompatibility:
     KEYS = {
         "default": (
             lambda: RunRequest(app="jacobi"),
-            "05ef0626deb17415956e13cf75fd91ad67d4cae3510cd0ca587b81ac79b34be7",
+            "fbd7f3231f3a17d4077a01a59422263754e9e891f1f7928a861cfd0a922b189e",
             "4d50943fa2edc8695b4c9d36409cb6d2c940aa1e7e6a2cc33468773649f1a829",
         ),
         "storm": (
             lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
                 n_nodes=4, faults=FaultConfig(
                     drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
-            "6520f9516ea0747f6f8394988e256031df22be753e009d651ef3c26c3d8f3ca6",
+            "ffcaa7021a4915f63de3e03f8c082af6670135f71a5c049aa9d027b08dc62db8",
             "1cc25c06cbb4eec0c0a69bf84d11bb56620f79f6d09c63fc27161dcf9996cb97",
         ),
         "combine_switch": (
             lambda: RunRequest(app="cg", config=ClusterConfig(
-                combine=CombineConfig(enabled=True, max_msgs=4),
-                switch=SwitchConfig(enabled=True, ports=2))),
-            "622e7b610ec177b65adb0f046b3a55f3b6d1f36b6f535eb14184e7e288ae4fb7",
+                combine=CombineConfig(enabled=True),
+                switch=SwitchConfig(enabled=True))),
+            "4c0543e53a53b2000ac57b456a80340303f89158237161fd5c82e8c9f6a65fda",
             "29a38f70fb2e76103b79ee8085189c2b5fd80e2e4e302c3dadacb50aad415cba",
         ),
         "crash_checkpoint": (
@@ -237,20 +244,20 @@ class TestParentCompatibility:
                 config=ClusterConfig(faults=FaultConfig(
                     crashes=(CrashScenario(2, 3000 * US, 500 * US),),
                     checkpoint_every=1))),
-            "a902149cf190f6e3ef39ca4713fd3b8a92fc202c51618b9bb5f061f99bee339f",
+            "8d1bc43c73baf054b9eebb8fd8896578e1fbe65da1837776ceb0c92c722cf3c5",
             "5a6fa182a5039cbcfde189c350744776d07d97c886538f62743a9b87be4685bc",
         ),
         "profile": (
             lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
                                profile_phases=True, critical_path=True),
-            "9c4a427d4c6bd09aa1bfbf59d87df33f160b4fc6b7619702e0a59dd9279d713c",
+            "7c0c37535aefa16dc2c9331064db0da1a57aaba66f945993dd538e16f2841904",
             "2799f447beda0f82cacf9ebf5e1a5adaad264012d7b9b86fce064f0fbc8c92e5",
         ),
         "inline": (
             lambda: RunRequest(
                 program=APPS["jacobi"].program("default", n=16, iters=1),
                 config=ClusterConfig(n_nodes=4)),
-            "7c57a37b815623a55603630f300db19aa07f52c96815c042d7e1a730913f41d1",
+            "7682b5890f03d32e16e98c644ad7928254fb10174fceed01e0799e4b14a55d57",
             "587c493d5c89ea835f3a4b4b5b81face77f0aecebd3a0e24c9a0ecaa3fa6f093",
         ),
     }
@@ -304,7 +311,7 @@ class TestNodeIdsInsideTheCluster:
          "faults.partitions"),
         (dict(faults=FaultConfig(link_faults=(LinkFaultConfig(0, 9, drop_prob=0.1),))),
          "faults.link_faults"),
-        (dict(barrier_manager=9), "barrier_manager"),
+        (dict(faults=FaultConfig(crashes=(CrashScenario(4, 1000),))), "faults.crashes"),
         (dict(bandwidth_bytes_per_us=0), "bandwidth_bytes_per_us"),
         (dict(wire_latency_ns=-1), "wire_latency_ns"),
         (dict(handler_request_ns=-5), "handler_request_ns"),
