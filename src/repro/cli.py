@@ -211,6 +211,14 @@ def _scenarios(parser, flag: str, specs: Sequence[str], parse) -> tuple:
     return tuple(out)
 
 
+#: the repeatable scenario flag that sets each ``FaultConfig`` overlay field
+_SCENARIO_FLAGS = {
+    "crashes": "--fault-crash",
+    "link_faults": "--fault-link",
+    "partitions": "--fault-partition",
+}
+
+
 def config_from_args(parser: argparse.ArgumentParser, args) -> ClusterConfig:
     """The full cluster config a parsed command line describes.
 
@@ -240,7 +248,8 @@ def config_from_args(parser: argparse.ArgumentParser, args) -> ClusterConfig:
             switch=from_args(SwitchConfig, args),
         )
     except ValueError as e:
-        parser.error(str(e))
+        flag = _SCENARIO_FLAGS.get(str(e).split(" ", 1)[0])
+        parser.error(f"{flag}: {e}" if flag else str(e))
 
 
 #: RunRequest fields set by hand-written flags (the others declare their

@@ -42,6 +42,7 @@ __all__ = [
     "PhaseRecord",
     "ProgramAnalysis",
     "apply_initializers",
+    "attach_numerics",
     "numerics",
     "segment_geometry",
     "walk_phases",
@@ -105,15 +106,36 @@ class Numerics:
     base owns the data, and NumPy would let a holder re-enable writes
     on it through ``.base``: nothing may, since every plan and result of
     the program shares the record.  Copy an array before mutating it.
+
+    A record pickles as its two dicts and comes back frozen the same
+    way, so ``repro.serve`` can store it under its own key.
     """
 
     arrays: Mapping[str, np.ndarray]
     scalars: Mapping[str, float]
 
+    def __reduce__(self):
+        return (_frozen, (dict(self.arrays), dict(self.scalars)))
+
+
+def _frozen(arrays: dict[str, np.ndarray], scalars: dict[str, float]) -> Numerics:
+    """The record of final ``arrays`` and ``scalars``, made read-only."""
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return Numerics(
+        MappingProxyType({name: arr.view() for name, arr in arrays.items()}),
+        MappingProxyType(dict(scalars)),
+    )
+
 
 #: id(program) -> (the inputs it was evaluated from, its record), for as
 #: long as the program lives
 _RECORDS: dict[int, tuple[tuple, Numerics]] = {}
+
+
+def _inputs(program: Program) -> tuple:
+    """What a record depends on beside the body: a program's dict fields."""
+    return (dict(program.arrays), dict(program.scalars), dict(program.initializers))
 
 
 def numerics(program: Program) -> Numerics:
@@ -128,12 +150,26 @@ def numerics(program: Program) -> Numerics:
     evaluation evaluates it again.
     """
     key = id(program)
-    inputs = (dict(program.arrays), dict(program.scalars), dict(program.initializers))
+    inputs = _inputs(program)
     found = _RECORDS.get(key)
     if found is not None and found[0] == inputs:
         return found[1]
-    record = _evaluate(program)
-    if found is None:
+    return _remember(program, inputs, _evaluate(program))
+
+
+def attach_numerics(program: Program, record: Numerics) -> None:
+    """Hand ``program`` a record computed elsewhere, which :func:`numerics`
+    then returns instead of evaluating.
+
+    The caller vouches that ``record`` is this program's: ``repro.serve``
+    attaches the record it stored under the program's fingerprint.
+    """
+    _remember(program, _inputs(program), record)
+
+
+def _remember(program: Program, inputs: tuple, record: Numerics) -> Numerics:
+    key = id(program)
+    if key not in _RECORDS:
         weakref.finalize(program, _RECORDS.pop, key, None)
     _RECORDS[key] = (inputs, record)
     return record
@@ -153,12 +189,7 @@ def _evaluate(program: Program) -> Numerics:
             eval_reduce(stmt, arrays, scalars, env)
         else:
             eval_scalar_assign(stmt, scalars)
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return Numerics(
-        MappingProxyType({name: arr.view() for name, arr in arrays.items()}),
-        MappingProxyType(scalars),
-    )
+    return _frozen(arrays, scalars)
 
 
 @dataclass

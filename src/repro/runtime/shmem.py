@@ -21,23 +21,27 @@ Execution is split into an explicit *build* phase and an *execute* phase:
 ``build_shmem_plan``
     the functional pass — lays out the shared segment, runs the compiler
     analysis and planner, and reduces everything to a
-    :class:`ShmemPlan`: per-node op traces plus the program's numerics.
-    The numerics are not evaluated here: they are the program's one
-    read-only record (:func:`~repro.runtime.phases.numerics`), shared
-    with every other backend run of the same ``Program`` object.  The
-    plan depends only on the program and the *geometry* the build reads
-    (:func:`trace_geometry`: node count, block and page sizes, the two
-    compute-cost fields) — never on the wire, protocol handler costs,
+    :class:`ShmemPlan`: per-node op traces and planner counters.  A plan
+    is structure: the communication schedule does not depend on array
+    values.  It depends only on the program and the *geometry* the build
+    reads (:func:`trace_geometry`: node count, block and page sizes, the
+    two compute-cost fields) — never on the wire, protocol handler costs,
     faults, combining or switch — and is a plain picklable value, so
     ``repro.serve`` memoizes it on disk and reuses it across every cell
-    of a matrix that varies anything else.
+    of a matrix that varies anything else.  Beside the structure, a built
+    plan carries its program's one read-only numerics record
+    (:func:`~repro.runtime.phases.numerics`, shared with every other
+    backend run of the same ``Program`` object) in memory only: the
+    record is in no pickle of the plan, and ``repro.serve`` stores it
+    under a key of its own.
 
 ``execute_shmem_plan``
     the timing pass — replays the plan's traces against a freshly built
     cluster under the *full* config (faults, combining, switch, crash
     recovery).  Array contents are irrelevant to timing (the simulator
     moves block ids, not data), so only the segment's geometry is laid
-    out again; no backing store is allocated.
+    out again; no backing store is allocated.  The result's arrays are
+    views of the plan's numerics record.
 
 ``run_shmem`` composes the two and is byte-identical to the historical
 single-pass implementation.
@@ -45,7 +49,7 @@ single-pass implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from repro.core.planner import CommPlan, plan_loop
 from repro.core.pre import AvailabilityTracker
 from repro.hpf.ast import ArrayDecl, ParallelAssign, Program, Reduce, ScalarAssign
 from repro.runtime.phases import (
+    Numerics,
     PhaseRecord,
     ProgramAnalysis,
     numerics,
@@ -223,15 +228,19 @@ def _emit_call_op(op, traces: list[NodeTrace]) -> None:
 class ShmemPlan:
     """The cacheable product of the functional pass for one shmem run.
 
-    A plan is a pure value: per-node op traces (plain tuples and ndarrays),
-    the program's final numerics, the planner's counters, and the build
-    inputs replay needs.  It contains no engine, cluster or
-    generator state, so it pickles cleanly — ``repro.serve`` content-
-    addresses plans on disk and replays one plan under many wire configs.
-    ``arrays`` are the program's read-only numerics record, not a copy:
-    every plan built from one ``Program`` object holds the same arrays,
-    and every result executed from a plan views them (the rule is
-    :class:`RunResult`'s).  Writing one raises; copy one first.
+    A plan is structure: per-node op traces (plain tuples and ndarrays),
+    the planner's counters, and the build inputs replay needs.  It
+    contains no engine, cluster or generator state, so it pickles
+    cleanly — ``repro.serve`` content-addresses plans on disk and replays
+    one plan under many wire configs.
+
+    ``numerics`` is the program's read-only record
+    (:class:`~repro.runtime.phases.Numerics`), held in memory only: it
+    is in no equality, repr or pickle of the plan.  A built plan holds
+    its program's record, not a copy, and every result executed from the
+    plan views its arrays (the rule is :class:`RunResult`'s); writing one
+    raises, so copy one first.  An unpickled plan holds none until one is
+    attached (``plan.numerics = record``), and executing it raises.
     """
 
     program_name: str
@@ -240,10 +249,6 @@ class ShmemPlan:
     array_decls: tuple[ArrayDecl, ...]
     #: per-node op lists (see repro.runtime.traces for the vocabulary)
     traces: list[list[tuple]]
-    #: final array values, read-only (the simulation never touches data,
-    #: so these ARE the run's numerics)
-    arrays: dict[str, np.ndarray]
-    scalars: dict[str, float]
     #: geometry fields (see :func:`trace_geometry`) the plan was built under
     geometry: dict
     #: the build options replay needs: the backend name and the layout
@@ -253,6 +258,12 @@ class ShmemPlan:
     plans_built: int = 0
     controlled_blocks: int = 0
     tracker_stats: dict | None = None
+    #: the program's final arrays and scalars (the simulation never
+    #: touches data, so these ARE the run's numerics); not pickled
+    numerics: Numerics | None = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "numerics": None}
 
 
 def _check_optimizer_options(
@@ -305,10 +316,10 @@ def build_shmem_plan(
     """The functional pass: emit per-node traces beside the numerics.
 
     Deterministic in its arguments: the same program and geometry produce
-    an equivalent plan (op-for-op identical traces, identical numerics),
-    which is what makes plans safe to memoize.  Only the geometry half of
-    ``config`` matters — see :func:`trace_geometry`.  The numerics are
-    the program's shared record, evaluated on first use.
+    an equivalent plan (op-for-op identical traces and counters), which
+    is what makes plans safe to memoize.  Only the geometry half of
+    ``config`` matters — see :func:`trace_geometry`.  The plan's
+    ``numerics`` are the program's shared record, evaluated on first use.
     """
     config = config or ClusterConfig()
     _check_optimizer_options(optimize, rt_elim, pre, advisory)
@@ -428,14 +439,13 @@ def build_shmem_plan(
         program_name=program.name,
         array_decls=tuple(program.arrays.values()),
         traces=[t.ops for t in traces],
-        arrays=dict(record.arrays),
-        scalars=dict(record.scalars),
         geometry=trace_geometry(config),
         optimize=optimize,
         home_policy=home_policy,
         plans_built=plans_built,
         controlled_blocks=controlled_blocks,
         tracker_stats=tracker.stats() if tracker is not None else None,
+        numerics=record,
     )
 
 
@@ -467,10 +477,18 @@ def execute_shmem_plan(
     (``stats.failure``); ``extra`` holds only what they do not: the
     barrier count and, for an optimized plan, the planner's and the PRE
     tracker's counters.  The result's arrays are read-only views of
-    ``plan.arrays``, not copies (see :class:`RunResult`): copy one before
-    mutating it.
+    ``plan.numerics.arrays``, not copies (see :class:`RunResult`): copy
+    one before mutating it.  A plan with no numerics record (unpickled,
+    none attached since) raises ``ValueError`` before anything runs.
     """
     config = config or ClusterConfig()
+    record = plan.numerics
+    if record is None:
+        raise ValueError(
+            f"plan for {plan.program_name!r} carries no numerics record "
+            "(a pickled plan leaves it behind); attach its program's record "
+            "as plan.numerics before executing it"
+        )
     _check_protocol(plan.optimize, protocol)
     geometry = trace_geometry(config)
     if geometry != plan.geometry:
@@ -483,7 +501,7 @@ def execute_shmem_plan(
         )
     # Same declarations, same order: the build's block numbering.  No
     # program data is allocated -- the timing pass moves block ids, never
-    # values (the run's numerics live in ``plan.arrays``).
+    # values (the run's numerics live in ``plan.numerics``).
     mem = segment_geometry(plan.array_decls, config, plan.home_policy)
     timeline = None
     if profile_phases or critical_path:
@@ -518,8 +536,8 @@ def execute_shmem_plan(
         backend,
         stats.elapsed_ns,
         stats,
-        {name: _read_only(arr) for name, arr in plan.arrays.items()},
-        dict(plan.scalars),
+        {name: _read_only(arr) for name, arr in record.arrays.items()},
+        dict(record.scalars),
         extra,
         phase_breakdown=(
             profile.phase_breakdown(timeline) if profile_phases else None

@@ -13,7 +13,8 @@ cheapest way available:
 3. by computing it — in-process, or fanned across a process pool — with
    the compiler analysis (:class:`repro.runtime.shmem.ShmemPlan`)
    memoized in memory and on disk so wire-config ablations rebuild it
-   once instead of per cell.
+   once instead of per cell, and each program's numerics stored once
+   under a key of their own so a cache evaluates each program once.
 
 Public surface:
 
@@ -31,6 +32,7 @@ from repro.serve.keys import (
     CODE_VERSION,
     canonical,
     fingerprint,
+    numerics_key,
     plan_key,
     program_fingerprint,
     request_key,
@@ -49,6 +51,7 @@ __all__ = [
     "canonical",
     "execute_request",
     "fingerprint",
+    "numerics_key",
     "plan_key",
     "program_fingerprint",
     "request_key",

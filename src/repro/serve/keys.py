@@ -42,6 +42,7 @@ __all__ = [
     "canonical",
     "config_canonical",
     "fingerprint",
+    "numerics_key",
     "plan_key",
     "program_fingerprint",
     "request_key",
@@ -53,7 +54,8 @@ __all__ = [
 #: cache deletion required.
 #: /3: RunResult gains critical_path.  /4: RunResult derives ``completed``
 #: from its stats, and ``extra`` and ShmemPlan stop echoing config and options.
-CODE_VERSION = "repro-serve/4"
+#: /5: a stored ShmemPlan is structure only; numerics have their own key.
+CODE_VERSION = "repro-serve/5"
 
 
 # --------------------------------------------------------------------- #
@@ -212,6 +214,22 @@ def plan_key(request) -> str:
         "program": request.resolved_fingerprint(),
         "geometry": canonical(trace_geometry(request.config)),
         "options": canonical(request.build_options()),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def numerics_key(request) -> str:
+    """The key of a program's numerics record (``runtime.phases.Numerics``).
+
+    Coarser still than :func:`plan_key`: the record depends on the
+    program alone, so every backend, geometry and option of one program
+    shares it, and a cache evaluates each program once.
+    """
+    payload = {
+        "schema": "numerics",
+        "salt": CODE_VERSION,
+        "program": request.resolved_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

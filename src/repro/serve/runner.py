@@ -10,20 +10,25 @@ The serving pipeline for one request:
    session has workers, else inline — with the functional pass
    (:class:`~repro.runtime.shmem.ShmemPlan`) served from a small
    in-memory LRU backed by the on-disk plan cache, so a wire-ablation
-   matrix builds each (program, geometry, flags) plan once.  An inline
-   batch builds each registry program once, so its cells share one
-   numerics record (:func:`~repro.runtime.phases.numerics`): the
-   program is evaluated once per batch, whatever the backends.
+   matrix builds each (program, geometry, flags) plan once.  A plan is
+   structure only; its program's numerics record
+   (:func:`~repro.runtime.phases.numerics`) is stored once under its own
+   :func:`~repro.serve.keys.numerics_key` and attached to every plan read
+   from disk, and the uniproc and msgpass cells take it too, so over a
+   store each program is evaluated at most once per cache, whatever the
+   backends and whichever process computes the cell.  An inline batch
+   builds each registry program once, so its cells share one record
+   even with no store.
 
 Workers re-check the result store before computing (another worker may
 have finished the same key between submit and execution) and publish
 what they compute, so warm-cache hit rates hold across processes.
 
-Arrays are held once per process.  A plan's and every result's arrays
-are read-only views of its program's numerics record, and the store
-lends read-only arrays: every ``get`` of a digest shares one verified
-copy while any borrower lives, so a plan read from disk shares its
-arrays with the results read beside it, and a session over a store
+Arrays are held once per process.  Every result's arrays are read-only
+views of its program's numerics record, and the store lends read-only
+arrays: every ``get`` of a digest shares one verified copy while any
+borrower lives, so the record attached to a plan read from disk shares
+its arrays with the results read beside it, and a session over a store
 takes pool results back through its own handle instead of as a private
 copy down the pipe.
 """
@@ -31,16 +36,18 @@ copy down the pipe.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.hpf.ast import Program
 from repro.runtime.msgpass import run_msgpass
+from repro.runtime.phases import Numerics, attach_numerics, numerics
 from repro.runtime.results import RunResult
 from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
 from repro.runtime.uniproc import run_uniproc
-from repro.serve.keys import plan_key, request_key
+from repro.serve.keys import numerics_key, plan_key, request_key
 from repro.serve.request import RunRequest
 from repro.serve.store import ResultStore, StoreStats
 
@@ -67,20 +74,25 @@ class ServeResult:
 class PlanCache:
     """Two-level ShmemPlan cache: small in-memory LRU over the disk store.
 
-    Plans hold the program's full numerics, so the memory tier stays tiny
-    (default 4 entries); the disk tier shares the result store's
-    crash-safety (verified frames, quarantine on corruption).  A plan's
-    arrays are its program's read-only numerics record: plans built from
-    one ``Program`` share them, and the store lends them to every disk
-    hit, as it does a result's.  A result executed from a plan views the
-    plan's arrays, so it keeps those numerics alive after the plan leaves
-    the memo, and a write to a memoized plan's numerics raises.
+    A memoized plan holds its program's numerics record, so the memory
+    tier stays tiny (default 4 entries); the disk tier shares the result
+    store's crash-safety (verified frames, quarantine on corruption).  A
+    stored plan is structure only: the record is stored once per program
+    under :func:`numerics_key`, and every plan read from disk has the
+    stored record attached, its arrays lent by the store as a result's
+    are.  A result executed from a plan views the record's arrays, so it
+    keeps those numerics alive after the plan leaves the memo, and a
+    write to them raises.
     """
 
     def __init__(self, store: ResultStore | None, capacity: int = 4) -> None:
         self.store = store
         self.capacity = capacity
         self._memo: OrderedDict[str, object] = OrderedDict()
+        #: numerics key -> a record this cache handed out that still lives
+        self._records: weakref.WeakValueDictionary[str, Numerics] = (
+            weakref.WeakValueDictionary()
+        )
         self.memo_hits = 0
         self.disk_hits = 0
         self.built = 0
@@ -98,10 +110,11 @@ class PlanCache:
             plan = self.store.get(ResultStore.PLANS, pkey)
             if plan is not None:
                 self.disk_hits += 1
+                plan.numerics = self._record(request, programs)
                 self._remember(pkey, plan)
                 return plan
         plan = build_shmem_plan(
-            request_program(request, programs), request.config,
+            self.program(request, programs), request.config,
             **request.build_options(),
         )
         self.built += 1
@@ -109,6 +122,34 @@ class PlanCache:
             self.store.put(ResultStore.PLANS, pkey, plan)
         self._remember(pkey, plan)
         return plan
+
+    def program(self, request: RunRequest, programs: dict | None = None) -> Program:
+        """The program ``request`` names (see :func:`request_program`).
+        Over a store it holds its numerics record (see :meth:`_record`),
+        so running or building from it evaluates nothing the cache has."""
+        program = request_program(request, programs)
+        if self.store is not None:
+            attach_numerics(program, self._record(request, programs, program))
+        return program
+
+    def _record(
+        self, request: RunRequest, programs: dict | None, program: Program | None = None
+    ) -> Numerics:
+        """The numerics record of the request's program: one this cache
+        handed out that still lives, else the store's (its arrays lent),
+        else evaluated and stored.  A missing or quarantined entry is a
+        miss.  Only the last builds a program, unless one is given."""
+        nkey = numerics_key(request)
+        record = self._records.get(nkey)
+        if record is None:
+            record = self.store.get(ResultStore.NUMERICS, nkey)
+        if record is None:
+            if program is None:
+                program = request_program(request, programs)
+            record = numerics(program)
+            self.store.put(ResultStore.NUMERICS, nkey, record)
+        self._records[nkey] = record
+        return record
 
     def _remember(self, pkey: str, plan) -> None:
         self._memo[pkey] = plan
@@ -145,13 +186,13 @@ def execute_request(
     """Compute one request in this process (no result-cache involvement);
     a program it needs comes from ``programs`` (see :func:`request_program`).
     ``obs`` attaches a bus to a shmem run, as ``run_shmem``'s does (unkeyed)."""
+    if plan_cache is None:
+        plan_cache = PlanCache(store=None)
     if request.backend != "shmem":
         if obs is not None:
             raise ValueError(f"obs instruments the shmem backend, not {request.backend!r}")
         run = run_uniproc if request.backend == "uniproc" else run_msgpass
-        return run(request_program(request, programs), request.config)
-    if plan_cache is None:
-        plan_cache = PlanCache(store=None)
+        return run(plan_cache.program(request, programs), request.config)
     plan = plan_cache.get_or_build(request, programs)
     return execute_shmem_plan(plan, request.config, obs=obs, **request.execute_options())
 

@@ -3,7 +3,8 @@
 Layout (under one root directory)::
 
     <root>/results/<k0k1>/<key>.bin     finished RunResults
-    <root>/plans/<k0k1>/<key>.bin       memoized ShmemPlans
+    <root>/plans/<k0k1>/<key>.bin       memoized ShmemPlans (structure only)
+    <root>/numerics/<k0k1>/<key>.bin    each program's numerics record
     <root>/blobs/<d0d1>/<sha256>.bin    array buffers, named by content
     <root>/quarantine/                  files that failed verification
 
@@ -21,9 +22,9 @@ buffers live in ``blobs/``::
 Every contiguous buffer of at least 64 KiB the pickler meets (in
 practice: a program's arrays) is taken out of band and written once as a
 blob named by its SHA-256; smaller and non-contiguous buffers stay in
-the body.  A result's final arrays are byte-identical to its plan's
-numerics, and the unoptimized and optimized plans of one program share
-theirs, so an entry is a few KB and each distinct array is on disk once.
+the body.  A result's final arrays are byte-identical to its program's
+numerics record, which every backend and plan of the program shares, so
+an entry is a few KB and each distinct array is on disk once.
 Blobs are therefore shared between entries: nothing may delete one
 without knowing that no entry still names it.
 
@@ -107,6 +108,7 @@ class ResultStore:
 
     RESULTS = "results"
     PLANS = "plans"
+    NUMERICS = "numerics"
     BLOBS = "blobs"
 
     def __init__(self, root: str | os.PathLike) -> None:

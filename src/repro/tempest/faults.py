@@ -292,7 +292,7 @@ class FaultConfig:
         seen: set[tuple[int, int]] = set()
         for lf in self.link_faults:
             if lf.key in seen:
-                raise ValueError(f"duplicate link profile for {lf.key}")
+                raise ValueError(f"link_faults has two profiles for link {lf.key}")
             seen.add(lf.key)
             # The *effective* stall config (override falling back to the
             # uniform value) must satisfy the same rule as the uniform one.
@@ -300,19 +300,21 @@ class FaultConfig:
             eff_ns = lf.stall_ns if lf.stall_ns is not None else self.stall_ns
             if eff_prob and not eff_ns:
                 raise ValueError(
-                    f"link {lf.key}: stall_prob set but effective stall_ns is zero"
+                    f"link_faults profile {lf.key}: stall_prob set but "
+                    "effective stall_ns is zero"
                 )
             if lf.stall_ns is not None and not eff_prob:
                 raise ValueError(
-                    f"link {lf.key}: stall_ns set but effective stall_prob is zero"
+                    f"link_faults profile {lf.key}: stall_ns set but "
+                    "effective stall_prob is zero"
                 )
         names = [s.name for s in self.partitions]
         if len(names) != len(set(names)):
-            raise ValueError(f"duplicate partition scenario names: {names}")
+            raise ValueError(f"partitions has duplicate scenario names: {names}")
         crash_nodes: set[int] = set()
         for c in self.crashes:
             if c.node in crash_nodes:
-                raise ValueError(f"node {c.node} crashes more than once")
+                raise ValueError(f"crashes names node {c.node} more than once")
             crash_nodes.add(c.node)
         # Tuning for machinery this config never runs would be ignored.
         # The uniform stall_ns stalls the uniform stall_prob's deliveries

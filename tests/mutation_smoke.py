@@ -194,6 +194,16 @@ MUTANTS = (
         ("tests/runtime/test_plan_digest.py",),
     ),
     Mutant(
+        "numerics_key drops the program fingerprint", "serve/keys.py",
+        '        "schema": "numerics",\n'
+        '        "salt": CODE_VERSION,\n'
+        '        "program": request.resolved_fingerprint(),\n',
+        '        "schema": "numerics",\n'
+        '        "salt": CODE_VERSION,\n'
+        '        "program": "",\n',
+        ("tests/serve/test_numerics_store.py",),
+    ),
+    Mutant(
         "a writable reference is lent the shared buffer", "serve/store.py",
         "        buffers = [self._get_blob(digest, readonly) for digest, readonly in table]\n",
         "        buffers = [self._get_blob(digest, True) for digest, readonly in table]\n",

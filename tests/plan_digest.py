@@ -9,8 +9,9 @@ ndarray hash differently — because ``repro.serve`` pickles plans and the
 pickle must not change shape either.
 
 Two digests per plan: ``structure`` (traces and planner counters — pure
-integer arithmetic, identical on every host) and ``numerics`` (final
-arrays and scalars — bit-exact on one host, but BLAS kernels may differ
+integer arithmetic, identical on every host) and ``numerics`` (the final
+arrays and scalars of the record the built plan carries, which no pickle
+of the plan holds — bit-exact on one host, but BLAS kernels may differ
 between CPUs, so a mismatch there alone points at the platform first).
 
 ``PYTHONPATH=src python -m tests.plan_digest`` prints the digest table as
@@ -82,8 +83,8 @@ def structure_digest(plan: ShmemPlan) -> str:
 
 def numerics_digest(plan: ShmemPlan) -> str:
     h = hashlib.sha256()
-    _feed(h, plan.arrays)
-    _feed(h, plan.scalars)
+    _feed(h, dict(plan.numerics.arrays))
+    _feed(h, dict(plan.numerics.scalars))
     return h.hexdigest()[:24]
 
 

@@ -9,9 +9,13 @@ The central invariants:
 * no contract violations or stale reads anywhere,
 * a run's outcome lives in its stats: every backend degrades the same
   way, and ``extra`` carries only numbers nothing else holds,
-* a run's numerics are held once: a shmem result views its plan's arrays
-  read-only, and uniproc and msgpass hand over the arrays they computed.
+* a run's numerics are held once: a shmem result views its plan's record
+  read-only, uniproc and msgpass hand over the record's arrays, and a
+  pickled plan carries no record.
 """
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -372,10 +376,11 @@ class TestRunRecord:
 
 class TestNumericsHeldOnce:
     """Numerics are computed and held once: a program's one read-only
-    record is what its plans hold and what every backend's result views,
-    so no plan, result or memoized copy can be written through another;
-    a shmem result views its plan's arrays.  The arrays are 128 KiB each,
-    so a stored result keeps them in blobs."""
+    record is what its built plans carry and what every backend's result
+    views, so no plan, result or memoized copy can be written through
+    another; a shmem result views its plan's record, which no pickle of
+    the plan holds.  The arrays are 128 KiB each, so a stored result
+    keeps them in blobs."""
 
     @pytest.fixture(scope="class")
     def prog(self):
@@ -385,17 +390,35 @@ class TestNumericsHeldOnce:
     def test_shmem_results_view_the_plan_read_only(self, prog, cfg4, optimize):
         plan = build_shmem_plan(prog, cfg4, optimize=optimize)
         first = execute_shmem_plan(plan, cfg4)
-        assert set(first.arrays) == set(plan.arrays)
+        assert plan.numerics is numerics(prog)
+        assert set(first.arrays) == set(plan.numerics.arrays)
         for name, arr in first.arrays.items():
-            assert np.shares_memory(arr, plan.arrays[name])
+            assert np.shares_memory(arr, plan.numerics.arrays[name])
             assert not arr.flags.writeable
-            assert plan.arrays[name] is numerics(prog).arrays[name]
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = -1.0
             with pytest.raises(ValueError, match="read-only"):
-                plan.arrays[name][0, 0] = -1.0
+                plan.numerics.arrays[name][0, 0] = -1.0
         again = execute_shmem_plan(plan, cfg4)
         assert again.exact_equal(first)
+
+    def test_a_pickled_plan_is_structure_only(self, prog, cfg4):
+        plan = build_shmem_plan(prog, cfg4, optimize=True)
+        record = numerics(prog)
+        assert plan.numerics is record
+        data = pickle.dumps(plan)
+        assert len(data) < sum(arr.nbytes for arr in record.arrays.values())
+        back = pickle.loads(data)
+        assert back.numerics is None and plan.numerics is record
+        # the record is in no repr or equality of a plan (traces hold
+        # ndarrays, so plans compare field by field, not with ``==``)
+        assert repr(back) == repr(plan) and "numerics" not in repr(plan)
+        [field] = [f for f in dataclasses.fields(plan) if f.name == "numerics"]
+        assert not field.compare
+        with pytest.raises(ValueError, match="carries no numerics record"):
+            execute_shmem_plan(back, cfg4)
+        back.numerics = record
+        assert execute_shmem_plan(back, cfg4).exact_equal(execute_shmem_plan(plan, cfg4))
 
     def test_every_backend_views_the_one_read_only_record(self, prog, cfg4):
         record = numerics(prog)

@@ -214,8 +214,8 @@ def test_timing_pass_allocates_no_program_data(monkeypatch):
     assert set(replayed.arrays) == set(built.arrays) == set(program.arrays)
     # A segment is geometry only: it has no slot to hold an array's data.
     assert not any("data" in slot for slot in GlobalArray.__slots__)
-    # The run's numerics are the plan's, viewed, not copied.
-    for name, data in plan.arrays.items():
+    # The run's numerics are the plan's record, viewed, not copied.
+    for name, data in plan.numerics.arrays.items():
         assert np.shares_memory(result.arrays[name], data)
 
 
@@ -254,11 +254,10 @@ def test_functional_passes_get_writable_fortran_storage(build, monkeypatch):
     # ... and leaves one read-only, Fortran-ordered record that the plan
     # and every result share, and whose arrays cannot be made writable.
     record = numerics(program)
+    assert plan.numerics is record
     assert list(record.arrays) == list(program.arrays)
     for name, data in record.arrays.items():
         assert data.flags["F_CONTIGUOUS"] and not data.flags["WRITEABLE"]
         with pytest.raises(ValueError):
             data.flags.writeable = True
-        assert plan.arrays[name] is data
         assert all(result.arrays[name] is data for result in ran)
-    assert plan.scalars == dict(record.scalars)

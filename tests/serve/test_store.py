@@ -284,18 +284,20 @@ class TestBlobs:
         back = store.get(ResultStore.RESULTS, KEY)
         assert np.array_equal(back["a"], obj["a"]) and back["note"] == "x"
 
-    def test_plan_and_result_share_blobs(self, store):
+    def test_numerics_and_result_share_blobs_and_a_plan_names_none(self, store):
         cfg = small_config()
         program = jacobi_request(cfg, params={"n": 128, "iters": 1}).build_program()
         plan = build_shmem_plan(program, cfg)
         result = execute_shmem_plan(plan, cfg)
         store.put(ResultStore.PLANS, KEY, plan)
+        assert store.entries(ResultStore.BLOBS) == []
+        store.put(ResultStore.NUMERICS, KEY, plan.numerics)
         assert store.stats.blob_reuses == 0
         entry = store.put(ResultStore.RESULTS, OTHER, result)
         assert store.stats.blob_reuses == len(result.arrays) > 0
         distinct = {
             hashlib.sha256(a.tobytes(order="A")).hexdigest()
-            for a in (*plan.arrays.values(), *result.arrays.values())
+            for a in (*plan.numerics.arrays.values(), *result.arrays.values())
         }
         assert {b.stem for b in store.entries(ResultStore.BLOBS)} == distinct
         assert entry.stat().st_size < _BLOB_MIN_BYTES
@@ -309,38 +311,40 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 
 @pytest.fixture
 def served(store):
-    """A jacobi plan under ``KEY`` and the shmem result replayed from it
-    under ``OTHER``: the same digests, both stored read-only."""
+    """A jacobi numerics record under ``KEY`` and the shmem result replayed
+    from its plan under ``OTHER``: the same digests, both stored read-only."""
     cfg = small_config()
     program = jacobi_request(cfg, params={"n": 128, "iters": 1}).build_program()
     plan = build_shmem_plan(program, cfg)
     result = execute_shmem_plan(plan, cfg)
-    store.put(ResultStore.PLANS, KEY, plan)
+    store.put(ResultStore.NUMERICS, KEY, plan.numerics)
     store.put(ResultStore.RESULTS, OTHER, result)
-    return plan, result
+    return plan.numerics, result
 
 
 class TestLending:
     """Read-only arrays are lent from one verified copy per handle;
     writable arrays stay private to each ``get``."""
 
-    def test_a_plan_is_lent_with_its_result(self, store, served):
-        plan, result = served
+    def test_a_numerics_record_is_lent_with_its_result(self, store, served):
+        record, result = served
         first = store.get(ResultStore.RESULTS, OTHER)
         second = store.get(ResultStore.RESULTS, OTHER)
         assert store.stats.blob_lends == len(result.arrays) > 0
-        got = store.get(ResultStore.PLANS, KEY)
-        # the plan names the same read-only digests: lent, not read again
+        got = store.get(ResultStore.NUMERICS, KEY)
+        # the record names the same read-only digests: lent, not read again
         assert store.stats.blob_lends == 2 * len(result.arrays)
         assert first.exact_equal(result) and second.exact_equal(result)
+        assert dict(got.scalars) == dict(record.scalars)
         for name, arr in got.arrays.items():
-            assert np.array_equal(arr, plan.arrays[name])
+            assert np.array_equal(arr, record.arrays[name])
+            assert arr.flags.f_contiguous
             assert np.shares_memory(first.arrays[name], second.arrays[name])
             assert np.shares_memory(arr, first.arrays[name])
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
-            assert not np.shares_memory(arr, plan.arrays[name])
+            assert not np.shares_memory(arr, record.arrays[name])
 
     def test_a_blob_damaged_while_lent_leaves_the_result_intact(self, store, served):
         _, result = served
@@ -432,8 +436,9 @@ class TestLending:
         assert (served.source, served.where) == ("computed", "pool")
         assert served.result.exact_equal(direct)
         assert stats["cache_hits"] == 0 and stats["hit_rate"] == 0.0
-        # the hand-back worker found the entry its sibling published
-        assert stats["store"]["writes"] == 2 and stats["store"]["hits"] == 1
+        # the hand-back worker found the entry its sibling published beside
+        # the plan and numerics entries
+        assert stats["store"]["writes"] == 3 and stats["store"]["hits"] == 1
 
 
 class TestBoundaries:

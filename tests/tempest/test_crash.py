@@ -61,7 +61,7 @@ class TestCrashScenario:
         assert crash_faults().enabled
 
     def test_duplicate_node_rejected(self):
-        with pytest.raises(ValueError, match="crashes more than once"):
+        with pytest.raises(ValueError, match="^crashes names node 1 more than once"):
             FaultConfig(crashes=(CrashScenario(1, 0), CrashScenario(1, 50)))
 
     @pytest.mark.parametrize(

@@ -73,7 +73,7 @@ class TestLinkFaultConfig:
         assert faults.link_overrides() == {(0, 1): faults.link_faults[0]}
 
     def test_duplicate_profile_rejected(self):
-        with pytest.raises(ValueError, match="duplicate link profile"):
+        with pytest.raises(ValueError, match=r"^link_faults has two profiles for link \(0, 1\)"):
             FaultConfig(
                 link_faults=(
                     LinkFaultConfig(0, 1, drop_prob=0.2),
@@ -126,7 +126,7 @@ class TestPartitionScenario:
             PartitionScenario(**kwargs)
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate partition"):
+        with pytest.raises(ValueError, match="^partitions has duplicate scenario names"):
             FaultConfig(
                 partitions=(
                     PartitionScenario("s", {0}),

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.apps import APPS
@@ -13,7 +15,12 @@ from repro.cli import (
 from repro.runtime import phases
 from repro.serve.request import RunRequest
 from repro.tempest.config import small_config
-from repro.tempest.faults import CrashScenario, FaultConfig, LinkFaultConfig
+from repro.tempest.faults import (
+    CrashScenario,
+    FaultConfig,
+    LinkFaultConfig,
+    PartitionScenario,
+)
 
 
 class TestParser:
@@ -306,6 +313,33 @@ COMPANION_FLAGS = {
 }
 #: a link profile's stall window without a stall probability to use it
 _LINK_STALL = dict(link_faults=(LinkFaultConfig(0, 1, stall_ns=300_000),))
+#: FaultConfig's rules across the entries of one scenario field: the
+#: refusal starts with the field, so ``repro APP`` names the flag that
+#: sets it.  rule -> (fields, the refusal's start, argv or None)
+SCENARIO_RULES = {
+    "a link stall probability needs a stall window": (
+        dict(link_faults=(LinkFaultConfig(0, 1, stall_prob=0.1),)),
+        r"link_faults profile \(0, 1\): stall_prob ",
+        ["--fault-link", "0:1:stall=0.1"],
+    ),
+    "one profile per link": (
+        dict(link_faults=(LinkFaultConfig(0, 1, drop_prob=0.1),
+                          LinkFaultConfig(0, 1, dup_prob=0.1))),
+        r"link_faults has two profiles for link \(0, 1\)",
+        ["--fault-link", "0:1:drop=0.1", "--fault-link", "0:1:dup=0.1"],
+    ),
+    # --fault-partition names each scenario after its position
+    "one partition per name": (
+        dict(partitions=(PartitionScenario("cut", {0}), PartitionScenario("cut", {1}))),
+        "partitions has duplicate scenario names",
+        None,
+    ),
+    "one crash per node": (
+        dict(crashes=(CrashScenario(1, 100_000), CrashScenario(1, 200_000))),
+        "crashes names node 1 more than once",
+        ["--fault-crash", "1:100", "--fault-crash", "1:200"],
+    ),
+}
 
 
 class TestFaultConfigRules:
@@ -343,7 +377,7 @@ class TestFaultConfigRules:
         assert "reliability:" in capsys.readouterr().out
 
     def test_a_link_stall_window_needs_a_stall_probability(self, capsys):
-        named = r"^link \(0, 1\): stall_ns "
+        named = r"^link_faults profile \(0, 1\): stall_ns "
         with pytest.raises(ValueError, match=named):
             FaultConfig(**_LINK_STALL)
         with pytest.raises(ValueError, match=named):
@@ -352,9 +386,24 @@ class TestFaultConfigRules:
             main(["jacobi", "--nodes", "4", "--fault-link", "0:1:stall_us=300"])
         assert e.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(
-            "repro: error: link (0, 1): stall_ns ")
+            "repro: error: --fault-link: link_faults profile (0, 1): stall_ns ")
         # The uniform stall probability is the link's too.
         FaultConfig(**_LINK_STALL, stall_prob=0.1, stall_ns=100_000)
+
+    @pytest.mark.parametrize("rule", sorted(SCENARIO_RULES))
+    def test_a_scenario_refusal_names_its_field_and_flag(self, rule, capsys):
+        fields, start, argv = SCENARIO_RULES[rule]
+        with pytest.raises(ValueError, match=f"^{start}"):
+            FaultConfig(**fields)
+        if argv is None:
+            return
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", *argv])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        last = captured.err.splitlines()[-1]
+        assert re.match(f"repro: error: {argv[0]}: {start}", last), last
+        assert captured.out == ""  # nothing had started
 
     def test_a_link_profile_can_use_the_uniform_stall_window(self):
         inherits = LinkFaultConfig(0, 1, stall_prob=0.1)

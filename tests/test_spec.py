@@ -17,7 +17,7 @@ from repro.runtime.shmem import (
     execute_shmem_plan,
 )
 from repro.serve.cli import build_diff_parser, build_sweep_parser, sweep_main
-from repro.serve.keys import plan_key, request_key
+from repro.serve.keys import numerics_key, plan_key, request_key
 from repro.serve.matrix import AXES, cell_label, expand_matrix, parse_axis_specs
 from repro.serve.request import RunRequest
 from repro.tempest.config import US, ClusterConfig, CombineConfig, SwitchConfig
@@ -178,7 +178,10 @@ class TestParentCompatibility:
     and ``SwitchConfig`` lost ``ports`` and ``bandwidth_bytes_per_us``
     (one link-rate port per node), for the same reason and with the same
     consequence; ``combine_switch`` now enables both layers without
-    tuning them.
+    tuning them.  All of them were recorded again, on purpose, when
+    ``CODE_VERSION`` became ``repro-serve/5``: a stored plan lost its
+    arrays, so an older plan entry would come back with no numerics.
+    The ``numerics_key`` digests were first recorded then.
     """
 
     REPRO = [
@@ -215,28 +218,31 @@ class TestParentCompatibility:
         assert (args.fault_drop, args.fault_jitter, args.fault_seed) == (0.0, 0.0, 0)
         assert (args.combine, args.switch, args.rt_elim) == (False, False, False)
 
-    #: request_key / plan_key hex digests under ``repro-serve/4``: with
-    #: ``CODE_VERSION``, the option set and the plan geometry unchanged,
-    #: warm caches must keep hitting.
+    #: request_key / plan_key / numerics_key hex digests under
+    #: ``repro-serve/5``: with ``CODE_VERSION``, the option set and the
+    #: plan geometry unchanged, warm caches must keep hitting.
     KEYS = {
         "default": (
             lambda: RunRequest(app="jacobi"),
-            "fbd7f3231f3a17d4077a01a59422263754e9e891f1f7928a861cfd0a922b189e",
-            "4d50943fa2edc8695b4c9d36409cb6d2c940aa1e7e6a2cc33468773649f1a829",
+            "7607788ccb16da59cc847bb77510f8d99699a94d6806463159b739f489164b62",
+            "b30dbb65f56fdb2c8478029753266978e566ffbac10f3195e806da9cf9937863",
+            "691d0c7f2115c688c2c3d015e3e22dcf30d448969763a4af0e8ef8e00dccc5d9",
         ),
         "storm": (
             lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
                 n_nodes=4, faults=FaultConfig(
                     drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
-            "ffcaa7021a4915f63de3e03f8c082af6670135f71a5c049aa9d027b08dc62db8",
-            "1cc25c06cbb4eec0c0a69bf84d11bb56620f79f6d09c63fc27161dcf9996cb97",
+            "7716ef55d96fc3ada949a0c641f6edaaf5d1286bf81a775546ac516609c0bce0",
+            "ee0d6f074df2b8330ebe6e6e5291cfbc517f8301263d4a052bbdc50ecbbb3746",
+            "691d0c7f2115c688c2c3d015e3e22dcf30d448969763a4af0e8ef8e00dccc5d9",
         ),
         "combine_switch": (
             lambda: RunRequest(app="cg", config=ClusterConfig(
                 combine=CombineConfig(enabled=True),
                 switch=SwitchConfig(enabled=True))),
-            "4c0543e53a53b2000ac57b456a80340303f89158237161fd5c82e8c9f6a65fda",
-            "29a38f70fb2e76103b79ee8085189c2b5fd80e2e4e302c3dadacb50aad415cba",
+            "6c7687b1d6031a7b3fd18e8df7563a4c82d3b1ef56965d53deeec505a8777603",
+            "434864e53055131e13fdd9990105451ffdc48dd625ad3fcc75ebabe1ce8d8d25",
+            "63624b475146cbdb90c8b954c6380d4f87cddb349b560933d517cf73b79c1984",
         ),
         "crash_checkpoint": (
             lambda: RunRequest(
@@ -244,29 +250,33 @@ class TestParentCompatibility:
                 config=ClusterConfig(faults=FaultConfig(
                     crashes=(CrashScenario(2, 3000 * US, 500 * US),),
                     checkpoint_every=1))),
-            "8d1bc43c73baf054b9eebb8fd8896578e1fbe65da1837776ceb0c92c722cf3c5",
-            "5a6fa182a5039cbcfde189c350744776d07d97c886538f62743a9b87be4685bc",
+            "957a945d39e3bd1e95f9ac31666270c15abd6957da1fa120f64ff2371e1c1db6",
+            "6060084bcdc79067830f21fa8dc3cc2dfb8cbe2311fb81f70ae27292c96c7c33",
+            "7704258de1cdf3a76440bc20a1a07befe63af6023067a5c0ba7ea82d69eb7194",
         ),
         "profile": (
             lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
                                profile_phases=True, critical_path=True),
-            "7c0c37535aefa16dc2c9331064db0da1a57aaba66f945993dd538e16f2841904",
-            "2799f447beda0f82cacf9ebf5e1a5adaad264012d7b9b86fce064f0fbc8c92e5",
+            "f791dc8319768f056de399218b2d9b85bd83786463948625f8b3dae76afd3f0c",
+            "94c6e56781ec2427d1d80cecd0ae28a5bbec0de60b8e432dfc5ca1a2cfd7525a",
+            "a9b1ab80b6df1ab57bda6803240770a19dbbe2322c350a4a2cbe88db8d140a9e",
         ),
         "inline": (
             lambda: RunRequest(
                 program=APPS["jacobi"].program("default", n=16, iters=1),
                 config=ClusterConfig(n_nodes=4)),
-            "7682b5890f03d32e16e98c644ad7928254fb10174fceed01e0799e4b14a55d57",
-            "587c493d5c89ea835f3a4b4b5b81face77f0aecebd3a0e24c9a0ecaa3fa6f093",
+            "162825dba24c0903009f7bc512c9e21e8e135d25490019b312d77cc9192a6f93",
+            "29ffc713e054cd7b2fd8a7321a969845564ed69b75b1753ddff3e7e745c96939",
+            "9a63c3859d12fde90e1ed1ca180069cfa9b1b01af042e275c07dcb35339e1b9d",
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(KEYS))
     def test_cache_keys_unchanged(self, name):
-        build, request_digest, plan_digest = self.KEYS[name]
+        build, request_digest, plan_digest, numerics_digest = self.KEYS[name]
         assert request_key(build()) == request_digest
         assert plan_key(build()) == plan_digest
+        assert numerics_key(build()) == numerics_digest
 
 
 class TestCellLabels:
