@@ -43,7 +43,7 @@ import time
 from typing import Sequence
 
 from repro.apps import APPS
-from repro.spec import add_flags, from_args
+from repro.spec import OptionError, add_flags, from_args, usage
 from repro.tempest.config import ClusterConfig
 
 from repro.serve.compare import diff_breakdowns, render_diff, results_equal
@@ -171,7 +171,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         requests = expand_matrix(args.apps, axes, scale=args.scale, base_config=base)
     except ValueError as e:
         # Every cell is built, and so validated, before any is submitted.
-        parser.error(str(e))
+        parser.error(usage(e, ClusterConfig) if isinstance(e, OptionError) else str(e))
     cache_dir = None if args.no_cache else args.cache_dir
     print(
         f"sweep: {len(args.apps)} app(s) x {max(1, len(requests) // max(1, len(args.apps)))} "
@@ -303,7 +303,7 @@ def diff_main(argv: Sequence[str] | None = None) -> int:
         req_a = _diff_request(args.app, args.cell_a, args.scale, base)
         req_b = _diff_request(args.app, args.cell_b, args.scale, base)
     except ValueError as e:
-        parser.error(str(e))
+        parser.error(usage(e, ClusterConfig) if isinstance(e, OptionError) else str(e))
     cache_dir = None if args.no_cache else args.cache_dir
 
     with ServeSession(jobs=args.jobs, cache_dir=cache_dir) as sess:

@@ -1,6 +1,7 @@
-"""The flag, axis, event and counter reference tables in the docs list
-exactly what the parsers, the field spec, the emit sites and the counter
-declarations say — no more, no fewer."""
+"""The flag, axis, event and counter reference tables and the rule lists
+in the docs list exactly what the parsers, the field spec, the emit
+sites, the counter declarations and the rule rows say — no more, no
+fewer."""
 
 import ast
 import pathlib
@@ -8,6 +9,8 @@ import re
 
 from repro.cli import build_parser
 from repro.serve.matrix import AXES
+from repro.serve.request import RunRequest
+from repro.tempest.faults import FaultConfig
 from repro.tempest.stats import COUNTERS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -23,6 +26,23 @@ def _table_rows(path: str, heading: str) -> list[list[str]]:
         elif rows:
             break
     return rows[2:]  # drop the header and the |---| rule
+
+
+def _rule_list(path: str, heading: str) -> list[tuple[str, ...]]:
+    """The fields each bullet of the first list after ``heading`` opens
+    with (``- `a`, `b`: ...``)."""
+    bullets: list[str] = []
+    for line in (ROOT / path).read_text().split(heading, 1)[1].splitlines():
+        if line.startswith("- "):
+            bullets.append(line)
+        elif line.startswith("  ") and bullets:
+            bullets[-1] += " " + line.strip()
+        elif bullets:
+            break
+    return [
+        tuple(re.findall(r"`([^`]+)`", re.match(r"- ((?:`[^`]+`(?:, )?)+):", b).group(1)))
+        for b in bullets
+    ]
 
 
 def _flags(cell: str) -> set[str]:
@@ -49,6 +69,15 @@ def test_faults_doc_flag_table_matches_the_fault_group():
     ]
     declared = {s for a in group._group_actions for s in a.option_strings}
     assert documented == declared
+
+
+def test_rule_lists_name_exactly_the_declared_rows():
+    assert _rule_list("docs/faults.md", "The rules across fields") == [
+        row[0] for row in FaultConfig.RULES
+    ]
+    assert _rule_list("docs/serve.md", "## What a request refuses") == [
+        row[0] for row in RunRequest.RULES
+    ]
 
 
 def test_serve_doc_axis_table_matches_the_spec():

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro import spec
 from repro.apps import APPS
@@ -27,22 +28,13 @@ from repro.tempest.faults import (
     LinkFaultConfig,
     PartitionScenario,
 )
+from tests import rules
 
 SMALL = ["jacobi", "--param", "n=32", "--param", "iters=1"]
 #: companions that keep the cross-flag usage errors (a stall and its window
 #: need each other, checkpoint/heartbeat need a crash) out of the way of
 #: the flag under test
 CONTEXT = ["--fault-stall", "0.1", "--fault-stall-us", "300", "--fault-crash", "1:1000"]
-#: request fields a shmem run accepts only with ``optimize`` on
-OPTIMIZER_OPTIONS = ("rt_elim", "pre", "advisory")
-#: fault fields ``FaultConfig`` accepts off their default only beside the
-#: machinery they tune: fault injection (a drop) or a crash scenario
-FAULT_COMPANIONS = {
-    "adaptive_rto": {"drop_prob": 0.01},
-    "rto_max_ns": {"drop_prob": 0.01},
-    "heartbeat_interval_ns": {"crashes": (CrashScenario(1, 1000 * US),)},
-    "checkpoint_every": {"crashes": (CrashScenario(1, 1000 * US),)},
-}
 FIELDS = list(spec.walk(RunRequest))
 IDS = [".".join(path + (f.name,)) for path, f in FIELDS]
 
@@ -53,25 +45,16 @@ def _owner(request, path):
     return request
 
 
-def _sample(f):
-    """A legal non-default value of ``f`` in flag/axis units."""
-    kind = spec.kind(f)
-    if f.metadata["choices"]:
-        return next(c for c in f.metadata["choices"] if c != f.default)
-    if kind is bool:
-        return not f.default
-    if kind is int:
-        return (f.default or 0) + 3
-    if f.metadata["unit"] != 1:  # above the default: a ceiling stays above its floor
-        return (spec.to_flag(f, f.default) or 0) + 7.5
-    return 0.25
+def _companion(owner, name, stored) -> dict:
+    """What ``owner`` needs beside ``name`` set to ``stored`` to build:
+    found from the rows, so that each field can be tried on its own."""
+    if owner not in (FaultConfig, RunRequest) or rules.refusal(owner, {name: stored}) is None:
+        return {}
+    return rules.keeping(owner, {name: stored})
 
 
-def _flag_argv(f, value):
-    flag = f.metadata["flag"].replace("[no-]", "")
-    if spec.kind(f) is not bool:
-        return [flag, str(value)]
-    return [flag if value else flag.replace("--", "--no-", 1)]
+def _axis_text(f, value) -> str:
+    return {True: "on", False: "off"}.get(value, str(spec.to_flag(f, value)))
 
 
 def _violation(f):
@@ -98,26 +81,25 @@ class TestOneSpelling:
         """The same value through ``--flag`` and through ``--axis`` lands
         as the same stored field value (units included)."""
         flag, axis = f.metadata["flag"], f.metadata["axis"]
-        value = _sample(f)
+        value = rules.sample(f)
         stored = spec.to_field(f, value)
         base = RunRequest(app="jacobi")
         assert getattr(_owner(base, path), f.name) != stored
-        needs_opt = path == () and f.name in OPTIMIZER_OPTIONS
+        owner = type(_owner(base, path))
+        companion = _companion(owner, f.name, stored)
         if flag:
             args = build_parser().parse_args(
-                ["jacobi", *CONTEXT, *_flag_argv(f, value)]
+                ["jacobi", *CONTEXT, *rules.flag_argv(f, value)]
             )
-            owner = type(_owner(base, path))
             extra = {"app": "jacobi"} if owner is RunRequest else {}
-            if needs_opt:
-                extra["optimize"] = True
-            if owner is FaultConfig:
-                extra.update(FAULT_COMPANIONS.get(f.name, {}))
-            built = spec.from_args(owner, args, **extra)
+            built = spec.from_args(owner, args, **extra, **companion)
             assert getattr(built, f.name) == stored
         if axis:
-            text = {True: "on", False: "off"}.get(value, str(value))
-            specs = [f"{axis}={text}"] + (["optimize=on"] if needs_opt else [])
+            fields = owner.__dataclass_fields__
+            specs = [f"{axis}={_axis_text(f, stored)}"] + [
+                f"{fields[k].metadata['axis']}={_axis_text(fields[k], v)}"
+                for k, v in companion.items()
+            ]
             (cell,) = expand_matrix(["jacobi"], parse_axis_specs(specs))
             assert getattr(_owner(cell, path), f.name) == stored
 
@@ -135,7 +117,7 @@ class TestOneSpelling:
                 expand_matrix(["jacobi"], {f.metadata["axis"]: [shown]})
         if f.metadata["flag"] and not f.metadata["choices"]:
             with pytest.raises(SystemExit) as e:
-                main(SMALL + CONTEXT + _flag_argv(f, shown))
+                main(SMALL + CONTEXT + rules.flag_argv(f, shown))
             assert e.value.code == 2
             captured = capsys.readouterr()
             assert f.name in captured.err.splitlines()[-1]
@@ -347,10 +329,26 @@ class TestNodeIdsInsideTheCluster:
         with pytest.raises(SystemExit) as e:
             main(SMALL + argv)
         assert e.value.code == 2
-        assert named in capsys.readouterr().err.splitlines()[-1]
+        last = capsys.readouterr().err.splitlines()[-1]
+        # the flag that set the field, then the library's refusal
+        assert last.startswith(f"repro: error: {argv[2]}: {named} names node(s) [")
+        assert last.endswith("] outside the 4-node cluster")
 
     def test_repro_sweep_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             sweep_main(["jacobi", "--axis", "nodes=0"])
         assert e.value.code == 2
         assert "n_nodes" in capsys.readouterr().err.splitlines()[-1]
+
+
+class TestValidRequests:
+    """``tests.rules.valid_requests`` draws from the declared bounds and
+    the rows, so every draw builds and keys like its copy."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rules.valid_requests())
+    def test_every_draw_builds_and_keys_like_its_copy(self, req):
+        assert request_key(dataclasses.replace(req)) == request_key(req)
+        copied = dataclasses.replace(req, config=dataclasses.replace(req.config))
+        assert copied == req
