@@ -12,6 +12,7 @@ docstring for usage examples.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -91,15 +92,23 @@ def _checked(parser: argparse.ArgumentParser, flags: str, build, *args, **kwargs
         parser.error(f"{flags}: {e}")
 
 
+def _us_to_ns(text: str) -> int:
+    """A finite time in microseconds -> integer nanoseconds."""
+    us = float(text)
+    if not math.isfinite(us):
+        raise ValueError(f"a time must be finite; got {text}")
+    return int(us * 1000)
+
+
 def _parse_partition(spec: str, index: int) -> PartitionScenario:
     """``NODES:START_US:DUR_US`` (DUR_US may be ``never``) -> scenario."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError("expected NODES:START_US:DUR_US")
     nodes = frozenset(int(n) for n in parts[0].split(","))
-    start_ns = int(float(parts[1]) * 1000)
+    start_ns = _us_to_ns(parts[1])
     dur = parts[2].strip().lower()
-    duration_ns = None if dur in ("never", "inf") else int(float(dur) * 1000)
+    duration_ns = None if dur in ("never", "inf") else _us_to_ns(dur)
     return PartitionScenario(
         name=f"cli-partition-{index}",
         nodes=nodes,
@@ -114,12 +123,12 @@ def _parse_crash(spec: str) -> CrashScenario:
     if len(parts) not in (2, 3):
         raise ValueError("expected NODE:T_US[:RESTART_DELAY_US|never]")
     node = int(parts[0])
-    t_ns = int(float(parts[1]) * 1000)
+    t_ns = _us_to_ns(parts[1])
     restart_ns = None
     if len(parts) == 3:
         restart = parts[2].strip().lower()
         if restart not in ("never", "inf"):
-            restart_ns = int(float(restart) * 1000)
+            restart_ns = _us_to_ns(restart)
     return CrashScenario(node=node, t_ns=t_ns, restart_delay_ns=restart_ns)
 
 

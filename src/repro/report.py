@@ -24,7 +24,7 @@ from repro.apps import APPS
 from repro.obs import BUCKETS, COST_CLASSES, breakdown_totals
 from repro.runtime import RunResult
 from repro.serve import RunRequest, ServeSession
-from repro.spec import add_flags
+from repro.spec import OptionError, add_flags, usage
 from repro.tempest.config import US, ClusterConfig, CombineConfig
 from repro.tempest.faults import FaultConfig
 
@@ -477,14 +477,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"unknown apps: {unknown}", file=sys.stderr)
         return 2
 
-    faults = None
-    if args.fault_drop > 0.0:
-        faults = FaultConfig(
-            drop_prob=args.fault_drop,
-            dup_prob=args.fault_drop / 2,
-            jitter_ns=10 * US,
-            seed=args.fault_seed,
-        )
+    try:
+        faults = None
+        if args.fault_drop > 0.0:
+            faults = FaultConfig(
+                drop_prob=args.fault_drop,
+                dup_prob=args.fault_drop / 2,
+                jitter_ns=10 * US,
+                seed=args.fault_seed,
+            )
+        # every cell is refused now, before any app is evaluated
+        for name in names:
+            paper_cells(name, args.scale, args.nodes, faults=faults, combine=args.combine)
+    except OptionError as e:  # a usage error naming the flags that set the fields
+        p.error(usage(e, RunRequest))
     evals = []
     for name in names:
         print(f"evaluating {name} ...", file=sys.stderr)

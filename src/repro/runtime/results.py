@@ -10,6 +10,26 @@ from repro.tempest.stats import ClusterStats
 
 __all__ = ["RunResult"]
 
+#: elements :func:`_equal_with_nan` compares per step
+_CHUNK = 1 << 14
+
+
+def _equal_with_nan(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b, equal_nan=True)``, a chunk of elements at a
+    time in memory order: no temporary outgrows ``_CHUNK`` elements (the
+    dense call makes copies of both arrays)."""
+    if a.shape != b.shape:
+        return False
+    chunks = np.nditer(
+        [a, b], flags=["external_loop", "buffered", "zerosize_ok"],
+        buffersize=_CHUNK, order="K",
+    )
+    for x, y in chunks:
+        same = x == y
+        if not same.all() and not (same | (np.isnan(x) & np.isnan(y))).all():
+            return False
+    return True
+
 
 def _value_equal(a, b) -> bool:
     """Bitwise value equality, recursing through containers and ndarrays
@@ -135,7 +155,7 @@ class RunResult:
             a, b = self.arrays[name], other.arrays[name]
             # Equal numerics are the norm; the tolerant check allocates
             # several full-size temporaries, so run it only on a mismatch.
-            if np.array_equal(a, b, equal_nan=True):
+            if _equal_with_nan(a, b):
                 continue
             np.testing.assert_allclose(
                 a, b, rtol=rtol,

@@ -28,6 +28,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -154,19 +155,17 @@ def program_fingerprint(program: Program) -> str:
     The AST canonicalizes recursively (declarations sorted by name, the
     statement list in order).  Initializers are callables, so their
     *identity* is meaningless across processes; what matters is the data
-    they produce — each one is evaluated against a zeroed array of the
-    declared shape and the resulting bytes are hashed.  Two programs that
-    compute the same phases over the same initial data share a
+    they produce — each one's output, as float64 broadcast to the declared
+    shape, is hashed in C order and in place (a C-contiguous output
+    through a ``memoryview``, any other a slab at a time).  Two programs
+    that compute the same phases over the same initial data share a
     fingerprint no matter how they were spelled.
     """
     init_hashes = {}
     for name, fn in program.initializers.items():
-        decl = program.arrays[name]
-        arr = np.zeros(decl.shape, order="F")
-        arr[...] = np.asarray(fn(decl.shape), dtype=np.float64)
-        init_hashes[name] = hashlib.sha256(
-            np.ascontiguousarray(arr).tobytes()
-        ).hexdigest()
+        shape = program.arrays[name].shape
+        data = np.broadcast_to(np.asarray(fn(shape), dtype=np.float64), shape)
+        init_hashes[name] = _c_order_sha256(data)
     payload = {
         "name": program.name,
         "arrays": {n: canonical(d) for n, d in sorted(program.arrays.items())},
@@ -176,6 +175,24 @@ def program_fingerprint(program: Program) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: bytes :func:`_c_order_sha256` copies at a time from a non-C-ordered array
+_SLAB_BYTES = 1 << 20
+
+
+def _c_order_sha256(data: np.ndarray) -> str:
+    """sha256 of ``data.tobytes()`` (C order) without that copy."""
+    digest = hashlib.sha256()
+    if data.flags.c_contiguous:
+        digest.update(memoryview(data))
+        return digest.hexdigest()
+    # the first axis in slabs of about _SLAB_BYTES, each copied to C order
+    row_bytes = data.itemsize * math.prod(data.shape[1:])
+    step = max(1, _SLAB_BYTES // max(row_bytes, 1))
+    for lo in range(0, data.shape[0], step):
+        digest.update(memoryview(np.ascontiguousarray(data[lo:lo + step])))
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------- #

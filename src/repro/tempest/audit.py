@@ -61,6 +61,11 @@ __all__ = ["CoherenceAuditError", "audit_coherence", "audit_violations"]
 
 #: cap on individual violations detailed in one error message
 _MAX_REPORTED = 12
+#: sites detailed per invariant before its "... (N sites ...)" line
+_MAX_SITES = _MAX_REPORTED * 4
+#: (node, block) cells one scan step covers: the scan's temporaries stay
+#: this size however large the segment (see :func:`_scan`)
+_CHUNK_CELLS = 1 << 16
 
 
 class CoherenceAuditError(AssertionError):
@@ -92,7 +97,8 @@ def audit_coherence(
 
     Returns the number of blocks checked; raises
     :class:`CoherenceAuditError` on any violation.  Cheap enough to run
-    after every test: the common case is a handful of vectorized scans.
+    after every test: the common case is a handful of vectorized scans
+    per chunk of blocks, with memory bounded by the chunk.
     """
     violations = _scan(directory, access, frozenset())
     if violations:
@@ -119,20 +125,86 @@ def _scan(
     directory: Directory, access: AccessControl, skip_nodes: frozenset[int]
 ) -> list[str]:
     n_nodes = directory.n_nodes
-    # The directory keeps these as plain Python containers for the
-    # protocol's scalar hot path; the auditor converts once per scan and
-    # runs its invariants vectorized.
-    state = np.frombuffer(bytes(directory.state), dtype=np.uint8)
-    owner = np.asarray(directory.owner, dtype=np.int64)
-    sharers = np.array(directory.sharers, dtype=np.uint64)
-    home = directory.home
-    tags = access._tags
-    implicit = access._implicit
-    copy_version = directory.copy_version
-    global_version = directory.global_version
-    n_blocks = directory.n_blocks
-    current = copy_version >= global_version[None, :]
+    if skip_nodes:
+        bad_ids = [n for n in skip_nodes if not 0 <= n < n_nodes]
+        if bad_ids:
+            raise ValueError(f"skip_nodes out of range: {sorted(bad_ids)}")
+        live = np.ones(n_nodes, dtype=bool)
+        live[sorted(skip_nodes)] = False
+    else:
+        live = None
+    # The invariants run over a chunk of blocks at a time, every node's
+    # row at once, so no temporary outgrows _CHUNK_CELLS elements however
+    # large the segment; each invariant's tally keeps its first sites in
+    # (node, block) order and counts the rest.
+    step = max(1, _CHUNK_CELLS // n_nodes)
+    tallies: list[_Tally] = []
+    for lo in range(0, directory.n_blocks, step):
+        hi = min(lo + step, directory.n_blocks)
+        checks = _checks(directory, access, lo, hi, live)
+        for i, (mask, line) in enumerate(checks):
+            if i == len(tallies):
+                tallies.append(_Tally(line, n_nodes))
+            tallies[i].add(mask, lo)
+    violations: list[str] = []
+    for tally in tallies:
+        tally.report(violations)
+    return violations
+
+
+class _Tally:
+    """One invariant's sites: the first ``_MAX_SITES`` of each node row
+    (a per-block invariant has one row), and how many there were."""
+
+    def __init__(self, line, n_nodes: int) -> None:
+        self.line = line
+        self.rows: list[list[tuple[int, ...]]] = [[] for _ in range(n_nodes)]
+        self.count = 0
+
+    def add(self, mask: np.ndarray, lo: int) -> None:
+        """Tally ``mask`` — (n_nodes, chunk) or (chunk,) — of the chunk
+        starting at block ``lo``."""
+        hits = int(np.count_nonzero(mask))
+        if not hits:
+            return
+        self.count += hits
+        per_node = mask.ndim == 2
+        for n, row in enumerate(mask if per_node else mask[None, :]):
+            room = _MAX_SITES - len(self.rows[n])
+            if room > 0 and row.any():
+                blocks = (lo + np.flatnonzero(row)[:room]).tolist()
+                self.rows[n].extend((n, b) if per_node else (b,) for b in blocks)
+
+    def report(self, violations: list[str]) -> None:
+        sites = [site for row in self.rows for site in row][:_MAX_SITES]
+        violations.extend(self.line(*site) for site in sites)
+        if self.count > _MAX_SITES:
+            violations.append(f"... ({self.count} sites for this invariant)")
+
+
+def _checks(
+    directory: Directory,
+    access: AccessControl,
+    lo: int,
+    hi: int,
+    live: np.ndarray | None,
+):
+    """Every invariant over blocks ``lo:hi``, in report order: a mask of
+    its violating sites and the line that names one site."""
+    n_nodes = directory.n_nodes
+    # The directory keeps state/owner/sharers as plain Python containers
+    # for the protocol's scalar hot path; the scan converts one chunk at a
+    # time.  Every 2-D operand is a view of the chunk's columns.
+    state = np.frombuffer(directory.state, dtype=np.uint8, count=hi - lo, offset=lo)
+    owner = np.array(directory.owner[lo:hi], dtype=np.int64)
+    sharers = np.array(directory.sharers[lo:hi], dtype=np.uint64)
+    home = directory.home[lo:hi]
+    tags = access._tags[:, lo:hi]
+    implicit = access._implicit[:, lo:hi]
+    global_version = directory.global_version[lo:hi]
+    current = directory.copy_version[:, lo:hi] >= global_version[None, :]
     readable = tags >= int(AccessTag.READONLY)
+    cols = np.arange(hi - lo)
 
     node_bit = (np.uint64(1) << np.arange(n_nodes, dtype=np.uint64))[:, None]
     is_sharer = (sharers[None, :] & node_bit) != 0
@@ -142,110 +214,90 @@ def _scan(
     excl = state == int(DirState.EXCLUSIVE)
     shared = state == int(DirState.SHARED)
     idle = state == int(DirState.IDLE)
+    valid_owner = excl & (owner >= 0) & (owner < n_nodes)
 
     # Unreachable-node masking (degraded runs): a skipped node's tag rows
     # are exempt, and so is every block it homes or exclusively owns — the
     # surviving side cannot know that block's true state.
-    if skip_nodes:
-        bad_ids = [n for n in skip_nodes if not 0 <= n < n_nodes]
-        if bad_ids:
-            raise ValueError(f"skip_nodes out of range: {sorted(bad_ids)}")
-        live = np.ones(n_nodes, dtype=bool)
-        live[sorted(skip_nodes)] = False
-        block_live = live[home].copy()
-        owned = np.flatnonzero(excl & (owner >= 0) & (owner < n_nodes))
+    if live is not None:
+        block_live = live[home]
+        owned = np.flatnonzero(valid_owner)
         block_live[owned] &= live[owner[owned]]
-    else:
-        live = None
-        block_live = None
+        node_live = live[:, None] & block_live[None, :]
 
-    violations: list[str] = []
+    def check(mask: np.ndarray, line):
+        if live is not None:
+            mask = mask & (node_live if mask.ndim == 2 else block_live)
+        return mask, line
 
-    def _report(mask: np.ndarray, fmt) -> None:
-        """mask is (n_nodes, n_blocks) or (n_blocks,); fmt builds a line."""
-        if block_live is not None:
-            if mask.ndim == 2:
-                mask = mask & live[:, None] & block_live[None, :]
-            else:
-                mask = mask & block_live
-        bad = np.argwhere(mask)
-        for entry in bad[: _MAX_REPORTED * 4]:
-            violations.append(fmt(*entry.tolist()))
-        if len(bad) > _MAX_REPORTED * 4:
-            violations.append(f"... ({len(bad)} sites for this invariant)")
+    # Lines name a site by its global index and read the full structures.
+    owner_of, sharers_of = directory.owner, directory.sharers
+    all_tags, copy_version = access._tags, directory.copy_version
+    versions = directory.global_version
+
+    def tag(n: int, b: int) -> str:
+        return AccessTag(int(all_tags[n, b])).name
+
+    def stale(n: int, b: int) -> str:
+        return f"copy v{int(copy_version[n, b])} < global v{int(versions[b])}"
 
     # --- structural sanity -------------------------------------------- #
-    _report(
+    yield check(
         excl & ((owner < 0) | (owner >= n_nodes)),
-        lambda b: f"block {b}: EXCLUSIVE with invalid owner {int(owner[b])}",
+        lambda b: f"block {b}: EXCLUSIVE with invalid owner {int(owner_of[b])}",
     )
-    _report(
+    yield check(
         excl & (sharers != 0),
-        lambda b: f"block {b}: EXCLUSIVE but sharer bitmask 0x{int(sharers[b]):x}",
+        lambda b: f"block {b}: EXCLUSIVE but sharer bitmask 0x{int(sharers_of[b]):x}",
     )
-    _report(
+    yield check(
         shared & (sharers == 0),
         lambda b: f"block {b}: SHARED with empty sharer set",
     )
-    _report(
+    yield check(
         (shared | idle) & (owner != -1),
-        lambda b: f"block {b}: non-exclusive state records owner {int(owner[b])}",
+        lambda b: f"block {b}: non-exclusive state records owner {int(owner_of[b])}",
     )
-    _report(
+    yield check(
         idle & (sharers != 0),
-        lambda b: f"block {b}: IDLE but sharer bitmask 0x{int(sharers[b]):x}",
+        lambda b: f"block {b}: IDLE but sharer bitmask 0x{int(sharers_of[b]):x}",
     )
 
     # --- the exclusive owner really is the sole writer ----------------- #
-    valid_owner = excl & (owner >= 0) & (owner < n_nodes)
-    owner_rw = np.zeros_like(valid_owner)
-    if valid_owner.any():
-        idx = np.flatnonzero(valid_owner)
-        owner_rw[idx] = tags[owner[idx], idx] == int(AccessTag.READWRITE)
-        owner_cur = np.zeros_like(valid_owner)
-        owner_cur[idx] = current[owner[idx], idx]
-        _report(
-            valid_owner & ~owner_rw,
-            lambda b: (
-                f"block {b}: exclusive owner {int(owner[b])} holds tag "
-                f"{AccessTag(int(tags[owner[b], b])).name}, not READWRITE"
-            ),
-        )
-        _report(
-            valid_owner & owner_rw & ~owner_cur,
-            lambda b: (
-                f"block {b}: exclusive owner {int(owner[b])} is stale "
-                f"(copy v{int(copy_version[owner[b], b])} < "
-                f"global v{int(global_version[b])})"
-            ),
-        )
+    owner_row = np.where(valid_owner, owner, 0)
+    owner_rw = valid_owner & (tags[owner_row, cols] == int(AccessTag.READWRITE))
+    yield check(
+        valid_owner & ~owner_rw,
+        lambda b: (
+            f"block {b}: exclusive owner {int(owner_of[b])} holds tag "
+            f"{tag(owner_of[b], b)}, not READWRITE"
+        ),
+    )
+    yield check(
+        owner_rw & ~current[owner_row, cols],
+        lambda b: (
+            f"block {b}: exclusive owner {int(owner_of[b])} is stale "
+            f"({stale(owner_of[b], b)})"
+        ),
+    )
 
     # --- sharers really readable and current --------------------------- #
-    _report(
+    yield check(
         is_sharer & shared[None, :] & readable & ~current,
-        lambda n, b: (
-            f"block {b}: sharer {n} is stale "
-            f"(copy v{int(copy_version[n, b])} < "
-            f"global v{int(global_version[b])})"
-        ),
+        lambda n, b: f"block {b}: sharer {n} is stale ({stale(n, b)})",
     )
 
     # --- the home backs every non-exclusive block ----------------------- #
-    home_tags = tags[home, np.arange(n_blocks)]
-    home_cur = current[home, np.arange(n_blocks)]
-    _report(
-        idle & (home_tags < int(AccessTag.READONLY)),
-        lambda b: (
-            f"block {b}: IDLE but home {int(home[b])} tag is "
-            f"{AccessTag(int(home_tags[b])).name}"
-        ),
+    home_of = directory.home
+    yield check(
+        idle & (tags[home, cols] < int(AccessTag.READONLY)),
+        lambda b: f"block {b}: IDLE but home {int(home_of[b])} tag is {tag(home_of[b], b)}",
     )
-    _report(
-        idle & ~home_cur,
+    yield check(
+        idle & ~current[home, cols],
         lambda b: (
-            f"block {b}: IDLE but home {int(home[b])} memory is stale "
-            f"(copy v{int(copy_version[home[b], b])} < "
-            f"global v{int(global_version[b])})"
+            f"block {b}: IDLE but home {int(home_of[b])} memory is stale "
+            f"({stale(home_of[b], b)})"
         ),
     )
 
@@ -253,37 +305,31 @@ def _scan(
     # Directory-known holders: the exclusive owner, listed sharers, or the
     # home itself while the block is not exclusive elsewhere.
     known = (is_owner & excl[None, :]) | is_sharer | (is_home & ~excl[None, :])
-    _report(
+    yield check(
         readable & ~known & ~implicit,
         lambda n, b: (
-            f"block {b}: node {n} holds unexplained tag "
-            f"{AccessTag(int(tags[n, b])).name} (state "
-            f"{DirState(int(state[b])).name}, not a directory holder, "
+            f"block {b}: node {n} holds unexplained tag {tag(n, b)} (state "
+            f"{DirState(directory.state[b]).name}, not a directory holder, "
             "not compiler-granted)"
         ),
     )
 
     # --- no stale directory-known copy survived ------------------------- #
-    _report(
+    yield check(
         readable & known & ~implicit & ~current
         & ~(is_home & idle[None, :])      # home-idle staleness reported above
         & ~(is_sharer & shared[None, :])  # sharer staleness reported above
         & ~(is_owner & excl[None, :]),    # owner staleness reported above
         lambda n, b: (
             f"block {b}: node {n} survived with stale readable copy "
-            f"(copy v{int(copy_version[n, b])} < "
-            f"global v{int(global_version[b])}, state "
-            f"{DirState(int(state[b])).name})"
+            f"({stale(n, b)}, state {DirState(directory.state[b]).name})"
         ),
     )
 
     # --- the implicit bit itself stays consistent ----------------------- #
-    _report(
+    yield check(
         implicit & ~readable,
         lambda n, b: (
-            f"block {b}: node {n} flagged compiler-controlled but tag is "
-            f"{AccessTag(int(tags[n, b])).name}"
+            f"block {b}: node {n} flagged compiler-controlled but tag is {tag(n, b)}"
         ),
     )
-
-    return violations

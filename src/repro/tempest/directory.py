@@ -13,7 +13,9 @@ coherence: ``global_version[b]`` is the logical timestamp (phase number) of
 the last write to block ``b``, and ``copy_version[n, b]`` is the timestamp
 of the data node ``n`` last received.  A read of a block whose copy version
 lags the global version is a **stale read** — the invariant the compiler /
-protocol contract must never break.
+protocol contract must never break.  The clocks are 32-bit: a write at a
+phase past ``MAX_PHASE`` is refused (:class:`PhaseOverflowError`) rather
+than wrapped.
 """
 
 from __future__ import annotations
@@ -23,11 +25,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["DirState", "Directory", "StaleReadError"]
+__all__ = ["MAX_PHASE", "DirState", "Directory", "PhaseOverflowError", "StaleReadError"]
+
+#: the version clocks' dtype, and the last phase it can record
+_CLOCK = np.int32
+MAX_PHASE = int(np.iinfo(_CLOCK).max)
 
 
 class StaleReadError(AssertionError):
     """A node observed an out-of-date copy — a protocol/contract bug."""
+
+
+class PhaseOverflowError(OverflowError):
+    """A write's phase does not fit the 32-bit version clocks."""
 
 
 class DirState(enum.IntEnum):
@@ -49,8 +59,9 @@ class Directory:
     are plain Python containers — a ``bytearray`` and two lists — because
     protocol handlers touch them one block at a time, where NumPy scalar
     indexing plus integer boxing costs several times a native list access.
-    The version vectors stay NumPy: every consumer (bulk validation,
-    ``record_write``, the auditor) operates on whole index arrays.
+    The version vectors stay NumPy (int32, 4 B per node and block): every
+    consumer (bulk validation, ``record_write``, the auditor) operates on
+    whole index arrays.
     """
 
     def __init__(self, n_nodes: int, n_blocks: int, homes: Sequence[int]) -> None:
@@ -64,12 +75,12 @@ class Directory:
         self.state = bytearray(n_blocks)
         self.owner: list[int] = [-1] * n_blocks
         self.sharers: list[int] = [0] * n_blocks  # bitmask per block
-        self.global_version = np.zeros(n_blocks, dtype=np.int64)
+        self.global_version = np.zeros(n_blocks, dtype=_CLOCK)
         # Version each block held before the current phase's write bumped it
         # (used to tolerate legal same-phase read/write overlap in
         # INDEPENDENT loops — the reader may see the pre-phase value).
-        self.prev_version = np.zeros(n_blocks, dtype=np.int64)
-        self.copy_version = np.zeros((n_nodes, n_blocks), dtype=np.int64)
+        self.prev_version = np.zeros(n_blocks, dtype=_CLOCK)
+        self.copy_version = np.zeros((n_nodes, n_blocks), dtype=_CLOCK)
 
     def snapshot(self) -> dict[str, object]:
         """The checkpoint cut: a copy of every field, by name."""
@@ -126,6 +137,10 @@ class Directory:
 
         The writer's own copy becomes current.
         """
+        if phase > MAX_PHASE:
+            raise PhaseOverflowError(
+                f"phase {phase} does not fit the version clocks (at most {MAX_PHASE})"
+            )
         idx = _as_index(blocks)
         if idx is None:
             return

@@ -217,9 +217,9 @@ MUTANTS = (
     ),
     Mutant(
         "the exact-equal shortcut breaks instead of continuing", "runtime/results.py",
-        "            if np.array_equal(a, b, equal_nan=True):\n"
+        "            if _equal_with_nan(a, b):\n"
         "                continue\n",
-        "            if np.array_equal(a, b, equal_nan=True):\n"
+        "            if _equal_with_nan(a, b):\n"
         "                break\n",
         ("tests/runtime/test_traces_results.py",),
     ),
@@ -264,6 +264,23 @@ MUTANTS = (
         "    if iters < 1:\n",
         "    if iters < 0:\n",
         ("tests/test_cli.py",),
+    ),    Mutant(
+        "the numerics check compares whole arrays again", "runtime/results.py",
+        "            if _equal_with_nan(a, b):\n",
+        "            if np.array_equal(a, b, equal_nan=True):\n",
+        ("tests/test_run_memory.py",),
+    ),
+    Mutant(
+        "the audit scans the whole segment in one chunk", "tempest/audit.py",
+        "    step = max(1, _CHUNK_CELLS // n_nodes)\n",
+        "    step = max(1, directory.n_blocks)\n",
+        ("tests/test_run_memory.py",),
+    ),
+    Mutant(
+        "the audit lists a per-node invariant's sites block by block", "tempest/audit.py",
+        "        sites = [site for row in self.rows for site in row][:_MAX_SITES]\n",
+        "        sites = sorted((s for r in self.rows for s in r), key=lambda s: s[-1])[:_MAX_SITES]\n",
+        ("tests/tempest/test_audit_differential.py",),
     ),
 )
 

@@ -62,7 +62,8 @@ KEPT_FOR = {
         repro.tempest.directory: Directory.copy_is_current
         repro.hpf.parser: ParseError.__init__
         repro.hpf.eval: _located
-        repro.tempest.audit: CoherenceAuditError.__init__""",
+        repro.tempest.audit: CoherenceAuditError.__init__
+        repro.tempest.audit: _checks.<locals>.tag _checks.<locals>.stale""",
     "live path that no default-scale entry point triggers": """
         repro.tempest.extensions: CompilerExtensions.flush_and_invalidate
         repro.tempest.extensions: CompilerExtensions._on_flush

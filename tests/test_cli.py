@@ -186,6 +186,23 @@ class TestMain:
             f"repro: error: {flag}: {name} must be finite; got {value}")
         assert captured.out == ""  # nothing had started
 
+    @pytest.mark.parametrize("flag, spec, bad", [
+        ("--fault-crash", "1:inf", "inf"), ("--fault-crash", "1:nan", "nan"),
+        ("--fault-crash", "1:100:nan", "nan"),
+        ("--fault-partition", "1:inf:100", "inf"),
+        ("--fault-partition", "1:100:nan", "nan"),
+    ])
+    def test_a_non_finite_scenario_time_names_its_flag(self, flag, spec, bad, capsys):
+        """A scenario's times become integer nanoseconds too ("never" and
+        "inf" spell a scenario that never ends, not a time)."""
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", "--nodes", "4", flag, spec])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"repro: error: {flag} {spec!r}: a time must be finite; got {bad}")
+        assert captured.out == ""  # nothing had started
+
     @pytest.mark.parametrize("app", ["cg", "grav", "jacobi", "pde", "shallow"])
     def test_fewer_than_one_iteration_is_rejected(self, app, capsys):
         """A zero-iteration program has nothing to time (the speedup

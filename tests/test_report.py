@@ -252,6 +252,18 @@ class TestMain:
         assert main(["--apps", "hpl"]) == 2
         assert "unknown apps" in capsys.readouterr().err
 
+    def test_a_refused_node_count_is_a_usage_error_naming_its_flag(self, capsys):
+        """``--nodes 0`` reaches no evaluation: the config's refusal is
+        mapped to the flag that set its field, as ``repro APP`` does."""
+        with pytest.raises(SystemExit) as e:
+            main(["--nodes", "0", "--apps", "jacobi"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "repro.report: error: --nodes: n_nodes must be >= 1; got 0")
+        assert "evaluating" not in captured.err
+        assert captured.out == ""
+
     def test_bench_dir_with_no_artifacts_still_succeeds(self, tmp_path):
         # The tolerant loaders: an empty bench dir must produce a report
         # that *says* the artifacts are missing, not a traceback.
