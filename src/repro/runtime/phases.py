@@ -102,13 +102,10 @@ class Numerics:
     """A program's final arrays and scalars, computed once and shared.
 
     Every array is a read-only, Fortran-ordered view of a read-only
-    base, so writing it or setting its ``writeable`` flag raises.  The
-    base owns the data, and NumPy would let a holder re-enable writes
-    on it through ``.base``: nothing may, since every plan and result of
-    the program shares the record.  Copy an array before mutating it.
-
-    A record pickles as its two dicts and comes back frozen the same
-    way, so ``repro.serve`` can store it under its own key.
+    base; nothing may re-enable writes through ``.base``.  Copy an array
+    before mutating it.  A record pickles as its two dicts and comes back
+    frozen.  Who shares a record: docs/serve.md, "Numerics keys" and
+    "Read-only arrays are lent".
     """
 
     arrays: Mapping[str, np.ndarray]

@@ -237,12 +237,10 @@ class ShmemPlan:
     one plan under many wire configs.
 
     ``numerics`` is the program's read-only record
-    (:class:`~repro.runtime.phases.Numerics`), held in memory only: it
-    is in no equality, repr or pickle of the plan.  A built plan holds
-    its program's record, not a copy, and every result executed from the
-    plan views its arrays (the rule is :class:`RunResult`'s); writing one
-    raises, so copy one first.  An unpickled plan holds none until one is
-    attached (``plan.numerics = record``), and executing it raises.
+    (:class:`~repro.runtime.phases.Numerics`), held in memory only; an
+    unpickled plan holds none until one is attached (``plan.numerics =
+    record``).  How plans and results share it: docs/serve.md, "Numerics
+    keys".
     """
 
     program_name: str

@@ -11,26 +11,16 @@ The serving pipeline for one request:
    (:class:`~repro.runtime.shmem.ShmemPlan`) served from a small
    in-memory LRU backed by the on-disk plan cache, so a wire-ablation
    matrix builds each (program, geometry, flags) plan once.  A plan is
-   structure only; its program's numerics record
-   (:func:`~repro.runtime.phases.numerics`) is stored once under its own
-   :func:`~repro.serve.keys.numerics_key` and attached to every plan read
-   from disk, and the uniproc and msgpass cells take it too, so over a
-   store each program is evaluated at most once per cache, whatever the
-   backends and whichever process computes the cell.  An inline batch
-   builds each registry program once, so its cells share one record
-   even with no store.
+   structure only; its program's numerics record is stored once under
+   :func:`~repro.serve.keys.numerics_key`, so over a store each program
+   is evaluated at most once per cache.
 
 Workers re-check the result store before computing (another worker may
 have finished the same key between submit and execution) and publish
 what they compute, so warm-cache hit rates hold across processes.
 
-Arrays are held once per process.  Every result's arrays are read-only
-views of its program's numerics record, and the store lends read-only
-arrays: every ``get`` of a digest shares one verified copy while any
-borrower lives, so the record attached to a plan read from disk shares
-its arrays with the results read beside it, and a session over a store
-takes pool results back through its own handle instead of as a private
-copy down the pipe.
+Arrays are held once per process: docs/serve.md ("Numerics keys",
+"Read-only arrays are lent" and "The session") has the rules.
 """
 
 from __future__ import annotations
@@ -76,13 +66,9 @@ class PlanCache:
 
     A memoized plan holds its program's numerics record, so the memory
     tier stays tiny (default 4 entries); the disk tier shares the result
-    store's crash-safety (verified frames, quarantine on corruption).  A
-    stored plan is structure only: the record is stored once per program
-    under :func:`numerics_key`, and every plan read from disk has the
-    stored record attached, its arrays lent by the store as a result's
-    are.  A result executed from a plan views the record's arrays, so it
-    keeps those numerics alive after the plan leaves the memo, and a
-    write to them raises.
+    store's crash-safety.  A stored plan is structure only, and every
+    plan read from disk has its program's stored record attached (see
+    docs/serve.md, "Numerics keys").
     """
 
     def __init__(self, store: ResultStore | None, capacity: int = 4) -> None:
@@ -136,9 +122,9 @@ class PlanCache:
         self, request: RunRequest, programs: dict | None, program: Program | None = None
     ) -> Numerics:
         """The numerics record of the request's program: one this cache
-        handed out that still lives, else the store's (its arrays lent),
-        else evaluated and stored.  A missing or quarantined entry is a
-        miss.  Only the last builds a program, unless one is given."""
+        handed out that still lives, else the store's, else evaluated and
+        stored.  A missing or quarantined entry is a miss.  Only the last
+        builds a program, unless one is given."""
         nkey = numerics_key(request)
         record = self._records.get(nkey)
         if record is None:

@@ -46,17 +46,10 @@ Durability discipline:
   ``None`` is returned so the caller recomputes.  A poisoned cache can
   therefore slow a sweep down but can never change its output.
 * **Lent read-only arrays, private writable ones.**  The table records
-  whether each buffer was read-only when it was stored (a program's
-  numerics are one read-only record that plans and results of every
-  backend share, see ``RunResult``; a hand-built entry may hold writable
-  arrays).  A read-only buffer is
-  *lent*: the handle keeps a weak table from digest to one verified,
-  immutable copy, and every ``get`` that names the digest while any
-  array over it lives shares that copy (``StoreStats.blob_lends``), so
-  its file is read and hashed once (a file damaged meanwhile is noticed
-  once the last borrower is gone).  A writable buffer is always a fresh
-  private ``bytearray`` (copied from the lent bytes when the table has
-  them), so writable arrays share no memory with any other ``get``.
+  whether each buffer was read-only when it was stored.  A read-only
+  buffer is *lent* from one verified copy per process, whichever handle
+  read it; a writable one is a fresh private ``bytearray``.  The rules
+  are in docs/serve.md, "Read-only arrays are lent".
 """
 
 from __future__ import annotations
@@ -83,6 +76,24 @@ _ROW_BYTES = _DIGEST_BYTES + 1
 _HEADER = len(_MAGIC) + _LEN_BYTES
 #: buffers at least this large leave the pickle body for ``blobs/``
 _BLOB_MIN_BYTES = 64 * 1024
+
+#: digest -> the verified read-only bytes every borrower in this process
+#: shares, whichever handle (session, plan cache, pool worker) read them
+_LENT: weakref.WeakValueDictionary[bytes, np.ndarray] = weakref.WeakValueDictionary()
+#: guards ``_LENT`` and every handle's ``stats``: a session reads from its
+#: pool's callback thread as well as its own
+_LOCK = threading.Lock()
+
+
+def _fresh_lock() -> None:
+    """Give a forked child its own lock: a parent thread that held it at
+    the fork does not exist in the child.  The inherited ``_LENT`` stays
+    valid, since its bytes are immutable and named by their SHA-256."""
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock)
 
 
 class StoreStats:
@@ -115,13 +126,6 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
-        #: digest -> the verified read-only bytes every borrower shares
-        self._lent: weakref.WeakValueDictionary[bytes, np.ndarray] = (
-            weakref.WeakValueDictionary()
-        )
-        #: guards ``_lent`` and ``stats``: a session reads from its pool's
-        #: callback thread as well as its own
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _path(self, kind: str, key: str) -> Path:
@@ -167,7 +171,7 @@ class ResultStore:
         return digest
 
     def _count(self, *names: str) -> None:
-        with self._lock:
+        with _LOCK:
             for name in names:
                 setattr(self.stats, name, getattr(self.stats, name) + 1)
 
@@ -216,11 +220,11 @@ class ResultStore:
         return obj
 
     def _get_blob(self, digest: bytes, readonly: bool) -> np.ndarray | bytearray | None:
-        """The blob named ``digest``: lent from the table if ``readonly``,
-        else in a fresh buffer; ``None`` (and the file quarantined) unless
-        its content hashes to its name."""
-        with self._lock:
-            lent = self._lent.get(digest)
+        """The blob named ``digest``: lent from the process's table if
+        ``readonly``, else in a fresh buffer; ``None`` (and the file
+        quarantined) unless its content hashes to its name."""
+        with _LOCK:
+            lent = _LENT.get(digest)
             if lent is not None and readonly:
                 self.stats.blob_lends += 1
                 return lent
@@ -243,8 +247,8 @@ class ResultStore:
             return None
         if not readonly:
             return buffer
-        with self._lock:
-            return self._lent.setdefault(digest, np.frombuffer(buffer, np.uint8))
+        with _LOCK:
+            return _LENT.setdefault(digest, np.frombuffer(buffer, np.uint8))
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -210,6 +210,12 @@ MUTANTS = (
         ("tests/serve/test_store.py",),
     ),
     Mutant(
+        "a forked worker keeps the lending lock its parent held", "serve/store.py",
+        "os.register_at_fork(after_in_child=_fresh_lock)\n",
+        "pass\n",
+        ("tests/serve/test_store.py",),
+    ),
+    Mutant(
         "put records every buffer writable", "serve/store.py",
         "            blobs.append(self._put_blob(raw) + bytes([raw.readonly]))\n",
         "            blobs.append(self._put_blob(raw) + bytes([False]))\n",
@@ -275,6 +281,12 @@ MUTANTS = (
         "    step = max(1, _CHUNK_CELLS // n_nodes)\n",
         "    step = max(1, directory.n_blocks)\n",
         ("tests/test_run_memory.py",),
+    ),
+    Mutant(
+        "the audit reads every node's sharer bit from the first word", "tempest/audit.py",
+        "    for w, word in enumerate(sharers):\n",
+        "    for w, word in enumerate(sharers[[0] * len(sharers)]):\n",
+        ("tests/tempest/test_audit.py",),
     ),
     Mutant(
         "the audit lists a per-node invariant's sites block by block", "tempest/audit.py",

@@ -28,7 +28,10 @@ def dense_scan(
     # runs its invariants vectorized.
     state = np.frombuffer(bytes(directory.state), dtype=np.uint8)
     owner = np.asarray(directory.owner, dtype=np.int64)
-    sharers = np.array(directory.sharers, dtype=np.uint64)
+    # sharer sets as Python ints, so any node count works: node n is a
+    # sharer when bit n is set
+    sharers = [int(mask) for mask in directory.sharers]
+    any_sharer = np.array([mask != 0 for mask in sharers], dtype=bool)
     home = directory.home
     tags = access._tags
     implicit = access._implicit
@@ -38,8 +41,9 @@ def dense_scan(
     current = copy_version >= global_version[None, :]
     readable = tags >= int(AccessTag.READONLY)
 
-    node_bit = (np.uint64(1) << np.arange(n_nodes, dtype=np.uint64))[:, None]
-    is_sharer = (sharers[None, :] & node_bit) != 0
+    is_sharer = np.array(
+        [[mask >> n & 1 for mask in sharers] for n in range(n_nodes)], dtype=bool
+    ).reshape(n_nodes, n_blocks)
     is_owner = owner[None, :] == np.arange(n_nodes)[:, None]
     is_home = home[None, :] == np.arange(n_nodes)[:, None]
 
@@ -84,11 +88,11 @@ def dense_scan(
         lambda b: f"block {b}: EXCLUSIVE with invalid owner {int(owner[b])}",
     )
     _report(
-        excl & (sharers != 0),
+        excl & any_sharer,
         lambda b: f"block {b}: EXCLUSIVE but sharer bitmask 0x{int(sharers[b]):x}",
     )
     _report(
-        shared & (sharers == 0),
+        shared & ~any_sharer,
         lambda b: f"block {b}: SHARED with empty sharer set",
     )
     _report(
@@ -96,7 +100,7 @@ def dense_scan(
         lambda b: f"block {b}: non-exclusive state records owner {int(owner[b])}",
     )
     _report(
-        idle & (sharers != 0),
+        idle & any_sharer,
         lambda b: f"block {b}: IDLE but sharer bitmask 0x{int(sharers[b]):x}",
     )
 

@@ -56,6 +56,39 @@ class TestCleanStatesPass:
         )
 
 
+class TestWideClusters:
+    """Sharer sets wider than one 64-bit word: nodes numbered 64 and up."""
+
+    N_NODES = 70
+
+    def run_wide(self):
+        """Every node writes its own rows; then nodes 64.. read block 0."""
+        cluster, _arr = make_cluster(n_nodes=self.N_NODES, shape=(140, 16))
+        readers = range(64, self.N_NODES)
+
+        def program(n):
+            yield from cluster.write_blocks(n, [n], phase=1)
+            yield from cluster.barrier(n)
+            yield from cluster.read_blocks(n, [0] if n in readers else [], phase=2)
+            yield from cluster.barrier(n)
+
+        cluster.run({n: program(n) for n in range(self.N_NODES)})
+        assert set(readers) <= set(sharers_of(cluster.directory, 0))
+        return cluster
+
+    def test_a_sharer_numbered_past_63_audits_clean(self):
+        assert self.run_wide().audit() > 0
+
+    def test_a_stale_sharer_numbered_past_63_is_named(self):
+        cluster = self.run_wide()
+        cluster.directory.copy_version[self.N_NODES - 1, 0] -= 1
+        with pytest.raises(CoherenceAuditError) as err:
+            cluster.audit()
+        assert err.value.violations == [
+            f"block 0: sharer {self.N_NODES - 1} is stale (copy v0 < global v1)"
+        ]
+
+
 class TestCorruptionsCaught:
     def test_unexplained_readable_tag(self):
         cluster = run_small_workload(read_all=False)
