@@ -437,6 +437,12 @@ class TestNumericsHeldOnce:
 
     def test_a_served_shmem_result_is_lent_read_only(self, prog, cfg4, tmp_path):
         direct = run_shmem(prog, cfg4, optimize=True)
+        # lending is per process: shifted arrays no other test holds keep
+        # the lend count this test's own
+        arrays = {name: arr + 0.5 for name, arr in direct.arrays.items()}
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        direct = dataclasses.replace(direct, arrays=arrays)
         store = ResultStore(tmp_path / "store")
         key = "ab" * 32
         store.put(ResultStore.RESULTS, key, direct)
