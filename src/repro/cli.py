@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.apps import APPS
 from repro.serve.request import RunRequest
-from repro.serve.runner import execute_request, request_program
+from repro.serve.runner import PlanCache, execute_request
 from repro.spec import OptionError, add_flags, from_args, to_field, usage
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import (
@@ -304,8 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         app=args.app, scale=args.scale, params=overrides, backend="uniproc",
         config=cfg.scaled(faults=FaultConfig()),
     )
-    programs: dict = {}  # one program, so one numerics record, for both runs
-    prog = _checked(parser, "--param", request_program, request, programs)
+    prog = _checked(parser, "--param", request.build_program)
 
     bus = exporter = tracer = None
     if args.trace_out or args.trace_messages:
@@ -336,9 +335,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"arrays={prog.total_bytes() / 1e6:.1f} MB\n"
     )
 
-    uni = execute_request(reference, programs=programs)
+    plans = PlanCache(None)  # one numerics record for both runs
+    uni = execute_request(reference, plans)
     try:
-        result = execute_request(request, programs=programs, obs=bus)
+        result = execute_request(request, plans, obs=bus)
     finally:
         # Written before anything below can raise, and when the run itself
         # does: a failed audit, a degraded finish or a numerics mismatch

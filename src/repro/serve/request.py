@@ -37,8 +37,8 @@ SHMEM_OPTIONS = BUILD_OPTIONS + EXECUTE_OPTIONS
 _SHMEM_ONLY = (*SHMEM_OPTIONS, "config.faults.checkpoint_every")
 
 
-#: :meth:`RunRequest.registry_spec` -> program fingerprint, for the life
-#: of the process.
+#: a registry request's ``(app, scale, repr(params))`` -> program
+#: fingerprint, for the life of the process.
 _FINGERPRINTS: dict[tuple[str, str, str], str] = {}
 
 
@@ -125,12 +125,6 @@ class RunRequest:
         carry initializer closures and must run in the parent process."""
         return self.program is None
 
-    def registry_spec(self) -> tuple[str, str, str]:
-        """``(app, scale, repr(params))``: equal for two registry requests
-        that build the same program; ``repr`` keeps ``2``, ``2.0`` and
-        ``True`` apart where tuple equality would not."""
-        return (self.app, self.scale, repr(self.params))
-
     def resolved_fingerprint(self) -> str:
         """Content fingerprint of the *built* program (spec-independent).
 
@@ -140,7 +134,9 @@ class RunRequest:
         """
         if self.program is not None:
             return program_fingerprint(self.program)
-        spec = self.registry_spec()
+        # ``repr`` keeps ``2``, ``2.0`` and ``True`` apart where tuple
+        # equality would not
+        spec = (self.app, self.scale, repr(self.params))
         found = _FINGERPRINTS.get(spec)
         if found is None:
             found = _FINGERPRINTS[spec] = program_fingerprint(self.build_program())

@@ -11,13 +11,16 @@ The serving pipeline for one request:
    (:class:`~repro.runtime.shmem.ShmemPlan`) served from a small
    in-memory LRU backed by the on-disk plan cache, so a wire-ablation
    matrix builds each (program, geometry, flags) plan once.  A plan is
-   structure only; its program's numerics record is stored once under
-   :func:`~repro.serve.keys.numerics_key`, so over a store each program
-   is evaluated at most once per cache.
+   structure only; its program's numerics record is found by
+   :func:`~repro.serve.keys.numerics_key` in one table per process, then
+   in the store, so a process evaluates each program at most once while
+   anything holds its record, and over a store at most once per cache.
 
 Workers re-check the result store before computing (another worker may
 have finished the same key between submit and execution) and publish
-what they compute, so warm-cache hit rates hold across processes.
+what they compute, so warm-cache hit rates hold across processes.  The
+session puts a program's numerics record before it submits the program's
+first pooled cell, so every worker reads the record, and none evaluates.
 
 Arrays are held once per process: docs/serve.md ("Numerics keys",
 "Read-only arrays are lent" and "The session") has the rules.
@@ -61,31 +64,37 @@ class ServeResult:
     where: str   # 'pool' | 'inline'
 
 
+#: numerics key -> a program's record, for as long as something in this
+#: process holds it: a memoized plan, a program, or the cache that handed
+#: it out last
+_NUMERICS: weakref.WeakValueDictionary[str, Numerics] = weakref.WeakValueDictionary()
+#: plans a :class:`PlanCache` keeps in memory; each holds its program's
+#: numerics record, so the memory tier stays tiny
+MEMO_PLANS = 4
+
+
 class PlanCache:
     """Two-level ShmemPlan cache: small in-memory LRU over the disk store.
 
-    A memoized plan holds its program's numerics record, so the memory
-    tier stays tiny (default 4 entries); the disk tier shares the result
-    store's crash-safety.  A stored plan is structure only, and every
-    plan read from disk has its program's stored record attached (see
-    docs/serve.md, "Numerics keys").
+    The memory tier keeps the last :data:`MEMO_PLANS` plans; the disk
+    tier shares the result store's crash-safety.  A stored plan is
+    structure only, and every plan read from disk has its program's
+    numerics record attached (see docs/serve.md, "Numerics keys").
     """
 
-    def __init__(self, store: ResultStore | None, capacity: int = 4) -> None:
+    def __init__(self, store: ResultStore | None) -> None:
         self.store = store
-        self.capacity = capacity
         self._memo: OrderedDict[str, object] = OrderedDict()
-        #: numerics key -> a record this cache handed out that still lives
-        self._records: weakref.WeakValueDictionary[str, Numerics] = (
-            weakref.WeakValueDictionary()
-        )
+        #: the record handed out last: a uniproc result holds its arrays
+        #: but not the record, so this keeps its ``_NUMERICS`` entry alive
+        #: for the next cell of the same program
+        self._held: Numerics | None = None
         self.memo_hits = 0
         self.disk_hits = 0
         self.built = 0
 
-    def get_or_build(self, request: RunRequest, programs: dict | None = None):
-        """The request's plan; a build takes its program from ``programs``
-        (see :func:`request_program`)."""
+    def get_or_build(self, request: RunRequest):
+        """The request's plan: memoized, else from disk, else built."""
         pkey = plan_key(request)
         plan = self._memo.get(pkey)
         if plan is not None:
@@ -96,12 +105,11 @@ class PlanCache:
             plan = self.store.get(ResultStore.PLANS, pkey)
             if plan is not None:
                 self.disk_hits += 1
-                plan.numerics = self._record(request, programs)
+                plan.numerics = self.record(request)
                 self._remember(pkey, plan)
                 return plan
         plan = build_shmem_plan(
-            self.program(request, programs), request.config,
-            **request.build_options(),
+            self.program(request), request.config, **request.build_options()
         )
         self.built += 1
         if self.store is not None:
@@ -109,38 +117,34 @@ class PlanCache:
         self._remember(pkey, plan)
         return plan
 
-    def program(self, request: RunRequest, programs: dict | None = None) -> Program:
-        """The program ``request`` names (see :func:`request_program`).
-        Over a store it holds its numerics record (see :meth:`_record`),
-        so running or building from it evaluates nothing the cache has."""
-        program = request_program(request, programs)
-        if self.store is not None:
-            attach_numerics(program, self._record(request, programs, program))
+    def program(self, request: RunRequest) -> Program:
+        """The program ``request`` names, holding its numerics record (see
+        :meth:`record`), so running or building from it evaluates nothing
+        this process or the store already has."""
+        program = request.build_program()
+        attach_numerics(program, self.record(request, program))
         return program
 
-    def _record(
-        self, request: RunRequest, programs: dict | None, program: Program | None = None
-    ) -> Numerics:
-        """The numerics record of the request's program: one this cache
-        handed out that still lives, else the store's, else evaluated and
-        stored.  A missing or quarantined entry is a miss.  Only the last
-        builds a program, unless one is given."""
+    def record(self, request: RunRequest, program: Program | None = None) -> Numerics:
+        """The numerics record of the request's program: the one this
+        process holds, else the store's, else evaluated (from ``program``
+        if given) and, over a store, put.  A missing or quarantined entry
+        is a miss."""
         nkey = numerics_key(request)
-        record = self._records.get(nkey)
-        if record is None:
+        record = _NUMERICS.get(nkey)
+        if record is None and self.store is not None:
             record = self.store.get(ResultStore.NUMERICS, nkey)
         if record is None:
-            if program is None:
-                program = request_program(request, programs)
-            record = numerics(program)
-            self.store.put(ResultStore.NUMERICS, nkey, record)
-        self._records[nkey] = record
+            record = numerics(request.build_program() if program is None else program)
+            if self.store is not None:
+                self.store.put(ResultStore.NUMERICS, nkey, record)
+        _NUMERICS[nkey] = self._held = record
         return record
 
     def _remember(self, pkey: str, plan) -> None:
         self._memo[pkey] = plan
         self._memo.move_to_end(pkey)
-        while len(self._memo) > self.capacity:
+        while len(self._memo) > MEMO_PLANS:
             self._memo.popitem(last=False)
 
     def stats(self) -> dict:
@@ -151,26 +155,10 @@ class PlanCache:
         }
 
 
-def request_program(request: RunRequest, programs: dict | None = None) -> Program:
-    """The program ``request`` names.  ``programs`` (registry spec ->
-    ``Program``) shares one built program between the requests that
-    name it, and so one numerics record; ``None`` builds afresh."""
-    if programs is None or request.program is not None:
-        return request.build_program()
-    spec = request.registry_spec()
-    if spec not in programs:
-        programs[spec] = request.build_program()
-    return programs[spec]
-
-
 def execute_request(
-    request: RunRequest,
-    plan_cache: PlanCache | None = None,
-    programs: dict | None = None,
-    obs=None,
+    request: RunRequest, plan_cache: PlanCache | None = None, obs=None
 ) -> RunResult:
-    """Compute one request in this process (no result-cache involvement);
-    a program it needs comes from ``programs`` (see :func:`request_program`).
+    """Compute one request in this process (no result-cache involvement).
     ``obs`` attaches a bus to a shmem run, as ``run_shmem``'s does (unkeyed)."""
     if plan_cache is None:
         plan_cache = PlanCache(store=None)
@@ -178,8 +166,8 @@ def execute_request(
         if obs is not None:
             raise ValueError(f"obs instruments the shmem backend, not {request.backend!r}")
         run = run_uniproc if request.backend == "uniproc" else run_msgpass
-        return run(plan_cache.program(request, programs), request.config)
-    plan = plan_cache.get_or_build(request, programs)
+        return run(plan_cache.program(request), request.config)
+    plan = plan_cache.get_or_build(request)
     return execute_shmem_plan(plan, request.config, obs=obs, **request.execute_options())
 
 
@@ -263,9 +251,6 @@ class ServeSession:
         self.plans = PlanCache(self.store)
         self._pool: ProcessPoolExecutor | None = None
         self._inflight: dict[str, Future] = {}
-        #: the ``programs`` of :func:`request_program` while
-        #: :meth:`run_batch` submits: its inline cells share their numerics
-        self._batch_programs: dict | None = None
         #: store counters the pool workers report back, call by call;
         #: folded from executor callback threads, hence the lock
         self._pool_store_counts: Counter = Counter()
@@ -324,6 +309,8 @@ class ServeSession:
         self.counters["computed"] += 1
         if self.jobs > 1 and request.picklable:
             self.counters["pool"] += 1
+            if self.store is not None:
+                self._publish_record(request)
             raw = self._ensure_pool().submit(
                 _pool_worker, request, self.cache_dir, key
             )
@@ -380,7 +367,7 @@ class ServeSession:
         fut = Future()
         self._inflight[key] = fut
         try:
-            result = execute_request(request, self.plans, self._batch_programs)
+            result = execute_request(request, self.plans)
             if self.store is not None:
                 self.store.put(ResultStore.RESULTS, key, result)
         except BaseException as exc:
@@ -390,6 +377,16 @@ class ServeSession:
         self._inflight.pop(key, None)
         fut.set_result(ServeResult(key, request, result, "computed", "inline"))
         return fut
+
+    def _publish_record(self, request: RunRequest) -> None:
+        """Put the program's numerics record unless the store has it, so no
+        worker evaluates it: the one this process holds, else one evaluated
+        and dropped (a kept copy would hold each array twice beside the
+        workers' results, which the session reads lent from ``blobs/``)."""
+        nkey = numerics_key(request)
+        if not self.store.contains(ResultStore.NUMERICS, nkey):
+            record = _NUMERICS.get(nkey) or numerics(request.build_program())
+            self.store.put(ResultStore.NUMERICS, nkey, record)
 
     # ------------------------------------------------------------------ #
     def run(self, request: RunRequest) -> ServeResult:
@@ -403,8 +400,9 @@ class ServeSession:
         plan store the batch is submitted in :func:`batch_order`, so two
         workers do not build the same plan side by side; otherwise
         (inline, or nothing to share plans through) in the order given.
-        The cells computed inline build each registry program once, so
-        the batch evaluates it once.
+        The cells computed in this process share each program's numerics
+        record (see :class:`PlanCache`); over a store the session puts it
+        before the program's first pooled cell, so the workers share it too.
         """
         requests = list(requests)
         if self.jobs > 1 and self.store is not None:
@@ -412,14 +410,10 @@ class ServeSession:
         else:
             order = range(len(requests))
         futures: list[Future | None] = [None] * len(requests)
-        self._batch_programs = {}
-        try:
-            for i in order:
-                futures[i] = self.submit(requests[i])
-                if on_done is not None:
-                    futures[i].add_done_callback(on_done)
-        finally:
-            self._batch_programs = None
+        for i in order:
+            futures[i] = self.submit(requests[i])
+            if on_done is not None:
+                futures[i].add_done_callback(on_done)
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------ #

@@ -182,10 +182,18 @@ MUTANTS = (
         ("tests/integration/test_random_programs.py",),
     ),
     Mutant(
-        "an inline batch builds a program per cell", "serve/runner.py",
-        "        programs[spec] = request.build_program()\n",
-        "        return request.build_program()\n",
+        "a plan cache lets go of the record it handed out last", "serve/runner.py",
+        "        _NUMERICS[nkey] = self._held = record\n",
+        "        _NUMERICS[nkey] = record\n",
         ("tests/test_report.py",),
+    ),
+    Mutant(
+        "the session leaves a pooled program's record to its workers", "serve/runner.py",
+        "            record = _NUMERICS.get(nkey) or numerics(request.build_program())\n"
+        "            self.store.put(ResultStore.NUMERICS, nkey, record)\n",
+        "            record = _NUMERICS.get(nkey) or numerics(request.build_program())\n"
+        "            pass\n",
+        ("tests/serve/test_runner.py",),
     ),
     Mutant(
         "a plan is keyed by a field the build never reads", "runtime/shmem.py",

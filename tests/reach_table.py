@@ -71,8 +71,9 @@ KEPT_FOR = {
         repro.core.pre: AvailabilityTracker.drop
         repro.obs.profile: _overlap
         repro.report: render_bench_appendix _render_engine_artifact _render_serve_artifact""",
-    "runs in pool worker processes, where this recorder does not":
-        "repro.serve.runner: _pool_worker",
+    "runs in pool worker processes, where this recorder does not": """
+        repro.serve.runner: _pool_worker
+        repro.serve.store: _fresh_lock""",
     "probe or oracle a pinned check reads": """
         repro.tempest.transport: ReliableTransport.rng ReliableTransport.in_flight
         repro.tempest.transport: ReliableTransport.armed_timers
@@ -100,7 +101,7 @@ KEPT_FOR = {
         repro.core.sections: StridedInterval.scale
         repro.core.blocks: section_byte_runs""",
     "accessor the unit tests read state through; not yet weighed for deletion": """
-        repro.serve.store: ResultStore.contains ResultStore.quarantined
+        repro.serve.store: ResultStore.quarantined
         repro.runtime.results: RunResult.checksums
         repro.runtime.traces: NodeTrace.__len__
         repro.sim.engine: Future.value
@@ -239,6 +240,8 @@ WRITE_ONLY_KEPT_FOR = {
     "exception payload for the code that catches it":
         "CoherenceAuditError.violations CoherenceAuditError.context",
     "numpy array flag: storing it is the effect": "flags.writeable",
+    "strong reference: holding the record keeps its weak process-table entry alive":
+        "PlanCache._held",
 }
 WRITE_ONLY_KEEP = {
     name: reason for reason, names in WRITE_ONLY_KEPT_FOR.items() for name in names.split()

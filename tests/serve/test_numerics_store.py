@@ -9,6 +9,7 @@ evaluates each program at most once, and two programs never share one.
 import numpy as np
 import pytest
 
+from repro.apps import get_app
 from repro.runtime import phases
 from repro.serve import ResultStore, RunRequest, ServeSession, execute_request
 from repro.serve.keys import numerics_key
@@ -82,19 +83,20 @@ class TestLayout:
             assert np.shares_memory(result.arrays[name], arr)
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    calls = []
+    real = phases.eval_parallel_assign
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(phases, "eval_parallel_assign", counting)
+    return calls
+
+
 class TestEvaluatedOncePerCache:
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        calls = []
-        real = phases.eval_parallel_assign
-
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(phases, "eval_parallel_assign", counting)
-        return calls
-
     def test_a_fresh_session_takes_every_backend_s_record_from_the_store(
         self, swept, evaluations
     ):
@@ -164,3 +166,33 @@ def test_an_inline_batch_over_a_store_holds_each_array_once(tmp_path):
     for cell in served[1:]:
         for name, arr in cell.result.arrays.items():
             assert np.shares_memory(arr, first[name]), (cell.request.backend, name)
+
+
+class TestOneRecordPerProcess:
+    """Without a store, a record is found by its numerics key in a table
+    the whole process shares, for as long as something holds it."""
+
+    def test_two_sessions_without_a_store_share_one_record(self, evaluations):
+        params = {"n": 64, "iters": 1}  # a program no other test holds
+        with ServeSession() as first, ServeSession() as second:
+            uni = first.run(request(backend="uniproc", params=params)).result
+            once = len(evaluations)
+            msg = second.run(request(backend="msgpass", params=params)).result
+        assert once > 0 and len(evaluations) == once
+        for name, arr in msg.arrays.items():
+            assert np.shares_memory(arr, uni.arrays[name]), name
+
+    def test_an_inline_program_edited_between_runs_is_evaluated_again(
+        self, evaluations
+    ):
+        program = get_app("jacobi").program(n=32, iters=1)
+        req = RunRequest(program=program, config=small_config())
+        with ServeSession() as session:
+            before = session.run(req).result
+            once = len(evaluations)
+            initial = program.initializers["a"]
+            program.initializers["a"] = lambda shape: 2 * initial(shape)
+            after = session.run(req).result
+        assert once > 0 and len(evaluations) == 2 * once
+        assert not after.exact_equal(before)
+        assert after.exact_equal(execute_request(req))

@@ -564,9 +564,10 @@ class TestLending:
         assert (served.source, served.where) == ("computed", "pool")
         assert served.result.exact_equal(direct)
         assert stats["cache_hits"] == 0 and stats["hit_rate"] == 0.0
-        # the hand-back worker found the entry its sibling published beside
-        # the plan and numerics entries
-        assert stats["store"]["writes"] == 3 and stats["store"]["hits"] == 1
+        # the session put the numerics entry, which the first worker read;
+        # it published the plan and result entries, and the hand-back
+        # worker found the result
+        assert stats["store"]["writes"] == 3 and stats["store"]["hits"] == 2
 
 
 class TestBoundaries:
