@@ -12,7 +12,6 @@ subsetting by iterating over the higher dimension").
 This module turns concrete :class:`~repro.core.sections.Section` objects
 into sorted block-id arrays against a :class:`GlobalArray`'s geometry:
 
-``section_byte_runs``  maximal contiguous byte runs of a section
 ``section_blocks``     all blocks touched (what accesses actually hit)
 ``shmem_limits``       (controllable, boundary) block split
 ``BlockMemo``          both, once per distinct ``(array, Section)``
@@ -25,7 +24,7 @@ import numpy as np
 from repro.core.sections import Section
 from repro.tempest.memory import GlobalArray
 
-__all__ = ["BlockMemo", "section_blocks", "section_byte_runs", "shmem_limits"]
+__all__ = ["BlockMemo", "section_blocks", "shmem_limits"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
@@ -89,12 +88,6 @@ def _run_bounds(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray]
     if tails is not None:
         lo = (lo[:, None] + tails).ravel()
     return lo, lo + run_bytes
-
-
-def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
-    """Maximal contiguous global byte ranges ``[lo, hi)`` of a section."""
-    lo, hi = _run_bounds(arr, sec)
-    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _expand(first: np.ndarray, stop: np.ndarray) -> np.ndarray:

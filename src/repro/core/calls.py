@@ -2,8 +2,9 @@
 
 Each op names the node that executes it plus its operands; ops are grouped
 into *stages*, with barrier synchronization between stages (the plan's
-structure encodes the ordering requirements of paper Section 4.2).  The
-executor lowers each op onto the corresponding
+structure encodes the ordering requirements of paper Section 4.2).  Each
+op states its own replay op in ``trace()`` (``None`` when it has nothing
+to do), which replay runs on the corresponding
 :class:`~repro.tempest.extensions.CompilerExtensions` primitive.
 """
 
@@ -32,6 +33,9 @@ class MkWritable:
     node: int
     blocks: tuple[int, ...]
 
+    def trace(self) -> tuple | None:
+        return ("mkw", self.blocks) if self.blocks else None
+
 
 @dataclass(frozen=True)
 class ImplicitWritable:
@@ -41,6 +45,9 @@ class ImplicitWritable:
     node: int
     blocks: tuple[int, ...]
     memo_key: tuple[int, int] | None = None
+
+    def trace(self) -> tuple | None:
+        return ("iw", self.blocks, self.memo_key) if self.blocks else None
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,9 @@ class SendBlocks:
     bulk: bool = True
     purpose: str = "read"
 
+    def trace(self) -> tuple | None:
+        return ("send", self.blocks, self.dst, self.bulk) if self.blocks else None
+
 
 @dataclass(frozen=True)
 class ReadyToRecv:
@@ -66,6 +76,9 @@ class ReadyToRecv:
     node: int
     count: int
 
+    def trace(self) -> tuple | None:
+        return ("recv", self.count) if self.count else None
+
 
 @dataclass(frozen=True)
 class ImplicitInvalidate:
@@ -73,6 +86,9 @@ class ImplicitInvalidate:
 
     node: int
     blocks: tuple[int, ...]
+
+    def trace(self) -> tuple | None:
+        return ("inv", self.blocks) if self.blocks else None
 
 
 @dataclass(frozen=True)
@@ -85,6 +101,9 @@ class FlushBlocks:
     owner: int
     bulk: bool = True
 
+    def trace(self) -> tuple | None:
+        return ("flush", self.blocks, self.owner, self.bulk) if self.blocks else None
+
 
 @dataclass(frozen=True)
 class Prefetch:
@@ -95,6 +114,9 @@ class Prefetch:
     node: int
     blocks: tuple[int, ...]
 
+    def trace(self) -> tuple | None:
+        return ("prefetch", self.blocks) if self.blocks else None
+
 
 @dataclass(frozen=True)
 class SelfInvalidate:
@@ -104,6 +126,9 @@ class SelfInvalidate:
 
     node: int
     blocks: tuple[int, ...]
+
+    def trace(self) -> tuple | None:
+        return ("selfinv", self.blocks) if self.blocks else None
 
 
 CallOp = Union[

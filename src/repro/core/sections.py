@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-__all__ = ["Section", "StridedInterval", "EMPTY"]
+__all__ = ["Section", "StridedInterval"]
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -101,35 +101,11 @@ class StridedInterval:
             and (v - self.lo) % self.step == 0
         )
 
-    @property
-    def is_contiguous(self) -> bool:
-        return self.step == 1 or len(self) <= 1
-
     # ------------------------------------------------------------------ #
     def shift(self, delta: int) -> "StridedInterval":
         if self.is_empty:
             return self
         return StridedInterval(self.lo + delta, self.hi + delta, self.step)
-
-    def scale(self, k: int) -> "StridedInterval":
-        """Image under ``x -> k*x`` (k >= 1)."""
-        if k < 1:
-            raise ValueError("scale factor must be >= 1")
-        if self.is_empty:
-            return self
-        return StridedInterval(self.lo * k, self.hi * k, self.step * k)
-
-    def clip(self, lo: int, hi: int) -> "StridedInterval":
-        """Restrict to [lo, hi] (inclusive)."""
-        if self.is_empty or hi < lo:
-            return StridedInterval.empty()
-        new_lo = self.lo
-        if lo > new_lo:
-            # First member >= lo (integer ceil: exact past 2**53).
-            k = -(-(lo - self.lo) // self.step)
-            new_lo = self.lo + k * self.step
-        new_hi = min(self.hi, hi)
-        return StridedInterval(new_lo, new_hi, self.step)
 
     def intersect(self, other: "StridedInterval") -> "StridedInterval":
         """Exact intersection of two arithmetic progressions (CRT)."""
@@ -186,9 +162,6 @@ class StridedInterval:
         return f"SI[{self.lo}:{self.hi}:{self.step}]"
 
 
-EMPTY = StridedInterval.empty()
-
-
 def coalesce_points(points: Sequence[int]) -> list[StridedInterval]:
     """Pack sorted distinct integers into maximal equal-stride runs."""
     out: list[StridedInterval] = []
@@ -226,14 +199,6 @@ class Section:
                 break
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def of(inner: Sequence[tuple[int, int]], last: StridedInterval) -> "Section":
-        return Section(tuple(inner), last)
-
-    @staticmethod
-    def empty(rank: int = 1) -> "Section":
-        return Section(tuple((0, -1) for _ in range(rank - 1)), StridedInterval.empty())
-
     @property
     def rank(self) -> int:
         return len(self.inner) + 1
@@ -250,29 +215,6 @@ class Section:
             total *= hi - lo + 1
         return total
 
-    def columns(self) -> Iterator[int]:
-        """Last-dimension indices in the section."""
-        return iter(self.last)
-
-    def inner_count(self) -> int:
-        """Elements per column."""
-        if self.is_empty:
-            return 0
-        total = 1
-        for lo, hi in self.inner:
-            total *= hi - lo + 1
-        return total
-
-    # ------------------------------------------------------------------ #
-    def intersect(self, other: "Section") -> "Section":
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        inner = tuple(
-            (max(a_lo, b_lo), min(a_hi, b_hi))
-            for (a_lo, a_hi), (b_lo, b_hi) in zip(self.inner, other.inner)
-        )
-        return Section(inner, self.last.intersect(other.last))
-
     def intersect_last(self, interval: StridedInterval) -> "Section":
         return Section(self.inner, self.last.intersect(interval))
 
@@ -287,19 +229,6 @@ class Section:
             for piece in self.last.difference(interval)
             if not piece.is_empty
         ]
-
-    def covers(self, other: "Section") -> bool:
-        """True if every element of ``other`` is in ``self``."""
-        if other.is_empty:
-            return True
-        if self.is_empty or self.rank != other.rank:
-            return False
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(self.inner, other.inner):
-            if b_lo < a_lo or b_hi > a_hi:
-                return False
-        # Every member of other.last must be a member of self.last.
-        hit = other.last.intersect(self.last)
-        return not hit.is_empty and len(hit) == len(other.last) and hit.step == other.last.step and hit.lo == other.last.lo
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{lo}:{hi}" for lo, hi in self.inner)

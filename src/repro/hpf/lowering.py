@@ -58,9 +58,6 @@ class IterSpec:
         off = self.offset.eval(env)
         return self.owned[proc].shift(-off).intersect(base)
 
-    def n_procs(self) -> int:
-        return len(self.owned) if self.owned is not None else 1
-
 
 def iteration_spec(stmt: ParallelAssign, decl: ArrayDecl, n_procs: int) -> IterSpec:
     """Build the iteration spec for a parallel statement over ``decl``,

@@ -13,7 +13,7 @@ written section to its owner after the loop.
 
 from __future__ import annotations
 
-from repro.hpf.ast import ParallelAssign, Program, Reduce, ScalarAssign
+from repro.hpf.ast import ParallelAssign, Program, Reduce
 from repro.runtime.phases import (
     ProgramAnalysis,
     numerics,
@@ -41,17 +41,14 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
     total_bytes = 0
 
     for rec in walk_phases(program, analysis):
-        if isinstance(rec.stmt, ScalarAssign):
+        if not isinstance(rec.stmt, ParallelAssign):
             for t in traces:
-                t.compute(rec.compute_units(t.node) * config.compute_ns_per_unit)
-            continue
-        if isinstance(rec.stmt, Reduce):
-            for p, t in enumerate(traces):
-                t.compute(rec.compute_units(p) * config.compute_ns_per_unit)
-                t.reduce(1)
+                t.compute(rec.compute_ns(t.node, config))
+                if isinstance(rec.stmt, Reduce):
+                    t.reduce(1)
             continue
 
-        assert isinstance(rec.stmt, ParallelAssign) and rec.inst is not None
+        assert rec.inst is not None
         # Merge transfers per (src, dst); one packed message per pair.
         pre_bytes: dict[tuple[int, int], int] = {}
         post_bytes: dict[tuple[int, int], int] = {}
@@ -66,10 +63,8 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
                 post_bytes[key] = post_bytes.get(key, 0) + nbytes
 
         _exchange(traces, pre_bytes, config)
-        for p, t in enumerate(traces):
-            units = rec.compute_units(p)
-            if units or not rec.inst.iterations[p].is_empty:
-                t.compute(units * config.compute_ns_per_unit + config.loop_overhead_ns)
+        for t in traces:
+            t.compute(rec.compute_ns(t.node, config))
         _exchange(traces, post_bytes, config)
         total_msgs += len(pre_bytes) + len(post_bytes)
         total_bytes += sum(pre_bytes.values()) + sum(post_bytes.values())

@@ -219,6 +219,16 @@ class PhaseRecord:
             elements = max(secs) if secs else 0
         return elements * weight
 
+    def compute_ns(self, proc: int, config: ClusterConfig) -> int:
+        """What this processor's compute op costs: its work units at
+        ``compute_ns_per_unit``, plus ``loop_overhead_ns`` in a parallel
+        loop where it has work units or iterations."""
+        units = self.compute_units(proc)
+        ns = units * config.compute_ns_per_unit
+        if self.kind == "loop" and (units or not self.inst.iterations[proc].is_empty):
+            ns += config.loop_overhead_ns
+        return ns
+
 
 class ProgramAnalysis:
     """Per-statement :class:`LoopAccess` cache for one program."""

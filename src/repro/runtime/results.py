@@ -18,6 +18,8 @@ def _equal_with_nan(a: np.ndarray, b: np.ndarray) -> bool:
     """``np.array_equal(a, b, equal_nan=True)``, a chunk of elements at a
     time in memory order: no temporary outgrows ``_CHUNK`` elements (the
     dense call makes copies of both arrays)."""
+    if a is b:  # results of one program hold its record's own arrays
+        return True
     if a.shape != b.shape:
         return False
     chunks = np.nditer(
@@ -39,9 +41,8 @@ def _value_equal(a, b) -> bool:
         return (
             isinstance(a, np.ndarray)
             and isinstance(b, np.ndarray)
-            and a.shape == b.shape
             and a.dtype == b.dtype
-            and np.array_equal(a, b, equal_nan=True)
+            and _equal_with_nan(a, b)
         )
     if isinstance(a, dict) and isinstance(b, dict):
         return set(a) == set(b) and all(_value_equal(a[k], b[k]) for k in a)
@@ -60,9 +61,9 @@ class RunResult:
 
     A result never copies its numerics.  ``arrays`` is what the run
     computed: the program's one read-only numerics record
-    (:func:`repro.runtime.phases.numerics`), which a uniproc or msgpass
-    result holds as is and a shmem result views through its plan (one
-    plan serves many results).  Copy an array before mutating it.
+    (:func:`repro.runtime.phases.numerics`), which every backend's
+    result holds as is (a shmem result through its plan, which serves
+    many results).  Copy an array before mutating it.
     """
 
     program: str
@@ -127,6 +128,20 @@ class RunResult:
         rel = self.stats.reliability_summary()
         return rel if any(rel.values()) else {}
 
+    def difference(self, other: "RunResult") -> str | None:
+        """The first field in which two results differ (``arrays['u']``
+        for an array), or None when every field is exactly equal,
+        ndarrays bit for bit."""
+        for f in dataclass_fields(RunResult):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name == "arrays":
+                for name in sorted(set(mine) | set(theirs)):
+                    if not _value_equal(mine.get(name), theirs.get(name)):
+                        return f"arrays[{name!r}]"
+            elif not _value_equal(mine, theirs):
+                return f.name
+        return None
+
     def exact_equal(self, other: "RunResult") -> bool:
         """True iff every field is exactly equal, ndarrays bit-for-bit.
 
@@ -135,10 +150,7 @@ class RunResult:
         must be ``exact_equal`` to a direct in-process run — no
         tolerances, because the simulator is deterministic.
         """
-        return all(
-            _value_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in dataclass_fields(RunResult)
-        )
+        return self.difference(other) is None
 
     def checksums(self) -> dict[str, float]:
         """Stable per-array checksums for cross-backend comparison."""

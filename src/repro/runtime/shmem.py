@@ -40,8 +40,8 @@ Execution is split into an explicit *build* phase and an *execute* phase:
     cluster under the *full* config (faults, combining, switch, crash
     recovery).  Array contents are irrelevant to timing (the simulator
     moves block ids, not data), so only the segment's geometry is laid
-    out again; no backing store is allocated.  The result's arrays are
-    views of the plan's numerics record.
+    out again; no backing store is allocated.  The result holds the
+    arrays of the plan's numerics record.
 
 ``run_shmem`` composes the two and is byte-identical to the historical
 single-pass implementation.
@@ -55,16 +55,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core.blocks import BlockMemo
-from repro.core.calls import (
-    FlushBlocks,
-    ImplicitInvalidate,
-    ImplicitWritable,
-    MkWritable,
-    Prefetch,
-    ReadyToRecv,
-    SelfInvalidate,
-    SendBlocks,
-)
+from repro.core.calls import CallOp, ImplicitInvalidate, ReadyToRecv, SendBlocks
 from repro.core.contract import check_plan
 from repro.core.planner import CommPlan, plan_loop
 from repro.core.pre import AvailabilityTracker
@@ -102,12 +93,12 @@ def trace_geometry(config: ClusterConfig) -> dict:
 
     They are the fields the functional pass reads: the segment layout
     (``SharedMemory``: node count, block and page sizes; the planner sees
-    only the segment) and the two compute costs the loop, reduce and
-    scalar phases bake into traces.  Every other field is the timing
-    pass's alone, so two configs with equal geometry produce identical
-    plans for the same program, and one cached plan serves every cell of
-    a matrix over the wire, the handler costs, faults, combining or the
-    switch.
+    only the segment) and the two compute costs that
+    :meth:`~repro.runtime.phases.PhaseRecord.compute_ns` bakes into
+    every compute op.  Every other field is the timing pass's alone, so
+    two configs with equal geometry produce identical plans for the same
+    program, and one cached plan serves every cell of a matrix over the
+    wire, the handler costs, faults, combining or the switch.
     """
     return {
         name: getattr(config, name)
@@ -168,9 +159,7 @@ def _emit_loop_body(
     for p, t in enumerate(traces):
         t.read(_phase_blocks(mem, rec.inst.reads[p], memo, cache), rec.index, label)
         t.write(_phase_blocks(mem, rec.inst.writes[p], memo, cache), rec.index)
-        units = rec.compute_units(p)
-        if units or not rec.inst.iterations[p].is_empty:
-            t.compute(units * config.compute_ns_per_unit + config.loop_overhead_ns)
+        t.compute(rec.compute_ns(p, config))
 
 
 def _effective_plan(plan: CommPlan, tracker: AvailabilityTracker | None) -> CommPlan:
@@ -204,26 +193,10 @@ def _effective_plan(plan: CommPlan, tracker: AvailabilityTracker | None) -> Comm
     return CommPlan(new_pre, new_post, plan.controlled, plan.boundary, plan.rt_elim, plan.bulk)
 
 
-def _emit_call_op(op, traces: list[NodeTrace]) -> None:
-    t = traces[op.node]
-    if isinstance(op, MkWritable):
-        t.mkw(op.blocks)
-    elif isinstance(op, ImplicitWritable):
-        t.iw(op.blocks, op.memo_key)
-    elif isinstance(op, SendBlocks):
-        t.send(op.blocks, op.dst, op.bulk)
-    elif isinstance(op, ReadyToRecv):
-        t.recv(op.count)
-    elif isinstance(op, ImplicitInvalidate):
-        t.inv(op.blocks)
-    elif isinstance(op, FlushBlocks):
-        t.flush(op.blocks, op.owner, op.bulk)
-    elif isinstance(op, Prefetch):
-        t.prefetch(op.blocks)
-    elif isinstance(op, SelfInvalidate):
-        t.selfinv(op.blocks)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown call op {op!r}")
+def _emit_call_op(op: CallOp, traces: list[NodeTrace]) -> None:
+    lowered = op.trace()
+    if lowered is not None:
+        traces[op.node].ops.append(lowered)
 
 
 @dataclass
@@ -340,7 +313,7 @@ def build_shmem_plan(
         last_index = rec.index
         if isinstance(rec.stmt, ScalarAssign):
             for t in traces:
-                t.compute(rec.compute_units(t.node) * config.compute_ns_per_unit)
+                t.compute(rec.compute_ns(t.node, config))
             continue
         # One block mapping per distinct section of this phase.
         memo = BlockMemo(mem.arrays)
@@ -349,7 +322,7 @@ def build_shmem_plan(
             for p, t in enumerate(traces):
                 blocks = _phase_blocks(mem, rec.inst.reads[p], memo, block_cache)
                 t.read(blocks, rec.index, rec.stmt.label)
-                t.compute(rec.compute_units(p) * config.compute_ns_per_unit)
+                t.compute(rec.compute_ns(p, config))
                 t.reduce(1)
             continue
 
@@ -403,7 +376,7 @@ def build_shmem_plan(
             for dst, edge in plan.boundary.items():
                 conflict = edge[retained_rt[dst, edge]]
                 if len(conflict):
-                    traces[dst].inv(conflict.tolist())
+                    _emit_call_op(ImplicitInvalidate(dst, tuple(conflict.tolist())), traces)
                     retained_rt[dst, conflict] = False
                     if tracker is not None:
                         tracker.drop(dst, conflict)
@@ -425,8 +398,7 @@ def build_shmem_plan(
     if tracker is not None:
         for p, t in enumerate(traces):
             t.phase(last_index + 1, "pre-cleanup")
-            leftovers = tracker.drain(p)
-            t.inv(leftovers.tolist())
+            _emit_call_op(ImplicitInvalidate(p, tuple(tracker.drain(p).tolist())), traces)
             t.barrier()
 
     return ShmemPlan(
@@ -441,14 +413,6 @@ def build_shmem_plan(
         tracker_stats=tracker.stats() if tracker is not None else None,
         numerics=record,
     )
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A view of ``arr`` that cannot write it: a result borrows its plan's
-    numerics, so no write through a result can reach the plan."""
-    view = arr.view()
-    view.flags.writeable = False
-    return view
 
 
 def execute_shmem_plan(
@@ -470,10 +434,10 @@ def execute_shmem_plan(
     The result's ``stats`` record what the run did, degradation included
     (``stats.failure``); ``extra`` holds only what they do not: the
     barrier count and, for an optimized plan, the planner's and the PRE
-    tracker's counters.  The result's arrays are read-only views of
-    ``plan.numerics.arrays``, not copies (see :class:`RunResult`): copy
-    one before mutating it.  A plan with no numerics record (unpickled,
-    none attached since) raises ``ValueError`` before anything runs.
+    tracker's counters.  The result's arrays are ``plan.numerics.arrays``,
+    read-only and not copied (see :class:`RunResult`): copy one before
+    mutating it.  A plan with no numerics record (unpickled, none
+    attached since) raises ``ValueError`` before anything runs.
     """
     config = config or ClusterConfig()
     record = plan.numerics
@@ -530,7 +494,7 @@ def execute_shmem_plan(
         backend,
         stats.elapsed_ns,
         stats,
-        {name: _read_only(arr) for name, arr in record.arrays.items()},
+        dict(record.arrays),
         dict(record.scalars),
         extra,
         phase_breakdown=(

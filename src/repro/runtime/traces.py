@@ -9,7 +9,8 @@ not a hot layer: ops are 0.4-12% as many as the engine events they cause
 947,062 events, its observed shallow run 1,731 against 432,268, and an
 optimized lu plan 21,921 against 181,488).
 
-Op vocabulary::
+Op vocabulary (the call ops, ``mkw`` to ``selfinv``, are each spelled
+once, by their :mod:`repro.core.calls` class's ``trace()``)::
 
     ('phase',   index, label)          # zero-cost marker, observability only
     ('compute', ns)
@@ -17,21 +18,21 @@ Op vocabulary::
     ('write',   blocks_ndarray, phase_no)
     ('barrier',)
     ('reduce',  n_values)
+    ('mp_send', dst, nbytes)
+    ('mp_recv', count)
     ('mkw',     blocks_tuple)
     ('iw',      blocks_tuple, memo_key_or_None)
     ('send',    blocks_tuple, dst, bulk)
     ('recv',    count)
     ('inv',     blocks_tuple)
     ('flush',   blocks_tuple, owner, bulk)
-    ('mp_send', dst, nbytes)
-    ('mp_recv', count)
     ('prefetch', blocks_tuple)
     ('selfinv', blocks_tuple)
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Sequence
+from typing import Any, Callable, Generator
 
 from repro.tempest.cluster import Cluster
 
@@ -39,7 +40,7 @@ __all__ = ["NodeTrace", "replay"]
 
 
 class NodeTrace:
-    """Accumulates one node's ops."""
+    """Accumulates one node's ops; a call op's comes from its ``trace()``."""
 
     __slots__ = ("node", "ops")
 
@@ -70,38 +71,6 @@ class NodeTrace:
     def reduce(self, n_values: int = 1) -> None:
         self.ops.append(("reduce", n_values))
 
-    def mkw(self, blocks: Sequence[int]) -> None:
-        if blocks:
-            self.ops.append(("mkw", tuple(blocks)))
-
-    def iw(self, blocks: Sequence[int], memo_key=None) -> None:
-        if blocks:
-            self.ops.append(("iw", tuple(blocks), memo_key))
-
-    def send(self, blocks: Sequence[int], dst: int, bulk: bool) -> None:
-        if blocks:
-            self.ops.append(("send", tuple(blocks), dst, bulk))
-
-    def recv(self, count: int) -> None:
-        if count:
-            self.ops.append(("recv", count))
-
-    def inv(self, blocks: Sequence[int]) -> None:
-        if blocks:
-            self.ops.append(("inv", tuple(blocks)))
-
-    def flush(self, blocks: Sequence[int], owner: int, bulk: bool) -> None:
-        if blocks:
-            self.ops.append(("flush", tuple(blocks), owner, bulk))
-
-    def prefetch(self, blocks) -> None:
-        if len(blocks):
-            self.ops.append(("prefetch", tuple(blocks)))
-
-    def selfinv(self, blocks) -> None:
-        if len(blocks):
-            self.ops.append(("selfinv", tuple(blocks)))
-
     def mp_send(self, dst: int, nbytes: int) -> None:
         if nbytes:
             self.ops.append(("mp_send", dst, nbytes))
@@ -109,9 +78,6 @@ class NodeTrace:
     def mp_recv(self, count: int) -> None:
         if count:
             self.ops.append(("mp_recv", count))
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
 
 def replay(

@@ -27,6 +27,9 @@ def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunRes
     phases = 0
     for rec in walk_phases(program, analysis):
         phases += 1
+        # Not PhaseRecord.compute_ns: the baseline also charges the loop
+        # overhead to reductions and to empty loops, and every speedup
+        # reported so far divides by it.
         total_ns += rec.compute_units(0) * config.compute_ns_per_unit
         if rec.kind != "scalar":
             total_ns += config.loop_overhead_ns

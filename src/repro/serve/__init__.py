@@ -22,12 +22,12 @@ Public surface:
 ``ServeSession``     submit/run_batch/gather front end with caching + pool
 ``ResultStore``      the crash-safe content-addressed on-disk store
 ``request_key``      the cache-key function (see docs/serve.md)
-``results_equal``    exact RunResult equality (ndarray-aware)
+``assert_results_equal``  exact RunResult equality (ndarray-aware)
 
 See ``docs/serve.md`` for the cache-key contract and invalidation rules.
 """
 
-from repro.serve.compare import assert_results_equal, results_equal
+from repro.serve.compare import assert_results_equal
 from repro.serve.keys import (
     CODE_VERSION,
     canonical,
@@ -55,5 +55,4 @@ __all__ = [
     "plan_key",
     "program_fingerprint",
     "request_key",
-    "results_equal",
 ]

@@ -46,7 +46,7 @@ from repro.apps import APPS
 from repro.spec import OptionError, add_flags, from_args, usage
 from repro.tempest.config import ClusterConfig
 
-from repro.serve.compare import diff_breakdowns, render_diff, results_equal
+from repro.serve.compare import diff_breakdowns, render_diff
 from repro.serve.matrix import axis_help, cell_label, expand_matrix, parse_axis_specs
 from repro.serve.request import RunRequest
 from repro.serve.runner import ServeSession, execute_request
@@ -189,7 +189,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
     if args.check_serial:
         for sr in served:
             serial = execute_request(sr.request)
-            if not results_equal(serial, sr.result):
+            if not serial.exact_equal(sr.result):
                 mismatches += 1
                 print(
                     f"MISMATCH: {sr.request.label()} [{cell_label(sr.request)}] "

@@ -2,9 +2,10 @@
 
 ``RunResult`` is a dataclass, but ``a == b`` raises on the ndarray dict
 (numpy refuses truth-testing elementwise comparisons), so the differential
-tests need an explicit predicate.  This is *bitwise* equality — no
-tolerances: the simulator is deterministic, and the serve layer's whole
-correctness contract is that caching and process pools change nothing.
+tests assert through :meth:`RunResult.difference`.  This is *bitwise*
+equality — no tolerances: the simulator is deterministic, and the serve
+layer's whole correctness contract is that caching and process pools
+change nothing.
 
 :func:`diff_breakdowns` goes beyond equality: given two *profiled* runs
 (``profile_phases`` + ``critical_path``) it aligns their per-phase and
@@ -14,39 +15,27 @@ named phases, nodes and cost classes — the ``repro diff`` backend.
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.runtime.results import RunResult, _value_equal
+from repro.runtime.results import RunResult
 
 __all__ = [
     "assert_results_equal",
     "diff_breakdowns",
     "render_diff",
-    "results_equal",
 ]
 
 
-def results_equal(a: RunResult, b: RunResult) -> bool:
-    """True iff every field of two results is exactly equal (ndarray-aware)."""
-    return a.exact_equal(b)
-
-
 def assert_results_equal(a: RunResult, b: RunResult, context: str = "") -> None:
-    """Raise ``AssertionError`` naming the first differing field."""
+    """Raise ``AssertionError`` naming the first differing field
+    (:meth:`RunResult.difference`)."""
+    where = a.difference(b)
+    if where is None:
+        return
     prefix = f"{context}: " if context else ""
-    for f in dataclasses.fields(RunResult):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if not _value_equal(va, vb):
-            if f.name == "arrays":
-                for name in sorted(set(va) | set(vb)):
-                    xa, xb = va.get(name), vb.get(name)
-                    if not _value_equal(xa, xb):
-                        raise AssertionError(
-                            f"{prefix}RunResult.arrays[{name!r}] differs"
-                        )
-            raise AssertionError(
-                f"{prefix}RunResult.{f.name} differs:\n  a={va!r}\n  b={vb!r}"
-            )
+    if where.startswith("arrays"):
+        raise AssertionError(f"{prefix}RunResult.{where} differs")
+    raise AssertionError(
+        f"{prefix}RunResult.{where} differs:\n  a={getattr(a, where)!r}\n  b={getattr(b, where)!r}"
+    )
 
 
 # --------------------------------------------------------------------- #

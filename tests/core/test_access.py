@@ -194,8 +194,8 @@ class TestSingleOwnerAnalysis:
 class TestTransferValidation:
     def test_self_transfer_rejected(self):
         with pytest.raises(ValueError):
-            Transfer("a", Section.of([], StridedInterval(0, 1)), 1, 1, "read")
+            Transfer("a", Section((), StridedInterval(0, 1)), 1, 1, "read")
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
-            Transfer("a", Section.of([], StridedInterval(0, 1)), 0, 1, "mixed")
+            Transfer("a", Section((), StridedInterval(0, 1)), 0, 1, "mixed")

@@ -5,11 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import BlockMemo, section_blocks, section_byte_runs, shmem_limits
+from repro.core.blocks import BlockMemo, _run_bounds, section_blocks, shmem_limits
 from repro.core.sections import Section, StridedInterval
 from repro.tempest import ClusterConfig, Distribution, SharedMemory
 from repro.tempest.memory import GlobalArray
 from tests.core import blocks_oracle
+
+
+#: an empty rank-2 section
+EMPTY_2D = Section(((0, -1),), StridedInterval.empty())
+
+
+def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
+    """The kernel's maximal contiguous byte runs ``[lo, hi)``, as pairs."""
+    lo, hi = _run_bounds(arr, sec)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def make_array(shape, block_size=128, n_nodes=4):
@@ -21,12 +31,12 @@ def make_array(shape, block_size=128, n_nodes=4):
 class TestByteRuns:
     def test_1d_contiguous_single_run(self):
         a = make_array((64,))
-        runs = section_byte_runs(a, Section.of([], StridedInterval(8, 23)))
+        runs = section_byte_runs(a, Section((), StridedInterval(8, 23)))
         assert runs == [(a.base + 64, a.base + 192)]
 
     def test_1d_strided_runs_per_element(self):
         a = make_array((64,))
-        runs = section_byte_runs(a, Section.of([], StridedInterval(0, 8, 4)))
+        runs = section_byte_runs(a, Section((), StridedInterval(0, 8, 4)))
         assert runs == [
             (a.base, a.base + 8),
             (a.base + 32, a.base + 40),
@@ -36,13 +46,13 @@ class TestByteRuns:
     def test_2d_full_columns_merge(self):
         a = make_array((16, 8))
         # Full columns 2..5, unit stride: one big run.
-        sec = Section.of([(0, 15)], StridedInterval(2, 5))
+        sec = Section(((0, 15),), StridedInterval(2, 5))
         runs = section_byte_runs(a, sec)
         assert runs == [(a.base + 2 * 128, a.base + 6 * 128)]
 
     def test_2d_partial_rows_one_run_per_column(self):
         a = make_array((16, 8))
-        sec = Section.of([(1, 14)], StridedInterval(2, 3))
+        sec = Section(((1, 14),), StridedInterval(2, 3))
         runs = section_byte_runs(a, sec)
         assert runs == [
             (a.base + 2 * 128 + 8, a.base + 2 * 128 + 120),
@@ -52,7 +62,7 @@ class TestByteRuns:
     def test_3d_interior_runs(self):
         a = make_array((4, 4, 2))
         # interior rows 1..2, middle 1..2, column 0
-        sec = Section.of([(1, 2), (1, 2)], StridedInterval(0, 0))
+        sec = Section(((1, 2), (1, 2)), StridedInterval(0, 0))
         runs = section_byte_runs(a, sec)
         # 2 middle planes x (rows 1..2) = 2 runs of 16 bytes each.
         assert runs == [
@@ -62,36 +72,36 @@ class TestByteRuns:
 
     def test_3d_full_inner_merges_across_column(self):
         a = make_array((4, 4, 4))
-        sec = Section.of([(0, 3), (0, 3)], StridedInterval(1, 2))
+        sec = Section(((0, 3), (0, 3)), StridedInterval(1, 2))
         runs = section_byte_runs(a, sec)
         assert runs == [(a.base + 16 * 8, a.base + 48 * 8)]
 
     def test_empty_section_no_runs(self):
         a = make_array((16, 8))
-        assert section_byte_runs(a, Section.empty(2)) == []
+        assert section_byte_runs(a, EMPTY_2D) == []
 
     def test_rank_mismatch_rejected(self):
         a = make_array((16, 8))
         with pytest.raises(ValueError, match="rank"):
-            section_byte_runs(a, Section.of([], StridedInterval(0, 3)))
+            section_byte_runs(a, Section((), StridedInterval(0, 3)))
 
 
 class TestSectionBlocks:
     def test_aligned_columns_map_to_blocks(self):
         a = make_array((16, 8))  # one column == one 128B block
-        sec = Section.of([(0, 15)], StridedInterval(2, 4))
+        sec = Section(((0, 15),), StridedInterval(2, 4))
         got = section_blocks(a, sec)
         np.testing.assert_array_equal(got, [a.base_block + 2, a.base_block + 3, a.base_block + 4])
 
     def test_partial_column_still_touches_block(self):
         a = make_array((16, 8))
-        sec = Section.of([(5, 9)], StridedInterval(2, 2))
+        sec = Section(((5, 9),), StridedInterval(2, 2))
         np.testing.assert_array_equal(section_blocks(a, sec), [a.base_block + 2])
 
     def test_unaligned_columns_share_blocks(self):
         # 20 doubles per column = 160 bytes: columns straddle 128B blocks.
         a = make_array((20, 4))
-        sec = Section.of([(0, 19)], StridedInterval(1, 1))
+        sec = Section(((0, 19),), StridedInterval(1, 1))
         # Column 1 = bytes 160..320 => blocks 1 and 2.
         np.testing.assert_array_equal(
             section_blocks(a, sec), [a.base_block + 1, a.base_block + 2]
@@ -99,20 +109,20 @@ class TestSectionBlocks:
 
     def test_deduplication_across_runs(self):
         a = make_array((4, 8))  # 32-byte columns, 4 per block
-        sec = Section.of([(0, 3)], StridedInterval(0, 3))
+        sec = Section(((0, 3),), StridedInterval(0, 3))
         np.testing.assert_array_equal(section_blocks(a, sec), [a.base_block])
 
 
 class TestShmemLimits:
     def test_aligned_section_fully_controllable(self):
         a = make_array((16, 8))
-        sec = Section.of([(0, 15)], StridedInterval(2, 5))
+        sec = Section(((0, 15),), StridedInterval(2, 5))
         inner, boundary = shmem_limits(a, sec)
         assert len(inner) == 4 and len(boundary) == 0
 
     def test_partial_column_all_boundary(self):
         a = make_array((16, 8))
-        sec = Section.of([(3, 12)], StridedInterval(2, 2))  # 80 bytes mid-block
+        sec = Section(((3, 12),), StridedInterval(2, 2))  # 80 bytes mid-block
         inner, boundary = shmem_limits(a, sec)
         assert len(inner) == 0
         np.testing.assert_array_equal(boundary, [a.base_block + 2])
@@ -120,7 +130,7 @@ class TestShmemLimits:
     def test_straddling_section_trims_to_block_boundaries(self):
         # Paper's example: a(m:n) -> subset a(m_l:n_l) on block boundaries.
         a = make_array((64,))  # 16 doubles per block
-        sec = Section.of([], StridedInterval(5, 40))
+        sec = Section((), StridedInterval(5, 40))
         inner, boundary = shmem_limits(a, sec)
         # bytes 40..328: full blocks are 1 (128..256); partial: 0 and 2.
         np.testing.assert_array_equal(inner, [a.base_block + 1])
@@ -128,7 +138,7 @@ class TestShmemLimits:
 
     def test_unaligned_columns_boundary_blocks_exact(self):
         a = make_array((20, 4))
-        sec = Section.of([(0, 19)], StridedInterval(1, 1))  # bytes 160..320
+        sec = Section(((0, 19),), StridedInterval(1, 1))  # bytes 160..320
         inner, boundary = shmem_limits(a, sec)
         # ceil(160/128)=2; 320//128=2 => no fully-contained block.
         assert len(inner) == 0
@@ -136,7 +146,7 @@ class TestShmemLimits:
 
     def test_inner_plus_boundary_equals_touched(self):
         a = make_array((20, 8))
-        sec = Section.of([(0, 19)], StridedInterval(1, 6))
+        sec = Section(((0, 19),), StridedInterval(1, 6))
         inner, boundary = shmem_limits(a, sec)
         touched = section_blocks(a, sec)
         np.testing.assert_array_equal(np.union1d(inner, boundary), touched)
@@ -152,8 +162,8 @@ class TestShmemLimits:
     @settings(max_examples=100)
     def test_property_partition_and_containment(self, rows, col_lo, width, row_lo, row_hi):
         a = make_array((40, 8), block_size=64)
-        sec = Section.of(
-            [(min(row_lo, rows - 1), min(row_hi, rows - 1))],
+        sec = Section(
+            ((min(row_lo, rows - 1), min(row_hi, rows - 1)),),
             StridedInterval(col_lo, min(col_lo + width, 7)),
         )
         inner, boundary = shmem_limits(a, sec)
@@ -190,7 +200,7 @@ def array_and_section(draw):
     last = StridedInterval(
         lo, draw(st.integers(lo, shape[-1] - 1)), draw(st.integers(1, 4))
     )
-    return arr, Section.of(inner, last)
+    return arr, Section(tuple(inner), last)
 
 
 class TestKernelAgainstOracle:
@@ -220,7 +230,7 @@ class TestKernelAgainstOracle:
         # 8-byte runs 32 bytes apart: four runs share each 128-byte block,
         # so every run after the first clips to an empty range.
         a = make_array((4, 16))
-        sec = Section.of([(1, 1)], StridedInterval(0, 15))
+        sec = Section(((1, 1),), StridedInterval(0, 15))
         np.testing.assert_array_equal(
             section_blocks(a, sec), blocks_oracle.section_blocks(a, sec)
         )
@@ -228,8 +238,8 @@ class TestKernelAgainstOracle:
 
     def test_empty_section(self):
         a = make_array((16, 8))
-        assert len(section_blocks(a, Section.empty(2))) == 0
-        inner, boundary = shmem_limits(a, Section.empty(2))
+        assert len(section_blocks(a, EMPTY_2D)) == 0
+        inner, boundary = shmem_limits(a, EMPTY_2D)
         assert len(inner) == 0 and len(boundary) == 0
 
 
@@ -240,8 +250,8 @@ class TestBlockMemo:
 
     def test_equal_sections_map_once(self):
         memo, a = self.memo()
-        sec = Section.of([(1, 14)], StridedInterval(2, 5))
-        twin = Section.of([(1, 14)], StridedInterval(2, 5))
+        sec = Section(((1, 14),), StridedInterval(2, 5))
+        twin = Section(((1, 14),), StridedInterval(2, 5))
         assert memo.blocks("a", sec) is memo.blocks("a", twin)
         assert memo.limits("a", sec) is memo.limits("a", twin)
         np.testing.assert_array_equal(memo.blocks("a", sec), section_blocks(a, sec))
@@ -251,9 +261,9 @@ class TestBlockMemo:
     def test_memoized_arrays_are_read_only(self):
         memo, _ = self.memo()
         for sec in (
-            Section.of([(0, 15)], StridedInterval(2, 5)),
-            Section.of([(1, 14)], StridedInterval(0, 7, 3)),
-            Section.empty(2),
+            Section(((0, 15),), StridedInterval(2, 5)),
+            Section(((1, 14),), StridedInterval(0, 7, 3)),
+            EMPTY_2D,
         ):
             arrays = (memo.blocks("a", sec), *memo.limits("a", sec))
             for blocks in arrays:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import analyze_loop
-from repro.core.blocks import section_blocks, section_byte_runs
+from repro.core.blocks import section_blocks
 from repro.core.calls import (
     ImplicitInvalidate,
     MkWritable,
@@ -33,6 +33,7 @@ from repro.core.planner import PlanError, plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime.phases import segment_geometry
 from repro.tempest.config import ClusterConfig
+from tests.core import blocks_oracle
 
 
 @st.composite
@@ -106,7 +107,7 @@ def test_plan_structural_invariants(geom, bulk):
         # non-owner section.
         runs = []
         for aname, sec in inst.non_owner_reads[dst]:
-            runs.extend(section_byte_runs(mem.arrays[aname], sec))
+            runs.extend(blocks_oracle.section_byte_runs(mem.arrays[aname], sec))
         for blk in c:
             lo, hi = blk * cfg.block_size, (blk + 1) * cfg.block_size
             assert any(rlo <= lo and hi <= rhi for rlo, rhi in runs), (dst, blk)

@@ -36,7 +36,7 @@ def world():
     # block boundaries by shmem_limits, exactly the figure's m_l:n_l.
     arr = mem.alloc("a", (128, 3), Distribution.block(3))
     cl = Cluster(cfg, mem)
-    sec = Section.of([(5, 120)], StridedInterval(1, 1))  # owner's column, unaligned rows
+    sec = Section(((5, 120),), StridedInterval(1, 1))  # owner's column, unaligned rows
     inner, boundary = shmem_limits(arr, sec)
     assert len(inner) > 0 and len(boundary) == 2  # the figure's edge blocks
     return cl, inner.tolist(), boundary.tolist()

@@ -158,10 +158,16 @@ MUTANTS = (
         ("tests/runtime/test_backends.py",),
     ),
     Mutant(
-        "execute hands the plan's numerics out writable", "runtime/shmem.py",
-        "    view.flags.writeable = False\n",
-        "    view.flags.writeable = True\n",
-        ("tests/runtime/test_backends.py",),
+        "a send op emits bulk before dst", "core/calls.py",
+        '        return ("send", self.blocks, self.dst, self.bulk) if self.blocks else None\n',
+        '        return ("send", self.blocks, self.bulk, self.dst) if self.blocks else None\n',
+        ("tests/runtime/test_plan_digest.py",),
+    ),
+    Mutant(
+        "a reduction is charged loop overhead", "runtime/phases.py",
+        '        if self.kind == "loop" and (units or not self.inst.iterations[proc].is_empty):\n',
+        '        if self.kind != "scalar" and (units or not self.inst.iterations[proc].is_empty):\n',
+        ("tests/runtime/test_plan_digest.py",),
     ),
     Mutant(
         "a program is evaluated on every use", "runtime/phases.py",

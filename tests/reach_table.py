@@ -67,7 +67,9 @@ KEPT_FOR = {
     "live path that no default-scale entry point triggers": """
         repro.tempest.extensions: CompilerExtensions.flush_and_invalidate
         repro.tempest.extensions: CompilerExtensions._on_flush
-        repro.runtime.traces: NodeTrace.flush
+        repro.core.calls: FlushBlocks.trace
+        repro.core.sections: coalesce_points StridedInterval.__contains__
+        repro.core.sections: StridedInterval.__iter__
         repro.core.pre: AvailabilityTracker.drop
         repro.obs.profile: _overlap
         repro.report: render_bench_appendix _render_engine_artifact _render_serve_artifact""",
@@ -82,6 +84,7 @@ KEPT_FOR = {
         repro.runtime.results: RunResult.summary
         repro.obs.metrics: MetricsRegistry.assert_matches
         repro.serve.compare: assert_results_equal
+        repro.serve.store: ResultStore.quarantined
         repro.tempest.memory: GlobalArray.owner_of_column""",
     "the test suite's shared fixture": "repro.tempest.config: small_config",
     "documented library API with no second spelling": """
@@ -89,26 +92,15 @@ KEPT_FOR = {
         repro.serve.runner: ServeSession.run
         repro.obs.chrome: ChromeTraceExporter.to_chrome ChromeTraceExporter.to_json""",
     "repr/str for debuggers, REPLs and assertion messages": """
+        repro.runtime.results: RunResult.checksums
         repro.core.sections: Section.__repr__ StridedInterval.__repr__
         repro.obs.tracing: MessageRecord.__str__
         repro.tempest.memory: GlobalArray.__repr__
         repro.tempest.node: Node.__repr__""",
-    "section-algebra operation the property tests pin; not yet weighed for deletion": """
-        repro.core.sections: Section.columns Section.covers Section.empty Section.of
-        repro.core.sections: Section.inner_count Section.intersect coalesce_points
-        repro.core.sections: StridedInterval.__contains__ StridedInterval.__iter__
-        repro.core.sections: StridedInterval.clip StridedInterval.is_contiguous
-        repro.core.sections: StridedInterval.scale
-        repro.core.blocks: section_byte_runs""",
-    "accessor the unit tests read state through; not yet weighed for deletion": """
-        repro.serve.store: ResultStore.quarantined
-        repro.runtime.results: RunResult.checksums
-        repro.runtime.traces: NodeTrace.__len__
+    "query beside its live twins, so the object answers each of them": """
         repro.sim.engine: Future.value
         repro.sim.resource: PortedResource.free_at
-        repro.tempest.directory: Directory.state_of
-        repro.tempest.memory: GlobalArray.block_range
-        repro.hpf.lowering: IterSpec.n_procs""",
+        repro.tempest.directory: Directory.state_of""",
 }
 
 
@@ -238,7 +230,7 @@ WRITE_ONLY_KEPT_FOR = {
     "counter read generically, through repro.tempest.stats.COUNTERS or StoreStats.as_dict":
         "NodeStats.* PortStats.* ClusterStats.* StoreStats.*",
     "exception payload for the code that catches it":
-        "CoherenceAuditError.violations CoherenceAuditError.context",
+        "CoherenceAuditError.violations CoherenceAuditError.context ParseError.line_no",
     "numpy array flag: storing it is the effect": "flags.writeable",
     "strong reference: holding the record keeps its weak process-table entry alive":
         "PlanCache._held",
@@ -267,25 +259,32 @@ def _last_name(node: ast.AST) -> str:
 def attribute_uses(src: str = SRC):
     """Every attribute store under ``src`` and every attribute name loaded.
 
-    Returns ``(stores, loaded, declared)``: ``stores`` lists ``(attr,
-    owner, receiver, where)``, ``owner`` being the enclosing class of a
-    store through ``self`` (else None) and ``receiver`` the last name of
-    the stored-to expression; ``declared`` maps an attribute name to the
-    classes that declare it (a class-body annotation, ``__slots__`` or a
-    store through ``self``).  An augmented assignment to the attribute and
-    a subscript store into it are stores, not loads; ``getattr`` /
-    ``hasattr`` / ``attrgetter`` with a literal name are loads, and
-    ``setattr`` / ``object.__setattr__`` with one are stores.
+    Returns ``(stores, loaded, self_loaded, declared, bases)``: ``stores``
+    lists ``(attr, owner, receiver, where)``, ``owner`` being the
+    enclosing class of a store through ``self`` (else None) and
+    ``receiver`` the last name of the stored-to expression; ``loaded``
+    holds the names loaded other than through ``self`` in a class, and
+    ``self_loaded`` maps a name loaded through ``self`` to the classes
+    that load it so; ``declared`` maps an attribute name to the classes
+    that declare it (a class-body annotation, ``__slots__`` or a store
+    through ``self``); ``bases`` maps a class to its bases' names.  An
+    augmented assignment to the attribute and a subscript store into it
+    are stores, not loads; ``getattr`` / ``hasattr`` / ``attrgetter``
+    with a literal name are loads, and ``setattr`` /
+    ``object.__setattr__`` with one are stores.
     """
     stores: list[tuple[str, str | None, str, str]] = []
     loaded: set[str] = set()
+    self_loaded: dict[str, set[str]] = {}
     declared: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
 
     def visit(node: ast.AST, cls: str | None, module: str, parents: dict) -> None:
         for child in ast.iter_child_nodes(node):
             parents[child] = node
             where = f"{module}:{getattr(child, 'lineno', 0)}"
             if isinstance(child, ast.ClassDef):
+                bases.setdefault(child.name, set()).update(map(_last_name, child.bases))
                 for stmt in child.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                         declared.setdefault(stmt.target.id, set()).add(child.name)
@@ -304,7 +303,10 @@ def attribute_uses(src: str = SRC):
                     if is_self and cls:
                         declared.setdefault(child.attr, set()).add(cls)
                 elif isinstance(child.ctx, ast.Load) and not _store_target(child, parents):
-                    loaded.add(child.attr)
+                    if is_self and cls:
+                        self_loaded.setdefault(child.attr, set()).add(cls)
+                    else:
+                        loaded.add(child.attr)
             elif isinstance(child, ast.Call) and len(child.args) >= 2:
                 fn = child.func
                 name = getattr(fn, "id", None) or getattr(fn, "attr", None)
@@ -326,26 +328,49 @@ def attribute_uses(src: str = SRC):
             with open(path, encoding="utf-8") as fh:
                 module = os.path.relpath(path, os.path.dirname(src))[: -len(".py")]
                 visit(ast.parse(fh.read()), None, module.replace(os.sep, "."), {})
-    return stores, loaded, declared
+    return stores, loaded, self_loaded, declared, bases
+
+
+def _lineage(bases: dict[str, set[str]]) -> dict[str, set[str]]:
+    """Class -> itself, its ``src/`` bases and its subclasses, transitively."""
+    up: dict[str, set[str]] = {}
+
+    def ancestors(cls: str) -> set[str]:
+        if cls not in up:
+            up[cls] = {cls}
+            for base in bases.get(cls, ()):
+                up[cls] |= ancestors(base)
+        return up[cls]
+
+    out = {cls: set(ancestors(cls)) for cls in bases}
+    for cls in bases:
+        for base in ancestors(cls):
+            out.setdefault(base, {base}).add(cls)
+    return out
 
 
 def write_only_state(src: str = SRC, keep=WRITE_ONLY_KEEP) -> dict[str, list[str]]:
     """``Owner.attr`` -> store sites, for every attribute stored under
-    ``src`` whose name nothing there loads and that ``keep`` does not name.
+    ``src`` that nothing there loads and that ``keep`` does not name.
 
-    The check works on attribute *names*: a load of ``x.busy_ns`` anywhere
-    counts as a read of every class's ``busy_ns``, so two classes that
-    share an attribute name mask each other.  A store through ``self`` is
-    charged to its enclosing class; any other store to every class that
-    declares the name (or, when none does, to the receiver's last name).
+    A load through ``self`` reads the name only for its enclosing class
+    and that class's bases and subclasses; any other load (``x.busy_ns``)
+    counts as a read of every class's attribute of that name, so such
+    loads still mask a write-only attribute that another class shares
+    the name of.  A store through ``self`` is charged to its enclosing
+    class; any other store to every class that declares the name (or,
+    when none does, to the receiver's last name).
     """
-    stores, loaded, declared = attribute_uses(src)
+    stores, loaded, self_loaded, declared, bases = attribute_uses(src)
+    lineage = _lineage(bases)
     out: dict[str, list[str]] = {}
     for attr, owner, receiver, where in stores:
         if attr in loaded:
             continue
         owners = {owner} if owner else declared.get(attr) or {receiver}
         for cls in owners:
+            if self_loaded.get(attr, set()) & lineage.get(cls, {cls}):
+                continue
             if f"{cls}.{attr}" not in keep and f"{cls}.*" not in keep:
                 out.setdefault(f"{cls}.{attr}", []).append(where)
     return dict(sorted(out.items()))

@@ -1,11 +1,23 @@
 """Unit tests for trace building/replay and run results."""
 
 import inspect
+from typing import get_args
 
 import numpy as np
 import pytest
 
 from repro import APPS
+from repro.core.calls import (
+    CallOp,
+    FlushBlocks,
+    ImplicitInvalidate,
+    ImplicitWritable,
+    MkWritable,
+    Prefetch,
+    ReadyToRecv,
+    SelfInvalidate,
+    SendBlocks,
+)
 from repro.runtime.results import RunResult
 from repro.runtime.shmem import build_shmem_plan
 from repro.runtime.traces import NodeTrace, _fragments, replay
@@ -21,22 +33,17 @@ class TestNodeTrace:
         t.write(np.array([3]), 1)
         t.barrier()
         t.reduce(4)
-        t.mkw((5,))
-        t.iw((5,), ("memo",))
-        t.send((5,), 1, True)
-        t.recv(1)
-        t.inv((5,))
-        t.flush((5,), 1, False)
         t.mp_send(1, 64)
         t.mp_recv(2)
-        t.prefetch((6,))
-        t.selfinv((7,))
         t.phase(3, "loop")
         kinds = [op[0] for op in t.ops]
         assert kinds == [
-            "compute", "read", "write", "barrier", "reduce", "mkw", "iw",
-            "send", "recv", "inv", "flush", "mp_send", "mp_recv",
-            "prefetch", "selfinv", "phase",
+            "compute", "read", "write", "barrier", "reduce", "mp_send", "mp_recv", "phase",
+        ]
+        assert [call.trace() for call in CALLS] == [
+            ("mkw", (5,)), ("iw", (6,), (7, 8)), ("send", (9,), 0, False), ("recv", 3),
+            ("inv", (10,)), ("flush", (11,), 2, False), ("prefetch", (12,)),
+            ("selfinv", (13,)),
         ]
 
     def test_empty_payloads_skipped(self):
@@ -44,17 +51,16 @@ class TestNodeTrace:
         t.compute(0)
         t.read(np.array([], dtype=np.int64), 1)
         t.write(np.array([], dtype=np.int64), 1)
-        t.mkw(())
-        t.iw(())
-        t.send((), 1, True)
-        t.recv(0)
-        t.inv(())
-        t.flush((), 0, True)
         t.mp_send(1, 0)
         t.mp_recv(0)
-        t.prefetch(np.array([], dtype=np.int64))
-        t.selfinv(())
-        assert len(t) == 0
+        assert t.ops == []
+        empty = (
+            MkWritable(0, ()), ImplicitWritable(0, ()), SendBlocks(0, (), 1),
+            ReadyToRecv(0, 0), ImplicitInvalidate(0, ()), FlushBlocks(0, (), 1),
+            Prefetch(0, ()), SelfInvalidate(0, ()),
+        )
+        assert {type(call) for call in empty} == set(get_args(CallOp))
+        assert [call.trace() for call in empty] == [None] * len(empty)
         t.phase(0, "")
         assert t.ops == [("phase", 0, "")]  # a marker has no payload to skip
 
@@ -82,18 +88,18 @@ class TestNodeTrace:
         t0 = NodeTrace(0)
         t0.compute(1000)
         t0.write(np.array([b0]), 1)
-        t0.mkw((b0,))
+        t0.ops.append(MkWritable(0, (b0,)).trace())
         t0.barrier()
-        t0.send((b0,), 1, True)
+        t0.ops.append(SendBlocks(0, (b0,), 1, True).trace())
         t0.barrier()
         t0.reduce(1)
 
         t1 = NodeTrace(1)
-        t1.iw((b0,))
+        t1.ops.append(ImplicitWritable(1, (b0,)).trace())
         t1.barrier()
-        t1.recv(1)
+        t1.ops.append(ReadyToRecv(1, 1).trace())
         t1.read(np.array([b0]), 1, "check")
-        t1.inv((b0,))
+        t1.ops.append(ImplicitInvalidate(1, (b0,)).trace())
         t1.barrier()
         t1.reduce(1)
 
@@ -102,8 +108,22 @@ class TestNodeTrace:
         assert stats[1].read_misses == 0  # the pushed block hits
 
 
+#: one call op of every class at node 1, each argument distinct
+CALLS = (
+    MkWritable(1, (5,)),
+    ImplicitWritable(1, (6,), (7, 8)),
+    SendBlocks(1, (9,), 0, False),
+    ReadyToRecv(1, 3),
+    ImplicitInvalidate(1, (10,)),
+    FlushBlocks(1, (11,), 2, False),
+    Prefetch(1, (12,)),
+    SelfInvalidate(1, (13,)),
+)
+
+
 def one_op_of_each_kind() -> NodeTrace:
-    """Node 1's trace holding one op of every kind, each argument distinct."""
+    """Node 1's trace holding one op of every kind, each argument distinct;
+    the call ops are lowered through their own ``trace()``."""
     t = NodeTrace(1)
     t.phase(2, "loop")
     t.compute(100)
@@ -111,14 +131,7 @@ def one_op_of_each_kind() -> NodeTrace:
     t.write((3,), 4)
     t.barrier()
     t.reduce(2)
-    t.mkw((5,))
-    t.iw((6,), (7, 8))
-    t.send((9,), 0, False)
-    t.recv(3)
-    t.inv((10,))
-    t.flush((11,), 2, False)
-    t.prefetch((12,))
-    t.selfinv((13,))
+    t.ops.extend(call.trace() for call in CALLS)
     t.mp_send(0, 64)
     t.mp_recv(5)
     return t
@@ -181,8 +194,12 @@ class TestReplayDispatch:
             name for name, member in vars(NodeTrace).items()
             if not name.startswith("_") and inspect.isfunction(member)
         }
+        calls = {call.trace()[0] for call in CALLS}
+        assert {type(call) for call in CALLS} == set(get_args(CallOp))
+        assert emitters.isdisjoint(calls)
         emitted = {op[0] for op in one_op_of_each_kind().ops}
-        assert emitted == emitters  # the trace above calls every emitter
+        # the trace above calls every emitter and lowers every call op
+        assert emitted == emitters | calls
         assert {"phase", "read", *_fragments(cluster)} == emitted
 
 
@@ -274,6 +291,23 @@ class TestRunResult:
         other.scalars["s"] = 2.0
         with pytest.raises(AssertionError, match="scalar"):
             self._result().assert_same_numerics(other)
+
+    def test_difference_names_the_first_differing_field(self):
+        nans = np.array([0.0, np.nan, 2.0])
+        same = self._result(arrays={"a": nans, "b": np.ones(2)})
+        assert same.difference(self._result(arrays={"a": nans.copy(), "b": np.ones(2)})) is None
+        for arrays, where in (
+            ({"a": nans, "b": np.array([1.0, 1.5])}, "arrays['b']"),
+            ({"a": nans, "b": np.ones(2, dtype=np.float32)}, "arrays['b']"),
+            ({"a": nans, "b": np.ones((1, 2))}, "arrays['b']"),
+            ({"a": nans}, "arrays['b']"),
+            ({"a": np.zeros(3), "b": np.ones(2)}, "arrays['a']"),
+        ):
+            assert same.difference(self._result(arrays=arrays)) == where
+            assert not same.exact_equal(self._result(arrays=arrays))
+        other = self._result(arrays={"a": nans, "b": np.ones(2)})
+        other.scalars["s"] = 2.0
+        assert same.difference(other) == "scalars"
 
     def test_summary_flat_dict(self):
         s = self._result().summary()

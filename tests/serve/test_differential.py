@@ -19,7 +19,6 @@ from repro.serve import (
     RunRequest,
     ServeSession,
     assert_results_equal,
-    results_equal,
 )
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import (
@@ -156,7 +155,7 @@ def test_degraded_runs_are_cached_not_retried(tmp_path):
         warm = sess.run(req)
     assert cold.result.completed is False
     assert warm.source == "cache"
-    assert results_equal(cold.result, warm.result)
+    assert cold.result.exact_equal(warm.result)
     assert warm.result.stats.failure["unreachable_nodes"] == [1]
 
 

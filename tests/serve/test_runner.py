@@ -12,7 +12,6 @@ from repro.serve import (
     execute_request,
     plan_key,
     request_key,
-    results_equal,
     runner,
 )
 from repro.serve.runner import PlanCache, batch_order
@@ -100,14 +99,14 @@ class TestInlineServing:
         with ServeSession() as sess:
             served = sess.run(req)
         assert served.source == "computed" and served.where == "inline"
-        assert results_equal(direct, served.result)
+        assert direct.exact_equal(served.result)
 
     def test_no_cache_dir_always_computes(self, cfg):
         req = jacobi_request(cfg)
         with ServeSession() as sess:
             a, b = sess.run(req), sess.run(req)
         assert a.source == b.source == "computed"
-        assert results_equal(a.result, b.result)
+        assert a.result.exact_equal(b.result)
 
     def test_warm_cache_hit(self, cfg, store_dir):
         req = jacobi_request(cfg)
@@ -116,7 +115,7 @@ class TestInlineServing:
             warm = sess.run(req)
             assert sess.stats()["hit_rate"] == 0.5
         assert cold.source == "computed" and warm.source == "cache"
-        assert results_equal(cold.result, warm.result)
+        assert cold.result.exact_equal(warm.result)
 
     def test_cache_persists_across_sessions(self, cfg, store_dir):
         req = jacobi_request(cfg)
@@ -125,7 +124,7 @@ class TestInlineServing:
         with ServeSession(cache_dir=store_dir) as sess2:
             warm = sess2.run(req)
         assert warm.source == "cache"
-        assert results_equal(cold.result, warm.result)
+        assert cold.result.exact_equal(warm.result)
 
     @pytest.mark.parametrize("options", [
         dict(optimize=True), dict(profile_phases=True, critical_path=True),
@@ -150,7 +149,7 @@ class TestInlineServing:
             sess.run(req)
             warm = sess.run(req)
         direct = run_shmem(req.build_program(), cfg)
-        assert results_equal(direct, warm.result)
+        assert direct.exact_equal(warm.result)
         assert "cache" not in warm.result.extra
         assert warm.key and warm.source == "cache"
 
@@ -229,7 +228,7 @@ class TestProgramBuiltOnlyWhenNeeded:
         again = execute_request(req, plans)
         from_disk = execute_request(req, PlanCache(ResultStore(store_dir)))
         assert len(builds) == 1 and plans.memo_hits == 1
-        assert results_equal(first, again) and results_equal(first, from_disk)
+        assert first.exact_equal(again) and first.exact_equal(from_disk)
 
     def test_other_backends_build_once(self, cfg, builds):
         execute_request(jacobi_request(cfg, backend="uniproc"))
@@ -290,7 +289,7 @@ class TestBatchOrder:
         assert sorted(f.result().key for f in done) == sorted(s.key for s in served)
         assert len(plans) == 4
         for s in served:
-            assert results_equal(execute_request(s.request), s.result)
+            assert execute_request(s.request).exact_equal(s.result)
 
     @pytest.mark.parametrize("jobs, cached", [(1, True), (2, False)])
     def test_order_kept_without_workers_sharing_a_store(
@@ -362,7 +361,7 @@ class TestPool:
             pooled = pool_sess.run_batch(reqs)
         assert all(p.where == "pool" for p in pooled)
         for i, p in zip(inline, pooled):
-            assert results_equal(i.result, p.result)
+            assert i.result.exact_equal(p.result)
 
     def test_inflight_dedup_on_pool(self, cfg):
         req = jacobi_request(cfg)
@@ -373,8 +372,8 @@ class TestPool:
         assert stats["computed"] == 1 and stats["deduped"] == 2
         sources = sorted(s.source for s in served)
         assert sources == ["computed", "deduped", "deduped"]
-        assert results_equal(served[0].result, served[1].result)
-        assert results_equal(served[0].result, served[2].result)
+        assert served[0].result.exact_equal(served[1].result)
+        assert served[0].result.exact_equal(served[2].result)
 
     def test_inline_program_falls_back_in_process(self, cfg):
         prog = get_app("jacobi").program(n=32, iters=2)
@@ -384,7 +383,7 @@ class TestPool:
             served = sess.run(req)
         assert served.where == "inline"
         direct = run_shmem(prog, cfg)
-        assert results_equal(direct, served.result)
+        assert direct.exact_equal(served.result)
 
     def test_workers_publish_to_shared_store(self, cfg, store_dir):
         req = jacobi_request(cfg)
@@ -409,7 +408,7 @@ class TestBatchAndAsync:
             "uniproc", "shmem", "msgpass",
         ]
         for req, s in zip(reqs, served):
-            assert results_equal(execute_request(req), s.result)
+            assert execute_request(req).exact_equal(s.result)
 
     def test_pooled_batch_cold_then_warm(self, cfg, store_dir):
         reqs = [jacobi_request(cfg), jacobi_request(cfg, optimize=True)]
@@ -419,7 +418,7 @@ class TestBatchAndAsync:
         assert [s.source for s in cold] == ["computed", "computed"]
         assert [s.source for s in warm] == ["cache", "cache"]
         for c, w in zip(cold, warm):
-            assert results_equal(c.result, w.result)
+            assert c.result.exact_equal(w.result)
 
     def test_submit_propagates_compute_errors(self, cfg, monkeypatch):
         # A request the run would refuse cannot be built, so the run

@@ -29,7 +29,7 @@ import pytest
 import repro.serve.store as store_module
 from repro.runtime.phases import _frozen
 from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan
-from repro.serve import ResultStore, ServeSession, results_equal
+from repro.serve import ResultStore, ServeSession
 from repro.serve.runner import execute_request
 from repro.serve.store import _BLOB_MIN_BYTES, _HEADER, _MAGIC
 from repro.tempest.config import small_config
@@ -314,7 +314,7 @@ class TestBlobs:
         }
         assert {b.stem for b in store.entries(ResultStore.BLOBS)} == distinct
         assert entry.stat().st_size < _BLOB_MIN_BYTES
-        assert results_equal(store.get(ResultStore.RESULTS, OTHER), result)
+        assert store.get(ResultStore.RESULTS, OTHER).exact_equal(result)
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -691,8 +691,8 @@ class TestPoisonedCacheEndToEnd:
             # ...and the store healed: a third session gets a cache hit.
             with ServeSession(cache_dir=store_dir) as sess3:
                 third = sess3.run(req)
-        assert results_equal(first.result, second.result)
-        assert results_equal(first.result, third.result)
+        assert first.result.exact_equal(second.result)
+        assert first.result.exact_equal(third.result)
         assert third.source == "cache"
 
     def test_corrupt_plan_entry_recomputed(self, store_dir):
@@ -710,7 +710,7 @@ class TestPoisonedCacheEndToEnd:
             second = sess2.run(req)
             assert sess2.plans.built == 1
             assert sess2.store.stats.corrupt == 1
-        assert results_equal(first.result, second.result)
+        assert first.result.exact_equal(second.result)
 
     @pytest.mark.parametrize("poison", ["blob", "v1-entry"])
     def test_poisoned_blob_or_old_format_recomputed(self, store_dir, poison):

@@ -11,6 +11,7 @@ import json
 import pytest
 
 import repro.serve.cli as sweep_cli
+from repro.runtime.results import RunResult
 from repro.serve.cli import sweep_main
 from repro.serve.request import RunRequest
 from repro.tempest.config import ClusterConfig
@@ -139,7 +140,7 @@ class TestFailureExitCodes:
         assert "DEGRADED" in capsys.readouterr().out
 
     def test_check_serial_mismatch_exits_5(self, monkeypatch, capsys):
-        monkeypatch.setattr(sweep_cli, "results_equal", lambda a, b: False)
+        monkeypatch.setattr(RunResult, "exact_equal", lambda a, b: False)
         rc = sweep_main(_sweep("--check-serial"))
         assert rc == 5
         assert "MISMATCH" in capsys.readouterr().err

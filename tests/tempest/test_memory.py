@@ -101,24 +101,24 @@ class TestGlobalArray:
     def test_blocks_covering_vs_within(self, mem):
         a = mem.alloc("a", (32, 4), Distribution.block(4))  # a column = 2 blocks
         # bytes [64, 192) of column 0 straddle one block boundary
-        straddle = Section.of([(8, 23)], StridedInterval(0, 0))
+        straddle = Section(((8, 23),), StridedInterval(0, 0))
         assert len(section_blocks(a, straddle)) == 2
         inner, boundary = shmem_limits(a, straddle)
         assert len(inner) == 0 and len(boundary) == 2
         # an aligned range: every covered block is fully contained
-        aligned = Section.of([(0, 31)], StridedInterval(0, 1))
+        aligned = Section(((0, 31),), StridedInterval(0, 1))
         inner, boundary = shmem_limits(a, aligned)
         assert inner.tolist() == section_blocks(a, aligned).tolist()
         assert len(boundary) == 0
 
     def test_blocks_within_empty_for_subblock_range(self, mem):
         a = mem.alloc("a", (16, 4), Distribution.block(4))
-        inner, _ = shmem_limits(a, Section.of([(1, 2)], StridedInterval(0, 0)))
+        inner, _ = shmem_limits(a, Section(((1, 2),), StridedInterval(0, 0)))
         assert len(inner) == 0
 
     def test_blocks_covering_empty_range(self, mem):
         a = mem.alloc("a", (16, 4), Distribution.block(4))
-        assert len(section_blocks(a, Section.empty(2))) == 0
+        assert len(section_blocks(a, Section(((0, -1),), StridedInterval.empty()))) == 0
 
     def test_owner_of_column_follows_distribution(self, mem):
         a = mem.alloc("a", (8, 8), Distribution.cyclic(4))
@@ -245,7 +245,7 @@ class TestSharedMemory:
         cfg = ClusterConfig(n_nodes=4)
         mem = SharedMemory(cfg)
         a = mem.alloc("a", (16, 8), Distribution.block(4))  # col == 1 block
-        owners = a.owners_of_blocks(list(a.block_range()))
+        owners = a.owners_of_blocks(list(range(a.base_block, a.base_block + a.n_blocks)))
         assert owners.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("dist", [Distribution.block(4), Distribution.cyclic(4)])
@@ -255,7 +255,7 @@ class TestSharedMemory:
         mem = SharedMemory(ClusterConfig(n_nodes=4))
         mem.alloc("pad", (8, 3), Distribution.block(4))
         a = mem.alloc("a", (20, 7), dist)
-        blocks = list(a.block_range())
+        blocks = list(range(a.base_block, a.base_block + a.n_blocks))
         want = [
             a.owner_of_column(min((b * 128 - a.base) // 160, a.extent - 1))
             for b in blocks

@@ -47,6 +47,28 @@ def test_every_write_only_keep_entry_is_needed():
     assert stale == []
 
 
+def test_write_only_pass_tells_apart_classes_sharing_a_name(tmp_path):
+    (tmp_path / "planted.py").write_text(
+        "class Reader:\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "    def next(self):\n"
+        "        return self.count + 1\n"
+        "class Writer:\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "        self.size = 1\n"
+        "class Grower(Writer):\n"
+        "    def grow(self):\n"
+        "        return self.size * 2\n"
+    )
+    # Reader's load of count reads no other class's; a subclass's load of
+    # size reads its base's
+    found = write_only_state(str(tmp_path), keep={})
+    assert {name: [site.rpartition(".")[2] for site in sites]
+            for name, sites in found.items()} == {"Writer.count": ["planted:8"]}
+
+
 def test_no_single_valued_keywords():
     assert single_valued_keywords() == []
 
