@@ -192,6 +192,9 @@ class GlobalArray:
     def block_of_element(self, index: Sequence[int]) -> int:
         return self.element_byte(index) // self.config.block_size
 
+    def block_range(self) -> range:
+        return range(self.base_block, self.base_block + self.n_blocks)
+
     def owners_of_blocks(self, blocks) -> "np.ndarray":
         """Vectorized designated owner per block: the owner of the block's
         first element (clamped into the array).  Used by the planner to

@@ -87,6 +87,8 @@ KEPT_FOR = {
         repro.serve.store: ResultStore.quarantined
         repro.tempest.memory: GlobalArray.owner_of_column""",
     "the test suite's shared fixture": "repro.tempest.config: small_config",
+    "called by a benchmark this recorder does not drive (bench_table1_calibration.py)":
+        "repro.tempest.memory: GlobalArray.block_range",
     "documented library API with no second spelling": """
         repro.serve.keys: fingerprint
         repro.serve.runner: ServeSession.run

@@ -33,7 +33,7 @@ class TestConstruction:
         cl, arr = build()
         from repro.tempest import AccessTag
 
-        for b in range(arr.base_block, arr.base_block + arr.n_blocks):
+        for b in arr.block_range():
             home = cl.directory.home_of(b)
             assert cl.access.get(home, b) is AccessTag.READWRITE
             for n in range(cl.n_nodes):

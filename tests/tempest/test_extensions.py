@@ -73,8 +73,7 @@ class TestMkWritable:
 
     def test_pipelined_faster_than_serial_misses(self):
         cl, a = build(cols=3)
-        # 6 blocks, all homed at node 0
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))
+        blocks = list(a.block_range())  # 6 blocks, all homed at node 0
 
         def owner():
             yield from cl.ext.mk_writable(1, blocks)
@@ -85,7 +84,7 @@ class TestMkWritable:
 
     def test_not_counted_as_demand_faults(self):
         cl, a = build()
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))
+        blocks = list(a.block_range())
 
         def owner():
             yield from cl.ext.mk_writable(1, blocks)
@@ -96,7 +95,7 @@ class TestMkWritable:
 
     def test_idempotent_on_owned_blocks(self):
         cl, a = build()
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))
+        blocks = list(a.block_range())
 
         def owner():
             yield from cl.ext.mk_writable(1, blocks)
@@ -123,7 +122,7 @@ class TestImplicitWritable:
 
     def test_memoized_fast_path(self):
         cl, a = build()
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))
+        blocks = list(a.block_range())
         times = []
 
         def reader():
@@ -164,8 +163,8 @@ class TestImplicitWritable:
     @pytest.mark.parametrize("as_range", [False, True])
     def test_memoized_repair_charges_only_the_lost_blocks(self, as_range):
         cl, a = build(cols=3)
-        ids = list(range(a.base_block, a.base_block + a.n_blocks))
-        blocks = range(a.base_block, a.base_block + a.n_blocks) if as_range else tuple(ids)
+        ids = list(a.block_range())
+        blocks = a.block_range() if as_range else tuple(ids)
         key = (ids[0], len(ids))
         lost = [ids[1], ids[4]]
 
@@ -220,7 +219,7 @@ class TestSendRecv:
 
     def test_bulk_transfer_single_message(self):
         cl, a = build()
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))[:4]  # contiguous
+        blocks = list(a.block_range())[:4]  # contiguous
 
         def setup_and_send():
             yield from cl.ext.mk_writable(1, blocks)
@@ -235,7 +234,7 @@ class TestSendRecv:
 
     def test_non_bulk_one_message_per_block(self):
         cl, a = build()
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))[:4]
+        blocks = list(a.block_range())[:4]
 
         def setup_and_send():
             yield from cl.ext.mk_writable(1, blocks)
@@ -250,7 +249,7 @@ class TestSendRecv:
 
     def test_bulk_respects_max_payload(self):
         cl, a = build(cols=6)
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))  # 12 contiguous blocks
+        blocks = list(a.block_range())  # 12 contiguous blocks
         cl.config  # max_payload_blocks=16 by default; shrink via coalesce
 
         def setup_and_send():

@@ -245,7 +245,7 @@ class TestSharedMemory:
         cfg = ClusterConfig(n_nodes=4)
         mem = SharedMemory(cfg)
         a = mem.alloc("a", (16, 8), Distribution.block(4))  # col == 1 block
-        owners = a.owners_of_blocks(list(range(a.base_block, a.base_block + a.n_blocks)))
+        owners = a.owners_of_blocks(list(a.block_range()))
         assert owners.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("dist", [Distribution.block(4), Distribution.cyclic(4)])
@@ -255,7 +255,7 @@ class TestSharedMemory:
         mem = SharedMemory(ClusterConfig(n_nodes=4))
         mem.alloc("pad", (8, 3), Distribution.block(4))
         a = mem.alloc("a", (20, 7), dist)
-        blocks = list(range(a.base_block, a.base_block + a.n_blocks))
+        blocks = list(a.block_range())
         want = [
             a.owner_of_column(min((b * 128 - a.base) // 160, a.extent - 1))
             for b in blocks

@@ -24,7 +24,7 @@ def make_array(rows, cols, dist, n_nodes, block_size=128):
 @settings(max_examples=150, deadline=None)
 def test_owners_of_blocks_matches_element_owner(rows, cols, dist, n_nodes):
     arr = make_array(rows, cols, dist, n_nodes)
-    blocks = np.asarray(list(range(arr.base_block, arr.base_block + arr.n_blocks)))
+    blocks = np.asarray(list(arr.block_range()))
     owners = arr.owners_of_blocks(blocks)
     for b, owner in zip(blocks.tolist(), owners.tolist()):
         byte = max(b * 128, arr.base)
@@ -41,7 +41,7 @@ def test_owners_of_blocks_matches_element_owner(rows, cols, dist, n_nodes):
 @settings(max_examples=150, deadline=None)
 def test_single_owner_blocks_matches_bruteforce(rows, cols, dist, n_nodes):
     arr = make_array(rows, cols, dist, n_nodes)
-    blocks = np.asarray(list(range(arr.base_block, arr.base_block + arr.n_blocks)))
+    blocks = np.asarray(list(arr.block_range()))
     mask = arr.single_owner_blocks(blocks)
     colbytes = rows * 8
     for b, single in zip(blocks.tolist(), mask.tolist()):
@@ -69,13 +69,13 @@ def test_replicated_rejects_owner_queries():
 
 def test_block_aligned_columns_all_single_owner():
     arr = make_array(16, 8, "block", 4)  # 16 doubles == exactly one block
-    blocks = np.asarray(list(range(arr.base_block, arr.base_block + arr.n_blocks)))
+    blocks = np.asarray(list(arr.block_range()))
     assert arr.single_owner_blocks(blocks).all()
 
 
 def test_straddling_columns_flag_multi_owner():
     # 20-double columns straddle 128 B blocks at every owner boundary.
     arr = make_array(20, 8, "block", 4)
-    blocks = np.asarray(list(range(arr.base_block, arr.base_block + arr.n_blocks)))
+    blocks = np.asarray(list(arr.block_range()))
     mask = arr.single_owner_blocks(blocks)
     assert not mask.all() and mask.any()

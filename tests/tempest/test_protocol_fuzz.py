@@ -58,8 +58,7 @@ def build_cluster(
     )
     mem = SharedMemory(cfg, home_policy=home_policy)
     arr = mem.alloc("a", (16, N_BLOCKS), Distribution.block(N_NODES))
-    blocks = list(range(arr.base_block, arr.base_block + arr.n_blocks))
-    return Cluster(cfg, mem, protocol=protocol), blocks
+    return Cluster(cfg, mem, protocol=protocol), list(arr.block_range())
 
 
 # One phase: per node, (read_mask, write_mask, compute_skew).
