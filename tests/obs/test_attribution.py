@@ -24,8 +24,11 @@ from repro.obs import EventBus, Timeline, critical_path, phase_breakdown
 from repro.runtime import run_shmem
 from repro.tempest.config import ClusterConfig
 from repro.tempest.faults import CrashScenario, FaultConfig, PartitionScenario
-from tests.obs.attribution_matrix import CELLS, DIGESTS, digest, run_cell
+from tests import pins
+from tests.obs.attribution_matrix import CELLS, digest, run_cell
 from tests.obs.attribution_oracle import CriticalPathAnalyzer, PhaseProfiler
+
+DIGESTS = pins.stored("attribution")
 
 N_NODES = 8  # ClusterConfig()'s default, which every cell runs on
 
@@ -47,8 +50,8 @@ def test_foldings_match_oracle_and_parent_digests(cell):
     r, oracle_bd, oracle_cp = observed(cell)
     assert r.phase_breakdown == oracle_bd
     assert r.critical_path == oracle_cp
-    assert (digest(r.phase_breakdown), digest(r.critical_path)) == DIGESTS[cell]
-    assert (digest(oracle_bd), digest(oracle_cp)) == DIGESTS[cell]
+    assert [digest(r.phase_breakdown), digest(r.critical_path)] == DIGESTS[cell]
+    assert [digest(oracle_bd), digest(oracle_cp)] == DIGESTS[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

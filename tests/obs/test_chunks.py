@@ -11,8 +11,6 @@ of the default.
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
 import repro.obs
@@ -29,7 +27,7 @@ from repro.runtime import run_shmem
 from repro.sim.engine import SimulationError
 from repro.tempest import ClusterConfig
 from tests.integration.test_failure_injection import F2_COMMAND
-from tests.obs.test_trace_bytes import CRASH, DIGESTS, LOSSY, RUNS
+from tests.obs.test_trace_bytes import CRASH, DIGESTS, LOSSY, RUNS, encode, written
 
 CHUNKS = (1, 7)
 
@@ -49,20 +47,11 @@ def pending_high_water(monkeypatch):
     return seen
 
 
-def trace_bytes(exporter, tmp_path) -> bytes:
-    path = tmp_path / "t.json"
-    exporter.write(path)
-    return path.read_bytes()
-
-
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_pinned_traces_do_not_see_chunk_seams(
-    run, chunk, tmp_path, monkeypatch, pending_high_water
-):
+def test_pinned_traces_do_not_see_chunk_seams(run, chunk, monkeypatch, pending_high_water):
     monkeypatch.setattr(bus_module, "CHUNK", chunk)
-    data = trace_bytes(RUNS[run](), tmp_path)
-    assert hashlib.sha256(data).hexdigest() == DIGESTS[run]
+    assert encode(written(run)) == DIGESTS[run]
     assert pending_high_water[0] <= chunk
 
 

@@ -1,9 +1,9 @@
 """Every send site's causal lineage, pinned against the parent's traces.
 
 Each cell of :mod:`tests.obs.lineage_digests` must reproduce the Chrome
-trace (every event's ``seq`` and ``parent``) and critical path recorded
-before the handlers became bound methods; a moved lineage edge, an extra
-or missing event, or a shifted publish order changes the digest.
+trace (every event's ``seq`` and ``parent``) and critical path of the
+``lineage`` table of :mod:`tests.pins`; a moved lineage edge, an extra or
+missing event, or a shifted publish order changes the digest.
 """
 
 import functools
@@ -11,21 +11,16 @@ import functools
 import pytest
 
 from repro.tempest.stats import MsgKind
+from tests import pins
 from tests.obs import lineage_digests as ld
-from tests.obs.attribution_matrix import digest
 
-
-@functools.lru_cache(maxsize=None)
-def _cell(cell: str):
-    result, exporter = ld.run_cell(cell)
-    return result, exporter.to_chrome()
+DIGESTS = pins.stored("lineage")
+_cell = functools.lru_cache(maxsize=None)(ld.record)
 
 
 @pytest.mark.parametrize("cell", list(ld.CELLS))
 def test_trace_matches_recorded_digest(cell):
-    result, trace = _cell(cell)
-    assert result.completed
-    assert digest([trace, result.critical_path]) == ld.DIGESTS[cell]
+    assert ld.encode(_cell(cell)) == DIGESTS[cell]
 
 
 def test_cells_reach_every_handler():
@@ -34,8 +29,8 @@ def test_cells_reach_every_handler():
     seen = {
         rec["args"]["msg"]
         for cell in ld.CELLS
-        for rec in _cell(cell)[1]["traceEvents"]
+        for rec in _cell(cell)["trace"]["traceEvents"]
         if rec.get("args", {}).get("kind") == "msg.send"
     }
     assert {k.value for k in MsgKind} - seen == {MsgKind.MP_DATA.value}
-    assert set(ld.DIGESTS) == set(ld.CELLS)
+    assert set(DIGESTS) == set(ld.CELLS)

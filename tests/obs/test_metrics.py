@@ -25,6 +25,7 @@ from repro.runtime import run_shmem
 from repro.tempest import HomePolicy
 from repro.tempest.config import ClusterConfig
 from repro.tempest.stats import COUNTERS, ClusterStats, MsgKind, NodeStats, PortStats
+from tests import pins
 from tests.obs import counters_matrix
 from tests.runtime.conftest import jacobi_program
 from tests.test_docs import emit_sites
@@ -158,7 +159,7 @@ def test_matrix_cells_cross_check_and_reproduce_the_parent_digests(cell):
     stats = result.stats
     assert registry.diff(stats) == []
     assert counters_matrix.digest(counters_matrix.aggregates(stats)) == (
-        counters_matrix.DIGESTS[cell]
+        pins.stored("counters")[cell]
     )
     assert result.completed == (cell != "degraded")
     if cell == "advisory+switch":

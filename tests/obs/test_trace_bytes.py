@@ -7,14 +7,15 @@ strings, bools and one enum.  These three runs cover the rest of what
 ``seq`` that the event's own ``seq`` overwrites), ``combine.flush``'s
 list of ``MsgKind``, ``switch.traverse``, crash / checkpoint / recovery
 and ``channel.*`` payloads, a label that needs JSON escaping and float
-payloads.  ``DIGESTS`` are the sha256 of the files the dict-building
-exporter (a record dict per event, then the C encoder) wrote for the
-same runs, before the record pass rendered text itself.
+payloads.  ``DIGESTS`` are the sha256 of the written files, the
+``trace_bytes`` table of :mod:`tests.pins`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pathlib
+import tempfile
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.runtime import run_shmem
 from repro.tempest import ClusterConfig, FaultConfig
 from repro.tempest.config import CombineConfig, SwitchConfig
 from repro.tempest.faults import CrashScenario
+from tests import pins
 from tests.obs.test_chrome import make_bus_with_traffic
 
 
@@ -84,11 +86,20 @@ def synthetic() -> ChromeTraceExporter:
 
 RUNS = {"lossy": lossy, "crash": crash, "synthetic": synthetic}
 
-DIGESTS = {
-    "lossy": "8c25f4f63511b53b6e4f391ba6f8d9ca19a79702795917a76c631192adede936",
-    "crash": "a7ee8879077a4df2cfaba7eb052f62b2bd97509844e870c4018850cf6a2fcf72",
-    "synthetic": "8858575182dff02b884f1f5e6a071156b7d4dde1c118e87b9e1db2d9c4639a3e",
-}
+DIGESTS = pins.stored("trace_bytes")
+
+
+def written(run: str) -> bytes:
+    """The file ``ChromeTraceExporter.write`` writes for one run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "t.json"
+        RUNS[run]().write(path)
+        return path.read_bytes()
+
+
+def encode(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 #: kinds each run must publish for its pin to cover what it claims
 COVERS = {
@@ -111,5 +122,5 @@ def test_written_trace_bytes_are_pinned(run, tmp_path):
     path = tmp_path / "t.json"
     exporter.write(path)
     data = path.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == DIGESTS[run]
+    assert encode(data) == DIGESTS[run]
     assert exporter.to_json().encode() == data

@@ -2,31 +2,26 @@
 
 ``build_shmem_plan`` is deterministic, so a sha256 over what it produced
 pins the functional pass across refactors: ``tests/runtime/
-test_plan_digest.py`` asserts the digests recorded on the commit *before*
-the pass was rewritten as array kernels.  The encoding is type-strict — a
-Python ``int`` and a ``numpy.int64`` hash differently, a tuple and an
-ndarray hash differently — because ``repro.serve`` pickles plans and the
-pickle must not change shape either.
+test_plan_digest.py`` asserts the digests of the ``plan_structure`` and
+``plan_numerics`` tables of :mod:`tests.pins`.  The encoding is
+type-strict — a Python ``int`` and a ``numpy.int64`` hash differently, a
+tuple and an ndarray hash differently — because ``repro.serve`` pickles
+plans and the pickle must not change shape either.
 
-Two digests per plan: ``structure`` (traces and planner counters — pure
+Two records per plan: ``structure`` (traces and planner counters — pure
 integer arithmetic, identical on every host) and ``numerics`` (the final
 arrays and scalars of the record the built plan carries, which no pickle
 of the plan holds — bit-exact on one host, but BLAS kernels may differ
 between CPUs, so a mismatch there alone points at the platform first).
-
-``PYTHONPATH=src python -m tests.plan_digest`` prints the digest table as
-JSON for every cell of :data:`CELLS`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
 from repro import APPS, ClusterConfig
-from repro.core.planner import PlanError
 from repro.runtime.shmem import ShmemPlan, build_shmem_plan
 
 #: small enough that all 36 builds take a few seconds
@@ -74,45 +69,37 @@ def _feed(h, obj) -> None:
         raise TypeError(f"unexpected {type(obj).__name__} in a plan: {obj!r}")
 
 
-def structure_digest(plan: ShmemPlan) -> str:
+def structure_record(plan: ShmemPlan) -> dict:
+    return {
+        "traces": plan.traces,
+        "plans_built": plan.plans_built,
+        "controlled_blocks": plan.controlled_blocks,
+        "tracker_stats": plan.tracker_stats,
+    }
+
+
+def structure_digest(record: dict) -> str:
     h = hashlib.sha256()
-    _feed(h, plan.traces)
-    _feed(h, (plan.plans_built, plan.controlled_blocks, plan.tracker_stats))
+    _feed(h, record["traces"])
+    _feed(h, (record["plans_built"], record["controlled_blocks"], record["tracker_stats"]))
     return h.hexdigest()[:24]
 
 
-def numerics_digest(plan: ShmemPlan) -> str:
+def numerics_record(plan: ShmemPlan) -> dict:
+    return {"arrays": dict(plan.numerics.arrays), "scalars": dict(plan.numerics.scalars)}
+
+
+def numerics_digest(record: dict) -> str:
     h = hashlib.sha256()
-    _feed(h, dict(plan.numerics.arrays))
-    _feed(h, dict(plan.numerics.scalars))
+    _feed(h, record["arrays"])
+    _feed(h, record["scalars"])
     return h.hexdigest()[:24]
 
 
-def build_cell(app: str, variant: str) -> ShmemPlan | None:
-    """The plan of one pinned cell; ``None`` where the planner refuses."""
+def build_cell(app: str, variant: str) -> ShmemPlan:
+    """The plan of one pinned cell."""
     program = APPS[app].program(**PARAMS[app])
-    try:
-        return build_shmem_plan(
-            program, ClusterConfig(n_nodes=N_NODES), **VARIANTS[variant]
-        )
-    except PlanError:
-        return None
-
-
-def cell_digests(app: str, variant: str) -> dict | None:
-    plan = build_cell(app, variant)
-    if plan is None:
-        return None
-    return {"structure": structure_digest(plan), "numerics": numerics_digest(plan)}
+    return build_shmem_plan(program, ClusterConfig(n_nodes=N_NODES), **VARIANTS[variant])
 
 
 CELLS = [(app, variant) for app in PARAMS for variant in VARIANTS]
-
-
-if __name__ == "__main__":
-    print(
-        json.dumps(
-            {f"{app}/{variant}": cell_digests(app, variant) for app, variant in CELLS},
-            indent=1,
-        )
-    )

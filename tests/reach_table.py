@@ -8,9 +8,12 @@ recorder (Python 3.11 has no ``sys.monitoring``; coverage.py is not a
 dependency): the CLI over all six apps and every flag family, ``repro
 sweep`` (``--jobs 1``) and ``repro diff``, ``repro.report``,
 ``repro.obs.schema``, the seven examples, the hostbench workloads at smoke
-size, and the three benches whose paths no default-scale run takes.  It
-lists every function defined under ``src/`` that no call reached and exits
-1 unless ``KEEP`` — the decision record — names it with a reason.
+size, and the three benches whose paths no default-scale run takes.  A
+function whose own name is loaded or called in a ``benchmarks/`` or
+``examples/`` file counts as reached by that static caller
+(:func:`loaded_names`): CI runs every bench, this recorder three.  It
+lists every function defined under ``src/`` that neither reached and
+exits 1 unless ``KEEP`` — the decision record — names it with a reason.
 
 It also runs three static passes.  :func:`write_only_state`: every
 attribute stored under ``src/`` must be loaded somewhere under ``src/``,
@@ -87,8 +90,6 @@ KEPT_FOR = {
         repro.serve.store: ResultStore.quarantined
         repro.tempest.memory: GlobalArray.owner_of_column""",
     "the test suite's shared fixture": "repro.tempest.config: small_config",
-    "called by a benchmark this recorder does not drive (bench_table1_calibration.py)":
-        "repro.tempest.memory: GlobalArray.block_range",
     "documented library API with no second spelling": """
         repro.serve.keys: fingerprint
         repro.serve.runner: ServeSession.run
@@ -222,6 +223,32 @@ def reached_functions() -> set[str]:
             sys.settrace(None)
             threading.settrace(None)
     return reached
+
+
+#: files whose loads count as static callers
+STATIC_CALLERS = tuple(os.path.join(ROOT, d) for d in ("benchmarks", "examples"))
+
+
+def loaded_names(roots=STATIC_CALLERS) -> set[str]:
+    """Every name and attribute name loaded (so every one called) in a file
+    under ``roots``, matched to ``src/`` functions by name alone, as the
+    keyword pass matches calls."""
+    names = set()
+    for root in roots:
+        for path in _py_files(root):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+    return names
+
+
+def own_name(function: str) -> str:
+    """``module:Class.method`` -> ``method``."""
+    return function.rpartition(":")[2].rpartition(".")[2]
 
 
 # --------------------------------------------------------------------- #
@@ -688,7 +715,9 @@ def main() -> int:
         print(f"outside the checkpoint cut  {name}  ({', '.join(sites)})")
     functions = src_functions()
     reached = reached_functions()
-    unreached = {name: n for name, n in sorted(functions.items()) if name not in reached}
+    called = loaded_names()
+    unreached = {name: n for name, n in sorted(functions.items())
+                 if name not in reached and own_name(name) not in called}
     for name, n in unreached.items():
         print(f"{n:5d}  {name}" + ("" if kept(name) else "  NOT IN KEEP"))
     bad = [name for name in unreached if not kept(name)]

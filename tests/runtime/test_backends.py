@@ -32,6 +32,7 @@ from repro.tempest.faults import CrashScenario, FaultConfig, PartitionScenario, 
 from repro.tempest.memory import HomePolicy
 from repro.tempest.stats import COHERENCE_KINDS, MsgKind
 
+from tests import pins
 from tests.runtime.conftest import jacobi_program, stable_reader_program
 
 
@@ -309,25 +310,26 @@ class TestReductionsAndScalars:
         assert kinds[MsgKind.REDUCE_RESULT] == 4
 
 
-class TestMsgpassSchedule:
-    #: app -> (elapsed_ns, events_dispatched, total_messages, total_bytes) of
-    #: run_msgpass at default scale on 4 nodes, recorded before its pre- and
-    #: post-loop exchanges became one helper
-    PINNED = {
-        "cg": (39027700, 10596, 1020, 183744),
-        "grav": (30991040, 1226, 152, 98688),
-        "jacobi": (61921600, 824, 60, 122880),
-        "lu": (45938040, 5798, 378, 201088),
-        "pde": (166207600, 332, 24, 738432),
-        "shallow": (121860200, 3584, 210, 433440),
+def msgpass_schedule(app: str) -> dict:
+    """What ``run_msgpass`` did at default scale on 4 nodes."""
+    r = run_msgpass(APPS[app].program("default"), ClusterConfig(n_nodes=4))
+    s = r.stats
+    return {
+        "elapsed_ns": r.elapsed_ns,
+        "events_dispatched": s.events_dispatched,
+        "total_messages": s.total_messages,
+        "total_bytes": s.total_bytes,
     }
 
+
+class TestMsgpassSchedule:
+    #: app -> (elapsed_ns, events_dispatched, total_messages, total_bytes):
+    #: the ``msgpass`` table of tests.pins
+    PINNED = pins.stored("msgpass")
+
     @pytest.mark.parametrize("app", sorted(APPS))
-    def test_schedule_is_pinned(self, app, cfg4):
-        r = run_msgpass(APPS[app].program("default"), cfg4)
-        s = r.stats
-        got = (r.elapsed_ns, s.events_dispatched, s.total_messages, s.total_bytes)
-        assert got == self.PINNED[app]
+    def test_schedule_is_pinned(self, app):
+        assert pins.fields(msgpass_schedule(app)) == self.PINNED[app]
 
 
 class TestRunRecord:

@@ -1,10 +1,8 @@
-"""``build_shmem_plan`` is pinned: digests recorded on the parent commit.
-
-The functional pass was rewritten as array kernels (closed-form block
-mapping, in-place numerics, bitmap availability); these digests were
-recorded with ``python -m tests.plan_digest`` on the commit *before* that
-rewrite, so any drift in traces, planner counters or numerics fails here.
-``CODE_VERSION`` and the serve keys depend on plans staying put.
+"""``build_shmem_plan`` is pinned: any drift in traces, planner counters
+or numerics fails against the ``plan_structure`` and ``plan_numerics``
+tables of :mod:`tests.pins` (whose data files say which commit the
+digests were recorded on).  ``CODE_VERSION`` and the serve keys depend on
+plans staying put.
 
 Also pinned: the timing pass allocates no program data, and a program
 is evaluated once, in zeroed, writable, Fortran-ordered storage, into one
@@ -25,73 +23,31 @@ from repro.runtime.shmem import build_shmem_plan, execute_shmem_plan, trace_geom
 from repro.tempest.config import CombineConfig, SwitchConfig
 from repro.tempest.faults import FaultConfig
 from repro.tempest.memory import GlobalArray
+from tests import pins
 from tests.hpf import eval_oracle
 from tests.plan_digest import (
     CELLS,
     N_NODES,
     PARAMS,
     VARIANTS,
-    cell_digests,
+    build_cell,
+    numerics_digest,
+    numerics_record,
     structure_digest,
+    structure_record,
 )
 
 #: final arrays + scalars per app (every variant computes the same numerics)
-NUMERICS = {
-    "pde": "7a7847103a6dd9d93ecbef3a",
-    "shallow": "617da17cf61d643ff74958ee",
-    "grav": "5e7f91f2436d37562391a461",
-    "lu": "ba0f6e44724c1a1c411ae3ad",
-    "cg": "2f51b76168a04c510ba30510",
-    "jacobi": "895e0552ca5149a5601c9df2",
-}
-
+NUMERICS = pins.stored("plan_numerics")
 #: traces + plans_built + controlled_blocks + tracker_stats per cell
-STRUCTURE = {
-    "pde/unopt": "58eea3f14b84a547af47111d",
-    "pde/opt": "f8267876412c5de2f11e62b1",
-    "pde/opt+rt_elim": "9c9d5fcf5e6fbd8e2101ba69",
-    "pde/opt+pre": "e76e976e2c1af5ce23696f28",
-    "pde/opt+rt_elim+pre": "f255e36887afde0168821ed4",
-    "pde/opt+advisory": "83df0a51b1001953c7bf1880",
-    "shallow/unopt": "59f6521adf338c3297704cc2",
-    "shallow/opt": "8f7c21529edeeeafccebee0e",
-    "shallow/opt+rt_elim": "21723c18902c4bccd2398f6f",
-    "shallow/opt+pre": "17a55c3efe0daa844b9b72b6",
-    "shallow/opt+rt_elim+pre": "f2454c962e66fa4ba7c6929b",
-    "shallow/opt+advisory": "0f7d47aa5c9257b85348aa0c",
-    "grav/unopt": "54afecf32dbfcd5fec3e32c4",
-    "grav/opt": "09b2fee3091c7001b57dcd76",
-    "grav/opt+rt_elim": "53ce69a01098331f7b388841",
-    "grav/opt+pre": "d85cf8f2c74778a8b976856a",
-    "grav/opt+rt_elim+pre": "e07d7595a929a1daf82e038c",
-    "grav/opt+advisory": "174c0294303d8dfeddf397a6",
-    "lu/unopt": "6cabbcf7ce860718728a2334",
-    "lu/opt": "9f1671192ded9c959e77a6ed",
-    "lu/opt+rt_elim": "ebcfdbece9489d8db6e8f73b",
-    "lu/opt+pre": "9b87228fa7af8efe293cd6f8",
-    "lu/opt+rt_elim+pre": "99e8b48eef93c82236bc4a67",
-    "lu/opt+advisory": "dd5832cb97d2e4db2d284efa",
-    "cg/unopt": "585cc965e2618c66e02b6e6b",
-    "cg/opt": "208e2ef3976cef2c1d21d4df",
-    "cg/opt+rt_elim": "8358ec38edb282c83cffd692",
-    "cg/opt+pre": "284c128364d31c9b92009eb5",
-    "cg/opt+rt_elim+pre": "0df0e8288beaab107caf89b6",
-    "cg/opt+advisory": "cc5a61abe90459f62d6476e9",
-    "jacobi/unopt": "7644e28cd8c75576d5f661aa",
-    "jacobi/opt": "cc9dbda5a53df4bf954149f1",
-    "jacobi/opt+rt_elim": "2343db3a40663e5d7ab9d5c4",
-    "jacobi/opt+pre": "920f42a90ab31b1d1f3c7bbe",
-    "jacobi/opt+rt_elim+pre": "13b96a7bb57b1903affc04b7",
-    "jacobi/opt+advisory": "c895df26456d36ec1ec5bc26",
-}
+STRUCTURE = pins.stored("plan_structure")
 
 
 @pytest.mark.parametrize("app,variant", CELLS)
 def test_plan_matches_parent_digest(app, variant):
-    got = cell_digests(app, variant)
-    assert got is not None, "the planner refused a cell it used to accept"
-    assert got["structure"] == STRUCTURE[f"{app}/{variant}"]
-    assert got["numerics"] == NUMERICS[app]
+    plan = build_cell(app, variant)
+    assert structure_digest(structure_record(plan)) == STRUCTURE[f"{app}/{variant}"]
+    assert numerics_digest(numerics_record(plan)) == NUMERICS[app]
 
 
 @pytest.mark.parametrize("app", sorted(PARAMS))
@@ -176,7 +132,7 @@ def test_timing_only_fields_leave_the_plan_alone(app):
         assert trace_geometry(cfg) == trace_geometry(base)
         for variant in ("unopt", "opt"):
             plan = build_shmem_plan(program, cfg, **VARIANTS[variant])
-            assert structure_digest(plan) == STRUCTURE[f"{app}/{variant}"], cfg
+            assert structure_digest(structure_record(plan)) == STRUCTURE[f"{app}/{variant}"], cfg
 
 
 @pytest.mark.parametrize(
@@ -189,7 +145,7 @@ def test_every_geometry_field_moves_a_plan(field, value):
     program = APPS["shallow"].program(**PARAMS["shallow"])
     cfg = dataclasses.replace(ClusterConfig(n_nodes=N_NODES), **{field: value})
     plan = build_shmem_plan(program, cfg, optimize=True)
-    assert structure_digest(plan) != STRUCTURE["shallow/opt"]
+    assert structure_digest(structure_record(plan)) != STRUCTURE["shallow/opt"]
 
 
 def test_timing_pass_allocates_no_program_data(monkeypatch):

@@ -1,14 +1,17 @@
 """The reliable transport's schedule, pinned across the fault-config space.
 
 Each sampled config of :mod:`tests.tempest.transport_digests` must replay
-to exactly the schedule digest recorded before the transport's per-frame
-path was rewritten: same engine events at the same instants, same RNG
+to exactly the schedule digest of the ``transport`` table of
+:mod:`tests.pins`: same engine events at the same instants, same RNG
 draws deciding the same fates, same counters.
 """
 
 import pytest
 
+from tests import pins
 from tests.tempest import transport_digests as td
+
+DIGESTS = pins.stored("transport")
 
 
 def test_sample_spans_every_axis():
@@ -31,10 +34,10 @@ def test_sample_spans_every_axis():
         "switch": any("switch" in c for c in cells),
     }
     assert [axis for axis, hit in seen.items() if not hit] == []
-    assert set(td.DIGESTS) == set(range(len(td.CONFIGS)))
+    assert set(DIGESTS) == {str(i) for i in range(len(td.CONFIGS))}
 
 
 @pytest.mark.parametrize("index", range(len(td.CONFIGS)))
 def test_schedule_matches_recorded_digest(index):
     result = td.run_config(td.CONFIGS[index])
-    assert td.schedule_digest(result) == td.DIGESTS[index]
+    assert td.schedule_digest(td.schedule(result)) == DIGESTS[str(index)]

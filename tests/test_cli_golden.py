@@ -1,21 +1,17 @@
 """``repro APP`` stdout, byte for byte, on six small runs.
 
-Each run's stdout and exit code are pinned in ``tests/cli_golden/``.  The
-table below is the one place the runs are named; to re-record after a
-deliberate output change::
-
-    PYTHONPATH=src python -m tests.test_cli_golden
+Each run's stdout is pinned in ``tests/cli_golden/``, the ``cli`` table
+of :mod:`tests.pins`; the table below is the one place the runs and
+their exit codes are named.
 """
 
 import contextlib
 import io
-import pathlib
 
 import pytest
 
 from repro.cli import main
-
-GOLDEN = pathlib.Path(__file__).with_name("cli_golden")
+from tests import pins
 
 _GRAV = ["grav", "--nodes", "4", "--param", "n=17", "--param", "iters=1"]
 _JACOBI = ["jacobi", "--param", "n=32", "--param", "iters=2"]
@@ -43,18 +39,13 @@ def run(argv) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_stdout_is_byte_identical(name):
+def stdout(name: str) -> str:
     argv, code = RUNS[name]
     rc, out = run(argv)
-    assert rc == code
-    assert out == (GOLDEN / f"{name}.txt").read_text()
+    assert rc == code, (name, rc)
+    return out
 
 
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, code) in RUNS.items():
-        rc, out = run(argv)
-        assert rc == code, (name, rc)
-        (GOLDEN / f"{name}.txt").write_text(out)
-        print(f"{name}: {len(out)} bytes")
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_stdout_is_byte_identical(name):
+    assert stdout(name) == pins.stored("cli")[name]

@@ -4,7 +4,8 @@ with it, an attribute no code reads must be deleted or named in
 ``WRITE_ONLY_KEEP``, and a keyword every caller leaves at its default
 must be deleted or named in ``KEYWORD_KEEP``, and a field a class with a
 ``restore`` changes must be in its checkpoint cut, cleared by its
-``restore`` or named in ``CUT_KEEP``."""
+``restore`` or named in ``CUT_KEEP``.  A function a bench or an example
+calls counts as reached without a ``KEEP`` row."""
 
 from tests.reach_table import (
     CUT_KEEP,
@@ -12,6 +13,8 @@ from tests.reach_table import (
     KEYWORD_KEEP,
     WRITE_ONLY_KEEP,
     checkpoint_cut,
+    loaded_names,
+    own_name,
     single_valued_keywords,
     src_functions,
     write_only_state,
@@ -25,6 +28,18 @@ def test_every_kept_name_is_a_src_function_or_class():
         if not any(f == name or f.startswith(name + ".") for f in functions)
     ]
     assert missing == []
+
+
+def test_a_name_a_benchmark_calls_counts_as_reached(tmp_path):
+    (tmp_path / "bench_planted.py").write_text(
+        "from planted import helper\n"
+        "def measure(arr):\n"
+        "    arr.cached = helper(arr.block_range())\n"
+    )
+    names = loaded_names([str(tmp_path)])
+    assert {"helper", "block_range", "arr"} <= names
+    assert "cached" not in names  # stored, not loaded
+    assert own_name("repro.tempest.memory:GlobalArray.block_range") in loaded_names()
 
 
 def test_every_kept_name_gives_a_reason():

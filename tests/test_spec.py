@@ -28,7 +28,7 @@ from repro.tempest.faults import (
     LinkFaultConfig,
     PartitionScenario,
 )
-from tests import rules
+from tests import pins, rules
 
 SMALL = ["jacobi", "--param", "n=32", "--param", "iters=1"]
 #: companions that keep the cross-flag usage errors (a stall and its window
@@ -138,32 +138,13 @@ class TestOneSpelling:
 
 
 class TestParentCompatibility:
-    """Option strings pinned before the spec existed.
-
-    The cache-key digests were re-recorded once, when ``check_contracts``
-    left ``build_options()`` and ``check_contracts``, ``audit`` and
-    ``audit_sample_prob`` left ``run_options()``: each had one value in
-    use.  No result changed, so ``CODE_VERSION`` stayed; a cache entry
-    written before then is a miss, never a wrong hit.  They were recorded
-    again when ``CODE_VERSION`` became ``repro-serve/4`` and ``plan_key``
-    began hashing ``trace_geometry(config)``.  The plan digests alone were
-    re-recorded when ``trace_geometry`` shrank to the five fields the
-    build reads; request digests and ``CODE_VERSION`` did not move.
-    The request digests alone were re-recorded when ``FaultConfig`` lost
-    ``max_backoff_ns`` (merged into ``rto_max_ns``) and ``rto_min_ns``
-    (the floor is ``retransmit_timeout_ns``): its canonical form has two
-    fields fewer.  No result changed, so ``CODE_VERSION`` stayed; an
-    older cache entry is a miss, never a wrong hit.  The request digests
-    alone were recorded again when ``ClusterConfig`` lost
-    ``barrier_manager`` (node 0 manages), ``CombineConfig`` lost
-    ``max_msgs``, ``slot_bytes`` and ``max_wait_ns`` (module constants)
-    and ``SwitchConfig`` lost ``ports`` and ``bandwidth_bytes_per_us``
-    (one link-rate port per node), for the same reason and with the same
-    consequence; ``combine_switch`` now enables both layers without
-    tuning them.  All of them were recorded again, on purpose, when
-    ``CODE_VERSION`` became ``repro-serve/5``: a stored plan lost its
-    arrays, so an older plan entry would come back with no numerics.
-    The ``numerics_key`` digests were first recorded then.
+    """Option strings pinned before the spec existed, and the cache keys of
+    six requests: the ``cache_keys`` table of :mod:`tests.pins`, whose
+    data file records why each re-record happened.  A key moves only on
+    purpose: when what it covers changes shape but no result does,
+    ``CODE_VERSION`` stays and an older cache entry is a miss, never a
+    wrong hit; when a result or a stored entry changes, ``CODE_VERSION``
+    moves and every key with it.
     """
 
     REPRO = [
@@ -200,65 +181,42 @@ class TestParentCompatibility:
         assert (args.fault_drop, args.fault_jitter, args.fault_seed) == (0.0, 0.0, 0)
         assert (args.combine, args.switch, args.rt_elim) == (False, False, False)
 
-    #: request_key / plan_key / numerics_key hex digests under
-    #: ``repro-serve/5``: with ``CODE_VERSION``, the option set and the
-    #: plan geometry unchanged, warm caches must keep hitting.
-    KEYS = {
-        "default": (
-            lambda: RunRequest(app="jacobi"),
-            "7607788ccb16da59cc847bb77510f8d99699a94d6806463159b739f489164b62",
-            "b30dbb65f56fdb2c8478029753266978e566ffbac10f3195e806da9cf9937863",
-            "691d0c7f2115c688c2c3d015e3e22dcf30d448969763a4af0e8ef8e00dccc5d9",
-        ),
-        "storm": (
-            lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
-                n_nodes=4, faults=FaultConfig(
-                    drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
-            "7716ef55d96fc3ada949a0c641f6edaaf5d1286bf81a775546ac516609c0bce0",
-            "ee0d6f074df2b8330ebe6e6e5291cfbc517f8301263d4a052bbdc50ecbbb3746",
-            "691d0c7f2115c688c2c3d015e3e22dcf30d448969763a4af0e8ef8e00dccc5d9",
-        ),
-        "combine_switch": (
-            lambda: RunRequest(app="cg", config=ClusterConfig(
-                combine=CombineConfig(enabled=True),
-                switch=SwitchConfig(enabled=True))),
-            "6c7687b1d6031a7b3fd18e8df7563a4c82d3b1ef56965d53deeec505a8777603",
-            "434864e53055131e13fdd9990105451ffdc48dd625ad3fcc75ebabe1ce8d8d25",
-            "63624b475146cbdb90c8b954c6380d4f87cddb349b560933d517cf73b79c1984",
-        ),
-        "crash_checkpoint": (
-            lambda: RunRequest(
-                app="jacobi", params={"n": 32, "iters": 2},
-                config=ClusterConfig(faults=FaultConfig(
-                    crashes=(CrashScenario(2, 3000 * US, 500 * US),),
-                    checkpoint_every=1))),
-            "957a945d39e3bd1e95f9ac31666270c15abd6957da1fa120f64ff2371e1c1db6",
-            "6060084bcdc79067830f21fa8dc3cc2dfb8cbe2311fb81f70ae27292c96c7c33",
-            "7704258de1cdf3a76440bc20a1a07befe63af6023067a5c0ba7ea82d69eb7194",
-        ),
-        "profile": (
-            lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
-                               profile_phases=True, critical_path=True),
-            "f791dc8319768f056de399218b2d9b85bd83786463948625f8b3dae76afd3f0c",
-            "94c6e56781ec2427d1d80cecd0ae28a5bbec0de60b8e432dfc5ca1a2cfd7525a",
-            "a9b1ab80b6df1ab57bda6803240770a19dbbe2322c350a4a2cbe88db8d140a9e",
-        ),
-        "inline": (
-            lambda: RunRequest(
-                program=APPS["jacobi"].program("default", n=16, iters=1),
-                config=ClusterConfig(n_nodes=4)),
-            "162825dba24c0903009f7bc512c9e21e8e135d25490019b312d77cc9192a6f93",
-            "29ffc713e054cd7b2fd8a7321a969845564ed69b75b1753ddff3e7e745c96939",
-            "9a63c3859d12fde90e1ed1ca180069cfa9b1b01af042e275c07dcb35339e1b9d",
-        ),
+    #: the requests whose request_key / plan_key / numerics_key are pinned:
+    #: with ``CODE_VERSION``, the option set and the plan geometry
+    #: unchanged, warm caches must keep hitting.
+    REQUESTS = {
+        "default": lambda: RunRequest(app="jacobi"),
+        "storm": lambda: RunRequest(app="jacobi", optimize=True, config=ClusterConfig(
+            n_nodes=4, faults=FaultConfig(
+                drop_prob=0.05, dup_prob=0.02, jitter_ns=5 * US, seed=7))),
+        "combine_switch": lambda: RunRequest(app="cg", config=ClusterConfig(
+            combine=CombineConfig(enabled=True),
+            switch=SwitchConfig(enabled=True))),
+        "crash_checkpoint": lambda: RunRequest(
+            app="jacobi", params={"n": 32, "iters": 2},
+            config=ClusterConfig(faults=FaultConfig(
+                crashes=(CrashScenario(2, 3000 * US, 500 * US),),
+                checkpoint_every=1))),
+        "profile": lambda: RunRequest(app="shallow", optimize=True, rt_elim=True,
+                                      profile_phases=True, critical_path=True),
+        "inline": lambda: RunRequest(
+            program=APPS["jacobi"].program("default", n=16, iters=1),
+            config=ClusterConfig(n_nodes=4)),
     }
+    KEYS = pins.stored("cache_keys")
 
-    @pytest.mark.parametrize("name", sorted(KEYS))
+    @pytest.mark.parametrize("name", sorted(REQUESTS))
     def test_cache_keys_unchanged(self, name):
-        build, request_digest, plan_digest, numerics_digest = self.KEYS[name]
-        assert request_key(build()) == request_digest
-        assert plan_key(build()) == plan_digest
-        assert numerics_key(build()) == numerics_digest
+        assert pins.fields(cache_keys(name)) == self.KEYS[name]
+
+
+def cache_keys(name: str) -> dict:
+    build = TestParentCompatibility.REQUESTS[name]
+    return {
+        "request_key": request_key(build()),
+        "plan_key": plan_key(build()),
+        "numerics_key": numerics_key(build()),
+    }
 
 
 class TestCellLabels:
